@@ -106,7 +106,9 @@ def _cmd_pcube(args) -> int:
 def _cmd_iso(args) -> int:
     a = _load_system(args.first)
     b = _load_system(args.second)
-    cap = args.max_vertices or int(os.environ.get(VERTEX_CAP_ENV, cubes.DEFAULT_ISO_CAP))
+    cap = args.max_vertices
+    if cap is None:
+        cap = int(os.environ.get(VERTEX_CAP_ENV, cubes.DEFAULT_ISO_CAP))
     found = cubes.media_isomorphic(a, b, max_vertices=cap)
     if found is None:
         _emit({"isomorphic": False})

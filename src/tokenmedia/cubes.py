@@ -195,21 +195,22 @@ def is_partial_cube(g: LabeledGraph) -> PartialCubeResult:
         raise InputError("empty graph")
     adj = adjacency(g)
     s0 = min(g.vertices)
-    # single BFS: connectivity, bipartition, parents for odd-cycle extraction
+    # single BFS: connectivity, bipartition, parents for odd-cycle extraction;
+    # it runs past the first odd edge, kept as the witness, so that
+    # connectivity is tested on every vertex
     parent: dict[str, str | None] = {s0: None}
     depth = {s0: 0}
     queue = deque([s0])
     odd = None
-    while queue and odd is None:
+    while queue:
         u = queue.popleft()
         for w in adj[u]:
             if w not in depth:
                 depth[w] = depth[u] + 1
                 parent[w] = u
                 queue.append(w)
-            elif (depth[w] ^ depth[u]) & 1 == 0:
+            elif (depth[w] ^ depth[u]) & 1 == 0 and odd is None:
                 odd = (u, w)
-                break
     if len(depth) != len(g.vertices):
         raise InputError("graph must be connected")
     if odd is not None:
@@ -365,9 +366,13 @@ def media_isomorphic(ts1: TokenSystem, ts2: TokenSystem,
     """A state/token isomorphism between two verified media, or None.
 
     Media are isomorphic iff their graphs are, so this runs invariant-guided
-    backtracking graph isomorphism (degree refinement plus Theta-class size
-    multiset) and then reads the token bijection off the matched edges.
+    backtracking graph isomorphism (degree refinement plus the multiset of
+    move counts per token pair) and then reads the token bijection off the
+    matched edges.  Inputs are verified with ``decide_medium``; a non-medium
+    raises InputError.
     """
+    from .represent import decide_medium
+
     n = len(ts1.states)
     if n > max_vertices or len(ts2.states) > max_vertices:
         raise CapError(f"isomorphism search capped at {max_vertices} states")
@@ -376,10 +381,9 @@ def media_isomorphic(ts1: TokenSystem, ts2: TokenSystem,
     g1, g2 = medium_graph(ts1), medium_graph(ts2)
     if len(g1.edges) != len(g2.edges):
         return None
-    pc1, pc2 = is_partial_cube(g1), is_partial_cube(g2)
-    if not (pc1.accepted and pc2.accepted):
+    if not (decide_medium(ts1).is_medium and decide_medium(ts2).is_medium):
         raise InputError("media_isomorphic expects verified media")
-    if _class_sizes(pc1) != _class_sizes(pc2):
+    if _move_counts(ts1) != _move_counts(ts2):
         return None
     adj1 = {v: frozenset(ws) for v, ws in adjacency(g1).items()}
     adj2 = {v: frozenset(ws) for v, ws in adjacency(g2).items()}
@@ -410,11 +414,9 @@ def media_isomorphic(ts1: TokenSystem, ts2: TokenSystem,
     return alpha, beta
 
 
-def _class_sizes(pc: PartialCubeResult):
-    counts: dict[str, int] = {}
-    for cid in pc.edge_classes.values():
-        counts[cid] = counts.get(cid, 0) + 1
-    return sorted(counts.values())
+def _move_counts(ts: TokenSystem):
+    # in a medium a token pair's moves are one Theta class of its graph
+    return sorted(len(ts.moves(t)) for t in ts.tokens)
 
 
 def _joint_refinement(g1, adj1, g2, adj2):

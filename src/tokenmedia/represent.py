@@ -1,11 +1,14 @@
 """Contents, orientations, the positive-content representation, and the
 exact medium decision procedure.
 
-``decide_medium`` is the exact finite decision: it verifies the reverse
-pairing, recognizes the state graph as a partial cube, and checks that each
-token acts exactly as the add/remove reduction of its hypercube coordinate,
-fixed points included.  A yes verdict returns the canonical well-graded
-set-family representation with explicit state and token bijections.
+``decide_medium`` is the exact finite decision.  It verifies the reverse
+pairing, labels every state by the token pairs on a path to it (one cube
+coordinate per pair), and checks that each token acts exactly as the
+add/remove reduction of its pair's coordinate, fixed points included, on a
+well graded label family.  A yes verdict returns the canonical well-graded
+set-family representation with explicit state and token bijections.  The
+Djokovic-Winkler partial-cube route stays as the reference decision and
+supplies the witness when a system is rejected after M1 and M2.
 """
 
 from __future__ import annotations
@@ -198,12 +201,116 @@ class MediumDecision:
 def decide_medium(ts: TokenSystem) -> MediumDecision:
     """Exact decision: is this token system a medium?
 
-    Route: exact reverse-pairing check, connectivity, partial-cube
-    recognition of the state graph, then a per-token match against the
-    add/remove reduction of its coordinate (the fixed-point direction of
-    this match is what rules out systems whose graph is a partial cube but
-    whose action is wrong).  On yes, the partial-cube labeling is returned
-    as the canonical set-family representation with explicit bijections.
+    Route: by the representation theorem a medium is the add/remove system
+    of a well graded family with one ground element per token pair, so the
+    token pairs are its cube coordinates.  After the exact reverse-pairing
+    check (M1), one breadth-first pass from the first state labels every
+    state by a bitmask of token pairs and checks connectivity (M2).  The
+    system is a medium iff every move flips exactly its own pair's bit, each
+    token flips it one way only, and for any two states some pair whose
+    tokens move the first separates their labels.  The last test is
+    well-gradedness of the label family; it also makes the labels injective
+    and lets a token fix a state only when the toggled label is not realized
+    or the token's polarity forbids the move.  On yes, the labels relative
+    to the least state are the canonical set-family representation,
+    coordinates named "0", "1", ... in order of each pair's least edge.  On
+    no after M1 and M2, the witness comes from the Djokovic-Winkler route
+    (``_theta_decision``).
+    """
+    defect = reverse_defect(ts)
+    if defect is not None:
+        return MediumDecision(False, witness=defect)
+    states, rev = ts.states, ts.reverse
+    index = {s: i for i, s in enumerate(states)}
+    pair: dict[str, int] = {}
+    for t in ts.tokens:
+        if t not in pair:
+            pair[t] = pair[rev[t]] = len(pair) // 2
+    k = len(pair) // 2
+    moves: dict[str, list[tuple[int, int]]] = {}
+    adj: list[list[tuple[int, int]]] = [[] for _ in states]
+    for t in ts.tokens:
+        row = ts.action[t]
+        moves[t] = ms = [(i, index[v]) for i, s in enumerate(states) if (v := row[s]) != s]
+        b = 1 << pair[t]
+        for i, j in ms:
+            adj[i].append((j, b))
+    lab = [-1] * len(states)
+    lab[0] = 0
+    order = [0]
+    for u in order:
+        for j, b in adj[u]:
+            if lab[j] < 0:
+                lab[j] = lab[u] ^ b
+                order.append(j)
+    if len(order) != len(states):
+        return MediumDecision(
+            False,
+            witness={"axiom": "M2", "source": states[0], "target": states[lab.index(-1)]},
+        )
+
+    head: dict[str, int] = {}  # the pair bit of every move's target, one value per token
+    toggles = [0] * len(states)  # pairs whose tokens move each state
+    for t, ms in moves.items():
+        b = 1 << pair[t]
+        ends = {lab[j] & b if lab[i] ^ lab[j] == b else -1 for i, j in ms}  # -1: wrong flip
+        if len(ends) != 1 or -1 in ends:
+            return _pair_rejection(ts)
+        head[t] = ends.pop()
+        for i, _ in ms:
+            toggles[i] |= b
+    base = lab[index[min(states)]]
+    lab = [x ^ base for x in lab]
+    # for every q != p some pair moving p separates them, i.e.
+    # lab[q] & toggles[p] != lab[p] & toggles[p], tested for all q at once on
+    # bitsets over the states.  This is well-gradedness of the labels; it
+    # also rules out equal labels, and a realized toggle lab[p] ^ b that no
+    # token takes p to (the fixed-point rule), since such a q agrees with p
+    # on every pair in toggles[p].
+    bits = [1 << x for x in range(k)]
+    everyone = (1 << len(states)) - 1
+    holders = [sum(1 << q for q, own in enumerate(lab) if own & b) for b in bits]
+    for p, (own, tg) in enumerate(zip(lab, toggles)):
+        alike = everyone
+        for b, members in zip(bits, holders):
+            if tg & b:
+                alike &= members if own & b else everyone ^ members
+        if alike != 1 << p:
+            return _pair_rejection(ts)
+
+    least: dict[int, tuple[str, str]] = {}
+    for t, ms in moves.items():
+        e = min((states[i], states[j]) if states[i] < states[j] else (states[j], states[i])
+                for i, j in ms)
+        if pair[t] not in least or e < least[pair[t]]:
+            least[pair[t]] = e
+    name = [""] * k
+    for rank, x in enumerate(sorted(least, key=least.__getitem__)):
+        name[x] = str(rank)
+    alpha = {s: frozenset(name[x] for x in range(k) if lab[i] >> x & 1)
+             for i, s in enumerate(states)}
+    beta = {t: (name[pair[t]], "add" if (head[t] ^ base) >> pair[t] & 1 else "remove")
+            for t in ts.tokens}
+    family = SetFamily(tuple(map(str, range(k))), tuple(alpha.values()))
+    return MediumDecision(True, family=family, alpha=alpha, beta=beta)
+
+
+def _pair_rejection(ts: TokenSystem) -> MediumDecision:
+    decision = _theta_decision(ts)
+    if decision.is_medium:
+        raise AssertionError("the token-pair route rejected a system the Theta route accepts")
+    return decision
+
+
+def _theta_decision(ts: TokenSystem) -> MediumDecision:
+    """The Djokovic-Winkler route: the reference decision and the source of
+    rejection witnesses once M1 and M2 hold.
+
+    Exact reverse-pairing check, connectivity, partial-cube recognition of
+    the state graph, then a per-token match against the add/remove
+    reduction of its coordinate (the fixed-point direction of this match is
+    what rules out systems whose graph is a partial cube but whose action is
+    wrong).  On yes, the partial-cube labeling is the representation.
     """
     defect = reverse_defect(ts)
     if defect is not None:

@@ -1,6 +1,7 @@
 import json
 
 from tokenmedia import cli
+from tokenmedia.families import SetFamily, family_medium
 from tokenmedia.tokens import TokenSystem, reduction
 
 from conftest import path3, two_state
@@ -119,6 +120,14 @@ class TestPcube:
         assert sorted(len(v) for v in doc["labels"].values()) == [0, 1, 1, 2]
 
 
+    def test_connected_graph_with_odd_cycle_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "tailed-triangle.txt"
+        path.write_text("a b\nb c\nc a\nc d\nd e\n")
+        code, out, _ = run(capsys, "pcube", str(path))
+        assert code == 1
+        assert json.loads(out)["witness"]["kind"] == "odd-cycle"
+
+
 class TestIso:
     def test_isomorphic_pair(self, tmp_path, capsys):
         a = write_system(tmp_path, two_state(), "a.json")
@@ -144,6 +153,24 @@ class TestIso:
         code, out, _ = run(capsys, "iso", a, b)
         assert code == 1
         assert json.loads(out) == {"isomorphic": False}
+
+
+    def test_max_vertices_zero_is_a_cap(self, tmp_path, capsys):
+        a = write_system(tmp_path, two_state(), "a.json")
+        code, out, err = run(capsys, "iso", a, a, "--max-vertices", "0")
+        assert code == 3
+        assert out == "" and "cap exceeded" in err
+
+    def test_non_medium_is_an_input_error(self, tmp_path, capsys):
+        # the lazy 4-cycle: its graph is a partial cube, the system is no medium
+        good = family_medium(SetFamily.of("ab", [set(), {"a"}, {"b"}, {"a", "b"}]))
+        action = {t: dict(good.action[t]) for t in good.tokens}
+        action["add:a"]["{b}"] = "{b}"
+        action["rem:a"]["{a,b}"] = "{a,b}"
+        lazy = write_system(tmp_path, TokenSystem(good.states, good.tokens, action, good.reverse))
+        code, out, err = run(capsys, "iso", lazy, lazy)
+        assert code == 2
+        assert out == "" and "input error" in err
 
 
 class TestArrangementCommands:

@@ -137,6 +137,13 @@ class TestPartialCubeRecognition:
                     found = True
         assert not found
 
+    def test_connected_graph_with_odd_cycle_gets_odd_cycle_witness(self):
+        # the BFS meets the odd edge b-c before it reaches d and e
+        g = LabeledGraph.from_edge_list("a b\nb c\nc a\nc d\nd e\n")
+        pc = is_partial_cube(g)
+        assert not pc.accepted and pc.witness["kind"] == "odd-cycle"
+        assert sorted(pc.witness["cycle"]) == ["a", "b", "c"]
+
     def test_disconnected_rejected(self):
         g = LabeledGraph(("a", "b", "c", "d"), (("a", "b"), ("c", "d")))
         with pytest.raises(InputError, match="connected"):
