@@ -1,19 +1,21 @@
 """Regions of finite line arrangements in the plane, with exact rationals.
 
-Every comparison is exact: region enumeration flood-fills sign vectors from
-a seeded generic point, validating each single-sign flip by Fourier-Motzkin
-elimination of the strict inequality system.  Region adjacency additionally
-checks the shared-facet condition on the separating line itself.  The token
-system of regions under line crossings is always a medium; mosaic windows
-provide finite stand-ins for the classical locally finite families.
+Every comparison is exact.  One sweep per line sorts the rational
+parameters at which the other lines cross it; each open segment between
+consecutive crossings is a facet whose two sides are regions differing in
+that line's sign alone.  Regions are found by breadth-first search over
+these facets, each with a Fourier-Motzkin interior witness, and the region
+graph has one edge per facet.  The token system of regions under line
+crossings is always a medium; mosaic windows provide finite stand-ins for
+the classical locally finite families.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .cubes import LabeledGraph
 from .errors import InputError, ParseError
@@ -179,56 +181,66 @@ def _generic_point(arr) -> tuple[Fraction, Fraction]:
         k += 1
 
 
+def _mask(signs) -> int:
+    """Bit k set iff the sign on line k is positive."""
+    return sum(1 << k for k, s in enumerate(signs) if s > 0)
+
+
+def _signs(mask: int, n: int) -> tuple[int, ...]:
+    return tuple(1 if mask >> k & 1 else -1 for k in range(n))
+
+
+def _facets(arr) -> list[tuple[int, int]]:
+    """Every facet as (k, mask): an open segment of line k between consecutive
+    crossings, with the cells of sign masks ``mask`` and ``mask | 1 << k``
+    on its two sides.  Line k is walked along (-b, a) from beyond its first
+    crossing, flipping at each exact crossing parameter the signs of the
+    lines that meet it there; facets come out in ascending k.
+    """
+    facets = []
+    for k, (a, b, c) in enumerate((l.a, l.b, l.c) for l in arr.lines):
+        ox, oy = (Fraction(0), -c / b) if b else (-c / a, Fraction(0))  # a point of line k
+        side = 0  # lines with the far negative end of line k on their positive side
+        crossings: dict[Fraction, int] = defaultdict(int)
+        for j, l in enumerate(arr.lines):
+            if j == k:
+                continue
+            slope = l.b * a - l.a * b
+            offset = l.evaluate(ox, oy)
+            side |= (offset > 0 if slope == 0 else slope < 0) << j
+            if slope:
+                crossings[-offset / slope] |= 1 << j
+        facets.append((k, side))
+        for t in sorted(crossings):
+            side ^= crossings[t]
+            facets.append((k, side))
+    return facets
+
+
 def enumerate_regions(arr: Arrangement) -> tuple[Region, ...]:
     """All open full-dimensional cells, each with an interior witness point.
 
-    Flood fill over single-sign flips starting from a generic seed point;
-    two nonempty sign vectors at Hamming distance one always share a facet,
-    so the fill reaches every cell.
+    Breadth-first search over the facets of the per-line sweep, starting at
+    the cell of a generic seed point and crossing each cell's lines in
+    ascending order.  Every other cell's witness is the Fourier-Motzkin
+    point of its own sign vector, so it depends on the cell alone.
     """
+    n = len(arr.lines)
     seed = _generic_point(arr)
-    signs0 = tuple(1 if l.evaluate(*seed) > 0 else -1 for l in arr.lines)
-    first = Region(signs0, seed)
-    found: dict[tuple[int, ...], Region] = {signs0: first}
-    order = [first]
-    queue = deque([signs0])
-    while queue:
-        signs = queue.popleft()
-        for k in range(len(arr.lines)):
-            flipped = signs[:k] + (-signs[k],) + signs[k + 1:]
-            if flipped in found:
-                continue
-            point = _feasible_point(_region_constraints(arr, flipped))
-            if point is None:
-                continue
-            region = Region(flipped, point)
-            found[flipped] = region
-            order.append(region)
-            queue.append(flipped)
-    return tuple(order)
-
-
-def _facet_shared(arr, signs, k) -> bool:
-    """Exact check that flipping line k crosses a genuine shared facet.
-
-    Parametrizes line k and asks whether the other strict inequalities cut a
-    nonempty (hence one-dimensional) piece out of it.
-    """
-    line = arr.lines[k]
-    if line.b != 0:
-        direction = (Fraction(1), -line.a / line.b)
-        origin = (Fraction(0), -line.c / line.b)
-    else:
-        direction = (Fraction(0), Fraction(1))
-        origin = (-line.c / line.a, Fraction(0))
-    bounds = []
-    for j, (l, s) in enumerate(zip(arr.lines, signs)):
-        if j == k:
-            continue
-        slope = l.a * direction[0] + l.b * direction[1]
-        offset = l.a * origin[0] + l.b * origin[1] + l.c
-        bounds.append((s * slope, s * offset))
-    return _solve_interval(bounds) is not None
+    start = _mask(l.evaluate(*seed) for l in arr.lines)
+    neighbors: dict[int, list[int]] = defaultdict(list)
+    for k, mask in _facets(arr):
+        neighbors[mask].append(mask | 1 << k)
+        neighbors[mask | 1 << k].append(mask)
+    found = {start: Region(_signs(start, n), seed)}
+    order = [start]
+    for mask in order:
+        for other in neighbors[mask]:
+            if other not in found:
+                signs = _signs(other, n)
+                found[other] = Region(signs, _feasible_point(_region_constraints(arr, signs)))
+                order.append(other)
+    return tuple(found.values())
 
 
 def positive_token(k: int) -> str:
@@ -248,42 +260,28 @@ def _ground(arr) -> tuple[str, ...]:
 
 
 def region_adjacency(arr: Arrangement, regions: Iterable[Region]) -> LabeledGraph:
-    """Region graph: an edge when two cells share a facet on exactly one line.
+    """Region graph: one edge per facet, labeled by its line's token pair.
 
-    Regions at sign distance one are checked for the facet condition on the
-    separating line; edge labels are the crossing token pair.
+    A facet is skipped unless both of its sides are among ``regions``, so a
+    subset of the cells gives its induced subgraph.  Labels are recorded in
+    order of the positions of each edge's two regions in ``regions``.
     """
     regions = tuple(regions)
     ground = _ground(arr)
     names = [region_name(r, ground) for r in regions]
-    edges = []
+    index = {_mask(r.signs): i for i, r in enumerate(regions)}
+    crossed = []
+    for k, mask in _facets(arr):
+        i, j = index.get(mask), index.get(mask | 1 << k)
+        if i is not None and j is not None:
+            crossed.append((min(i, j), max(i, j), k, names[i], names[j]))
     labels: dict[tuple[str, str], tuple[str, str]] = {}
-    for i in range(len(regions)):
-        si = regions[i].signs
-        for j in range(i + 1, len(regions)):
-            sj = regions[j].signs
-            k = _single_flip(si, sj)
-            if k is None or not _facet_shared(arr, si, k):
-                continue
-            u, v = names[i], names[j]
-            e = (u, v) if u < v else (v, u)
-            enter_pos = positive_token(k)
-            enter_neg = negative_token(k)
-            # label = (token along (e[0] -> e[1]), its reverse)
-            first_positive = (sj[k] > 0) == (e == (u, v))
-            labels[e] = (enter_pos, enter_neg) if first_positive else (enter_neg, enter_pos)
-            edges.append(e)
-    return LabeledGraph(tuple(names), tuple(edges), edge_labels=labels)
-
-
-def _single_flip(si, sj):
-    k = None
-    for idx, (a, b) in enumerate(zip(si, sj)):
-        if a != b:
-            if k is not None:
-                return None
-            k = idx
-    return k
+    for _, _, k, minus, plus in sorted(crossed):
+        e = (minus, plus) if minus < plus else (plus, minus)
+        # label = (token along (e[0] -> e[1]), its reverse)
+        up = (positive_token(k), negative_token(k))
+        labels[e] = up if e[0] == minus else up[::-1]
+    return LabeledGraph(tuple(names), tuple(labels), edge_labels=labels)
 
 
 def region_family(arr: Arrangement, regions: Iterable[Region]) -> SetFamily:
@@ -294,14 +292,14 @@ def region_family(arr: Arrangement, regions: Iterable[Region]) -> SetFamily:
 def arrangement_medium(arr: Arrangement,
                        regions: tuple[Region, ...] | None = None,
                        graph: LabeledGraph | None = None) -> TokenSystem:
-    """The medium of regions: pos:k / neg:k cross line k at shared facets."""
+    """The medium of regions: pos:k / neg:k cross line k at shared facets, the
+    edges of ``graph``, a ``region_adjacency`` graph whose labels name them."""
     if regions is None:
         regions = enumerate_regions(arr)
     if graph is None:
         graph = region_adjacency(arr, regions)
     ground = _ground(arr)
     names = tuple(region_name(r, ground) for r in regions)
-    by_name: Mapping[str, Region] = dict(zip(names, regions))
     tokens: list[str] = []
     action: dict[str, dict[str, str]] = {}
     reverse: dict[str, str] = {}
@@ -313,10 +311,9 @@ def arrangement_medium(arr: Arrangement,
         reverse[pos_id] = neg_id
         reverse[neg_id] = pos_id
     for (u, v) in graph.edges:
-        k = _single_flip(by_name[u].signs, by_name[v].signs)
-        plus, minus = (u, v) if by_name[u].signs[k] > 0 else (v, u)
-        action[positive_token(k)][minus] = plus
-        action[negative_token(k)][plus] = minus
+        forward, backward = graph.edge_labels[(u, v)]
+        action[forward][u] = v
+        action[backward][v] = u
     return TokenSystem(names, tuple(tokens), action, reverse)
 
 

@@ -215,7 +215,7 @@ def decide_medium(ts: TokenSystem) -> MediumDecision:
     to the least state are the canonical set-family representation,
     coordinates named "0", "1", ... in order of each pair's least edge.  On
     no after M1 and M2, the witness comes from the Djokovic-Winkler route
-    (``_theta_decision``).
+    (``_theta_route``).
     """
     defect = reverse_defect(ts)
     if defect is not None:
@@ -296,25 +296,28 @@ def decide_medium(ts: TokenSystem) -> MediumDecision:
 
 
 def _pair_rejection(ts: TokenSystem) -> MediumDecision:
-    decision = _theta_decision(ts)
+    decision = _theta_route(ts)
     if decision.is_medium:
         raise AssertionError("the token-pair route rejected a system the Theta route accepts")
     return decision
 
 
 def _theta_decision(ts: TokenSystem) -> MediumDecision:
-    """The Djokovic-Winkler route: the reference decision and the source of
+    """The Djokovic-Winkler reference decision: exact M1 check, then ``_theta_route``."""
+    defect = reverse_defect(ts)
+    return _theta_route(ts) if defect is None else MediumDecision(False, witness=defect)
+
+
+def _theta_route(ts: TokenSystem) -> MediumDecision:
+    """The Djokovic-Winkler route on a system that passed M1; the source of
     rejection witnesses once M1 and M2 hold.
 
-    Exact reverse-pairing check, connectivity, partial-cube recognition of
-    the state graph, then a per-token match against the add/remove
-    reduction of its coordinate (the fixed-point direction of this match is
-    what rules out systems whose graph is a partial cube but whose action is
-    wrong).  On yes, the partial-cube labeling is the representation.
+    Connectivity, partial-cube recognition of the state graph, then a
+    per-token match against the add/remove reduction of its coordinate (the
+    fixed-point direction of this match is what rules out systems whose
+    graph is a partial cube but whose action is wrong).  On yes, the
+    partial-cube labeling is the representation.
     """
-    defect = reverse_defect(ts)
-    if defect is not None:
-        return MediumDecision(False, witness=defect)
     edges = set()
     for t in ts.tokens:
         for (s, v) in ts.moves(t):

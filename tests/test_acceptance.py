@@ -8,6 +8,7 @@ import itertools
 import math
 import random
 import time
+from collections import Counter
 
 from tokenmedia.arrangements import (
     Arrangement,
@@ -53,7 +54,8 @@ def report(num, ok, detail):
 
 
 def test_criterion_1_decision_matches_bounded_axioms():
-    """Exhaustive 3-state sweep: decide_medium == check_axioms at bound 8."""
+    """Exhaustive 3-state sweep: decide_medium == check_axioms at bound 8,
+    with a census of the axiom each non-medium fails first."""
     t0 = time.time()
     states = ("A", "B", "C")
     actions = []
@@ -65,13 +67,21 @@ def test_criterion_1_decision_matches_bounded_axioms():
 
     disagreements = 0
     count = 0
+    census = Counter()
 
     def run(tokens, act, rev):
         nonlocal disagreements, count
         ts = TokenSystem(states, tokens, act, rev)
         count += 1
-        if check_axioms(ts, bound=8).ok != decide_medium(ts).is_medium:
+        axioms = check_axioms(ts, bound=8)
+        medium = decide_medium(ts).is_medium
+        if axioms.ok != medium:
             disagreements += 1
+        if medium:
+            census["medium"] += 1
+        else:
+            census["fails " + next((c.axiom for c in axioms.checks if c.verdict == "fails"),
+                                   "nothing")] += 1
 
     run((), {}, {})
     rev2 = {"t": "u", "u": "t"}
@@ -86,7 +96,8 @@ def test_criterion_1_decision_matches_bounded_axioms():
     report(
         1,
         disagreements == 0 and elapsed < 60,
-        f"{count} systems, {disagreements} disagreements, {elapsed:.1f}s (< 60s)",
+        f"{count} systems, {disagreements} disagreements, "
+        f"{', '.join(f'{k}: {v}' for k, v in sorted(census.items()))}; {elapsed:.1f}s (< 60s)",
     )
 
 
@@ -239,7 +250,7 @@ def test_criterion_6_isometry_extension():
 
 
 def test_criterion_7_arrangements():
-    """Generic counts, partial cubes, media; mosaic windows at radius <= 3."""
+    """Generic counts, partial cubes, media; mosaic windows at radius <= 4."""
     from test_arrangements import brute_force_regions, random_generic_lines
 
     t0 = time.time()
@@ -265,11 +276,11 @@ def test_criterion_7_arrangements():
     details.append("3 concurrent = 6-cycle")
 
     for kind in ("triangular", "truncated-square"):
-        for radius in (1, 2, 3):
+        for radius in (1, 2, 3, 4):
             window = mosaic_window(kind, radius)
             g = region_adjacency(window, enumerate_regions(window))
             ok = ok and is_partial_cube(g).accepted
-    details.append("windows radius 1..3")
+    details.append("windows radius 1..4")
 
     elapsed = time.time() - t0
     ok = ok and elapsed < 120

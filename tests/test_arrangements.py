@@ -1,22 +1,33 @@
 import itertools
 import random
+from collections import deque
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tokenmedia.arrangements import (
     Arrangement,
     Line,
+    Region,
     arrangement_medium,
     enumerate_regions,
     mosaic_window,
+    negative_token,
+    positive_token,
     region_adjacency,
     region_family,
-    _facet_shared,
+    region_name,
+    _facets,
     _feasible_point,
+    _generic_point,
+    _ground,
     _region_constraints,
+    _signs,
+    _solve_interval,
 )
-from tokenmedia.cubes import adjacency, bfs_distances, is_partial_cube
+from tokenmedia.cubes import LabeledGraph, adjacency, bfs_distances, is_partial_cube
 from tokenmedia.errors import InputError
 from tokenmedia.families import distance, is_well_graded
 from tokenmedia.represent import decide_medium
@@ -37,6 +48,96 @@ def brute_force_regions(arr):
         if _feasible_point(_region_constraints(arr, signs)) is not None:
             count += 1
     return count
+
+
+def fm_regions(arr):
+    """Oracle: flood fill over single-sign flips from the generic seed point,
+    validating each flip by Fourier-Motzkin feasibility."""
+    seed = _generic_point(arr)
+    signs0 = tuple(1 if l.evaluate(*seed) > 0 else -1 for l in arr.lines)
+    first = Region(signs0, seed)
+    found = {signs0: first}
+    order = [first]
+    queue = deque([signs0])
+    while queue:
+        signs = queue.popleft()
+        for k in range(len(arr.lines)):
+            flipped = signs[:k] + (-signs[k],) + signs[k + 1:]
+            if flipped in found:
+                continue
+            point = _feasible_point(_region_constraints(arr, flipped))
+            if point is None:
+                continue
+            region = Region(flipped, point)
+            found[flipped] = region
+            order.append(region)
+            queue.append(flipped)
+    return tuple(order)
+
+
+def _facet_shared(arr, signs, k):
+    """Oracle: do the other strict inequalities cut a nonempty open piece out
+    of line k?  Parametrizes line k and solves the 1-d system exactly."""
+    line = arr.lines[k]
+    if line.b != 0:
+        direction = (Fraction(1), -line.a / line.b)
+        origin = (Fraction(0), -line.c / line.b)
+    else:
+        direction = (Fraction(0), Fraction(1))
+        origin = (-line.c / line.a, Fraction(0))
+    bounds = []
+    for j, (l, s) in enumerate(zip(arr.lines, signs)):
+        if j == k:
+            continue
+        slope = l.a * direction[0] + l.b * direction[1]
+        offset = l.a * origin[0] + l.b * origin[1] + l.c
+        bounds.append((s * slope, s * offset))
+    return _solve_interval(bounds) is not None
+
+
+def _single_flip(si, sj):
+    k = None
+    for idx, (a, b) in enumerate(zip(si, sj)):
+        if a != b:
+            if k is not None:
+                return None
+            k = idx
+    return k
+
+
+def pair_scan_adjacency(arr, regions):
+    """Oracle: test every pair of regions at sign distance one for a shared
+    facet on the separating line."""
+    regions = tuple(regions)
+    ground = _ground(arr)
+    names = [region_name(r, ground) for r in regions]
+    edges = []
+    labels = {}
+    for i in range(len(regions)):
+        si = regions[i].signs
+        for j in range(i + 1, len(regions)):
+            sj = regions[j].signs
+            k = _single_flip(si, sj)
+            if k is None or not _facet_shared(arr, si, k):
+                continue
+            u, v = names[i], names[j]
+            e = (u, v) if u < v else (v, u)
+            enter_pos = positive_token(k)
+            enter_neg = negative_token(k)
+            first_positive = (sj[k] > 0) == (e == (u, v))
+            labels[e] = (enter_pos, enter_neg) if first_positive else (enter_neg, enter_pos)
+            edges.append(e)
+    return LabeledGraph(tuple(names), tuple(edges), edge_labels=labels)
+
+
+@st.composite
+def small_arrangements(draw):
+    """1-9 distinct lines with coefficients a, b in -2..2 and c in -3..3, so
+    parallel classes, concurrent points, vertical and horizontal lines occur."""
+    coefficients = st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(-3, 3))
+    triples = draw(st.lists(coefficients.filter(lambda t: t[:2] != (0, 0)), min_size=1,
+                            max_size=9, unique_by=lambda t: Line.of(*t).projective_key()))
+    return Arrangement(tuple(Line.of(*t) for t in triples))
 
 
 def random_generic_lines(rng, k):
@@ -143,16 +244,38 @@ class TestAdjacency:
         assert is_partial_cube(g).accepted
 
     def test_facet_check_agrees_with_flip_feasibility(self):
-        # two regions at sign distance one always share a facet; the facet
-        # test is the literal boundary condition and must agree
+        # two regions at sign distance one always share a facet, and the
+        # sweep finds exactly one facet per such pair; the facet test is the
+        # literal boundary condition and must hold on every sweep facet
         for arr in (concurrent_triple(), mosaic_window("triangular", 1)):
+            n = len(arr.lines)
             regions = enumerate_regions(arr)
             by_signs = {r.signs: r for r in regions}
+            flips = set()
             for r in regions:
-                for k in range(len(arr.lines)):
+                for k in range(n):
                     flipped = r.signs[:k] + (-r.signs[k],) + r.signs[k + 1 :]
-                    if flipped in by_signs:
-                        assert _facet_shared(arr, r.signs, k), (r.signs, k)
+                    if flipped in by_signs and r.signs[k] < 0:
+                        flips.add((k, r.signs))
+            facets = [(k, _signs(mask, n)) for k, mask in _facets(arr)]
+            assert sorted(facets) == sorted(flips)
+            for k, signs in facets:
+                assert _facet_shared(arr, signs, k), (signs, k)
+                plus = signs[:k] + (1,) + signs[k + 1 :]
+                assert _facet_shared(arr, plus, k), (plus, k)
+
+    def test_subset_gives_induced_subgraph(self):
+        rng = random.Random(31)
+        for arr in (concurrent_triple(), mosaic_window("triangular", 1),
+                    random_generic_lines(rng, 5)):
+            regions = enumerate_regions(arr)
+            full = region_adjacency(arr, regions)
+            for size in (0, 1, len(regions) // 2, len(regions) - 1):
+                subset = rng.sample(regions, size)
+                got = region_adjacency(arr, subset)
+                assert got == pair_scan_adjacency(arr, subset)
+                kept = set(got.vertices)
+                assert got.edges == tuple(e for e in full.edges if set(e) <= kept)
 
     def test_graph_distance_equals_sign_distance(self):
         rng = random.Random(77)
@@ -254,3 +377,15 @@ class TestJsonRoundTrip:
         assert doc["lines"][0]["c"] == "3/4"
         again = Arrangement.from_json_dict(doc)
         assert again == arr
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_arrangements())
+@example(Arrangement((Line.of(1, 0, 0), Line.of(1, 0, -1), Line.of(0, 1, 0), Line.of(0, 1, 2),
+                      Line.of(1, 1, 0), Line.of(1, -1, 0), Line.of(1, 1, -1))))
+def test_sweep_matches_fourier_motzkin_oracle(arr):
+    regions = enumerate_regions(arr)
+    assert regions == fm_regions(arr)
+    got, want = region_adjacency(arr, regions), pair_scan_adjacency(arr, regions)
+    assert got == want
+    assert list(got.edge_labels.items()) == list(want.edge_labels.items())
