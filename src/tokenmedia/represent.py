@@ -1,5 +1,5 @@
-"""Contents, orientations, the positive-content representation, and the
-exact medium decision procedure.
+"""The exact medium decision, and the contents, orientations and
+positive-content representation read off it.
 
 ``decide_medium`` is the exact finite decision.  It verifies the reverse
 pairing, labels every state by the token pairs on a path to it (one cube
@@ -7,6 +7,9 @@ coordinate per pair), and checks that each token acts exactly as the
 add/remove reduction of its pair's coordinate, fixed points included, on a
 well graded label family.  A yes verdict returns the canonical well-graded
 set-family representation with explicit state and token bijections.  The
+decision is stored on the token system, and ``contents``,
+``orient_from_state`` and ``positive_content_family`` read it, so one
+labeling serves decision, contents and representation.  The
 Djokovic-Winkler partial-cube route stays as the reference decision and
 supplies the witness when a system is rejected after M1 and M2.
 """
@@ -20,7 +23,7 @@ from typing import Mapping
 from .cubes import LabeledGraph, is_partial_cube
 from .errors import InputError
 from .families import SetFamily
-from .tokens import TokenSystem, reverse_defect
+from .tokens import TokenSystem, reduction, reverse_defect
 
 
 @dataclass(frozen=True)
@@ -61,46 +64,23 @@ class ContentTable:
 
 
 def contents(ts: TokenSystem, base: str | None = None) -> ContentTable:
-    """Reconstruct all contents from geodesics out of one base state.
+    """All contents, read off the canonical representation of ``decide_medium``.
 
-    Along a shortest-path tree the content difference across an edge is the
-    edge's token, so one breadth-first pass plus the one-per-pair rule
-    determines every content in O(states * token pairs).  The result does
-    not depend on the base state.  Expects a verified medium; violations of
-    the content invariants raise InputError.
+    A token adding coordinate x occurs in the straight messages into exactly
+    the states whose labels hold x, and a token removing x into exactly those
+    whose labels lack it.  The result does not depend on the base state,
+    which is only recorded.  A system that is not a medium raises InputError.
     """
-    rev = ts.reverse
-    if rev is None:
-        raise InputError("contents need a reverse pairing")
     if base is None:
         base = ts.states[0]
     elif not ts.has_state(base):
         raise InputError(f"unknown state id {base!r}")
-    gained: dict[str, frozenset[str]] = {base: frozenset()}
-    queue = deque([base])
-    while queue:
-        cur = queue.popleft()
-        for t in ts.tokens:
-            v = ts.action[t][cur]
-            if v != cur and v not in gained:
-                gained[v] = gained[cur] | {t}
-                queue.append(v)
-    if len(gained) != len(ts.states):
-        raise InputError("state graph is not connected; not a medium")
-    outward = frozenset().union(*gained.values())
-    for t in outward:
-        if rev[t] in outward:
-            raise InputError("content pair rule violated; not a medium")
-    for t in ts.tokens:
-        if t not in outward and rev[t] not in outward:
-            raise InputError(f"token pair {t!r}/{rev[t]!r} unreachable from base")
-    base_content = frozenset(rev[t] for t in outward)
-    table = {
-        s: g | frozenset(o for o in base_content if rev[o] not in g)
-        for s, g in gained.items()
-    }
-    if len(set(table.values())) != len(ts.states):
-        raise InputError("two states share a content; not a medium")
+    decision = decide_medium(ts)
+    if not decision.is_medium:
+        raise InputError("contents need a medium; this system is not one")
+    beta = decision.beta.items()
+    table = {s: frozenset(t for t, (x, pol) in beta if (x in label) == (pol == "add"))
+             for s, label in decision.alpha.items()}
     return ContentTable(base, table)
 
 
@@ -138,8 +118,11 @@ def positive_content_family(ts: TokenSystem, orientation: Orientation) -> Family
     """The family of positive contents, isomorphic to the medium itself.
 
     Ground set is the positive token class; the intersection of the family
-    is empty and its union is the whole ground.  The isomorphism property
-    (s.t = v iff alpha(s).beta(t) = alpha(v)) is verified exhaustively.
+    is empty and its union is the whole ground.  The positive contents are
+    the canonical labels of ``decide_medium`` after a translation and a
+    renaming of coordinates, so they transport the action: s.t = v iff
+    alpha(s).beta(t) = alpha(v).  A system that is not a medium raises
+    InputError.
     """
     rev = ts.reverse
     table = contents(ts)
@@ -151,26 +134,7 @@ def positive_content_family(ts: TokenSystem, orientation: Orientation) -> Family
     ground = tuple(t for t in ts.tokens if t in pos)
     alpha = {s: table.contents[s] & pos for s in ts.states}
     family = SetFamily(ground, tuple(alpha[s] for s in ts.states))
-    beta = {
-        t: (t, "add") if t in pos else (rev[t], "remove")
-        for t in ts.tokens
-    }
-    members = set(family.sets)
-    for t in ts.tokens:
-        x, pol = beta[t]
-        for s in ts.states:
-            image = alpha[s]
-            if pol == "add":
-                moved = image | {x}
-            else:
-                moved = image - {x}
-            expected = moved if moved != image and moved in members else image
-            if alpha[ts.action[t][s]] != expected:
-                raise AssertionError("positive contents do not transport the action; not a medium")
-    if frozenset.intersection(*family.sets):
-        raise AssertionError("positive content family has nonempty intersection")
-    if frozenset().union(*family.sets) != frozenset(ground):
-        raise AssertionError("positive content family does not cover its ground")
+    beta = {t: (t, "add") if t in pos else (rev[t], "remove") for t in ts.tokens}
     return FamilyRepresentation(family, alpha, beta)
 
 
@@ -188,14 +152,8 @@ class MediumDecision:
     def to_json_dict(self) -> dict:
         if not self.is_medium:
             return {"medium": False, "witness": dict(self.witness)}
-        return {
-            "medium": True,
-            "family": self.family.to_json_dict(),
-            "alpha": {s: [x for x in self.family.ground if x in self.alpha[s]]
-                      for s in self.alpha},
-            "beta": {t: {"element": x, "polarity": pol}
-                     for t, (x, pol) in self.beta.items()},
-        }
+        return {"medium": True,
+                **FamilyRepresentation(self.family, self.alpha, self.beta).to_json_dict()}
 
 
 def decide_medium(ts: TokenSystem) -> MediumDecision:
@@ -215,8 +173,17 @@ def decide_medium(ts: TokenSystem) -> MediumDecision:
     to the least state are the canonical set-family representation,
     coordinates named "0", "1", ... in order of each pair's least edge.  On
     no after M1 and M2, the witness comes from the Djokovic-Winkler route
-    (``_theta_route``).
+    (``_theta_route``).  The decision is stored on ``ts``, so later calls on
+    the same system return it without labeling again.
     """
+    decision = getattr(ts, "_decision", None)
+    if decision is None:
+        decision = _pair_decision(ts)
+        object.__setattr__(ts, "_decision", decision)
+    return decision
+
+
+def _pair_decision(ts: TokenSystem) -> MediumDecision:
     defect = reverse_defect(ts)
     if defect is not None:
         return MediumDecision(False, witness=defect)
@@ -403,8 +370,6 @@ def verify_embedding(ts1: TokenSystem, ts2: TokenSystem,
     reduction of ts2 to the alpha-image is isomorphic to ts1 under the same
     state map (true whenever both systems are media).
     """
-    from .tokens import reduction
-
     if set(alpha) != set(ts1.states) or set(beta) != set(ts1.tokens):
         raise InputError("alpha and beta must be total on the source system")
     if len(set(alpha.values())) != len(ts1.states) or len(set(beta.values())) != len(ts1.tokens):
@@ -425,19 +390,8 @@ def verify_embedding(ts1: TokenSystem, ts2: TokenSystem,
                               "target_result": ts2.action[beta[t]][alpha[s]]},
                 )
     red = reduction(ts2, alpha.values())
-    by_action = {}
-    for u in red.tokens:
-        sig = tuple(red.action[u][alpha[s]] for s in ts1.states)
-        by_action[sig] = u
-    matched = set()
-    ok = True
-    for t in ts1.tokens:
-        sig = tuple(alpha[ts1.action[t][s]] for s in ts1.states)
-        u = by_action.get(sig)
-        if u is None:
-            ok = False
-            break
-        matched.add(u)
-    if ok and matched != set(red.tokens):
-        ok = False
+    by_action = {tuple(red.action[u][alpha[s]] for s in ts1.states): u for u in red.tokens}
+    matched = [by_action.get(tuple(alpha[ts1.action[t][s]] for s in ts1.states))
+               for t in ts1.tokens]
+    ok = None not in matched and set(matched) == set(red.tokens)
     return EmbeddingReport(True, reduction_isomorphic=ok)

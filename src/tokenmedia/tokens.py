@@ -335,12 +335,7 @@ def reverse_defect(ts: TokenSystem) -> dict | None:
     """
     if ts.reverse is None:
         return {"axiom": "M1", "kind": "missing-reverse-pairing"}
-    act = ts.action
-    tokens = ts.tokens
-    moves = {t: ts.moves(t) for t in tokens}
-    inverted = {t: frozenset((v, s) for (s, v) in moves[t]) for t in tokens}
-    for t in tokens:
-        cands = [u for u in tokens if moves[u] == inverted[t]]
+    for t, cands in _reverse_candidates(ts.states, ts.tokens, ts.action).items():
         declared = ts.reverse[t]
         if declared not in cands:
             return _declared_breach(ts, t, declared)
@@ -566,15 +561,20 @@ def reduction(ts: TokenSystem, keep: Iterable[str]) -> TokenSystem:
     return TokenSystem(states, tuple(order), action, reverse)
 
 
-def _recompute_reverse(states, tokens, action):
+def _reverse_candidates(states, tokens, action) -> dict[str, list[str]]:
+    """Each token's reverse candidates, in token order: the tokens whose moves
+    are exactly its inverted moves, found through an index by move set."""
     moves = {
         t: frozenset((s, v) for s in states if (v := action[t][s]) != s) for t in tokens
     }
-    pairing: dict[str, str] = {}
+    by_moves: dict[frozenset, list[str]] = {}
     for t in tokens:
-        inv = frozenset((v, s) for (s, v) in moves[t])
-        cands = [u for u in tokens if moves[u] == inv]
-        if len(cands) != 1 or cands[0] == t:
-            return None
-        pairing[t] = cands[0]
-    return pairing
+        by_moves.setdefault(moves[t], []).append(t)
+    return {t: by_moves.get(frozenset((v, s) for (s, v) in moves[t]), []) for t in tokens}
+
+
+def _recompute_reverse(states, tokens, action):
+    cands = _reverse_candidates(states, tokens, action)
+    if all(len(c) == 1 and c[0] != t for t, c in cands.items()):
+        return {t: c[0] for t, c in cands.items()}
+    return None

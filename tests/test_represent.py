@@ -1,11 +1,16 @@
 import itertools
+from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tokenmedia.arrangements import arrangement_medium, mosaic_window
 from tokenmedia.errors import InputError
-from tokenmedia.families import SetFamily, distance, family_medium
+from tokenmedia.families import SetFamily, distance, family_medium, well_graded_witness
 from tokenmedia.linorders import linear_medium, pair_name
 from tokenmedia.represent import (
+    ContentTable,
     Orientation,
     contents,
     decide_medium,
@@ -17,6 +22,138 @@ from tokenmedia.represent import (
 from tokenmedia.tokens import TokenSystem, check_axioms, reduction, straight_message
 
 from conftest import hexagon_family, hexagon_variant_family, path3, two_state
+
+
+# --- oracles ----------------------------------------------------------------
+
+
+def bfs_contents(ts, base=None):
+    """Contents from geodesics out of one base state, checked as they are built.
+
+    Along a shortest-path tree the content difference across an edge is the
+    edge's token, so one breadth-first pass plus the one-per-pair rule
+    determines every content.  Violations of the content invariants raise
+    InputError.
+    """
+    rev = ts.reverse
+    if rev is None:
+        raise InputError("contents need a reverse pairing")
+    if base is None:
+        base = ts.states[0]
+    gained = {base: frozenset()}
+    queue = deque([base])
+    while queue:
+        cur = queue.popleft()
+        for t in ts.tokens:
+            v = ts.action[t][cur]
+            if v != cur and v not in gained:
+                gained[v] = gained[cur] | {t}
+                queue.append(v)
+    if len(gained) != len(ts.states):
+        raise InputError("state graph is not connected; not a medium")
+    outward = frozenset().union(*gained.values())
+    for t in outward:
+        if rev[t] in outward:
+            raise InputError("content pair rule violated; not a medium")
+    for t in ts.tokens:
+        if t not in outward and rev[t] not in outward:
+            raise InputError(f"token pair {t!r}/{rev[t]!r} unreachable from base")
+    base_content = frozenset(rev[t] for t in outward)
+    table = {
+        s: g | frozenset(o for o in base_content if rev[o] not in g)
+        for s, g in gained.items()
+    }
+    if len(set(table.values())) != len(ts.states):
+        raise InputError("two states share a content; not a medium")
+    return ContentTable(base, table)
+
+
+def assert_transports(ts, rep):
+    """s.t = v iff alpha(s).beta(t) = alpha(v), checked for every token and
+    state, plus the normalization of the family: empty intersection, union
+    equal to the ground."""
+    alpha, family = rep.alpha, rep.family
+    members = set(family.sets)
+    for t in ts.tokens:
+        x, pol = rep.beta[t]
+        for s in ts.states:
+            image = alpha[s]
+            moved = image | {x} if pol == "add" else image - {x}
+            expected = moved if moved != image and moved in members else image
+            assert alpha[ts.action[t][s]] == expected, (t, s)
+    assert not frozenset.intersection(*family.sets)
+    assert frozenset().union(*family.sets) == frozenset(family.ground)
+
+
+def lazy_four_cycle():
+    """The 4-cycle family medium whose pair a refuses to act on one edge."""
+    good = family_medium(SetFamily.of("ab", [set(), {"a"}, {"b"}, {"a", "b"}]))
+    action = {t: dict(good.action[t]) for t in good.tokens}
+    action["add:a"]["{b}"] = "{b}"
+    action["rem:a"]["{a,b}"] = "{a,b}"
+    return TokenSystem(good.states, good.tokens, action, good.reverse)
+
+
+ORACLE_MEDIA = {
+    **{f"linear-{n}": (lambda n=n: linear_medium(n)[0]) for n in (3, 4, 5)},
+    **{f"mosaic-{kind}": (lambda kind=kind: arrangement_medium(mosaic_window(kind, 1)))
+       for kind in ("triangular", "truncated-square")},
+}
+
+
+def assert_agrees_with_oracles(ts):
+    for base in ts.states:
+        assert contents(ts, base) == bfs_contents(ts, base), base
+        assert_transports(ts, positive_content_family(ts, orient_from_state(ts, base)))
+
+
+@st.composite
+def wg_families(draw):
+    """Well graded families over at most five elements, grown by unit steps
+    that keep the family well graded."""
+    ground = "abcde"[:draw(st.integers(1, 5))]
+    sets = [frozenset(x for x in ground if draw(st.booleans()))]
+    for _ in range(draw(st.integers(1, 12))):
+        cand = draw(st.sampled_from(sets)) ^ {draw(st.sampled_from(ground))}
+        if cand not in sets and well_graded_witness(SetFamily(ground, (*sets, cand))) is None:
+            sets.append(cand)
+    return SetFamily(tuple(ground), tuple(sets))
+
+
+def test_corpus_agrees_with_oracles(corpus):
+    for _, ts in corpus:
+        assert_agrees_with_oracles(ts)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_MEDIA))
+def test_named_media_agree_with_oracles(name):
+    assert_agrees_with_oracles(ORACLE_MEDIA[name]())
+
+
+@settings(max_examples=150, deadline=None)
+@given(wg_families())
+def test_well_graded_family_media_agree_with_oracles(fam):
+    assert_agrees_with_oracles(family_medium(fam))
+
+
+def test_decision_is_computed_once():
+    ts = family_medium(hexagon_family())
+    decision = decide_medium(ts)
+    assert decide_medium(ts) is decision
+    positive_content_family(ts, orient_from_state(ts, ts.states[-1]))
+    assert decide_medium(ts) is decision
+
+
+def test_non_medium_raises_input_error():
+    lazy = lazy_four_cycle()
+    assert not decide_medium(lazy).is_medium
+    with pytest.raises(InputError):
+        contents(lazy)
+    with pytest.raises(InputError):
+        orient_from_state(lazy, lazy.states[0])
+    adds = orientation_from_positive(lazy, {t for t in lazy.tokens if t.startswith("add:")})
+    with pytest.raises(InputError):
+        positive_content_family(lazy, adds)
 
 
 class TestContents:
@@ -198,13 +335,8 @@ class TestDecideMedium:
     def test_fixed_point_mismatch_rejected(self):
         # 4-cycle graph, but one token pair refuses to act on one of its edges
         fam = SetFamily.of("ab", [set(), {"a"}, {"b"}, {"a", "b"}])
-        good = family_medium(fam)
-        assert decide_medium(good).is_medium
-        action = {t: dict(good.action[t]) for t in good.tokens}
-        action["add:a"]["{b}"] = "{b}"
-        action["rem:a"]["{a,b}"] = "{a,b}"
-        lazy = TokenSystem(good.states, good.tokens, action, good.reverse)
-        d = decide_medium(lazy)
+        assert decide_medium(family_medium(fam)).is_medium
+        d = decide_medium(lazy_four_cycle())
         assert not d.is_medium
         assert d.witness["kind"] in ("action-mismatch", "not-partial-cube")
 
@@ -255,6 +387,14 @@ class TestVerifyEmbedding:
         report = verify_embedding(pair, ring, alpha, beta)
         assert not report.embedding
         assert report.mismatch is not None
+
+    def test_unmatched_reduced_token_is_not_reduction_isomorphic(self):
+        # a lone token without its reverse embeds into the two-state medium,
+        # but the reduction keeps both of its tokens
+        lone = TokenSystem(("S", "T"), ("t",), {"t": {"S": "T", "T": "T"}})
+        report = verify_embedding(lone, two_state(), {"S": "S", "T": "T"}, {"t": "t"})
+        assert report.embedding
+        assert report.reduction_isomorphic is False
 
     def test_non_injective_rejected(self):
         ts = two_state()

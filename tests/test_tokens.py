@@ -224,6 +224,8 @@ class TestCheckAxioms:
         report = check_axioms(ts, bound=2)
         assert report["M1"].verdict == "fails"
         assert report["M1"].witness["kind"] == "ambiguous-reverse"
+        assert report["M1"].witness["token"] == "t"
+        assert report["M1"].witness["candidates"] == ["u", "u2"]
 
 
 class TestReduction:
