@@ -108,7 +108,11 @@ def _cmd_iso(args) -> int:
     b = _load_system(args.second)
     cap = args.max_vertices
     if cap is None:
-        cap = int(os.environ.get(VERTEX_CAP_ENV, cubes.DEFAULT_ISO_CAP))
+        env = os.environ.get(VERTEX_CAP_ENV)
+        try:
+            cap = int(env) if env else cubes.DEFAULT_ISO_CAP
+        except ValueError:
+            raise ParseError(f"{VERTEX_CAP_ENV} must be an integer, got {env!r}") from None
     found = cubes.media_isomorphic(a, b, max_vertices=cap)
     if found is None:
         _emit({"isomorphic": False})

@@ -9,7 +9,7 @@ verified exhaustively against the distance matrix.
 
 from __future__ import annotations
 
-import sys
+import heapq
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -368,8 +368,11 @@ def media_isomorphic(ts1: TokenSystem, ts2: TokenSystem,
     Media are isomorphic iff their graphs are, so this runs invariant-guided
     backtracking graph isomorphism (degree refinement plus the multiset of
     move counts per token pair) and then reads the token bijection off the
-    matched edges.  Inputs are verified with ``decide_medium``; a non-medium
-    raises InputError.
+    matched edges.  The search extends the map at the unmapped vertex with
+    the most mapped neighbours (least name first), taken in O(log E) from a
+    lazy heap of neighbour counts, and backtracks on an explicit stack, so
+    its depth is not bounded by the recursion limit.  Inputs are verified
+    with ``decide_medium``; a non-medium raises InputError.
     """
     from .represent import decide_medium
 
@@ -444,36 +447,42 @@ def _joint_refinement(g1, adj1, g2, adj2):
 
 def _find_graph_iso(g1, adj1, col1, g2, adj2, col2):
     n = len(g1.vertices)
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * n + 100))
     mapping: dict[str, str] = {}
     inverse: dict[str, str] = {}
     vs2 = sorted(g2.vertices)
+    # count[u] = mapped neighbours of u; every unmapped vertex outside the
+    # search stack has an entry (-count[u], u) in the lazy heap, and entries
+    # that went stale or whose vertex got mapped are dropped when popped
+    count = dict.fromkeys(g1.vertices, 0)
+    heap = [(0, u) for u in g1.vertices]
+    heapq.heapify(heap)
 
-    def pick():
-        best, best_key = None, None
-        for u in g1.vertices:
-            if u in mapping:
-                continue
-            k = sum(1 for w in adj1[u] if w in mapping)
-            key = (-k, u)
-            if best_key is None or key < best_key:
-                best, best_key = u, key
-        return best
-
-    def extend():
-        if len(mapping) == n:
-            return True
-        u = pick()
+    def frame():
+        # the unmapped vertex with the most mapped neighbours, least name first
+        k, u = heapq.heappop(heap)
+        while -k != count[u] or u in mapping:
+            k, u = heapq.heappop(heap)
         anchored = [mapping[w] for w in adj1[u] if w in mapping]
         if anchored:
             cands = set(adj2[anchored[0]])
             for a in anchored[1:]:
                 cands &= adj2[a]
-            cands = sorted(cands)
-        else:
-            cands = vs2
+            return u, iter(sorted(cands)), len(anchored)
+        return u, iter(vs2), 0
+
+    def shift(u, step):
+        for w in adj1[u]:
+            count[w] += step
+            if w not in mapping:
+                heapq.heappush(heap, (-count[w], w))
+
+    stack = [frame()]
+    while stack:
+        u, cands, want = stack[-1]
+        if u in mapping:  # back from a failed subtree: free u's current image
+            del inverse[mapping.pop(u)]
+            shift(u, -1)
         deg = len(adj1[u])
-        want = len(anchored)
         for v in cands:
             if v in inverse or col2[v] != col1[u] or len(adj2[v]) != deg:
                 continue
@@ -481,13 +490,15 @@ def _find_graph_iso(g1, adj1, col1, g2, adj2, col2):
                 continue
             mapping[u] = v
             inverse[v] = u
-            if extend():
-                return True
-            del mapping[u]
-            del inverse[v]
-        return False
-
-    return dict(mapping) if extend() else None
+            shift(u, 1)
+            if len(mapping) == n:
+                return dict(mapping)
+            stack.append(frame())
+            break
+        else:
+            stack.pop()
+            heapq.heappush(heap, (-count[u], u))
+    return None
 
 
 # --- element ranks and isometry extension ----------------------------------

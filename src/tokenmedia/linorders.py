@@ -12,7 +12,7 @@ import itertools
 import os
 from dataclasses import dataclass
 
-from .errors import CapError, InputError
+from .errors import CapError, InputError, ParseError
 from .families import SetFamily
 from .tokens import TokenSystem
 
@@ -86,7 +86,10 @@ def _order_cap(cap: int | None) -> int:
     if cap is not None:
         return cap
     env = os.environ.get(CAP_ENV_VAR)
-    return int(env) if env else DEFAULT_ORDER_CAP
+    try:
+        return int(env) if env else DEFAULT_ORDER_CAP
+    except ValueError:
+        raise ParseError(f"{CAP_ENV_VAR} must be an integer, got {env!r}") from None
 
 
 def linear_medium(n: int, cap: int | None = None) -> tuple[TokenSystem, SetFamily]:

@@ -69,18 +69,23 @@ def contents(ts: TokenSystem, base: str | None = None) -> ContentTable:
     A token adding coordinate x occurs in the straight messages into exactly
     the states whose labels hold x, and a token removing x into exactly those
     whose labels lack it.  The result does not depend on the base state,
-    which is only recorded.  A system that is not a medium raises InputError.
+    which is only recorded.  The table is stored on ``ts`` beside the
+    decision, so later calls on the same system share it.  A system that is
+    not a medium raises InputError.
     """
     if base is None:
         base = ts.states[0]
     elif not ts.has_state(base):
         raise InputError(f"unknown state id {base!r}")
-    decision = decide_medium(ts)
-    if not decision.is_medium:
-        raise InputError("contents need a medium; this system is not one")
-    beta = decision.beta.items()
-    table = {s: frozenset(t for t, (x, pol) in beta if (x in label) == (pol == "add"))
-             for s, label in decision.alpha.items()}
+    table = getattr(ts, "_contents", None)
+    if table is None:
+        decision = decide_medium(ts)
+        if not decision.is_medium:
+            raise InputError("contents need a medium; this system is not one")
+        beta = decision.beta.items()
+        table = {s: frozenset(t for t, (x, pol) in beta if (x in label) == (pol == "add"))
+                 for s, label in decision.alpha.items()}
+        object.__setattr__(ts, "_contents", table)
     return ContentTable(base, table)
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from tokenmedia.families import SetFamily, family_medium, well_graded_witness
 from tokenmedia.tokens import TokenSystem
@@ -80,6 +81,22 @@ def random_wg_family(rng: random.Random, ground, size) -> SetFamily:
         if well_graded_witness(trial) is None:
             sets.append(cand)
     return SetFamily(ground, tuple(sets))
+
+
+@st.composite
+def wg_families(draw, size=None):
+    """Well graded families over at most five elements, grown by unit steps
+    that keep the family well graded; with ``size``, grown until the family
+    has that many sets or 4 * size steps were drawn."""
+    ground = "abcde"[:draw(st.integers(1 if size is None else (size - 1).bit_length(), 5))]
+    sets = [frozenset(x for x in ground if draw(st.booleans()))]
+    for _ in range(draw(st.integers(1, 12)) if size is None else 4 * size):
+        if len(sets) == size:
+            break
+        cand = draw(st.sampled_from(sets)) ^ {draw(st.sampled_from(ground))}
+        if cand not in sets and well_graded_witness(SetFamily(ground, (*sets, cand))) is None:
+            sets.append(cand)
+    return SetFamily(tuple(ground), tuple(sets))
 
 
 def corpus_media():

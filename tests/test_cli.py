@@ -97,6 +97,12 @@ class TestLinmediumPipe:
         assert code == 3
         assert "cap" in err
 
+    def test_bad_order_cap_env_is_a_parse_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("TOKENMEDIA_MAX_ORDER", "abc")
+        code, out, err = run(capsys, "linmedium", "3")
+        assert code == 2
+        assert out == "" and err.startswith("parse error:") and "TOKENMEDIA_MAX_ORDER" in err
+
 
 class TestPcube:
     def test_k3_edge_list_rejected(self, tmp_path, capsys):
@@ -160,6 +166,13 @@ class TestIso:
         code, out, err = run(capsys, "iso", a, a, "--max-vertices", "0")
         assert code == 3
         assert out == "" and "cap exceeded" in err
+
+    def test_bad_vertex_cap_env_is_a_parse_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("TOKENMEDIA_MAX_VERTICES", "abc")
+        a = write_system(tmp_path, two_state(), "a.json")
+        code, out, err = run(capsys, "iso", a, a)
+        assert code == 2
+        assert out == "" and err.startswith("parse error:") and "TOKENMEDIA_MAX_VERTICES" in err
 
     def test_non_medium_is_an_input_error(self, tmp_path, capsys):
         # the lazy 4-cycle: its graph is a partial cube, the system is no medium

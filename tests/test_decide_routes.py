@@ -1,25 +1,35 @@
-"""The token-pair decision against the Djokovic-Winkler reference route.
+"""The token-pair decision against the Djokovic-Winkler reference route,
+and the isomorphism search against its vertex-scan reference.
 
 ``decide_medium`` labels states by token pairs; ``_theta_decision`` labels
 them by the Theta classes of the state graph.  Both must give the same
 verdict, the same canonical representation and the same witness.
+``cubes._find_graph_iso`` must return the very map of ``scan_graph_iso``,
+and ``media_isomorphic`` must agree with networkx on the graphs.
 """
 
 import random
+import sys
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from tokenmedia.arrangements import arrangement_medium, mosaic_window
-from tokenmedia.cubes import media_isomorphic
+from tokenmedia.cubes import (
+    _find_graph_iso,
+    _joint_refinement,
+    adjacency,
+    media_isomorphic,
+    medium_graph,
+)
 from tokenmedia.errors import InputError
 from tokenmedia.families import SetFamily, family_medium
 from tokenmedia.linorders import linear_medium
 from tokenmedia.represent import _theta_decision, decide_medium
 from tokenmedia.tokens import TokenSystem
 
-from conftest import corpus_media
+from conftest import corpus_media, wg_families
 
 
 def assert_same_decision(ts):
@@ -123,15 +133,167 @@ def relabel(ts, rng):
     return TokenSystem(states, tokens, action, reverse)
 
 
+def assert_replays(ts, other, alpha, beta):
+    """(alpha, beta) is a bijection carrying ts's action table onto other's, and back."""
+    assert sorted(alpha.values()) == sorted(other.states)
+    assert sorted(beta.values()) == sorted(other.tokens)
+    for t in ts.tokens:
+        for s in ts.states:
+            assert alpha[ts.action[t][s]] == other.action[beta[t]][alpha[s]]
+    state_back = {v: s for s, v in alpha.items()}
+    token_back = {u: t for t, u in beta.items()}
+    for u in other.tokens:
+        for v in other.states:
+            assert state_back[other.action[u][v]] == ts.action[token_back[u]][state_back[v]]
+
+
 def test_isomorphism_of_relabelled_copies_replays():
     rng = random.Random(2005)
     media = [ts for _, ts in corpus_media()] + [linear_medium(4)[0]]
     for ts in media:
         for _ in range(3):
             other = relabel(ts, rng)
-            alpha, beta = media_isomorphic(ts, other)
-            assert sorted(alpha.values()) == sorted(other.states)
-            assert sorted(beta.values()) == sorted(other.tokens)
-            for t in ts.tokens:
-                for s in ts.states:
-                    assert alpha[ts.action[t][s]] == other.action[beta[t]][alpha[s]]
+            assert_replays(ts, other, *media_isomorphic(ts, other))
+
+
+# --- the isomorphism search against the vertex-scan reference ---------------
+
+
+def scan_graph_iso(g1, adj1, col1, g2, adj2, col2):
+    """The reference search: recursive, and it rescans every vertex to pick
+    the next one, O(S * deg) per step."""
+    n = len(g1.vertices)
+    sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * n + 100))
+    mapping: dict[str, str] = {}
+    inverse: dict[str, str] = {}
+    vs2 = sorted(g2.vertices)
+
+    def pick():
+        best, best_key = None, None
+        for u in g1.vertices:
+            if u in mapping:
+                continue
+            k = sum(1 for w in adj1[u] if w in mapping)
+            key = (-k, u)
+            if best_key is None or key < best_key:
+                best, best_key = u, key
+        return best
+
+    def extend():
+        if len(mapping) == n:
+            return True
+        u = pick()
+        anchored = [mapping[w] for w in adj1[u] if w in mapping]
+        if anchored:
+            cands = set(adj2[anchored[0]])
+            for a in anchored[1:]:
+                cands &= adj2[a]
+            cands = sorted(cands)
+        else:
+            cands = vs2
+        deg = len(adj1[u])
+        want = len(anchored)
+        for v in cands:
+            if v in inverse or col2[v] != col1[u] or len(adj2[v]) != deg:
+                continue
+            if sum(1 for w in adj2[v] if w in inverse) != want:
+                continue
+            mapping[u] = v
+            inverse[v] = u
+            if extend():
+                return True
+            del mapping[u]
+            del inverse[v]
+        return False
+
+    return dict(mapping) if extend() else None
+
+
+def assert_same_search(ts, other):
+    """Both searches give the same map, in the same order, or both give None."""
+    g1, g2 = medium_graph(ts), medium_graph(other)
+    adj1 = {v: frozenset(ws) for v, ws in adjacency(g1).items()}
+    adj2 = {v: frozenset(ws) for v, ws in adjacency(g2).items()}
+    col1, col2 = _joint_refinement(g1, adj1, g2, adj2)
+    if col1 is None:
+        return
+    found = _find_graph_iso(g1, adj1, col1, g2, adj2, col2)
+    expected = scan_graph_iso(g1, adj1, col1, g2, adj2, col2)
+    assert found == expected
+    if found is not None:
+        assert list(found.items()) == list(expected.items())
+
+
+def search_media():
+    return ([ts for _, ts in corpus_media()]
+            + [linear_medium(n)[0] for n in (3, 4, 5)]
+            + [arrangement_medium(mosaic_window(kind, 1))
+               for kind in ("triangular", "truncated-square")])
+
+
+def test_search_matches_scan_on_named_media():
+    rng = random.Random(6)
+    media = search_media()
+    for ts in media:
+        for other in [ts] + [relabel(ts, rng) for _ in range(3)]:
+            assert_same_search(ts, other)
+        for other in media:  # equal sizes, mostly not isomorphic
+            if other is not ts and len(other.states) == len(ts.states):
+                assert_same_search(ts, other)
+
+
+@settings(max_examples=150, deadline=None)
+@given(wg_families(), st.integers(0, 2**32 - 1))
+def test_search_matches_scan_on_family_media(fam, seed):
+    ts = family_medium(fam)
+    assert_same_search(ts, relabel(ts, random.Random(seed)))
+
+
+@pytest.fixture
+def recursion_limit_300():
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(300)
+    yield
+    sys.setrecursionlimit(old)
+
+
+def test_search_leaves_the_recursion_limit_alone(recursion_limit_300):
+    ts = linear_medium(6)[0]
+    other = relabel(ts, random.Random(720))
+    assert_replays(ts, other, *media_isomorphic(ts, other))
+    assert sys.getrecursionlimit() == 300
+
+
+@st.composite
+def equal_size_wg_pairs(draw):
+    """Two well graded families over at most five elements with equal set
+    counts: the second is an isometric image of the first, or grown apart."""
+    fam = draw(wg_families())
+    size = len(fam.sets)
+    if draw(st.booleans()):
+        letters = list(fam.ground)
+        image = dict(zip(letters, draw(st.permutations(letters))))
+        shift = frozenset(x for x in fam.ground if draw(st.booleans()))
+        sets = [frozenset(image[x] for x in s ^ shift) for s in fam.sets]
+        return fam, SetFamily(fam.ground, tuple(sets))
+    other = draw(wg_families(size))
+    assume(len(other.sets) == size)
+    return fam, other
+
+
+@settings(max_examples=200, deadline=None)
+@given(equal_size_wg_pairs())
+def test_isomorphism_agrees_with_networkx(pair):
+    nx = pytest.importorskip("networkx")
+    a, b = map(family_medium, pair)
+    graphs = []
+    for ts in (a, b):
+        g = nx.Graph()
+        g.add_nodes_from(ts.states)
+        g.add_edges_from(medium_graph(ts).edges)
+        graphs.append(g)
+    found = media_isomorphic(a, b)
+    event("not isomorphic" if found is None else "isomorphic")
+    assert (found is None) == (not nx.is_isomorphic(*graphs))
+    if found is not None:
+        assert_replays(a, b, *found)

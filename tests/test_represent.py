@@ -3,11 +3,10 @@ from collections import deque
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from tokenmedia.arrangements import arrangement_medium, mosaic_window
 from tokenmedia.errors import InputError
-from tokenmedia.families import SetFamily, distance, family_medium, well_graded_witness
+from tokenmedia.families import SetFamily, distance, family_medium
 from tokenmedia.linorders import linear_medium, pair_name
 from tokenmedia.represent import (
     ContentTable,
@@ -21,7 +20,7 @@ from tokenmedia.represent import (
 )
 from tokenmedia.tokens import TokenSystem, check_axioms, reduction, straight_message
 
-from conftest import hexagon_family, hexagon_variant_family, path3, two_state
+from conftest import hexagon_family, hexagon_variant_family, path3, two_state, wg_families
 
 
 # --- oracles ----------------------------------------------------------------
@@ -107,19 +106,6 @@ def assert_agrees_with_oracles(ts):
         assert_transports(ts, positive_content_family(ts, orient_from_state(ts, base)))
 
 
-@st.composite
-def wg_families(draw):
-    """Well graded families over at most five elements, grown by unit steps
-    that keep the family well graded."""
-    ground = "abcde"[:draw(st.integers(1, 5))]
-    sets = [frozenset(x for x in ground if draw(st.booleans()))]
-    for _ in range(draw(st.integers(1, 12))):
-        cand = draw(st.sampled_from(sets)) ^ {draw(st.sampled_from(ground))}
-        if cand not in sets and well_graded_witness(SetFamily(ground, (*sets, cand))) is None:
-            sets.append(cand)
-    return SetFamily(tuple(ground), tuple(sets))
-
-
 def test_corpus_agrees_with_oracles(corpus):
     for _, ts in corpus:
         assert_agrees_with_oracles(ts)
@@ -142,6 +128,17 @@ def test_decision_is_computed_once():
     assert decide_medium(ts) is decision
     positive_content_family(ts, orient_from_state(ts, ts.states[-1]))
     assert decide_medium(ts) is decision
+
+
+def test_content_table_is_built_once():
+    ts = family_medium(hexagon_family())
+    table = contents(ts).contents
+    again = contents(ts, base=ts.states[-1])
+    assert again.contents is table and again.base == ts.states[-1]
+    positive_content_family(ts, orient_from_state(ts, ts.states[-1]))
+    assert contents(ts).contents is table
+    with pytest.raises(InputError):
+        contents(ts, base="no such state")
 
 
 def test_non_medium_raises_input_error():
