@@ -1,10 +1,12 @@
 """Graphs of media, partial-cube recognition, isomorphism, and cube isometries.
 
-Recognition follows the Djokovic-Winkler route: a connected bipartite graph
-is a partial cube iff the relation Theta on its edges (uv Theta xy when
-d(u,x) + d(v,y) != d(u,y) + d(v,x)) is transitive.  Accepted graphs get a
-canonical isometric labeling by subsets of the Theta classes, which is then
-verified exhaustively against the distance matrix.
+Recognition builds the Djokovic-Winkler classes one at a time (uv Theta xy
+when d(u,x) + d(v,y) != d(u,y) + d(v,x)), one BFS per class, labels every
+vertex by the classes that separate it from the least vertex, and certifies
+that labeling isometric with a well-gradedness test, in O(dim * E) and
+without a distance table.  When the certificate fails the graph is no
+partial cube, and the O(E^2) Theta scan names three edges on which Theta is
+not transitive.
 """
 
 from __future__ import annotations
@@ -184,12 +186,16 @@ class PartialCubeResult:
 
 
 def is_partial_cube(g: LabeledGraph) -> PartialCubeResult:
-    """Accept with a verified isometric hypercube labeling, or reject with a witness.
+    """Accept with a certified isometric hypercube labeling, or reject with a witness.
 
-    Witness kinds: "odd-cycle" (graph not bipartite), "theta-violation"
-    (three edges breaking transitivity), "isometry-failure" (vertex pair
-    whose label distance disagrees with graph distance; cannot occur when
-    the first two tests pass, kept as a hard guarantee).
+    Each edge without a class, in edge order, grows its Theta class with one
+    BFS; the classes must be disjoint and at most S - 1.  Labels XOR class
+    bits along the BFS tree from the least vertex, so each edge flips its
+    own class bit, and if for every pair p != q some class with an edge at p
+    separates them, the labeling is isometric.  On any failure the O(E^2)
+    Theta scan finds the witness.  Witness kinds: "odd-cycle" (graph not
+    bipartite), "theta-violation" (three edges on which Theta is not
+    transitive).
     """
     if not g.vertices:
         raise InputError("empty graph")
@@ -215,7 +221,71 @@ def is_partial_cube(g: LabeledGraph) -> PartialCubeResult:
         raise InputError("graph must be connected")
     if odd is not None:
         return PartialCubeResult(False, witness={"kind": "odd-cycle", "cycle": _odd_cycle(parent, depth, *odd)})
+    return _class_route(g, adj, parent) or _theta_rejection(g, adj)
 
+
+def _class_route(g, adj, parent):
+    # in a bipartite graph uv Theta xy iff u and v lie on different sides of
+    # the cut {w : d(w,x) < d(w,y)}, which one BFS from both ends finds;
+    # classes are numbered by their least edge, and a class that reaches an
+    # edge of an earlier one, or more than S - 1 classes, is a failure
+    edges = g.edges
+    cls: dict[tuple[str, str], int] = {}
+    toggles = dict.fromkeys(parent, 0)  # the classes with an edge at each vertex
+    width = 0
+    for e in edges:
+        if e in cls:
+            continue
+        if width == len(g.vertices) - 1:
+            return None
+        side = {e[0]: 0, e[1]: 1}
+        queue = deque(e)
+        while queue:
+            u = queue.popleft()
+            for w in adj[u]:
+                if w not in side:
+                    side[w] = side[u]
+                    queue.append(w)
+        for f in edges:
+            if side[f[0]] != side[f[1]]:
+                if f in cls:
+                    return None
+                cls[f] = width
+                toggles[f[0]] |= 1 << width
+                toggles[f[1]] |= 1 << width
+        width += 1
+    # labels along the BFS tree, in its order; as the classes are disjoint
+    # cuts, bit k of a label says which side of cut k the vertex is on, so
+    # every edge flips exactly its own class bit
+    lab = {}
+    for w, u in parent.items():
+        lab[w] = 0 if u is None else lab[u] ^ 1 << cls[(u, w) if u < w else (w, u)]
+    if not _moves_separate(list(lab.values()), list(toggles.values()), width):
+        return None
+    names = [str(k) for k in range(width)]
+    labels = {v: frozenset(names[k] for k in range(width) if x >> k & 1) for v, x in lab.items()}
+    return PartialCubeResult(True, labels=labels, edge_classes={e: names[cls[e]] for e in edges})
+
+
+def _moves_separate(lab, toggles, width) -> bool:
+    """Does some bit of toggles[p] separate lab[p] from lab[q], for all p and
+    q != p?  All q at once, on bitsets over the positions; with each move
+    flipping its own bit this is well-gradedness, and rules out equal labels."""
+    bits = [1 << x for x in range(width)]
+    everyone = (1 << len(lab)) - 1
+    holders = [sum(1 << q for q, own in enumerate(lab) if own & b) for b in bits]
+    for p, (own, tg) in enumerate(zip(lab, toggles)):
+        alike = everyone
+        for b, members in zip(bits, holders):
+            if tg & b:
+                alike &= members if own & b else everyone ^ members
+        if alike != 1 << p:
+            return False
+    return True
+
+
+def _theta_rejection(g, adj):
+    """The O(E^2) Theta scan: three edges on which Theta is not transitive."""
     dist = {v: bfs_distances(adj, v) for v in g.vertices}
     edges = g.edges
     m = len(edges)
@@ -248,52 +318,7 @@ def is_partial_cube(g: LabeledGraph) -> PartialCubeResult:
                     False,
                     witness={"kind": "theta-violation", "edges": [list(e) for e in triple]},
                 )
-
-    # classes ordered by least edge; coordinate k sits on the side away from s0
-    class_id: dict[int, str] = {}
-    edge_classes: dict[tuple[str, str], str] = {}
-    for i in range(m):
-        cid = class_id.setdefault(masks[i], str(len(class_id)))
-        edge_classes[edges[i]] = cid
-    labels: dict[str, frozenset[str]] = {s0: frozenset()}
-    order = [s0]
-    queue = deque([s0])
-    seen = {s0}
-    while queue:
-        u = queue.popleft()
-        for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                e = (u, w) if u < w else (w, u)
-                labels[w] = labels[u] ^ {edge_classes[e]}
-                order.append(w)
-                queue.append(w)
-
-    bit = {cid: 1 << n for n, cid in enumerate(dict.fromkeys(edge_classes.values()))}
-    lab_mask = {v: _or_bits(labels[v], bit) for v in g.vertices}
-    verts = sorted(g.vertices)
-    for a in range(len(verts)):
-        da = dist[verts[a]]
-        ma = lab_mask[verts[a]]
-        for b in range(a + 1, len(verts)):
-            if (ma ^ lab_mask[verts[b]]).bit_count() != da[verts[b]]:
-                return PartialCubeResult(
-                    False,
-                    witness={
-                        "kind": "isometry-failure",
-                        "pair": [verts[a], verts[b]],
-                        "graph_distance": da[verts[b]],
-                        "label_distance": (ma ^ lab_mask[verts[b]]).bit_count(),
-                    },
-                )
-    return PartialCubeResult(True, labels=labels, edge_classes=edge_classes)
-
-
-def _or_bits(s, bit):
-    m = 0
-    for x in s:
-        m |= bit[x]
-    return m
+    raise AssertionError("the class route rejected a graph on which Theta is transitive")
 
 
 def _odd_cycle(parent, depth, u, w):

@@ -20,7 +20,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Mapping
 
-from .cubes import LabeledGraph, is_partial_cube
+from .cubes import LabeledGraph, _moves_separate, is_partial_cube
 from .errors import InputError
 from .families import SetFamily
 from .tokens import TokenSystem, reduction, reverse_defect
@@ -233,22 +233,11 @@ def _pair_decision(ts: TokenSystem) -> MediumDecision:
             toggles[i] |= b
     base = lab[index[min(states)]]
     lab = [x ^ base for x in lab]
-    # for every q != p some pair moving p separates them, i.e.
-    # lab[q] & toggles[p] != lab[p] & toggles[p], tested for all q at once on
-    # bitsets over the states.  This is well-gradedness of the labels; it
-    # also rules out equal labels, and a realized toggle lab[p] ^ b that no
-    # token takes p to (the fixed-point rule), since such a q agrees with p
-    # on every pair in toggles[p].
-    bits = [1 << x for x in range(k)]
-    everyone = (1 << len(states)) - 1
-    holders = [sum(1 << q for q, own in enumerate(lab) if own & b) for b in bits]
-    for p, (own, tg) in enumerate(zip(lab, toggles)):
-        alike = everyone
-        for b, members in zip(bits, holders):
-            if tg & b:
-                alike &= members if own & b else everyone ^ members
-        if alike != 1 << p:
-            return _pair_rejection(ts)
+    # for every q != p some pair moving p separates them; this also rules out
+    # a realized toggle lab[p] ^ b that no token takes p to (the fixed-point
+    # rule), since such a q agrees with p on every pair in toggles[p]
+    if not _moves_separate(lab, toggles, k):
+        return _pair_rejection(ts)
 
     least: dict[int, tuple[str, str]] = {}
     for t, ms in moves.items():

@@ -88,6 +88,7 @@ class TokenSystem:
                     raise InputError("reverse pairing must be a fixed-point-free involution")
         object.__setattr__(self, "_state_set", state_set)
         object.__setattr__(self, "_token_set", token_set)
+        object.__setattr__(self, "_moves", {})
 
     def has_state(self, s: str) -> bool:
         return s in self._state_set
@@ -96,11 +97,13 @@ class TokenSystem:
         return t in self._token_set
 
     def moves(self, t: str) -> frozenset[tuple[str, str]]:
-        """All pairs (s, v) with s != v moved by token t."""
-        if t not in self._token_set:
-            raise InputError(f"unknown token id {t!r}")
-        row = self.action[t]
-        return frozenset((s, v) for s in self.states if (v := row[s]) != s)
+        """All pairs (s, v) with s != v moved by token t, built once per token."""
+        if t not in self._moves:
+            if t not in self._token_set:
+                raise InputError(f"unknown token id {t!r}")
+            row = self.action[t]
+            self._moves[t] = frozenset((s, v) for s in self.states if (v := row[s]) != s)
+        return self._moves[t]
 
     def to_json_dict(self) -> dict:
         toks = []

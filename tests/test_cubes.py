@@ -1,12 +1,19 @@
 import itertools
 import random
+from collections import deque
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from tokenmedia.cubes import (
     CubeIsometry,
     LabeledGraph,
     NotPartialCube,
+    PartialCubeResult,
+    _odd_cycle,
+    adjacency,
+    bfs_distances,
     extend_isometry,
     graph_to_medium,
     is_partial_cube,
@@ -28,7 +35,119 @@ from conftest import (
     random_wg_family,
     staircase_family,
     two_state,
+    wg_families,
 )
+
+
+def theta_scan_partial_cube(g: LabeledGraph) -> PartialCubeResult:
+    """The reference recognizer: the O(E^2) Djokovic-Winkler Theta scan over
+    an all-pairs distance table, the labeling BFS over the Theta classes and
+    an exhaustive isometry check of that labeling."""
+    if not g.vertices:
+        raise InputError("empty graph")
+    adj = adjacency(g)
+    s0 = min(g.vertices)
+    parent: dict[str, str | None] = {s0: None}
+    depth = {s0: 0}
+    queue = deque([s0])
+    odd = None
+    while queue:
+        u = queue.popleft()
+        for w in adj[u]:
+            if w not in depth:
+                depth[w] = depth[u] + 1
+                parent[w] = u
+                queue.append(w)
+            elif (depth[w] ^ depth[u]) & 1 == 0 and odd is None:
+                odd = (u, w)
+    if len(depth) != len(g.vertices):
+        raise InputError("graph must be connected")
+    if odd is not None:
+        return PartialCubeResult(False, witness={"kind": "odd-cycle", "cycle": _odd_cycle(parent, depth, *odd)})
+
+    dist = {v: bfs_distances(adj, v) for v in g.vertices}
+    edges = g.edges
+    m = len(edges)
+    masks = [0] * m
+    for i in range(m):
+        x, y = edges[i]
+        dx, dy = dist[x], dist[y]
+        masks[i] |= 1 << i  # Theta is reflexive
+        for j in range(i + 1, m):
+            u, v = edges[j]
+            if dx[u] + dy[v] != dx[v] + dy[u]:
+                masks[i] |= 1 << j
+                masks[j] |= 1 << i
+
+    for i in range(m):
+        mi = masks[i]
+        rest = mi & ~((1 << (i + 1)) - 1)  # check each related pair once
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            j = b.bit_length() - 1
+            if masks[j] != mi:
+                d = masks[j] ^ mi
+                k = (d & -d).bit_length() - 1
+                if masks[j] >> k & 1:
+                    triple = (edges[i], edges[j], edges[k])
+                else:
+                    triple = (edges[j], edges[i], edges[k])
+                return PartialCubeResult(
+                    False,
+                    witness={"kind": "theta-violation", "edges": [list(e) for e in triple]},
+                )
+
+    # classes ordered by least edge; coordinate k sits on the side away from s0
+    class_id: dict[int, str] = {}
+    edge_classes: dict[tuple[str, str], str] = {}
+    for i in range(m):
+        cid = class_id.setdefault(masks[i], str(len(class_id)))
+        edge_classes[edges[i]] = cid
+    labels: dict[str, frozenset[str]] = {s0: frozenset()}
+    order = [s0]
+    queue = deque([s0])
+    seen = {s0}
+    while queue:
+        u = queue.popleft()
+        for w in adj[u]:
+            if w not in seen:
+                seen.add(w)
+                e = (u, w) if u < w else (w, u)
+                labels[w] = labels[u] ^ {edge_classes[e]}
+                order.append(w)
+                queue.append(w)
+
+    failure = isometry_failure(g, dist, labels, edge_classes)
+    if failure is not None:
+        return PartialCubeResult(False, witness=failure)
+    return PartialCubeResult(True, labels=labels, edge_classes=edge_classes)
+
+
+def isometry_failure(g, dist, labels, edge_classes):
+    """The first vertex pair whose label distance is not its graph distance, or None."""
+    bit = {cid: 1 << n for n, cid in enumerate(dict.fromkeys(edge_classes.values()))}
+    lab_mask = {v: _or_bits(labels[v], bit) for v in g.vertices}
+    verts = sorted(g.vertices)
+    for a in range(len(verts)):
+        da = dist[verts[a]]
+        ma = lab_mask[verts[a]]
+        for b in range(a + 1, len(verts)):
+            if (ma ^ lab_mask[verts[b]]).bit_count() != da[verts[b]]:
+                return {
+                    "kind": "isometry-failure",
+                    "pair": [verts[a], verts[b]],
+                    "graph_distance": da[verts[b]],
+                    "label_distance": (ma ^ lab_mask[verts[b]]).bit_count(),
+                }
+    return None
+
+
+def _or_bits(s, bit):
+    m = 0
+    for x in s:
+        m |= bit[x]
+    return m
 
 
 def k3():
@@ -108,6 +227,7 @@ class TestPartialCubeRecognition:
             return dist[x][u] + dist[y][v] != dist[x][v] + dist[y][u]
 
         assert theta(e, f) and theta(f, h) and not theta(e, h)
+        assert_same_recognition(g)
 
     def test_k23_has_no_small_isometric_labeling(self):
         # independent brute force: anchor one vertex at the empty set and try
@@ -151,7 +271,87 @@ class TestPartialCubeRecognition:
 
     def test_corpus_graphs_are_partial_cubes(self, corpus):
         for name, ts in corpus:
-            assert is_partial_cube(medium_graph(ts)).accepted, name
+            g = medium_graph(ts)
+            assert is_partial_cube(g).accepted, name
+            assert_same_recognition(g)
+
+
+@st.composite
+def bipartite_graphs(draw):
+    """Connected bipartite graphs on 1-10 vertices: a random tree plus random
+    edges between its two colour classes, the vertices named at random."""
+    n = draw(st.integers(1, 10))
+    names = [f"v{k}" for k in draw(st.permutations(range(n)))]
+    depth = [0]
+    edges = []
+    for i in range(1, n):
+        p = draw(st.integers(0, i - 1))
+        depth.append(depth[p] + 1)
+        edges.append((names[p], names[i]))
+    across = [(names[a], names[b]) for a, b in itertools.combinations(range(n), 2)
+              if (depth[a] ^ depth[b]) & 1]
+    if across:
+        edges += draw(st.lists(st.sampled_from(across), max_size=10))
+    return LabeledGraph(tuple(names), tuple(edges))
+
+
+@st.composite
+def family_graphs(draw):
+    """The graph of a well graded family's medium, as it is or with a new
+    vertex "w" added: joined to three neighbours of one vertex (a K2,3, so
+    no partial cube), or a two-edge detour between two vertices of one
+    colour class."""
+    fam = draw(wg_families(size=draw(st.sampled_from([None, 8, 16]))))
+    if len(fam.sets) == 1:
+        return LabeledGraph(("{}",), ())
+    g = medium_graph(family_medium(fam))
+    adj = adjacency(g)
+    kind = draw(st.sampled_from(["plain", "k23", "detour"]))
+    hubs = [v for v in g.vertices if len(adj[v]) >= 3]
+    if kind == "k23" and hubs:
+        hub = draw(st.sampled_from(hubs))
+        ends = draw(st.permutations(adj[hub]))[:3]
+    else:
+        depth = bfs_distances(adj, g.vertices[0])
+        alike = [(u, v) for u, v in itertools.combinations(g.vertices, 2)
+                 if (depth[u] ^ depth[v]) & 1 == 0]
+        if kind == "plain" or not alike:
+            event("family")
+            return LabeledGraph(g.vertices, g.edges)
+        kind = "detour"
+        ends = draw(st.sampled_from(alike))
+    event(f"family + {kind}")
+    return LabeledGraph(g.vertices + ("w",), g.edges + tuple(("w", x) for x in ends))
+
+
+def assert_same_recognition(g):
+    fast, slow = is_partial_cube(g), theta_scan_partial_cube(g)
+    assert fast.to_json_dict() == slow.to_json_dict()
+    if fast.accepted:
+        assert list(fast.labels.items()) == list(slow.labels.items())
+        assert list(fast.edge_classes.items()) == list(slow.edge_classes.items())
+        dist = {v: bfs_distances(adjacency(g), v) for v in g.vertices}
+        assert isometry_failure(g, dist, fast.labels, fast.edge_classes) is None
+    return fast
+
+
+class TestClassRouteAgainstThetaScan:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(bipartite_graphs(), family_graphs()))
+    def test_same_result(self, g):
+        pc = assert_same_recognition(g)
+        event("accepted" if pc.accepted else f"rejected: {pc.witness['kind']}")
+
+    @pytest.mark.parametrize("build, classes", [
+        (lambda: linear_medium(7)[0], 21),
+        (lambda: family_medium(power_set_family("abcdefgh")), 8),
+    ], ids=["linear7", "cube8"])
+    def test_reference_sizes_match_the_decision(self, build, classes):
+        # both routes name coordinates by least edge, from the least state
+        ts = build()
+        pc = is_partial_cube(medium_graph(ts))
+        assert pc.accepted and pc.class_count == classes
+        assert pc.labels == decide_medium(ts).alpha
 
 
 class TestGraphToMedium:

@@ -65,6 +65,14 @@ class TestConstruction:
         again = TokenSystem.from_json_dict(ts.to_json_dict())
         assert again == ts
 
+    def test_moves_are_built_once(self):
+        ts = path3()
+        first = ts.moves("f1")
+        assert first == frozenset({("P", "Q")})
+        assert ts.moves("f1") is first
+        with pytest.raises(InputError, match="unknown token"):
+            ts.moves("zz")
+
 
 class TestApply:
     def test_single_edge(self):
