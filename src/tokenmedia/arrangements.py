@@ -1,17 +1,18 @@
 """Regions of finite line arrangements in the plane, with exact rationals.
 
-Every comparison is exact.  One sweep per line sorts the rational
-parameters at which the other lines cross it; each open segment between
-consecutive crossings is a facet whose two sides are regions differing in
-that line's sign alone.  Regions are found by breadth-first search over
-these facets, each with a Fourier-Motzkin interior witness, and the region
-graph has one edge per facet.  The token system of regions under line
-crossings is always a medium; mosaic windows provide finite stand-ins for
-the classical locally finite families.
+Every comparison is exact.  One sweep per arrangement sorts, per line, the
+rational parameters at which the other lines cross it; each open segment
+between consecutive crossings is a facet whose two sides are regions
+differing in that line's sign alone.  Regions are found by breadth-first
+search over these facets, each with the witness that Fourier-Motzkin
+elimination would pick, read off the x-span of its facets; the region graph
+has one edge per facet.  The token system of regions under line crossings
+is always a medium; mosaic windows stand in for the locally finite families.
 """
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -59,14 +60,15 @@ class Arrangement:
         keys = [l.projective_key() for l in self.lines]
         if len(set(keys)) != len(keys):
             raise InputError("duplicate lines (projectively equal triples)")
+        object.__setattr__(self, "_facets", None)  # the sweep, stored by _facets
 
     def to_json_dict(self) -> dict:
         return {"lines": [{"a": str(l.a), "b": str(l.b), "c": str(l.c)} for l in self.lines]}
 
     @classmethod
     def from_json_dict(cls, doc) -> "Arrangement":
-        if not isinstance(doc, dict) or "lines" not in doc:
-            raise ParseError("arrangement document needs a 'lines' field")
+        if not isinstance(doc, dict) or not isinstance(doc.get("lines"), list):
+            raise ParseError("arrangement document needs a 'lines' list")
         lines = []
         for entry in doc["lines"]:
             try:
@@ -105,71 +107,6 @@ class Region:
         }
 
 
-# --- exact strict feasibility ----------------------------------------------
-
-
-def _solve_interval(bounds):
-    """Feasible point of a system of strict 1-d constraints a*t + c > 0, or None."""
-    lo = hi = None
-    for (a, c) in bounds:
-        if a == 0:
-            if c <= 0:
-                return None
-        elif a > 0:
-            t = -c / a
-            if lo is None or t > lo:
-                lo = t
-        else:
-            t = -c / a
-            if hi is None or t < hi:
-                hi = t
-    if lo is not None and hi is not None:
-        if lo >= hi:
-            return None
-        return (lo + hi) / 2
-    if lo is not None:
-        return lo + 1
-    if hi is not None:
-        return hi - 1
-    return Fraction(0)
-
-
-def _feasible_point(constraints):
-    """Interior point of the strict system [a*x + b*y + c > 0, ...], or None.
-
-    Fourier-Motzkin elimination of y: with strict inequalities the projection
-    is exact, so any x strictly inside the projected interval lifts to a
-    feasible y.
-    """
-    lowers = []  # y > s*x + m
-    uppers = []  # y < s*x + m
-    xbounds = []
-    for (a, b, c) in constraints:
-        if b > 0:
-            lowers.append((-a / b, -c / b))
-        elif b < 0:
-            uppers.append((-a / b, -c / b))
-        else:
-            xbounds.append((a, c))
-    for (s1, m1) in lowers:
-        for (s2, m2) in uppers:
-            # s1*x + m1 < s2*x + m2
-            xbounds.append((s2 - s1, m2 - m1))
-    x = _solve_interval(xbounds)
-    if x is None:
-        return None
-    ybounds = [(Fraction(1), -(s * x + m)) for (s, m) in lowers]
-    ybounds += [(Fraction(-1), s * x + m) for (s, m) in uppers]
-    y = _solve_interval(ybounds)
-    if y is None:  # cannot happen: the projection is exact
-        return None
-    return (x, y)
-
-
-def _region_constraints(arr, signs):
-    return [(s * l.a, s * l.b, s * l.c) for l, s in zip(arr.lines, signs)]
-
-
 def _generic_point(arr) -> tuple[Fraction, Fraction]:
     # every line meets the parabola y = x^2 + 1 at most twice, so some small
     # integer x gives a point off all lines
@@ -190,13 +127,16 @@ def _signs(mask: int, n: int) -> tuple[int, ...]:
     return tuple(1 if mask >> k & 1 else -1 for k in range(n))
 
 
-def _facets(arr) -> list[tuple[int, int]]:
-    """Every facet as (k, mask): an open segment of line k between consecutive
-    crossings, with the cells of sign masks ``mask`` and ``mask | 1 << k``
-    on its two sides.  Line k is walked along (-b, a) from beyond its first
+def _facets(arr) -> list[tuple[int, int, Fraction | None, Fraction | None]]:
+    """Every facet as (k, mask, lo, hi): an open segment of line k between
+    consecutive crossings, with the cells of sign masks ``mask`` and
+    ``mask | 1 << k`` on its two sides and lo <= x <= hi on its closure (None
+    if unbounded).  Line k is walked along (-b, a) from beyond its first
     crossing, flipping at each exact crossing parameter the signs of the
-    lines that meet it there; facets come out in ascending k.
-    """
+    lines that meet it there; facets come out in ascending k.  The sweep
+    runs once per arrangement and is stored on it."""
+    if arr._facets is not None:
+        return arr._facets
     facets = []
     for k, (a, b, c) in enumerate((l.a, l.b, l.c) for l in arr.lines):
         ox, oy = (Fraction(0), -c / b) if b else (-c / a, Fraction(0))  # a point of line k
@@ -210,11 +150,59 @@ def _facets(arr) -> list[tuple[int, int]]:
             side |= (offset > 0 if slope == 0 else slope < 0) << j
             if slope:
                 crossings[-offset / slope] |= 1 << j
-        facets.append((k, side))
-        for t in sorted(crossings):
+        ts = sorted(crossings)
+        # x = ox - b*t along line k (falling if b > 0): unbounded both ways unless b == 0
+        end = None if b else ox
+        xs = [end, *(ox - b * t for t in ts), end]
+        lows, highs = (xs[1:], xs) if b > 0 else (xs, xs[1:])
+        facets.append((k, side, lows[0], highs[0]))
+        for i, t in enumerate(ts, 1):
             side ^= crossings[t]
-            facets.append((k, side))
+            facets.append((k, side, lows[i], highs[i]))
+    object.__setattr__(arr, "_facets", facets)
     return facets
+
+
+def _inside(lo, hi) -> Fraction:
+    """The Fourier-Motzkin choice of a point of the open interval (lo, hi),
+    where None is an unbounded end: the midpoint, lo + 1, hi - 1 or 0."""
+    if lo is None:
+        return Fraction(0) if hi is None else hi - 1
+    return lo + 1 if hi is None else (lo + hi) / 2
+
+
+def _witness(arr, signs, lo, hi, rows) -> tuple[Fraction, Fraction]:
+    """The Fourier-Motzkin witness of the cell with these signs and x-extent
+    (lo, hi): x inside the extent, then y inside the cell's y-range at x,
+    found in integers over the non-vertical lines of ``_integral_rows``."""
+    if lo is not None and lo == hi:
+        # a half-plane bounded by one vertical line: its open side is that line's sign
+        line, s = next((l, s) for l, s in zip(arr.lines, signs) if l.b == 0 and -l.c / l.a == lo)
+        lo, hi = (lo, None) if s * line.a > 0 else (None, hi)
+    x = _inside(lo, hi)
+    p, q = x.numerator, x.denominator
+    below = above = None  # nearest lines under and over the cell at x, as (n, b): y = n / (b*q)
+    for k, a, b, c, up in rows:
+        n = -(a * p + c * q)
+        if (signs[k] > 0) == up:
+            if below is None or n * below[1] > below[0] * b:
+                below = (n, b)
+        elif above is None or n * above[1] < above[0] * b:
+            above = (n, b)
+    y_lo = None if below is None else Fraction(below[0], below[1] * q)
+    y_hi = None if above is None else Fraction(above[0], above[1] * q)
+    return (x, _inside(y_lo, y_hi))
+
+
+def _integral_rows(arr) -> list[tuple[int, int, int, int, bool]]:
+    """Each non-vertical line k as (k, a, b, c, up): its coefficients scaled
+    to integers with b > 0, and whether its positive side lies above it."""
+    rows = []
+    for k, l in enumerate(arr.lines):
+        if l.b:
+            d = math.lcm(l.a.denominator, l.b.denominator, l.c.denominator) * (1 if l.b > 0 else -1)
+            rows.append((k, int(l.a * d), int(l.b * d), int(l.c * d), l.b > 0))
+    return rows
 
 
 def enumerate_regions(arr: Arrangement) -> tuple[Region, ...]:
@@ -222,23 +210,32 @@ def enumerate_regions(arr: Arrangement) -> tuple[Region, ...]:
 
     Breadth-first search over the facets of the per-line sweep, starting at
     the cell of a generic seed point and crossing each cell's lines in
-    ascending order.  Every other cell's witness is the Fourier-Motzkin
-    point of its own sign vector, so it depends on the cell alone.
+    ascending order.  The same pass folds each facet's x-range into its two
+    cells' exact x-extents.  Every other cell's witness is the point that
+    Fourier-Motzkin elimination picks from its sign vector, read off its
+    x-extent and one pass over the lines, so it depends on the cell alone.
     """
     n = len(arr.lines)
     seed = _generic_point(arr)
     start = _mask(l.evaluate(*seed) for l in arr.lines)
     neighbors: dict[int, list[int]] = defaultdict(list)
-    for k, mask in _facets(arr):
-        neighbors[mask].append(mask | 1 << k)
-        neighbors[mask | 1 << k].append(mask)
+    extent: dict[int, list] = {}
+    for k, mask, lo, hi in _facets(arr):
+        for cell, other in ((mask, mask | 1 << k), (mask | 1 << k, mask)):
+            neighbors[cell].append(other)
+            span = extent.setdefault(cell, [lo, hi])
+            if span[0] is not None and (lo is None or lo < span[0]):
+                span[0] = lo
+            if span[1] is not None and (hi is None or hi > span[1]):
+                span[1] = hi
+    rows = _integral_rows(arr)
     found = {start: Region(_signs(start, n), seed)}
     order = [start]
     for mask in order:
         for other in neighbors[mask]:
             if other not in found:
                 signs = _signs(other, n)
-                found[other] = Region(signs, _feasible_point(_region_constraints(arr, signs)))
+                found[other] = Region(signs, _witness(arr, signs, *extent[other], rows))
                 order.append(other)
     return tuple(found.values())
 
@@ -271,7 +268,7 @@ def region_adjacency(arr: Arrangement, regions: Iterable[Region]) -> LabeledGrap
     names = [region_name(r, ground) for r in regions]
     index = {_mask(r.signs): i for i, r in enumerate(regions)}
     crossed = []
-    for k, mask in _facets(arr):
+    for k, mask, _, _ in _facets(arr):
         i, j = index.get(mask), index.get(mask | 1 << k)
         if i is not None and j is not None:
             crossed.append((min(i, j), max(i, j), k, names[i], names[j]))

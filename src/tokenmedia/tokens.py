@@ -128,6 +128,8 @@ class TokenSystem:
             action = doc["action"]
         except (KeyError, TypeError) as exc:
             raise ParseError(f"token system document missing field: {exc}") from None
+        if not isinstance(raw_tokens, list):
+            raise ParseError("token system 'tokens' must be a list")
         tokens = []
         reverse: dict[str, str] = {}
         saw_reverse = False

@@ -250,7 +250,7 @@ def test_criterion_6_isometry_extension():
 
 
 def test_criterion_7_arrangements():
-    """Generic counts, partial cubes, media; mosaic windows at radius <= 4."""
+    """Generic counts, partial cubes, media; mosaic windows at radius 1..5 and 8."""
     from test_arrangements import brute_force_regions, random_generic_lines
 
     t0 = time.time()
@@ -276,11 +276,11 @@ def test_criterion_7_arrangements():
     details.append("3 concurrent = 6-cycle")
 
     for kind in ("triangular", "truncated-square"):
-        for radius in (1, 2, 3, 4):
+        for radius in (1, 2, 3, 4, 5, 8):
             window = mosaic_window(kind, radius)
             g = region_adjacency(window, enumerate_regions(window))
             ok = ok and is_partial_cube(g).accepted
-    details.append("windows radius 1..4")
+    details.append("windows radius 1..5, 8")
 
     elapsed = time.time() - t0
     ok = ok and elapsed < 120

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tokenmedia.arrangements import (
+    MOSAIC_KINDS,
     Arrangement,
     Line,
     Region,
@@ -20,12 +21,9 @@ from tokenmedia.arrangements import (
     region_family,
     region_name,
     _facets,
-    _feasible_point,
     _generic_point,
     _ground,
-    _region_constraints,
     _signs,
-    _solve_interval,
 )
 from tokenmedia.cubes import LabeledGraph, adjacency, bfs_distances, is_partial_cube
 from tokenmedia.errors import InputError
@@ -39,6 +37,78 @@ def crossing_pair():
 
 def concurrent_triple():
     return Arrangement((Line.of(0, 1, 0), Line.of(1, -1, 0), Line.of(1, 1, 0)))
+
+
+# --- the Fourier-Motzkin oracle ----------------------------------------------
+
+
+def _solve_interval(bounds):
+    """Feasible point of a system of strict 1-d constraints a*t + c > 0, or None."""
+    lo = hi = None
+    for (a, c) in bounds:
+        if a == 0:
+            if c <= 0:
+                return None
+        elif a > 0:
+            t = -c / a
+            if lo is None or t > lo:
+                lo = t
+        else:
+            t = -c / a
+            if hi is None or t < hi:
+                hi = t
+    if lo is not None and hi is not None:
+        if lo >= hi:
+            return None
+        return (lo + hi) / 2
+    if lo is not None:
+        return lo + 1
+    if hi is not None:
+        return hi - 1
+    return Fraction(0)
+
+
+def _feasible_point(constraints):
+    """Interior point of the strict system [a*x + b*y + c > 0, ...], or None.
+
+    Fourier-Motzkin elimination of y: with strict inequalities the projection
+    is exact, so any x strictly inside the projected interval lifts to a
+    feasible y.
+    """
+    lowers = []  # y > s*x + m
+    uppers = []  # y < s*x + m
+    xbounds = []
+    for (a, b, c) in constraints:
+        if b > 0:
+            lowers.append((-a / b, -c / b))
+        elif b < 0:
+            uppers.append((-a / b, -c / b))
+        else:
+            xbounds.append((a, c))
+    for (s1, m1) in lowers:
+        for (s2, m2) in uppers:
+            # s1*x + m1 < s2*x + m2
+            xbounds.append((s2 - s1, m2 - m1))
+    x = _solve_interval(xbounds)
+    if x is None:
+        return None
+    ybounds = [(Fraction(1), -(s * x + m)) for (s, m) in lowers]
+    ybounds += [(Fraction(-1), s * x + m) for (s, m) in uppers]
+    y = _solve_interval(ybounds)
+    if y is None:  # cannot happen: the projection is exact
+        return None
+    return (x, y)
+
+
+def _region_constraints(arr, signs):
+    return [(s * l.a, s * l.b, s * l.c) for l, s in zip(arr.lines, signs)]
+
+
+def fm_witnesses(arr, regions):
+    """Oracle: the same cells in the same order, each but the seed cell with
+    the Fourier-Motzkin point of its own sign vector as its witness."""
+    return regions[:1] + tuple(Region(r.signs, _feasible_point(_region_constraints(arr, r.signs)))
+                               for r in regions[1:])
 
 
 def brute_force_regions(arr):
@@ -75,9 +145,9 @@ def fm_regions(arr):
     return tuple(order)
 
 
-def _facet_shared(arr, signs, k):
-    """Oracle: do the other strict inequalities cut a nonempty open piece out
-    of line k?  Parametrizes line k and solves the 1-d system exactly."""
+def _facet_bounds(arr, signs, k):
+    """The other strict inequalities as 1-d constraints a*t + c > 0 on line k,
+    parametrized by t = x when line k is not vertical."""
     line = arr.lines[k]
     if line.b != 0:
         direction = (Fraction(1), -line.a / line.b)
@@ -92,7 +162,24 @@ def _facet_shared(arr, signs, k):
         slope = l.a * direction[0] + l.b * direction[1]
         offset = l.a * origin[0] + l.b * origin[1] + l.c
         bounds.append((s * slope, s * offset))
-    return _solve_interval(bounds) is not None
+    return bounds
+
+
+def _facet_shared(arr, signs, k):
+    """Oracle: do the other strict inequalities cut a nonempty open piece out
+    of line k?  Parametrizes line k and solves the 1-d system exactly."""
+    return _solve_interval(_facet_bounds(arr, signs, k)) is not None
+
+
+def _facet_x_range(arr, signs, k):
+    """Oracle: min and max x over the closure of the piece of line k inside
+    the other strict inequalities, None where it is unbounded."""
+    line = arr.lines[k]
+    if line.b == 0:
+        return (-line.c / line.a, -line.c / line.a)
+    bounds = _facet_bounds(arr, signs, k)
+    return (max((-c / a for a, c in bounds if a > 0), default=None),
+            min((-c / a for a, c in bounds if a < 0), default=None))
 
 
 def _single_flip(si, sj):
@@ -218,6 +305,13 @@ class TestRegionEnumeration:
         assert len(regions) == 1 + k + k * (k - 1) // 2
         assert len(regions) == brute_force_regions(arr)
 
+    @pytest.mark.parametrize("kind", MOSAIC_KINDS)
+    def test_mosaic_witnesses_match_fourier_motzkin(self, kind):
+        arr = mosaic_window(kind, 3)
+        regions = enumerate_regions(arr)
+        assert regions[0].witness == _generic_point(arr)
+        assert regions == fm_witnesses(arr, regions)
+
     def test_flood_fill_matches_brute_force_with_parallels(self):
         arr = Arrangement((Line.of(0, 1, 0), Line.of(0, 1, -1), Line.of(1, 0, 0),
                            Line.of(1, -1, Fraction(1, 2))))
@@ -257,12 +351,30 @@ class TestAdjacency:
                     flipped = r.signs[:k] + (-r.signs[k],) + r.signs[k + 1 :]
                     if flipped in by_signs and r.signs[k] < 0:
                         flips.add((k, r.signs))
-            facets = [(k, _signs(mask, n)) for k, mask in _facets(arr)]
+            facets = [(k, _signs(mask, n)) for k, mask, _, _ in _facets(arr)]
             assert sorted(facets) == sorted(flips)
             for k, signs in facets:
                 assert _facet_shared(arr, signs, k), (signs, k)
                 plus = signs[:k] + (1,) + signs[k + 1 :]
                 assert _facet_shared(arr, plus, k), (plus, k)
+
+    @pytest.mark.parametrize("arr", [
+        Arrangement((Line.of(1, 0, -1),)),
+        Arrangement((Line.of(-2, 0, 1), Line.of(1, 0, 3), Line.of(0, 1, 0))),
+        Arrangement((Line.of(1, 1, 0), Line.of(1, -1, 0), Line.of(0, 1, Fraction(-1, 2)))),
+        concurrent_triple(),
+        mosaic_window("truncated-square", 1),
+    ])
+    def test_facet_x_ranges_match_the_closures(self, arr):
+        n = len(arr.lines)
+        for k, mask, lo, hi in _facets(arr):
+            assert (lo, hi) == _facet_x_range(arr, _signs(mask, n), k), (k, mask)
+
+    def test_sweep_runs_once_per_arrangement(self):
+        arr = mosaic_window("triangular", 1)
+        facets = _facets(arr)
+        region_adjacency(arr, enumerate_regions(arr))
+        assert _facets(arr) is facets
 
     def test_subset_gives_induced_subgraph(self):
         rng = random.Random(31)
@@ -383,6 +495,16 @@ class TestJsonRoundTrip:
 @given(small_arrangements())
 @example(Arrangement((Line.of(1, 0, 0), Line.of(1, 0, -1), Line.of(0, 1, 0), Line.of(0, 1, 2),
                       Line.of(1, 1, 0), Line.of(1, -1, 0), Line.of(1, 1, -1))))
+# x-extent corner cases: half-planes of one vertical line (either sign of a),
+# a vertical strip, vertical lines only, and a vertical with a horizontal line
+@example(Arrangement((Line.of(1, 0, -1),)))
+@example(Arrangement((Line.of(-2, 0, 1),)))
+@example(Arrangement((Line.of(1, 0, 0), Line.of(1, 0, -1))))
+@example(Arrangement((Line.of(1, 0, 2), Line.of(-1, 0, 1), Line.of(2, 0, -5), Line.of(1, 0, -3))))
+@example(Arrangement((Line.of(1, 0, 0), Line.of(0, 1, 0))))
+@example(Arrangement((Line.of(Fraction(1, 3), Fraction(-2, 5), Fraction(7, 4)),
+                      Line.of(Fraction(-3, 2), Fraction(1, 6), Fraction(-5, 9)),
+                      Line.of(Fraction(2, 7), 0, Fraction(1, 8)))))
 def test_sweep_matches_fourier_motzkin_oracle(arr):
     regions = enumerate_regions(arr)
     assert regions == fm_regions(arr)

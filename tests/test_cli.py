@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from tokenmedia import cli
 from tokenmedia.families import SetFamily, family_medium
 from tokenmedia.tokens import TokenSystem, reduction
@@ -49,6 +51,13 @@ class TestCheck:
         bad.write_text(json.dumps({"states": ["A", "B"]}))
         code, _, _ = run(capsys, "check", str(bad))
         assert code == 2
+
+    def test_tokens_not_a_list_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"states": ["a", "b"], "tokens": 3, "action": {}}))
+        code, out, err = run(capsys, "check", str(bad))
+        assert code == 2
+        assert out == "" and "parse error" in err
 
 
 class TestRepresentAndGraph:
@@ -210,6 +219,14 @@ class TestArrangementCommands:
         path.write_text(json.dumps({"lines": [{"a": "x", "b": "1", "c": "0"}]}))
         code, _, _ = run(capsys, "arrangement", str(path))
         assert code == 2
+
+    @pytest.mark.parametrize("lines", [5, None])
+    def test_lines_not_a_list_exit_2(self, tmp_path, capsys, lines):
+        path = tmp_path / "lines.json"
+        path.write_text(json.dumps({"lines": lines}))
+        code, out, err = run(capsys, "arrangement", str(path))
+        assert code == 2
+        assert out == "" and "parse error" in err
 
 
 class TestDeterminism:
