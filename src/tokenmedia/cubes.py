@@ -4,9 +4,11 @@ Recognition builds the Djokovic-Winkler classes one at a time (uv Theta xy
 when d(u,x) + d(v,y) != d(u,y) + d(v,x)), one BFS per class, labels every
 vertex by the classes that separate it from the least vertex, and certifies
 that labeling isometric with a well-gradedness test, in O(dim * E) and
-without a distance table.  When the certificate fails the graph is no
-partial cube, and the O(E^2) Theta scan names three edges on which Theta is
-not transitive.
+without a distance table.  A bipartite graph is a partial cube iff Theta is
+transitive on it (Winkler), and either check that fails names three edges
+e Theta f, f Theta h, not e Theta h: a class that reaches an edge of an
+earlier class, or a pair of vertices that no class at the first separates,
+whose geodesic crosses one class twice.
 """
 
 from __future__ import annotations
@@ -74,7 +76,10 @@ class LabeledGraph:
             edges = tuple((str(u), str(v)) for (u, v) in doc["edges"])
             labels = None
             if "labels" in doc:
-                labels = {str(v): frozenset(str(x) for x in xs) for v, xs in doc["labels"].items()}
+                labels = doc["labels"]
+                if not isinstance(labels, dict) or set(labels) != set(vertices):
+                    raise ParseError("labels must be an object whose keys are exactly the vertices")
+                labels = {v: frozenset(str(x) for x in xs) for v, xs in labels.items()}
             return cls(vertices, edges, labels)
         except (TypeError, ValueError, InputError) as exc:
             raise ParseError(f"bad graph: {exc}") from None
@@ -105,18 +110,6 @@ def adjacency(g: LabeledGraph) -> dict[str, tuple[str, ...]]:
         adj[u].append(v)
         adj[v].append(u)
     return {v: tuple(sorted(ws)) for v, ws in adj.items()}
-
-
-def bfs_distances(adj: Mapping[str, tuple[str, ...]], source: str) -> dict[str, int]:
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for w in adj[u]:
-            if w not in dist:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    return dist
 
 
 def to_dot(g: LabeledGraph) -> str:
@@ -189,13 +182,19 @@ def is_partial_cube(g: LabeledGraph) -> PartialCubeResult:
     """Accept with a certified isometric hypercube labeling, or reject with a witness.
 
     Each edge without a class, in edge order, grows its Theta class with one
-    BFS; the classes must be disjoint and at most S - 1.  Labels XOR class
-    bits along the BFS tree from the least vertex, so each edge flips its
-    own class bit, and if for every pair p != q some class with an edge at p
-    separates them, the labeling is isometric.  On any failure the O(E^2)
-    Theta scan finds the witness.  Witness kinds: "odd-cycle" (graph not
-    bipartite), "theta-violation" (three edges on which Theta is not
-    transitive).
+    BFS; the classes must be disjoint.  Labels XOR class bits along the BFS
+    tree from the least vertex, so each edge flips its own class bit, and if
+    for every pair p != q some class with an edge at p separates them, the
+    labeling is isometric.  Witness kinds: "odd-cycle" (graph not
+    bipartite), "theta-violation" (edges [e, f, h] with e Theta f, f Theta h
+    and not e Theta h), read off the check that fails:
+
+    - when the class of a new least edge e reaches an edge f of an earlier
+      class with least edge h, the witness is [e, f, h];
+    - when no class at p separates p from q, the first edge f of a geodesic
+      from p to q lies in a class, with least edge h, that the geodesic
+      crosses again, first at g; two edges of one geodesic are never in
+      relation Theta, so the witness is [f, h, g].
     """
     if not g.vertices:
         raise InputError("empty graph")
@@ -221,23 +220,22 @@ def is_partial_cube(g: LabeledGraph) -> PartialCubeResult:
         raise InputError("graph must be connected")
     if odd is not None:
         return PartialCubeResult(False, witness={"kind": "odd-cycle", "cycle": _odd_cycle(parent, depth, *odd)})
-    return _class_route(g, adj, parent) or _theta_rejection(g, adj)
+    return _class_route(g, adj, parent)
 
 
 def _class_route(g, adj, parent):
     # in a bipartite graph uv Theta xy iff u and v lie on different sides of
     # the cut {w : d(w,x) < d(w,y)}, which one BFS from both ends finds;
-    # classes are numbered by their least edge, and a class that reaches an
-    # edge of an earlier one, or more than S - 1 classes, is a failure
+    # classes are numbered by their least edge.  Disjoint cuts each hold a
+    # BFS-tree edge, so at most S - 1 classes come before one overlaps.
     edges = g.edges
     cls: dict[tuple[str, str], int] = {}
+    least: list[tuple[str, str]] = []  # the least edge of each class
     toggles = dict.fromkeys(parent, 0)  # the classes with an edge at each vertex
-    width = 0
     for e in edges:
         if e in cls:
             continue
-        if width == len(g.vertices) - 1:
-            return None
+        width = len(least)
         side = {e[0]: 0, e[1]: 1}
         queue = deque(e)
         while queue:
@@ -249,28 +247,57 @@ def _class_route(g, adj, parent):
         for f in edges:
             if side[f[0]] != side[f[1]]:
                 if f in cls:
-                    return None
+                    return _theta_violation(e, f, least[cls[f]])
                 cls[f] = width
                 toggles[f[0]] |= 1 << width
                 toggles[f[1]] |= 1 << width
-        width += 1
+        least.append(e)
+    width = len(least)
     # labels along the BFS tree, in its order; as the classes are disjoint
     # cuts, bit k of a label says which side of cut k the vertex is on, so
     # every edge flips exactly its own class bit
     lab = {}
     for w, u in parent.items():
         lab[w] = 0 if u is None else lab[u] ^ 1 << cls[(u, w) if u < w else (w, u)]
-    if not _moves_separate(list(lab.values()), list(toggles.values()), width):
-        return None
+    pair = _moves_separate(list(lab.values()), list(toggles.values()), width)
+    if pair is not None:
+        # the class of the first step does not separate p from q, so the
+        # geodesic flips its bit back on a later step
+        verts = list(lab)
+        path = _geodesic(adj, verts[pair[0]], verts[pair[1]])
+        steps = [(u, w) if u < w else (w, u) for u, w in zip(path, path[1:])]
+        k = cls[steps[0]]
+        return _theta_violation(steps[0], least[k], next(f for f in steps[1:] if cls[f] == k))
     names = [str(k) for k in range(width)]
     labels = {v: frozenset(names[k] for k in range(width) if x >> k & 1) for v, x in lab.items()}
     return PartialCubeResult(True, labels=labels, edge_classes={e: names[cls[e]] for e in edges})
 
 
-def _moves_separate(lab, toggles, width) -> bool:
-    """Does some bit of toggles[p] separate lab[p] from lab[q], for all p and
-    q != p?  All q at once, on bitsets over the positions; with each move
-    flipping its own bit this is well-gradedness, and rules out equal labels."""
+def _theta_violation(*triple):
+    return PartialCubeResult(False, witness={"kind": "theta-violation", "edges": [list(e) for e in triple]})
+
+
+def _geodesic(adj, p, q):
+    """A shortest path from p to q, by one BFS from q."""
+    toward = {q: None}
+    queue = deque([q])
+    while p not in toward:
+        u = queue.popleft()
+        for w in adj[u]:
+            if w not in toward:
+                toward[w] = u
+                queue.append(w)
+    path = [p]
+    while path[-1] != q:
+        path.append(toward[path[-1]])
+    return path
+
+
+def _moves_separate(lab, toggles, width):
+    """The first pair (p, q), q != p, such that no bit of toggles[p] separates
+    lab[p] from lab[q], or None.  All q at once, on bitsets over the
+    positions; with each move flipping its own bit, None is well-gradedness,
+    and rules out equal labels."""
     bits = [1 << x for x in range(width)]
     everyone = (1 << len(lab)) - 1
     holders = [sum(1 << q for q, own in enumerate(lab) if own & b) for b in bits]
@@ -280,45 +307,9 @@ def _moves_separate(lab, toggles, width) -> bool:
             if tg & b:
                 alike &= members if own & b else everyone ^ members
         if alike != 1 << p:
-            return False
-    return True
-
-
-def _theta_rejection(g, adj):
-    """The O(E^2) Theta scan: three edges on which Theta is not transitive."""
-    dist = {v: bfs_distances(adj, v) for v in g.vertices}
-    edges = g.edges
-    m = len(edges)
-    masks = [0] * m
-    for i in range(m):
-        x, y = edges[i]
-        dx, dy = dist[x], dist[y]
-        masks[i] |= 1 << i  # Theta is reflexive
-        for j in range(i + 1, m):
-            u, v = edges[j]
-            if dx[u] + dy[v] != dx[v] + dy[u]:
-                masks[i] |= 1 << j
-                masks[j] |= 1 << i
-
-    for i in range(m):
-        mi = masks[i]
-        rest = mi & ~((1 << (i + 1)) - 1)  # check each related pair once
-        while rest:
-            b = rest & -rest
-            rest ^= b
-            j = b.bit_length() - 1
-            if masks[j] != mi:
-                d = masks[j] ^ mi
-                k = (d & -d).bit_length() - 1
-                if masks[j] >> k & 1:
-                    triple = (edges[i], edges[j], edges[k])
-                else:
-                    triple = (edges[j], edges[i], edges[k])
-                return PartialCubeResult(
-                    False,
-                    witness={"kind": "theta-violation", "edges": [list(e) for e in triple]},
-                )
-    raise AssertionError("the class route rejected a graph on which Theta is transitive")
+            rest = alike ^ 1 << p
+            return p, (rest & -rest).bit_length() - 1
+    return None
 
 
 def _odd_cycle(parent, depth, u, w):

@@ -236,7 +236,7 @@ def _pair_decision(ts: TokenSystem) -> MediumDecision:
     # for every q != p some pair moving p separates them; this also rules out
     # a realized toggle lab[p] ^ b that no token takes p to (the fixed-point
     # rule), since such a q agrees with p on every pair in toggles[p]
-    if not _moves_separate(lab, toggles, k):
+    if _moves_separate(lab, toggles, k) is not None:
         return _pair_rejection(ts)
 
     least: dict[int, tuple[str, str]] = {}

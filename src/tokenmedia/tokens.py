@@ -21,7 +21,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .errors import InputError, ParseError
+from .errors import CapError, InputError, ParseError
 
 #: A message is a finite sequence of token ids, applied left to right.
 Message = Sequence[str]
@@ -386,7 +386,8 @@ def check_axioms(ts: TokenSystem, bound: int | None = None) -> AxiomReport:
     """Bounded axiom falsifier.
 
     ``bound`` caps the length of messages enumerated for M3/M4 and defaults
-    to twice the token count.  Failure witnesses replay through ``apply``.
+    to twice the token count; a bound deeper than the recursive walks can go
+    raises CapError.  Failure witnesses replay through ``apply``.
     """
     if bound is None:
         bound = max(1, 2 * len(ts.tokens))
@@ -403,9 +404,12 @@ def check_axioms(ts: TokenSystem, bound: int | None = None) -> AxiomReport:
     m1 = AxiomCheck("M1", HOLDS)
     w2 = _violates_m2(ts, rev)
     m2 = AxiomCheck("M2", FAILS, w2) if w2 else AxiomCheck("M2", HOLDS)
-    w3 = _violates_m3(ts, rev, bound)
+    try:
+        w3 = _violates_m3(ts, rev, bound)
+        w4 = _violates_m4(ts, rev, bound)
+    except RecursionError:
+        raise CapError(f"message-length bound {bound} exceeds the recursion depth of the M3/M4 walks") from None
     m3 = AxiomCheck("M3", FAILS, w3) if w3 else AxiomCheck("M3", HOLDS_UP_TO_BOUND)
-    w4 = _violates_m4(ts, rev, bound)
     m4 = AxiomCheck("M4", FAILS, w4) if w4 else AxiomCheck("M4", HOLDS_UP_TO_BOUND)
     return AxiomReport((m1, m2, m3, m4), bound)
 

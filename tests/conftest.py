@@ -3,12 +3,43 @@
 from __future__ import annotations
 
 import random
+from collections import deque
 
 import pytest
 from hypothesis import strategies as st
 
+from tokenmedia.cubes import adjacency
 from tokenmedia.families import SetFamily, family_medium, well_graded_witness
 from tokenmedia.tokens import TokenSystem
+
+
+def bfs_distances(adj, source) -> dict[str, int]:
+    dist = {source: 0}
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for w in adj[u]:
+            if w not in dist:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    return dist
+
+
+def assert_theta_violation(g, edges, dist=None):
+    """``edges`` = [e, f, h] are edges of g with e Theta f, f Theta h and not
+    e Theta h.  ``dist`` maps vertices to their distance tables; without it,
+    one BFS runs from each endpoint of the three edges."""
+    e, f, h = (tuple(x) for x in edges)
+    assert {e, f, h} <= set(g.edges)
+    if dist is None:
+        adj = adjacency(g)
+        dist = {v: bfs_distances(adj, v) for v in {*e, *f, *h}}
+
+    def theta(e1, e2):
+        (x, y), (u, v) = e1, e2
+        return dist[x][u] + dist[y][v] != dist[x][v] + dist[y][u]
+
+    assert theta(e, f) and theta(f, h) and not theta(e, h)
 
 
 def two_state() -> TokenSystem:

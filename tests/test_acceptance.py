@@ -22,7 +22,6 @@ from tokenmedia.arrangements import (
 from tokenmedia.cubes import (
     CubeIsometry,
     adjacency,
-    bfs_distances,
     extend_isometry,
     is_partial_cube,
     media_isomorphic,
@@ -39,6 +38,7 @@ from tokenmedia.represent import (
 from tokenmedia.tokens import TokenSystem, check_axioms, straight_message
 
 from conftest import (
+    bfs_distances,
     corpus_media,
     hexagon_family,
     hexagon_variant_family,

@@ -25,10 +25,12 @@ from tokenmedia.arrangements import (
     _ground,
     _signs,
 )
-from tokenmedia.cubes import LabeledGraph, adjacency, bfs_distances, is_partial_cube
+from tokenmedia.cubes import LabeledGraph, adjacency, is_partial_cube
 from tokenmedia.errors import InputError
 from tokenmedia.families import distance, is_well_graded
 from tokenmedia.represent import decide_medium
+
+from conftest import bfs_distances
 
 
 def crossing_pair():

@@ -21,6 +21,16 @@ def write_system(tmp_path, ts, name="sys.json"):
     return str(path)
 
 
+def lazy_square():
+    """The 4-cycle medium with add:a refusing to move {b}: its graph is a
+    partial cube, the system is no medium."""
+    good = family_medium(SetFamily.of("ab", [set(), {"a"}, {"b"}, {"a", "b"}]))
+    action = {t: dict(good.action[t]) for t in good.tokens}
+    action["add:a"]["{b}"] = "{b}"
+    action["rem:a"]["{a,b}"] = "{a,b}"
+    return TokenSystem(good.states, good.tokens, action, good.reverse)
+
+
 class TestCheck:
     def test_medium_exits_zero(self, tmp_path, capsys):
         path = write_system(tmp_path, two_state())
@@ -184,12 +194,7 @@ class TestIso:
         assert out == "" and err.startswith("parse error:") and "TOKENMEDIA_MAX_VERTICES" in err
 
     def test_non_medium_is_an_input_error(self, tmp_path, capsys):
-        # the lazy 4-cycle: its graph is a partial cube, the system is no medium
-        good = family_medium(SetFamily.of("ab", [set(), {"a"}, {"b"}, {"a", "b"}]))
-        action = {t: dict(good.action[t]) for t in good.tokens}
-        action["add:a"]["{b}"] = "{b}"
-        action["rem:a"]["{a,b}"] = "{a,b}"
-        lazy = write_system(tmp_path, TokenSystem(good.states, good.tokens, action, good.reverse))
+        lazy = write_system(tmp_path, lazy_square())
         code, out, err = run(capsys, "iso", lazy, lazy)
         assert code == 2
         assert out == "" and "input error" in err
@@ -238,3 +243,43 @@ class TestDeterminism:
         _, g1, _ = run(capsys, "mosaic", "triangular", "--radius", "1")
         _, g2, _ = run(capsys, "mosaic", "triangular", "--radius", "1")
         assert g1 == g2
+
+
+EDGE = {"vertices": ["a", "b"], "edges": [["a", "b"]]}
+
+# name: (argv with "IN" for the input file, its contents, environment)
+BAD_INPUTS = {
+    "check-not-json": (["check", "IN"], "{not json", {}),
+    "check-no-tokens": (["check", "IN"], {"states": ["A", "B"]}, {}),
+    "check-tokens-not-a-list": (["check", "IN"], {"states": ["a", "b"], "tokens": 3, "action": {}}, {}),
+    "check-bound-past-recursion": (["check", "--bound", "3000", "IN"], two_state(), {}),
+    "check-non-medium": (["check", "IN"], reduction(path3(), ["P", "R"]), {}),
+    "graph-non-medium": (["graph", "IN"], reduction(path3(), ["P", "R"]), {}),
+    "pcube-labels-not-an-object": (["pcube", "IN"], {**EDGE, "labels": [1]}, {}),
+    "pcube-labels-miss-a-vertex": (["pcube", "IN"], {**EDGE, "labels": {"a": []}}, {}),
+    "pcube-k3": (["pcube", "IN"], "a b\nb c\na c\n", {}),
+    "iso-no-vertices-allowed": (["iso", "IN", "IN", "--max-vertices", "0"], two_state(), {}),
+    "iso-bad-cap-env": (["iso", "IN", "IN"], two_state(), {"TOKENMEDIA_MAX_VERTICES": "abc"}),
+    "iso-non-medium": (["iso", "IN", "IN"], lazy_square(), {}),
+    "linmedium-over-cap": (["linmedium", "9", "--cap", "5"], None, {}),
+    "linmedium-bad-cap-env": (["linmedium", "3"], None, {"TOKENMEDIA_MAX_ORDER": "abc"}),
+    "arrangement-bad-rational": (["arrangement", "IN"], {"lines": [{"a": "x", "b": "1", "c": "0"}]}, {}),
+    "arrangement-lines-a-number": (["arrangement", "IN"], {"lines": 5}, {}),
+    "arrangement-lines-null": (["arrangement", "IN"], {"lines": None}, {}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_INPUTS))
+def test_bad_input_gets_a_documented_exit_and_no_traceback(name, tmp_path, capsys, monkeypatch):
+    argv, content, env = BAD_INPUTS[name]
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    path = tmp_path / "input"
+    if isinstance(content, TokenSystem):
+        content = content.to_json_dict()
+    path.write_text(content if isinstance(content, str) else json.dumps(content))
+    code, out, err = run(capsys, *(str(path) if a == "IN" else a for a in argv))
+    assert code in (1, 2, 3)
+    if code != 1:
+        assert out == ""
+    assert "Traceback" not in err

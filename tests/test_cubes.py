@@ -1,6 +1,7 @@
 import itertools
 import random
 from collections import deque
+from unittest import mock
 
 import pytest
 from hypothesis import event, given, settings
@@ -11,9 +12,9 @@ from tokenmedia.cubes import (
     LabeledGraph,
     NotPartialCube,
     PartialCubeResult,
+    _geodesic,
     _odd_cycle,
     adjacency,
-    bfs_distances,
     extend_isometry,
     graph_to_medium,
     is_partial_cube,
@@ -29,6 +30,8 @@ from tokenmedia.represent import decide_medium
 from tokenmedia.tokens import straight_message
 
 from conftest import (
+    assert_theta_violation,
+    bfs_distances,
     hexagon_family,
     hexagon_variant_family,
     power_set_family,
@@ -212,22 +215,40 @@ class TestPartialCubeRecognition:
         assert not pc.accepted and pc.witness["kind"] == "odd-cycle"
 
     def test_k23_rejected_with_verifiable_theta_violation(self):
+        # the overlap rule: the class of a1-b2 reaches a2-b3, which the class
+        # of a1-b1 holds already
         g = k23()
-        pc = is_partial_cube(g)
-        assert not pc.accepted
-        assert pc.witness["kind"] == "theta-violation"
-        e, f, h = (tuple(x) for x in pc.witness["edges"])
-        from tokenmedia.cubes import adjacency, bfs_distances
-
-        adj = adjacency(g)
-        dist = {v: bfs_distances(adj, v) for v in g.vertices}
-
-        def theta(e1, e2):
-            (x, y), (u, v) = e1, e2
-            return dist[x][u] + dist[y][v] != dist[x][v] + dist[y][u]
-
-        assert theta(e, f) and theta(f, h) and not theta(e, h)
+        with mock.patch("tokenmedia.cubes._geodesic", wraps=_geodesic) as geodesic:
+            pc = is_partial_cube(g)
+        assert not geodesic.called
+        assert pc.witness == {"kind": "theta-violation",
+                              "edges": [["a1", "b2"], ["a2", "b3"], ["a1", "b1"]]}
+        assert_theta_violation(g, pc.witness["edges"])
         assert_same_recognition(g)
+
+    def test_k23_three_side_first_fails_the_certificate(self):
+        # the two classes, of a0-b0 and a0-b1, are disjoint, but a1 and a2
+        # get one label, so no class at a1 separates them; the geodesic
+        # a1-b0-a2 crosses the class of a0-b1 twice
+        left, right = ("a0", "a1", "a2"), ("b0", "b1")
+        g = LabeledGraph(left + right, tuple((a, b) for a in left for b in right))
+        with mock.patch("tokenmedia.cubes._geodesic", wraps=_geodesic) as geodesic:
+            pc = is_partial_cube(g)
+        geodesic.assert_called_once()
+        assert pc.witness == {"kind": "theta-violation",
+                              "edges": [["a1", "b0"], ["a0", "b1"], ["a2", "b0"]]}
+        assert_theta_violation(g, pc.witness["edges"])
+        assert_same_recognition(g)
+
+    def test_linear7_with_a_k23_vertex_is_rejected_without_a_distance_table(self):
+        # 5,041 vertices: an all-pairs table would hold 25M entries, so the
+        # witness is replayed from BFS runs at its own endpoints only
+        g = medium_graph(linear_medium(7)[0])
+        ends = adjacency(g)[g.vertices[0]][:3]
+        g = LabeledGraph(g.vertices + ("w",), g.edges + tuple(("w", x) for x in ends))
+        pc = is_partial_cube(g)
+        assert pc.witness["kind"] == "theta-violation"
+        assert_theta_violation(g, pc.witness["edges"])
 
     def test_k23_has_no_small_isometric_labeling(self):
         # independent brute force: anchor one vertex at the empty set and try
@@ -325,13 +346,22 @@ def family_graphs(draw):
 
 
 def assert_same_recognition(g):
+    """The same verdict as the Theta scan; on acceptance the same labels and
+    classes, on rejection the same witness kind, and an odd cycle or a
+    theta-violation triple that checks out against the distance table."""
     fast, slow = is_partial_cube(g), theta_scan_partial_cube(g)
-    assert fast.to_json_dict() == slow.to_json_dict()
+    assert fast.accepted == slow.accepted
+    dist = {v: bfs_distances(adjacency(g), v) for v in g.vertices}
     if fast.accepted:
+        assert fast.to_json_dict() == slow.to_json_dict()
         assert list(fast.labels.items()) == list(slow.labels.items())
         assert list(fast.edge_classes.items()) == list(slow.edge_classes.items())
-        dist = {v: bfs_distances(adjacency(g), v) for v in g.vertices}
         assert isometry_failure(g, dist, fast.labels, fast.edge_classes) is None
+    elif fast.witness["kind"] == "theta-violation":
+        assert slow.witness["kind"] == "theta-violation"
+        assert_theta_violation(g, fast.witness["edges"], dist)
+    else:
+        assert fast.witness == slow.witness
     return fast
 
 
@@ -421,8 +451,6 @@ class TestEdgeLabelsAndGeodesics:
             assert len(set(flat)) == len(flat), name
 
     def test_straight_messages_realize_graph_distance(self, corpus):
-        from tokenmedia.cubes import adjacency, bfs_distances
-
         rng = random.Random(31)
         for name, ts in corpus:
             g = medium_graph(ts)
