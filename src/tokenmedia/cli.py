@@ -8,6 +8,7 @@ Exit codes: 0 success/true, 1 semantic-false, 2 parse error, 3 resource cap.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -165,7 +166,9 @@ def _cmd_mosaic(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: parsing leaves no state in it."""
     parser = argparse.ArgumentParser(
         prog="tokenmedia",
         description="Verify, convert, and construct token-system media.",

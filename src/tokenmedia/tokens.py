@@ -9,7 +9,7 @@ the systems called media:
   M3  a stepwise-effective message returns to its start iff it is vacuous;
   M4  straight messages producing the same state are jointly consistent.
 
-``check_axioms`` is a bounded brute-force falsifier: failure verdicts are
+``check_axioms`` is a bounded falsifier: failure verdicts are
 exact and carry replayable witnesses, while M3/M4 success verdicts only
 certify the absence of violations up to a message-length bound.  The exact
 decision procedure is ``tokenmedia.represent.decide_medium``.
@@ -21,7 +21,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .errors import CapError, InputError, ParseError
+from .errors import InputError, ParseError
 
 #: A message is a finite sequence of token ids, applied left to right.
 Message = Sequence[str]
@@ -305,7 +305,8 @@ class AxiomReport:
     """Per-axiom verdicts from the bounded falsifier.
 
     M1 and M2 verdicts are exact ("holds"/"fails"); M3 and M4 are checked
-    by exhaustive message enumeration up to ``bound``, so their positive
+    by a memoized enumeration of the messages up to ``bound``, with the
+    verdicts and witnesses of the plain enumeration, so their positive
     verdict is "holds-up-to-bound".  When M1 fails the remaining axioms are
     reported "skipped": consistency and vacuousness are only meaningful
     relative to a valid reverse pairing.
@@ -336,8 +337,15 @@ def reverse_defect(ts: TokenSystem) -> dict | None:
 
     A token u is a reverse candidate for t when the moves of u are exactly
     the inverted moves of t (fixed points are unconstrained).  M1 demands a
-    declared pairing that matches a unique candidate per token.
+    declared pairing that matches a unique candidate per token.  The result
+    is stored on ``ts``, so ``check_axioms`` and ``decide_medium`` share it.
     """
+    if not hasattr(ts, "_defect"):
+        object.__setattr__(ts, "_defect", _find_reverse_defect(ts))
+    return ts._defect
+
+
+def _find_reverse_defect(ts):
     if ts.reverse is None:
         return {"axiom": "M1", "kind": "missing-reverse-pairing"}
     for t, cands in _reverse_candidates(ts.states, ts.tokens, ts.action).items():
@@ -386,8 +394,11 @@ def check_axioms(ts: TokenSystem, bound: int | None = None) -> AxiomReport:
     """Bounded axiom falsifier.
 
     ``bound`` caps the length of messages enumerated for M3/M4 and defaults
-    to twice the token count; a bound deeper than the recursive walks can go
-    raises CapError.  Failure witnesses replay through ``apply``.
+    to twice the token count.  The enumeration is memoized: a subtree whose
+    outcome depends only on its current state, its token bookkeeping and the
+    length left is not walked again to the same or a smaller depth, so the
+    verdicts and the first witness found are those of the plain enumeration.
+    Failure witnesses replay through ``apply``.
     """
     if bound is None:
         bound = max(1, 2 * len(ts.tokens))
@@ -404,127 +415,161 @@ def check_axioms(ts: TokenSystem, bound: int | None = None) -> AxiomReport:
     m1 = AxiomCheck("M1", HOLDS)
     w2 = _violates_m2(ts, rev)
     m2 = AxiomCheck("M2", FAILS, w2) if w2 else AxiomCheck("M2", HOLDS)
-    try:
-        w3 = _violates_m3(ts, rev, bound)
-        w4 = _violates_m4(ts, rev, bound)
-    except RecursionError:
-        raise CapError(f"message-length bound {bound} exceeds the recursion depth of the M3/M4 walks") from None
+    w3 = _violates_m3(ts, rev, bound)
+    w4 = _violates_m4(ts, rev, bound)
     m3 = AxiomCheck("M3", FAILS, w3) if w3 else AxiomCheck("M3", HOLDS_UP_TO_BOUND)
     m4 = AxiomCheck("M4", FAILS, w4) if w4 else AxiomCheck("M4", HOLDS_UP_TO_BOUND)
     return AxiomReport((m1, m2, m3, m4), bound)
 
 
+def _out_moves(ts):
+    """Each state's effective moves (token, image), in token order."""
+    out: dict[str, list[tuple[str, str]]] = {s: [] for s in ts.states}
+    for t in ts.tokens:
+        for s, v in ts.action[t].items():
+            if v != s:
+                out[s].append((t, v))
+    return out
+
+
 def _violates_m2(ts, rev):
-    for s in ts.states:
-        for v in ts.states:
-            if v != s and _straight_search(ts, s, v, rev) is None:
+    """The first pair (s, v), in state order, joined by no straight message:
+    one breadth-first search over (state, used tokens) per source."""
+    states = ts.states
+    bits = {}
+    for t in ts.tokens:
+        if t not in bits:
+            bits[t], bits[rev[t]] = 1 << len(bits), 1 << (len(bits) + 1)
+    out = {s: [(bits[t], bits[rev[t]], v) for t, v in ms] for s, ms in _out_moves(ts).items()}
+    for s in states:
+        seen = {(s, 0)}
+        reached = {s}
+        queue = deque(seen)
+        while queue and len(reached) < len(states):
+            cur, used = queue.popleft()
+            for bit, rbit, v in out[cur]:
+                if used & rbit:
+                    continue
+                node = (v, used | bit)
+                if node not in seen:
+                    seen.add(node)
+                    reached.add(v)
+                    queue.append(node)
+        for v in states:
+            if v not in reached:
                 return {"axiom": "M2", "source": s, "target": v}
     return None
 
 
 def _violates_m3(ts, rev, bound):
-    act = ts.action
     tokens = ts.tokens
     index = {t: i for i, t in enumerate(tokens)}
     canon = {t: (t if index[t] < index[rev[t]] else rev[t]) for t in tokens}
+    step = {t: (1 if canon[t] == t else -1) for t in tokens}
+    out = _out_moves(ts)
     for s0 in ts.states:
+        # (state, net content) -> most message length left searched without a witness
+        explored: dict = {}
         path: list[str] = []
-        diff: dict[str, int] = {}
-        unbalanced = 0
-
-        def walk(cur):
-            nonlocal unbalanced
-            if len(path) >= bound:
-                return None
-            for t in tokens:
-                v = act[t][cur]
-                if v == cur:
-                    continue
-                key = canon[t]
-                old = diff.get(key, 0)
-                new = old + (1 if key == t else -1)
-                diff[key] = new
-                if old == 0:
-                    unbalanced += 1
-                elif new == 0:
-                    unbalanced -= 1
+        diff: dict[str, int] = {}  # the nonzero net counts per reverse pair
+        stack = [(None, iter(out[s0]))]
+        while stack:
+            key, todo = stack[-1]
+            for t, v in todo:
+                pair = canon[t]
+                n = diff.pop(pair, 0) + step[t]
+                if n:
+                    diff[pair] = n
                 path.append(t)
-                if v == s0 and unbalanced:
+                left = bound - len(path)
+                node = (v, frozenset(diff.items()))
+                if explored.get(node, -1) < left:
+                    break
+                _undo_step(path, diff, canon, step)
+            else:
+                stack.pop()
+                if key is not None:
+                    explored[key] = bound - len(path)
+                    _undo_step(path, diff, canon, step)
+                continue
+            if (v == s0) == bool(diff):
+                if diff:
                     return {
                         "axiom": "M3",
                         "kind": "ineffective-but-not-vacuous",
                         "state": s0,
                         "message": list(path),
                     }
-                if v != s0 and not unbalanced:
-                    return {
-                        "axiom": "M3",
-                        "kind": "vacuous-but-effective",
-                        "state": s0,
-                        "message": list(path),
-                        "end": v,
-                    }
-                found = walk(v)
-                if found:
-                    return found
-                path.pop()
-                diff[key] = old
-                if old == 0:
-                    unbalanced -= 1
-                elif new == 0:
-                    unbalanced += 1
-            return None
-
-        witness = walk(s0)
-        if witness:
-            return witness
+                return {
+                    "axiom": "M3",
+                    "kind": "vacuous-but-effective",
+                    "state": s0,
+                    "message": list(path),
+                    "end": v,
+                }
+            stack.append((node, iter(out[v] if left else ())))
     return None
 
 
+def _undo_step(path, diff, canon, step):
+    t = path.pop()
+    pair = canon[t]
+    n = diff.pop(pair, 0) - step[t]
+    if n:
+        diff[pair] = n
+
+
 def _violates_m4(ts, rev, bound):
-    act = ts.action
-    tokens = ts.tokens
+    out = _out_moves(ts)
     # first straight message seen per (produced state, content token)
     record: dict[tuple[str, str], tuple[str, tuple[str, ...]]] = {}
+    # (state, used tokens) -> most message length left searched without a
+    # witness, shared by every start: a walk it prunes would only find
+    # records already there, and any record that could trigger in it would
+    # have triggered when it was added
+    explored: dict = {}
     for s0 in ts.states:
         path: list[str] = []
         used: set[str] = set()
-
-        def walk(cur):
-            if len(path) >= bound:
-                return None
-            for t in tokens:
-                v = act[t][cur]
-                if v == cur or rev[t] in used:
+        stack = [(None, iter(out[s0]), False)]
+        while stack:
+            key, todo, fresh = stack[-1]
+            for t, v in todo:
+                if rev[t] in used:
                     continue
-                fresh = t not in used
+                added = t not in used
                 used.add(t)
                 path.append(t)
-                for tok in used:
-                    prior = record.get((v, rev[tok]))
-                    if prior is not None:
-                        return {
-                            "axiom": "M4",
-                            "produced": v,
-                            "state1": s0,
-                            "message1": list(path),
-                            "state2": prior[0],
-                            "message2": list(prior[1]),
-                        }
-                frozen = tuple(path)
-                for tok in used:
-                    record.setdefault((v, tok), (s0, frozen))
-                found = walk(v)
-                if found:
-                    return found
+                left = bound - len(path)
+                node = (v, frozenset(used))
+                if explored.get(node, -1) < left:
+                    break
                 path.pop()
-                if fresh:
+                if added:
                     used.discard(t)
-            return None
-
-        witness = walk(s0)
-        if witness:
-            return witness
+            else:
+                stack.pop()
+                if key is not None:
+                    explored[key] = bound - len(path)
+                    t = path.pop()
+                    if fresh:
+                        used.discard(t)
+                continue
+            for tok in used:
+                prior = record.get((v, rev[tok]))
+                if prior is not None:
+                    return {
+                        "axiom": "M4",
+                        "produced": v,
+                        "state1": s0,
+                        "message1": list(path),
+                        "state2": prior[0],
+                        "message2": list(prior[1]),
+                    }
+            frozen = tuple(path)
+            for tok in used:
+                record.setdefault((v, tok), (s0, frozen))
+            stack.append((node, iter(out[v] if left else ()), added))
     return None
 
 

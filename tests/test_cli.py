@@ -49,6 +49,15 @@ class TestCheck:
         assert doc["decision"]["witness"]["axiom"] == "M2"
         assert "M2" in err
 
+    def test_bound_past_the_recursion_limit_holds(self, tmp_path, capsys):
+        path = write_system(tmp_path, two_state())
+        code, out, _ = run(capsys, "check", "--bound", "3000", path)
+        assert code == 0
+        axioms = json.loads(out)["axioms"]
+        assert axioms["bound"] == 3000
+        assert axioms["axioms"]["M3"]["verdict"] == "holds-up-to-bound"
+        assert axioms["axioms"]["M4"]["verdict"] == "holds-up-to-bound"
+
     def test_parse_error_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -235,6 +244,16 @@ class TestArrangementCommands:
 
 
 class TestDeterminism:
+    def test_parser_is_built_once_and_reused_after_an_argparse_error(self, tmp_path, capsys):
+        assert cli.build_parser() is cli.build_parser()
+        path = write_system(tmp_path, path3())
+        fresh = run(capsys, "check", "--bound", "5", path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["no-such-command", path])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert run(capsys, "check", "--bound", "5", path) == fresh
+
     def test_byte_identical_reruns(self, tmp_path, capsys):
         path = write_system(tmp_path, path3())
         _, out1, _ = run(capsys, "check", path)
@@ -252,7 +271,6 @@ BAD_INPUTS = {
     "check-not-json": (["check", "IN"], "{not json", {}),
     "check-no-tokens": (["check", "IN"], {"states": ["A", "B"]}, {}),
     "check-tokens-not-a-list": (["check", "IN"], {"states": ["a", "b"], "tokens": 3, "action": {}}, {}),
-    "check-bound-past-recursion": (["check", "--bound", "3000", "IN"], two_state(), {}),
     "check-non-medium": (["check", "IN"], reduction(path3(), ["P", "R"]), {}),
     "graph-non-medium": (["graph", "IN"], reduction(path3(), ["P", "R"]), {}),
     "pcube-labels-not-an-object": (["pcube", "IN"], {**EDGE, "labels": [1]}, {}),

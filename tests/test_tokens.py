@@ -1,10 +1,14 @@
 import itertools
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from tokenmedia import tokens
 from tokenmedia.errors import InputError
 from tokenmedia.families import distance, family_medium
 from tokenmedia.linorders import LinearOrder, apply_token, encode, linear_medium
+from tokenmedia.represent import decide_medium
 from tokenmedia.tokens import (
     TokenSystem,
     apply,
@@ -16,6 +20,7 @@ from tokenmedia.tokens import (
     message_reverse,
     reduction,
     straight_message,
+    _straight_search,
 )
 
 from conftest import path3, power_set_family, two_state
@@ -316,3 +321,237 @@ class TestMediumInvariants:
                     key = (s, end)
                     c = content(msg)
                     assert seen.setdefault(key, c) == c, (name, key)
+
+
+# --- the plain enumeration, the oracle for the memoized falsifiers ---------
+
+
+def _violates_m2(ts, rev):
+    for s in ts.states:
+        for v in ts.states:
+            if v != s and _straight_search(ts, s, v, rev) is None:
+                return {"axiom": "M2", "source": s, "target": v}
+    return None
+
+
+def _violates_m3(ts, rev, bound):
+    act = ts.action
+    tokens = ts.tokens
+    index = {t: i for i, t in enumerate(tokens)}
+    canon = {t: (t if index[t] < index[rev[t]] else rev[t]) for t in tokens}
+    for s0 in ts.states:
+        path: list[str] = []
+        diff: dict[str, int] = {}
+        unbalanced = 0
+
+        def walk(cur):
+            nonlocal unbalanced
+            if len(path) >= bound:
+                return None
+            for t in tokens:
+                v = act[t][cur]
+                if v == cur:
+                    continue
+                key = canon[t]
+                old = diff.get(key, 0)
+                new = old + (1 if key == t else -1)
+                diff[key] = new
+                if old == 0:
+                    unbalanced += 1
+                elif new == 0:
+                    unbalanced -= 1
+                path.append(t)
+                if v == s0 and unbalanced:
+                    return {
+                        "axiom": "M3",
+                        "kind": "ineffective-but-not-vacuous",
+                        "state": s0,
+                        "message": list(path),
+                    }
+                if v != s0 and not unbalanced:
+                    return {
+                        "axiom": "M3",
+                        "kind": "vacuous-but-effective",
+                        "state": s0,
+                        "message": list(path),
+                        "end": v,
+                    }
+                found = walk(v)
+                if found:
+                    return found
+                path.pop()
+                diff[key] = old
+                if old == 0:
+                    unbalanced -= 1
+                elif new == 0:
+                    unbalanced += 1
+            return None
+
+        witness = walk(s0)
+        if witness:
+            return witness
+    return None
+
+
+def _violates_m4(ts, rev, bound):
+    act = ts.action
+    tokens = ts.tokens
+    # first straight message seen per (produced state, content token)
+    record: dict[tuple[str, str], tuple[str, tuple[str, ...]]] = {}
+    for s0 in ts.states:
+        path: list[str] = []
+        used: set[str] = set()
+
+        def walk(cur):
+            if len(path) >= bound:
+                return None
+            for t in tokens:
+                v = act[t][cur]
+                if v == cur or rev[t] in used:
+                    continue
+                fresh = t not in used
+                used.add(t)
+                path.append(t)
+                for tok in used:
+                    prior = record.get((v, rev[tok]))
+                    if prior is not None:
+                        return {
+                            "axiom": "M4",
+                            "produced": v,
+                            "state1": s0,
+                            "message1": list(path),
+                            "state2": prior[0],
+                            "message2": list(prior[1]),
+                        }
+                frozen = tuple(path)
+                for tok in used:
+                    record.setdefault((v, tok), (s0, frozen))
+                found = walk(v)
+                if found:
+                    return found
+                path.pop()
+                if fresh:
+                    used.discard(t)
+            return None
+
+        witness = walk(s0)
+        if witness:
+            return witness
+    return None
+
+
+def paired_system(n, pairs):
+    """States s0..s(n-1); pair p is tokens tp and up, each given by the
+    state indices it moves (index -> image index)."""
+    states = tuple(f"s{i}" for i in range(n))
+    toks, action, rev = [], {}, {}
+    for p, moved_pair in enumerate(pairs):
+        t, u = f"t{p}", f"u{p}"
+        for tok, moved in zip((t, u), moved_pair):
+            toks.append(tok)
+            action[tok] = {s: states[moved.get(i, i)] for i, s in enumerate(states)}
+        rev[t], rev[u] = u, t
+    return TokenSystem(states, tuple(toks), action, rev)
+
+
+#: The smallest non-media failing each axiom first (found by a random search),
+#: with the witness check_axioms gives at bound 8.
+FIRST_FAILURES = {
+    "M1": (paired_system(3, [({0: 1, 2: 1}, {0: 1, 1: 0, 2: 0})]),
+           {"axiom": "M1", "kind": "declared-not-reverse", "token": "t0", "declared": "u0",
+            "state": "s2", "message": ["t0", "u0"]}),
+    "M2": (paired_system(3, [({2: 0}, {0: 2})]),
+           {"axiom": "M2", "source": "s0", "target": "s1"}),
+    "M3": (paired_system(3, [({0: 2, 1: 0, 2: 1}, {0: 1, 1: 2, 2: 0})]),
+           {"axiom": "M3", "kind": "ineffective-but-not-vacuous", "state": "s0",
+            "message": ["t0", "t0", "t0"]}),
+    "M4": (paired_system(3, [({0: 1, 1: 2}, {1: 0, 2: 1})]),
+           {"axiom": "M4", "produced": "s1", "state1": "s2", "message1": ["u0"],
+            "state2": "s0", "message2": ["t0"]}),
+}
+
+
+def _messages_up_to(ts, bound):
+    """How many stepwise-effective messages of length 1..bound start anywhere."""
+    ending = {s: 1 for s in ts.states}
+    total = 0
+    for _ in range(bound):
+        ending = {s: sum(ending[v] for t in ts.tokens if (v := ts.action[t][s]) != s)
+                  for s in ts.states}
+        total += sum(ending.values())
+    return total
+
+
+@st.composite
+def systems_with_bounds(draw):
+    """3-5 states and 1-3 reverse pairs; a pair is mostly a partial injection
+    and its inverse, else two arbitrary non-identity maps.  The bound (1-10)
+    keeps the plain enumeration under about 20,000 messages."""
+    n = draw(st.integers(3, 5))
+    pairs = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.integers(0, 3)):
+            image = draw(st.permutations(range(n)))
+            keep = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+            moved = {i: image[i] for i in range(n) if keep[i] and image[i] != i} or {0: 1}
+            pairs.append((moved, {v: i for i, v in moved.items()}))
+        else:
+            maps = []
+            for _ in range(2):
+                row = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+                maps.append({i: v for i, v in enumerate(row) if v != i} or {0: 1})
+            pairs.append(tuple(maps))
+    ts = paired_system(n, pairs)
+    top = 1
+    while top < 10 and _messages_up_to(ts, top + 1) <= 20000:
+        top += 1
+    return ts, draw(st.integers(1, top))
+
+
+class TestMemoizedFalsifier:
+    @pytest.mark.parametrize("axiom", sorted(FIRST_FAILURES))
+    def test_each_axiom_has_a_non_medium_failing_it_first(self, axiom):
+        ts, witness = FIRST_FAILURES[axiom]
+        report = check_axioms(ts, bound=8)
+        assert next(c for c in report.checks if c.verdict == "fails").axiom == axiom
+        assert report[axiom].witness == witness
+        assert not decide_medium(ts).is_medium
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=systems_with_bounds())
+    @example(case=(FIRST_FAILURES["M1"][0], 8))
+    @example(case=(FIRST_FAILURES["M2"][0], 8))
+    @example(case=(FIRST_FAILURES["M3"][0], 8))
+    @example(case=(FIRST_FAILURES["M4"][0], 8))
+    @example(case=(linear_medium(3)[0], 6))
+    def test_witnesses_match_the_plain_enumeration(self, case):
+        ts, bound = case
+        rev = ts.reverse
+        w2 = _violates_m2(ts, rev)
+        w3 = _violates_m3(ts, rev, bound)
+        w4 = _violates_m4(ts, rev, bound)
+        assert tokens._violates_m2(ts, rev) == w2
+        assert tokens._violates_m3(ts, rev, bound) == w3
+        assert tokens._violates_m4(ts, rev, bound) == w4
+        report = check_axioms(ts, bound)
+        if report["M1"].ok:
+            assert [report[a].witness for a in ("M2", "M3", "M4")] == [w2, w3, w4]
+
+    @pytest.mark.parametrize("n, bound", [(4, 24), (5, 40)])
+    def test_default_bound_holds_on_linear_media(self, n, bound):
+        ts, _ = linear_medium(n)
+        report = check_axioms(ts)
+        assert report.bound == bound
+        assert report.ok
+        assert report["M3"].verdict == report["M4"].verdict == "holds-up-to-bound"
+
+    def test_reverse_defect_runs_once_per_system(self, monkeypatch):
+        calls = []
+        find = tokens._find_reverse_defect
+        monkeypatch.setattr(tokens, "_find_reverse_defect", lambda ts: calls.append(ts) or find(ts))
+        m1_failure = FIRST_FAILURES["M1"][0]
+        for ts in (path3(), TokenSystem.from_json_dict(m1_failure.to_json_dict())):
+            report = check_axioms(ts, bound=4)
+            decision = decide_medium(ts)
+            assert report["M1"].witness == (None if decision.is_medium else decision.witness)
+        assert len(calls) == 2
