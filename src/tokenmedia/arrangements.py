@@ -1,21 +1,25 @@
-"""Regions of finite line arrangements in the plane, with exact rationals.
+"""Regions of finite line arrangements in the plane, exact and on integers.
 
-Every comparison is exact.  One sweep per arrangement sorts, per line, the
-rational parameters at which the other lines cross it; each open segment
-between consecutive crossings is a facet whose two sides are regions
-differing in that line's sign alone.  Regions are found by breadth-first
-search over these facets, each with the witness that Fourier-Motzkin
-elimination would pick, read off the x-span of its facets; the region graph
-has one edge per facet.  The token system of regions under line crossings
-is always a medium; mosaic windows stand in for the locally finite families.
+Each line is scaled once, by a positive factor, to integer coefficients.  One
+sweep per arrangement meets each pair of lines once and keys their crossing
+by its reduced integer coordinates; the crossings on a line cut it into
+facets, open segments between two regions that differ in that line's sign
+alone.  Regions are found by breadth-first search over the facets, each with
+the witness Fourier-Motzkin elimination would pick, read off the x-span of
+its facets; the region graph has one edge per facet.  The token system of
+regions under line crossings is always a medium; mosaic windows stand in for
+the locally finite families.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import compress, count
 from typing import Iterable
 
 from .cubes import LabeledGraph
@@ -41,10 +45,6 @@ class Line:
     def evaluate(self, x: Fraction, y: Fraction) -> Fraction:
         return self.a * x + self.b * y + self.c
 
-    def projective_key(self) -> tuple[Fraction, Fraction, Fraction]:
-        lead = self.a if self.a != 0 else self.b
-        return (self.a / lead, self.b / lead, self.c / lead)
-
     @classmethod
     def of(cls, a, b, c) -> "Line":
         return cls(Fraction(a), Fraction(b), Fraction(c))
@@ -57,9 +57,16 @@ class Arrangement:
     def __post_init__(self):
         if not self.lines:
             raise InputError("an arrangement needs at least one line")
-        keys = [l.projective_key() for l in self.lines]
-        if len(set(keys)) != len(keys):
+        rows, classes = [], set()
+        for l in self.lines:  # scaled by the lcm of the denominators, a positive factor
+            d = math.lcm(l.a.denominator, l.b.denominator, l.c.denominator)
+            row = tuple(v.numerator * (d // v.denominator) for v in (l.a, l.b, l.c))
+            g = math.gcd(*row) * (1 if (row[0] or row[1]) > 0 else -1)
+            rows.append(row)
+            classes.add(tuple(v // g for v in row))  # its projective class: lead coefficient > 0
+        if len(classes) != len(rows):
             raise InputError("duplicate lines (projectively equal triples)")
+        object.__setattr__(self, "_rows", rows)  # each line's integer coefficients
         object.__setattr__(self, "_facets", None)  # the sweep, stored by _facets
 
     def to_json_dict(self) -> dict:
@@ -72,17 +79,24 @@ class Arrangement:
         lines = []
         for entry in doc["lines"]:
             try:
-                lines.append(Line.of(Fraction(str(entry["a"])),
-                                     Fraction(str(entry["b"])),
-                                     Fraction(str(entry["c"]))))
-            except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+                lines.append(Line(*(_rational(str(entry[key])) for key in "abc")))
+            except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:  # InputError too
                 raise ParseError(f"bad line entry {entry!r}: {exc}") from None
-            except InputError as exc:
-                raise ParseError(str(exc)) from None
         try:
             return cls(tuple(lines))
         except InputError as exc:
             raise ParseError(str(exc)) from None
+
+
+def _rational(text: str) -> Fraction:
+    """A rational literal whose numerator and denominator the output can print
+    (sys.get_int_max_str_digits); a far-off exponent is refused before its power is built."""
+    limit = sys.get_int_max_str_digits()
+    if limit and abs(int(text.lower().partition("e")[2] or 0)) > 2 * limit:
+        raise ParseError(f"{text[:40]!r}: exponent past the {limit}-digit limit")
+    value = Fraction(text)
+    str(value)  # raises ValueError past the digit limit
+    return value
 
 
 @dataclass(frozen=True)
@@ -92,9 +106,18 @@ class Region:
     signs: tuple[int, ...]
     witness: tuple[Fraction, Fraction]
 
+    @cached_property
+    def positive(self) -> tuple[str, ...]:
+        """1-based indices of the lines with this region on their positive side, ascending."""
+        return tuple(map(str, compress(count(1), map((0).__lt__, self.signs))))  # 0 < sign
+
+    @cached_property
+    def name(self) -> str:
+        """The region's state name: its positive indices as a set."""
+        return "{" + ",".join(self.positive) + "}"
+
     def positive_indices(self) -> frozenset[str]:
-        """1-based indices of the lines with this region on their positive side."""
-        return frozenset(str(i + 1) for i, s in enumerate(self.signs) if s > 0)
+        return frozenset(self.positive)
 
     def sign_string(self) -> str:
         return "".join("+" if s > 0 else "-" for s in self.signs)
@@ -103,19 +126,14 @@ class Region:
         return {
             "signs": self.sign_string(),
             "witness": [str(self.witness[0]), str(self.witness[1])],
-            "positive": sorted(self.positive_indices(), key=int),
+            "positive": list(self.positive),
         }
 
 
-def _generic_point(arr) -> tuple[Fraction, Fraction]:
-    # every line meets the parabola y = x^2 + 1 at most twice, so some small
-    # integer x gives a point off all lines
-    k = 0
-    while True:
-        x, y = Fraction(k), Fraction(k * k + 1)
-        if all(l.evaluate(x, y) != 0 for l in arr.lines):
-            return (x, y)
-        k += 1
+def _generic_point(arr) -> tuple[int, int]:
+    # each line meets the parabola y = x^2 + 1 at most twice, so a small integer x is off all lines
+    x = next(x for x in count() if all(a * x + b * (x * x + 1) + c for a, b, c in arr._rows))
+    return (x, x * x + 1)
 
 
 def _mask(signs) -> int:
@@ -131,34 +149,51 @@ def _facets(arr) -> list[tuple[int, int, Fraction | None, Fraction | None]]:
     """Every facet as (k, mask, lo, hi): an open segment of line k between
     consecutive crossings, with the cells of sign masks ``mask`` and
     ``mask | 1 << k`` on its two sides and lo <= x <= hi on its closure (None
-    if unbounded).  Line k is walked along (-b, a) from beyond its first
-    crossing, flipping at each exact crossing parameter the signs of the
-    lines that meet it there; facets come out in ascending k.  The sweep
-    runs once per arrangement and is stored on it."""
+    if unbounded).  Each pair of rows is met once; its crossing is keyed by
+    its reduced integer coordinates, so concurrent lines share it.  Line k
+    is walked along (-b, a) (x falling if b > 0, else rising; y rising iff
+    a > 0 if b == 0), flipping at each point the lines through it.  Facets
+    come out in ascending k; the sweep runs once per arrangement and is
+    stored on it."""
     if arr._facets is not None:
         return arr._facets
+    rows = arr._rows
+    side = [0] * len(rows)  # per line: the lines with its far negative end on their positive side
+    through = [{} for _ in rows]  # per line: point -> the other lines through it
+    points: dict[tuple[int, int, int], int] = {}
+    for i, (ai, bi, ci) in enumerate(rows):
+        for j in range(i + 1, len(rows)):
+            aj, bj, cj = rows[j]
+            det = ai * bj - aj * bi
+            if det:
+                side[i] |= (det < 0) << j
+                side[j] |= (det > 0) << i
+                xn, yn = bi * cj - bj * ci, aj * ci - ai * cj
+                g = math.gcd(xn, yn, det) * (1 if det > 0 else -1)
+                p = points.setdefault((xn // g, yn // g, det // g), len(points))
+                through[i][p] = through[i].get(p, 0) | 1 << j
+                through[j][p] = through[j].get(p, 0) | 1 << i
+            else:
+                # (aj, bj) = (lj / li) * (ai, bi) over the lead coefficients l
+                li, lj = bi or ai, bj or aj
+                offset = cj * li - lj * ci
+                side[i] |= (offset * li > 0) << j
+                side[j] |= (offset * lj < 0) << i
+    keys = list(points)
+    xs = [Fraction(xn, d) for xn, _, d in keys]
     facets = []
-    for k, (a, b, c) in enumerate((l.a, l.b, l.c) for l in arr.lines):
-        ox, oy = (Fraction(0), -c / b) if b else (-c / a, Fraction(0))  # a point of line k
-        side = 0  # lines with the far negative end of line k on their positive side
-        crossings: dict[Fraction, int] = defaultdict(int)
-        for j, l in enumerate(arr.lines):
-            if j == k:
-                continue
-            slope = l.b * a - l.a * b
-            offset = l.evaluate(ox, oy)
-            side |= (offset > 0 if slope == 0 else slope < 0) << j
-            if slope:
-                crossings[-offset / slope] |= 1 << j
-        ts = sorted(crossings)
-        # x = ox - b*t along line k (falling if b > 0): unbounded both ways unless b == 0
-        end = None if b else ox
-        xs = [end, *(ox - b * t for t in ts), end]
-        lows, highs = (xs[1:], xs) if b > 0 else (xs, xs[1:])
-        facets.append((k, side, lows[0], highs[0]))
-        for i, t in enumerate(ts, 1):
-            side ^= crossings[t]
-            facets.append((k, side, lows[i], highs[i]))
+    for k, (a, b, c) in enumerate(rows):
+        crossed = through[k]
+        order = sorted(crossed, reverse=(b or -a) > 0,
+                       key=xs.__getitem__ if b else lambda p: Fraction(keys[p][1], keys[p][2]))
+        end = None if b else Fraction(-c, a)  # a vertical line's facets all have x = -c/a
+        ends = [end, *(xs[p] for p in order), end]
+        lows, highs = (ends[1:], ends) if b > 0 else (ends, ends[1:])
+        mask = side[k]
+        facets.append((k, mask, lows[0], highs[0]))
+        for i, p in enumerate(order, 1):
+            mask ^= crossed[p]
+            facets.append((k, mask, lows[i], highs[i]))
     object.__setattr__(arr, "_facets", facets)
     return facets
 
@@ -174,7 +209,7 @@ def _inside(lo, hi) -> Fraction:
 def _witness(arr, signs, lo, hi, rows) -> tuple[Fraction, Fraction]:
     """The Fourier-Motzkin witness of the cell with these signs and x-extent
     (lo, hi): x inside the extent, then y inside the cell's y-range at x,
-    found in integers over the non-vertical lines of ``_integral_rows``."""
+    found in integers over the non-vertical rows (k, a, b, c, up)."""
     if lo is not None and lo == hi:
         # a half-plane bounded by one vertical line: its open side is that line's sign
         line, s = next((l, s) for l, s in zip(arr.lines, signs) if l.b == 0 and -l.c / l.a == lo)
@@ -194,17 +229,6 @@ def _witness(arr, signs, lo, hi, rows) -> tuple[Fraction, Fraction]:
     return (x, _inside(y_lo, y_hi))
 
 
-def _integral_rows(arr) -> list[tuple[int, int, int, int, bool]]:
-    """Each non-vertical line k as (k, a, b, c, up): its coefficients scaled
-    to integers with b > 0, and whether its positive side lies above it."""
-    rows = []
-    for k, l in enumerate(arr.lines):
-        if l.b:
-            d = math.lcm(l.a.denominator, l.b.denominator, l.c.denominator) * (1 if l.b > 0 else -1)
-            rows.append((k, int(l.a * d), int(l.b * d), int(l.c * d), l.b > 0))
-    return rows
-
-
 def enumerate_regions(arr: Arrangement) -> tuple[Region, ...]:
     """All open full-dimensional cells, each with an interior witness point.
 
@@ -216,8 +240,8 @@ def enumerate_regions(arr: Arrangement) -> tuple[Region, ...]:
     x-extent and one pass over the lines, so it depends on the cell alone.
     """
     n = len(arr.lines)
-    seed = _generic_point(arr)
-    start = _mask(l.evaluate(*seed) for l in arr.lines)
+    x, y = _generic_point(arr)
+    start = _mask(a * x + b * y + c for a, b, c in arr._rows)
     neighbors: dict[int, list[int]] = defaultdict(list)
     extent: dict[int, list] = {}
     for k, mask, lo, hi in _facets(arr):
@@ -228,8 +252,10 @@ def enumerate_regions(arr: Arrangement) -> tuple[Region, ...]:
                 span[0] = lo
             if span[1] is not None and (hi is None or hi > span[1]):
                 span[1] = hi
-    rows = _integral_rows(arr)
-    found = {start: Region(_signs(start, n), seed)}
+    # each non-vertical line k as (k, a, b, c, up), flipped to b > 0; up: its positive side is above
+    rows = [(k, a, b, c, True) if b > 0 else (k, -a, -b, -c, False)
+            for k, (a, b, c) in enumerate(arr._rows) if b]
+    found = {start: Region(_signs(start, n), (Fraction(x), Fraction(y)))}
     order = [start]
     for mask in order:
         for other in neighbors[mask]:
@@ -249,7 +275,7 @@ def negative_token(k: int) -> str:
 
 
 def region_name(region: Region, ground: tuple[str, ...]) -> str:
-    return set_name(region.positive_indices(), ground)
+    return set_name(region.positive, ground)
 
 
 def _ground(arr) -> tuple[str, ...]:
@@ -264,8 +290,7 @@ def region_adjacency(arr: Arrangement, regions: Iterable[Region]) -> LabeledGrap
     order of the positions of each edge's two regions in ``regions``.
     """
     regions = tuple(regions)
-    ground = _ground(arr)
-    names = [region_name(r, ground) for r in regions]
+    names = [r.name for r in regions]
     index = {_mask(r.signs): i for i, r in enumerate(regions)}
     crossed = []
     for k, mask, _, _ in _facets(arr):
@@ -295,8 +320,7 @@ def arrangement_medium(arr: Arrangement,
         regions = enumerate_regions(arr)
     if graph is None:
         graph = region_adjacency(arr, regions)
-    ground = _ground(arr)
-    names = tuple(region_name(r, ground) for r in regions)
+    names = tuple(r.name for r in regions)
     tokens: list[str] = []
     action: dict[str, dict[str, str]] = {}
     reverse: dict[str, str] = {}

@@ -30,12 +30,17 @@ def _read_text(path: str) -> str:
         raise ParseError(f"cannot read {path}: {exc}") from None
 
 
-def _read_json(path: str):
-    text = _read_text(path)
+def _parse_json(text: str, path: str):
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:  # an integer past the digit limit, or deep nesting
+        raise ParseError(f"{path}: {exc}") from None
+
+
+def _read_json(path: str):
+    return _parse_json(_read_text(path), path)
 
 
 def _emit(doc) -> None:
@@ -89,10 +94,7 @@ def _cmd_graph(args) -> int:
 def _cmd_pcube(args) -> int:
     text = _read_text(args.input)
     if text.lstrip().startswith("{"):
-        try:
-            g = cubes.LabeledGraph.from_json_dict(json.loads(text))
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{args.input}: {exc.msg}") from None
+        g = cubes.LabeledGraph.from_json_dict(_parse_json(text, args.input))
     else:
         g = cubes.LabeledGraph.from_edge_list(text)
     result = cubes.is_partial_cube(g)
@@ -140,9 +142,13 @@ def _arrangement_pipeline(arrangement) -> dict:
     graph = arr_mod.region_adjacency(arrangement, regions)
     ts = arr_mod.arrangement_medium(arrangement, regions, graph)
     fam = arr_mod.region_family(arrangement, regions)
+    try:
+        region_docs = [r.to_json_dict() for r in regions]
+    except ValueError as exc:  # a witness past the interpreter's digit limit for int-string conversion
+        raise CapError(f"region witness: {exc}") from None
     return {
         "lines": arrangement.to_json_dict()["lines"],
-        "regions": [r.to_json_dict() for r in regions],
+        "regions": region_docs,
         "graph": graph.to_json_dict(),
         "system": ts.to_json_dict(),
         "family": fam.to_json_dict(),

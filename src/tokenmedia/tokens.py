@@ -147,11 +147,14 @@ class TokenSystem:
         if saw_reverse and len(reverse) != len(tokens):
             raise ParseError("either every token or no token may declare a reverse")
         try:
-            act = {t: dict(action[t]) for t in tokens}
+            rows = {t: action[t] for t in tokens}
         except (KeyError, TypeError):
             raise ParseError("action table must have one row per declared token") from None
+        if not all(isinstance(row, dict) for row in rows.values()):
+            raise ParseError("each action row must be a JSON object")
         try:
-            return cls(states, tuple(tokens), act, reverse if saw_reverse else None)
+            return cls(states, tuple(tokens), {t: dict(row) for t, row in rows.items()},
+                       reverse if saw_reverse else None)
         except InputError as exc:
             raise ParseError(str(exc)) from None
 

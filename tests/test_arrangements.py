@@ -1,6 +1,6 @@
 import itertools
 import random
-from collections import deque
+from collections import defaultdict, deque
 from fractions import Fraction
 
 import pytest
@@ -27,7 +27,7 @@ from tokenmedia.arrangements import (
 )
 from tokenmedia.cubes import LabeledGraph, adjacency, is_partial_cube
 from tokenmedia.errors import InputError
-from tokenmedia.families import distance, is_well_graded
+from tokenmedia.families import distance, is_well_graded, set_name
 from tokenmedia.represent import decide_medium
 
 from conftest import bfs_distances
@@ -219,14 +219,101 @@ def pair_scan_adjacency(arr, regions):
     return LabeledGraph(tuple(names), tuple(edges), edge_labels=labels)
 
 
+# --- the Fraction sweep oracle -----------------------------------------------
+
+
+def fraction_facets(arr) -> list[tuple[int, int, Fraction | None, Fraction | None]]:
+    """Oracle: the per-line Fraction sweep that the integer sweep replaced,
+    verbatim but for its memo on the arrangement.  Every facet as (k, mask,
+    lo, hi): an open segment of line k between consecutive crossings, with
+    the cells of sign masks ``mask`` and ``mask | 1 << k`` on its two sides
+    and lo <= x <= hi on its closure (None if unbounded).  Line k is walked
+    along (-b, a) from beyond its first crossing, flipping at each exact
+    crossing parameter the signs of the lines that meet it there; facets
+    come out in ascending k.  Each crossing is computed twice, once from
+    each of its lines."""
+    facets = []
+    for k, (a, b, c) in enumerate((l.a, l.b, l.c) for l in arr.lines):
+        ox, oy = (Fraction(0), -c / b) if b else (-c / a, Fraction(0))  # a point of line k
+        side = 0  # lines with the far negative end of line k on their positive side
+        crossings: dict[Fraction, int] = defaultdict(int)
+        for j, l in enumerate(arr.lines):
+            if j == k:
+                continue
+            slope = l.b * a - l.a * b
+            offset = l.evaluate(ox, oy)
+            side |= (offset > 0 if slope == 0 else slope < 0) << j
+            if slope:
+                crossings[-offset / slope] |= 1 << j
+        ts = sorted(crossings)
+        # x = ox - b*t along line k (falling if b > 0): unbounded both ways unless b == 0
+        end = None if b else ox
+        xs = [end, *(ox - b * t for t in ts), end]
+        lows, highs = (xs[1:], xs) if b > 0 else (xs, xs[1:])
+        facets.append((k, side, lows[0], highs[0]))
+        for i, t in enumerate(ts, 1):
+            side ^= crossings[t]
+            facets.append((k, side, lows[i], highs[i]))
+    return facets
+
+
+def fraction_route_regions(arr):
+    """Oracle: ``enumerate_regions`` run over the Fraction sweep's facets, on
+    a fresh copy of the arrangement holding them as its stored sweep."""
+    fresh = Arrangement(arr.lines)
+    object.__setattr__(fresh, "_facets", fraction_facets(fresh))
+    return enumerate_regions(fresh)
+
+
+def projective_key(line):
+    """Oracle for duplicate lines: the coefficients over the first nonzero of a, b."""
+    lead = line.a if line.a != 0 else line.b
+    return (line.a / lead, line.b / lead, line.c / lead)
+
+
 @st.composite
 def small_arrangements(draw):
     """1-9 distinct lines with coefficients a, b in -2..2 and c in -3..3, so
     parallel classes, concurrent points, vertical and horizontal lines occur."""
     coefficients = st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(-3, 3))
     triples = draw(st.lists(coefficients.filter(lambda t: t[:2] != (0, 0)), min_size=1,
-                            max_size=9, unique_by=lambda t: Line.of(*t).projective_key()))
+                            max_size=9, unique_by=lambda t: projective_key(Line.of(*t))))
     return Arrangement(tuple(Line.of(*t) for t in triples))
+
+
+@st.composite
+def rational_arrangements(draw):
+    """1-8 distinct lines with rational coefficients, each drawn free, vertical,
+    horizontal, parallel to an earlier line, or through the crossing of two
+    earlier lines, so parallel classes and triple points are common."""
+    q = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    nonzero = q.filter(bool)
+    lines = [Line.of(draw(nonzero), draw(q), draw(q))]
+    for _ in range(draw(st.integers(0, 7))):
+        kind = draw(st.sampled_from(["free", "vertical", "horizontal", "parallel", "concurrent",
+                                     "concurrent"]))
+        if kind == "free":
+            a, b, c = draw(q), draw(q), draw(q)
+        elif kind == "vertical":
+            a, b, c = draw(nonzero), 0, draw(q)
+        elif kind == "horizontal":
+            a, b, c = 0, draw(nonzero), draw(q)
+        elif kind == "parallel":
+            base, scale = draw(st.sampled_from(lines)), draw(nonzero)
+            a, b, c = base.a * scale, base.b * scale, draw(q)
+        else:
+            l1, l2 = draw(st.sampled_from(lines)), draw(st.sampled_from(lines))
+            det = l1.a * l2.b - l2.a * l1.b
+            if det == 0:
+                continue
+            x, y = (l1.b * l2.c - l2.b * l1.c) / det, (l2.a * l1.c - l1.a * l2.c) / det
+            a, b = draw(q), draw(q)
+            c = -(a * x + b * y)
+        if (a, b) == (0, 0) or any(projective_key(l) == projective_key(Line.of(a, b, c))
+                                   for l in lines):
+            continue
+        lines.append(Line.of(a, b, c))
+    return Arrangement(tuple(lines))
 
 
 def random_generic_lines(rng, k):
@@ -240,7 +327,7 @@ def random_generic_lines(rng, k):
             if a == 0 and b == 0:
                 continue
             cand = Line(a, b, c)
-            if any(l.projective_key() == cand.projective_key() for l in lines):
+            if any(projective_key(l) == projective_key(cand) for l in lines):
                 continue
             lines.append(cand)
         if _is_generic(lines):
@@ -259,7 +346,22 @@ def _is_generic(lines):
     return len(set(points)) == len(points)
 
 
+RATIONAL_TRIPLES = st.tuples(*[st.fractions(-3, 3, max_denominator=4)] * 3).filter(lambda t: t[:2] != (0, 0))
+
+
 class TestValidation:
+    @settings(max_examples=200, deadline=None)
+    @given(RATIONAL_TRIPLES, RATIONAL_TRIPLES, st.fractions(-3, 3, max_denominator=4).filter(bool))
+    @example((0, Fraction(3, 2), 1), (1, 1, 1), Fraction(-2))
+    def test_duplicates_are_the_projective_classes(self, t1, t2, scale):
+        first = Line.of(*t1)
+        for other in (Line.of(*t2), Line.of(*(scale * v for v in t1))):
+            if projective_key(first) == projective_key(other):
+                with pytest.raises(InputError, match="duplicate"):
+                    Arrangement((first, other))
+            else:
+                Arrangement((first, other))
+
     def test_zero_normal_rejected(self):
         with pytest.raises(InputError):
             Line.of(0, 0, 1)
@@ -513,3 +615,48 @@ def test_sweep_matches_fourier_motzkin_oracle(arr):
     got, want = region_adjacency(arr, regions), pair_scan_adjacency(arr, regions)
     assert got == want
     assert list(got.edge_labels.items()) == list(want.edge_labels.items())
+
+
+# the integer sweep against the Fraction sweep it replaced: facets in the same
+# order with the same masks and exact x-ranges, so the regions come out the same
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_arrangements())
+def test_integer_sweep_matches_fraction_sweep(arr):
+    assert _facets(arr) == fraction_facets(arr)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_arrangements())
+# vertical lines only; horizontal and vertical parallels; a four-line pencil;
+# rational coefficients with one vertical line
+@example(Arrangement((Line.of(1, 0, 0), Line.of(1, 0, -1), Line.of(-2, 0, 5))))
+@example(Arrangement((Line.of(0, -1, 0), Line.of(0, 2, -1), Line.of(1, 0, 0), Line.of(-1, 0, 1))))
+@example(Arrangement((Line.of(1, 1, 0), Line.of(-1, -2, 0), Line.of(-3, 1, 0), Line.of(0, 1, 0))))
+@example(Arrangement((Line.of(Fraction(1, 3), Fraction(-2, 5), Fraction(7, 4)),
+                      Line.of(Fraction(-3, 2), Fraction(1, 6), Fraction(-5, 9)),
+                      Line.of(Fraction(2, 7), 0, Fraction(1, 8)))))
+def test_integer_sweep_matches_fraction_sweep_on_rational_lines(arr):
+    assert _facets(arr) == fraction_facets(arr)
+    assert enumerate_regions(arr) == fraction_route_regions(arr)
+
+
+@pytest.mark.parametrize("kind", MOSAIC_KINDS)
+def test_radius_twelve_windows_match_the_fraction_route(kind):
+    arr = mosaic_window(kind, 12)
+    assert _facets(arr) == fraction_facets(arr)
+    assert enumerate_regions(arr) == fraction_route_regions(arr)
+
+
+def test_region_names_are_built_once_and_match_set_name():
+    arr = mosaic_window("truncated-square", 2)
+    regions = enumerate_regions(arr)
+    ground = _ground(arr)
+    for r in regions:
+        assert r.name == set_name(r.positive_indices(), ground) == region_name(r, ground)
+        assert list(r.positive) == sorted(r.positive_indices(), key=int)
+    graph = region_adjacency(arr, regions)
+    ts = arrangement_medium(arr, regions, graph)
+    assert all(v is r.name for v, r in zip(graph.vertices, regions))
+    assert all(s is r.name for s, r in zip(ts.states, regions))

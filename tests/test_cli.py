@@ -265,6 +265,7 @@ class TestDeterminism:
 
 
 EDGE = {"vertices": ["a", "b"], "edges": [["a", "b"]]}
+ONE_TOKEN = {"states": ["a", "b"], "tokens": ["u"]}
 
 # name: (argv with "IN" for the input file, its contents, environment)
 BAD_INPUTS = {
@@ -284,11 +285,32 @@ BAD_INPUTS = {
     "arrangement-bad-rational": (["arrangement", "IN"], {"lines": [{"a": "x", "b": "1", "c": "0"}]}, {}),
     "arrangement-lines-a-number": (["arrangement", "IN"], {"lines": 5}, {}),
     "arrangement-lines-null": (["arrangement", "IN"], {"lines": None}, {}),
+    # malformed numbers and rows: parse errors (exit 2), see PARSE_ERRORS
+    "check-action-row-a-list": (["check", "IN"], {**ONE_TOKEN, "action": {"u": ["x"]}}, {}),
+    "represent-action-row-a-string": (["represent", "IN"], {**ONE_TOKEN, "action": {"u": "ab"}}, {}),
+    "graph-action-row-pairs": (["graph", "IN"], {**ONE_TOKEN, "action": {"u": ["ab", "ba"]}}, {}),
+    "iso-long-integer": (["iso", "IN", "IN"], '{"states": [' + "7" * 5000 + "]}", {}),
+    "check-long-integer": (["check", "IN"], '{"states": ["a", "b"], "bound": ' + "1" * 4301 + "}", {}),
+    "pcube-long-integer": (["pcube", "IN"], '{"vertices": [' + "9" * 5000 + '], "edges": []}', {}),
+    "arrangement-exponent-past-digit-limit": (
+        ["arrangement", "IN"], {"lines": [{"a": "1e5000", "b": "1", "c": "0"}]}, {}),
+    "arrangement-exponent-far-past-digit-limit": (
+        ["arrangement", "IN"], {"lines": [{"a": "1", "b": "1e1000000", "c": "0"}]}, {}),
+    "arrangement-denominator-past-digit-limit": (
+        ["arrangement", "IN"], {"lines": [{"a": "1", "b": "1", "c": "1e-4300"}]}, {}),
+    "check-nesting-too-deep": (["check", "IN"], "[" * 100_000, {}),
+    # every literal fits the digit limit, the crossing's witness does not: a cap (exit 3)
+    "arrangement-witness-past-digit-limit": (
+        ["arrangement", "IN"],
+        {"lines": [{"a": "1e2500", "b": "3", "c": "1"}, {"a": "1", "b": "7e2500", "c": "2"}]}, {}),
 }
+PARSE_ERRORS = ["check-action-row-a-list", "represent-action-row-a-string", "graph-action-row-pairs",
+                "iso-long-integer", "check-long-integer", "pcube-long-integer",
+                "arrangement-exponent-past-digit-limit", "arrangement-exponent-far-past-digit-limit",
+                "arrangement-denominator-past-digit-limit", "check-nesting-too-deep"]
 
 
-@pytest.mark.parametrize("name", sorted(BAD_INPUTS))
-def test_bad_input_gets_a_documented_exit_and_no_traceback(name, tmp_path, capsys, monkeypatch):
+def run_bad_input(name, tmp_path, capsys, monkeypatch):
     argv, content, env = BAD_INPUTS[name]
     for key, value in env.items():
         monkeypatch.setenv(key, value)
@@ -296,8 +318,26 @@ def test_bad_input_gets_a_documented_exit_and_no_traceback(name, tmp_path, capsy
     if isinstance(content, TokenSystem):
         content = content.to_json_dict()
     path.write_text(content if isinstance(content, str) else json.dumps(content))
-    code, out, err = run(capsys, *(str(path) if a == "IN" else a for a in argv))
+    return run(capsys, *(str(path) if a == "IN" else a for a in argv))
+
+
+@pytest.mark.parametrize("name", sorted(BAD_INPUTS))
+def test_bad_input_gets_a_documented_exit_and_no_traceback(name, tmp_path, capsys, monkeypatch):
+    code, out, err = run_bad_input(name, tmp_path, capsys, monkeypatch)
     assert code in (1, 2, 3)
     if code != 1:
         assert out == ""
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", PARSE_ERRORS)
+def test_malformed_rows_and_oversized_numbers_are_parse_errors(name, tmp_path, capsys, monkeypatch):
+    code, out, err = run_bad_input(name, tmp_path, capsys, monkeypatch)
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error:")
+
+
+def test_witness_past_the_digit_limit_is_a_cap(tmp_path, capsys, monkeypatch):
+    code, out, err = run_bad_input("arrangement-witness-past-digit-limit", tmp_path, capsys, monkeypatch)
+    assert (code, out) == (3, "")
+    assert err.startswith("cap exceeded:") and "digits" in err
