@@ -206,10 +206,11 @@ def _inside(lo, hi) -> Fraction:
     return lo + 1 if hi is None else (lo + hi) / 2
 
 
-def _witness(arr, signs, lo, hi, rows) -> tuple[Fraction, Fraction]:
+def _witness(arr, signs, lo, hi, lines, rows) -> tuple[Fraction, Fraction]:
     """The Fourier-Motzkin witness of the cell with these signs and x-extent
     (lo, hi): x inside the extent, then y inside the cell's y-range at x,
-    found in integers over the non-vertical rows (k, a, b, c, up)."""
+    found in integers over the rows (a, b, c, up) of the lines in the mask
+    ``lines``, the cell's facet lines, whose half-planes alone cut it out."""
     if lo is not None and lo == hi:
         # a half-plane bounded by one vertical line: its open side is that line's sign
         line, s = next((l, s) for l, s in zip(arr.lines, signs) if l.b == 0 and -l.c / l.a == lo)
@@ -217,7 +218,12 @@ def _witness(arr, signs, lo, hi, rows) -> tuple[Fraction, Fraction]:
     x = _inside(lo, hi)
     p, q = x.numerator, x.denominator
     below = above = None  # nearest lines under and over the cell at x, as (n, b): y = n / (b*q)
-    for k, a, b, c, up in rows:
+    while lines:
+        k = (lines & -lines).bit_length() - 1
+        lines ^= 1 << k
+        if rows[k] is None:
+            continue
+        a, b, c, up = rows[k]
         n = -(a * p + c * q)
         if (signs[k] > 0) == up:
             if below is None or n * below[1] > below[0] * b:
@@ -235,9 +241,10 @@ def enumerate_regions(arr: Arrangement) -> tuple[Region, ...]:
     Breadth-first search over the facets of the per-line sweep, starting at
     the cell of a generic seed point and crossing each cell's lines in
     ascending order.  The same pass folds each facet's x-range into its two
-    cells' exact x-extents.  Every other cell's witness is the point that
-    Fourier-Motzkin elimination picks from its sign vector, read off its
-    x-extent and one pass over the lines, so it depends on the cell alone.
+    cells' exact x-extents and their masks of facet lines.  Every other
+    cell's witness is the point that Fourier-Motzkin elimination picks from
+    its sign vector, read off its x-extent and one pass over its facet
+    lines, so it depends on the cell alone.
     """
     n = len(arr.lines)
     x, y = _generic_point(arr)
@@ -247,14 +254,15 @@ def enumerate_regions(arr: Arrangement) -> tuple[Region, ...]:
     for k, mask, lo, hi in _facets(arr):
         for cell, other in ((mask, mask | 1 << k), (mask | 1 << k, mask)):
             neighbors[cell].append(other)
-            span = extent.setdefault(cell, [lo, hi])
+            span = extent.setdefault(cell, [lo, hi, 0])
             if span[0] is not None and (lo is None or lo < span[0]):
                 span[0] = lo
             if span[1] is not None and (hi is None or hi > span[1]):
                 span[1] = hi
-    # each non-vertical line k as (k, a, b, c, up), flipped to b > 0; up: its positive side is above
-    rows = [(k, a, b, c, True) if b > 0 else (k, -a, -b, -c, False)
-            for k, (a, b, c) in enumerate(arr._rows) if b]
+            span[2] |= 1 << k
+    # each line as (a, b, c, up), flipped to b > 0, or None if vertical; up: its positive side is above
+    rows = [None if not b else (a, b, c, True) if b > 0 else (-a, -b, -c, False)
+            for a, b, c in arr._rows]
     found = {start: Region(_signs(start, n), (Fraction(x), Fraction(y)))}
     order = [start]
     for mask in order:

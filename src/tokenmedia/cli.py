@@ -21,13 +21,15 @@ VERTEX_CAP_ENV = "TOKENMEDIA_MAX_VERTICES"
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def _parse_json(text: str, path: str):

@@ -138,14 +138,16 @@ def medium_graph(ts: TokenSystem) -> LabeledGraph:
     """Graph on the states with an edge per adjacent pair, labeled by its token pair.
 
     Assumes a verified medium: each edge must be traversed by exactly one
-    token pair.
+    token pair.  The edges are read off the move index of ``ts``.
     """
     rev = ts.reverse
     if rev is None:
         raise InputError("medium graph needs a reverse pairing")
+    states = ts.states
     pair_of: dict[tuple[str, str], tuple[str, str]] = {}
-    for t in ts.tokens:
-        for (s, v) in ts.moves(t):
+    for t, ms in ts._index_moves.items():
+        for i, j in ms:
+            s, v = states[i], states[j]
             e = (s, v) if s < v else (v, s)
             label = (t, rev[t]) if e == (s, v) else (rev[t], t)
             old = pair_of.get(e)
@@ -387,8 +389,12 @@ def media_isomorphic(ts1: TokenSystem, ts2: TokenSystem,
     matched edges.  The search extends the map at the unmapped vertex with
     the most mapped neighbours (least name first), taken in O(log E) from a
     lazy heap of neighbour counts, and backtracks on an explicit stack, so
-    its depth is not bounded by the recursion limit.  Inputs are verified
-    with ``decide_medium``; a non-medium raises InputError.
+    its depth is not bounded by the recursion limit.  One move of t, looked
+    up in a dict from the moves of ts2 to its tokens, names beta(t); each
+    move of t must then map to a move of beta(t), which has equally many, so
+    fixed points map to fixed points.  Both read the move indexes, not the
+    action tables.  Inputs are verified with ``decide_medium``; a non-medium
+    raises InputError.
     """
     from .represent import decide_medium
 
@@ -398,11 +404,13 @@ def media_isomorphic(ts1: TokenSystem, ts2: TokenSystem,
     if n != len(ts2.states) or len(ts1.tokens) != len(ts2.tokens):
         return None
     g1, g2 = medium_graph(ts1), medium_graph(ts2)
+    moves2 = ts2._index_moves
     if len(g1.edges) != len(g2.edges):
         return None
     if not (decide_medium(ts1).is_medium and decide_medium(ts2).is_medium):
         raise InputError("media_isomorphic expects verified media")
-    if _move_counts(ts1) != _move_counts(ts2):
+    # in a medium a token pair's moves are one Theta class of its graph
+    if sorted(map(len, ts1._index_moves.values())) != sorted(map(len, moves2.values())):
         return None
     adj1 = {v: frozenset(ws) for v, ws in adjacency(g1).items()}
     adj2 = {v: frozenset(ws) for v, ws in adjacency(g2).items()}
@@ -412,30 +420,20 @@ def media_isomorphic(ts1: TokenSystem, ts2: TokenSystem,
     alpha = _find_graph_iso(g1, adj1, col1, g2, adj2, col2)
     if alpha is None:
         return None
+    token_of = {m: u for u, ms in moves2.items() for m in ms}
+    a = [ts2._index[alpha[s]] for s in ts1.states]
     beta: dict[str, str] = {}
-    for t in ts1.tokens:
-        s, v = next(iter(ts1.moves(t)))
-        image = None
-        for u in ts2.tokens:
-            if ts2.action[u][alpha[s]] == alpha[v]:
-                image = u
-                break
-        if image is None:
+    for t, ms in ts1._index_moves.items():
+        i, j = ms[0]
+        beta[t] = u = token_of.get((a[i], a[j]))
+        if u is None:
             raise InputError("graph isomorphism does not transport tokens; not media")
-        beta[t] = image
-    # the theory guarantees this verification passes for genuine media
-    for t in ts1.tokens:
-        for s in ts1.states:
-            if alpha[ts1.action[t][s]] != ts2.action[beta[t]][alpha[s]]:
-                raise AssertionError("token transport failed; inputs are not media")
+        # the theory guarantees this verification passes for genuine media
+        if len(ms) != len(moves2[u]) or any(token_of.get((a[i], a[j])) != u for i, j in ms):
+            raise AssertionError("token transport failed; inputs are not media")
     if len(set(beta.values())) != len(ts2.tokens):
         raise AssertionError("token transport not bijective; inputs are not media")
     return alpha, beta
-
-
-def _move_counts(ts: TokenSystem):
-    # in a medium a token pair's moves are one Theta class of its graph
-    return sorted(len(ts.moves(t)) for t in ts.tokens)
 
 
 def _joint_refinement(g1, adj1, g2, adj2):

@@ -192,18 +192,14 @@ def _pair_decision(ts: TokenSystem) -> MediumDecision:
     defect = reverse_defect(ts)
     if defect is not None:
         return MediumDecision(False, witness=defect)
-    states, rev = ts.states, ts.reverse
-    index = {s: i for i, s in enumerate(states)}
+    states, rev, moves = ts.states, ts.reverse, ts._index_moves
     pair: dict[str, int] = {}
     for t in ts.tokens:
         if t not in pair:
             pair[t] = pair[rev[t]] = len(pair) // 2
     k = len(pair) // 2
-    moves: dict[str, list[tuple[int, int]]] = {}
     adj: list[list[tuple[int, int]]] = [[] for _ in states]
-    for t in ts.tokens:
-        row = ts.action[t]
-        moves[t] = ms = [(i, index[v]) for i, s in enumerate(states) if (v := row[s]) != s]
+    for t, ms in moves.items():
         b = 1 << pair[t]
         for i, j in ms:
             adj[i].append((j, b))
@@ -231,7 +227,7 @@ def _pair_decision(ts: TokenSystem) -> MediumDecision:
         head[t] = ends.pop()
         for i, _ in ms:
             toggles[i] |= b
-    base = lab[index[min(states)]]
+    base = lab[ts._index[min(states)]]
     lab = [x ^ base for x in lab]
     # for every q != p some pair moving p separates them; this also rules out
     # a realized toggle lab[p] ^ b that no token takes p to (the fixed-point
@@ -279,13 +275,15 @@ def _theta_route(ts: TokenSystem) -> MediumDecision:
     graph is a partial cube but whose action is wrong).  On yes, the
     partial-cube labeling is the representation.
     """
+    states = ts.states
     edges = set()
-    for t in ts.tokens:
-        for (s, v) in ts.moves(t):
+    for ms in ts._index_moves.values():
+        for i, j in ms:
+            s, v = states[i], states[j]
             edges.add((s, v) if s < v else (v, s))
-    reached = {ts.states[0]}
+    reached = {states[0]}
     queue = deque(reached)
-    adj: dict[str, list[str]] = {s: [] for s in ts.states}
+    adj: dict[str, list[str]] = {s: [] for s in states}
     for (u, v) in edges:
         adj[u].append(v)
         adj[v].append(u)
@@ -295,26 +293,26 @@ def _theta_route(ts: TokenSystem) -> MediumDecision:
             if w not in reached:
                 reached.add(w)
                 queue.append(w)
-    if len(reached) != len(ts.states):
-        stranded = next(s for s in ts.states if s not in reached)
+    if len(reached) != len(states):
+        stranded = next(s for s in states if s not in reached)
         return MediumDecision(
             False,
-            witness={"axiom": "M2", "source": ts.states[0], "target": stranded},
+            witness={"axiom": "M2", "source": states[0], "target": stranded},
         )
-    graph = LabeledGraph(ts.states, tuple(edges))
+    graph = LabeledGraph(states, tuple(edges))
     pc = is_partial_cube(graph)
     if not pc.accepted:
         return MediumDecision(False, witness={"kind": "not-partial-cube", "graph": dict(pc.witness)})
     labels = pc.labels
-    realized = {labels[s] for s in ts.states}
+    realized = {labels[s] for s in states}
     beta: dict[str, tuple[str, str]] = {}
-    for t in ts.tokens:
+    for t, ms in ts._index_moves.items():
         coord = None
         polarity = None
-        for (s, v) in ts.moves(t):
-            delta = labels[v] ^ labels[s]
+        for i, j in ms:
+            delta = labels[states[j]] ^ labels[states[i]]
             x = next(iter(delta))
-            pol = "add" if x in labels[v] else "remove"
+            pol = "add" if x in labels[states[j]] else "remove"
             if coord is None:
                 coord, polarity = x, pol
             elif (coord, polarity) != (x, pol):
@@ -323,8 +321,9 @@ def _theta_route(ts: TokenSystem) -> MediumDecision:
                     witness={"kind": "action-mismatch", "token": t,
                              "detail": "moves cross several cube coordinates"},
                 )
-        for s in ts.states:
-            if ts.action[t][s] != s:
+        moved = {i for i, _ in ms}
+        for i, s in enumerate(states):
+            if i in moved:
                 continue
             lab = labels[s]
             if polarity == "add":
@@ -339,8 +338,8 @@ def _theta_route(ts: TokenSystem) -> MediumDecision:
                 )
         beta[t] = (coord, polarity)
     ground = tuple(sorted({cid for cid in pc.edge_classes.values()}, key=int))
-    family = SetFamily(ground, tuple(labels[s] for s in ts.states))
-    alpha = {s: labels[s] for s in ts.states}
+    family = SetFamily(ground, tuple(labels[s] for s in states))
+    alpha = {s: labels[s] for s in states}
     return MediumDecision(True, family=family, alpha=alpha, beta=beta)
 
 

@@ -43,6 +43,13 @@ class TokenSystem:
     token fixing every state.  ``reverse``, when present, must be a total
     fixed-point-free involution on the token ids; it is declared input, not
     inferred from the action table.
+
+    The one walk over the table that validates it also stores the move
+    index: each state's position in ``states`` and, per token in token
+    order, its effective moves as (state index, target index) pairs in
+    state order.  ``moves``, the exact M1 check, the axiom walks, the
+    decision, the medium graph and the isomorphism search read that index
+    and never the table again.
     """
 
     states: tuple[str, ...]
@@ -54,55 +61,59 @@ class TokenSystem:
         states, tokens = self.states, self.tokens
         if len(states) < 2:
             raise InputError("a token system needs more than one state")
-        state_set = frozenset(states)
-        if len(state_set) != len(states):
+        index = dict(zip(states, range(len(states))))
+        if len(index) != len(states):
             raise InputError("duplicate state ids")
         token_set = frozenset(tokens)
         if len(token_set) != len(tokens):
             raise InputError("duplicate token ids")
-        if set(self.action) != set(token_set):
+        if self.action.keys() != token_set:
             raise InputError("action table must have exactly one row per token")
+        index_moves: dict[str, list[tuple[int, int]]] = {}
         for t in tokens:
             row = self.action[t]
             if len(row) != len(states):
                 raise InputError(f"action of token {t!r} is not total")
-            moved = False
+            ms = index_moves[t] = []
             for s in states:
                 v = row.get(s)
-                if v is None:
-                    raise InputError(f"action of token {t!r} missing state {s!r}")
-                if v not in state_set:
-                    raise InputError(f"action of token {t!r} leaves the state set")
-                moved = moved or v != s
-            if not moved:
+                if v != s:
+                    if v is None:
+                        raise InputError(f"action of token {t!r} missing state {s!r}")
+                    try:
+                        ms.append((index[s], index[v]))
+                    except (KeyError, TypeError):  # TypeError: an unhashable entry
+                        raise InputError(f"action of token {t!r} leaves the state set") from None
+            if not ms:
                 raise InputError(f"token {t!r} acts as the identity on every state")
         if self.reverse is None and not tokens:
             object.__setattr__(self, "reverse", {})  # empty pairing is trivially valid
         if self.reverse is not None:
             rev = self.reverse
-            if set(rev) != set(token_set):
+            if rev.keys() != token_set:
                 raise InputError("reverse pairing must cover every token")
             for t in tokens:
                 r = rev[t]
                 if r == t or r not in token_set or rev[r] != t:
                     raise InputError("reverse pairing must be a fixed-point-free involution")
-        object.__setattr__(self, "_state_set", state_set)
-        object.__setattr__(self, "_token_set", token_set)
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_index_moves", index_moves)
         object.__setattr__(self, "_moves", {})
 
     def has_state(self, s: str) -> bool:
-        return s in self._state_set
+        return s in self._index
 
     def has_token(self, t: str) -> bool:
-        return t in self._token_set
+        return t in self._index_moves
 
     def moves(self, t: str) -> frozenset[tuple[str, str]]:
-        """All pairs (s, v) with s != v moved by token t, built once per token."""
+        """All pairs (s, v) with s != v moved by token t, built once per token
+        from the move index."""
         if t not in self._moves:
-            if t not in self._token_set:
+            if t not in self._index_moves:
                 raise InputError(f"unknown token id {t!r}")
-            row = self.action[t]
-            self._moves[t] = frozenset((s, v) for s in self.states if (v := row[s]) != s)
+            states = self.states
+            self._moves[t] = frozenset((states[i], states[j]) for i, j in self._index_moves[t])
         return self._moves[t]
 
     def to_json_dict(self) -> dict:
@@ -340,8 +351,10 @@ def reverse_defect(ts: TokenSystem) -> dict | None:
 
     A token u is a reverse candidate for t when the moves of u are exactly
     the inverted moves of t (fixed points are unconstrained).  M1 demands a
-    declared pairing that matches a unique candidate per token.  The result
-    is stored on ``ts``, so ``check_axioms`` and ``decide_medium`` share it.
+    declared pairing that matches a unique candidate per token.  Candidates
+    are found by grouping the move sets of the stored move index, with no
+    pass over the action table.  The result is computed once and stored on
+    ``ts``, so ``check_axioms`` and ``decide_medium`` share it.
     """
     if not hasattr(ts, "_defect"):
         object.__setattr__(ts, "_defect", _find_reverse_defect(ts))
@@ -351,7 +364,7 @@ def reverse_defect(ts: TokenSystem) -> dict | None:
 def _find_reverse_defect(ts):
     if ts.reverse is None:
         return {"axiom": "M1", "kind": "missing-reverse-pairing"}
-    for t, cands in _reverse_candidates(ts.states, ts.tokens, ts.action).items():
+    for t, cands in _reverse_candidates(ts).items():
         declared = ts.reverse[t]
         if declared not in cands:
             return _declared_breach(ts, t, declared)
@@ -366,29 +379,13 @@ def _find_reverse_defect(ts):
 
 
 def _declared_breach(ts, t, declared):
-    act = ts.action
-    for s in ts.states:
-        v = act[t][s]
-        if v != s and act[declared][v] != s:
-            return {
-                "axiom": "M1",
-                "kind": "declared-not-reverse",
-                "token": t,
-                "declared": declared,
-                "state": s,
-                "message": [t, declared],
-            }
-    for v in ts.states:
-        s = act[declared][v]
-        if s != v and act[t][s] != v:
-            return {
-                "axiom": "M1",
-                "kind": "declared-not-reverse",
-                "token": t,
-                "declared": declared,
-                "state": v,
-                "message": [declared, t],
-            }
+    moves = ts._index_moves
+    for first, then in ((t, declared), (declared, t)):
+        image = dict(moves[then])
+        for i, j in moves[first]:
+            if image.get(j, j) != i:
+                return {"axiom": "M1", "kind": "declared-not-reverse", "token": t,
+                        "declared": declared, "state": ts.states[i], "message": [first, then]}
     # unreachable: declared not a candidate implies a breach on some move
     return {"axiom": "M1", "kind": "declared-not-reverse", "token": t, "declared": declared}
 
@@ -426,12 +423,13 @@ def check_axioms(ts: TokenSystem, bound: int | None = None) -> AxiomReport:
 
 
 def _out_moves(ts):
-    """Each state's effective moves (token, image), in token order."""
-    out: dict[str, list[tuple[str, str]]] = {s: [] for s in ts.states}
-    for t in ts.tokens:
-        for s, v in ts.action[t].items():
-            if v != s:
-                out[s].append((t, v))
+    """Each state's effective moves (token, image), in token order, read off
+    the move index."""
+    states = ts.states
+    out: dict[str, list[tuple[str, str]]] = {s: [] for s in states}
+    for t, ms in ts._index_moves.items():
+        for i, j in ms:
+            out[states[i]].append((t, states[j]))
     return out
 
 
@@ -614,24 +612,18 @@ def reduction(ts: TokenSystem, keep: Iterable[str]) -> TokenSystem:
         seen[sig] = t
         order.append(t)
         action[t] = row
-    reverse = _recompute_reverse(states, order, action)
-    return TokenSystem(states, tuple(order), action, reverse)
-
-
-def _reverse_candidates(states, tokens, action) -> dict[str, list[str]]:
-    """Each token's reverse candidates, in token order: the tokens whose moves
-    are exactly its inverted moves, found through an index by move set."""
-    moves = {
-        t: frozenset((s, v) for s in states if (v := action[t][s]) != s) for t in tokens
-    }
-    by_moves: dict[frozenset, list[str]] = {}
-    for t in tokens:
-        by_moves.setdefault(moves[t], []).append(t)
-    return {t: by_moves.get(frozenset((v, s) for (s, v) in moves[t]), []) for t in tokens}
-
-
-def _recompute_reverse(states, tokens, action):
-    cands = _reverse_candidates(states, tokens, action)
+    plain = TokenSystem(states, tuple(order), action)
+    cands = _reverse_candidates(plain)
     if all(len(c) == 1 and c[0] != t for t, c in cands.items()):
-        return {t: c[0] for t, c in cands.items()}
-    return None
+        return TokenSystem(states, plain.tokens, action, {t: c[0] for t, c in cands.items()})
+    return plain
+
+
+def _reverse_candidates(ts) -> dict[str, list[str]]:
+    """Each token's reverse candidates, in token order: the tokens whose moves
+    are exactly its inverted moves, found through the move index by move set."""
+    moves = {t: frozenset(ms) for t, ms in ts._index_moves.items()}
+    by_moves: dict[frozenset, list[str]] = {}
+    for t, ms in moves.items():
+        by_moves.setdefault(ms, []).append(t)
+    return {t: by_moves.get(frozenset((j, i) for i, j in ms), []) for t, ms in moves.items()}

@@ -23,6 +23,8 @@ from tokenmedia.arrangements import (
     _facets,
     _generic_point,
     _ground,
+    _inside,
+    _mask,
     _signs,
 )
 from tokenmedia.cubes import LabeledGraph, adjacency, is_partial_cube
@@ -263,6 +265,49 @@ def fraction_route_regions(arr):
     fresh = Arrangement(arr.lines)
     object.__setattr__(fresh, "_facets", fraction_facets(fresh))
     return enumerate_regions(fresh)
+
+
+def all_lines_witness(arr, signs, lo, hi, rows) -> tuple[Fraction, Fraction]:
+    """Oracle: the witness scan that reading only a cell's facet lines
+    replaced, verbatim.  The Fourier-Motzkin witness of the cell with these
+    signs and x-extent (lo, hi): x inside the extent, then y inside the
+    cell's y-range at x, found in integers over the non-vertical rows (k, a,
+    b, c, up)."""
+    if lo is not None and lo == hi:
+        # a half-plane bounded by one vertical line: its open side is that line's sign
+        line, s = next((l, s) for l, s in zip(arr.lines, signs) if l.b == 0 and -l.c / l.a == lo)
+        lo, hi = (lo, None) if s * line.a > 0 else (None, hi)
+    x = _inside(lo, hi)
+    p, q = x.numerator, x.denominator
+    below = above = None  # nearest lines under and over the cell at x, as (n, b): y = n / (b*q)
+    for k, a, b, c, up in rows:
+        n = -(a * p + c * q)
+        if (signs[k] > 0) == up:
+            if below is None or n * below[1] > below[0] * b:
+                below = (n, b)
+        elif above is None or n * above[1] < above[0] * b:
+            above = (n, b)
+    y_lo = None if below is None else Fraction(below[0], below[1] * q)
+    y_hi = None if above is None else Fraction(above[0], above[1] * q)
+    return (x, _inside(y_lo, y_hi))
+
+
+def all_lines_witnesses(arr, regions):
+    """Oracle: the witnesses of ``regions`` (the output of
+    ``enumerate_regions``, seed cell first) from the all-lines scan, over
+    the x-extents folded from the stored sweep's facets."""
+    extent: dict[int, list] = {}
+    for k, mask, lo, hi in _facets(arr):
+        for cell in (mask, mask | 1 << k):
+            span = extent.setdefault(cell, [lo, hi])
+            if span[0] is not None and (lo is None or lo < span[0]):
+                span[0] = lo
+            if span[1] is not None and (hi is None or hi > span[1]):
+                span[1] = hi
+    rows = [(k, a, b, c, True) if b > 0 else (k, -a, -b, -c, False)
+            for k, (a, b, c) in enumerate(arr._rows) if b]
+    return [regions[0].witness] + [all_lines_witness(arr, r.signs, *extent[_mask(r.signs)], rows)
+                                   for r in regions[1:]]
 
 
 def projective_key(line):
@@ -647,6 +692,26 @@ def test_radius_twelve_windows_match_the_fraction_route(kind):
     arr = mosaic_window(kind, 12)
     assert _facets(arr) == fraction_facets(arr)
     assert enumerate_regions(arr) == fraction_route_regions(arr)
+
+
+# the witness read off a cell's facet lines against the all-lines scan
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_arrangements())
+@example(Arrangement((Line.of(1, 0, -1),)))
+@example(Arrangement((Line.of(1, 0, 0), Line.of(1, 0, -1), Line.of(0, 1, 0), Line.of(0, 1, 2),
+                      Line.of(1, 1, 0), Line.of(1, -1, 0), Line.of(1, 1, -1))))
+def test_facet_line_witnesses_match_the_all_lines_scan(arr):
+    regions = enumerate_regions(arr)
+    assert [r.witness for r in regions] == all_lines_witnesses(arr, regions)
+
+
+@pytest.mark.parametrize("kind", MOSAIC_KINDS)
+def test_facet_line_witnesses_match_the_all_lines_scan_at_radius_twelve(kind):
+    arr = mosaic_window(kind, 12)
+    regions = enumerate_regions(arr)
+    assert [r.witness for r in regions] == all_lines_witnesses(arr, regions)
 
 
 def test_region_names_are_built_once_and_match_set_name():

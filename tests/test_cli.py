@@ -289,6 +289,7 @@ BAD_INPUTS = {
     "check-action-row-a-list": (["check", "IN"], {**ONE_TOKEN, "action": {"u": ["x"]}}, {}),
     "represent-action-row-a-string": (["represent", "IN"], {**ONE_TOKEN, "action": {"u": "ab"}}, {}),
     "graph-action-row-pairs": (["graph", "IN"], {**ONE_TOKEN, "action": {"u": ["ab", "ba"]}}, {}),
+    "check-action-entry-a-list": (["check", "IN"], {**ONE_TOKEN, "action": {"u": {"a": ["b"], "b": "b"}}}, {}),
     "iso-long-integer": (["iso", "IN", "IN"], '{"states": [' + "7" * 5000 + "]}", {}),
     "check-long-integer": (["check", "IN"], '{"states": ["a", "b"], "bound": ' + "1" * 4301 + "}", {}),
     "pcube-long-integer": (["pcube", "IN"], '{"vertices": [' + "9" * 5000 + '], "edges": []}', {}),
@@ -299,15 +300,20 @@ BAD_INPUTS = {
     "arrangement-denominator-past-digit-limit": (
         ["arrangement", "IN"], {"lines": [{"a": "1", "b": "1", "c": "1e-4300"}]}, {}),
     "check-nesting-too-deep": (["check", "IN"], "[" * 100_000, {}),
+    # input that is not UTF-8: a valid system followed by the byte 0xff, an edge list holding it
+    "check-not-utf8": (["check", "IN"], json.dumps(two_state().to_json_dict()).encode() + b"\xff", {}),
+    "pcube-not-utf8": (["pcube", "IN"], b"a b\nb \xff\n", {}),
     # every literal fits the digit limit, the crossing's witness does not: a cap (exit 3)
     "arrangement-witness-past-digit-limit": (
         ["arrangement", "IN"],
         {"lines": [{"a": "1e2500", "b": "3", "c": "1"}, {"a": "1", "b": "7e2500", "c": "2"}]}, {}),
 }
 PARSE_ERRORS = ["check-action-row-a-list", "represent-action-row-a-string", "graph-action-row-pairs",
+                "check-action-entry-a-list",
                 "iso-long-integer", "check-long-integer", "pcube-long-integer",
                 "arrangement-exponent-past-digit-limit", "arrangement-exponent-far-past-digit-limit",
-                "arrangement-denominator-past-digit-limit", "check-nesting-too-deep"]
+                "arrangement-denominator-past-digit-limit", "check-nesting-too-deep",
+                "check-not-utf8", "pcube-not-utf8"]
 
 
 def run_bad_input(name, tmp_path, capsys, monkeypatch):
@@ -317,7 +323,10 @@ def run_bad_input(name, tmp_path, capsys, monkeypatch):
     path = tmp_path / "input"
     if isinstance(content, TokenSystem):
         content = content.to_json_dict()
-    path.write_text(content if isinstance(content, str) else json.dumps(content))
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content if isinstance(content, str) else json.dumps(content))
     return run(capsys, *(str(path) if a == "IN" else a for a in argv))
 
 
@@ -335,6 +344,13 @@ def test_malformed_rows_and_oversized_numbers_are_parse_errors(name, tmp_path, c
     code, out, err = run_bad_input(name, tmp_path, capsys, monkeypatch)
     assert (code, out) == (2, "")
     assert err.startswith("parse error:")
+
+
+@pytest.mark.parametrize("name", ["check-not-utf8", "pcube-not-utf8"])
+def test_input_that_is_not_utf8_names_its_path(name, tmp_path, capsys, monkeypatch):
+    code, out, err = run_bad_input(name, tmp_path, capsys, monkeypatch)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"parse error: {tmp_path / 'input'}: ") and "utf-8" in err
 
 
 def test_witness_past_the_digit_limit_is_a_cap(tmp_path, capsys, monkeypatch):
