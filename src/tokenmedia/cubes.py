@@ -393,25 +393,25 @@ def media_isomorphic(ts1: TokenSystem, ts2: TokenSystem,
     up in a dict from the moves of ts2 to its tokens, names beta(t); each
     move of t must then map to a move of beta(t), which has equally many, so
     fixed points map to fixed points.  Both read the move indexes, not the
-    action tables.  Inputs are verified with ``decide_medium``; a non-medium
-    raises InputError.
+    action tables.  Both inputs are verified with ``decide_medium`` before
+    any size comparison, so a non-medium raises InputError whatever the
+    sizes; the size checks read the move indexes and build no graph.
     """
     from .represent import decide_medium
 
     n = len(ts1.states)
     if n > max_vertices or len(ts2.states) > max_vertices:
         raise CapError(f"isomorphism search capped at {max_vertices} states")
-    if n != len(ts2.states) or len(ts1.tokens) != len(ts2.tokens):
-        return None
-    g1, g2 = medium_graph(ts1), medium_graph(ts2)
-    moves2 = ts2._index_moves
-    if len(g1.edges) != len(g2.edges):
-        return None
     if not (decide_medium(ts1).is_medium and decide_medium(ts2).is_medium):
         raise InputError("media_isomorphic expects verified media")
-    # in a medium a token pair's moves are one Theta class of its graph
+    if n != len(ts2.states) or len(ts1.tokens) != len(ts2.tokens):
+        return None
+    # in a medium a token pair's moves are one Theta class of its graph, and
+    # each edge is two moves, so equal move counts also mean equal edge counts
+    moves2 = ts2._index_moves
     if sorted(map(len, ts1._index_moves.values())) != sorted(map(len, moves2.values())):
         return None
+    g1, g2 = medium_graph(ts1), medium_graph(ts2)
     adj1 = {v: frozenset(ws) for v, ws in adjacency(g1).items()}
     adj2 = {v: frozenset(ws) for v, ws in adjacency(g2).items()}
     col1, col2 = _joint_refinement(g1, adj1, g2, adj2)

@@ -244,8 +244,14 @@ def _pair_decision(ts: TokenSystem) -> MediumDecision:
     name = [""] * k
     for rank, x in enumerate(sorted(least, key=least.__getitem__)):
         name[x] = str(rank)
-    alpha = {s: frozenset(name[x] for x in range(k) if lab[i] >> x & 1)
-             for i, s in enumerate(states)}
+    alpha = {}
+    for s, m in zip(states, lab):
+        names = []
+        while m:  # walk only the set bits, least first
+            low = m & -m
+            names.append(name[low.bit_length() - 1])
+            m ^= low
+        alpha[s] = frozenset(names)
     beta = {t: (name[pair[t]], "add" if (head[t] ^ base) >> pair[t] & 1 else "remove")
             for t in ts.tokens}
     family = SetFamily(tuple(map(str, range(k))), tuple(alpha.values()))

@@ -9,10 +9,12 @@ the systems called media:
   M3  a stepwise-effective message returns to its start iff it is vacuous;
   M4  straight messages producing the same state are jointly consistent.
 
-``check_axioms`` is a bounded falsifier: failure verdicts are
-exact and carry replayable witnesses, while M3/M4 success verdicts only
-certify the absence of violations up to a message-length bound.  The exact
-decision procedure is ``tokenmedia.represent.decide_medium``.
+``check_axioms`` reads the exact decision ``tokenmedia.represent.decide_medium``
+first: on a medium all four axioms hold outright and no message is walked.
+On any other system it is a bounded falsifier: failure verdicts are exact
+and carry replayable witnesses, while M3/M4 success verdicts, which then
+appear only on non-media that pass M1, certify the absence of violations up
+to a message-length bound.
 """
 
 from __future__ import annotations
@@ -316,14 +318,15 @@ class AxiomCheck:
 
 @dataclass(frozen=True)
 class AxiomReport:
-    """Per-axiom verdicts from the bounded falsifier.
+    """Per-axiom verdicts of ``check_axioms``.
 
-    M1 and M2 verdicts are exact ("holds"/"fails"); M3 and M4 are checked
-    by a memoized enumeration of the messages up to ``bound``, with the
-    verdicts and witnesses of the plain enumeration, so their positive
-    verdict is "holds-up-to-bound".  When M1 fails the remaining axioms are
-    reported "skipped": consistency and vacuousness are only meaningful
-    relative to a valid reverse pairing.
+    On a medium every verdict is the exact "holds".  Otherwise M1 and M2
+    verdicts are exact ("holds"/"fails"); M3 and M4 are checked by a
+    memoized enumeration of the messages up to ``bound``, with the verdicts
+    and witnesses of the plain enumeration, so their positive verdict is
+    "holds-up-to-bound", which thus appears only on non-media that pass M1.
+    When M1 fails the remaining axioms are reported "skipped": consistency
+    and vacuousness are only meaningful relative to a valid reverse pairing.
     """
 
     checks: tuple[AxiomCheck, ...]
@@ -391,19 +394,33 @@ def _declared_breach(ts, t, declared):
 
 
 def check_axioms(ts: TokenSystem, bound: int | None = None) -> AxiomReport:
-    """Bounded axiom falsifier.
+    """Axiom report: exact on media, ``_bounded_report`` on every other system.
 
     ``bound`` caps the length of messages enumerated for M3/M4 and defaults
-    to twice the token count.  The enumeration is memoized: a subtree whose
-    outcome depends only on its current state, its token bookkeeping and the
-    length left is not walked again to the same or a smaller depth, so the
-    verdicts and the first witness found are those of the plain enumeration.
-    Failure witnesses replay through ``apply``.
+    to twice the token count; it is validated and reported even on a
+    medium, where the decision stored on ``ts`` says M1-M4 hold outright.
     """
+    from .represent import decide_medium
+
     if bound is None:
         bound = max(1, 2 * len(ts.tokens))
     if bound < 1:
         raise InputError("bound must be at least 1")
+    if decide_medium(ts).is_medium:
+        return AxiomReport(tuple(AxiomCheck(a, HOLDS) for a in AXIOMS), bound)
+    return _bounded_report(ts, bound)
+
+
+def _bounded_report(ts: TokenSystem, bound: int) -> AxiomReport:
+    """The bounded falsifier, with no look at the decision.
+
+    M1 and M2 are exact; M3 and M4 enumerate messages up to ``bound``.  The
+    enumeration is memoized: a subtree whose outcome depends only on its
+    current state, its token bookkeeping and the length left is not walked
+    again to the same or a smaller depth, so the verdicts and the first
+    witness found are those of the plain enumeration.  Failure witnesses
+    replay through ``apply``.
+    """
     defect = reverse_defect(ts)
     if defect is not None:
         skipped = tuple(

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from unittest import mock
 
 import pytest
 from hypothesis import strategies as st
 
+from tokenmedia import tokens
 from tokenmedia.cubes import adjacency
 from tokenmedia.families import SetFamily, family_medium, well_graded_witness
 from tokenmedia.tokens import TokenSystem
@@ -64,6 +66,24 @@ def path3() -> TokenSystem:
         },
         {"f1": "b1", "b1": "f1", "f2": "b2", "b2": "f2"},
     )
+
+
+def twisted_square() -> TokenSystem:
+    """The 4-cycle medium with pair a adding at {} but removing at {a,b}: a
+    non-medium on which M1 and M2 hold."""
+    good = family_medium(SetFamily.of("ab", [set(), {"a"}, {"b"}, {"a", "b"}]))
+    action = {t: dict(good.action[t]) for t in good.tokens}
+    for t, s, v in [("add:a", "{b}", "{b}"), ("add:a", "{a,b}", "{b}"),
+                    ("rem:a", "{a,b}", "{a,b}"), ("rem:a", "{b}", "{a,b}")]:
+        action[t][s] = v
+    return TokenSystem(good.states, good.tokens, action, good.reverse)
+
+
+def no_walks():
+    """Patch the three message walks of ``tokenmedia.tokens`` to raise when called."""
+    return mock.patch.multiple(
+        tokens, **{name: mock.Mock(side_effect=AssertionError(f"{name} ran"))
+                   for name in ("_violates_m2", "_violates_m3", "_violates_m4")})
 
 
 def hexagon_family() -> SetFamily:

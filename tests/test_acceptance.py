@@ -35,7 +35,7 @@ from tokenmedia.represent import (
     orient_from_state,
     positive_content_family,
 )
-from tokenmedia.tokens import TokenSystem, check_axioms, straight_message
+from tokenmedia.tokens import TokenSystem, _bounded_report, straight_message
 
 from conftest import (
     bfs_distances,
@@ -54,8 +54,9 @@ def report(num, ok, detail):
 
 
 def test_criterion_1_decision_matches_bounded_axioms():
-    """Exhaustive 3-state sweep: decide_medium == check_axioms at bound 8,
-    with a census of the axiom each non-medium fails first."""
+    """Exhaustive 3-state sweep: decide_medium == the bounded walks at bound 8,
+    with a census of the axiom each non-medium fails first.  The walks are
+    called directly, since ``check_axioms`` reads the decision on media."""
     t0 = time.time()
     states = ("A", "B", "C")
     actions = []
@@ -73,7 +74,7 @@ def test_criterion_1_decision_matches_bounded_axioms():
         nonlocal disagreements, count
         ts = TokenSystem(states, tokens, act, rev)
         count += 1
-        axioms = check_axioms(ts, bound=8)
+        axioms = _bounded_report(ts, bound=8)
         medium = decide_medium(ts).is_medium
         if axioms.ok != medium:
             disagreements += 1

@@ -1,12 +1,14 @@
 import json
+import sys
 
 import pytest
 
 from tokenmedia import cli
 from tokenmedia.families import SetFamily, family_medium
-from tokenmedia.tokens import TokenSystem, reduction
+from tokenmedia.linorders import linear_medium
+from tokenmedia.tokens import AXIOMS, TokenSystem, apply, reduction
 
-from conftest import path3, two_state
+from conftest import no_walks, path3, twisted_square, two_state
 
 
 def run(capsys, *argv):
@@ -55,8 +57,29 @@ class TestCheck:
         assert code == 0
         axioms = json.loads(out)["axioms"]
         assert axioms["bound"] == 3000
-        assert axioms["axioms"]["M3"]["verdict"] == "holds-up-to-bound"
-        assert axioms["axioms"]["M4"]["verdict"] == "holds-up-to-bound"
+        assert {a: c["verdict"] for a, c in axioms["axioms"].items()} == dict.fromkeys(AXIOMS, "holds")
+        # a non-medium passing M1 and M2 still runs the walks: the first M3
+        # witness found is longer than the interpreter's recursion limit
+        ts = twisted_square()
+        code, out, _ = run(capsys, "check", "--bound", "3000", write_system(tmp_path, ts, "twist.json"))
+        assert code == 1
+        axioms = json.loads(out)["axioms"]
+        assert axioms["bound"] == 3000
+        assert axioms["axioms"]["M2"]["verdict"] == "holds"
+        w = axioms["axioms"]["M3"]["witness"]
+        assert len(w["message"]) > sys.getrecursionlimit()
+        assert apply(ts, w["state"], w["message"]) == w["state"]
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_default_bound_on_linear_media_reads_the_decision(self, n, tmp_path, capsys):
+        ts, _ = linear_medium(n)
+        path = write_system(tmp_path, ts)
+        with no_walks():
+            code, out, _ = run(capsys, "check", path)
+        assert code == 0
+        axioms = json.loads(out)["axioms"]
+        assert axioms["bound"] == 2 * len(ts.tokens)
+        assert {a: c["verdict"] for a, c in axioms["axioms"].items()} == dict.fromkeys(AXIOMS, "holds")
 
     def test_parse_error_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -207,6 +230,18 @@ class TestIso:
         code, out, err = run(capsys, "iso", lazy, lazy)
         assert code == 2
         assert out == "" and "input error" in err
+
+    def test_non_medium_of_another_size_is_an_input_error(self, tmp_path, capsys):
+        # a 3-cycle and its inverse: M1 and M2 hold, the system is no medium
+        cycle = TokenSystem(("A", "B", "C"), ("t", "u"),
+                            {"t": {"A": "B", "B": "C", "C": "A"}, "u": {"B": "A", "C": "B", "A": "C"}},
+                            {"t": "u", "u": "t"})
+        bad = write_system(tmp_path, cycle, "cycle.json")
+        lin3 = write_system(tmp_path, linear_medium(3)[0], "lin3.json")
+        for first, second in ((bad, lin3), (lin3, bad)):
+            code, out, err = run(capsys, "iso", first, second)
+            assert code == 2
+            assert out == "" and "input error" in err
 
 
 class TestArrangementCommands:

@@ -3,9 +3,15 @@
 Each case pins the exit code and the SHA-256 of stdout of one command, so a
 change to how the decision, the graph, the falsifier or the isomorphism
 search reads a token system cannot change what the CLI prints unnoticed.
-The inputs are built here: the ``linmedium 4`` document, a copy of it with
-every state and token renamed and both lists reordered, and the "twisted
-square", a four-state non-medium on which M1 and M2 hold.
+The inputs are the ``linmedium 4`` document, a copy of it with every state
+and token renamed and both lists reordered, and the "twisted square" of
+``conftest``, a four-state non-medium on which M1 and M2 hold.
+
+``check`` on a medium reads M2-M4 off the exact decision and reports them
+"holds", where the bounded walks reported M3 and M4 "holds-up-to-bound";
+the ``check`` digest of ``linmedium 4`` was recorded again for that change
+alone.  The twisted square still runs the walks, and its digests are those
+recorded before.
 
 An ``iso`` map is one of the isomorphisms of media that have automorphisms.
 ROADMAP item 3 (isomorphism over token images) may change which map ``iso``
@@ -21,18 +27,8 @@ import json
 import pytest
 
 from tokenmedia import cli
-from tokenmedia.families import SetFamily, family_medium
-from tokenmedia.tokens import TokenSystem
 
-
-def twisted_square() -> TokenSystem:
-    """The 4-cycle medium with pair a adding at {} but removing at {a,b}."""
-    good = family_medium(SetFamily.of("ab", [set(), {"a"}, {"b"}, {"a", "b"}]))
-    action = {t: dict(good.action[t]) for t in good.tokens}
-    for t, s, v in [("add:a", "{b}", "{b}"), ("add:a", "{a,b}", "{b}"),
-                    ("rem:a", "{a,b}", "{a,b}"), ("rem:a", "{b}", "{a,b}")]:
-        action[t][s] = v
-    return TokenSystem(good.states, good.tokens, action, good.reverse)
+from conftest import twisted_square
 
 
 def relabelled(doc: dict) -> dict:
@@ -60,7 +56,7 @@ GOLDEN = {
         ["graph", "LIN"], 0, "63b1df74eb2aa09a7a920e52d443f6a437870a0fbbc8a21ba6d5a368f39b1787"),
     "check-bound-6-linmedium-4": (
         ["check", "--bound", "6", "LIN"], 0,
-        "066e34d81052f9b4513f64d6faf36dfe86e8155b9c3674e3f9e48a5644816e29"),
+        "f25ab6562237ad3495e7f6fd23154893305ca6f7c73ea920e5ad0cbedc367a0a"),
     "iso-linmedium-4-relabelled": (
         ["iso", "LIN", "COPY"], 0, "385cbf8f83ff72005be36c65803acba64a70a8d321c424a1b4abd3915b89401b"),
     "represent-twisted-square": (

@@ -21,7 +21,7 @@ from tokenmedia.cubes import media_isomorphic, medium_graph
 from tokenmedia.errors import InputError
 from tokenmedia.families import SetFamily, family_medium
 from tokenmedia.represent import decide_medium
-from tokenmedia.tokens import TokenSystem, check_axioms, reduction, reverse_defect
+from tokenmedia.tokens import TokenSystem, _bounded_report, check_axioms, reduction, reverse_defect
 
 from conftest import wg_families
 
@@ -304,6 +304,7 @@ def test_decision_paths_read_no_action_row(raw, seed, bound):
     reads.clear()
     reverse_defect(ts)
     check_axioms(ts, bound)
+    _bounded_report(ts, bound)
     if decide_medium(ts).is_medium:
         medium_graph(ts)
         assert media_isomorphic(ts, other) is not None

@@ -177,10 +177,13 @@ class TestCheckAxioms:
     def test_two_state_all_hold(self):
         report = check_axioms(two_state())
         assert report.ok
-        assert report["M1"].verdict == "holds"
-        assert report["M2"].verdict == "holds"
-        assert report["M3"].verdict == "holds-up-to-bound"
-        assert report["M4"].verdict == "holds-up-to-bound"
+        assert [c.verdict for c in report.checks] == ["holds"] * 4
+        walked = tokens._bounded_report(two_state(), report.bound)
+        assert walked.ok
+        assert walked["M1"].verdict == "holds"
+        assert walked["M2"].verdict == "holds"
+        assert walked["M3"].verdict == "holds-up-to-bound"
+        assert walked["M4"].verdict == "holds-up-to-bound"
 
     def test_reduction_to_endpoints_fails_m2(self):
         stranded = reduction(path3(), ["P", "R"])
@@ -542,8 +545,10 @@ class TestMemoizedFalsifier:
         ts, _ = linear_medium(n)
         report = check_axioms(ts)
         assert report.bound == bound
-        assert report.ok
-        assert report["M3"].verdict == report["M4"].verdict == "holds-up-to-bound"
+        assert [c.verdict for c in report.checks] == ["holds"] * 4
+        walked = tokens._bounded_report(ts, report.bound)
+        assert walked.ok
+        assert walked["M3"].verdict == walked["M4"].verdict == "holds-up-to-bound"
 
     def test_reverse_defect_runs_once_per_system(self, monkeypatch):
         calls = []
