@@ -23,11 +23,12 @@ from itertools import compress, count
 from typing import Iterable
 
 from .cubes import LabeledGraph
-from .errors import InputError, ParseError
+from .errors import CapError, InputError, ParseError
 from .families import SetFamily, set_name
 from .tokens import TokenSystem
 
 MOSAIC_KINDS = ("triangular", "truncated-square")
+MOSAIC_MAX_RADIUS = 12  # the largest window tested; its dense action table grows as radius**3
 
 
 @dataclass(frozen=True)
@@ -361,9 +362,12 @@ def mosaic_window(kind: str, radius: int) -> Arrangement:
     truncated-square: the square grid x = t, y = t plus both diagonal
     pencils x + y = t, x - y = t; cells are the four right triangles of each
     grid square and the region graph is the squares-and-octagons pattern.
+    A radius above ``MOSAIC_MAX_RADIUS`` raises CapError before any line is built.
     """
     if radius < 1:
         raise InputError("radius must be at least 1")
+    if radius > MOSAIC_MAX_RADIUS:
+        raise CapError(f"mosaic windows are capped at radius {MOSAIC_MAX_RADIUS}")
     if kind == "triangular":
         pencils = [(0, 1), (-1, 1), (-1, 2)]
     elif kind == "truncated-square":

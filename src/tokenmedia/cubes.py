@@ -13,8 +13,7 @@ whose geodesic crosses one class twice.
 
 from __future__ import annotations
 
-import heapq
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -383,135 +382,95 @@ def media_isomorphic(ts1: TokenSystem, ts2: TokenSystem,
                      max_vertices: int = DEFAULT_ISO_CAP):
     """A state/token isomorphism between two verified media, or None.
 
-    Media are isomorphic iff their graphs are, so this runs invariant-guided
-    backtracking graph isomorphism (degree refinement plus the multiset of
-    move counts per token pair) and then reads the token bijection off the
-    matched edges.  The search extends the map at the unmapped vertex with
-    the most mapped neighbours (least name first), taken in O(log E) from a
-    lazy heap of neighbour counts, and backtracks on an explicit stack, so
-    its depth is not bounded by the recursion limit.  One move of t, looked
-    up in a dict from the moves of ts2 to its tokens, names beta(t); each
-    move of t must then map to a move of beta(t), which has equally many, so
-    fixed points map to fixed points.  Both read the move indexes, not the
-    action tables.  Both inputs are verified with ``decide_medium`` before
-    any size comparison, so a non-medium raises InputError whatever the
-    sizes; the size checks read the move indexes and build no graph.
+    A medium's well-graded representation is unique up to a cube isometry,
+    so the media are isomorphic iff, once translations take a state s0 of
+    ts1 and its image b to the empty set, a permutation pi of coordinates
+    carries ts1's canonical labels (``decide_medium``) onto ts2's.  s0 has
+    the rarest degree; b runs over ts2's states of that degree.  ts1's
+    coordinates are numbered by first appearance in its labels, nearest s0
+    first.  The first label holding x, minus x, is x's anchor, so pi(x) must
+    move the anchor's image, and every label whose last coordinate is x must
+    then land in ts2's family.  beta(t) is ts2's token moving the same way
+    along pi(x).  Both inputs are verified first, so a non-medium raises
+    InputError whatever the sizes.
     """
     from .represent import decide_medium
 
-    n = len(ts1.states)
-    if n > max_vertices or len(ts2.states) > max_vertices:
+    states1, states2 = ts1.states, ts2.states
+    n = len(states1)
+    if n > max_vertices or len(states2) > max_vertices:
         raise CapError(f"isomorphism search capped at {max_vertices} states")
-    if not (decide_medium(ts1).is_medium and decide_medium(ts2).is_medium):
+    d1, d2 = decide_medium(ts1), decide_medium(ts2)
+    if not (d1.is_medium and d2.is_medium):
         raise InputError("media_isomorphic expects verified media")
-    if n != len(ts2.states) or len(ts1.tokens) != len(ts2.tokens):
+    if n != len(states2) or len(ts1.tokens) != len(ts2.tokens):
         return None
     # in a medium a token pair's moves are one Theta class of its graph, and
     # each edge is two moves, so equal move counts also mean equal edge counts
-    moves2 = ts2._index_moves
-    if sorted(map(len, ts1._index_moves.values())) != sorted(map(len, moves2.values())):
+    moves1, moves2 = ts1._index_moves, ts2._index_moves
+    if sorted(map(len, moves1.values())) != sorted(map(len, moves2.values())):
         return None
-    g1, g2 = medium_graph(ts1), medium_graph(ts2)
-    adj1 = {v: frozenset(ws) for v, ws in adjacency(g1).items()}
-    adj2 = {v: frozenset(ws) for v, ws in adjacency(g2).items()}
-    col1, col2 = _joint_refinement(g1, adj1, g2, adj2)
-    if col1 is None:
+    go2: dict[str, list[str]] = {v: [] for v in states2}  # the coordinates moving each state
+    ends = sorted((states2[j], states2[k], d2.beta[u][0]) for u, ms in moves2.items() for j, k in ms)
+    for v, _, y in ends:  # in order of the target's name
+        go2[v].append(y)
+    deg1 = Counter(states1[i] for ms in moves1.values() for i, _ in ms)
+    tally = Counter(deg1.values())
+    if tally != Counter(map(len, go2.values())):
         return None
-    alpha = _find_graph_iso(g1, adj1, col1, g2, adj2, col2)
-    if alpha is None:
+    s0 = min(states1, key=lambda s: (tally[deg1[s]], s))
+    base = d1.alpha[s0]
+    shifted = {s: m ^ base for s, m in d1.alpha.items()}
+    labels = [shifted[s] for s in sorted(states1, key=lambda s: (len(shifted[s]), s))]
+    level: dict[str, int] = {}
+    steps: list[tuple[str, frozenset, list]] = []  # (coordinate, anchor, labels it completes)
+    for m in labels:  # the last step up from the empty set to m adds its one new coordinate
+        for x in m - level.keys():
+            level[x] = len(steps)
+            steps.append((x, m - {x}, []))
+    for m in labels[1:]:
+        steps[max(map(level.__getitem__, m))][2].append(m)
+    where2 = {m: v for v, m in d2.alpha.items()}
+    for b in sorted(states2):
+        shift = d2.alpha[b]
+        if len(go2[b]) == deg1[s0]:
+            pi = _coordinate_search(steps, go2, where2, shift)
+            if pi is not None:
+                break
+    else:
         return None
-    token_of = {m: u for u, ms in moves2.items() for m in ms}
-    a = [ts2._index[alpha[s]] for s in ts1.states]
-    beta: dict[str, str] = {}
-    for t, ms in ts1._index_moves.items():
-        i, j = ms[0]
-        beta[t] = u = token_of.get((a[i], a[j]))
-        if u is None:
-            raise InputError("graph isomorphism does not transport tokens; not media")
-        # the theory guarantees this verification passes for genuine media
-        if len(ms) != len(moves2[u]) or any(token_of.get((a[i], a[j])) != u for i, j in ms):
-            raise AssertionError("token transport failed; inputs are not media")
-    if len(set(beta.values())) != len(ts2.tokens):
-        raise AssertionError("token transport not bijective; inputs are not media")
+    alpha = {s: where2[frozenset(map(pi.__getitem__, m)) ^ shift] for s, m in shifted.items()}
+    # keyed by coordinate and whether the token adds it once its family is translated
+    token2 = {(y, (pol == "add") != (y in shift)): u for u, (y, pol) in d2.beta.items()}
+    beta = {t: token2[(pi[x], (pol == "add") != (x in base))] for t, (x, pol) in d1.beta.items()}
     return alpha, beta
 
 
-def _joint_refinement(g1, adj1, g2, adj2):
-    palette: dict = {}
+def _coordinate_search(steps, go2, where2, shift):
+    """A map pi from ts1's coordinates to ts2's, or None, by backtracking on
+    an explicit stack: each step's coordinate goes to an unused one moving
+    its anchor's image, and the labels it completes must land in ts2's family."""
+    pi: dict[str, str] = {}
+    used: set[str] = set()
 
-    def colorize(graph, adj, colors):
-        new = {}
-        for v in graph.vertices:
-            sig = (colors[v], tuple(sorted(colors[w] for w in adj[v])))
-            new[v] = palette.setdefault(sig, len(palette))
-        return new
+    def image(m):
+        return frozenset(map(pi.__getitem__, m)) ^ shift
 
-    col1 = {v: len(adj1[v]) for v in g1.vertices}
-    col2 = {v: len(adj2[v]) for v in g2.vertices}
-    for _ in range(len(g1.vertices)):
-        if sorted(col1.values()) != sorted(col2.values()):
-            return None, None
-        palette.clear()
-        n1, n2 = colorize(g1, adj1, col1), colorize(g2, adj2, col2)
-        if len(set(n1.values())) == len(set(col1.values())):
-            return n1, n2
-        col1, col2 = n1, n2
-    return col1, col2
-
-
-def _find_graph_iso(g1, adj1, col1, g2, adj2, col2):
-    n = len(g1.vertices)
-    mapping: dict[str, str] = {}
-    inverse: dict[str, str] = {}
-    vs2 = sorted(g2.vertices)
-    # count[u] = mapped neighbours of u; every unmapped vertex outside the
-    # search stack has an entry (-count[u], u) in the lazy heap, and entries
-    # that went stale or whose vertex got mapped are dropped when popped
-    count = dict.fromkeys(g1.vertices, 0)
-    heap = [(0, u) for u in g1.vertices]
-    heapq.heapify(heap)
-
-    def frame():
-        # the unmapped vertex with the most mapped neighbours, least name first
-        k, u = heapq.heappop(heap)
-        while -k != count[u] or u in mapping:
-            k, u = heapq.heappop(heap)
-        anchored = [mapping[w] for w in adj1[u] if w in mapping]
-        if anchored:
-            cands = set(adj2[anchored[0]])
-            for a in anchored[1:]:
-                cands &= adj2[a]
-            return u, iter(sorted(cands)), len(anchored)
-        return u, iter(vs2), 0
-
-    def shift(u, step):
-        for w in adj1[u]:
-            count[w] += step
-            if w not in mapping:
-                heapq.heappush(heap, (-count[w], w))
-
-    stack = [frame()]
+    stack = [iter(go2[where2[shift]])]
     while stack:
-        u, cands, want = stack[-1]
-        if u in mapping:  # back from a failed subtree: free u's current image
-            del inverse[mapping.pop(u)]
-            shift(u, -1)
-        deg = len(adj1[u])
-        for v in cands:
-            if v in inverse or col2[v] != col1[u] or len(adj2[v]) != deg:
-                continue
-            if sum(1 for w in adj2[v] if w in inverse) != want:
-                continue
-            mapping[u] = v
-            inverse[v] = u
-            shift(u, 1)
-            if len(mapping) == n:
-                return dict(mapping)
-            stack.append(frame())
-            break
+        x, _, completed = steps[len(stack) - 1]
+        used.discard(pi.pop(x, None))  # back from a failed subtree: free x's image
+        for y in stack[-1]:
+            pi[x] = y
+            if y not in used and all(image(m) in where2 for m in completed):
+                used.add(y)
+                if len(stack) == len(steps):
+                    return pi
+                stack.append(iter(go2[where2[image(steps[len(stack)][1])]]))
+                break
         else:
+            pi.pop(x, None)
             stack.pop()
-            heapq.heappush(heap, (-count[u], u))
     return None
 
 

@@ -2,6 +2,7 @@ import itertools
 import random
 from collections import defaultdict, deque
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from tokenmedia.arrangements import (
     MOSAIC_KINDS,
+    MOSAIC_MAX_RADIUS,
     Arrangement,
     Line,
     Region,
@@ -28,7 +30,7 @@ from tokenmedia.arrangements import (
     _signs,
 )
 from tokenmedia.cubes import LabeledGraph, adjacency, is_partial_cube
-from tokenmedia.errors import InputError
+from tokenmedia.errors import CapError, InputError
 from tokenmedia.families import distance, is_well_graded, set_name
 from tokenmedia.represent import decide_medium
 
@@ -624,6 +626,11 @@ class TestMosaics:
     def test_unknown_kind_rejected(self):
         with pytest.raises(InputError):
             mosaic_window("penrose", 1)
+
+    def test_radius_over_the_cap_builds_no_line(self):
+        with mock.patch("tokenmedia.arrangements.Line.of", side_effect=AssertionError):
+            with pytest.raises(CapError):
+                mosaic_window("truncated-square", MOSAIC_MAX_RADIUS + 1)
 
     def test_line_counts(self):
         arr = mosaic_window("triangular", 1)

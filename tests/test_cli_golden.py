@@ -14,7 +14,9 @@ alone.  The twisted square still runs the walks, and its digests are those
 recorded before.
 
 An ``iso`` map is one of the isomorphisms of media that have automorphisms.
-ROADMAP item 3 (isomorphism over token images) may change which map ``iso``
+The search over coordinate permutations that replaced the vertex-by-vertex
+graph search prints the same map on this input, so the ``iso`` digest was
+not recorded again.  A change to the search may change which map ``iso``
 prints on purpose; the verdict and the exit code must not change, and the
 ``iso`` digest is then recorded again.
 """

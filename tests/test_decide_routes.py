@@ -7,8 +7,10 @@ oracle ``theta_scan_partial_cube`` so that the reference shares no
 recognition code with the library.  Both must give the same verdict, the
 same canonical representation and the same witness, except that the two
 recognizers may name different theta-violation triples.
-``cubes._find_graph_iso`` must return the very map of ``scan_graph_iso``,
-and ``media_isomorphic`` must agree with networkx on the graphs.
+``media_isomorphic`` searches over coordinates of the canonical labels; it
+must find a map exactly when the vertex-by-vertex ``scan_graph_iso`` on the
+two graphs does, every map it returns must replay both action tables, and it
+must agree with networkx on the graphs.
 """
 
 import random
@@ -20,14 +22,7 @@ from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from tokenmedia.arrangements import arrangement_medium, mosaic_window
-from tokenmedia.cubes import (
-    LabeledGraph,
-    _find_graph_iso,
-    _joint_refinement,
-    adjacency,
-    media_isomorphic,
-    medium_graph,
-)
+from tokenmedia.cubes import LabeledGraph, adjacency, media_isomorphic, medium_graph
 from tokenmedia.errors import InputError
 from tokenmedia.families import SetFamily, family_medium
 from tokenmedia.linorders import linear_medium
@@ -177,12 +172,37 @@ def test_isomorphism_of_relabelled_copies_replays():
             assert_replays(ts, other, *media_isomorphic(ts, other))
 
 
-# --- the isomorphism search against the vertex-scan reference ---------------
+# --- the coordinate search against the vertex-scan reference ----------------
+
+
+def joint_refinement(g1, adj1, g2, adj2):
+    """Degree refinement run on both graphs with one palette: the colours of
+    the two graphs, or (None, None) once their colour counts differ."""
+    palette: dict = {}
+
+    def colorize(graph, adj, colors):
+        new = {}
+        for v in graph.vertices:
+            sig = (colors[v], tuple(sorted(colors[w] for w in adj[v])))
+            new[v] = palette.setdefault(sig, len(palette))
+        return new
+
+    col1 = {v: len(adj1[v]) for v in g1.vertices}
+    col2 = {v: len(adj2[v]) for v in g2.vertices}
+    for _ in range(len(g1.vertices)):
+        if sorted(col1.values()) != sorted(col2.values()):
+            return None, None
+        palette.clear()
+        n1, n2 = colorize(g1, adj1, col1), colorize(g2, adj2, col2)
+        if len(set(n1.values())) == len(set(col1.values())):
+            return n1, n2
+        col1, col2 = n1, n2
+    return col1, col2
 
 
 def scan_graph_iso(g1, adj1, col1, g2, adj2, col2):
-    """The reference search: recursive, and it rescans every vertex to pick
-    the next one, O(S * deg) per step."""
+    """The reference search over vertices: recursive, and it rescans every
+    vertex to pick the next one, O(S * deg) per step."""
     n = len(g1.vertices)
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * n + 100))
     mapping: dict[str, str] = {}
@@ -230,19 +250,23 @@ def scan_graph_iso(g1, adj1, col1, g2, adj2, col2):
     return dict(mapping) if extend() else None
 
 
-def assert_same_search(ts, other):
-    """Both searches give the same map, in the same order, or both give None."""
+def scan_media_iso(ts, other):
+    """The vertex scan on the two media graphs: a state map, or None."""
+    if len(ts.states) != len(other.states):
+        return None
     g1, g2 = medium_graph(ts), medium_graph(other)
     adj1 = {v: frozenset(ws) for v, ws in adjacency(g1).items()}
     adj2 = {v: frozenset(ws) for v, ws in adjacency(g2).items()}
-    col1, col2 = _joint_refinement(g1, adj1, g2, adj2)
-    if col1 is None:
-        return
-    found = _find_graph_iso(g1, adj1, col1, g2, adj2, col2)
-    expected = scan_graph_iso(g1, adj1, col1, g2, adj2, col2)
-    assert found == expected
+    col1, col2 = joint_refinement(g1, adj1, g2, adj2)
+    return None if col1 is None else scan_graph_iso(g1, adj1, col1, g2, adj2, col2)
+
+
+def assert_same_verdict(ts, other):
+    """``media_isomorphic`` finds a map iff the vertex scan does, and the map replays."""
+    found = media_isomorphic(ts, other)
+    assert (found is None) == (scan_media_iso(ts, other) is None)
     if found is not None:
-        assert list(found.items()) == list(expected.items())
+        assert_replays(ts, other, *found)
 
 
 def search_media():
@@ -257,17 +281,17 @@ def test_search_matches_scan_on_named_media():
     media = search_media()
     for ts in media:
         for other in [ts] + [relabel(ts, rng) for _ in range(3)]:
-            assert_same_search(ts, other)
+            assert_same_verdict(ts, other)
         for other in media:  # equal sizes, mostly not isomorphic
             if other is not ts and len(other.states) == len(ts.states):
-                assert_same_search(ts, other)
+                assert_same_verdict(ts, other)
 
 
 @settings(max_examples=150, deadline=None)
 @given(wg_families(), st.integers(0, 2**32 - 1))
 def test_search_matches_scan_on_family_media(fam, seed):
     ts = family_medium(fam)
-    assert_same_search(ts, relabel(ts, random.Random(seed)))
+    assert_same_verdict(ts, relabel(ts, random.Random(seed)))
 
 
 @pytest.fixture
@@ -283,6 +307,44 @@ def test_search_leaves_the_recursion_limit_alone(recursion_limit_300):
     other = relabel(ts, random.Random(720))
     assert_replays(ts, other, *media_isomorphic(ts, other))
     assert sys.getrecursionlimit() == 300
+
+
+def test_chain_of_200_states(recursion_limit_300):
+    # 199 coordinates, one search level each, deeper than the recursion limit
+    ground = tuple(f"c{i}" for i in range(199))
+    ts = family_medium(SetFamily(ground, tuple(frozenset(ground[:k]) for k in range(200))))
+    other = relabel(ts, random.Random(200))
+    assert_replays(ts, other, *media_isomorphic(ts, other))
+
+
+@pytest.mark.parametrize("kind", ["triangular", "truncated-square"])
+@pytest.mark.parametrize("radius", [1, 2, 3])
+def test_mosaic_windows(kind, radius):
+    # states of the rarest degree that are no image of s0 come before one that is
+    ts = arrangement_medium(mosaic_window(kind, radius))
+    for seed in range(3):
+        other = relabel(ts, random.Random(seed))
+        assert_replays(ts, other, *media_isomorphic(ts, other))
+
+
+def test_linear_medium_7():
+    ts = linear_medium(7)[0]
+    other = relabel(ts, random.Random(5040))
+    assert_replays(ts, other, *media_isomorphic(ts, other, max_vertices=5040))
+
+
+def test_search_builds_no_graph():
+    ts = linear_medium(4)[0]
+    other = relabel(ts, random.Random(24))
+    # two trees with one degree sequence and one move count per token, so
+    # the search runs before it answers None
+    forked = family_medium(SetFamily.of("abcde", [set(), "a", "b", "c", "ad", "be"]))
+    spur = family_medium(SetFamily.of("abcde", [set(), "a", "b", "c", "ad", "ade"]))
+    assert scan_media_iso(forked, spur) is None
+    with mock.patch("tokenmedia.cubes.medium_graph", side_effect=AssertionError), \
+            mock.patch("tokenmedia.cubes.adjacency", side_effect=AssertionError):
+        assert_replays(ts, other, *media_isomorphic(ts, other))
+        assert media_isomorphic(forked, spur) is None
 
 
 @st.composite

@@ -4,10 +4,12 @@ Construction validates the dense action table in one walk and stores, per
 token, its effective moves as (state index, target index) pairs.  The
 oracles here are the dense routes that the index replaced, kept verbatim:
 the validation walk, ``_reverse_candidates`` and ``_declared_breach`` over
-the table, ``_out_moves`` over the table rows, and the token transport of
-``media_isomorphic`` (a search over the target's tokens per token, then a
-re-check of every table entry).  Rows wrapped in a counting mapping show
-that nothing after construction reads the table on the decision paths.
+the table, and ``_out_moves`` over the table rows.  ``dense_transport`` (a
+search over the target's tokens per token, then a re-check of every table
+entry) carries a state isomorphism over to the tokens; ``media_isomorphic``
+reads its token map off the two stored decisions, and the two must agree.
+Rows wrapped in a counting mapping show that nothing after construction
+reads the table on the decision paths.
 """
 
 import random
