@@ -385,14 +385,16 @@ def media_isomorphic(ts1: TokenSystem, ts2: TokenSystem,
     A medium's well-graded representation is unique up to a cube isometry,
     so the media are isomorphic iff, once translations take a state s0 of
     ts1 and its image b to the empty set, a permutation pi of coordinates
-    carries ts1's canonical labels (``decide_medium``) onto ts2's.  s0 has
-    the rarest degree; b runs over ts2's states of that degree.  ts1's
-    coordinates are numbered by first appearance in its labels, nearest s0
-    first.  The first label holding x, minus x, is x's anchor, so pi(x) must
-    move the anchor's image, and every label whose last coordinate is x must
-    then land in ts2's family.  beta(t) is ts2's token moving the same way
-    along pi(x).  Both inputs are verified first, so a non-medium raises
-    InputError whatever the sizes.
+    carries ts1's canonical labels (``decide_medium``) onto ts2's.  Colour
+    refinement, run on both graphs' moves with one palette, must give equal
+    colour tallies; s0 has the rarest colour and b runs over ts2's states of
+    that colour.  ts1's coordinates are numbered by first appearance in its
+    labels, nearest s0 first.  The first label holding x, minus x, is x's
+    anchor, so pi(x) must move the anchor's image, and every label whose last
+    coordinate is x must then land on a state of ts2 of its own state's
+    colour.  beta(t) is ts2's token moving the same way along pi(x).  Both
+    inputs are verified first, so a non-medium raises InputError whatever
+    the sizes.
     """
     from .represent import decide_medium
 
@@ -410,31 +412,32 @@ def media_isomorphic(ts1: TokenSystem, ts2: TokenSystem,
     moves1, moves2 = ts1._index_moves, ts2._index_moves
     if sorted(map(len, moves1.values())) != sorted(map(len, moves2.values())):
         return None
+    colour1, colour2 = _joint_colours(ts1, ts2)
+    if colour1 is None:
+        return None
     go2: dict[str, list[str]] = {v: [] for v in states2}  # the coordinates moving each state
     ends = sorted((states2[j], states2[k], d2.beta[u][0]) for u, ms in moves2.items() for j, k in ms)
     for v, _, y in ends:  # in order of the target's name
         go2[v].append(y)
-    deg1 = Counter(states1[i] for ms in moves1.values() for i, _ in ms)
-    tally = Counter(deg1.values())
-    if tally != Counter(map(len, go2.values())):
-        return None
-    s0 = min(states1, key=lambda s: (tally[deg1[s]], s))
+    tally = Counter(colour1.values())
+    s0 = min(states1, key=lambda s: (tally[colour1[s]], s))
     base = d1.alpha[s0]
     shifted = {s: m ^ base for s, m in d1.alpha.items()}
-    labels = [shifted[s] for s in sorted(states1, key=lambda s: (len(shifted[s]), s))]
+    order = sorted(states1, key=lambda s: (len(shifted[s]), s))
     level: dict[str, int] = {}
     steps: list[tuple[str, frozenset, list]] = []  # (coordinate, anchor, labels it completes)
-    for m in labels:  # the last step up from the empty set to m adds its one new coordinate
+    for s in order:  # the last step up from the empty set to s's label adds its new coordinate
+        m = shifted[s]
         for x in m - level.keys():
             level[x] = len(steps)
             steps.append((x, m - {x}, []))
-    for m in labels[1:]:
-        steps[max(map(level.__getitem__, m))][2].append(m)
+        if m:
+            steps[max(map(level.__getitem__, m))][2].append((m, colour1[s]))
     where2 = {m: v for v, m in d2.alpha.items()}
     for b in sorted(states2):
         shift = d2.alpha[b]
-        if len(go2[b]) == deg1[s0]:
-            pi = _coordinate_search(steps, go2, where2, shift)
+        if colour2[b] == colour1[s0]:
+            pi = _coordinate_search(steps, go2, where2, colour2, shift)
             if pi is not None:
                 break
     else:
@@ -446,10 +449,36 @@ def media_isomorphic(ts1: TokenSystem, ts2: TokenSystem,
     return alpha, beta
 
 
-def _coordinate_search(steps, go2, where2, shift):
+def _joint_colours(ts1, ts2):
+    """Colour refinement from the degrees, on the graphs read off both move
+    indexes with one palette per round: the stable colour of each state, by
+    name, or (None, None) when the two colour tallies differ."""
+    graphs = []
+    for ts in (ts1, ts2):
+        adj: list[list[int]] = [[] for _ in ts.states]
+        for ms in ts._index_moves.values():
+            for i, j in ms:
+                adj[i].append(j)
+        graphs.append(adj)
+    cols = [[len(a) for a in adj] for adj in graphs]
+    classes = len(set(cols[0] + cols[1]))
+    while True:
+        palette: dict = {}
+        cols = [[palette.setdefault((c[i], tuple(sorted([c[j] for j in a]))), len(palette))
+                 for i, a in enumerate(adj)] for c, adj in zip(cols, graphs)]
+        if len(palette) == classes:
+            break
+        classes = len(palette)
+    if Counter(cols[0]) != Counter(cols[1]):
+        return None, None
+    return dict(zip(ts1.states, cols[0])), dict(zip(ts2.states, cols[1]))
+
+
+def _coordinate_search(steps, go2, where2, colour2, shift):
     """A map pi from ts1's coordinates to ts2's, or None, by backtracking on
     an explicit stack: each step's coordinate goes to an unused one moving
-    its anchor's image, and the labels it completes must land in ts2's family."""
+    its anchor's image, and the labels it completes must land on states of
+    their own colours in ts2's family."""
     pi: dict[str, str] = {}
     used: set[str] = set()
 
@@ -462,7 +491,7 @@ def _coordinate_search(steps, go2, where2, shift):
         used.discard(pi.pop(x, None))  # back from a failed subtree: free x's image
         for y in stack[-1]:
             pi[x] = y
-            if y not in used and all(image(m) in where2 for m in completed):
+            if y not in used and all(colour2.get(where2.get(image(m))) == c for m, c in completed):
                 used.add(y)
                 if len(stack) == len(steps):
                     return pi

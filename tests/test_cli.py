@@ -1,6 +1,5 @@
 import json
 import sys
-import time
 
 import pytest
 
@@ -267,10 +266,8 @@ class TestArrangementCommands:
     @pytest.mark.parametrize("kind", ["triangular", "truncated-square"])
     @pytest.mark.parametrize("radius", ["13", "100000"])
     def test_mosaic_radius_over_the_cap_exits_3(self, capsys, kind, radius):
-        start = time.perf_counter()
         code, out, err = run(capsys, "mosaic", kind, "--radius", radius)
         assert (code, out) == (3, "") and "cap exceeded" in err
-        assert time.perf_counter() - start < 1
 
     def test_bad_rational_exit_2(self, tmp_path, capsys):
         path = tmp_path / "lines.json"

@@ -10,17 +10,21 @@ recognizers may name different theta-violation triples.
 ``media_isomorphic`` searches over coordinates of the canonical labels; it
 must find a map exactly when the vertex-by-vertex ``scan_graph_iso`` on the
 two graphs does, every map it returns must replay both action tables, and it
-must agree with networkx on the graphs.
+must agree with networkx on the graphs.  Colour refinement prunes that
+search: the spider tests bound the lines it may run, and one test gives
+every state one colour to reach the search's dead ends.
 """
 
 import random
 import sys
+from contextlib import contextmanager
 from unittest import mock
 
 import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
+from tokenmedia import cubes
 from tokenmedia.arrangements import arrangement_medium, mosaic_window
 from tokenmedia.cubes import LabeledGraph, adjacency, media_isomorphic, medium_graph
 from tokenmedia.errors import InputError
@@ -320,11 +324,39 @@ def test_chain_of_200_states(recursion_limit_300):
 @pytest.mark.parametrize("kind", ["triangular", "truncated-square"])
 @pytest.mark.parametrize("radius", [1, 2, 3])
 def test_mosaic_windows(kind, radius):
-    # states of the rarest degree that are no image of s0 come before one that is
     ts = arrangement_medium(mosaic_window(kind, radius))
     for seed in range(3):
         other = relabel(ts, random.Random(seed))
         assert_replays(ts, other, *media_isomorphic(ts, other))
+
+
+def one_colour(ts1, ts2):
+    """Colours that split nothing, as if refinement could not tell states apart."""
+    return dict.fromkeys(ts1.states, 0), dict.fromkeys(ts2.states, 0)
+
+
+@pytest.mark.parametrize("kind", ["triangular", "truncated-square"])
+def test_search_moves_past_states_that_are_no_image(kind):
+    # with one colour b runs over every state, so the search must fail at
+    # states that are no image of s0 and go on; on two trees it fails at all
+    ts = arrangement_medium(mosaic_window(kind, 2))
+    other = relabel(ts, random.Random(2))
+    forked = family_medium(SetFamily.of("abcde", [set(), "a", "b", "c", "ad", "be"]))
+    spur = family_medium(SetFamily.of("abcde", [set(), "a", "b", "c", "ad", "ade"]))
+    search, results = cubes._coordinate_search, []
+
+    def recorded(*args):
+        results.append(search(*args))
+        return results[-1]
+
+    with mock.patch.object(cubes, "_joint_colours", one_colour), \
+            mock.patch.object(cubes, "_coordinate_search", recorded):
+        found = media_isomorphic(ts, other)
+        assert results[0] is None and results[-1] is not None
+        assert_replays(ts, other, *found)
+        results.clear()
+        assert media_isomorphic(forked, spur) is None
+        assert len(results) == len(spur.states) and not any(results)
 
 
 def test_linear_medium_7():
@@ -336,8 +368,8 @@ def test_linear_medium_7():
 def test_search_builds_no_graph():
     ts = linear_medium(4)[0]
     other = relabel(ts, random.Random(24))
-    # two trees with one degree sequence and one move count per token, so
-    # the search runs before it answers None
+    # two trees with one degree sequence and one move count per token:
+    # colour refinement, not the degree tally, tells them apart
     forked = family_medium(SetFamily.of("abcde", [set(), "a", "b", "c", "ad", "be"]))
     spur = family_medium(SetFamily.of("abcde", [set(), "a", "b", "c", "ad", "ade"]))
     assert scan_media_iso(forked, spur) is None
@@ -345,6 +377,59 @@ def test_search_builds_no_graph():
             mock.patch("tokenmedia.cubes.adjacency", side_effect=AssertionError):
         assert_replays(ts, other, *media_isomorphic(ts, other))
         assert media_isomorphic(forked, spur) is None
+
+
+def spider(legs):
+    """The tree medium of paths of the given lengths joined at the empty set."""
+    ground, sets = [], [frozenset()]
+    for i, length in enumerate(legs):
+        leg = [f"x{i}.{j}" for j in range(length)]
+        ground += leg
+        sets += [frozenset(leg[:j + 1]) for j in range(length)]
+    return family_medium(SetFamily(tuple(ground), tuple(sets)))
+
+
+@contextmanager
+def search_lines_at_most(bound):
+    """Fail once ``_coordinate_search`` has run more than ``bound`` lines."""
+    code, count, outer = cubes._coordinate_search.__code__, [0], sys.gettrace()
+
+    def local(frame, event, arg):
+        if event == "line":
+            count[0] += 1
+            if count[0] > bound:
+                raise AssertionError(f"the coordinate search ran over {bound} lines")
+        return local
+
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        yield count
+    finally:
+        sys.settrace(outer)
+
+
+def test_spiders_with_one_degree_tally_answer_none_without_a_search():
+    # a centre of degree 12 with one leg of length 3, against one with two legs
+    # of length 2: equal degree tallies and move counts, and any map of the
+    # centre's coordinates fails only two levels past the centre
+    long_leg, two_legs = spider([3] + [1] * 11), spider([2, 2] + [1] * 10)
+    assert scan_media_iso(long_leg, two_legs) is None
+    with search_lines_at_most(0):
+        assert media_isomorphic(long_leg, two_legs) is None
+
+
+@pytest.mark.parametrize("legs", [[3] + [1] * 11, [3, 3] + [1] * 10])
+@pytest.mark.parametrize("seed", range(3))
+def test_spiders_with_long_legs_replay(legs, seed):
+    # 12 legs in all; with two long legs only the centre has a colour of its
+    # own, so s0 is the centre, and a leaf coordinate tried for a long leg
+    # costs 10! maps of the others unless the colours rule it out at once
+    ts = spider(legs)
+    other = relabel(ts, random.Random(seed))
+    with search_lines_at_most(2000) as count:
+        found = media_isomorphic(ts, other)
+    assert count[0] > 0
+    assert_replays(ts, other, *found)
 
 
 @st.composite
