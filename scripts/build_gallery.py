@@ -7,7 +7,6 @@ n = 3, 4, and small arrangement pipelines (crossing pair, concurrent
 triple, mosaic windows).
 """
 
-import json
 import pathlib
 import sys
 
@@ -27,6 +26,7 @@ from tokenmedia import (
     mosaic_window,
     region_adjacency,
 )
+from tokenmedia.cli import write_json
 from tokenmedia.cubes import to_dot
 
 OUT = pathlib.Path(__file__).resolve().parent.parent / "out" / "gallery"
@@ -34,7 +34,8 @@ OUT = pathlib.Path(__file__).resolve().parent.parent / "out" / "gallery"
 
 def dump(name, doc):
     path = OUT / f"{name}.json"
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    with path.open("w") as fh:
+        write_json(doc, fh)
     print(f"wrote {path}")
 
 

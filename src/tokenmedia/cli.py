@@ -1,7 +1,9 @@
 """Command-line surface: verification, conversion, construction, export.
 
-Machine-readable JSON goes to stdout (canonical key order, so identical
-inputs give byte-identical outputs); human diagnostics go to stderr.
+Machine-readable JSON goes to stdout in the layout of the stdlib's
+``json.dumps(doc, sort_keys=True, indent=2)``, so identical inputs give
+byte-identical outputs; ``write_json`` writes it in one pass.  Human
+diagnostics go to stderr.
 Exit codes: 0 success/true, 1 semantic-false, 2 parse error, 3 resource cap.
 """
 
@@ -12,6 +14,7 @@ import functools
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from . import arrangements as arr_mod
 from . import cubes, linorders, represent, tokens
@@ -45,8 +48,44 @@ def _read_json(path: str):
     return _parse_json(_read_text(path), path)
 
 
+def _chunks(obj, indent: str) -> list:
+    """The text of ``obj`` at ``indent`` as ``json.dumps(obj, sort_keys=True, indent=2)``
+    lays it out, in pieces: each nested container is one piece, built by one join.
+    Strings take the stdlib's C escaping; other scalars go through ``json.dumps``."""
+    if isinstance(obj, str):
+        return [_encode_str(obj)]
+    inner = indent + "  "
+    sep = ",\n" + inner
+    out = []
+    if isinstance(obj, dict):
+        brackets = "{}"
+        for key, value in sorted(obj.items()):
+            out += sep, _encode_str(key), ": ", (
+                _encode_str(value) if type(value) is str else "".join(_chunks(value, inner)))
+    elif isinstance(obj, (list, tuple)):
+        brackets = "[]"
+        for value in obj:
+            out += sep, _encode_str(value) if type(value) is str else "".join(_chunks(value, inner))
+    else:
+        return [json.dumps(obj)]
+    if not out:
+        return [brackets]
+    out[0] = brackets[0] + "\n" + inner
+    out.append("\n" + indent + brackets[1])
+    return out
+
+
+def write_json(doc, fh) -> None:
+    """Write ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"`` to the text file ``fh``,
+    without building the whole text: the top level's pieces go to ``writelines``.
+    A dict key that is not a string raises TypeError."""
+    pieces = _chunks(doc, "")
+    pieces.append("\n")
+    fh.writelines(pieces)
+
+
 def _emit(doc) -> None:
-    sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    write_json(doc, sys.stdout)
 
 
 def _load_system(path: str) -> tokens.TokenSystem:

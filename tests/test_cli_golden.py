@@ -1,4 +1,6 @@
-"""Golden CLI digests for the decision paths: ``represent``, ``graph``, ``check`` and ``iso``.
+"""Golden CLI digests for the decision paths (``represent``, ``graph``, ``check``
+and ``iso``) and for the commands that emit the largest documents (``linmedium``,
+``mosaic`` and ``arrangement``).
 
 Each case pins the exit code and the SHA-256 of stdout of one command, so a
 change to how the decision, the graph, the falsifier or the isomorphism
@@ -19,6 +21,15 @@ graph search prints the same map on this input, so the ``iso`` digest was
 not recorded again.  A change to the search may change which map ``iso``
 prints on purpose; the verdict and the exit code must not change, and the
 ``iso`` digest is then recorded again.
+
+The emitter digests pin the JSON layout of stdout on documents with every
+shape the program builds: the dense ``action`` table, region witnesses with
+rational coordinates, the graph and the set family.  ``ARR`` is a degenerate
+arrangement: three parallel lines, one of them x = 1/2, and a triple
+x = 0, y = 0, x = y through the origin.  These four digests were recorded
+with the stdlib's ``json.dumps(doc, sort_keys=True, indent=2)`` writing
+stdout, before the one-pass writer ``cli.write_json`` replaced it, and the
+writer matches them unchanged.
 """
 
 import contextlib
@@ -50,7 +61,13 @@ def relabelled(doc: dict) -> dict:
     }
 
 
-# (argv with LIN, COPY and TWIST for the input files, exit code, stdout SHA-256)
+# A degenerate arrangement of lines a*x + b*y + c = 0: x = 0, x = -1 and x = 1/2 are parallel;
+# x = 0, y = 0 and x = y meet at the origin.
+DEGENERATE = {"lines": [{"a": "1", "b": "0", "c": "0"}, {"a": "1", "b": "0", "c": "1"},
+                        {"a": "2", "b": "0", "c": "-1"}, {"a": "0", "b": "1", "c": "0"},
+                        {"a": "1", "b": "-1", "c": "0"}]}
+
+# (argv with LIN, COPY, TWIST and ARR for the input files, exit code, stdout SHA-256)
 GOLDEN = {
     "represent-linmedium-4": (
         ["represent", "LIN"], 0, "6b667cc3e98b450975e49ec22b8415ce5abe5f4ed50af4b5aa3fb65aa46188ea"),
@@ -65,6 +82,16 @@ GOLDEN = {
         ["represent", "TWIST"], 1, "8d046edd6578e214f540514d161f0693c66d685096334349fd5c6278d6babeeb"),
     "check-twisted-square": (
         ["check", "TWIST"], 1, "82593601a5b440a3a5061fd39058f00bfb24b46494a3f2136f2e8105ca9d8078"),
+    "linmedium-4": (
+        ["linmedium", "4"], 0, "ec883e2e97880ba983dd5a19da2325268434ffe1dce4a6c6bd7b7b9ea7f1e261"),
+    "mosaic-triangular-radius-2": (
+        ["mosaic", "triangular", "--radius", "2"], 0,
+        "876e8e2c625394bb03a4695297c058d8189f292f70e6d1bdab0bb7b03aa4b816"),
+    "mosaic-truncated-square-radius-1": (
+        ["mosaic", "truncated-square", "--radius", "1"], 0,
+        "ce126dad553050d0998c6f392aa43d025497f0b5afbefd84c026933c2f6ad875"),
+    "arrangement-degenerate": (
+        ["arrangement", "ARR"], 0, "8e0a075800a7febd3e2d96ac79f5c02947c83748621999df3027cd488017b16e"),
 }
 
 
@@ -75,7 +102,8 @@ def files(tmp_path_factory):
     with contextlib.redirect_stdout(out):
         assert cli.main(["linmedium", "4"]) == 0
     lin = json.loads(out.getvalue())
-    docs = {"LIN": lin, "COPY": relabelled(lin), "TWIST": twisted_square().to_json_dict()}
+    docs = {"LIN": lin, "COPY": relabelled(lin), "TWIST": twisted_square().to_json_dict(),
+            "ARR": DEGENERATE}
     paths = {}
     for name, doc in docs.items():
         path = root / f"{name.lower()}.json"

@@ -1,4 +1,9 @@
-"""Golden test: scripts/build_gallery.py regenerates out/gallery byte for byte."""
+"""Golden test: scripts/build_gallery.py regenerates out/gallery byte for byte.
+
+The script writes its JSON files with the CLI's writer ``cli.write_json``, so
+this test also holds that writer to the files the stdlib's
+``json.dumps(doc, sort_keys=True, indent=2)`` wrote before it.
+"""
 
 import importlib.util
 import pathlib
