@@ -4,11 +4,13 @@ Each line is scaled once, by a positive factor, to integer coefficients.  One
 sweep per arrangement meets each pair of lines once and keys their crossing
 by its reduced integer coordinates; the crossings on a line cut it into
 facets, open segments between two regions that differ in that line's sign
-alone.  Regions are found by breadth-first search over the facets, each with
-the witness Fourier-Motzkin elimination would pick, read off the x-span of
-its facets; the region graph has one edge per facet.  The token system of
-regions under line crossings is always a medium; mosaic windows stand in for
-the locally finite families.
+alone, each with an x-range of two ranks into the sorted distinct x-values.
+Regions are found by breadth-first search over the facets, each with the
+witness Fourier-Motzkin elimination would pick, read off in integers from the
+x-span of its facets: Fractions are built only for the witnesses printed.  The
+region graph has one edge per facet.  The token system of regions under line
+crossings is always a medium; mosaic windows stand in for the locally finite
+families.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import sys
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cmp_to_key
 from itertools import compress, count
 from typing import Iterable
 
@@ -68,7 +70,7 @@ class Arrangement:
         if len(classes) != len(rows):
             raise InputError("duplicate lines (projectively equal triples)")
         object.__setattr__(self, "_rows", rows)  # each line's integer coefficients
-        object.__setattr__(self, "_facets", None)  # the sweep, stored by _facets
+        object.__setattr__(self, "_facets", None)  # the sweep, stored with its x table by _facets
 
     def to_json_dict(self) -> dict:
         return {"lines": [{"a": str(l.a), "b": str(l.b), "c": str(l.c)} for l in self.lines]}
@@ -102,20 +104,16 @@ def _rational(text: str) -> Fraction:
 
 @dataclass(frozen=True)
 class Region:
-    """An open cell: its sign per line and a strictly interior rational witness."""
+    """An open cell: its sign per line, a strictly interior rational witness,
+    ``positive``, the 1-based indices of its lines of sign > 0, and ``name``."""
 
     signs: tuple[int, ...]
     witness: tuple[Fraction, Fraction]
 
-    @cached_property
-    def positive(self) -> tuple[str, ...]:
-        """1-based indices of the lines with this region on their positive side, ascending."""
-        return tuple(map(str, compress(count(1), map((0).__lt__, self.signs))))  # 0 < sign
-
-    @cached_property
-    def name(self) -> str:
-        """The region's state name: its positive indices as a set."""
-        return "{" + ",".join(self.positive) + "}"
+    def __post_init__(self):
+        positive = tuple(map(str, compress(count(1), map((0).__lt__, self.signs))))  # 0 < sign
+        object.__setattr__(self, "positive", positive)
+        object.__setattr__(self, "name", "{" + ",".join(positive) + "}")
 
     def positive_indices(self) -> frozenset[str]:
         return frozenset(self.positive)
@@ -146,18 +144,26 @@ def _signs(mask: int, n: int) -> tuple[int, ...]:
     return tuple(1 if mask >> k & 1 else -1 for k in range(n))
 
 
-def _facets(arr) -> list[tuple[int, int, Fraction | None, Fraction | None]]:
+def _facets(arr) -> list[tuple[int, int, int, int]]:
     """Every facet as (k, mask, lo, hi): an open segment of line k between
     consecutive crossings, with the cells of sign masks ``mask`` and
-    ``mask | 1 << k`` on its two sides and lo <= x <= hi on its closure (None
-    if unbounded).  Each pair of rows is met once; its crossing is keyed by
-    its reduced integer coordinates, so concurrent lines share it.  Line k
-    is walked along (-b, a) (x falling if b > 0, else rising; y rising iff
-    a > 0 if b == 0), flipping at each point the lines through it.  Facets
-    come out in ascending k; the sweep runs once per arrangement and is
-    stored on it."""
+    ``mask | 1 << k`` on its two sides and xs[lo] <= x <= xs[hi] on its
+    closure.  ``xs``, stored as ``arr._xs``, holds the distinct x-values of
+    crossings and vertical lines as reduced pairs (n, d > 0), sorted once,
+    between None at rank 0 and at the last rank for the unbounded ends.
+    Each pair of rows is met once; its crossing is keyed by its reduced
+    integer coordinates, so concurrent lines share it.  Line k is walked
+    along (-b, a) (x falling if b > 0, else rising; y rising iff a > 0 if
+    b == 0), flipping at each point the lines through it.  Facets come out
+    in ascending k; the sweep runs once per arrangement and is stored on it."""
     if arr._facets is not None:
         return arr._facets
+
+    def reduced(n, d):  # n / d as (n, d) in lowest terms, d > 0
+        g = math.gcd(n, d) * (1 if d > 0 else -1)
+        return (n // g, d // g)
+
+    by_value = cmp_to_key(lambda u, v: u[0] * v[1] - v[0] * u[1])  # such pairs, by n / d
     rows = arr._rows
     side = [0] * len(rows)  # per line: the lines with its far negative end on their positive side
     through = [{} for _ in rows]  # per line: point -> the other lines through it
@@ -181,43 +187,52 @@ def _facets(arr) -> list[tuple[int, int, Fraction | None, Fraction | None]]:
                 side[i] |= (offset * li > 0) << j
                 side[j] |= (offset * lj < 0) << i
     keys = list(points)
-    xs = [Fraction(xn, d) for xn, _, d in keys]
+    xs = [reduced(xn, d) for xn, _, d in keys]
+    vertical = {k: reduced(-c, a) for k, (a, b, c) in enumerate(rows) if not b}  # x = -c/a
+    table = [None, *sorted({*xs, *vertical.values()}, key=by_value), None]
+    rank = {x: i for i, x in enumerate(table[1:-1], 1)}
+    xr, top = [rank[x] for x in xs], len(table) - 1
     facets = []
     for k, (a, b, c) in enumerate(rows):
         crossed = through[k]
-        order = sorted(crossed, reverse=(b or -a) > 0,
-                       key=xs.__getitem__ if b else lambda p: Fraction(keys[p][1], keys[p][2]))
-        end = None if b else Fraction(-c, a)  # a vertical line's facets all have x = -c/a
-        ends = [end, *(xs[p] for p in order), end]
-        lows, highs = (ends[1:], ends) if b > 0 else (ends, ends[1:])
+        if b:
+            order = sorted(crossed, key=xr.__getitem__, reverse=b > 0)
+            ends = [xr[p] for p in order]
+            lows, highs = (ends + [0], [top] + ends) if b > 0 else ([0] + ends, ends + [top])
+        else:  # ordered by y; every facet has x = -c/a
+            order = sorted(crossed, key=lambda p: by_value(keys[p][1:]), reverse=a < 0)
+            lows = highs = [rank[vertical[k]]] * (len(order) + 1)
         mask = side[k]
         facets.append((k, mask, lows[0], highs[0]))
         for i, p in enumerate(order, 1):
             mask ^= crossed[p]
             facets.append((k, mask, lows[i], highs[i]))
+    object.__setattr__(arr, "_xs", table)
     object.__setattr__(arr, "_facets", facets)
     return facets
 
 
-def _inside(lo, hi) -> Fraction:
-    """The Fourier-Motzkin choice of a point of the open interval (lo, hi),
-    where None is an unbounded end: the midpoint, lo + 1, hi - 1 or 0."""
+def _pick(lo, hi) -> tuple[int, int]:
+    """The Fourier-Motzkin choice of a point of the open interval (lo, hi) of
+    pairs (n, d > 0) for n / d, None if unbounded: the midpoint, lo + 1,
+    hi - 1 or 0, as such a pair, not reduced."""
     if lo is None:
-        return Fraction(0) if hi is None else hi - 1
-    return lo + 1 if hi is None else (lo + hi) / 2
+        return (0, 1) if hi is None else (hi[0] - hi[1], hi[1])
+    return (lo[0] + lo[1], lo[1]) if hi is None else (lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1])
 
 
 def _witness(arr, signs, lo, hi, lines, rows) -> tuple[Fraction, Fraction]:
     """The Fourier-Motzkin witness of the cell with these signs and x-extent
-    (lo, hi): x inside the extent, then y inside the cell's y-range at x,
-    found in integers over the rows (a, b, c, up) of the lines in the mask
-    ``lines``, the cell's facet lines, whose half-planes alone cut it out."""
-    if lo is not None and lo == hi:
-        # a half-plane bounded by one vertical line: its open side is that line's sign
-        line, s = next((l, s) for l, s in zip(arr.lines, signs) if l.b == 0 and -l.c / l.a == lo)
-        lo, hi = (lo, None) if s * line.a > 0 else (None, hi)
-    x = _inside(lo, hi)
-    p, q = x.numerator, x.denominator
+    (xs[lo], xs[hi]) in ``arr._xs``: x inside it, then y inside the cell's
+    y-range at x, found in integers over the rows (a, b, c, up) of the facet
+    lines in the mask ``lines``, whose half-planes alone cut it out.  The two
+    coordinates returned are the only Fractions built."""
+    xs = arr._xs
+    if lo == hi:
+        # a half-plane whose one facet line is vertical: its open side is that line's sign
+        k = lines.bit_length() - 1
+        lo, hi = (lo, len(xs) - 1) if signs[k] * arr._rows[k][0] > 0 else (0, hi)
+    p, q = _pick(xs[lo], xs[hi])
     below = above = None  # nearest lines under and over the cell at x, as (n, b): y = n / (b*q)
     while lines:
         k = (lines & -lines).bit_length() - 1
@@ -231,9 +246,9 @@ def _witness(arr, signs, lo, hi, lines, rows) -> tuple[Fraction, Fraction]:
                 below = (n, b)
         elif above is None or n * above[1] < above[0] * b:
             above = (n, b)
-    y_lo = None if below is None else Fraction(below[0], below[1] * q)
-    y_hi = None if above is None else Fraction(above[0], above[1] * q)
-    return (x, _inside(y_lo, y_hi))
+    y_lo = None if below is None else (below[0], below[1] * q)
+    y_hi = None if above is None else (above[0], above[1] * q)
+    return (Fraction(p, q), Fraction(*_pick(y_lo, y_hi)))
 
 
 def enumerate_regions(arr: Arrangement) -> tuple[Region, ...]:
@@ -241,8 +256,8 @@ def enumerate_regions(arr: Arrangement) -> tuple[Region, ...]:
 
     Breadth-first search over the facets of the per-line sweep, starting at
     the cell of a generic seed point and crossing each cell's lines in
-    ascending order.  The same pass folds each facet's x-range into its two
-    cells' exact x-extents and their masks of facet lines.  Every other
+    ascending order.  The same pass folds each facet's x-range, two ranks,
+    into its two cells' x-extents and their masks of facet lines.  Every other
     cell's witness is the point that Fourier-Motzkin elimination picks from
     its sign vector, read off its x-extent and one pass over its facet
     lines, so it depends on the cell alone.
@@ -256,9 +271,9 @@ def enumerate_regions(arr: Arrangement) -> tuple[Region, ...]:
         for cell, other in ((mask, mask | 1 << k), (mask | 1 << k, mask)):
             neighbors[cell].append(other)
             span = extent.setdefault(cell, [lo, hi, 0])
-            if span[0] is not None and (lo is None or lo < span[0]):
+            if lo < span[0]:
                 span[0] = lo
-            if span[1] is not None and (hi is None or hi > span[1]):
+            if hi > span[1]:
                 span[1] = hi
             span[2] |= 1 << k
     # each line as (a, b, c, up), flipped to b > 0, or None if vertical; up: its positive side is above
@@ -300,6 +315,7 @@ def region_adjacency(arr: Arrangement, regions: Iterable[Region]) -> LabeledGrap
     """
     regions = tuple(regions)
     names = [r.name for r in regions]
+    tokens = [(positive_token(k), negative_token(k)) for k in range(len(arr.lines))]
     index = {_mask(r.signs): i for i, r in enumerate(regions)}
     crossed = []
     for k, mask, _, _ in _facets(arr):
@@ -310,8 +326,7 @@ def region_adjacency(arr: Arrangement, regions: Iterable[Region]) -> LabeledGrap
     for _, _, k, minus, plus in sorted(crossed):
         e = (minus, plus) if minus < plus else (plus, minus)
         # label = (token along (e[0] -> e[1]), its reverse)
-        up = (positive_token(k), negative_token(k))
-        labels[e] = up if e[0] == minus else up[::-1]
+        labels[e] = tokens[k] if e[0] == minus else tokens[k][::-1]
     return LabeledGraph(tuple(names), tuple(labels), edge_labels=labels)
 
 

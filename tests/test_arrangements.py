@@ -25,7 +25,6 @@ from tokenmedia.arrangements import (
     _facets,
     _generic_point,
     _ground,
-    _inside,
     _mask,
     _signs,
 )
@@ -226,6 +225,15 @@ def pair_scan_adjacency(arr, regions):
 # --- the Fraction sweep oracle -----------------------------------------------
 
 
+def stored_fraction_facets(arr) -> list[tuple[int, int, Fraction | None, Fraction | None]]:
+    """The stored sweep's facets (k, mask, lo, hi) with each x-rank mapped back
+    through the stored table of x-values to its exact Fraction, None where
+    the facet is unbounded."""
+    facets = _facets(arr)
+    xs = [None if x is None else Fraction(*x) for x in arr._xs]
+    return [(k, mask, xs[lo], xs[hi]) for k, mask, lo, hi in facets]
+
+
 def fraction_facets(arr) -> list[tuple[int, int, Fraction | None, Fraction | None]]:
     """Oracle: the per-line Fraction sweep that the integer sweep replaced,
     verbatim but for its memo on the arrangement.  Every facet as (k, mask,
@@ -263,10 +271,25 @@ def fraction_facets(arr) -> list[tuple[int, int, Fraction | None, Fraction | Non
 
 def fraction_route_regions(arr):
     """Oracle: ``enumerate_regions`` run over the Fraction sweep's facets, on
-    a fresh copy of the arrangement holding them as its stored sweep."""
+    a fresh copy of the arrangement holding them as its stored sweep: their
+    order, masks and x-ranges, each end turned into its rank in the fresh
+    copy's table of x-values (a KeyError if the table lacks it)."""
     fresh = Arrangement(arr.lines)
-    object.__setattr__(fresh, "_facets", fraction_facets(fresh))
+    _facets(fresh)  # stores the table of x-values
+    xs = fresh._xs
+    rank, top = {Fraction(*x): i for i, x in enumerate(xs[1:-1], 1)}, len(xs) - 1
+    object.__setattr__(fresh, "_facets", [
+        (k, mask, 0 if lo is None else rank[lo], top if hi is None else rank[hi])
+        for k, mask, lo, hi in fraction_facets(fresh)])
     return enumerate_regions(fresh)
+
+
+def _inside(lo, hi) -> Fraction:
+    """The Fourier-Motzkin choice of a point of the open interval (lo, hi),
+    where None is an unbounded end: the midpoint, lo + 1, hi - 1 or 0."""
+    if lo is None:
+        return Fraction(0) if hi is None else hi - 1
+    return lo + 1 if hi is None else (lo + hi) / 2
 
 
 def all_lines_witness(arr, signs, lo, hi, rows) -> tuple[Fraction, Fraction]:
@@ -297,9 +320,9 @@ def all_lines_witness(arr, signs, lo, hi, rows) -> tuple[Fraction, Fraction]:
 def all_lines_witnesses(arr, regions):
     """Oracle: the witnesses of ``regions`` (the output of
     ``enumerate_regions``, seed cell first) from the all-lines scan, over
-    the x-extents folded from the stored sweep's facets."""
+    the x-extents folded in Fractions from the stored sweep's facets."""
     extent: dict[int, list] = {}
-    for k, mask, lo, hi in _facets(arr):
+    for k, mask, lo, hi in stored_fraction_facets(arr):
         for cell in (mask, mask | 1 << k):
             span = extent.setdefault(cell, [lo, hi])
             if span[0] is not None and (lo is None or lo < span[0]):
@@ -518,7 +541,7 @@ class TestAdjacency:
     ])
     def test_facet_x_ranges_match_the_closures(self, arr):
         n = len(arr.lines)
-        for k, mask, lo, hi in _facets(arr):
+        for k, mask, lo, hi in stored_fraction_facets(arr):
             assert (lo, hi) == _facet_x_range(arr, _signs(mask, n), k), (k, mask)
 
     def test_sweep_runs_once_per_arrangement(self):
@@ -676,7 +699,12 @@ def test_sweep_matches_fourier_motzkin_oracle(arr):
 @settings(max_examples=300, deadline=None)
 @given(small_arrangements())
 def test_integer_sweep_matches_fraction_sweep(arr):
-    assert _facets(arr) == fraction_facets(arr)
+    assert stored_fraction_facets(arr) == fraction_facets(arr)
+    # the table: distinct x-values as reduced pairs, ascending, between the two unbounded ends
+    xs = arr._xs
+    assert xs[0] is xs[-1] is None
+    assert all(Fraction(*x).as_integer_ratio() == x for x in xs[1:-1])
+    assert [Fraction(*x) for x in xs[1:-1]] == sorted({Fraction(*x) for x in xs[1:-1]})
 
 
 @settings(max_examples=200, deadline=None)
@@ -690,14 +718,14 @@ def test_integer_sweep_matches_fraction_sweep(arr):
                       Line.of(Fraction(-3, 2), Fraction(1, 6), Fraction(-5, 9)),
                       Line.of(Fraction(2, 7), 0, Fraction(1, 8)))))
 def test_integer_sweep_matches_fraction_sweep_on_rational_lines(arr):
-    assert _facets(arr) == fraction_facets(arr)
+    assert stored_fraction_facets(arr) == fraction_facets(arr)
     assert enumerate_regions(arr) == fraction_route_regions(arr)
 
 
 @pytest.mark.parametrize("kind", MOSAIC_KINDS)
 def test_radius_twelve_windows_match_the_fraction_route(kind):
     arr = mosaic_window(kind, 12)
-    assert _facets(arr) == fraction_facets(arr)
+    assert stored_fraction_facets(arr) == fraction_facets(arr)
     assert enumerate_regions(arr) == fraction_route_regions(arr)
 
 
@@ -732,3 +760,59 @@ def test_region_names_are_built_once_and_match_set_name():
     ts = arrangement_medium(arr, regions, graph)
     assert all(v is r.name for v, r in zip(graph.vertices, regions))
     assert all(s is r.name for s, r in zip(ts.states, regions))
+
+
+# --- work counts: no Fraction arithmetic or comparison per region ----------------
+
+
+class CountingFraction(Fraction):
+    """A Fraction that tallies in ``counts`` its constructions, comparisons and
+    arithmetic operations.  Results of arithmetic are plain Fractions, so an
+    operation counts only with a counted operand, which every Fraction the
+    arrangements module builds is while it is patched in."""
+
+    counts = {"built": 0, "compared": 0, "arithmetic": 0}
+
+    def __new__(cls, *args, **kwargs):
+        cls.counts["built"] += 1
+        return super().__new__(cls, *args, **kwargs)
+
+    __hash__ = Fraction.__hash__
+
+
+def _counted(kind, name):
+    def method(self, *args):
+        CountingFraction.counts[kind] += 1
+        return getattr(Fraction, name)(self, *args)
+    return method
+
+
+for _name in ("__eq__", "__lt__", "__le__", "__gt__", "__ge__"):
+    setattr(CountingFraction, _name, _counted("compared", _name))
+for _name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__",
+              "__rtruediv__", "__floordiv__", "__rfloordiv__", "__mod__", "__rmod__", "__pow__",
+              "__rpow__", "__neg__", "__pos__", "__abs__"):
+    setattr(CountingFraction, _name, _counted("arithmetic", _name))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: mosaic_window("triangular", 5),
+    # three parallel verticals (one with a < 0), a triple point at the origin, rational coefficients
+    lambda: Arrangement((Line.of(1, 0, 0), Line.of(-1, 0, -1), Line.of(2, 0, -1), Line.of(0, 1, 0),
+                         Line.of(1, -1, 0), Line.of(Fraction(1, 3), 1, Fraction(-5, 7)))),
+    # vertical lines alone, each with a < 0: both half-planes bounded by one line
+    lambda: Arrangement((Line.of(-7, 0, -5), Line.of(-3, 0, -1), Line.of(-2, 0, 1))),
+], ids=["triangular-5", "verticals-and-a-triple-point", "verticals-only"])
+def test_regions_and_adjacency_do_no_fraction_arithmetic_or_comparison(build):
+    with mock.patch("tokenmedia.arrangements.Fraction", CountingFraction):
+        arr = build()  # its lines hold counted coefficients, so any work on them is counted
+        counts = CountingFraction.counts
+        counts.update(dict.fromkeys(counts, 0))
+        regions = enumerate_regions(arr)
+        built = counts["built"]
+        region_adjacency(arr, regions)
+    # the x table is sorted on integers; one Fraction per printed witness coordinate
+    assert counts == {"built": built, "compared": 0, "arithmetic": 0}
+    assert built <= 2 * len(regions)
+    assert all(type(v) is CountingFraction for r in regions for v in r.witness)
+    assert regions == enumerate_regions(Arrangement(arr.lines))

@@ -30,6 +30,16 @@ x = 0, y = 0, x = y through the origin.  These four digests were recorded
 with the stdlib's ``json.dumps(doc, sort_keys=True, indent=2)`` writing
 stdout, before the one-pass writer ``cli.write_json`` replaced it, and the
 writer matches them unchanged.
+
+``VERT`` and ``SLANT`` reach every branch of the Fourier-Motzkin witness
+choice between them.  ``VERT`` is three vertical lines, each with a < 0: its
+two half-planes are bounded by one vertical line alone, and one strip lies
+between two of them.  ``SLANT`` has two horizontal and three slanted lines with
+rational crossings: it has cells unbounded on both x sides, midpoints with
+denominators above 2, and every choice of y (midpoint, lower bound + 1,
+upper bound - 1; ``VERT``'s cells take y = 0).  Their digests were recorded
+with the x-extents folded and the witnesses chosen in ``Fraction``
+arithmetic, before the sweep moved to integer ranks of the x-values.
 """
 
 import contextlib
@@ -67,7 +77,14 @@ DEGENERATE = {"lines": [{"a": "1", "b": "0", "c": "0"}, {"a": "1", "b": "0", "c"
                         {"a": "2", "b": "0", "c": "-1"}, {"a": "0", "b": "1", "c": "0"},
                         {"a": "1", "b": "-1", "c": "0"}]}
 
-# (argv with LIN, COPY, TWIST and ARR for the input files, exit code, stdout SHA-256)
+# Witness branches: vertical lines x = -5/7, -1/3, 1/2 with a < 0; rational slanted lines
+VERT = {"lines": [{"a": "-7", "b": "0", "c": "-5"}, {"a": "-3", "b": "0", "c": "-1"},
+                  {"a": "-2", "b": "0", "c": "1"}]}
+SLANT = {"lines": [{"a": "3", "b": "5", "c": "-2"}, {"a": "-2", "b": "7", "c": "1"},
+                   {"a": "0", "b": "3", "c": "-1"}, {"a": "1", "b": "-4", "c": "7/2"},
+                   {"a": "0", "b": "1", "c": "-2"}]}
+
+# (argv with LIN, COPY, TWIST, ARR, VERT and SLANT for the input files, exit code, stdout SHA-256)
 GOLDEN = {
     "represent-linmedium-4": (
         ["represent", "LIN"], 0, "6b667cc3e98b450975e49ec22b8415ce5abe5f4ed50af4b5aa3fb65aa46188ea"),
@@ -92,6 +109,10 @@ GOLDEN = {
         "ce126dad553050d0998c6f392aa43d025497f0b5afbefd84c026933c2f6ad875"),
     "arrangement-degenerate": (
         ["arrangement", "ARR"], 0, "8e0a075800a7febd3e2d96ac79f5c02947c83748621999df3027cd488017b16e"),
+    "arrangement-vertical-half-planes-and-strip": (
+        ["arrangement", "VERT"], 0, "bcc2a0605e5c70848c8a59fba7360db0119d32530e92c2f1ee4553da0ce3eba0"),
+    "arrangement-rational-crossings": (
+        ["arrangement", "SLANT"], 0, "84a5114c764fd4dec36eaa88fcd96b584cb079e1de6b532d7d8ff1abd560d687"),
 }
 
 
@@ -103,7 +124,7 @@ def files(tmp_path_factory):
         assert cli.main(["linmedium", "4"]) == 0
     lin = json.loads(out.getvalue())
     docs = {"LIN": lin, "COPY": relabelled(lin), "TWIST": twisted_square().to_json_dict(),
-            "ARR": DEGENERATE}
+            "ARR": DEGENERATE, "VERT": VERT, "SLANT": SLANT}
     paths = {}
     for name, doc in docs.items():
         path = root / f"{name.lower()}.json"
