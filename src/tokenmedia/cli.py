@@ -225,7 +225,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="axiom report and exact medium decision")
     p.add_argument("input", help="token system JSON ('-' for stdin)")
     p.add_argument("--bound", type=int, default=None,
-                   help="message-length bound for M3/M4 (default: twice the token count)")
+                   help="accepted for compatibility and echoed in the report; at least 1, "
+                        "default twice the token count; it changes no verdict, since every "
+                        "axiom is decided exactly")
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("represent", help="positive-content family with bijections")

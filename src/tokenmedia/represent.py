@@ -9,18 +9,22 @@ well graded label family.  A yes verdict returns the canonical well-graded
 set-family representation with explicit state and token bijections.  The
 decision is stored on the token system, and ``contents``,
 ``orient_from_state`` and ``positive_content_family`` read it, so one
-labeling serves decision, contents and representation.  The
-Djokovic-Winkler partial-cube route stays as the reference decision and
-supplies the witness when a system is rejected after M1 and M2.
+labeling serves decision, contents and representation.
+
+A system that passes M1 and is no medium gets exact M2-M4 verdicts from
+token-pair potentials (``_potentials``, stored on the system too): one BFS
+per component, after which M3, M2 and M4 are a pass over the moves, a
+separation test and a min/max per pair, with a BFS per state only on a
+component that fails the separation test.  The decision's witness there is
+the first failing check's, and ``check_axioms`` reads the rest.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
-from .cubes import LabeledGraph, _moves_separate, is_partial_cube
+from .cubes import _moves_separate
 from .errors import InputError
 from .families import SetFamily
 from .tokens import TokenSystem, reduction, reverse_defect
@@ -177,9 +181,11 @@ def decide_medium(ts: TokenSystem) -> MediumDecision:
     or the token's polarity forbids the move.  On yes, the labels relative
     to the least state are the canonical set-family representation,
     coordinates named "0", "1", ... in order of each pair's least edge.  On
-    no after M1 and M2, the witness comes from the Djokovic-Winkler route
-    (``_theta_route``).  The decision is stored on ``ts``, so later calls on
-    the same system return it without labeling again.
+    no after M1 and M2's connectivity, the witness is that of the first
+    check of the token-pair potentials that fails, in the order M3, M2's
+    separation test, M4 by min/max (``_axiom_rejection``): the first failing
+    axiom of ``check_axioms``.  The decision is stored on ``ts``, so later
+    calls on the same system return it without labeling again.
     """
     decision = getattr(ts, "_decision", None)
     if decision is None:
@@ -223,7 +229,7 @@ def _pair_decision(ts: TokenSystem) -> MediumDecision:
         b = 1 << pair[t]
         ends = {lab[j] & b if lab[i] ^ lab[j] == b else -1 for i, j in ms}  # -1: wrong flip
         if len(ends) != 1 or -1 in ends:
-            return _pair_rejection(ts)
+            return _axiom_rejection(ts)
         head[t] = ends.pop()
         for i, _ in ms:
             toggles[i] |= b
@@ -233,7 +239,7 @@ def _pair_decision(ts: TokenSystem) -> MediumDecision:
     # a realized toggle lab[p] ^ b that no token takes p to (the fixed-point
     # rule), since such a q agrees with p on every pair in toggles[p]
     if _moves_separate(lab, toggles, k) is not None:
-        return _pair_rejection(ts)
+        return _axiom_rejection(ts)
 
     least: dict[int, tuple[str, str]] = {}
     for t, ms in moves.items():
@@ -258,95 +264,245 @@ def _pair_decision(ts: TokenSystem) -> MediumDecision:
     return MediumDecision(True, family=family, alpha=alpha, beta=beta)
 
 
-def _pair_rejection(ts: TokenSystem) -> MediumDecision:
-    decision = _theta_route(ts)
-    if decision.is_medium:
-        raise AssertionError("the token-pair route rejected a system the Theta route accepts")
-    return decision
+def _axiom_rejection(ts: TokenSystem) -> MediumDecision:
+    """A connected system that passed M1 and is no medium: the witness of the
+    first check that fails among M3, M2's separation test and M4 by bounds.
+    By the representation theorem one of them fails, and none of them runs
+    a BFS per state."""
+    ev = _potentials(ts)
+    return MediumDecision(False, witness=ev.m3 or ev.separation[0] or ev.bounds[0])
 
 
-def _theta_decision(ts: TokenSystem) -> MediumDecision:
-    """The Djokovic-Winkler reference decision: exact M1 check, then ``_theta_route``."""
-    defect = reverse_defect(ts)
-    return _theta_route(ts) if defect is None else MediumDecision(False, witness=defect)
+# --- exact axioms from token-pair potentials ----------------------------------
 
 
-def _theta_route(ts: TokenSystem) -> MediumDecision:
-    """The Djokovic-Winkler route on a system that passed M1; the source of
-    rejection witnesses once M1 and M2 hold.
+@dataclass
+class _Potentials:
+    """The BFS facts of ``_potentials`` and the witnesses read off them (None
+    where a check passes); ``separation`` and ``bounds`` hold one per
+    component and stay empty when M3 fails."""
 
-    Connectivity, partial-cube recognition of the state graph, then a
-    per-token match against the add/remove reduction of its coordinate (the
-    fixed-point direction of this match is what rules out systems whose
-    graph is a partial cube but whose action is wrong).  On yes, the
-    partial-cube labeling is the representation.
+    comps: list  # state indices per component, roots in state order, each in BFS order
+    pot: list  # per state, a tuple with one coordinate per token pair
+    parent: list  # per state, (state index, token) of its tree move, None at a root
+    out: list  # per state, its effective moves (target index, token), in token order
+    pair: dict  # token -> (coordinate, +1 or -1)
+    m3: dict | None = None
+    separation: list = field(default_factory=list)
+    bounds: list = field(default_factory=list)
+
+
+def _potentials(ts: TokenSystem) -> _Potentials:
+    """The potentials of a system that passed M1, with M3, M2's separation
+    test and M4 by bounds, stored on ``ts``.
+
+    One BFS per component gives each state a potential: per token pair, the
+    net steps along its tree path from the root, +1 for the pair's first
+    token and -1 for its reverse.  M3 holds iff every move agrees with the
+    potentials and no two states of a component share one, for then a
+    walk's net count per pair is the difference of its ends' potentials.  A
+    move s -> v by t that disagrees gives the closed walk "t, tree path
+    v -> root, tree path root -> s", which is not vacuous; two states with
+    one potential give the vacuous tree path between them.  Tree paths run
+    up on reverse tokens, which M1 makes effective.
+
+    Once M3 holds, a walk is consistent iff its length is the L1 distance of
+    its ends' potentials.  So M2 holds on a component iff some move from p
+    lowers that distance to q, for all p != q: ``cubes._moves_separate`` on
+    the potentials in unary thresholds, where L1 distance is Hamming
+    distance.  On a component that passes, every BFS geodesic is consistent,
+    so t occurs in a straight message into v iff v lies at or past the least
+    level of t's targets in t's direction: M4 fails there iff some pair
+    moves at two levels.  A component that fails the test needs
+    ``_m4_search``.
     """
-    states = ts.states
-    edges = set()
-    for ms in ts._index_moves.values():
-        for i, j in ms:
-            s, v = states[i], states[j]
-            edges.add((s, v) if s < v else (v, s))
-    reached = {states[0]}
-    queue = deque(reached)
-    adj: dict[str, list[str]] = {s: [] for s in states}
-    for (u, v) in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    while queue:
-        u = queue.popleft()
-        for w in adj[u]:
-            if w not in reached:
-                reached.add(w)
-                queue.append(w)
-    if len(reached) != len(states):
-        stranded = next(s for s in states if s not in reached)
-        return MediumDecision(
-            False,
-            witness={"axiom": "M2", "source": states[0], "target": stranded},
-        )
-    graph = LabeledGraph(states, tuple(edges))
-    pc = is_partial_cube(graph)
-    if not pc.accepted:
-        return MediumDecision(False, witness={"kind": "not-partial-cube", "graph": dict(pc.witness)})
-    labels = pc.labels
-    realized = {labels[s] for s in states}
-    beta: dict[str, tuple[str, str]] = {}
+    ev = getattr(ts, "_potentials", None)
+    if ev is not None:
+        return ev
+    states, rev = ts.states, ts.reverse
+    pair: dict[str, tuple[int, int]] = {}
+    for t in ts.tokens:
+        if t not in pair:
+            pair[t], pair[rev[t]] = (len(pair) // 2, 1), (len(pair) // 2, -1)
+    out: list[list[tuple[int, str]]] = [[] for _ in states]
     for t, ms in ts._index_moves.items():
-        coord = None
-        polarity = None
         for i, j in ms:
-            delta = labels[states[j]] ^ labels[states[i]]
-            x = next(iter(delta))
-            pol = "add" if x in labels[states[j]] else "remove"
-            if coord is None:
-                coord, polarity = x, pol
-            elif (coord, polarity) != (x, pol):
-                return MediumDecision(
-                    False,
-                    witness={"kind": "action-mismatch", "token": t,
-                             "detail": "moves cross several cube coordinates"},
-                )
-        moved = {i for i, _ in ms}
-        for i, s in enumerate(states):
-            if i in moved:
-                continue
-            lab = labels[s]
-            if polarity == "add":
-                stuck = coord not in lab and (lab | {coord}) in realized
-            else:
-                stuck = coord in lab and (lab - {coord}) in realized
-            if stuck:
-                return MediumDecision(
-                    False,
-                    witness={"kind": "action-mismatch", "token": t, "state": s,
-                             "detail": "token fixes a state its coordinate reduction moves"},
-                )
-        beta[t] = (coord, polarity)
-    ground = tuple(sorted({cid for cid in pc.edge_classes.values()}, key=int))
-    family = SetFamily(ground, tuple(labels[s] for s in states))
-    alpha = {s: labels[s] for s in states}
-    return MediumDecision(True, family=family, alpha=alpha, beta=beta)
+            out[i].append((j, t))
+    pot: list = [None] * len(states)
+    parent: list = [None] * len(states)
+    comps = []
+    for root in range(len(states)):
+        if pot[root] is None:
+            pot[root] = (0,) * (len(pair) // 2)
+            comp = [root]
+            for u in comp:
+                for j, t in out[u]:
+                    if pot[j] is None:
+                        (x, step), p = pair[t], pot[u]
+                        pot[j] = p[:x] + (p[x] + step,) + p[x + 1:]
+                        parent[j] = (u, t)
+                        comp.append(j)
+            comps.append(comp)
+    ev = _Potentials(comps, pot, parent, out, pair)
+    ev.m3 = _m3_witness(ts, ev)
+    if ev.m3 is None:
+        for comp in comps:
+            ev.separation.append(_separation(ts, ev, comp))
+            ev.bounds.append(None if ev.separation[-1] else _m4_bounds(ts, ev, comp))
+    object.__setattr__(ts, "_potentials", ev)
+    return ev
+
+
+def _axiom_witnesses(ts: TokenSystem) -> dict:
+    """Exact M2-M4 witnesses of a system that passed M1, None where the axiom
+    holds.  When M3 fails there are no potentials: M4 is left out, and M2
+    too unless the system is disconnected."""
+    ev = _potentials(ts)
+    found = {"M3": ev.m3}
+    if len(ev.comps) > 1:
+        found["M2"] = {"axiom": "M2", "source": ts.states[0], "target": ts.states[ev.comps[1][0]]}
+    if ev.m3 is None:
+        found.setdefault("M2", ev.separation[0])
+        found["M4"] = next(filter(None, (
+            _m4_search(ts, ev, comp) if ev.separation[c] else ev.bounds[c]
+            for c, comp in enumerate(ev.comps))), None)
+    return found
+
+
+def _tree_path(ts, ev, i, up):
+    """The tree path from state i up to its root, or (``up`` false) down to i."""
+    path = []
+    while ev.parent[i] is not None:
+        i, t = ev.parent[i]
+        path.append(ts.reverse[t] if up else t)
+    return path if up else path[::-1]
+
+
+def _geodesic(ev, b, v):
+    """The tokens of a shortest walk from state b to state v, by one BFS from b."""
+    prev = {b: None}
+    queue = [b]
+    for u in queue:
+        for j, t in ev.out[u]:
+            if j not in prev:
+                prev[j] = (u, t)
+                queue.append(j)
+    path = []
+    while prev[v] is not None:
+        v, t = prev[v]
+        path.append(t)
+    return path[::-1]
+
+
+def _m3_witness(ts, ev):
+    states, pot = ts.states, ev.pot
+    for t, ms in ts._index_moves.items():
+        x, step = ev.pair[t]
+        for i, j in ms:
+            p = pot[i]
+            if pot[j] != p[:x] + (p[x] + step,) + p[x + 1:]:
+                return {"axiom": "M3", "kind": "ineffective-but-not-vacuous", "state": states[i],
+                        "message": [t, *_tree_path(ts, ev, j, True), *_tree_path(ts, ev, i, False)]}
+    for comp in ev.comps:
+        first: dict = {}
+        for i in comp:
+            s = first.setdefault(pot[i], i)
+            if s != i:
+                return {"axiom": "M3", "kind": "vacuous-but-effective", "state": states[s],
+                        "message": _tree_path(ts, ev, s, True) + _tree_path(ts, ev, i, False),
+                        "end": states[i]}
+    return None
+
+
+def _thresholds(ev, comp):
+    """The potentials of a component in unary thresholds: bit (x, j) is set
+    iff coordinate x is at least j.  Returns the labels, in ``comp`` order,
+    the offset that puts bit (x, j) at offset[x] + j, and the width."""
+    pot, k = ev.pot, len(ev.pot[comp[0]])
+    low = [min(pot[i][x] for i in comp) for x in range(k)]
+    offset, width = [], 0
+    for x in range(k):
+        offset.append(width - low[x] - 1)
+        width += max(pot[i][x] for i in comp) - low[x]
+    labels = [sum(((1 << pot[i][x] - low[x]) - 1) << offset[x] + low[x] + 1 for x in range(k))
+              for i in comp]
+    return labels, offset, width
+
+
+def _separation(ts, ev, comp):
+    labels, offset, width = _thresholds(ev, comp)
+    toggles = []
+    for i in comp:
+        bits = 0
+        for j, t in ev.out[i]:  # the move sets the bit of the larger coordinate
+            x = ev.pair[t][0]
+            bits |= 1 << offset[x] + max(ev.pot[i][x], ev.pot[j][x])
+        toggles.append(bits)
+    found = _moves_separate(labels, toggles, width)
+    if found is None:
+        return None
+    return {"axiom": "M2", "source": ts.states[comp[found[0]]], "target": ts.states[comp[found[1]]]}
+
+
+def _m4_bounds(ts, ev, comp):
+    """M4 on a component that passes the separation test: the first pair met
+    whose moves by its first token t reach two levels.  The witness is t at
+    the least level, then a geodesic to the source of a move at the
+    greatest, against the reverse of that move."""
+    ends: dict = {}  # first token of a pair -> its moves to the least and greatest level
+    for i in comp:
+        for j, t in ev.out[i]:
+            x, step = ev.pair[t]
+            if step > 0:
+                low, high = ends.setdefault(t, [(i, j), (i, j)])
+                if ev.pot[j][x] < ev.pot[low[1]][x]:
+                    ends[t][0] = (i, j)
+                elif ev.pot[j][x] > ev.pot[high[1]][x]:
+                    ends[t][1] = (i, j)
+    for t, (low, high) in ends.items():
+        x = ev.pair[t][0]
+        if ev.pot[low[1]][x] < ev.pot[high[1]][x]:
+            return _m4_witness(ts, ev, t, low, high[0], high[::-1])
+    return None
+
+
+def _m4_search(ts, ev, comp):
+    """M4 on a component that fails the separation test, by a BFS from every
+    state: t occurs in a straight message into v iff some t-move a -> b has a
+    walk from b to v as long as the L1 distance of their potentials that does
+    not move t's coordinate against t."""
+    labels = dict(zip(comp, _thresholds(ev, comp)[0]))
+    straight = {}
+    for b in comp:
+        dist = {b: 0}
+        queue = [b]
+        for u in queue:
+            for j, _ in ev.out[u]:
+                if j not in dist:
+                    dist[j] = dist[u] + 1
+                    queue.append(j)
+        straight[b] = [v for v in comp if dist[v] == (labels[b] ^ labels[v]).bit_count()]
+    first = {}  # (t, v) -> the first t-move (a, b) that starts a straight message into v
+    for a in comp:
+        for b, t in ev.out[a]:
+            x, step = ev.pair[t]
+            for v in straight[b]:
+                if step * (ev.pot[v][x] - ev.pot[b][x]) >= 0:
+                    first.setdefault((t, v), (a, b))
+    for (t, v), move in first.items():
+        back = first.get((ts.reverse[t], v))
+        if back is not None:
+            return _m4_witness(ts, ev, t, move, v, back)
+    return None
+
+
+def _m4_witness(ts, ev, t, move, v, back):
+    """Two straight messages into v: t's move, then a geodesic, and the same
+    from a move of t's reverse."""
+    states = ts.states
+    return {"axiom": "M4", "produced": states[v],
+            "state1": states[move[0]], "message1": [t, *_geodesic(ev, move[1], v)],
+            "state2": states[back[0]], "message2": [ts.reverse[t], *_geodesic(ev, back[1], v)]}
 
 
 # --- embeddings -------------------------------------------------------------

@@ -9,12 +9,12 @@ the systems called media:
   M3  a stepwise-effective message returns to its start iff it is vacuous;
   M4  straight messages producing the same state are jointly consistent.
 
-``check_axioms`` reads the exact decision ``tokenmedia.represent.decide_medium``
-first: on a medium all four axioms hold outright and no message is walked.
-On any other system it is a bounded falsifier: failure verdicts are exact
-and carry replayable witnesses, while M3/M4 success verdicts, which then
-appear only on non-media that pass M1, certify the absence of violations up
-to a message-length bound.
+``check_axioms`` is exact on every system and enumerates no message.  It
+reads the decision ``tokenmedia.represent.decide_medium`` first: on a
+medium all four axioms hold outright.  On any other system M1 is the exact
+``reverse_defect``, and M2-M4 are read off the token-pair potentials that
+``tokenmedia.represent`` stores beside the decision; every failure verdict
+carries a witness that replays.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ Message = Sequence[str]
 AXIOMS = ("M1", "M2", "M3", "M4")
 
 HOLDS = "holds"
-HOLDS_UP_TO_BOUND = "holds-up-to-bound"
 FAILS = "fails"
 SKIPPED = "skipped"
 
@@ -49,7 +48,7 @@ class TokenSystem:
     The one walk over the table that validates it also stores the move
     index: each state's position in ``states`` and, per token in token
     order, its effective moves as (state index, target index) pairs in
-    state order.  ``moves``, the exact M1 check, the axiom walks, the
+    state order.  ``moves``, the exact M1 check, the axiom potentials, the
     decision, the medium graph and the isomorphism search read that index
     and never the table again.
     """
@@ -305,7 +304,7 @@ class AxiomCheck:
 
     @property
     def ok(self) -> bool:
-        return self.verdict in (HOLDS, HOLDS_UP_TO_BOUND)
+        return self.verdict == HOLDS
 
     def to_json_dict(self) -> dict:
         out: dict = {"verdict": self.verdict}
@@ -318,15 +317,15 @@ class AxiomCheck:
 
 @dataclass(frozen=True)
 class AxiomReport:
-    """Per-axiom verdicts of ``check_axioms``.
+    """Per-axiom verdicts of ``check_axioms``, each exact: "holds", "fails"
+    with a witness, or "skipped" with a note.
 
-    On a medium every verdict is the exact "holds".  Otherwise M1 and M2
-    verdicts are exact ("holds"/"fails"); M3 and M4 are checked by a
-    memoized enumeration of the messages up to ``bound``, with the verdicts
-    and witnesses of the plain enumeration, so their positive verdict is
-    "holds-up-to-bound", which thus appears only on non-media that pass M1.
-    When M1 fails the remaining axioms are reported "skipped": consistency
-    and vacuousness are only meaningful relative to a valid reverse pairing.
+    When M1 fails the remaining axioms are skipped: consistency and
+    vacuousness are only meaningful relative to a valid reverse pairing.
+    When M3 fails there are no potentials to read M4 off, so M4 is skipped,
+    and M2 too unless the system is disconnected.  ``bound`` is the bound
+    ``check_axioms`` was given, or its default, reported unchanged; it
+    affects no verdict.
     """
 
     checks: tuple[AxiomCheck, ...]
@@ -394,13 +393,18 @@ def _declared_breach(ts, t, declared):
 
 
 def check_axioms(ts: TokenSystem, bound: int | None = None) -> AxiomReport:
-    """Axiom report: exact on media, ``_bounded_report`` on every other system.
+    """Exact axiom report: every verdict is "holds", "fails" or "skipped".
 
-    ``bound`` caps the length of messages enumerated for M3/M4 and defaults
-    to twice the token count; it is validated and reported even on a
-    medium, where the decision stored on ``ts`` says M1-M4 hold outright.
+    On a medium the decision stored on ``ts`` says M1-M4 hold outright.  On
+    any other system M1 is ``reverse_defect``, and M2-M4 are read off the
+    token-pair potentials of ``represent._axiom_witnesses``, stored on
+    ``ts`` beside the decision; no message is enumerated.  When M1 fails,
+    M2-M4 are skipped; when M3 fails, M4 is skipped, and so is M2 unless
+    the system is disconnected.  ``bound`` changes no verdict: it is
+    validated (at least 1), defaults to twice the token count and is
+    reported, so that callers passing it keep working.
     """
-    from .represent import decide_medium
+    from .represent import _axiom_witnesses, decide_medium
 
     if bound is None:
         bound = max(1, 2 * len(ts.tokens))
@@ -408,19 +412,6 @@ def check_axioms(ts: TokenSystem, bound: int | None = None) -> AxiomReport:
         raise InputError("bound must be at least 1")
     if decide_medium(ts).is_medium:
         return AxiomReport(tuple(AxiomCheck(a, HOLDS) for a in AXIOMS), bound)
-    return _bounded_report(ts, bound)
-
-
-def _bounded_report(ts: TokenSystem, bound: int) -> AxiomReport:
-    """The bounded falsifier, with no look at the decision.
-
-    M1 and M2 are exact; M3 and M4 enumerate messages up to ``bound``.  The
-    enumeration is memoized: a subtree whose outcome depends only on its
-    current state, its token bookkeeping and the length left is not walked
-    again to the same or a smaller depth, so the verdicts and the first
-    witness found are those of the plain enumeration.  Failure witnesses
-    replay through ``apply``.
-    """
     defect = reverse_defect(ts)
     if defect is not None:
         skipped = tuple(
@@ -428,167 +419,14 @@ def _bounded_report(ts: TokenSystem, bound: int) -> AxiomReport:
             for a in ("M2", "M3", "M4")
         )
         return AxiomReport((AxiomCheck("M1", FAILS, defect),) + skipped, bound)
-    rev = ts.reverse
-    m1 = AxiomCheck("M1", HOLDS)
-    w2 = _violates_m2(ts, rev)
-    m2 = AxiomCheck("M2", FAILS, w2) if w2 else AxiomCheck("M2", HOLDS)
-    w3 = _violates_m3(ts, rev, bound)
-    w4 = _violates_m4(ts, rev, bound)
-    m3 = AxiomCheck("M3", FAILS, w3) if w3 else AxiomCheck("M3", HOLDS_UP_TO_BOUND)
-    m4 = AxiomCheck("M4", FAILS, w4) if w4 else AxiomCheck("M4", HOLDS_UP_TO_BOUND)
-    return AxiomReport((m1, m2, m3, m4), bound)
-
-
-def _out_moves(ts):
-    """Each state's effective moves (token, image), in token order, read off
-    the move index."""
-    states = ts.states
-    out: dict[str, list[tuple[str, str]]] = {s: [] for s in states}
-    for t, ms in ts._index_moves.items():
-        for i, j in ms:
-            out[states[i]].append((t, states[j]))
-    return out
-
-
-def _violates_m2(ts, rev):
-    """The first pair (s, v), in state order, joined by no straight message:
-    one breadth-first search over (state, used tokens) per source."""
-    states = ts.states
-    bits = {}
-    for t in ts.tokens:
-        if t not in bits:
-            bits[t], bits[rev[t]] = 1 << len(bits), 1 << (len(bits) + 1)
-    out = {s: [(bits[t], bits[rev[t]], v) for t, v in ms] for s, ms in _out_moves(ts).items()}
-    for s in states:
-        seen = {(s, 0)}
-        reached = {s}
-        queue = deque(seen)
-        while queue and len(reached) < len(states):
-            cur, used = queue.popleft()
-            for bit, rbit, v in out[cur]:
-                if used & rbit:
-                    continue
-                node = (v, used | bit)
-                if node not in seen:
-                    seen.add(node)
-                    reached.add(v)
-                    queue.append(node)
-        for v in states:
-            if v not in reached:
-                return {"axiom": "M2", "source": s, "target": v}
-    return None
-
-
-def _violates_m3(ts, rev, bound):
-    tokens = ts.tokens
-    index = {t: i for i, t in enumerate(tokens)}
-    canon = {t: (t if index[t] < index[rev[t]] else rev[t]) for t in tokens}
-    step = {t: (1 if canon[t] == t else -1) for t in tokens}
-    out = _out_moves(ts)
-    for s0 in ts.states:
-        # (state, net content) -> most message length left searched without a witness
-        explored: dict = {}
-        path: list[str] = []
-        diff: dict[str, int] = {}  # the nonzero net counts per reverse pair
-        stack = [(None, iter(out[s0]))]
-        while stack:
-            key, todo = stack[-1]
-            for t, v in todo:
-                pair = canon[t]
-                n = diff.pop(pair, 0) + step[t]
-                if n:
-                    diff[pair] = n
-                path.append(t)
-                left = bound - len(path)
-                node = (v, frozenset(diff.items()))
-                if explored.get(node, -1) < left:
-                    break
-                _undo_step(path, diff, canon, step)
-            else:
-                stack.pop()
-                if key is not None:
-                    explored[key] = bound - len(path)
-                    _undo_step(path, diff, canon, step)
-                continue
-            if (v == s0) == bool(diff):
-                if diff:
-                    return {
-                        "axiom": "M3",
-                        "kind": "ineffective-but-not-vacuous",
-                        "state": s0,
-                        "message": list(path),
-                    }
-                return {
-                    "axiom": "M3",
-                    "kind": "vacuous-but-effective",
-                    "state": s0,
-                    "message": list(path),
-                    "end": v,
-                }
-            stack.append((node, iter(out[v] if left else ())))
-    return None
-
-
-def _undo_step(path, diff, canon, step):
-    t = path.pop()
-    pair = canon[t]
-    n = diff.pop(pair, 0) - step[t]
-    if n:
-        diff[pair] = n
-
-
-def _violates_m4(ts, rev, bound):
-    out = _out_moves(ts)
-    # first straight message seen per (produced state, content token)
-    record: dict[tuple[str, str], tuple[str, tuple[str, ...]]] = {}
-    # (state, used tokens) -> most message length left searched without a
-    # witness, shared by every start: a walk it prunes would only find
-    # records already there, and any record that could trigger in it would
-    # have triggered when it was added
-    explored: dict = {}
-    for s0 in ts.states:
-        path: list[str] = []
-        used: set[str] = set()
-        stack = [(None, iter(out[s0]), False)]
-        while stack:
-            key, todo, fresh = stack[-1]
-            for t, v in todo:
-                if rev[t] in used:
-                    continue
-                added = t not in used
-                used.add(t)
-                path.append(t)
-                left = bound - len(path)
-                node = (v, frozenset(used))
-                if explored.get(node, -1) < left:
-                    break
-                path.pop()
-                if added:
-                    used.discard(t)
-            else:
-                stack.pop()
-                if key is not None:
-                    explored[key] = bound - len(path)
-                    t = path.pop()
-                    if fresh:
-                        used.discard(t)
-                continue
-            for tok in used:
-                prior = record.get((v, rev[tok]))
-                if prior is not None:
-                    return {
-                        "axiom": "M4",
-                        "produced": v,
-                        "state1": s0,
-                        "message1": list(path),
-                        "state2": prior[0],
-                        "message2": list(prior[1]),
-                    }
-            frozen = tuple(path)
-            for tok in used:
-                record.setdefault((v, tok), (s0, frozen))
-            stack.append((node, iter(out[v] if left else ()), added))
-    return None
+    found = _axiom_witnesses(ts)
+    checks = [AxiomCheck("M1", HOLDS)]
+    for a in ("M2", "M3", "M4"):
+        if a not in found:
+            checks.append(AxiomCheck(a, SKIPPED, note="not evaluated: M3 failed"))
+        else:
+            checks.append(AxiomCheck(a, FAILS, found[a]) if found[a] else AxiomCheck(a, HOLDS))
+    return AxiomReport(tuple(checks), bound)
 
 
 # --- reductions -----------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import random
 from collections import deque
 from unittest import mock
@@ -12,7 +13,10 @@ from hypothesis import strategies as st
 from tokenmedia import tokens
 from tokenmedia.cubes import adjacency
 from tokenmedia.families import SetFamily, family_medium, well_graded_witness
+from tokenmedia.linorders import linear_medium
 from tokenmedia.tokens import TokenSystem
+
+import walks
 
 
 def bfs_distances(adj, source) -> dict[str, int]:
@@ -80,10 +84,26 @@ def twisted_square() -> TokenSystem:
 
 
 def no_walks():
-    """Patch the three message walks of ``tokenmedia.tokens`` to raise when called."""
-    return mock.patch.multiple(
-        tokens, **{name: mock.Mock(side_effect=AssertionError(f"{name} ran"))
-                   for name in ("_violates_m2", "_violates_m3", "_violates_m4")})
+    """Patch every message walk to raise when called: the bounded walks kept as
+    oracles in ``walks`` and the straight-message search of ``tokenmedia.tokens``."""
+    def raising(name):
+        return mock.Mock(side_effect=AssertionError(f"{name} ran"))
+
+    stack = contextlib.ExitStack()
+    stack.enter_context(mock.patch.multiple(walks, **{
+        name: raising(name) for name in ("bounded_report", "violates_m2", "violates_m3", "violates_m4")}))
+    stack.enter_context(mock.patch.object(tokens, "_straight_search", raising("_straight_search")))
+    return stack
+
+
+def union6() -> TokenSystem:
+    """Two disjoint copies of ``linear_medium(6)`` that share their tokens:
+    1,440 states on which M1, M3 and M4 hold and M2 fails."""
+    ts, _ = linear_medium(6)
+    states = tuple(f"{copy}{s}" for copy in "ab" for s in ts.states)
+    action = {t: {f"{copy}{s}": f"{copy}{v}" for copy in "ab" for s, v in row.items()}
+              for t, row in ts.action.items()}
+    return TokenSystem(states, ts.tokens, action, ts.reverse)
 
 
 def hexagon_family() -> SetFamily:

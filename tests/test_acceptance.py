@@ -35,8 +35,9 @@ from tokenmedia.represent import (
     orient_from_state,
     positive_content_family,
 )
-from tokenmedia.tokens import TokenSystem, _bounded_report, straight_message
+from tokenmedia.tokens import TokenSystem, check_axioms, straight_message
 
+import walks
 from conftest import (
     bfs_distances,
     corpus_media,
@@ -55,8 +56,11 @@ def report(num, ok, detail):
 
 def test_criterion_1_decision_matches_bounded_axioms():
     """Exhaustive 3-state sweep: decide_medium == the bounded walks at bound 8,
-    with a census of the axiom each non-medium fails first.  The walks are
-    called directly, since ``check_axioms`` reads the decision on media."""
+    with a census of the axiom each non-medium fails first.  The walks, kept
+    as oracles in ``walks``, are called directly.  On every system that
+    passes M1, each verdict the exact ``check_axioms`` evaluates must equal
+    theirs (at 3 states, bound 8 exceeds 2S + 1, past which no shortest
+    violation lies)."""
     t0 = time.time()
     states = ("A", "B", "C")
     actions = []
@@ -74,10 +78,16 @@ def test_criterion_1_decision_matches_bounded_axioms():
         nonlocal disagreements, count
         ts = TokenSystem(states, tokens, act, rev)
         count += 1
-        axioms = _bounded_report(ts, bound=8)
+        axioms = walks.bounded_report(ts, bound=8)
         medium = decide_medium(ts).is_medium
-        if axioms.ok != medium:
+        if walks.passes(axioms) != medium:
             disagreements += 1
+        elif axioms["M1"].verdict == "holds":  # both reports read M1 off one reverse_defect
+            exact = check_axioms(ts, bound=8)
+            if exact.ok != medium or any(
+                    c.verdict != "skipped" and (c.verdict == "fails") != (axioms[c.axiom].verdict == "fails")
+                    for c in exact.checks):
+                disagreements += 1
         if medium:
             census["medium"] += 1
         else:

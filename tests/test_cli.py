@@ -1,5 +1,5 @@
+import gc
 import json
-import sys
 
 import pytest
 
@@ -58,17 +58,27 @@ class TestCheck:
         axioms = json.loads(out)["axioms"]
         assert axioms["bound"] == 3000
         assert {a: c["verdict"] for a, c in axioms["axioms"].items()} == dict.fromkeys(AXIOMS, "holds")
-        # a non-medium passing M1 and M2 still runs the walks: the first M3
-        # witness found is longer than the interpreter's recursion limit
+        # on a non-medium the bound is echoed and changes no verdict: M3 fails
+        # with a witness of a few tokens, and nothing is walked
         ts = twisted_square()
-        code, out, _ = run(capsys, "check", "--bound", "3000", write_system(tmp_path, ts, "twist.json"))
+        path = write_system(tmp_path, ts, "twist.json")
+        with no_walks():
+            code, out, _ = run(capsys, "check", "--bound", "3000", path)
         assert code == 1
         axioms = json.loads(out)["axioms"]
         assert axioms["bound"] == 3000
-        assert axioms["axioms"]["M2"]["verdict"] == "holds"
+        assert {a: c["verdict"] for a, c in axioms["axioms"].items()} == {
+            "M1": "holds", "M2": "skipped", "M3": "fails", "M4": "skipped"}
         w = axioms["axioms"]["M3"]["witness"]
-        assert len(w["message"]) > sys.getrecursionlimit()
+        assert len(w["message"]) < 2 * len(ts.states)
         assert apply(ts, w["state"], w["message"]) == w["state"]
+        assert run(capsys, "check", "--bound", "1", path)[1] == out.replace('"bound": 3000', '"bound": 1')
+
+    @pytest.mark.parametrize("bound", ["0", "-3"])
+    def test_bound_below_one_exits_2(self, bound, tmp_path, capsys):
+        code, out, err = run(capsys, "check", "--bound", bound, write_system(tmp_path, twisted_square()))
+        assert (code, out) == (2, "")
+        assert "bound must be at least 1" in err
 
     @pytest.mark.parametrize("n", [6, 7])
     def test_default_bound_on_linear_media_reads_the_decision(self, n, tmp_path, capsys):
@@ -294,6 +304,19 @@ class TestDeterminism:
         assert exc.value.code == 2
         capsys.readouterr()
         assert run(capsys, "check", "--bound", "5", path) == fresh
+
+    def test_repeated_calls_leave_no_cyclic_garbage(self, tmp_path, capsys):
+        # the parser is built once per process, and a job leaves no reference
+        # cycle behind for the collector
+        path = write_system(tmp_path, twisted_square())
+        jobs = [["check", "--bound", "8", path], ["linmedium", "3"],
+                ["mosaic", "triangular", "--radius", "1"]]
+        for argv in jobs:
+            run(capsys, *argv)
+        gc.collect()
+        for argv in jobs:
+            run(capsys, *argv)
+            assert gc.collect() == 0, argv
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
         path = write_system(tmp_path, path3())

@@ -6,14 +6,22 @@ Each case pins the exit code and the SHA-256 of stdout of one command, so a
 change to how the decision, the graph, the falsifier or the isomorphism
 search reads a token system cannot change what the CLI prints unnoticed.
 The inputs are the ``linmedium 4`` document, a copy of it with every state
-and token renamed and both lists reordered, and the "twisted square" of
-``conftest``, a four-state non-medium on which M1 and M2 hold.
+and token renamed and both lists reordered, the "twisted square" of
+``conftest``, a four-state non-medium on which M1 and M2 hold, and
+``conftest.union6``, two disjoint copies of ``linmedium 6`` sharing their
+tokens.
 
 ``check`` on a medium reads M2-M4 off the exact decision and reports them
 "holds", where the bounded walks reported M3 and M4 "holds-up-to-bound";
 the ``check`` digest of ``linmedium 4`` was recorded again for that change
-alone.  The twisted square still runs the walks, and its digests are those
-recorded before.
+alone.  On a non-medium that passes M1, ``check`` reads M2-M4 off token-pair
+potentials instead of walking messages, and a rejected system's decision
+names the first failing axiom with that axiom's witness, where the
+Djokovic-Winkler route named a graph or action mismatch.  The twisted
+square's ``check`` and ``represent`` digests were recorded again for that
+change: M3 fails with a tree-path witness, and M2 and M4 are skipped.  The
+``union6`` digest was recorded with that change; walks at the default bound
+did not end on it.
 
 An ``iso`` map is one of the isomorphisms of media that have automorphisms.
 The search over coordinate permutations that replaced the vertex-by-vertex
@@ -51,7 +59,7 @@ import pytest
 
 from tokenmedia import cli
 
-from conftest import twisted_square
+from conftest import twisted_square, union6
 
 
 def relabelled(doc: dict) -> dict:
@@ -84,7 +92,8 @@ SLANT = {"lines": [{"a": "3", "b": "5", "c": "-2"}, {"a": "-2", "b": "7", "c": "
                    {"a": "0", "b": "3", "c": "-1"}, {"a": "1", "b": "-4", "c": "7/2"},
                    {"a": "0", "b": "1", "c": "-2"}]}
 
-# (argv with LIN, COPY, TWIST, ARR, VERT and SLANT for the input files, exit code, stdout SHA-256)
+# (argv with LIN, COPY, TWIST, UNION6, ARR, VERT and SLANT for the input files, exit code,
+# stdout SHA-256)
 GOLDEN = {
     "represent-linmedium-4": (
         ["represent", "LIN"], 0, "6b667cc3e98b450975e49ec22b8415ce5abe5f4ed50af4b5aa3fb65aa46188ea"),
@@ -96,9 +105,11 @@ GOLDEN = {
     "iso-linmedium-4-relabelled": (
         ["iso", "LIN", "COPY"], 0, "385cbf8f83ff72005be36c65803acba64a70a8d321c424a1b4abd3915b89401b"),
     "represent-twisted-square": (
-        ["represent", "TWIST"], 1, "8d046edd6578e214f540514d161f0693c66d685096334349fd5c6278d6babeeb"),
+        ["represent", "TWIST"], 1, "6798eb780dd76a8f034fd0c132b210a4b3a7a9f012756fc043abbd98a5f97180"),
     "check-twisted-square": (
-        ["check", "TWIST"], 1, "82593601a5b440a3a5061fd39058f00bfb24b46494a3f2136f2e8105ca9d8078"),
+        ["check", "TWIST"], 1, "3c7b804650e51f4eff5907bfcd9192519aab49c0e97798d42b03cf4c9fe544af"),
+    "check-union6": (
+        ["check", "UNION6"], 1, "e337546621f2b4868303f5985d5f90834dc57b591f6e6009dbe1b68446b52d9b"),
     "linmedium-4": (
         ["linmedium", "4"], 0, "ec883e2e97880ba983dd5a19da2325268434ffe1dce4a6c6bd7b7b9ea7f1e261"),
     "mosaic-triangular-radius-2": (
@@ -124,7 +135,7 @@ def files(tmp_path_factory):
         assert cli.main(["linmedium", "4"]) == 0
     lin = json.loads(out.getvalue())
     docs = {"LIN": lin, "COPY": relabelled(lin), "TWIST": twisted_square().to_json_dict(),
-            "ARR": DEGENERATE, "VERT": VERT, "SLANT": SLANT}
+            "UNION6": union6().to_json_dict(), "ARR": DEGENERATE, "VERT": VERT, "SLANT": SLANT}
     paths = {}
     for name, doc in docs.items():
         path = root / f"{name.lower()}.json"

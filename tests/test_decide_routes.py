@@ -1,12 +1,14 @@
 """The token-pair decision against the Djokovic-Winkler reference route,
 and the isomorphism search against its vertex-scan reference.
 
-``decide_medium`` labels states by token pairs; ``_theta_decision`` labels
+``decide_medium`` labels states by token pairs; ``theta_decision`` labels
 them by the Theta classes of the state graph, here found by the Theta-scan
 oracle ``theta_scan_partial_cube`` so that the reference shares no
-recognition code with the library.  Both must give the same verdict, the
-same canonical representation and the same witness, except that the two
-recognizers may name different theta-violation triples.
+recognition code with the library.  Both must give the same verdict and the
+same canonical representation.  On a system that fails M1 or is
+disconnected they give the same witness; past those ``decide_medium`` names
+the first failing axiom, read off token-pair potentials, whose witness must
+replay, and ``pair_rejection`` checks that the Theta route rejects too.
 ``media_isomorphic`` searches over coordinates of the canonical labels; it
 must find a map exactly when the vertex-by-vertex ``scan_graph_iso`` on the
 two graphs does, every map it returns must replay both action tables, and it
@@ -17,6 +19,7 @@ every state one colour to reach the search's dead ends.
 
 import random
 import sys
+from collections import deque
 from contextlib import contextmanager
 from unittest import mock
 
@@ -30,30 +33,116 @@ from tokenmedia.cubes import LabeledGraph, adjacency, media_isomorphic, medium_g
 from tokenmedia.errors import InputError
 from tokenmedia.families import SetFamily, family_medium
 from tokenmedia.linorders import linear_medium
-from tokenmedia.represent import _theta_decision, decide_medium
-from tokenmedia.tokens import TokenSystem
+from tokenmedia.represent import MediumDecision, decide_medium
+from tokenmedia.tokens import TokenSystem, reverse_defect
 
-from conftest import assert_theta_violation, bfs_distances, corpus_media, wg_families
+from conftest import corpus_media, wg_families
 from test_cubes import theta_scan_partial_cube
+from test_exact_check import assert_witness_replays
 
 
-def theta_decision(ts):
-    with mock.patch("tokenmedia.represent.is_partial_cube", theta_scan_partial_cube):
-        return _theta_decision(ts)
+# --- the Djokovic-Winkler reference decision ----------------------------------
+
+
+def pair_rejection(ts: TokenSystem) -> MediumDecision:
+    """The Theta route's rejection of a system the token-pair route rejected
+    after M1 and connectivity."""
+    decision = theta_route(ts)
+    if decision.is_medium:
+        raise AssertionError("the token-pair route rejected a system the Theta route accepts")
+    return decision
+
+
+def theta_decision(ts: TokenSystem) -> MediumDecision:
+    """The Djokovic-Winkler reference decision: exact M1 check, then ``theta_route``."""
+    defect = reverse_defect(ts)
+    return theta_route(ts) if defect is None else MediumDecision(False, witness=defect)
+
+
+def theta_route(ts: TokenSystem) -> MediumDecision:
+    """The Djokovic-Winkler route on a system that passed M1.
+
+    Connectivity, partial-cube recognition of the state graph, then a
+    per-token match against the add/remove reduction of its coordinate (the
+    fixed-point direction of this match is what rules out systems whose
+    graph is a partial cube but whose action is wrong).  On yes, the
+    partial-cube labeling is the representation.
+    """
+    states = ts.states
+    edges = set()
+    for ms in ts._index_moves.values():
+        for i, j in ms:
+            s, v = states[i], states[j]
+            edges.add((s, v) if s < v else (v, s))
+    reached = {states[0]}
+    queue = deque(reached)
+    adj: dict[str, list[str]] = {s: [] for s in states}
+    for (u, v) in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    while queue:
+        u = queue.popleft()
+        for w in adj[u]:
+            if w not in reached:
+                reached.add(w)
+                queue.append(w)
+    if len(reached) != len(states):
+        stranded = next(s for s in states if s not in reached)
+        return MediumDecision(
+            False,
+            witness={"axiom": "M2", "source": states[0], "target": stranded},
+        )
+    graph = LabeledGraph(states, tuple(edges))
+    pc = theta_scan_partial_cube(graph)
+    if not pc.accepted:
+        return MediumDecision(False, witness={"kind": "not-partial-cube", "graph": dict(pc.witness)})
+    labels = pc.labels
+    realized = {labels[s] for s in states}
+    beta: dict[str, tuple[str, str]] = {}
+    for t, ms in ts._index_moves.items():
+        coord = None
+        polarity = None
+        for i, j in ms:
+            delta = labels[states[j]] ^ labels[states[i]]
+            x = next(iter(delta))
+            pol = "add" if x in labels[states[j]] else "remove"
+            if coord is None:
+                coord, polarity = x, pol
+            elif (coord, polarity) != (x, pol):
+                return MediumDecision(
+                    False,
+                    witness={"kind": "action-mismatch", "token": t,
+                             "detail": "moves cross several cube coordinates"},
+                )
+        moved = {i for i, _ in ms}
+        for i, s in enumerate(states):
+            if i in moved:
+                continue
+            lab = labels[s]
+            if polarity == "add":
+                stuck = coord not in lab and (lab | {coord}) in realized
+            else:
+                stuck = coord in lab and (lab - {coord}) in realized
+            if stuck:
+                return MediumDecision(
+                    False,
+                    witness={"kind": "action-mismatch", "token": t, "state": s,
+                             "detail": "token fixes a state its coordinate reduction moves"},
+                )
+        beta[t] = (coord, polarity)
+    ground = tuple(sorted({cid for cid in pc.edge_classes.values()}, key=int))
+    family = SetFamily(ground, tuple(labels[s] for s in states))
+    alpha = {s: labels[s] for s in states}
+    return MediumDecision(True, family=family, alpha=alpha, beta=beta)
 
 
 def assert_same_decision(ts):
-    fast, slow = decide_medium(ts).to_json_dict(), theta_decision(ts).to_json_dict()
-    witness = fast.get("witness", {})
-    if witness.get("graph", {}).get("kind") == "theta-violation":
-        assert not slow["medium"] and slow["witness"]["kind"] == witness["kind"]
-        assert slow["witness"]["graph"]["kind"] == "theta-violation"
-        g = LabeledGraph(ts.states, tuple(e for t in ts.tokens for e in ts.moves(t)))
-        adj = adjacency(g)
-        dist = {v: bfs_distances(adj, v) for v in g.vertices}
-        assert_theta_violation(g, witness["graph"]["edges"], dist)
+    fast, slow = decide_medium(ts), theta_decision(ts)
+    if fast.is_medium or slow.witness.get("axiom"):
+        assert fast.to_json_dict() == slow.to_json_dict()
     else:
-        assert fast == slow
+        pair_rejection(ts)
+        assert_witness_replays(ts, fast.witness["axiom"], fast.witness)
 
 
 @st.composite

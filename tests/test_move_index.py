@@ -4,7 +4,7 @@ Construction validates the dense action table in one walk and stores, per
 token, its effective moves as (state index, target index) pairs.  The
 oracles here are the dense routes that the index replaced, kept verbatim:
 the validation walk, ``_reverse_candidates`` and ``_declared_breach`` over
-the table, and ``_out_moves`` over the table rows.  ``dense_transport`` (a
+the table, and the walks' ``out_moves`` over the table rows.  ``dense_transport`` (a
 search over the target's tokens per token, then a re-check of every table
 entry) carries a state isomorphism over to the tokens; ``media_isomorphic``
 reads its token map off the two stored decisions, and the two must agree.
@@ -23,8 +23,9 @@ from tokenmedia.cubes import media_isomorphic, medium_graph
 from tokenmedia.errors import InputError
 from tokenmedia.families import SetFamily, family_medium
 from tokenmedia.represent import decide_medium
-from tokenmedia.tokens import TokenSystem, _bounded_report, check_axioms, reduction, reverse_defect
+from tokenmedia.tokens import TokenSystem, check_axioms, reduction, reverse_defect
 
+import walks
 from conftest import wg_families
 
 
@@ -249,7 +250,7 @@ def test_index_matches_the_dense_routes(raw, seed):
         for t in toks]
     assert all(ts.moves(t) == {(s, v) for s, v in action[t].items() if v != s} for t in toks)
     assert tokens._reverse_candidates(ts) == dense_reverse_candidates(states, toks, action)
-    assert tokens._out_moves(ts) == dense_out_moves(ts)
+    assert walks.out_moves(ts) == dense_out_moves(ts)
     assert reverse_defect(ts) == dense_reverse_defect(ts)
     keep = random.Random(seed).sample(states, max(2, len(states) - 1))
     red = reduction(ts, keep)
@@ -306,7 +307,7 @@ def test_decision_paths_read_no_action_row(raw, seed, bound):
     reads.clear()
     reverse_defect(ts)
     check_axioms(ts, bound)
-    _bounded_report(ts, bound)
+    walks.bounded_report(ts, bound)
     if decide_medium(ts).is_medium:
         medium_graph(ts)
         assert media_isomorphic(ts, other) is not None

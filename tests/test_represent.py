@@ -18,8 +18,9 @@ from tokenmedia.represent import (
     positive_content_family,
     verify_embedding,
 )
-from tokenmedia.tokens import TokenSystem, _bounded_report, reduction, straight_message
+from tokenmedia.tokens import TokenSystem, reduction, straight_message
 
+import walks
 from conftest import hexagon_family, hexagon_variant_family, path3, two_state, wg_families
 
 
@@ -327,7 +328,10 @@ class TestDecideMedium:
         )
         d = decide_medium(broken)
         assert not d.is_medium
-        assert d.witness["kind"] == "action-mismatch"
+        # hop moves across two levels of its coordinate: "f, hop~, hop~, hop"
+        # goes round the chain and back to B without being vacuous
+        assert d.witness == {"axiom": "M3", "kind": "ineffective-but-not-vacuous", "state": "B",
+                             "message": ["f", "hop~", "hop~", "hop"]}
 
     def test_fixed_point_mismatch_rejected(self):
         # 4-cycle graph, but one token pair refuses to act on one of its edges
@@ -335,7 +339,8 @@ class TestDecideMedium:
         assert decide_medium(family_medium(fam)).is_medium
         d = decide_medium(lazy_four_cycle())
         assert not d.is_medium
-        assert d.witness["kind"] in ("action-mismatch", "not-partial-cube")
+        # add:a does not move {b}, so only the long way round leads to {a,b}
+        assert d.witness == {"axiom": "M2", "source": "{b}", "target": "{a,b}"}
 
     def test_no_pairing_is_m1(self):
         ts = TokenSystem(
@@ -346,7 +351,7 @@ class TestDecideMedium:
         d = decide_medium(ts)
         assert not d.is_medium and d.witness["kind"] == "missing-reverse-pairing"
 
-    def test_odd_cycle_system_rejected_via_graph(self):
+    def test_odd_cycle_system_fails_m3(self):
         fwd = {"A": "B", "B": "C", "C": "A"}
         bwd = {v: k for k, v in fwd.items()}
         ts = TokenSystem(
@@ -357,7 +362,8 @@ class TestDecideMedium:
         )
         d = decide_medium(ts)
         assert not d.is_medium
-        assert d.witness["kind"] == "not-partial-cube"
+        assert d.witness == {"axiom": "M3", "kind": "ineffective-but-not-vacuous", "state": "B",
+                             "message": ["r", "r", "r"]}
 
 
 class TestVerifyEmbedding:
@@ -419,6 +425,6 @@ class TestOracleAgreementSample:
                 if all(b[s] == s for s in states):
                     continue
                 ts = TokenSystem(states, ("t", "u"), {"t": a, "u": b}, {"t": "u", "u": "t"})
-                assert _bounded_report(ts, bound=8).ok == decide_medium(ts).is_medium
+                assert walks.passes(walks.bounded_report(ts, bound=8)) == decide_medium(ts).is_medium
                 count += 1
         assert count > 50
