@@ -30,7 +30,9 @@ from .families import SetFamily, set_name
 from .tokens import TokenSystem
 
 MOSAIC_KINDS = ("triangular", "truncated-square")
-MOSAIC_MAX_RADIUS = 12  # the largest window tested; its dense action table grows as radius**3
+# The largest window tested.  Its printed dense action table grows as radius**3;
+# the system stores only the moves, which grow as radius**2.
+MOSAIC_MAX_RADIUS = 12
 
 
 @dataclass(frozen=True)
@@ -346,20 +348,20 @@ def arrangement_medium(arr: Arrangement,
         graph = region_adjacency(arr, regions)
     names = tuple(r.name for r in regions)
     tokens: list[str] = []
-    action: dict[str, dict[str, str]] = {}
+    moves: dict[str, dict[str, str]] = {}
     reverse: dict[str, str] = {}
     for k in range(len(arr.lines)):
         pos_id, neg_id = positive_token(k), negative_token(k)
         tokens += [pos_id, neg_id]
-        action[pos_id] = {s: s for s in names}
-        action[neg_id] = {s: s for s in names}
+        moves[pos_id] = {}
+        moves[neg_id] = {}
         reverse[pos_id] = neg_id
         reverse[neg_id] = pos_id
     for (u, v) in graph.edges:
         forward, backward = graph.edge_labels[(u, v)]
-        action[forward][u] = v
-        action[backward][v] = u
-    return TokenSystem(names, tuple(tokens), action, reverse)
+        moves[forward][u] = v
+        moves[backward][v] = u
+    return TokenSystem(names, tuple(tokens), reverse=reverse, moves=moves)
 
 
 # --- mosaic windows ----------------------------------------------------------

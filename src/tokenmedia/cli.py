@@ -2,8 +2,9 @@
 
 Machine-readable JSON goes to stdout in the layout of the stdlib's
 ``json.dumps(doc, sort_keys=True, indent=2)``, so identical inputs give
-byte-identical outputs; ``write_json`` writes it in one pass.  Human
-diagnostics go to stderr.
+byte-identical outputs; ``write_json`` writes it in one pass, and lays out
+a system's dense ``action`` table from its moves.  Human diagnostics go to
+stderr.
 Exit codes: 0 success/true, 1 semantic-false, 2 parse error, 3 resource cap.
 """
 
@@ -66,12 +67,40 @@ def _chunks(obj, indent: str) -> list:
         brackets = "[]"
         for value in obj:
             out += sep, _encode_str(value) if type(value) is str else "".join(_chunks(value, inner))
+    elif type(obj) is tokens.ActionView:
+        return _action_chunks(obj, indent)
     else:
         return [json.dumps(obj)]
     if not out:
         return [brackets]
     out[0] = brackets[0] + "\n" + inner
     out.append("\n" + indent + brackets[1])
+    return out
+
+
+def _action_chunks(view: tokens.ActionView, indent: str) -> list:
+    """The text of a system's dense action table at ``indent``, as ``_chunks`` lays out
+    ``dict(view)``, from the move index: the state names are escaped and ordered once,
+    and each row is a copy of the fixed entries with its moves put in, joined once."""
+    if not view:
+        return ["{}"]
+    states = view.states
+    names = [_encode_str(s) for s in states]
+    order = sorted(range(len(states)), key=states.__getitem__)
+    place = [0] * len(states)
+    for p, i in enumerate(order):
+        place[i] = p
+    fixed = [names[i] + ": " + names[i] for i in order]
+    inner = indent + "  "
+    head, sep, tail = "{\n" + inner + "  ", ",\n" + inner + "  ", "\n" + inner + "}"
+    out = []
+    for t, ms in sorted(view.index_moves.items()):
+        row = fixed.copy()
+        for i, j in ms:
+            row[place[i]] = names[i] + ": " + names[j]
+        out += ",\n" + inner, _encode_str(t), ": ", head + sep.join(row) + tail
+    out[0] = "{\n" + inner
+    out.append("\n" + indent + "}")
     return out
 
 
@@ -168,7 +197,7 @@ def _cmd_iso(args) -> int:
 
 def _cmd_linmedium(args) -> int:
     ts, fam = linorders.linear_medium(args.n, cap=args.cap)
-    doc = ts.to_json_dict()
+    doc = ts.to_json_dict(view=True)
     doc["family"] = fam.to_json_dict()
     _emit(doc)
     if args.dot:
@@ -191,7 +220,7 @@ def _arrangement_pipeline(arrangement) -> dict:
         "lines": arrangement.to_json_dict()["lines"],
         "regions": region_docs,
         "graph": graph.to_json_dict(),
-        "system": ts.to_json_dict(),
+        "system": ts.to_json_dict(view=True),
         "family": fam.to_json_dict(),
     }
 

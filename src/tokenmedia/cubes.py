@@ -348,31 +348,22 @@ def graph_to_medium(g: LabeledGraph) -> TokenSystem:
     if not pc.accepted:
         raise NotPartialCube(pc.witness)
     labels = pc.labels
-    where = {labels[v]: v for v in g.vertices}
-    classes = sorted(set(pc.edge_classes.values()), key=int)
+    ups: dict[str, dict[str, str]] = {}
+    for (u, v), k in pc.edge_classes.items():
+        if k in labels[u]:
+            u, v = v, u
+        ups.setdefault(k, {})[u] = v
     tokens: list[str] = []
-    action: dict[str, dict[str, str]] = {}
+    moves: dict[str, dict[str, str]] = {}
     reverse: dict[str, str] = {}
-    for k in classes:
-        up: dict[str, str] = {}
-        down: dict[str, str] = {}
-        for v in g.vertices:
-            lab = labels[v]
-            if k not in lab and (lab | {k}) in where:
-                up[v] = where[lab | {k}]
-            else:
-                up[v] = v
-            if k in lab and (lab - {k}) in where:
-                down[v] = where[lab - {k}]
-            else:
-                down[v] = v
+    for k in sorted(ups, key=int):
         a, r = f"add:{k}", f"rem:{k}"
         tokens += [a, r]
-        action[a] = up
-        action[r] = down
+        moves[a] = ups[k]
+        moves[r] = {v: u for u, v in ups[k].items()}
         reverse[a] = r
         reverse[r] = a
-    return TokenSystem(g.vertices, tuple(tokens), action, reverse)
+    return TokenSystem(g.vertices, tuple(tokens), reverse=reverse, moves=moves)
 
 
 # --- isomorphism -----------------------------------------------------------

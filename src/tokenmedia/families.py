@@ -165,36 +165,26 @@ def family_medium(fam: SetFamily) -> TokenSystem:
     names = {s: set_name(s, fam.ground) for s in fam.sets}
     members = set(fam.sets)
     states = tuple(names[s] for s in fam.sets)
-    tokens: list[str] = []
-    action: dict[str, dict[str, str]] = {}
-    reverse: dict[str, str] = {}
-    for x in fam.ground:
-        add_row = {}
-        rem_row = {}
-        moved = False
-        for s in fam.sets:
-            up = s | {x}
-            if x not in s and up in members:
-                add_row[names[s]] = names[up]
-                moved = True
-            else:
-                add_row[names[s]] = names[s]
+    adds: dict[str, dict[str, str]] = {x: {} for x in fam.ground}
+    for s in fam.sets:
+        for x in s:
             down = s - {x}
-            if x in s and down in members:
-                rem_row[names[s]] = names[down]
-                moved = True
-            else:
-                rem_row[names[s]] = names[s]
-        if not moved:
+            if down in members:
+                adds[x][names[down]] = names[s]
+    tokens: list[str] = []
+    moves: dict[str, dict[str, str]] = {}
+    reverse: dict[str, str] = {}
+    for x, add in adds.items():
+        if not add:
             continue
         add_id = ADD_PREFIX + x
         rem_id = REMOVE_PREFIX + x
         tokens += [add_id, rem_id]
-        action[add_id] = add_row
-        action[rem_id] = rem_row
+        moves[add_id] = add
+        moves[rem_id] = {v: s for s, v in add.items()}
         reverse[add_id] = rem_id
         reverse[rem_id] = add_id
-    return TokenSystem(states, tuple(tokens), action, reverse)
+    return TokenSystem(states, tuple(tokens), reverse=reverse, moves=moves)
 
 
 def is_complete(fam: SetFamily) -> bool:

@@ -120,17 +120,13 @@ def linear_medium(n: int, cap: int | None = None) -> tuple[TokenSystem, SetFamil
         reverse[bwd] = fwd
     perms = list(itertools.permutations(elements))
     names = ["".join(p) for p in perms]
-    action: dict[str, dict[str, str]] = {t: {} for t in tokens}
-    for t in tokens:
-        row = action[t]
-        for name in names:
-            row[name] = name
+    moves: dict[str, dict[str, str]] = {t: {} for t in tokens}
     for p, name in zip(perms, names):
         for i in range(n - 1):
             y, x = p[i], p[i + 1]  # x covers y here; t:x<y swaps them
             swapped = p[:i] + (x, y) + p[i + 2:]
-            action[token_name(x, y)][name] = "".join(swapped)
-    ts = TokenSystem(tuple(names), tuple(tokens), action, reverse)
+            moves[token_name(x, y)][name] = "".join(swapped)
+    ts = TokenSystem(tuple(names), tuple(tokens), reverse=reverse, moves=moves)
     sets = tuple(encode(LinearOrder(p), base) for p in perms)
     fam = SetFamily(tuple(pair_name(x, y) for (x, y) in base_pairs), sets)
     return ts, fam

@@ -1,8 +1,10 @@
 """Token systems: finite state sets acted on by paired invertible tokens.
 
 A token system is an ordered set of states together with an ordered set of
-tokens, each acting as a total function on states.  Four axioms single out
-the systems called media:
+tokens, each acting as a total function on states.  A token usually moves
+few states, so a system stores only its moves; ``TokenSystem.action``
+reads as the dense table over them.  Four axioms single out the systems
+called media:
 
   M1  every token has a unique reverse (declared explicitly in the input);
   M2  any two distinct states are joined by a straight message;
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InputError, ParseError
@@ -35,31 +38,75 @@ FAILS = "fails"
 SKIPPED = "skipped"
 
 
-@dataclass(frozen=True)
-class TokenSystem:
-    """States plus a total token action table and an optional reverse pairing.
+def _dense_row(states, ms) -> dict:
+    """A token's full row, fixed points included, in state order, from its
+    moves as (state index, target index) pairs."""
+    row = dict(zip(states, states))
+    for i, j in ms:
+        row[states[i]] = states[j]
+    return row
 
-    ``action[token][state]`` is the state produced by applying ``token``.
-    The identity transformation is not a token: construction rejects any
-    token fixing every state.  ``reverse``, when present, must be a total
-    fixed-point-free involution on the token ids; it is declared input, not
-    inferred from the action table.
 
-    The one walk over the table that validates it also stores the move
-    index: each state's position in ``states`` and, per token in token
-    order, its effective moves as (state index, target index) pairs in
-    state order.  ``moves``, the exact M1 check, the axiom potentials, the
-    decision, the medium graph and the isomorphism search read that index
-    and never the table again.
+class ActionView(Mapping):
+    """The read-only dense table ``TokenSystem.action`` over the move index.
+
+    ``view[t]`` is token t's full row, fixed points included, built the
+    first time it is read and then kept; rows are read-only mappings.
+    ``states`` and ``index_moves`` are the system's own, so that a writer
+    can lay the table out from the moves without building a row.
     """
 
-    states: tuple[str, ...]
-    tokens: tuple[str, ...]
-    action: Mapping[str, Mapping[str, str]]
-    reverse: Mapping[str, str] | None = None
+    __slots__ = ("states", "index_moves", "_rows")
 
-    def __post_init__(self):
-        states, tokens = self.states, self.tokens
+    def __init__(self, states: Sequence[str], index_moves: Mapping[str, list[tuple[int, int]]]):
+        self.states = states
+        self.index_moves = index_moves
+        self._rows: dict[str, Mapping[str, str]] = {}
+
+    def __getitem__(self, t: str) -> Mapping[str, str]:
+        row = self._rows.get(t)
+        if row is None:
+            row = self._rows[t] = MappingProxyType(_dense_row(self.states, self.index_moves[t]))
+        return row
+
+    def __iter__(self):
+        return iter(self.index_moves)
+
+    def __len__(self) -> int:
+        return len(self.index_moves)
+
+    def __contains__(self, t) -> bool:
+        return t in self.index_moves
+
+
+class TokenSystem:
+    """States plus the moves of each token and an optional reverse pairing.
+
+    The action is given in one of two forms, and both go through one
+    validation walk: ``action``, the dense table, where ``action[token][state]``
+    is the state produced by applying ``token``, or the keyword ``moves``,
+    where ``moves[token]`` maps each state the token moves to its image and
+    every other state is a fixed point.  The identity transformation is not
+    a token: construction rejects any token fixing every state.  ``reverse``,
+    when present, must be a total fixed-point-free involution on the token
+    ids; it is declared input, not inferred from the action.
+
+    The walk stores the move index and nothing else of the input: each
+    state's position in ``states`` and, per token in token order, its
+    effective moves as (state index, target index) pairs in state order.
+    ``action`` is a read-only ``ActionView`` over that index.  ``moves``,
+    the exact M1 check, the axiom potentials, the decision, the medium graph
+    and the isomorphism search read the index directly.  Systems are
+    immutable; two are equal when their states, tokens, pairing and moves
+    are.
+    """
+
+    def __init__(self, states: Sequence[str], tokens: Sequence[str],
+                 action: Mapping[str, Mapping[str, str]] | None = None,
+                 reverse: Mapping[str, str] | None = None,
+                 *, moves: Mapping[str, Mapping[str, str]] | None = None):
+        if (action is None) == (moves is None):
+            raise TypeError("TokenSystem takes exactly one of action and moves")
         if len(states) < 2:
             raise InputError("a token system needs more than one state")
         index = dict(zip(states, range(len(states))))
@@ -68,38 +115,38 @@ class TokenSystem:
         token_set = frozenset(tokens)
         if len(token_set) != len(tokens):
             raise InputError("duplicate token ids")
-        if self.action.keys() != token_set:
-            raise InputError("action table must have exactly one row per token")
-        index_moves: dict[str, list[tuple[int, int]]] = {}
-        for t in tokens:
-            row = self.action[t]
-            if len(row) != len(states):
-                raise InputError(f"action of token {t!r} is not total")
-            ms = index_moves[t] = []
-            for s in states:
-                v = row.get(s)
-                if v != s:
-                    if v is None:
-                        raise InputError(f"action of token {t!r} missing state {s!r}")
-                    try:
-                        ms.append((index[s], index[v]))
-                    except (KeyError, TypeError):  # TypeError: an unhashable entry
-                        raise InputError(f"action of token {t!r} leaves the state set") from None
-            if not ms:
-                raise InputError(f"token {t!r} acts as the identity on every state")
-        if self.reverse is None and not tokens:
-            object.__setattr__(self, "reverse", {})  # empty pairing is trivially valid
-        if self.reverse is not None:
-            rev = self.reverse
-            if rev.keys() != token_set:
+        index_moves = _index_moves(states, index, tokens, token_set,
+                                   moves if action is None else action, dense=action is not None)
+        if reverse is None and not tokens:
+            reverse = {}  # empty pairing is trivially valid
+        if reverse is not None:
+            if reverse.keys() != token_set:
                 raise InputError("reverse pairing must cover every token")
             for t in tokens:
-                r = rev[t]
-                if r == t or r not in token_set or rev[r] != t:
+                r = reverse[t]
+                if r == t or r not in token_set or reverse[r] != t:
                     raise InputError("reverse pairing must be a fixed-point-free involution")
-        object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_index_moves", index_moves)
-        object.__setattr__(self, "_moves", {})
+        self.__dict__.update(states=states, tokens=tokens, reverse=reverse,
+                             action=ActionView(states, index_moves),
+                             _index=index, _index_moves=index_moves, _moves={})
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable TokenSystem")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable TokenSystem")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.states, self.tokens, self.reverse, self._index_moves) == \
+            (other.states, other.tokens, other.reverse, other._index_moves)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return (f"TokenSystem(states={self.states!r}, tokens={self.tokens!r}, "
+                f"moves={sum(map(len, self._index_moves.values()))}, reverse={self.reverse!r})")
 
     def has_state(self, s: str) -> bool:
         return s in self._index
@@ -117,27 +164,41 @@ class TokenSystem:
             self._moves[t] = frozenset((states[i], states[j]) for i, j in self._index_moves[t])
         return self._moves[t]
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, *, view: bool = False) -> dict:
+        """The dense document: states, tokens with their reverses, and the
+        ``"action"`` table with its rows in state order, built from the move
+        index.  With ``view`` set, ``"action"`` is the ``action`` view itself,
+        which ``cli.write_json`` lays out from the moves."""
         toks = []
         for t in self.tokens:
             entry: dict = {"id": t}
             if self.reverse is not None:
                 entry["reverse"] = self.reverse[t]
             toks.append(entry)
+        states = self.states
         return {
-            "states": list(self.states),
+            "states": list(states),
             "tokens": toks,
-            "action": {t: {s: self.action[t][s] for s in self.states} for t in self.tokens},
+            "action": self.action if view else
+            {t: _dense_row(states, ms) for t, ms in self._index_moves.items()},
         }
 
     @classmethod
     def from_json_dict(cls, doc) -> "TokenSystem":
+        """A system from its document: ``"states"``, ``"tokens"`` (ids, or
+        objects with an ``"id"`` and, on every token or none, a ``"reverse"``)
+        and exactly one of the dense ``"action"`` table, one row per declared
+        token, and the sparse ``"moves"``, ``{token: {state: image}}`` with a
+        row for no undeclared token.  Every defect is a ParseError."""
         if not isinstance(doc, dict):
             raise ParseError("token system document must be a JSON object")
+        sparse = "moves" in doc
+        if sparse and "action" in doc:
+            raise ParseError("token system document gives both 'action' and 'moves'")
         try:
             states = tuple(str(s) for s in doc["states"])
             raw_tokens = doc["tokens"]
-            action = doc["action"]
+            table = doc["moves" if sparse else "action"]
         except (KeyError, TypeError) as exc:
             raise ParseError(f"token system document missing field: {exc}") from None
         if not isinstance(raw_tokens, list):
@@ -158,17 +219,90 @@ class TokenSystem:
                 reverse[str(entry["id"])] = str(entry["reverse"])
         if saw_reverse and len(reverse) != len(tokens):
             raise ParseError("either every token or no token may declare a reverse")
-        try:
-            rows = {t: action[t] for t in tokens}
-        except (KeyError, TypeError):
-            raise ParseError("action table must have one row per declared token") from None
+        if sparse:
+            if not isinstance(table, dict):
+                raise ParseError("token system 'moves' must be a JSON object")
+            rows = table
+        else:
+            try:
+                rows = {t: table[t] for t in tokens}
+            except (KeyError, TypeError):
+                raise ParseError("action table must have one row per declared token") from None
         if not all(isinstance(row, dict) for row in rows.values()):
-            raise ParseError("each action row must be a JSON object")
+            raise ParseError(f"each {'moves' if sparse else 'action'} row must be a JSON object")
         try:
-            return cls(states, tuple(tokens), {t: dict(row) for t, row in rows.items()},
-                       reverse if saw_reverse else None)
+            if sparse:
+                return cls(states, tuple(tokens), reverse=reverse if saw_reverse else None,
+                           moves=rows)
+            return cls(states, tuple(tokens), rows, reverse if saw_reverse else None)
         except InputError as exc:
             raise ParseError(str(exc)) from None
+
+
+def _index_moves(states, index, tokens, token_set, rows, dense) -> dict[str, list[tuple[int, int]]]:
+    """The one validation walk of a token system's action: per token in token
+    order, its moves as (state index, target index) pairs in state order.
+
+    ``rows`` holds dense rows (``dense``) or moves.  A dense row must map
+    exactly the states; a moves row must map states to other states, and a
+    token with no moves row moves nothing.  Both ends of every move must be
+    states, and each token must move some state.
+    """
+    if dense:
+        if rows.keys() != token_set:
+            raise InputError("action table must have exactly one row per token")
+    else:
+        for t in rows:
+            if t not in token_set:
+                raise InputError(f"moves given for undeclared token {t!r}")
+    n = len(states)
+    index_moves: dict[str, list[tuple[int, int]]] = {}
+    for t in tokens:
+        if dense:
+            row = rows[t]
+            if len(row) != n:
+                raise InputError(f"action of token {t!r} is not total")
+            try:
+                ms = [(index[s], index[row[s]]) for s in states if row[s] != s]
+            except (KeyError, TypeError):  # TypeError: an unhashable entry
+                moves = ((s, v) for s in states if (v := row.get(s)) != s)
+                raise _row_error(t, moves, index, dense) from None
+        else:
+            row = rows.get(t, {})
+            try:
+                ms = [(index[s], index[v]) for s, v in row.items() if v != s]
+            except (KeyError, TypeError):
+                ms = None
+            if ms is None or len(ms) != len(row):
+                raise _row_error(t, row.items(), index, dense)
+            ms.sort()
+        if not ms:
+            raise InputError(f"token {t!r} acts as the identity on every state")
+        index_moves[t] = ms
+    return index_moves
+
+
+def _row_error(t, moves, index, dense) -> InputError:
+    """The first defect among token t's moves, as (state, image) pairs in the
+    order the walk met them; a dense row gives None for a missing state."""
+    for s, v in moves:
+        if dense and v is None:
+            return InputError(f"action of token {t!r} missing state {s!r}")
+        if not _is_key(s, index):
+            return InputError(f"a move of token {t!r} starts outside the state set")
+        if not _is_key(v, index):
+            return InputError(f"action of token {t!r} leaves the state set")
+        if v == s:
+            return InputError(f"token {t!r} moves state {s!r} to itself")
+    # unreachable: the walk fails only on a move with one of the defects above
+    return InputError(f"action of token {t!r} leaves the state set")
+
+
+def _is_key(x, index) -> bool:
+    try:
+        return x in index
+    except TypeError:  # an unhashable entry
+        return False
 
 
 def apply(ts: TokenSystem, state: str, message: Message) -> str:
@@ -267,8 +401,7 @@ def _require_reverse(ts: TokenSystem) -> Mapping[str, str]:
 
 
 def _straight_search(ts, source, target, rev):
-    act = ts.action
-    tokens = ts.tokens
+    steps = [(t, dict(ts.moves(t))) for t in ts.tokens]
     start = (source, frozenset())
     parent: dict = {start: None}
     queue = deque([start])
@@ -281,9 +414,9 @@ def _straight_search(ts, source, target, rev):
                 node, t = parent[node]
                 msg.append(t)
             return tuple(reversed(msg))
-        for t in tokens:
-            v = act[t][cur]
-            if v == cur or rev[t] in used:
+        for t, step in steps:
+            v = step.get(cur)
+            if v is None or rev[t] in used:
                 continue
             nxt = (v, used | {t})
             if nxt not in parent:
@@ -446,31 +579,21 @@ def reduction(ts: TokenSystem, keep: Iterable[str]) -> TokenSystem:
         raise InputError("states to keep must belong to the system")
     if len(keep_set) < 2:
         raise InputError("a reduction needs at least two states")
-    states = tuple(s for s in ts.states if s in keep_set)
-    seen: dict[tuple[str, ...], str] = {}
-    order: list[str] = []
-    action: dict[str, dict[str, str]] = {}
-    for t in ts.tokens:
-        row = {}
-        identity = True
-        for s in states:
-            v = ts.action[t][s]
-            if v not in keep_set:
-                v = s
-            row[s] = v
-            identity = identity and v == s
-        if identity:
-            continue
-        sig = tuple(row[s] for s in states)
-        if sig in seen:
-            continue
-        seen[sig] = t
-        order.append(t)
-        action[t] = row
-    plain = TokenSystem(states, tuple(order), action)
+    old = ts.states
+    states = tuple(s for s in old if s in keep_set)
+    kept = [s in keep_set for s in old]
+    seen: set[tuple[tuple[int, int], ...]] = set()
+    moves: dict[str, dict[str, str]] = {}
+    for t, ms in ts._index_moves.items():
+        sig = tuple((i, j) for i, j in ms if kept[i] and kept[j])
+        if sig and sig not in seen:
+            seen.add(sig)
+            moves[t] = {old[i]: old[j] for i, j in sig}
+    plain = TokenSystem(states, tuple(moves), moves=moves)
     cands = _reverse_candidates(plain)
     if all(len(c) == 1 and c[0] != t for t, c in cands.items()):
-        return TokenSystem(states, plain.tokens, action, {t: c[0] for t, c in cands.items()})
+        return TokenSystem(states, plain.tokens, reverse={t: c[0] for t, c in cands.items()},
+                           moves=moves)
     return plain
 
 

@@ -5,6 +5,8 @@
 command prints and ``scripts/build_gallery.py`` writes.  The stdlib's
 indented encoder is pure Python; the writer escapes strings with the C
 ``encode_basestring_ascii`` and builds each nested container with one join.
+A token system's ``action`` view is laid out from its moves and must read
+as ``json.dumps`` writes the system's dense table.
 """
 
 import io
@@ -15,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tokenmedia.cli import write_json
+from tokenmedia.tokens import TokenSystem
 
 # Quotes, backslashes, control characters, non-ASCII text, astral and lone surrogate code points.
 texts = st.text(st.one_of(
@@ -78,3 +81,33 @@ def test_nested_containers_reach_the_file_as_one_piece_each():
     write_json({"b": "x", "a": {"c": ["d", 1]}}, fh)
     assert fh.pieces == ['{\n  ', '"a"', ': ', '{\n    "c": [\n      "d",\n      1\n    ]\n  }',
                          ',\n  ', '"b"', ': ', '"x"', '\n}', '\n']
+
+
+@st.composite
+def systems(draw):
+    """Token systems with 2-6 states and 1-4 tokens of drawn moves.  State and
+    token names are drawn texts, so they need escaping and their name order
+    differs from their order in the system; tokens may come in reverse pairs."""
+    states = draw(st.lists(texts, min_size=2, max_size=6, unique=True))
+    toks = draw(st.lists(texts, min_size=1, max_size=4, unique=True))
+    moves = {}
+    for t in toks:
+        sources = draw(st.lists(st.sampled_from(states), min_size=1, unique=True))
+        moves[t] = {s: draw(st.sampled_from([v for v in states if v != s])) for s in sources}
+    reverse = None
+    if len(toks) % 2 == 0 and draw(st.booleans()):
+        reverse = {}
+        for t, u in zip(toks[::2], toks[1::2]):
+            reverse[t], reverse[u] = u, t
+    return TokenSystem(tuple(states), tuple(toks), reverse=reverse, moves=moves)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ts=systems())
+def test_the_action_view_is_written_as_its_dense_table(ts):
+    # the top level, as linmedium prints a system, and under "system", as arrangement and mosaic do
+    assert written(ts.to_json_dict(view=True)) == json.dumps(ts.to_json_dict(), sort_keys=True, indent=2) + "\n"
+    doc = {"system": ts.to_json_dict(view=True), "family": {"sets": [[]]}, "lines": []}
+    dense = {**doc, "system": ts.to_json_dict()}
+    assert written(doc) == json.dumps(dense, sort_keys=True, indent=2) + "\n"
+    assert ts.action._rows == {}  # written from the moves, no row built
