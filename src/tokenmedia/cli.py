@@ -5,7 +5,9 @@ Machine-readable JSON goes to stdout in the layout of the stdlib's
 byte-identical outputs; ``write_json`` writes it in one pass, and lays out
 a system's dense ``action`` table from its moves.  Human diagnostics go to
 stderr.
-Exit codes: 0 success/true, 1 semantic-false, 2 parse error, 3 resource cap.
+Exit codes: 0 success/true, 1 semantic-false, 2 parse error or output that
+cannot be written (an unwritable ``--dot`` path, stdout closed by its
+reader), 3 resource cap.
 """
 
 from __future__ import annotations
@@ -117,6 +119,17 @@ def _emit(doc) -> None:
     write_json(doc, sys.stdout)
 
 
+def _write_dot(path: str, graph) -> int:
+    """Write the graph's DOT text to ``path``; exit code 0, or 2 with one line on stderr."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(cubes.to_dot(graph))
+    except (OSError, UnicodeError) as exc:
+        print(f"cannot write {path}: {getattr(exc, 'strerror', None) or exc}", file=sys.stderr)
+        return 2
+    return 0
+
+
 def _load_system(path: str) -> tokens.TokenSystem:
     return tokens.TokenSystem.from_json_dict(_read_json(path))
 
@@ -155,10 +168,7 @@ def _cmd_graph(args) -> int:
     g = cubes.medium_graph(ts)
     labeled = cubes.LabeledGraph(g.vertices, g.edges, decision.alpha, g.edge_labels)
     _emit(labeled.to_json_dict())
-    if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(cubes.to_dot(labeled))
-    return 0
+    return _write_dot(args.dot, labeled) if args.dot else 0
 
 
 def _cmd_pcube(args) -> int:
@@ -170,9 +180,7 @@ def _cmd_pcube(args) -> int:
     result = cubes.is_partial_cube(g)
     _emit(result.to_json_dict())
     if args.dot and result.accepted:
-        labeled = cubes.LabeledGraph(g.vertices, g.edges, result.labels)
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(cubes.to_dot(labeled))
+        return _write_dot(args.dot, cubes.LabeledGraph(g.vertices, g.edges, result.labels))
     return 0 if result.accepted else 1
 
 
@@ -200,11 +208,7 @@ def _cmd_linmedium(args) -> int:
     doc = ts.to_json_dict(view=True)
     doc["family"] = fam.to_json_dict()
     _emit(doc)
-    if args.dot:
-        g = cubes.medium_graph(ts)
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(cubes.to_dot(g))
-    return 0
+    return _write_dot(args.dot, cubes.medium_graph(ts)) if args.dot else 0
 
 
 def _arrangement_pipeline(arrangement) -> dict:
@@ -229,11 +233,7 @@ def _cmd_arrangement(args) -> int:
     arrangement = arr_mod.Arrangement.from_json_dict(_read_json(args.input))
     doc = _arrangement_pipeline(arrangement)
     _emit(doc)
-    if args.dot:
-        g = cubes.LabeledGraph.from_json_dict(doc["graph"])
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(cubes.to_dot(g))
-    return 0
+    return _write_dot(args.dot, cubes.LabeledGraph.from_json_dict(doc["graph"])) if args.dot else 0
 
 
 def _cmd_mosaic(args) -> int:
@@ -244,12 +244,14 @@ def _cmd_mosaic(args) -> int:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI parser, built once per process: parsing leaves no state in it."""
+    """The CLI parser, built once per process: parsing leaves no state in it.
+    ``parser.commands`` maps each command name to its subparser."""
     parser = argparse.ArgumentParser(
         prog="tokenmedia",
         description="Verify, convert, and construct token-system media.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     p = sub.add_parser("check", help="axiom report and exact medium decision")
     p.add_argument("input", help="token system JSON ('-' for stdin)")
@@ -300,10 +302,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code; argparse's own errors and
+    help raise SystemExit.  A known command is parsed by its own subparser
+    alone; the top-level parser runs only when the first argument names no
+    command or the subparser leaves arguments over, so that its usage and
+    messages stay argparse's."""
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
-    args = parser.parse_args(argv)
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, extra = command.parse_known_args(argv[1:])
+        if not extra:
+            return _run(args)
+    return _run(parser.parse_args(argv))
+
+
+def _run(args) -> int:
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        _drop_stdout()
+        return 2
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
@@ -313,6 +334,19 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
+
+
+def _drop_stdout() -> None:
+    """After the reader closed stdout, point its file descriptor at devnull,
+    as the SIGPIPE note of the Python docs does, so that the flush at exit
+    cannot fail again.  A stdout without a descriptor is left alone."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 if __name__ == "__main__":

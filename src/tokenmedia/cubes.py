@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import CapError, InputError, ParseError
-from .families import SetFamily
+from .families import SetFamily, _moves_separate, well_graded_witness
 from .tokens import TokenSystem
 
 DEFAULT_ISO_CAP = 2000
@@ -294,25 +294,6 @@ def _geodesic(adj, p, q):
     return path
 
 
-def _moves_separate(lab, toggles, width):
-    """The first pair (p, q), q != p, such that no bit of toggles[p] separates
-    lab[p] from lab[q], or None.  All q at once, on bitsets over the
-    positions; with each move flipping its own bit, None is well-gradedness,
-    and rules out equal labels."""
-    bits = [1 << x for x in range(width)]
-    everyone = (1 << len(lab)) - 1
-    holders = [sum(1 << q for q, own in enumerate(lab) if own & b) for b in bits]
-    for p, (own, tg) in enumerate(zip(lab, toggles)):
-        alike = everyone
-        for b, members in zip(bits, holders):
-            if tg & b:
-                alike &= members if own & b else everyone ^ members
-        if alike != 1 << p:
-            rest = alike ^ 1 << p
-            return p, (rest & -rest).bit_length() - 1
-    return None
-
-
 def _odd_cycle(parent, depth, u, w):
     pu, pw = u, w
     left, right = [u], [w]
@@ -512,8 +493,6 @@ class RankTable:
 
 
 def rank_table(fam: SetFamily) -> RankTable:
-    from .families import well_graded_witness
-
     if frozenset() not in fam.sets:
         raise InputError("rank table needs the empty set in the family")
     if well_graded_witness(fam) is not None:
@@ -585,60 +564,39 @@ def extend_isometry(f1: SetFamily, f2: SetFamily,
     """Extend a distance-preserving bijection between two well graded families
     on a common ground set to an isometry of the whole cube.
 
-    After translating both families so the first member of f1 and its image
-    go to the empty set, each element is matched through its minimal-rank
-    witness sets; rank strata must map bijectively, elements untouched by f1
-    are matched to the lexicographically least remaining targets.  The
-    result is verified to reproduce alpha on all of f1; internal failures
-    raise AssertionError since the construction cannot fail on valid input.
+    Such a map is a cube isometry S -> perm(S ^ translation), so it is read
+    off f1's edges: along every edge p -> p + {x} of f1 the images must
+    differ in exactly one element y, and x -> y must be one injective map.
+    Elements that move on no edge of f1 take the least remaining targets, in
+    sorted order, and the translation sends the first member of f1 to its
+    image.  The result must reproduce alpha on every member of f1.  With the
+    well-gradedness tests this is O(|F| * |X|) set and bitset operations;
+    any failure raises InputError.
     """
-    from .families import distance, translate, well_graded_witness
-
     if tuple(f1.ground) != tuple(f2.ground):
         raise InputError("families must share one ground set")
     if well_graded_witness(f1) is not None or well_graded_witness(f2) is not None:
         raise InputError("both families must be well graded")
     if set(alpha) != set(f1.sets) or set(alpha.values()) != set(f2.sets):
         raise InputError("alpha must be a bijection between the two families")
-    sets1 = f1.sets
-    for i in range(len(sets1)):
-        for j in range(i + 1, len(sets1)):
-            if distance(alpha[sets1[i]], alpha[sets1[j]]) != distance(sets1[i], sets1[j]):
-                raise InputError("alpha is not distance-preserving")
-
-    b1 = f1.sets[0]
-    b2 = alpha[b1]
-    shifted1 = translate(f1, b1)
-    shifted2 = translate(f2, b2)
-    lam = {p ^ b1: alpha[p] ^ b2 for p in f1.sets}
-
-    ranks1 = rank_table(shifted1)
-    ranks2 = rank_table(shifted2)
-    perm: dict[str, str] = {}
-    for x, a in ranks1.witness.items():
-        smaller = a - {x}
-        if smaller not in lam:
-            raise AssertionError("minimal witness chain broken; construction defect")
-        diff = lam[a] - lam[smaller]
-        if len(diff) != 1 or not lam[smaller] <= lam[a]:
-            raise AssertionError("image of a unit extension is not a unit extension")
-        perm[x] = next(iter(diff))
-    strata1 = ranks1.strata()
-    strata2 = ranks2.strata()
-    if sorted(strata1) != sorted(strata2):
-        raise AssertionError("rank strata of the two families disagree")
-    for k, xs in strata1.items():
-        if tuple(sorted(perm[x] for x in xs)) != strata2[k]:
-            raise AssertionError(f"stratum {k} does not map bijectively")
-    untouched = [x for x in f1.ground if x not in perm]
-    free = [y for y in f1.ground if y not in set(perm.values())]
-    for x, y in zip(sorted(untouched), sorted(free)):
-        perm[x] = y
-
-    inv_perm = {v: k for k, v in perm.items()}
-    translation = b1 ^ frozenset(inv_perm[y] for y in b2)
-    iso = CubeIsometry(tuple(f1.ground), translation, perm)
+    ground = tuple(f1.ground)
+    members = set(f1.sets)
+    steps: dict[str, frozenset] = {}  # the image's toggle along each element's edges
     for p in f1.sets:
-        if iso.apply(p) != alpha[p]:
-            raise AssertionError("extension fails to reproduce alpha on the family")
+        for x in ground:
+            if x not in p and (up := p | {x}) in members:
+                step = alpha[p] ^ alpha[up]
+                if len(step) != 1 or steps.setdefault(x, step) != step:
+                    raise InputError("alpha is not distance-preserving")
+    perm = {x: y for x, (y,) in steps.items()}
+    targets = set(perm.values())
+    if len(targets) != len(perm):
+        raise InputError("alpha is not distance-preserving")
+    free = sorted(y for y in ground if y not in targets)
+    perm.update(zip(sorted(x for x in ground if x not in perm), free))
+    inv_perm = {y: x for x, y in perm.items()}
+    b1 = f1.sets[0]
+    iso = CubeIsometry(ground, b1 ^ frozenset(map(inv_perm.__getitem__, alpha[b1])), perm)
+    if any(iso.apply(p) != alpha[p] for p in f1.sets):
+        raise InputError("alpha is not distance-preserving")
     return iso

@@ -77,42 +77,40 @@ def set_name(s: Iterable[str], ground: Iterable[str]) -> str:
     return "{" + ",".join(x for x in ground if x in members) + "}"
 
 
-def _masks(fam: SetFamily) -> list[int]:
-    bit = {x: 1 << i for i, x in enumerate(fam.ground)}
-    out = []
-    for s in fam.sets:
-        m = 0
-        for x in s:
-            m |= bit[x]
-        out.append(m)
-    return out
-
-
 def well_graded_witness(fam: SetFamily) -> tuple[frozenset, frozenset] | None:
     """None when well graded, else an ordered pair with no first geodesic step.
 
     The family is well graded iff from every member P toward every other Q
-    some element of P ^ Q can be toggled without leaving the family; the
-    scan is O(|F|^2 * |X|) on integer bitmasks.
+    some element of P ^ Q can be toggled without leaving the family.  The
+    pair (P, Q) has no such step exactly when Q agrees with P on every
+    toggle of P that stays in the family, so ``_moves_separate`` finds the
+    first pair, in member order, with O(|F| * |X|) operations on bitsets
+    over the members.
     """
-    masks = _masks(fam)
+    bit = {x: 1 << i for i, x in enumerate(fam.ground)}
+    masks = [sum(map(bit.__getitem__, s)) for s in fam.sets]
     present = set(masks)
-    n = len(masks)
-    for i in range(n):
-        mi = masks[i]
-        for j in range(n):
-            if i == j:
-                continue
-            d = mi ^ masks[j]
-            ok = False
-            while d:
-                b = d & -d
-                if mi ^ b in present:
-                    ok = True
-                    break
-                d ^= b
-            if not ok:
-                return fam.sets[i], fam.sets[j]
+    toggles = [sum(b for b in bit.values() if m ^ b in present) for m in masks]
+    pair = _moves_separate(masks, toggles, len(bit))
+    return None if pair is None else (fam.sets[pair[0]], fam.sets[pair[1]])
+
+
+def _moves_separate(lab, toggles, width):
+    """The first pair (p, q), q != p, such that no bit of toggles[p] separates
+    lab[p] from lab[q], or None.  All q at once, on bitsets over the
+    positions; with each move flipping its own bit, None is well-gradedness,
+    and rules out equal labels."""
+    bits = [1 << x for x in range(width)]
+    everyone = (1 << len(lab)) - 1
+    holders = [sum(1 << q for q, own in enumerate(lab) if own & b) for b in bits]
+    for p, (own, tg) in enumerate(zip(lab, toggles)):
+        alike = everyone
+        for b, members in zip(bits, holders):
+            if tg & b:
+                alike &= members if own & b else everyone ^ members
+        if alike != 1 << p:
+            rest = alike ^ 1 << p
+            return p, (rest & -rest).bit_length() - 1
     return None
 
 

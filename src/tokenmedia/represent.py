@@ -24,9 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .cubes import _moves_separate
 from .errors import InputError
-from .families import SetFamily
+from .families import SetFamily, _moves_separate
 from .tokens import TokenSystem, reduction, reverse_defect
 
 
@@ -308,7 +307,7 @@ def _potentials(ts: TokenSystem) -> _Potentials:
 
     Once M3 holds, a walk is consistent iff its length is the L1 distance of
     its ends' potentials.  So M2 holds on a component iff some move from p
-    lowers that distance to q, for all p != q: ``cubes._moves_separate`` on
+    lowers that distance to q, for all p != q: ``families._moves_separate`` on
     the potentials in unary thresholds, where L1 distance is Hamming
     distance.  On a component that passes, every BFS geodesic is consistent,
     so t occurs in a straight message into v iff v lies at or past the least

@@ -1,7 +1,17 @@
+import contextlib
+import copy
 import gc
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tokenmedia import cli
 from tokenmedia.families import SetFamily, family_medium
@@ -296,14 +306,21 @@ class TestArrangementCommands:
 
 class TestDeterminism:
     def test_parser_is_built_once_and_reused_after_an_argparse_error(self, tmp_path, capsys):
-        assert cli.build_parser() is cli.build_parser()
+        parser = cli.build_parser()
+        assert parser is cli.build_parser()
         path = write_system(tmp_path, path3())
         fresh = run(capsys, "check", "--bound", "5", path)
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["no-such-command", path])
-        assert exc.value.code == 2
-        capsys.readouterr()
-        assert run(capsys, "check", "--bound", "5", path) == fresh
+        # a known command is parsed by its own subparser alone
+        with mock.patch.object(parser, "parse_args", side_effect=AssertionError("top-level parse")):
+            assert run(capsys, "check", "--bound", "5", path) == fresh
+        # errors on the top-level route, on the direct route, and on the
+        # direct route falling back to the top level for its extra argument
+        for argv in (["no-such-command", path], ["check", "--bound", "x", path], ["check", path, "extra"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 2
+            capsys.readouterr()
+            assert run(capsys, "check", "--bound", "5", path) == fresh
 
     def test_repeated_calls_leave_no_cyclic_garbage(self, tmp_path, capsys):
         # the parser is built once per process, and a job leaves no reference
@@ -421,3 +438,167 @@ def test_witness_past_the_digit_limit_is_a_cap(tmp_path, capsys, monkeypatch):
     code, out, err = run_bad_input("arrangement-witness-past-digit-limit", tmp_path, capsys, monkeypatch)
     assert (code, out) == (3, "")
     assert err.startswith("cap exceeded:") and "digits" in err
+
+
+# --- direct dispatch ---------------------------------------------------------------
+
+DISPATCH_ARGV = [
+    [], ["-h"], ["--help"], ["nope"],
+    ["check"], ["check", "IN", "extra"], ["check", "--unknown", "IN"],
+    ["check", "--bou", "4", "IN"], ["check", "--bound=3", "IN"], ["check", "--", "IN"],
+    ["check", "--he"], ["mosaic", "hex", "--radius", "1"], ["linmedium", "x"],
+]
+
+
+def outcome(capsys, call, argv):
+    try:
+        code = call(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("argv", DISPATCH_ARGV, ids=lambda argv: " ".join(argv) or "(none)")
+def test_direct_dispatch_matches_the_top_level_parser(argv, tmp_path, capsys):
+    path = write_system(tmp_path, path3())
+    argv = [path if a == "IN" else a for a in argv]
+    expected = outcome(capsys, lambda a: cli._run(cli.build_parser().parse_args(a)), argv)
+    assert outcome(capsys, cli.main, argv) == expected
+
+
+# --- output failures ---------------------------------------------------------------
+
+
+def dot_argv(command, tmp_path):
+    if command == "graph":
+        return ["graph", write_system(tmp_path, path3())]
+    if command == "pcube":
+        path = tmp_path / "g.edges"
+        path.write_text("a b\nb c\n")
+        return ["pcube", str(path)]
+    if command == "arrangement":
+        path = tmp_path / "lines.json"
+        path.write_text(json.dumps({"lines": [{"a": "1", "b": "0", "c": "0"}, {"a": "0", "b": "1", "c": "0"}]}))
+        return ["arrangement", str(path)]
+    return ["linmedium", "3"]
+
+
+@pytest.mark.parametrize("target", ["missing-directory", "a-directory"])
+@pytest.mark.parametrize("command", ["graph", "pcube", "linmedium", "arrangement"])
+def test_unwritable_dot_path_exits_2_with_one_line(command, target, tmp_path, capsys):
+    dot = tmp_path / "missing" / "x.dot" if target == "missing-directory" else tmp_path
+    code, out, err = run(capsys, *dot_argv(command, tmp_path), "--dot", str(dot))
+    assert code == 2
+    json.loads(out)  # the document was written before the DOT file was tried
+    assert err.startswith(f"cannot write {dot}: ") and err.count("\n") == 1
+
+
+def test_dot_text_that_utf8_cannot_encode_exits_2_with_one_line(tmp_path, capsys):
+    # JSON input may name a state by a lone surrogate, which stdout escapes and UTF-8 cannot hold
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps(two_state().to_json_dict()).replace('"S"', '"\\ud800"'))
+    dot = tmp_path / "out.dot"
+    code, out, err = run(capsys, "graph", str(path), "--dot", str(dot))
+    assert code == 2
+    assert "\\ud800" in out
+    assert err.startswith(f"cannot write {dot}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("n", ["3", "6"])  # at 3 the flush meets the closed pipe, at 6 a write does
+def test_closed_stdout_ends_without_a_traceback(n):
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first byte
+    try:
+        proc = subprocess.run([sys.executable, "-m", "tokenmedia.cli", "linmedium", n],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (2, b"")
+
+
+def test_broken_pipe_leaves_a_stdout_without_a_descriptor_alone(monkeypatch):
+    class Closed(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError
+
+    monkeypatch.setattr(sys, "stdout", Closed())
+    assert cli.main(["linmedium", "3"]) == 2
+
+
+# --- fuzzing -----------------------------------------------------------------------
+
+FUZZ_COMMANDS = {"check": 1, "represent": 1, "graph": 1, "iso": 2, "pcube": 1}
+# option pairs that each command may accept, and single tokens that break the parse
+FUZZ_TOKENS = [("--bound", "3"), ("--bound", "0"), ("--bo", "-1"), ("--base", "P"), ("--base", "x"),
+               ("--dot", "DOT"), ("--dot", "missing/x.dot"), ("--max-vertices", "99"),
+               ("--max-vertices", "0"), ("--bound=99",), ("--",), ("IN",), ("extra",), ("-h",)]
+NAMES = ["", "P", "Q", "R", "f1", "b1", "f2", "b2", "x"]
+KEYS = NAMES + ["states", "tokens", "action", "moves", "reverse", "id", "vertices", "edges", "labels"]
+
+
+def json_containers(kids):
+    return st.lists(kids, max_size=3) | st.dictionaries(st.sampled_from(KEYS), kids, max_size=3)
+
+
+JSON_VALUES = st.recursive(st.none() | st.booleans() | st.integers(-2, 4) | st.sampled_from(NAMES),
+                           json_containers, max_leaves=5)
+
+
+def fuzz_bases():
+    dense = path3().to_json_dict()
+    sparse = {"states": dense["states"], "tokens": dense["tokens"],
+              "moves": {t: {s: v for s, v in row.items() if s != v} for t, row in dense["action"].items()}}
+    graph = {"vertices": ["P", "Q", "R"], "edges": [["P", "Q"], ["Q", "R"]],
+             "labels": {"P": [], "Q": ["f1"], "R": ["f1", "f2"]}}
+    return [dense, sparse, lazy_square().to_json_dict(), graph, "P Q\nQ R\nR P\n"]
+
+
+BASES = fuzz_bases()
+
+
+@st.composite
+def documents(draw):
+    """A base document with up to three of its values replaced or deleted,
+    as JSON text, sometimes cut short."""
+    doc = copy.deepcopy(draw(st.sampled_from(BASES)))
+    if isinstance(doc, str):
+        return doc
+    for _ in range(draw(st.integers(0, 3))):
+        parent, key, node = None, None, doc
+        while isinstance(node, (dict, list)) and node and draw(st.booleans()):
+            key = draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+            parent, node = node, node[key]
+        if parent is None:
+            doc = draw(JSON_VALUES) if draw(st.integers(0, 9)) == 0 else doc
+        elif draw(st.booleans()):
+            del parent[key]
+        else:
+            parent[key] = draw(JSON_VALUES)
+    text = json.dumps(doc)
+    return text[:draw(st.integers(0, len(text)))] if draw(st.integers(0, 9)) == 0 else text
+
+
+@settings(max_examples=150, deadline=None)
+@given(command=st.sampled_from(sorted(FUZZ_COMMANDS)), first=documents(), second=documents(),
+       options=st.lists(st.sampled_from(FUZZ_TOKENS), max_size=3), data=st.data())
+def test_fuzzed_arguments_and_documents_end_with_a_documented_exit(
+        tmp_path_factory, command, first, second, options, data):
+    directory = tmp_path_factory.mktemp("fuzz")
+    files = {"IN": directory / "first", "IN2": directory / "second", "DOT": directory / "out.dot"}
+    files["IN"].write_text(first)
+    files["IN2"].write_text(second)
+    args = ["IN", "IN2"][:FUZZ_COMMANDS[command]] + [a for option in options for a in option]
+    if data.draw(st.integers(0, 3)) == 0:
+        args = data.draw(st.permutations(args))
+    argv = [command] + [str(files.get(a, a)) for a in args]
+    err = io.StringIO()
+    # a stray --dot value is written inside the example's own directory
+    with contextlib.chdir(directory), contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse's usage errors and help
+            code = exc.code
+    assert code in (0, 1, 2, 3), (argv, err.getvalue())
