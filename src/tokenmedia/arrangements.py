@@ -347,21 +347,14 @@ def arrangement_medium(arr: Arrangement,
     if graph is None:
         graph = region_adjacency(arr, regions)
     names = tuple(r.name for r in regions)
-    tokens: list[str] = []
-    moves: dict[str, dict[str, str]] = {}
-    reverse: dict[str, str] = {}
-    for k in range(len(arr.lines)):
-        pos_id, neg_id = positive_token(k), negative_token(k)
-        tokens += [pos_id, neg_id]
-        moves[pos_id] = {}
-        moves[neg_id] = {}
-        reverse[pos_id] = neg_id
-        reverse[neg_id] = pos_id
+    pos: dict[str, dict[str, str]] = {positive_token(k): {} for k in range(len(arr.lines))}
     for (u, v) in graph.edges:
         forward, backward = graph.edge_labels[(u, v)]
-        moves[forward][u] = v
-        moves[backward][v] = u
-    return TokenSystem(names, tuple(tokens), reverse=reverse, moves=moves)
+        if forward not in pos:
+            forward, u, v = backward, v, u
+        pos[forward][u] = v
+    return TokenSystem.from_pairs(names, ((t, negative_token(k), ms)
+                                          for k, (t, ms) in enumerate(pos.items())))
 
 
 # --- mosaic windows ----------------------------------------------------------

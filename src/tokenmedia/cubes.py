@@ -86,8 +86,6 @@ class LabeledGraph:
     @classmethod
     def from_edge_list(cls, text: str) -> "LabeledGraph":
         """Whitespace edge-list: one 'u v' pair per line; vertex order is first appearance."""
-        vertices: list[str] = []
-        seen = set()
         edges = []
         for line in text.splitlines():
             parts = line.split()
@@ -95,12 +93,8 @@ class LabeledGraph:
                 continue
             if len(parts) != 2:
                 raise ParseError(f"edge line needs exactly two vertex ids: {line!r}")
-            for v in parts:
-                if v not in seen:
-                    seen.add(v)
-                    vertices.append(v)
             edges.append((parts[0], parts[1]))
-        return cls(tuple(vertices), tuple(edges))
+        return cls(tuple(dict.fromkeys(v for e in edges for v in e)), tuple(edges))
 
 
 def adjacency(g: LabeledGraph) -> dict[str, tuple[str, ...]]:
@@ -111,21 +105,24 @@ def adjacency(g: LabeledGraph) -> dict[str, tuple[str, ...]]:
     return {v: tuple(sorted(ws)) for v, ws in adj.items()}
 
 
+def _dot_string(s: str) -> str:
+    """s as a DOT quoted string: backslashes and double quotes escaped."""
+    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def to_dot(g: LabeledGraph) -> str:
     """Deterministic DOT export; vertex labels become tooltips."""
     lines = ["graph g {"]
     for v in g.vertices:
         attrs = ""
         if g.vertex_labels is not None:
-            inner = ",".join(sorted(g.vertex_labels[v]))
-            attrs = f' [tooltip="{{{inner}}}"]'
-        lines.append(f'  "{v}"{attrs};')
+            attrs = f" [tooltip={_dot_string('{' + ','.join(sorted(g.vertex_labels[v])) + '}')}]"
+        lines.append(f"  {_dot_string(v)}{attrs};")
     for (u, v) in g.edges:
         attrs = ""
         if g.edge_labels is not None and (u, v) in g.edge_labels:
-            a, b = g.edge_labels[(u, v)]
-            attrs = f' [label="{a} / {b}"]'
-        lines.append(f'  "{u}" -- "{v}"{attrs};')
+            attrs = f" [label={_dot_string(' / '.join(g.edge_labels[(u, v)]))}]"
+        lines.append(f"  {_dot_string(u)} -- {_dot_string(v)}{attrs};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -149,11 +146,9 @@ def medium_graph(ts: TokenSystem) -> LabeledGraph:
             s, v = states[i], states[j]
             e = (s, v) if s < v else (v, s)
             label = (t, rev[t]) if e == (s, v) else (rev[t], t)
-            old = pair_of.get(e)
-            if old is not None and old != label and old != (label[1], label[0]):
+            old = pair_of.setdefault(e, label)
+            if old != label and old != label[::-1]:
                 raise InputError(f"edge {e!r} carries two token pairs; not a medium")
-            if old is None:
-                pair_of[e] = label
     return LabeledGraph(ts.states, tuple(pair_of), edge_labels=pair_of)
 
 
@@ -166,8 +161,6 @@ class PartialCubeResult:
 
     @property
     def class_count(self) -> int:
-        if self.labels is None:
-            return 0
         return len(set(self.edge_classes.values())) if self.edge_classes else 0
 
     def to_json_dict(self) -> dict:
@@ -334,17 +327,8 @@ def graph_to_medium(g: LabeledGraph) -> TokenSystem:
         if k in labels[u]:
             u, v = v, u
         ups.setdefault(k, {})[u] = v
-    tokens: list[str] = []
-    moves: dict[str, dict[str, str]] = {}
-    reverse: dict[str, str] = {}
-    for k in sorted(ups, key=int):
-        a, r = f"add:{k}", f"rem:{k}"
-        tokens += [a, r]
-        moves[a] = ups[k]
-        moves[r] = {v: u for u, v in ups[k].items()}
-        reverse[a] = r
-        reverse[r] = a
-    return TokenSystem(g.vertices, tuple(tokens), reverse=reverse, moves=moves)
+    return TokenSystem.from_pairs(g.vertices, ((f"add:{k}", f"rem:{k}", ups[k])
+                                               for k in sorted(ups, key=int)))
 
 
 # --- isomorphism -----------------------------------------------------------

@@ -51,11 +51,10 @@ class SetFamily:
         if not isinstance(doc, dict) or "ground" not in doc or "sets" not in doc:
             raise ParseError("set family document needs 'ground' and 'sets' fields")
         try:
-            fam = cls.of([str(x) for x in doc["ground"]],
-                         [[str(x) for x in s] for s in doc["sets"]])
+            return cls.of([str(x) for x in doc["ground"]],
+                          [[str(x) for x in s] for s in doc["sets"]])
         except (TypeError, InputError) as exc:
             raise ParseError(f"bad set family: {exc}") from None
-        return fam
 
 
 def distance(p: frozenset, q: frozenset) -> int:
@@ -169,20 +168,8 @@ def family_medium(fam: SetFamily) -> TokenSystem:
             down = s - {x}
             if down in members:
                 adds[x][names[down]] = names[s]
-    tokens: list[str] = []
-    moves: dict[str, dict[str, str]] = {}
-    reverse: dict[str, str] = {}
-    for x, add in adds.items():
-        if not add:
-            continue
-        add_id = ADD_PREFIX + x
-        rem_id = REMOVE_PREFIX + x
-        tokens += [add_id, rem_id]
-        moves[add_id] = add
-        moves[rem_id] = {v: s for s, v in add.items()}
-        reverse[add_id] = rem_id
-        reverse[rem_id] = add_id
-    return TokenSystem(states, tuple(tokens), reverse=reverse, moves=moves)
+    return TokenSystem.from_pairs(states, ((ADD_PREFIX + x, REMOVE_PREFIX + x, add)
+                                           for x, add in adds.items() if add))
 
 
 def is_complete(fam: SetFamily) -> bool:

@@ -109,24 +109,17 @@ def linear_medium(n: int, cap: int | None = None) -> tuple[TokenSystem, SetFamil
         raise CapError("single-character element names support at most 9 elements")
     elements = tuple(str(i) for i in range(1, n + 1))
     base = LinearOrder(elements)
-    base_pairs = [(elements[i], elements[j])
-                  for i in range(n) for j in range(i + 1, n)]
-    tokens: list[str] = []
-    reverse: dict[str, str] = {}
-    for (x, y) in base_pairs:
-        fwd, bwd = token_name(x, y), token_name(y, x)
-        tokens += [fwd, bwd]
-        reverse[fwd] = bwd
-        reverse[bwd] = fwd
+    base_pairs = list(itertools.combinations(elements, 2))
     perms = list(itertools.permutations(elements))
     names = ["".join(p) for p in perms]
-    moves: dict[str, dict[str, str]] = {t: {} for t in tokens}
+    forward: dict[tuple[str, str], dict[str, str]] = {pair: {} for pair in base_pairs}
     for p, name in zip(perms, names):
         for i in range(n - 1):
             y, x = p[i], p[i + 1]  # x covers y here; t:x<y swaps them
-            swapped = p[:i] + (x, y) + p[i + 2:]
-            moves[token_name(x, y)][name] = "".join(swapped)
-    ts = TokenSystem(tuple(names), tuple(tokens), reverse=reverse, moves=moves)
+            if x < y:
+                forward[x, y][name] = "".join(p[:i] + (x, y) + p[i + 2:])
+    ts = TokenSystem.from_pairs(tuple(names), ((token_name(x, y), token_name(y, x), ms)
+                                               for (x, y), ms in forward.items()))
     sets = tuple(encode(LinearOrder(p), base) for p in perms)
     fam = SetFamily(tuple(pair_name(x, y) for (x, y) in base_pairs), sets)
     return ts, fam

@@ -312,8 +312,9 @@ def _potentials(ts: TokenSystem) -> _Potentials:
     distance.  On a component that passes, every BFS geodesic is consistent,
     so t occurs in a straight message into v iff v lies at or past the least
     level of t's targets in t's direction: M4 fails there iff some pair
-    moves at two levels.  A component that fails the test needs
-    ``_m4_search``.
+    moves at two levels.  On a component that fails the test this level
+    lemma is false (``two_level_path`` in ``tests/test_exact_check.py``: M4
+    holds though a pair moves at two levels), so it needs ``_m4_search``.
     """
     ev = getattr(ts, "_potentials", None)
     if ev is not None:
@@ -519,10 +520,11 @@ def verify_embedding(ts1: TokenSystem, ts2: TokenSystem,
     """Check that (alpha, beta) embeds ts1 into ts2.
 
     The embedding property is s.t = v iff alpha(s).beta(t) = alpha(v) for
-    all states and tokens, which for total injective maps collapses to
-    alpha(s.t) == alpha(s).beta(t).  Additionally reports whether the
-    reduction of ts2 to the alpha-image is isomorphic to ts1 under the same
-    state map (true whenever both systems are media).
+    all states and tokens.  For total injective maps it says that t's moves,
+    mapped through alpha, are exactly beta(t)'s moves from the alpha-image.
+    Additionally reports whether the reduction of ts2 to the alpha-image is
+    isomorphic to ts1 under the same state map (true whenever both systems
+    are media), matching reduced tokens by move set.
     """
     if set(alpha) != set(ts1.states) or set(beta) != set(ts1.tokens):
         raise InputError("alpha and beta must be total on the source system")
@@ -534,18 +536,20 @@ def verify_embedding(ts1: TokenSystem, ts2: TokenSystem,
     for t in beta.values():
         if not ts2.has_token(t):
             raise InputError(f"beta image {t!r} is not a token of the target")
+    image = {a: s for s, a in alpha.items()}
+    wants = []
     for t in ts1.tokens:
-        for s in ts1.states:
-            if alpha[ts1.action[t][s]] != ts2.action[beta[t]][alpha[s]]:
-                return EmbeddingReport(
-                    False,
-                    mismatch={"state": s, "token": t,
-                              "source_result": ts1.action[t][s],
-                              "target_result": ts2.action[beta[t]][alpha[s]]},
-                )
+        want = {alpha[s]: alpha[v] for s, v in ts1.moves(t)}
+        got = {a: b for a, b in ts2.moves(beta[t]) if a in image}
+        if got != want:
+            s = min((image[a] for a in want.keys() | got.keys() if want.get(a) != got.get(a)),
+                    key=ts1._index.__getitem__)
+            return EmbeddingReport(False, mismatch={
+                "state": s, "token": t, "source_result": image[want.get(alpha[s], alpha[s])],
+                "target_result": got.get(alpha[s], alpha[s])})
+        wants.append(frozenset(want.items()))
     red = reduction(ts2, alpha.values())
-    by_action = {tuple(red.action[u][alpha[s]] for s in ts1.states): u for u in red.tokens}
-    matched = [by_action.get(tuple(alpha[ts1.action[t][s]] for s in ts1.states))
-               for t in ts1.tokens]
+    by_moves = {red.moves(u): u for u in red.tokens}
+    matched = [by_moves.get(w) for w in wants]
     ok = None not in matched and set(matched) == set(red.tokens)
     return EmbeddingReport(True, reduction_isomorphic=ok)

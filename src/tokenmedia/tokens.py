@@ -130,6 +130,22 @@ class TokenSystem:
                              action=ActionView(states, index_moves),
                              _index=index, _index_moves=index_moves, _moves={})
 
+    @classmethod
+    def from_pairs(cls, states: Sequence[str],
+                   pairs: Iterable[tuple[str, str, Mapping[str, str]]]) -> "TokenSystem":
+        """A paired system from (forward id, backward id, forward moves), one
+        per pair in order.  Tokens run forward then backward per pair; each
+        backward token moves the forward images back and is declared the
+        forward token's reverse.  The one validation walk follows."""
+        tokens: list[str] = []
+        moves: dict[str, Mapping[str, str]] = {}
+        reverse: dict[str, str] = {}
+        for fwd, bwd, ms in pairs:
+            tokens += (fwd, bwd)
+            moves[fwd], moves[bwd] = ms, {v: s for s, v in ms.items()}
+            reverse[fwd], reverse[bwd] = bwd, fwd
+        return cls(states, tuple(tokens), reverse=reverse, moves=moves)
+
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of an immutable TokenSystem")
 

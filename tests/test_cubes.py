@@ -573,3 +573,13 @@ def test_dot_export_mentions_labels():
     dot = to_dot(labeled)
     assert '"S" -- "T"' in dot
     assert "tooltip" in dot
+
+
+def test_dot_export_escapes_quotes_and_backslashes():
+    assert to_dot(LabeledGraph(('a"b', "c"), (('a"b', "c"),))) == \
+        'graph g {\n  "a\\"b";\n  "c";\n  "a\\"b" -- "c";\n}\n'
+    u, v = "x\\", 'y"'
+    g = LabeledGraph((u, v), ((u, v),), {u: frozenset(), v: frozenset({'e"\\'})},
+                     {(u, v): ('p\\', 'q"')})
+    assert to_dot(g) == ('graph g {\n  "x\\\\" [tooltip="{}"];\n  "y\\"" [tooltip="{e\\"\\\\}"];\n'
+                         '  "x\\\\" -- "y\\"" [label="p\\\\ / q\\""];\n}\n')

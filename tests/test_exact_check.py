@@ -227,3 +227,36 @@ def test_decision_runs_no_per_state_search():
     assert_witness_replays(ts, "M2", decision.witness)
     report = check_axioms(ts)  # the report does search, and M4 holds
     assert [c.verdict for c in report.checks] == [HOLDS, FAILS, HOLDS, HOLDS]
+
+
+def two_level_path():
+    """A 9-state path A, v0, ..., v6, B2 on four token pairs, each "-" token
+    undoing its "+" token.  M1 and M3 hold and M2 fails (v0 and v3 differ
+    only in b, but no move from v0 moves b), so the separation test fails."""
+    path = ("A", "v0", "v1", "v2", "v3", "v4", "v5", "v6", "B2")
+    steps = ("x+", "a+", "b+", "a-", "c+", "a+", "b-", "x+")
+    forward: dict = {c: {} for c in "xabc"}
+    for u, v, t in zip(path, path[1:], steps):
+        if t[1] == "+":
+            forward[t[0]][u] = v
+        else:
+            forward[t[0]][v] = u
+    return TokenSystem.from_pairs(path, ((c + "+", c + "-", ms) for c, ms in forward.items()))
+
+
+def test_a_pair_moving_at_two_levels_need_not_break_m4():
+    # the level lemma is false: x+ moves at levels 1 and 2 of the one
+    # component, yet M4 holds, so M4 off the separation test needs _m4_search
+    ts = two_level_path()
+    report = assert_exact(ts)
+    assert [c.verdict for c in report.checks] == [HOLDS, FAILS, HOLDS, HOLDS]
+    assert report["M2"].witness == {"axiom": "M2", "source": "v0", "target": "v3"}
+    assert walks.bounded_report(ts, 2 * len(ts.states) + 1)["M4"].verdict == walks.HOLDS_UP_TO_BOUND
+    ev = represent._potentials(ts)
+    assert len(ev.comps) == 1 and ev.separation[0] is not None
+    assert {ev.pot[j][0] for i in ev.comps[0] for j, t in ev.out[i] if t == "x+"} == {1, 2}
+    assert represent._m4_search(ts, ev, ev.comps[0]) is None
+    # the level test's witness is no witness: its first message is not straight
+    w = represent._m4_bounds(ts, ev, ev.comps[0])
+    assert w["message1"] == ["x+", "a+", "b+", "a-", "c+", "a+", "b-"]
+    assert not is_consistent(ts, w["message1"])

@@ -2,7 +2,8 @@ import itertools
 from collections import deque
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tokenmedia.arrangements import arrangement_medium, mosaic_window
 from tokenmedia.errors import InputError
@@ -10,6 +11,7 @@ from tokenmedia.families import SetFamily, distance, family_medium
 from tokenmedia.linorders import linear_medium, pair_name
 from tokenmedia.represent import (
     ContentTable,
+    EmbeddingReport,
     Orientation,
     contents,
     decide_medium,
@@ -22,6 +24,7 @@ from tokenmedia.tokens import TokenSystem, reduction, straight_message
 
 import walks
 from conftest import hexagon_family, hexagon_variant_family, path3, two_state, wg_families
+from test_exact_check import small_systems
 
 
 # --- oracles ----------------------------------------------------------------
@@ -366,7 +369,72 @@ class TestDecideMedium:
                              "message": ["r", "r", "r"]}
 
 
+def dense_verify_embedding(ts1, ts2, alpha, beta):
+    """The embedding check entry by entry over states x tokens through the
+    dense ``action`` tables, with reduced tokens matched by their rows: the
+    oracle for ``verify_embedding``'s move-index route, on valid maps."""
+    for t in ts1.tokens:
+        for s in ts1.states:
+            if alpha[ts1.action[t][s]] != ts2.action[beta[t]][alpha[s]]:
+                return EmbeddingReport(
+                    False,
+                    mismatch={"state": s, "token": t,
+                              "source_result": ts1.action[t][s],
+                              "target_result": ts2.action[beta[t]][alpha[s]]},
+                )
+    red = reduction(ts2, alpha.values())
+    by_action = {tuple(red.action[u][alpha[s]] for s in ts1.states): u for u in red.tokens}
+    matched = [by_action.get(tuple(alpha[ts1.action[t][s]] for s in ts1.states))
+               for t in ts1.tokens]
+    ok = None not in matched and set(matched) == set(red.tokens)
+    return EmbeddingReport(True, reduction_isomorphic=ok)
+
+
+@st.composite
+def embedding_inputs(draw):
+    """A sub-family's system into a well graded family's medium under the
+    identity maps, which embed it unless a token moves a kept set out of
+    the sub-family; a small system's tokens into it, which embeds with no
+    reduction isomorphism unless all are kept; or two arbitrary small
+    systems.  Then the maps are sometimes shuffled."""
+    route = draw(st.integers(0, 2))
+    if route == 0:
+        fam = draw(wg_families())
+        assume(len(fam.sets) >= 3)
+        keep = draw(st.lists(st.sampled_from(fam.sets), min_size=2, unique=True))
+        ts1, ts2 = family_medium(SetFamily(fam.ground, tuple(keep))), family_medium(fam)
+    elif route == 1:
+        ts2 = draw(small_systems())
+        kept = draw(st.lists(st.sampled_from(ts2.tokens), min_size=1, unique=True))
+        ts1 = TokenSystem(ts2.states, tuple(kept), moves={t: dict(ts2.moves(t)) for t in kept})
+    if route < 2:
+        alpha, beta = {s: s for s in ts1.states}, {t: t for t in ts1.tokens}
+    else:
+        ts1, ts2 = draw(small_systems()), draw(small_systems())
+        assume(len(ts1.tokens) <= len(ts2.tokens))
+        alpha = dict(zip(ts1.states, draw(st.permutations(ts2.states))))
+        beta = dict(zip(ts1.tokens, ts2.tokens))
+        assume(len(alpha) == len(ts1.states))
+    if draw(st.booleans()):
+        alpha = dict(zip(alpha, draw(st.permutations(list(alpha.values())))))
+    if draw(st.booleans()):
+        beta = dict(zip(ts1.tokens, draw(st.permutations(ts2.tokens))))
+    return ts1, ts2, alpha, beta
+
+
 class TestVerifyEmbedding:
+    @settings(max_examples=300, deadline=None)
+    @given(case=embedding_inputs())
+    def test_matches_the_dense_check(self, case):
+        ts1, ts2, alpha, beta = case
+        assert verify_embedding(ts1, ts2, alpha, beta) == dense_verify_embedding(ts1, ts2, alpha, beta)
+
+    def test_reads_no_dense_row(self):
+        ts = linear_medium(5)[0]
+        report = verify_embedding(ts, ts, {s: s for s in ts.states}, {t: t for t in ts.tokens})
+        assert report.embedding and report.reduction_isomorphic
+        assert not ts.action._rows
+
     def test_identity_embedding(self):
         ts = family_medium(hexagon_family())
         report = verify_embedding(ts, ts, {s: s for s in ts.states}, {t: t for t in ts.tokens})

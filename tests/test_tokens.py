@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from tokenmedia import tokens
 from tokenmedia.errors import InputError
-from tokenmedia.families import distance, family_medium
+from tokenmedia.cubes import LabeledGraph, graph_to_medium, is_partial_cube, medium_graph
+from tokenmedia.families import SetFamily, distance, family_medium, set_name
 from tokenmedia.linorders import LinearOrder, apply_token, encode, linear_medium
 from tokenmedia.represent import decide_medium
 from tokenmedia.tokens import (
@@ -24,7 +25,7 @@ from tokenmedia.tokens import (
 )
 
 import walks
-from conftest import path3, power_set_family, two_state
+from conftest import path3, power_set_family, two_state, wg_families
 
 
 def three_cycle():
@@ -78,6 +79,94 @@ class TestConstruction:
         assert ts.moves("f1") is first
         with pytest.raises(InputError, match="unknown token"):
             ts.moves("zz")
+
+
+def old_family_medium(fam):
+    """``family_medium`` as it assembled its tokens, moves and reverses itself."""
+    names = {s: set_name(s, fam.ground) for s in fam.sets}
+    tokens, moves, reverse = [], {}, {}
+    for x in fam.ground:
+        add = {names[s - {x}]: names[s] for s in fam.sets if x in s and s - {x} in names}
+        if add:
+            tokens += [f"add:{x}", f"rem:{x}"]
+            moves[f"add:{x}"], moves[f"rem:{x}"] = add, {v: s for s, v in add.items()}
+            reverse[f"add:{x}"], reverse[f"rem:{x}"] = f"rem:{x}", f"add:{x}"
+    return TokenSystem(tuple(names[s] for s in fam.sets), tuple(tokens), reverse=reverse,
+                       moves=moves)
+
+
+def old_graph_to_medium(g):
+    """``graph_to_medium`` as it assembled its tokens, moves and reverses itself."""
+    pc = is_partial_cube(g)
+    ups = {}
+    for (u, v), k in pc.edge_classes.items():
+        if k in pc.labels[u]:
+            u, v = v, u
+        ups.setdefault(k, {})[u] = v
+    tokens, moves, reverse = [], {}, {}
+    for k in sorted(ups, key=int):
+        a, r = f"add:{k}", f"rem:{k}"
+        tokens += [a, r]
+        moves[a], moves[r] = ups[k], {v: u for u, v in ups[k].items()}
+        reverse[a], reverse[r] = r, a
+    return TokenSystem(g.vertices, tuple(tokens), reverse=reverse, moves=moves)
+
+
+class TestFromPairs:
+    def test_backward_tokens_undo_the_forward_moves(self):
+        ts = TokenSystem.from_pairs(("a", "b", "c"), [("f", "g", {"a": "b", "b": "c"}),
+                                                      ("h", "k", {"c": "a"})])
+        assert ts.tokens == ("f", "g", "h", "k")
+        assert ts.reverse == {"f": "g", "g": "f", "h": "k", "k": "h"}
+        assert ts.moves("g") == {("b", "a"), ("c", "b")}
+        assert ts.moves("k") == {("a", "c")}
+        for fwd, bwd in (("f", "g"), ("h", "k")):
+            assert ts.moves(bwd) == {(v, s) for s, v in ts.moves(fwd)}
+
+    def test_equals_the_system_given_in_full(self):
+        ts = TokenSystem.from_pairs(("a", "b"), [("f", "g", {"a": "b"})])
+        full = TokenSystem(("a", "b"), ("f", "g"), {"f": {"a": "b", "b": "b"},
+                                                    "g": {"a": "a", "b": "a"}}, {"f": "g", "g": "f"})
+        assert ts == full == TokenSystem.from_json_dict(ts.to_json_dict())
+
+    def test_empty_forward_moves_are_an_input_error(self):
+        with pytest.raises(InputError, match="'f' acts as the identity"):
+            TokenSystem.from_pairs(("a", "b"), [("f", "g", {})])
+        with pytest.raises(InputError, match="'h' acts as the identity"):
+            TokenSystem.from_pairs(("a", "b"), [("f", "g", {"a": "b"}), ("h", "k", {})])
+
+    def test_repeated_ids_are_an_input_error(self):
+        with pytest.raises(InputError, match="duplicate token ids"):
+            TokenSystem.from_pairs(("a", "b"), [("f", "f", {"a": "b"})])
+        with pytest.raises(InputError, match="duplicate token ids"):
+            TokenSystem.from_pairs(("a", "b"), [("f", "g", {"a": "b"}), ("g", "h", {"b": "a"})])
+
+    @settings(max_examples=150, deadline=None)
+    @given(masks=st.sets(st.integers(0, 15), min_size=2, max_size=10),
+           order=st.randoms(use_true_random=False))
+    def test_family_medium_matches_the_old_assembly(self, masks, order):
+        sets = [frozenset(x for i, x in enumerate("abcd") if m >> i & 1) for m in masks]
+        order.shuffle(sets)
+        fam = SetFamily(("a", "b", "c", "d"), tuple(sets))
+        assert family_medium(fam) == old_family_medium(fam)
+
+    @settings(max_examples=150, deadline=None)
+    @given(fam=wg_families(), order=st.randoms(use_true_random=False))
+    def test_graph_to_medium_matches_the_old_assembly(self, fam, order):
+        if len(fam.sets) < 2:
+            fam = SetFamily(fam.ground, (*fam.sets, fam.sets[0] ^ {fam.ground[0]}))
+        g = medium_graph(family_medium(fam))
+        vertices = list(g.vertices)
+        order.shuffle(vertices)
+        g = LabeledGraph(tuple(vertices), g.edges)
+        assert graph_to_medium(g) == old_graph_to_medium(g)
+
+    def test_graph_to_medium_orders_classes_by_number(self):
+        # a path of 12 vertices has 11 classes, so "10" sorts after "9"
+        path = LabeledGraph.from_edge_list("".join(f"p{i} p{i + 1}\n" for i in range(11)))
+        ts = graph_to_medium(path)
+        assert ts == old_graph_to_medium(path)
+        assert ts.tokens[-4:] == ("add:9", "rem:9", "add:10", "rem:10")
 
 
 class TestApply:
