@@ -15,7 +15,9 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import mmap
 import os
+import stat
 import sys
 from json.encoder import encode_basestring_ascii as _encode_str
 
@@ -24,18 +26,46 @@ from . import cubes, linorders, represent, tokens
 from .errors import CapError, InputError, ParseError
 
 VERTEX_CAP_ENV = "TOKENMEDIA_MAX_VERTICES"
+#: Input files from this size up are mapped, not read: at 64 KiB a read
+#: took 16 us against 23 us for a map, at 256 KiB 166 us against 35 us.
+MAP_MIN_BYTES = 256 * 1024
 
 
 def _read_text(path: str) -> str:
+    """The text of the file at ``path``, or of stdin for ``-``, with newlines
+    translated as text mode does.  A file that ``_map`` maps is decoded
+    straight from the map, and any other from one binary read, so its bytes
+    are copied only into the text.  Truncating a mapped file while it is
+    read ends the process with SIGBUS."""
     try:
         if path == "-":
             return sys.stdin.read()
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+        with open(path, "rb") as fh:
+            mapped = _map(fh)
+            if mapped is None:
+                text = fh.read().decode("utf-8")
+            else:
+                with mapped:
+                    text = str(mapped, "utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: {exc}") from None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
+def _map(fh):
+    """A read-only map of the open file ``fh``, or None when it is not a
+    regular file of at least ``MAP_MIN_BYTES`` or cannot be mapped."""
+    info = os.fstat(fh.fileno())
+    if not stat.S_ISREG(info.st_mode) or info.st_size < MAP_MIN_BYTES:
+        return None
+    try:
+        return mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    except (OSError, ValueError):  # a file system without maps, or a file emptied since
+        return None
 
 
 def _parse_json(text: str, path: str):
@@ -54,7 +84,8 @@ def _read_json(path: str):
 def _chunks(obj, indent: str) -> list:
     """The text of ``obj`` at ``indent`` as ``json.dumps(obj, sort_keys=True, indent=2)``
     lays it out, in pieces: each nested container is one piece, built by one join.
-    Strings take the stdlib's C escaping; other scalars go through ``json.dumps``."""
+    Strings take the stdlib's C escaping, and ints, booleans and None are
+    written as ``json.dumps`` writes them; floats and anything else go through it."""
     if isinstance(obj, str):
         return [_encode_str(obj)]
     inner = indent + "  "
@@ -71,6 +102,12 @@ def _chunks(obj, indent: str) -> list:
             out += sep, _encode_str(value) if type(value) is str else "".join(_chunks(value, inner))
     elif type(obj) is tokens.ActionView:
         return _action_chunks(obj, indent)
+    elif obj is None:
+        return ["null"]
+    elif obj is True or obj is False:
+        return ["true" if obj else "false"]
+    elif isinstance(obj, int):
+        return [int.__repr__(obj)]
     else:
         return [json.dumps(obj)]
     if not out:

@@ -342,8 +342,9 @@ def media_isomorphic(ts1: TokenSystem, ts2: TokenSystem,
     so the media are isomorphic iff, once translations take a state s0 of
     ts1 and its image b to the empty set, a permutation pi of coordinates
     carries ts1's canonical labels (``decide_medium``) onto ts2's.  Colour
-    refinement, run on both graphs' moves with one palette, must give equal
-    colour tallies; s0 has the rarest colour and b runs over ts2's states of
+    refinement of both graphs' moves as one graph (``_joint_colours``, by
+    splitting, O(E log S)) must leave every class with as many states of
+    ts1 as of ts2; s0 has the rarest colour and b runs over ts2's states of
     that colour.  ts1's coordinates are numbered by first appearance in its
     labels, nearest s0 first.  The first label holding x, minus x, is x's
     anchor, so pi(x) must move the anchor's image, and every label whose last
@@ -406,28 +407,62 @@ def media_isomorphic(ts1: TokenSystem, ts2: TokenSystem,
 
 
 def _joint_colours(ts1, ts2):
-    """Colour refinement from the degrees, on the graphs read off both move
-    indexes with one palette per round: the stable colour of each state, by
-    name, or (None, None) when the two colour tallies differ."""
-    graphs = []
-    for ts in (ts1, ts2):
-        adj: list[list[int]] = [[] for _ in ts.states]
-        for ms in ts._index_moves.values():
-            for i, j in ms:
-                adj[i].append(j)
-        graphs.append(adj)
-    cols = [[len(a) for a in adj] for adj in graphs]
-    classes = len(set(cols[0] + cols[1]))
-    while True:
-        palette: dict = {}
-        cols = [[palette.setdefault((c[i], tuple(sorted([c[j] for j in a]))), len(palette))
-                 for i, a in enumerate(adj)] for c, adj in zip(cols, graphs)]
-        if len(palette) == classes:
-            break
-        classes = len(palette)
-    if Counter(cols[0]) != Counter(cols[1]):
+    """Colour refinement of the graphs read off both move indexes, as one
+    graph: each state's colour (its class number) by name, in the coarsest
+    equitable partition, which rounds of recolouring from the degrees reach;
+    or (None, None) as soon as a class holds unequal numbers of states of
+    the two graphs, as the stable classes then would too.  Classes are
+    split against one splitter class at a time, by each state's number of
+    neighbours in it; a split class goes back on the queue whole if it waits
+    there, else all its parts but the largest, whose counts the others imply
+    (Hopcroft; Paige and Tarjan).  That is O(E log S) steps, where rounds
+    cost E each for as long as the partition grows (500 rounds on a
+    1,000-state path)."""
+    n1 = len(ts1.states)
+    if n1 != len(ts2.states):
         return None, None
-    return dict(zip(ts1.states, cols[0])), dict(zip(ts2.states, cols[1]))
+    adj: list[list[int]] = [[] for _ in range(2 * n1)]
+    for ts, shift in ((ts1, 0), (ts2, n1)):
+        for ms in ts._index_moves.values():
+            for i, j in ms:  # a medium's moves come in reverse pairs, so adj is symmetric
+                adj[i + shift].append(j + shift)
+    side = [1] * n1 + [-1] * n1
+    colour = [0] * len(adj)
+    members: list[set[int]] = [set(range(len(adj)))]
+    queue, waiting = [0], {0}
+    while queue:
+        splitter = queue.pop()
+        waiting.discard(splitter)
+        touched: list[int] = []
+        for j in members[splitter]:
+            touched += adj[j]
+        groups: dict[int, dict[int, list[int]]] = {}  # old class -> count -> states
+        for i, c in Counter(touched).items():
+            groups.setdefault(colour[i], {}).setdefault(c, []).append(i)
+        for old, by_count in groups.items():
+            parts = list(by_count.values())
+            rest = len(members[old]) - sum(map(len, parts))
+            if not rest:
+                if len(parts) == 1:
+                    continue
+                rest = len(parts.pop())  # the last count group keeps the old class
+            sizes = [(rest, old)]
+            for part in parts:
+                if sum(map(side.__getitem__, part)):
+                    return None, None
+                new = len(members)
+                members[old].difference_update(part)
+                members.append(set(part))
+                for i in part:
+                    colour[i] = new
+                sizes.append((len(part), new))
+            if old not in waiting:
+                sizes.remove(max(sizes))
+            for _, c in sizes:
+                if c not in waiting:
+                    waiting.add(c)
+                    queue.append(c)
+    return dict(zip(ts1.states, colour)), dict(zip(ts2.states, colour[n1:]))
 
 
 def _coordinate_search(steps, go2, where2, colour2, shift):

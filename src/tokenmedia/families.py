@@ -97,16 +97,23 @@ def well_graded_witness(fam: SetFamily) -> tuple[frozenset, frozenset] | None:
 def _moves_separate(lab, toggles, width):
     """The first pair (p, q), q != p, such that no bit of toggles[p] separates
     lab[p] from lab[q], or None.  All q at once, on bitsets over the
-    positions; with each move flipping its own bit, None is well-gradedness,
-    and rules out equal labels."""
-    bits = [1 << x for x in range(width)]
+    positions, with one AND per set bit of toggles[p]: holders[x] (the
+    positions whose label holds bit x) is a column of the label bit matrix,
+    transposed in one pass.  With each move flipping its own bit, None is
+    well-gradedness, and rules out equal labels."""
     everyone = (1 << len(lab)) - 1
-    holders = [sum(1 << q for q, own in enumerate(lab) if own & b) for b in bits]
+    # the labels in binary, one row per position from the last up: column c
+    # read down is holders[width - 1 - c] in binary
+    rows = [format(own, f"0{width}b") for own in reversed(lab)]
+    holders = [int("".join(column), 2) for column in zip(*rows)][::-1]
+    lacking = [everyone ^ members for members in holders]
     for p, (own, tg) in enumerate(zip(lab, toggles)):
         alike = everyone
-        for b, members in zip(bits, holders):
-            if tg & b:
-                alike &= members if own & b else everyone ^ members
+        while tg:
+            low = tg & -tg
+            x = low.bit_length() - 1
+            alike &= holders[x] if own & low else lacking[x]
+            tg ^= low
         if alike != 1 << p:
             rest = alike ^ 1 << p
             return p, (rest & -rest).bit_length() - 1

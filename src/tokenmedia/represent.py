@@ -82,20 +82,26 @@ def contents(ts: TokenSystem, base: str | None = None) -> ContentTable:
         raise InputError(f"unknown state id {base!r}")
     table = getattr(ts, "_contents", None)
     if table is None:
-        decision = decide_medium(ts)
-        if not decision.is_medium:
-            raise InputError("contents need a medium; this system is not one")
-        beta = decision.beta.items()
-        table = {s: frozenset(t for t, (x, pol) in beta if (x in label) == (pol == "add"))
-                 for s, label in decision.alpha.items()}
+        decision = _medium_decision(ts)
+        table = {s: _content(decision, label) for s, label in decision.alpha.items()}
         object.__setattr__(ts, "_contents", table)
     return ContentTable(base, table)
 
 
+def _content(decision, label) -> frozenset[str]:
+    """The content of the state with this canonical label: the tokens adding
+    a coordinate it holds or removing one it lacks."""
+    return frozenset(t for t, (x, pol) in decision.beta.items() if (x in label) == (pol == "add"))
+
+
 def orient_from_state(ts: TokenSystem, s0: str) -> Orientation:
-    """The orientation whose negative class is the content of s0."""
-    table = contents(ts, base=s0)
-    negative = table.contents[s0]
+    """The orientation whose negative class is the content of s0, read off
+    s0's canonical label alone, with no table of all contents.  A system
+    that is not a medium raises InputError."""
+    if not ts.has_state(s0):
+        raise InputError(f"unknown state id {s0!r}")
+    decision = _medium_decision(ts)
+    negative = _content(decision, decision.alpha[s0])
     return Orientation(frozenset(ts.tokens) - negative, negative)
 
 
@@ -129,18 +135,25 @@ def positive_content_family(ts: TokenSystem, orientation: Orientation) -> Family
     is empty and its union is the whole ground.  The positive contents are
     the canonical labels of ``decide_medium`` after a translation and a
     renaming of coordinates, so they transport the action: s.t = v iff
-    alpha(s).beta(t) = alpha(v).  A system that is not a medium raises
+    alpha(s).beta(t) = alpha(v).  A positive token that removes x holds
+    exactly at the labels lacking x, so each label, XOR the coordinates
+    whose positive token removes, maps onto the positive content; no
+    states-by-tokens table is built.  A system that is not a medium raises
     InputError.
     """
     rev = ts.reverse
-    table = contents(ts)
+    decision = _medium_decision(ts)
     pos = orientation.positive
     if pos | orientation.negative != frozenset(ts.tokens) or pos & orientation.negative:
         raise InputError("orientation must partition this system's tokens")
     if any(rev[t] in pos for t in pos):
         raise InputError("orientation must separate every token from its reverse")
     ground = tuple(t for t in ts.tokens if t in pos)
-    alpha = {s: table.contents[s] & pos for s in ts.states}
+    token = {decision.beta[t][0]: t for t in ground}  # coordinate -> its positive token
+    flip = frozenset(x for x, t in token.items() if decision.beta[t][1] == "remove")
+    coords = frozenset(token)  # all of them unless some pair has no positive token
+    alpha = {s: frozenset(map(token.__getitem__, (label ^ flip) & coords))
+             for s, label in decision.alpha.items()}
     family = SetFamily(ground, tuple(alpha[s] for s in ts.states))
     beta = {t: (t, "add") if t in pos else (rev[t], "remove") for t in ts.tokens}
     return FamilyRepresentation(family, alpha, beta)
@@ -164,6 +177,14 @@ class MediumDecision:
                 **FamilyRepresentation(self.family, self.alpha, self.beta).to_json_dict()}
 
 
+def _medium_decision(ts: TokenSystem) -> MediumDecision:
+    """The decision of a medium; a system that is not one raises InputError."""
+    decision = decide_medium(ts)
+    if not decision.is_medium:
+        raise InputError("contents need a medium; this system is not one")
+    return decision
+
+
 def decide_medium(ts: TokenSystem) -> MediumDecision:
     """Exact decision: is this token system a medium?
 
@@ -179,12 +200,14 @@ def decide_medium(ts: TokenSystem) -> MediumDecision:
     and lets a token fix a state only when the toggled label is not realized
     or the token's polarity forbids the move.  On yes, the labels relative
     to the least state are the canonical set-family representation,
-    coordinates named "0", "1", ... in order of each pair's least edge.  On
-    no after M1 and M2's connectivity, the witness is that of the first
-    check of the token-pair potentials that fails, in the order M3, M2's
-    separation test, M4 by min/max (``_axiom_rejection``): the first failing
-    axiom of ``check_axioms``.  The decision is stored on ``ts``, so later
-    calls on the same system return it without labeling again.
+    coordinates named "0", "1", ... in order of each pair's least edge, and
+    each label set is built from its BFS parent's with one coordinate
+    toggled.  On no after M1 and M2's connectivity, the witness is that of
+    the first check of the token-pair potentials that fails, in the order
+    M3, M2's separation test, M4 by min/max (``_axiom_rejection``): the
+    first failing axiom of ``check_axioms``.  The decision is stored on
+    ``ts``, so later calls on the same system return it without labeling
+    again.
     """
     decision = getattr(ts, "_decision", None)
     if decision is None:
@@ -205,16 +228,18 @@ def _pair_decision(ts: TokenSystem) -> MediumDecision:
     k = len(pair) // 2
     adj: list[list[tuple[int, int]]] = [[] for _ in states]
     for t, ms in moves.items():
-        b = 1 << pair[t]
+        x = pair[t]
         for i, j in ms:
-            adj[i].append((j, b))
+            adj[i].append((j, x))
     lab = [-1] * len(states)
     lab[0] = 0
     order = [0]
+    step = [(0, 0)] * len(states)  # (BFS parent, pair flipped on the way) per state
     for u in order:
-        for j, b in adj[u]:
+        for j, x in adj[u]:
             if lab[j] < 0:
-                lab[j] = lab[u] ^ b
+                lab[j] = lab[u] ^ 1 << x
+                step[j] = u, x
                 order.append(j)
     if len(order) != len(states):
         return MediumDecision(
@@ -249,14 +274,12 @@ def _pair_decision(ts: TokenSystem) -> MediumDecision:
     name = [""] * k
     for rank, x in enumerate(sorted(least, key=least.__getitem__)):
         name[x] = str(rank)
-    alpha = {}
-    for s, m in zip(states, lab):
-        names = []
-        while m:  # walk only the set bits, least first
-            low = m & -m
-            names.append(name[low.bit_length() - 1])
-            m ^= low
-        alpha[s] = frozenset(names)
+    sets = [frozenset()] * len(states)
+    sets[0] = frozenset(name[x] for x in range(k) if base >> x & 1)
+    for j in order[1:]:  # each label is its BFS parent's with one coordinate toggled
+        u, x = step[j]
+        sets[j] = sets[u] ^ {name[x]}
+    alpha = dict(zip(states, sets))
     beta = {t: (name[pair[t]], "add" if (head[t] ^ base) >> pair[t] & 1 else "remove")
             for t in ts.tokens}
     family = SetFamily(tuple(map(str, range(k))), tuple(alpha.values()))

@@ -479,22 +479,28 @@ def spider(legs):
 
 
 @contextmanager
-def search_lines_at_most(bound):
-    """Fail once ``_coordinate_search`` has run more than ``bound`` lines."""
-    code, count, outer = cubes._coordinate_search.__code__, [0], sys.gettrace()
+def lines_at_most(codes, bound, what):
+    """Fail once the frames running any of the code objects ``codes`` have
+    run more than ``bound`` lines in all."""
+    count, outer = [0], sys.gettrace()
 
     def local(frame, event, arg):
         if event == "line":
             count[0] += 1
             if count[0] > bound:
-                raise AssertionError(f"the coordinate search ran over {bound} lines")
+                raise AssertionError(f"{what} ran over {bound} lines")
         return local
 
-    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    sys.settrace(lambda frame, event, arg: local if frame.f_code in codes else None)
     try:
         yield count
     finally:
         sys.settrace(outer)
+
+
+def search_lines_at_most(bound):
+    """Fail once ``_coordinate_search`` has run more than ``bound`` lines."""
+    return lines_at_most({cubes._coordinate_search.__code__}, bound, "the coordinate search")
 
 
 def test_spiders_with_one_degree_tally_answer_none_without_a_search():

@@ -9,8 +9,10 @@ A token system's ``action`` view is laid out from its moves and must read
 as ``json.dumps`` writes the system's dense table.
 """
 
+import enum
 import io
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -62,6 +64,19 @@ def test_writer_matches_the_stdlib(doc):
 ])
 def test_edge_documents(doc):
     assert written(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+class Level(enum.IntEnum):
+    LOW = -3
+
+
+def test_ints_booleans_and_none_are_written_without_the_stdlib():
+    doc = {"bound": 8, "holds": True, "fails": False, "witness": None,
+           "big": [-(2**70), 0, Level.LOW], "nested": {"x": [None, True, 1]}}
+    want = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    with mock.patch.object(json, "dumps", side_effect=AssertionError("json.dumps called")):
+        assert written(doc) == want
+        assert written(Level.LOW) == "-3\n"
 
 
 def test_a_key_that_is_not_a_string_raises_and_writes_nothing():

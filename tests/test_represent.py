@@ -1,4 +1,5 @@
 import itertools
+import random
 from collections import deque
 
 import pytest
@@ -12,6 +13,7 @@ from tokenmedia.linorders import linear_medium, pair_name
 from tokenmedia.represent import (
     ContentTable,
     EmbeddingReport,
+    FamilyRepresentation,
     Orientation,
     contents,
     decide_medium,
@@ -71,6 +73,42 @@ def bfs_contents(ts, base=None):
     return ContentTable(base, table)
 
 
+def table_orient_from_state(ts, s0):
+    """The orientation whose negative class is the content of s0, read off
+    the full contents table (the former route)."""
+    table = contents(ts, base=s0)
+    negative = table.contents[s0]
+    return Orientation(frozenset(ts.tokens) - negative, negative)
+
+
+def table_positive_content_family(ts, orientation):
+    """The positive-content family cut out of the full contents table, one
+    intersection per state (the former route)."""
+    rev = ts.reverse
+    table = contents(ts)
+    pos = orientation.positive
+    if pos | orientation.negative != frozenset(ts.tokens) or pos & orientation.negative:
+        raise InputError("orientation must partition this system's tokens")
+    if any(rev[t] in pos for t in pos):
+        raise InputError("orientation must separate every token from its reverse")
+    ground = tuple(t for t in ts.tokens if t in pos)
+    alpha = {s: table.contents[s] & pos for s in ts.states}
+    family = SetFamily(ground, tuple(alpha[s] for s in ts.states))
+    beta = {t: (t, "add") if t in pos else (rev[t], "remove") for t in ts.tokens}
+    return FamilyRepresentation(family, alpha, beta)
+
+
+def assert_matches_the_table_route(ts, orientation):
+    """positive_content_family equals the table route, or both raise InputError."""
+    try:
+        want = table_positive_content_family(ts, orientation)
+    except InputError:
+        with pytest.raises(InputError):
+            positive_content_family(ts, orientation)
+        return
+    assert positive_content_family(ts, orientation) == want
+
+
 def assert_transports(ts, rep):
     """s.t = v iff alpha(s).beta(t) = alpha(v), checked for every token and
     state, plus the normalization of the family: empty intersection, union
@@ -107,23 +145,44 @@ ORACLE_MEDIA = {
 def assert_agrees_with_oracles(ts):
     for base in ts.states:
         assert contents(ts, base) == bfs_contents(ts, base), base
-        assert_transports(ts, positive_content_family(ts, orient_from_state(ts, base)))
+        orientation = orient_from_state(ts, base)
+        assert orientation == table_orient_from_state(ts, base)
+        assert_matches_the_table_route(ts, orientation)
+        assert_transports(ts, positive_content_family(ts, orientation))
+
+
+def assert_partial_orientations_match_the_table_route(ts, rng):
+    """Orientations that leave some pairs with no positive token, or make
+    either token of a pair positive at random, read like the table route."""
+    rev = ts.reverse
+    firsts = [t for t in ts.tokens if ts.tokens.index(t) < ts.tokens.index(rev[t])]
+    for _ in range(4):
+        positive = set()
+        for t in firsts:
+            positive |= rng.choice([set(), {t}, {rev[t]}])
+        assert_matches_the_table_route(ts, orientation_from_positive(ts, positive))
 
 
 def test_corpus_agrees_with_oracles(corpus):
+    rng = random.Random(23)
     for _, ts in corpus:
         assert_agrees_with_oracles(ts)
+        assert_partial_orientations_match_the_table_route(ts, rng)
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_MEDIA))
 def test_named_media_agree_with_oracles(name):
-    assert_agrees_with_oracles(ORACLE_MEDIA[name]())
+    ts = ORACLE_MEDIA[name]()
+    assert_agrees_with_oracles(ts)
+    assert_partial_orientations_match_the_table_route(ts, random.Random(name))
 
 
 @settings(max_examples=150, deadline=None)
-@given(wg_families())
-def test_well_graded_family_media_agree_with_oracles(fam):
-    assert_agrees_with_oracles(family_medium(fam))
+@given(wg_families(), st.integers(0, 2**32 - 1))
+def test_well_graded_family_media_agree_with_oracles(fam, seed):
+    ts = family_medium(fam)
+    assert_agrees_with_oracles(ts)
+    assert_partial_orientations_match_the_table_route(ts, random.Random(seed))
 
 
 def test_decision_is_computed_once():
@@ -253,8 +312,6 @@ class TestPositiveContentFamily:
         # for a family medium oriented from its minimal member, the positive
         # contents renamed through the ground-element correspondence form a
         # family isometric to the source; extend_isometry certifies it
-        import random
-
         from tokenmedia.cubes import extend_isometry
         from tokenmedia.families import normalize, set_name
         from conftest import random_wg_family
