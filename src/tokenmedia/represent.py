@@ -2,21 +2,19 @@
 positive-content representation read off it.
 
 ``decide_medium`` is the exact finite decision.  It verifies the reverse
-pairing, labels every state by the token pairs on a path to it (one cube
-coordinate per pair), and checks that each token acts exactly as the
-add/remove reduction of its pair's coordinate, fixed points included, on a
-well graded label family.  A yes verdict returns the canonical well-graded
-set-family representation with explicit state and token bijections.  The
-decision is stored on the token system, and ``contents``,
-``orient_from_state`` and ``positive_content_family`` read it, so one
-labeling serves decision, contents and representation.
-
-A system that passes M1 and is no medium gets exact M2-M4 verdicts from
-token-pair potentials (``_potentials``, stored on the system too): one BFS
-per component, after which M3, M2 and M4 are a pass over the moves, a
-separation test and a min/max per pair, with a BFS per state only on a
-component that fails the separation test.  The decision's witness there is
-the first failing check's, and ``check_axioms`` reads the rest.
+pairing and reads the token-pair potentials of ``_potentials``: one BFS per
+component gives each state one coordinate per token pair, packed in one
+int, and M3, M2 and M4 are a pass over the moves, a separation test on the
+potentials' threshold labels and a min/max per pair.  A medium passes all
+of them, and its threshold labels, relative to the least state, are the
+canonical well-graded set-family representation, returned with explicit
+state and token bijections; any other system gets the first failing
+check's witness.  The decision is stored on the token system, and so are
+the potentials of a system that is no medium: ``check_axioms`` reads them,
+and ``contents``, ``orient_from_state`` and ``positive_content_family``
+read the decision, so one labeling serves decision, axioms, contents and
+representation.  Only ``check_axioms`` runs a BFS per state, for M4 on a
+component that fails the separation test.
 """
 
 from __future__ import annotations
@@ -191,23 +189,19 @@ def decide_medium(ts: TokenSystem) -> MediumDecision:
     Route: by the representation theorem a medium is the add/remove system
     of a well graded family with one ground element per token pair, so the
     token pairs are its cube coordinates.  After the exact reverse-pairing
-    check (M1), one breadth-first pass from the first state labels every
-    state by a bitmask of token pairs and checks connectivity (M2).  The
-    system is a medium iff every move flips exactly its own pair's bit, each
-    token flips it one way only, and for any two states some pair whose
-    tokens move the first separates their labels.  The last test is
-    well-gradedness of the label family; it also makes the labels injective
-    and lets a token fix a state only when the toggled label is not realized
-    or the token's polarity forbids the move.  On yes, the labels relative
-    to the least state are the canonical set-family representation,
-    coordinates named "0", "1", ... in order of each pair's least edge, and
-    each label set is built from its BFS parent's with one coordinate
-    toggled.  On no after M1 and M2's connectivity, the witness is that of
-    the first check of the token-pair potentials that fails, in the order
-    M3, M2's separation test, M4 by min/max (``_axiom_rejection``): the
-    first failing axiom of ``check_axioms``.  The decision is stored on
-    ``ts``, so later calls on the same system return it without labeling
-    again.
+    check (M1) the decision reads the token-pair potentials of
+    ``_potentials``, the system's one labeling.  The system is a medium iff
+    it is connected and M3, M2's separation test and M4 by min/max pass, for
+    these are exact M2-M4 verdicts.  On no, the witness is that of the first
+    failing check in that order, disconnection first (from the first state
+    to the first state it does not reach): the first failing axiom of
+    ``check_axioms``.  On yes every coordinate spans exactly two values, so
+    the threshold labels have one bit per pair; the labels relative to the
+    least state are the canonical set-family representation, coordinates
+    named "0", "1", ... in order of each pair's least edge, and each label
+    set is built from its BFS parent's with one coordinate toggled.  The
+    decision is stored on ``ts``, so later calls on the same system return
+    it without labeling again.
     """
     decision = getattr(ts, "_decision", None)
     if decision is None:
@@ -220,79 +214,33 @@ def _pair_decision(ts: TokenSystem) -> MediumDecision:
     defect = reverse_defect(ts)
     if defect is not None:
         return MediumDecision(False, witness=defect)
-    states, rev, moves = ts.states, ts.reverse, ts._index_moves
-    pair: dict[str, int] = {}
-    for t in ts.tokens:
-        if t not in pair:
-            pair[t] = pair[rev[t]] = len(pair) // 2
-    k = len(pair) // 2
-    adj: list[list[tuple[int, int]]] = [[] for _ in states]
-    for t, ms in moves.items():
-        x = pair[t]
-        for i, j in ms:
-            adj[i].append((j, x))
-    lab = [-1] * len(states)
-    lab[0] = 0
-    order = [0]
-    step = [(0, 0)] * len(states)  # (BFS parent, pair flipped on the way) per state
-    for u in order:
-        for j, x in adj[u]:
-            if lab[j] < 0:
-                lab[j] = lab[u] ^ 1 << x
-                step[j] = u, x
-                order.append(j)
-    if len(order) != len(states):
-        return MediumDecision(
-            False,
-            witness={"axiom": "M2", "source": states[0], "target": states[lab.index(-1)]},
-        )
-
-    head: dict[str, int] = {}  # the pair bit of every move's target, one value per token
-    toggles = [0] * len(states)  # pairs whose tokens move each state
-    for t, ms in moves.items():
-        b = 1 << pair[t]
-        ends = {lab[j] & b if lab[i] ^ lab[j] == b else -1 for i, j in ms}  # -1: wrong flip
-        if len(ends) != 1 or -1 in ends:
-            return _axiom_rejection(ts)
-        head[t] = ends.pop()
-        for i, _ in ms:
-            toggles[i] |= b
-    base = lab[ts._index[min(states)]]
-    lab = [x ^ base for x in lab]
-    # for every q != p some pair moving p separates them; this also rules out
-    # a realized toggle lab[p] ^ b that no token takes p to (the fixed-point
-    # rule), since such a q agrees with p on every pair in toggles[p]
-    if _moves_separate(lab, toggles, k) is not None:
-        return _axiom_rejection(ts)
-
+    ev = _potentials(ts)
+    witness = ev.unreached or ev.m3 or ev.separation[0] or ev.bounds[0]
+    if witness:
+        object.__setattr__(ts, "_potentials", ev)  # check_axioms reads the other verdicts
+        return MediumDecision(False, witness=witness)
+    states, lab, pair = ts.states, ev.lab, ev.pair
     least: dict[int, tuple[str, str]] = {}
-    for t, ms in moves.items():
-        e = min((states[i], states[j]) if states[i] < states[j] else (states[j], states[i])
-                for i, j in ms)
-        if pair[t] not in least or e < least[pair[t]]:
-            least[pair[t]] = e
-    name = [""] * k
+    for t, ms in ts._index_moves.items():
+        if pair[t][1] > 0:  # by M1 its reverse moves along the same edges
+            least[pair[t][0]] = min((states[i], states[j]) if states[i] < states[j]
+                                    else (states[j], states[i]) for i, j in ms)
+    name = [""] * len(least)
     for rank, x in enumerate(sorted(least, key=least.__getitem__)):
         name[x] = str(rank)
+    base = lab[ts._index[min(states)]]  # bit x: the least state holds pair x's upper value
     sets = [frozenset()] * len(states)
-    sets[0] = frozenset(name[x] for x in range(k) if base >> x & 1)
-    for j in order[1:]:  # each label is its BFS parent's with one coordinate toggled
-        u, x = step[j]
-        sets[j] = sets[u] ^ {name[x]}
+    sets[0] = frozenset(name[x] for x in range(len(name)) if (lab[0] ^ base) >> x & 1)
+    for j in ev.comps[0][1:]:  # each label is its BFS parent's with one coordinate toggled
+        u, t = ev.parent[j]
+        sets[j] = sets[u] ^ {name[pair[t][0]]}
     alpha = dict(zip(states, sets))
-    beta = {t: (name[pair[t]], "add" if (head[t] ^ base) >> pair[t] & 1 else "remove")
-            for t in ts.tokens}
-    family = SetFamily(tuple(map(str, range(k))), tuple(alpha.values()))
+    beta = {}
+    for t in ts.tokens:  # t adds iff it moves its coordinate off the least state's value
+        x, step = pair[t]
+        beta[t] = name[x], "add" if (step > 0) ^ (base >> x & 1) else "remove"
+    family = SetFamily(tuple(map(str, range(len(name)))), tuple(alpha.values()))
     return MediumDecision(True, family=family, alpha=alpha, beta=beta)
-
-
-def _axiom_rejection(ts: TokenSystem) -> MediumDecision:
-    """A connected system that passed M1 and is no medium: the witness of the
-    first check that fails among M3, M2's separation test and M4 by bounds.
-    By the representation theorem one of them fails, and none of them runs
-    a BFS per state."""
-    ev = _potentials(ts)
-    return MediumDecision(False, witness=ev.m3 or ev.separation[0] or ev.bounds[0])
 
 
 # --- exact axioms from token-pair potentials ----------------------------------
@@ -301,52 +249,68 @@ def _axiom_rejection(ts: TokenSystem) -> MediumDecision:
 @dataclass
 class _Potentials:
     """The BFS facts of ``_potentials`` and the witnesses read off them (None
-    where a check passes); ``separation`` and ``bounds`` hold one per
-    component and stay empty when M3 fails."""
+    where a check passes); ``lab``, ``separation`` and ``bounds`` stay empty
+    when M3 fails, and the last two hold one per component."""
 
     comps: list  # state indices per component, roots in state order, each in BFS order
-    pot: list  # per state, a tuple with one coordinate per token pair
+    pot: list  # per state, one int: coordinate x, biased, from bit x * bits up
+    bits: int  # bits per coordinate field
     parent: list  # per state, (state index, token) of its tree move, None at a root
     out: list  # per state, its effective moves (target index, token), in token order
     pair: dict  # token -> (coordinate, +1 or -1)
+    unreached: dict | None = None  # M2 when the system is disconnected
     m3: dict | None = None
+    lab: list = field(default_factory=list)  # per state, its component's threshold label
     separation: list = field(default_factory=list)
     bounds: list = field(default_factory=list)
+
+    def coord(self, i, x):
+        """Coordinate x of state i's potential."""
+        w = self.bits
+        return (self.pot[i] >> x * w & (1 << w) - 1) - (1 << w - 2)
 
 
 def _potentials(ts: TokenSystem) -> _Potentials:
     """The potentials of a system that passed M1, with M3, M2's separation
-    test and M4 by bounds, stored on ``ts``.
+    test and M4 by bounds: the one labeling that ``decide_medium`` reads,
+    and stores on a system that is no medium for ``check_axioms``.
 
     One BFS per component gives each state a potential: per token pair, the
     net steps along its tree path from the root, +1 for the pair's first
-    token and -1 for its reverse.  M3 holds iff every move agrees with the
-    potentials and no two states of a component share one, for then a
-    walk's net count per pair is the difference of its ends' potentials.  A
-    move s -> v by t that disagrees gives the closed walk "t, tree path
-    v -> root, tree path root -> s", which is not vacuous; two states with
-    one potential give the vacuous tree path between them.  Tree paths run
-    up on reverse tokens, which M1 makes effective.
+    token and -1 for its reverse.  A potential is one int with a field of
+    b = ``S.bit_length() + 2`` bits per pair (S states): a coordinate lies
+    within +-(S - 1), so biased by 2 ** (b - 2) it stays clear of its
+    field's top bit and no field borrows from or carries into the next.  A
+    tree step then adds the token's one-field delta, and a move agrees with
+    the potentials iff its ends differ by that delta.  M3 holds iff every
+    move agrees and no two states of a component share a potential, for
+    then a walk's net count per pair is the difference of its ends'
+    potentials.  A move s -> v by t that disagrees gives the closed walk "t,
+    tree path v -> root, tree path root -> s", which is not vacuous; two
+    states with one potential give the vacuous tree path between them.  Tree
+    paths run up on reverse tokens, which M1 makes effective.
 
     Once M3 holds, a walk is consistent iff its length is the L1 distance of
-    its ends' potentials.  So M2 holds on a component iff some move from p
-    lowers that distance to q, for all p != q: ``families._moves_separate`` on
-    the potentials in unary thresholds, where L1 distance is Hamming
-    distance.  On a component that passes, every BFS geodesic is consistent,
-    so t occurs in a straight message into v iff v lies at or past the least
-    level of t's targets in t's direction: M4 fails there iff some pair
-    moves at two levels.  On a component that fails the test this level
-    lemma is false (``two_level_path`` in ``tests/test_exact_check.py``: M4
-    holds though a pair moves at two levels), so it needs ``_m4_search``.
+    its ends' potentials.  ``_label`` writes the potentials in unary
+    thresholds, where L1 distance is Hamming distance, and a move toggles
+    one bit.  So M2 holds on a component iff some move from p lowers the
+    distance to q, for all p != q: ``families._moves_separate``.  On a
+    component that passes, every BFS geodesic is consistent, so t occurs in
+    a straight message into v iff v lies at or past the least level of t's
+    targets in t's direction: M4 fails there iff some pair moves at two
+    levels, that is iff some coordinate spans more than two values.  On a
+    component that fails the test this level lemma is false
+    (``two_level_path`` in ``tests/test_exact_check.py``: M4 holds though a
+    pair moves at two levels), so it needs ``_m4_search``.
     """
-    ev = getattr(ts, "_potentials", None)
-    if ev is not None:
-        return ev
     states, rev = ts.states, ts.reverse
     pair: dict[str, tuple[int, int]] = {}
     for t in ts.tokens:
         if t not in pair:
             pair[t], pair[rev[t]] = (len(pair) // 2, 1), (len(pair) // 2, -1)
+    w = len(states).bit_length() + 2
+    delta = {t: step << x * w for t, (x, step) in pair.items()}
+    zero = (1 << w - 2) * ((1 << len(pair) // 2 * w) - 1) // ((1 << w) - 1)  # every field at its bias
     out: list[list[tuple[int, str]]] = [[] for _ in states]
     for t, ms in ts._index_moves.items():
         for i, j in ms:
@@ -356,34 +320,37 @@ def _potentials(ts: TokenSystem) -> _Potentials:
     comps = []
     for root in range(len(states)):
         if pot[root] is None:
-            pot[root] = (0,) * (len(pair) // 2)
+            pot[root] = zero
             comp = [root]
             for u in comp:
                 for j, t in out[u]:
                     if pot[j] is None:
-                        (x, step), p = pair[t], pot[u]
-                        pot[j] = p[:x] + (p[x] + step,) + p[x + 1:]
+                        pot[j] = pot[u] + delta[t]
                         parent[j] = (u, t)
                         comp.append(j)
             comps.append(comp)
-    ev = _Potentials(comps, pot, parent, out, pair)
-    ev.m3 = _m3_witness(ts, ev)
+    ev = _Potentials(comps, pot, w, parent, out, pair)
+    if len(comps) > 1:
+        ev.unreached = {"axiom": "M2", "source": states[0], "target": states[comps[1][0]]}
+    ev.m3 = _m3_witness(ts, ev, delta)
     if ev.m3 is None:
+        ev.lab = [0] * len(states)
         for comp in comps:
-            ev.separation.append(_separation(ts, ev, comp))
-            ev.bounds.append(None if ev.separation[-1] else _m4_bounds(ts, ev, comp))
-    object.__setattr__(ts, "_potentials", ev)
+            width, span = _label(ev, comp)
+            ev.separation.append(_separation(ts, ev, comp, width))
+            ev.bounds.append(None if ev.separation[-1] or span < 2 else _m4_bounds(ts, ev, comp))
     return ev
 
 
 def _axiom_witnesses(ts: TokenSystem) -> dict:
     """Exact M2-M4 witnesses of a system that passed M1, None where the axiom
-    holds.  When M3 fails there are no potentials: M4 is left out, and M2
-    too unless the system is disconnected."""
-    ev = _potentials(ts)
+    holds, read off the potentials ``decide_medium`` stored on a system that
+    is no medium.  When M3 fails there are no potentials: M4 is left out,
+    and M2 too unless the system is disconnected."""
+    ev = getattr(ts, "_potentials", None) or _potentials(ts)
     found = {"M3": ev.m3}
-    if len(ev.comps) > 1:
-        found["M2"] = {"axiom": "M2", "source": ts.states[0], "target": ts.states[ev.comps[1][0]]}
+    if ev.unreached:
+        found["M2"] = ev.unreached
     if ev.m3 is None:
         found.setdefault("M2", ev.separation[0])
         found["M4"] = next(filter(None, (
@@ -417,13 +384,12 @@ def _geodesic(ev, b, v):
     return path[::-1]
 
 
-def _m3_witness(ts, ev):
+def _m3_witness(ts, ev, delta):
     states, pot = ts.states, ev.pot
     for t, ms in ts._index_moves.items():
-        x, step = ev.pair[t]
+        d = delta[t]
         for i, j in ms:
-            p = pot[i]
-            if pot[j] != p[:x] + (p[x] + step,) + p[x + 1:]:
+            if pot[j] - pot[i] != d:
                 return {"axiom": "M3", "kind": "ineffective-but-not-vacuous", "state": states[i],
                         "message": [t, *_tree_path(ts, ev, j, True), *_tree_path(ts, ev, i, False)]}
     for comp in ev.comps:
@@ -437,31 +403,50 @@ def _m3_witness(ts, ev):
     return None
 
 
-def _thresholds(ev, comp):
-    """The potentials of a component in unary thresholds: bit (x, j) is set
-    iff coordinate x is at least j.  Returns the labels, in ``comp`` order,
-    the offset that puts bit (x, j) at offset[x] + j, and the width."""
-    pot, k = ev.pot, len(ev.pot[comp[0]])
-    low = [min(pot[i][x] for i in comp) for x in range(k)]
-    offset, width = [], 0
-    for x in range(k):
-        offset.append(width - low[x] - 1)
-        width += max(pot[i][x] for i in comp) - low[x]
-    labels = [sum(((1 << pot[i][x] - low[x]) - 1) << offset[x] + low[x] + 1 for x in range(k))
-              for i in comp]
-    return labels, offset, width
+def _label(ev, comp):
+    """The threshold labels of a component, into ``ev.lab``: bit (x, v) is
+    set iff coordinate x is at least v, for v above x's least value in the
+    component, with the fields in pair order.  The root's label is read off
+    each coordinate's least value, and every other state's is its BFS
+    parent's with the bit of its tree step's larger end toggled.  Returns
+    the labels' width and the widest range (greatest less least value) of
+    one coordinate."""
+    steps = []  # per tree step: its coordinate and its larger end
+    low: dict = {}  # per coordinate, its least value if negative
+    high: dict = {}  # and its greatest if positive
+    for j in comp[1:]:  # a step up can only raise the greatest value, one down lower the least
+        x, step = ev.pair[ev.parent[j][1]]
+        v = ev.coord(j, x)
+        if step > 0:
+            steps.append((x, v))
+            if v > high.get(x, 0):
+                high[x] = v
+        else:
+            steps.append((x, v + 1))
+            if v < low.get(x, 0):
+                low[x] = v
+    offset, width, span = {}, 0, 0
+    for x in sorted(low.keys() | high.keys()):  # bit (x, v) sits at offset[x] + v
+        lo, hi = low.get(x, 0), high.get(x, 0)
+        offset[x] = width - lo - 1
+        width += hi - lo
+        span = max(span, hi - lo)
+    lab = ev.lab
+    lab[comp[0]] = sum(((1 << -lo) - 1) << offset[x] + lo + 1 for x, lo in low.items())
+    for j, (x, v) in zip(comp[1:], steps):
+        lab[j] = lab[ev.parent[j][0]] ^ 1 << offset[x] + v
+    return width, span
 
 
-def _separation(ts, ev, comp):
-    labels, offset, width = _thresholds(ev, comp)
+def _separation(ts, ev, comp, width):
+    lab = ev.lab
     toggles = []
     for i in comp:
         bits = 0
-        for j, t in ev.out[i]:  # the move sets the bit of the larger coordinate
-            x = ev.pair[t][0]
-            bits |= 1 << offset[x] + max(ev.pot[i][x], ev.pot[j][x])
+        for j, _ in ev.out[i]:  # with M3, the bit of the move's larger end
+            bits |= lab[i] ^ lab[j]
         toggles.append(bits)
-    found = _moves_separate(labels, toggles, width)
+    found = _moves_separate([lab[i] for i in comp], toggles, width)
     if found is None:
         return None
     return {"axiom": "M2", "source": ts.states[comp[found[0]]], "target": ts.states[comp[found[1]]]}
@@ -478,13 +463,13 @@ def _m4_bounds(ts, ev, comp):
             x, step = ev.pair[t]
             if step > 0:
                 low, high = ends.setdefault(t, [(i, j), (i, j)])
-                if ev.pot[j][x] < ev.pot[low[1]][x]:
+                if ev.coord(j, x) < ev.coord(low[1], x):
                     ends[t][0] = (i, j)
-                elif ev.pot[j][x] > ev.pot[high[1]][x]:
+                elif ev.coord(j, x) > ev.coord(high[1], x):
                     ends[t][1] = (i, j)
     for t, (low, high) in ends.items():
         x = ev.pair[t][0]
-        if ev.pot[low[1]][x] < ev.pot[high[1]][x]:
+        if ev.coord(low[1], x) < ev.coord(high[1], x):
             return _m4_witness(ts, ev, t, low, high[0], high[::-1])
     return None
 
@@ -493,8 +478,9 @@ def _m4_search(ts, ev, comp):
     """M4 on a component that fails the separation test, by a BFS from every
     state: t occurs in a straight message into v iff some t-move a -> b has a
     walk from b to v as long as the L1 distance of their potentials that does
-    not move t's coordinate against t."""
-    labels = dict(zip(comp, _thresholds(ev, comp)[0]))
+    not move t's coordinate against t, that is, iff moreover v agrees with b
+    on the threshold bit the move toggles."""
+    lab = ev.lab
     straight = {}
     for b in comp:
         dist = {b: 0}
@@ -504,13 +490,13 @@ def _m4_search(ts, ev, comp):
                 if j not in dist:
                     dist[j] = dist[u] + 1
                     queue.append(j)
-        straight[b] = [v for v in comp if dist[v] == (labels[b] ^ labels[v]).bit_count()]
+        straight[b] = [v for v in comp if dist[v] == (lab[b] ^ lab[v]).bit_count()]
     first = {}  # (t, v) -> the first t-move (a, b) that starts a straight message into v
     for a in comp:
         for b, t in ev.out[a]:
-            x, step = ev.pair[t]
+            bit = lab[a] ^ lab[b]
             for v in straight[b]:
-                if step * (ev.pot[v][x] - ev.pot[b][x]) >= 0:
+                if not (lab[v] ^ lab[b]) & bit:
                     first.setdefault((t, v), (a, b))
     for (t, v), move in first.items():
         back = first.get((ts.reverse[t], v))

@@ -288,7 +288,7 @@ def joint_refinement(g1, adj1, g2, adj2):
         palette.clear()
         n1, n2 = colorize(g1, adj1, col1), colorize(g2, adj2, col2)
         if len(set(n1.values())) == len(set(col1.values())):
-            return n1, n2
+            return (n1, n2) if sorted(n1.values()) == sorted(n2.values()) else (None, None)
         col1, col2 = n1, n2
     return col1, col2
 

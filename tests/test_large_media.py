@@ -11,7 +11,7 @@
 import random
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from tokenmedia import cubes
@@ -116,7 +116,11 @@ def assert_same_refinement(ts1, ts2):
 
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(equal_size_wg_pairs(), st.tuples(wg_families(), wg_families())))
+@example((SetFamily.of("abcd", [set(), {"b"}, {"c"}, {"d"}, {"b", "c"}, {"a", "b", "c"}]),
+          SetFamily.of("abcd", [set(), {"b"}, {"a"}, {"a", "b"}, {"c"}, {"b", "d"}])))
 def test_splitting_matches_the_rounds_on_random_pairs(pair):
+    # the example: equal degree counts, and one round apart on a 4-cycle the
+    # two degree-3 states are opposite in one graph and adjacent in the other
     agree = assert_same_refinement(*map(family_medium, pair))
     event("one partition" if agree else "both None")
 

@@ -1,0 +1,151 @@
+"""The decision and the exact axioms read off packed potentials, against the
+routes they replaced.
+
+``decide_medium`` and ``check_axioms`` both read ``represent._potentials``:
+one int per state with a biased field per token pair, and threshold labels
+built along the BFS tree.  The oracle is the former pair-bitmask decision
+and tuple potentials, kept verbatim in ``tuple_potentials``: every system
+must get the same ``MediumDecision`` (witness included), the same M2-M4
+witnesses, the same coordinates and the same threshold labels.  A path on
+one pair with S states near a power of two puts coordinates at the ends of
+their fields, where a field one bit short would borrow from its neighbour.
+A line budget keeps the labeling at O(S + k) lines per component.
+"""
+
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
+import pytest
+
+from tokenmedia import represent
+from tokenmedia.arrangements import arrangement_medium, mosaic_window
+from tokenmedia.families import SetFamily, family_medium
+from tokenmedia.linorders import linear_medium
+from tokenmedia.tokens import TokenSystem, reverse_defect
+
+import tuple_potentials
+from conftest import corpus_media, twisted_square, union6, wg_families
+from test_decide_routes import lines_at_most
+from test_exact_check import family_systems, m1_systems, open_square, small_systems, two_level_path
+from test_large_media import chain
+from tuple_potentials import fresh
+
+
+def assert_same_as_the_tuple_route(ts):
+    """Decision, witnesses, coordinates and labels of a fresh copy of ts on
+    both routes; returns the packed potentials, or None when M1 fails."""
+    new, old = fresh(ts), fresh(ts)
+    decision = represent.decide_medium(new)
+    assert decision == tuple_potentials._pair_decision(old)
+    if reverse_defect(ts) is not None:
+        return None
+    assert represent._axiom_witnesses(new) == tuple_potentials._axiom_witnesses(old)
+    ev, ref = represent._potentials(new), tuple_potentials._potentials(old)
+    assert ev.comps == ref.comps and ev.parent == ref.parent and ev.pair == ref.pair
+    k = len(ev.pair) // 2
+    assert [tuple(ev.coord(i, x) for x in range(k)) for i in range(len(ts.states))] == ref.pot
+    assert ev.m3 == ref.m3
+    if ev.m3 is None:
+        assert ev.separation == ref.separation and ev.bounds == ref.bounds
+        for comp in ev.comps:
+            assert [ev.lab[i] for i in comp] == tuple_potentials._thresholds(ref, comp)[0]
+    return ev
+
+
+MEDIA = {
+    **{f"linear-{n}": lambda n=n: linear_medium(n)[0] for n in range(3, 7)},
+    **{f"{kind}-{r}": lambda kind=kind, r=r: arrangement_medium(mosaic_window(kind, r))
+       for kind in ("triangular", "truncated-square") for r in (1, 2)},
+}
+
+
+@pytest.mark.parametrize("name", [name for name, _ in corpus_media()] + sorted(MEDIA))
+def test_media_match_the_tuple_route(name):
+    ts = dict(corpus_media()).get(name) or MEDIA[name]()
+    ev = assert_same_as_the_tuple_route(ts)
+    assert represent.decide_medium(ts).is_medium and len(ev.comps) == 1
+
+
+@pytest.mark.parametrize("make", [two_level_path, union6, twisted_square, open_square])
+def test_non_media_match_the_tuple_route(make):
+    assert_same_as_the_tuple_route(make())
+
+
+def spans_three_values(ev):
+    """Some coordinate takes three or more values within one component."""
+    k = len(ev.pair) // 2
+    return any(len({ev.coord(i, x) for i in comp}) > 2 for comp in ev.comps for x in range(k))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ts=st.one_of(family_systems(), small_systems(), m1_systems()))
+@example(ts=TokenSystem.from_pairs(("a", "b", "c", "d"), [("p", "q", {"a": "b", "c": "d"})]))
+@example(ts=TokenSystem.from_pairs(("a", "b", "c"), [("p", "q", {"a": "b", "b": "c"})]))
+def test_random_systems_match_the_tuple_route(ts):
+    # the examples: two components, and one pair whose coordinate spans three values
+    ev = assert_same_as_the_tuple_route(ts)
+    if ev is None:
+        event("fails M1")
+    else:
+        event("disconnected" if len(ev.comps) > 1 else "connected")
+        if ev.m3 is None and spans_three_values(ev):
+            event("a coordinate spans three or more values")
+
+
+@settings(max_examples=100, deadline=None)
+@given(fam=wg_families())
+def test_well_graded_families_match_the_tuple_route(fam):
+    if len(fam.sets) < 2:
+        fam = SetFamily(fam.ground, (*fam.sets, fam.sets[0] ^ {fam.ground[0]}))
+    assert_same_as_the_tuple_route(family_medium(fam))
+
+
+def one_pair_path(n, down, neighbour):
+    """n states s0, s1, ... in a path from the root s0.  Pair p moves every
+    step, up from s0 or (``down``) down from it, so its coordinate reaches
+    +-(n - 1).  With a ``neighbour``, the last step is pair q's instead and
+    q's field sits below or above p's."""
+    states = tuple(f"s{i}" for i in range(n))
+    last = n - 1 if neighbour else n
+    forward = {states[i]: states[i + 1] for i in range(last - 1)}
+    p = ("p+", "p-", forward) if not down else ("p-", "p+", {v: s for s, v in forward.items()})
+    if not neighbour:
+        return TokenSystem.from_pairs(states, [p])
+    q = ("q+", "q-", {states[-2]: states[-1]})
+    return TokenSystem.from_pairs(states, [q, p] if neighbour == "below" else [p, q])
+
+
+@pytest.mark.parametrize("neighbour", [None, "below", "above"])
+@pytest.mark.parametrize("down", [False, True])
+@pytest.mark.parametrize("n", [31, 32, 33, 63, 64, 65])
+def test_coordinates_at_the_ends_of_their_fields(n, down, neighbour):
+    ts = one_pair_path(n, down, neighbour)
+    ev = assert_same_as_the_tuple_route(ts)
+    assert ev.bits == n.bit_length() + 2
+    x = ev.pair["p+"][0]
+    assert {ev.coord(i, x) for i in range(n)} == (
+        set(range(-(n - 1), 1) if down else range(n)) if not neighbour
+        else set(range(-(n - 2), 1) if down else range(n - 1)))
+    assert ev.separation == [None]  # a path: every move toward q lowers the distance
+    assert represent.decide_medium(ts).witness["axiom"] == "M4"  # p moves at every level
+
+
+def represent_codes():
+    """Every code object run from ``tokenmedia/represent.py``."""
+    path = represent.__file__
+
+    class InFile:
+        def __contains__(self, code):
+            return code.co_filename == path
+
+    return InFile()
+
+
+def test_potentials_of_a_long_chain_run_in_few_lines():
+    # 1,000 states on 999 pairs: the tuple route's threshold labels were a
+    # sum over every pair per state, about 3,000,000 lines; built along the
+    # tree they take one line per step
+    ts = chain(1000, 0)
+    with lines_at_most(represent_codes(), 200_000, "the potentials") as count:
+        ev = represent._potentials(ts)
+    assert count[0] > 0
+    assert ev.m3 is None and ev.separation == [None] and ev.bounds == [None]
