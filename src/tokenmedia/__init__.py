@@ -15,13 +15,11 @@ from .cubes import (
     CubeIsometry,
     LabeledGraph,
     NotPartialCube,
-    RankTable,
     extend_isometry,
     graph_to_medium,
     is_partial_cube,
     media_isomorphic,
     medium_graph,
-    rank_table,
 )
 from .errors import CapError, InputError, ParseError
 from .families import (

@@ -25,7 +25,6 @@ from . import arrangements as arr_mod
 from . import cubes, linorders, represent, tokens
 from .errors import CapError, InputError, ParseError
 
-VERTEX_CAP_ENV = "TOKENMEDIA_MAX_VERTICES"
 #: Input files from this size up are mapped, not read: at 64 KiB a read
 #: took 16 us against 23 us for a map, at 256 KiB 166 us against 35 us.
 MAP_MIN_BYTES = 256 * 1024
@@ -224,14 +223,7 @@ def _cmd_pcube(args) -> int:
 def _cmd_iso(args) -> int:
     a = _load_system(args.first)
     b = _load_system(args.second)
-    cap = args.max_vertices
-    if cap is None:
-        env = os.environ.get(VERTEX_CAP_ENV)
-        try:
-            cap = int(env) if env else cubes.DEFAULT_ISO_CAP
-        except ValueError:
-            raise ParseError(f"{VERTEX_CAP_ENV} must be an integer, got {env!r}") from None
-    found = cubes.media_isomorphic(a, b, max_vertices=cap)
+    found = cubes.media_isomorphic(a, b)
     if found is None:
         _emit({"isomorphic": False})
         return 1
@@ -316,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("iso", help="decide isomorphism of two media")
     p.add_argument("first")
     p.add_argument("second")
-    p.add_argument("--max-vertices", type=int, default=None)
     p.set_defaults(func=_cmd_iso)
 
     p = sub.add_parser("linmedium", help="the medium of linear orders on n elements")

@@ -15,13 +15,17 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
+from itertools import count
 from typing import Iterable, Mapping
 
-from .errors import CapError, InputError, ParseError
+from .errors import CapError, InputError, ParseError, json_list
 from .families import SetFamily, _moves_separate, well_graded_witness
 from .tokens import TokenSystem
 
-DEFAULT_ISO_CAP = 2000
+#: Units of coordinate-search work one ``media_isomorphic`` call may spend:
+#: one per candidate image tried and one per completed label checked.  The
+#: reference media spend a little over one per state (linear 7: 6,260 for 5,040).
+ISO_WORK_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -71,14 +75,16 @@ class LabeledGraph:
         if not isinstance(doc, dict) or "vertices" not in doc or "edges" not in doc:
             raise ParseError("graph document needs 'vertices' and 'edges' fields")
         try:
-            vertices = tuple(str(v) for v in doc["vertices"])
-            edges = tuple((str(u), str(v)) for (u, v) in doc["edges"])
+            vertices = tuple(str(v) for v in json_list(doc["vertices"], "graph 'vertices'"))
+            edges = json_list(doc["edges"], "graph 'edges'", inner=True)
+            edges = tuple((str(u), str(v)) for (u, v) in edges)
             labels = None
             if "labels" in doc:
                 labels = doc["labels"]
                 if not isinstance(labels, dict) or set(labels) != set(vertices):
                     raise ParseError("labels must be an object whose keys are exactly the vertices")
-                labels = {v: frozenset(str(x) for x in xs) for v, xs in labels.items()}
+                labels = {v: frozenset(str(x) for x in json_list(xs, f"the label of {v!r}"))
+                          for v, xs in labels.items()}
             return cls(vertices, edges, labels)
         except (TypeError, ValueError, InputError) as exc:
             raise ParseError(f"bad graph: {exc}") from None
@@ -334,8 +340,7 @@ def graph_to_medium(g: LabeledGraph) -> TokenSystem:
 # --- isomorphism -----------------------------------------------------------
 
 
-def media_isomorphic(ts1: TokenSystem, ts2: TokenSystem,
-                     max_vertices: int = DEFAULT_ISO_CAP):
+def media_isomorphic(ts1: TokenSystem, ts2: TokenSystem):
     """A state/token isomorphism between two verified media, or None.
 
     A medium's well-graded representation is unique up to a cube isometry,
@@ -350,15 +355,16 @@ def media_isomorphic(ts1: TokenSystem, ts2: TokenSystem,
     anchor, so pi(x) must move the anchor's image, and every label whose last
     coordinate is x must then land on a state of ts2 of its own state's
     colour.  beta(t) is ts2's token moving the same way along pi(x).  Both
-    inputs are verified first, so a non-medium raises InputError whatever
-    the sizes.
+    inputs are verified first, so a non-medium raises InputError.  The
+    searches over every b share one count of work, and past
+    ``ISO_WORK_BUDGET`` units they raise CapError; each unit is at most one
+    label image, so the budget bounds the time of the only step whose cost
+    is not polynomial in the input.
     """
     from .represent import decide_medium
 
     states1, states2 = ts1.states, ts2.states
     n = len(states1)
-    if n > max_vertices or len(states2) > max_vertices:
-        raise CapError(f"isomorphism search capped at {max_vertices} states")
     d1, d2 = decide_medium(ts1), decide_medium(ts2)
     if not (d1.is_medium and d2.is_medium):
         raise InputError("media_isomorphic expects verified media")
@@ -391,10 +397,11 @@ def media_isomorphic(ts1: TokenSystem, ts2: TokenSystem,
         if m:
             steps[max(map(level.__getitem__, m))][2].append((m, colour1[s]))
     where2 = {m: v for v, m in d2.alpha.items()}
+    work = count(1)
     for b in sorted(states2):
         shift = d2.alpha[b]
         if colour2[b] == colour1[s0]:
-            pi = _coordinate_search(steps, go2, where2, colour2, shift)
+            pi = _coordinate_search(steps, go2, where2, colour2, shift, work)
             if pi is not None:
                 break
     else:
@@ -465,24 +472,30 @@ def _joint_colours(ts1, ts2):
     return dict(zip(ts1.states, colour)), dict(zip(ts2.states, colour[n1:]))
 
 
-def _coordinate_search(steps, go2, where2, colour2, shift):
+def _coordinate_search(steps, go2, where2, colour2, shift, work):
     """A map pi from ts1's coordinates to ts2's, or None, by backtracking on
     an explicit stack: each step's coordinate goes to an unused one moving
     its anchor's image, and the labels it completes must land on states of
-    their own colours in ts2's family."""
+    their own colours in ts2's family.  Each candidate image tried and each
+    completed label checked is one unit of ``work`` (``_spend``)."""
     pi: dict[str, str] = {}
     used: set[str] = set()
 
     def image(m):
         return frozenset(map(pi.__getitem__, m)) ^ shift
 
+    def lands(m, c):
+        _spend(work)
+        return colour2.get(where2.get(image(m))) == c
+
     stack = [iter(go2[where2[shift]])]
     while stack:
         x, _, completed = steps[len(stack) - 1]
         used.discard(pi.pop(x, None))  # back from a failed subtree: free x's image
         for y in stack[-1]:
+            _spend(work)
             pi[x] = y
-            if y not in used and all(colour2.get(where2.get(image(m))) == c for m, c in completed):
+            if y not in used and all(lands(m, c) for m, c in completed):
                 used.add(y)
                 if len(stack) == len(steps):
                     return pi
@@ -494,43 +507,13 @@ def _coordinate_search(steps, go2, where2, colour2, shift):
     return None
 
 
-# --- element ranks and isometry extension ----------------------------------
+def _spend(work):
+    """Count one unit of the shared counter ``work``; past the budget, raise CapError."""
+    if next(work) > ISO_WORK_BUDGET:
+        raise CapError(f"isomorphism search over its budget of {ISO_WORK_BUDGET} work units")
 
 
-@dataclass(frozen=True)
-class RankTable:
-    """Minimal member-set cardinality per element, for families containing the empty set."""
-
-    rank: Mapping[str, int]
-    witness: Mapping[str, frozenset[str]]
-
-    def strata(self) -> dict[int, tuple[str, ...]]:
-        out: dict[int, list[str]] = {}
-        for x, k in self.rank.items():
-            out.setdefault(k, []).append(x)
-        return {k: tuple(sorted(xs)) for k, xs in sorted(out.items())}
-
-
-def rank_table(fam: SetFamily) -> RankTable:
-    if frozenset() not in fam.sets:
-        raise InputError("rank table needs the empty set in the family")
-    if well_graded_witness(fam) is not None:
-        raise InputError("rank table needs a well graded family")
-    rank: dict[str, int] = {}
-    witness: dict[str, frozenset] = {}
-    for x in fam.ground:
-        best = None
-        for s in fam.sets:
-            if x in s and (best is None or _set_key(s, fam.ground) < _set_key(best, fam.ground)):
-                best = s
-        if best is not None:
-            rank[x] = len(best)
-            witness[x] = best
-    return RankTable(rank, witness)
-
-
-def _set_key(s, ground):
-    return (len(s), tuple(x in s for x in ground))
+# --- isometry extension ---------------------------------------------------
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Shared exception types."""
+"""Shared exception types, and the list check of the document readers."""
 
 
 class InputError(ValueError):
@@ -11,3 +11,12 @@ class ParseError(InputError):
 
 class CapError(RuntimeError):
     """An operation would exceed a configured resource cap."""
+
+
+def json_list(value, what: str, inner: bool = False) -> list:
+    """``value`` when it is a JSON list, of lists with ``inner``; else a
+    ParseError naming ``what``.  A string is no list: its characters would
+    read as members."""
+    if not isinstance(value, list) or inner and not all(isinstance(x, list) for x in value):
+        raise ParseError(f"{what} must be a list" + " of lists" * inner)
+    return value

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import InputError, ParseError
+from .errors import InputError, ParseError, json_list
 from .tokens import TokenSystem
 
 ADD_PREFIX = "add:"
@@ -51,8 +51,9 @@ class SetFamily:
         if not isinstance(doc, dict) or "ground" not in doc or "sets" not in doc:
             raise ParseError("set family document needs 'ground' and 'sets' fields")
         try:
-            return cls.of([str(x) for x in doc["ground"]],
-                          [[str(x) for x in s] for s in doc["sets"]])
+            sets = json_list(doc["sets"], "set family 'sets'", inner=True)
+            return cls.of([str(x) for x in json_list(doc["ground"], "set family 'ground'")],
+                          [[str(x) for x in s] for s in sets])
         except (TypeError, InputError) as exc:
             raise ParseError(f"bad set family: {exc}") from None
 
@@ -127,34 +128,33 @@ def is_well_graded(fam: SetFamily) -> bool:
 def line_segment(fam: SetFamily, p: Iterable[str], q: Iterable[str]):
     """A unit-step geodesic inside the family from p to q, or None.
 
-    Ties between admissible steps break by ground-set order, so output is
-    deterministic; all monotone paths are explored before giving up.
+    A depth-first search on an explicit stack tries the steps toward q in
+    ground-set order, so the path is the first in that order; a member from
+    which no step leads on is marked a dead end and never entered again, so
+    each member is expanded once, O(|F| * |X|) set operations in all.
     """
     p = frozenset(p)
     q = frozenset(q)
     members = set(fam.sets)
     if p not in members or q not in members:
         raise InputError("segment endpoints must belong to the family")
-    if p == q:
-        return (p,)
-    path = [p]
-
-    def walk(cur):
-        if cur == q:
-            return True
-        gap = cur ^ q
-        for x in fam.ground:
-            if x not in gap:
-                continue
+    path, dead = [p], set()
+    # per member of the path, the elements it has yet to toggle toward q
+    untried = [filter((p ^ q).__contains__, fam.ground)]
+    while path[-1] != q:
+        cur = path[-1]
+        for x in untried[-1]:
             nxt = cur ^ {x}
-            if nxt in members:
+            if nxt in members and nxt not in dead:
                 path.append(nxt)
-                if walk(nxt):
-                    return True
-                path.pop()
-        return False
-
-    return tuple(path) if walk(p) else None
+                untried.append(filter((nxt ^ q).__contains__, fam.ground))
+                break
+        else:
+            dead.add(path.pop())
+            untried.pop()
+            if not path:
+                return None
+    return tuple(path)
 
 
 def family_medium(fam: SetFamily) -> TokenSystem:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .errors import InputError, ParseError
+from .errors import InputError, ParseError, json_list
 
 #: A message is a finite sequence of token ids, applied left to right.
 Message = Sequence[str]
@@ -212,17 +212,16 @@ class TokenSystem:
         if sparse and "action" in doc:
             raise ParseError("token system document gives both 'action' and 'moves'")
         try:
-            states = tuple(str(s) for s in doc["states"])
+            raw_states = doc["states"]
             raw_tokens = doc["tokens"]
             table = doc["moves" if sparse else "action"]
         except (KeyError, TypeError) as exc:
             raise ParseError(f"token system document missing field: {exc}") from None
-        if not isinstance(raw_tokens, list):
-            raise ParseError("token system 'tokens' must be a list")
+        states = tuple(str(s) for s in json_list(raw_states, "token system 'states'"))
         tokens = []
         reverse: dict[str, str] = {}
         saw_reverse = False
-        for entry in raw_tokens:
+        for entry in json_list(raw_tokens, "token system 'tokens'"):
             if isinstance(entry, str):
                 tokens.append(entry)
                 continue

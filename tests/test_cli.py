@@ -4,6 +4,7 @@ import gc
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -13,12 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tokenmedia import cli
+from tokenmedia import cli, cubes
 from tokenmedia.families import SetFamily, family_medium
 from tokenmedia.linorders import linear_medium
 from tokenmedia.tokens import AXIOMS, TokenSystem, apply, reduction
 
 from conftest import no_walks, path3, twisted_square, two_state
+from test_decide_routes import relabel
 
 
 def run(capsys, *argv):
@@ -232,18 +234,15 @@ class TestIso:
         assert json.loads(out) == {"isomorphic": False}
 
 
-    def test_max_vertices_zero_is_a_cap(self, tmp_path, capsys):
-        a = write_system(tmp_path, two_state(), "a.json")
-        code, out, err = run(capsys, "iso", a, a, "--max-vertices", "0")
-        assert code == 3
-        assert out == "" and "cap exceeded" in err
-
-    def test_bad_vertex_cap_env_is_a_parse_error(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("TOKENMEDIA_MAX_VERTICES", "abc")
-        a = write_system(tmp_path, two_state(), "a.json")
-        code, out, err = run(capsys, "iso", a, a)
-        assert code == 2
-        assert out == "" and err.startswith("parse error:") and "TOKENMEDIA_MAX_VERTICES" in err
+    def test_exhausted_work_budget_is_a_cap(self, tmp_path, capsys):
+        ts = linear_medium(4)[0]
+        a = write_system(tmp_path, ts, "a.json")
+        b = write_system(tmp_path, relabel(ts, random.Random(4)), "b.json")
+        assert run(capsys, "iso", a, b)[0] == 0
+        with mock.patch.object(cubes, "ISO_WORK_BUDGET", 20):
+            code, out, err = run(capsys, "iso", a, b)
+        assert (code, out) == (3, "")
+        assert err.startswith("cap exceeded:") and err.count("\n") == 1 and "Traceback" not in err
 
     def test_non_medium_is_an_input_error(self, tmp_path, capsys):
         lazy = write_system(tmp_path, lazy_square())
@@ -358,14 +357,18 @@ BAD_INPUTS = {
     "pcube-labels-not-an-object": (["pcube", "IN"], {**EDGE, "labels": [1]}, {}),
     "pcube-labels-miss-a-vertex": (["pcube", "IN"], {**EDGE, "labels": {"a": []}}, {}),
     "pcube-k3": (["pcube", "IN"], "a b\nb c\na c\n", {}),
-    "iso-no-vertices-allowed": (["iso", "IN", "IN", "--max-vertices", "0"], two_state(), {}),
-    "iso-bad-cap-env": (["iso", "IN", "IN"], two_state(), {"TOKENMEDIA_MAX_VERTICES": "abc"}),
     "iso-non-medium": (["iso", "IN", "IN"], lazy_square(), {}),
     "linmedium-over-cap": (["linmedium", "9", "--cap", "5"], None, {}),
     "linmedium-bad-cap-env": (["linmedium", "3"], None, {"TOKENMEDIA_MAX_ORDER": "abc"}),
     "arrangement-bad-rational": (["arrangement", "IN"], {"lines": [{"a": "x", "b": "1", "c": "0"}]}, {}),
     "arrangement-lines-a-number": (["arrangement", "IN"], {"lines": 5}, {}),
     "arrangement-lines-null": (["arrangement", "IN"], {"lines": None}, {}),
+    # strings where JSON lists are required: parse errors (exit 2), see PARSE_ERRORS
+    "check-states-a-string": (["check", "IN"], {**two_state().to_json_dict(), "states": "ST"}, {}),
+    "pcube-vertices-a-string": (["pcube", "IN"], {**EDGE, "vertices": "ab"}, {}),
+    "pcube-edges-an-object": (["pcube", "IN"], {**EDGE, "edges": {"ab": 0}}, {}),
+    "pcube-edge-a-string": (["pcube", "IN"], {**EDGE, "edges": ["ab"]}, {}),
+    "pcube-label-a-string": (["pcube", "IN"], {**EDGE, "labels": {"a": ["x"], "b": "xy"}}, {}),
     # malformed numbers and rows: parse errors (exit 2), see PARSE_ERRORS
     "check-action-row-a-list": (["check", "IN"], {**ONE_TOKEN, "action": {"u": ["x"]}}, {}),
     "represent-action-row-a-string": (["represent", "IN"], {**ONE_TOKEN, "action": {"u": "ab"}}, {}),
@@ -389,7 +392,9 @@ BAD_INPUTS = {
         ["arrangement", "IN"],
         {"lines": [{"a": "1e2500", "b": "3", "c": "1"}, {"a": "1", "b": "7e2500", "c": "2"}]}, {}),
 }
-PARSE_ERRORS = ["check-action-row-a-list", "represent-action-row-a-string", "graph-action-row-pairs",
+PARSE_ERRORS = ["check-states-a-string", "pcube-vertices-a-string", "pcube-edges-an-object",
+                "pcube-edge-a-string", "pcube-label-a-string",
+                "check-action-row-a-list", "represent-action-row-a-string", "graph-action-row-pairs",
                 "check-action-entry-a-list",
                 "iso-long-integer", "check-long-integer", "pcube-long-integer",
                 "arrangement-exponent-past-digit-limit", "arrangement-exponent-far-past-digit-limit",

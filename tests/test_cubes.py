@@ -20,7 +20,6 @@ from tokenmedia.cubes import (
     is_partial_cube,
     media_isomorphic,
     medium_graph,
-    rank_table,
     to_dot,
 )
 from tokenmedia.errors import InputError
@@ -460,27 +459,6 @@ class TestEdgeLabelsAndGeodesics:
                 s, v = rng.sample(states, 2)
                 msg = straight_message(ts, s, v)
                 assert len(msg) == bfs_distances(adj, s)[v], name
-
-
-class TestRankTable:
-    def test_staircase(self):
-        table = rank_table(staircase_family())
-        assert table.rank == {"a": 1, "b": 1, "c": 3}
-        assert table.strata() == {1: ("a", "b"), 3: ("c",)}
-
-    def test_singleton(self):
-        table = rank_table(SetFamily.of("a", [set(), {"a"}]))
-        assert table.rank == {"a": 1}
-
-    def test_chain(self):
-        fam = SetFamily.of("abc", [set(), {"a"}, {"a", "b"}, {"a", "b", "c"}])
-        table = rank_table(fam)
-        assert table.rank == {"a": 1, "b": 2, "c": 3}
-        assert table.witness["b"] == frozenset("ab")
-
-    def test_needs_empty_set(self):
-        with pytest.raises(InputError):
-            rank_table(hexagon_family())
 
 
 class TestCubeIsometry:

@@ -14,7 +14,9 @@ must find a map exactly when the vertex-by-vertex ``scan_graph_iso`` on the
 two graphs does, every map it returns must replay both action tables, and it
 must agree with networkx on the graphs.  Colour refinement prunes that
 search: the spider tests bound the lines it may run, and one test gives
-every state one colour to reach the search's dead ends.
+every state one colour to reach the search's dead ends.  The search's work
+units (``cubes._spend``) must grow linearly with the states, and past
+``ISO_WORK_BUDGET`` of them it is a cap.
 """
 
 import random
@@ -30,13 +32,13 @@ from hypothesis import strategies as st
 from tokenmedia import cubes
 from tokenmedia.arrangements import arrangement_medium, mosaic_window
 from tokenmedia.cubes import LabeledGraph, adjacency, media_isomorphic, medium_graph
-from tokenmedia.errors import InputError
+from tokenmedia.errors import CapError, InputError
 from tokenmedia.families import SetFamily, family_medium
 from tokenmedia.linorders import linear_medium
 from tokenmedia.represent import MediumDecision, decide_medium
 from tokenmedia.tokens import TokenSystem, reverse_defect
 
-from conftest import corpus_media, wg_families
+from conftest import corpus_media, two_state, wg_families
 from test_cubes import theta_scan_partial_cube
 from test_exact_check import assert_witness_replays
 
@@ -402,10 +404,15 @@ def test_search_leaves_the_recursion_limit_alone(recursion_limit_300):
     assert sys.getrecursionlimit() == 300
 
 
+def chain(n):
+    """The medium of a chain of n states, one coordinate per step."""
+    ground = tuple(f"c{i}" for i in range(n - 1))
+    return family_medium(SetFamily(ground, tuple(frozenset(ground[:k]) for k in range(n))))
+
+
 def test_chain_of_200_states(recursion_limit_300):
     # 199 coordinates, one search level each, deeper than the recursion limit
-    ground = tuple(f"c{i}" for i in range(199))
-    ts = family_medium(SetFamily(ground, tuple(frozenset(ground[:k]) for k in range(200))))
+    ts = chain(200)
     other = relabel(ts, random.Random(200))
     assert_replays(ts, other, *media_isomorphic(ts, other))
 
@@ -451,7 +458,14 @@ def test_search_moves_past_states_that_are_no_image(kind):
 def test_linear_medium_7():
     ts = linear_medium(7)[0]
     other = relabel(ts, random.Random(5040))
-    assert_replays(ts, other, *media_isomorphic(ts, other, max_vertices=5040))
+    assert_replays(ts, other, *media_isomorphic(ts, other))
+
+
+def test_triangular_window_12():
+    # 3,192 states: the budget bounds the search's work, not the states
+    ts = arrangement_medium(mosaic_window("triangular", 12))
+    other = relabel(ts, random.Random(12))
+    assert_replays(ts, other, *media_isomorphic(ts, other))
 
 
 def test_search_builds_no_graph():
@@ -525,6 +539,61 @@ def test_spiders_with_long_legs_replay(legs, seed):
         found = media_isomorphic(ts, other)
     assert count[0] > 0
     assert_replays(ts, other, *found)
+
+
+def search_work(ts, other):
+    """The units of work ``media_isomorphic(ts, other)`` spends, and its answer."""
+    spend, spent = cubes._spend, [0]
+
+    def counted(work):
+        spent[0] += 1
+        spend(work)
+
+    with mock.patch.object(cubes, "_spend", counted):
+        found = media_isomorphic(ts, other)
+    return spent[0], found
+
+
+@pytest.mark.parametrize("small, large", [
+    (lambda: chain(100), lambda: chain(200)),
+    (lambda: arrangement_medium(mosaic_window("triangular", 4)),
+     lambda: arrangement_medium(mosaic_window("triangular", 8))),
+    (lambda: arrangement_medium(mosaic_window("truncated-square", 4)),
+     lambda: arrangement_medium(mosaic_window("truncated-square", 8))),
+], ids=["chain", "triangular", "truncated-square"])
+def test_search_work_grows_linearly(small, large):
+    # from n states to N, the work may grow by at most 1.1 N / n: 2.2x at
+    # twice the states (a window of twice the radius has about four times)
+    (a, work_a), (b, work_b) = [(ts, search_work(ts, relabel(ts, random.Random(7)))[0])
+                                for ts in (small(), large())]
+    assert 0 < work_b <= 1.1 * len(b.states) / len(a.states) * work_a
+
+
+def test_a_unit_is_a_candidate_or_a_label():
+    # two states: one coordinate, one candidate image for it, one label it completes
+    ts = two_state()
+    other = relabel(ts, random.Random(2))
+    assert search_work(ts, other)[0] == 2
+
+
+def test_search_past_its_budget_is_a_cap():
+    ts = linear_medium(5)[0]
+    other = relabel(ts, random.Random(120))
+    work, found = search_work(ts, other)
+    assert_replays(ts, other, *found)
+    with mock.patch.object(cubes, "ISO_WORK_BUDGET", work - 1), pytest.raises(CapError):
+        media_isomorphic(ts, other)
+    with mock.patch.object(cubes, "ISO_WORK_BUDGET", work):
+        assert media_isomorphic(ts, other) == found
+    # with one colour the search runs from every state of the second tree,
+    # and all of those searches share one count
+    forked = family_medium(SetFamily.of("abcde", [set(), "a", "b", "c", "ad", "be"]))
+    spur = family_medium(SetFamily.of("abcde", [set(), "a", "b", "c", "ad", "ade"]))
+    with mock.patch.object(cubes, "_joint_colours", one_colour):
+        work, found = search_work(forked, spur)
+        assert found is None
+        with mock.patch.object(cubes, "ISO_WORK_BUDGET", work - 1), pytest.raises(CapError):
+            media_isomorphic(forked, spur)
 
 
 @st.composite

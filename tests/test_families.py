@@ -1,8 +1,11 @@
+import types
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tokenmedia.errors import InputError
+from tokenmedia import families
+from tokenmedia.errors import InputError, ParseError
 from tokenmedia.families import (
     SetFamily,
     between,
@@ -19,7 +22,8 @@ from tokenmedia.families import (
 from tokenmedia.linorders import LinearOrder, encode
 from tokenmedia.represent import decide_medium
 
-from conftest import hexagon_family, power_set_family, staircase_family
+from conftest import hexagon_family, power_set_family, staircase_family, wg_families
+from test_decide_routes import lines_at_most
 
 finite_set = st.frozensets(st.sampled_from("abcdef"))
 
@@ -143,6 +147,87 @@ class TestLineSegment:
         fam = SetFamily.of("ab", [set(), {"a", "b"}])
         assert line_segment(fam, frozenset(), frozenset("ab")) is None
 
+    def test_chain_longer_than_the_recursion_limit(self):
+        ground = tuple(f"e{i}" for i in range(1500))
+        fam = SetFamily(ground, tuple(frozenset(ground[:k]) for k in range(1501)))
+        with segment_lines_at_most(10 * len(fam.sets)):
+            assert line_segment(fam, frozenset(), frozenset(ground)) == fam.sets
+
+    @pytest.mark.parametrize("k", [8, 12])
+    def test_each_dead_end_is_entered_once(self, k):
+        # every path through the power set reaches the full set, two steps
+        # short of q; the recursive search tries all k! of them
+        fam, q = dead_end_family(k)
+        with segment_lines_at_most(4 * len(fam.sets) * len(fam.ground)):
+            assert line_segment(fam, frozenset(), q) is None
+
+    def test_dead_ends_match_the_recursive_search(self):
+        fam, q = dead_end_family(5)
+        for p in fam.sets:
+            for target in (q, frozenset("ce"), frozenset("abcde")):
+                assert line_segment(fam, p, target) == recursive_segment(fam, p, target)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_recursive_search(self, data):
+        if data.draw(st.booleans()):
+            fam = data.draw(wg_families())
+        else:
+            ground = data.draw(st.permutations("abcdef"[:data.draw(st.integers(1, 6))]))
+            sets = data.draw(st.lists(st.frozensets(st.sampled_from(ground)), min_size=1, max_size=30,
+                                      unique=True))
+            fam = SetFamily(tuple(ground), tuple(sets))
+        p, q = data.draw(st.sampled_from(fam.sets)), data.draw(st.sampled_from(fam.sets))
+        assert line_segment(fam, p, q) == recursive_segment(fam, p, q)
+
+
+def recursive_segment(fam, p, q):
+    """The recursive search that ``line_segment`` replaced, kept as its
+    oracle: it tries the steps toward q in ground order and retries dead ends."""
+    p = frozenset(p)
+    q = frozenset(q)
+    members = set(fam.sets)
+    if p not in members or q not in members:
+        raise InputError("segment endpoints must belong to the family")
+    if p == q:
+        return (p,)
+    path = [p]
+
+    def walk(cur):
+        if cur == q:
+            return True
+        gap = cur ^ q
+        for x in fam.ground:
+            if x not in gap:
+                continue
+            nxt = cur ^ {x}
+            if nxt in members:
+                path.append(nxt)
+                if walk(nxt):
+                    return True
+                path.pop()
+        return False
+
+    return tuple(path) if walk(p) else None
+
+
+def dead_end_family(k):
+    """The power set of k elements and one member two steps past its full
+    set, which no monotone path reaches; with that member."""
+    ground = "abcdefghijkl"[:k]
+    q = frozenset(ground + "yz")
+    return SetFamily(tuple(ground + "yz"), power_set_family(ground).sets + (q,)), q
+
+
+def segment_lines_at_most(bound):
+    """Fail once ``line_segment`` and the functions nested in it have run
+    more than ``bound`` lines in all."""
+    codes, todo = set(), [families.line_segment.__code__]
+    while todo:
+        codes.add(code := todo.pop())
+        todo += [c for c in code.co_consts if isinstance(c, types.CodeType)]
+    return lines_at_most(codes, bound, "line_segment")
+
 
 class TestFamilyMedium:
     def test_two_state(self):
@@ -246,3 +331,18 @@ class TestNormalize:
 def test_set_name_uses_ground_order():
     assert set_name({"b", "a"}, ("a", "b", "c")) == "{a,b}"
     assert set_name(set(), "abc") == "{}"
+
+
+def test_family_document_round_trips():
+    fam = staircase_family()
+    assert SetFamily.from_json_dict(fam.to_json_dict()) == fam
+
+
+@pytest.mark.parametrize("doc", [
+    {"ground": "ab", "sets": [[], ["a", "b"]]},
+    {"ground": ["a", "b"], "sets": [[], "ab"]},
+    {"ground": ["a", "b"], "sets": "ab"},
+])
+def test_strings_are_no_lists_in_a_family_document(doc):
+    with pytest.raises(ParseError, match="must be a list"):
+        SetFamily.from_json_dict(doc)

@@ -1,15 +1,19 @@
 """``cubes.extend_isometry`` (read off the family's edges) and
 ``families.well_graded_witness`` (the bitset separation test) against the
 routes they replaced, kept here as oracles: the extension through element
-rank tables and the pairwise scan over all ordered pairs of members."""
+rank tables and the pairwise scan over all ordered pairs of members.  The
+rank tables (``rank_table``, ``RankTable``) left the library once nothing
+in it read them; they live on here, with their own tests."""
 
 import random
+from dataclasses import dataclass
+from typing import Mapping
 from unittest import mock
 
 import pytest
 
 from tokenmedia import cubes, families
-from tokenmedia.cubes import CubeIsometry, extend_isometry, rank_table
+from tokenmedia.cubes import CubeIsometry, extend_isometry
 from tokenmedia.errors import InputError
 from tokenmedia.families import SetFamily, distance, translate, well_graded_witness
 from tokenmedia.linorders import linear_medium
@@ -37,6 +41,42 @@ def pairwise_witness(fam):
             else:
                 return fam.sets[i], fam.sets[j]
     return None
+
+
+@dataclass(frozen=True)
+class RankTable:
+    """Minimal member-set cardinality per element, for families containing the empty set."""
+
+    rank: Mapping[str, int]
+    witness: Mapping[str, frozenset[str]]
+
+    def strata(self) -> dict[int, tuple[str, ...]]:
+        out: dict[int, list[str]] = {}
+        for x, k in self.rank.items():
+            out.setdefault(k, []).append(x)
+        return {k: tuple(sorted(xs)) for k, xs in sorted(out.items())}
+
+
+def rank_table(fam: SetFamily) -> RankTable:
+    if frozenset() not in fam.sets:
+        raise InputError("rank table needs the empty set in the family")
+    if well_graded_witness(fam) is not None:
+        raise InputError("rank table needs a well graded family")
+    rank: dict[str, int] = {}
+    witness: dict[str, frozenset] = {}
+    for x in fam.ground:
+        best = None
+        for s in fam.sets:
+            if x in s and (best is None or _set_key(s, fam.ground) < _set_key(best, fam.ground)):
+                best = s
+        if best is not None:
+            rank[x] = len(best)
+            witness[x] = best
+    return RankTable(rank, witness)
+
+
+def _set_key(s, ground):
+    return (len(s), tuple(x in s for x in ground))
 
 
 def rank_extension(f1, f2, alpha):
@@ -79,6 +119,27 @@ def rank_extension(f1, f2, alpha):
     iso = CubeIsometry(tuple(f1.ground), b1 ^ frozenset(inv_perm[y] for y in b2), perm)
     assert all(iso.apply(p) == alpha[p] for p in f1.sets), "alpha not reproduced"
     return iso
+
+
+class TestRankTable:
+    def test_staircase(self):
+        table = rank_table(staircase_family())
+        assert table.rank == {"a": 1, "b": 1, "c": 3}
+        assert table.strata() == {1: ("a", "b"), 3: ("c",)}
+
+    def test_singleton(self):
+        table = rank_table(SetFamily.of("a", [set(), {"a"}]))
+        assert table.rank == {"a": 1}
+
+    def test_chain(self):
+        fam = SetFamily.of("abc", [set(), {"a"}, {"a", "b"}, {"a", "b", "c"}])
+        table = rank_table(fam)
+        assert table.rank == {"a": 1, "b": 2, "c": 3}
+        assert table.witness["b"] == frozenset("ab")
+
+    def test_needs_empty_set(self):
+        with pytest.raises(InputError):
+            rank_table(hexagon_family())
 
 
 def outcome(route, f1, f2, alpha):
@@ -163,8 +224,8 @@ def test_edge_route_names_the_distance_on_every_broken_alpha():
 def test_extension_reads_no_rank_table_and_no_distance():
     rng = random.Random(2103)
     f1, f2, alpha = isometric_pair(rng, random_wg_family(rng, "abcde", 10))
-    with mock.patch.object(cubes, "rank_table", side_effect=AssertionError("rank_table ran")), \
-            mock.patch.object(families, "distance", side_effect=AssertionError("distance ran")):
+    assert not hasattr(cubes, "rank_table")  # the rank tables live in this module alone
+    with mock.patch.object(families, "distance", side_effect=AssertionError("distance ran")):
         iso = extend_isometry(f1, f2, alpha)
     assert iso == rank_extension(f1, f2, alpha)
 
