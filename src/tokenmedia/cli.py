@@ -233,7 +233,7 @@ def _cmd_iso(args) -> int:
 
 
 def _cmd_linmedium(args) -> int:
-    ts, fam = linorders.linear_medium(args.n, cap=args.cap)
+    ts, fam = linorders.linear_medium(args.n)
     doc = ts.to_json_dict(view=True)
     doc["family"] = fam.to_json_dict()
     _emit(doc)
@@ -312,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("linmedium", help="the medium of linear orders on n elements")
     p.add_argument("n", type=int)
-    p.add_argument("--cap", type=int, default=None)
     p.add_argument("--dot", default=None)
     p.set_defaults(func=_cmd_linmedium)
 

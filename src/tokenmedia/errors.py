@@ -10,7 +10,7 @@ class ParseError(InputError):
 
 
 class CapError(RuntimeError):
-    """An operation would exceed a configured resource cap."""
+    """An operation would exceed a fixed resource cap."""
 
 
 def json_list(value, what: str, inner: bool = False) -> list:

@@ -9,15 +9,13 @@ encoding.
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 
-from .errors import CapError, InputError, ParseError
+from .errors import CapError, InputError
 from .families import SetFamily
 from .tokens import TokenSystem
 
-DEFAULT_ORDER_CAP = 7
-CAP_ENV_VAR = "TOKENMEDIA_MAX_ORDER"
+MAX_ORDER = 7  # n! = 5040 states; it also keeps each element name one character
 
 
 @dataclass(frozen=True)
@@ -82,31 +80,17 @@ def base_order(n: int) -> LinearOrder:
     return LinearOrder(tuple(str(i) for i in range(1, n + 1)))
 
 
-def _order_cap(cap: int | None) -> int:
-    if cap is not None:
-        return cap
-    env = os.environ.get(CAP_ENV_VAR)
-    try:
-        return int(env) if env else DEFAULT_ORDER_CAP
-    except ValueError:
-        raise ParseError(f"{CAP_ENV_VAR} must be an integer, got {env!r}") from None
-
-
-def linear_medium(n: int, cap: int | None = None) -> tuple[TokenSystem, SetFamily]:
+def linear_medium(n: int) -> tuple[TokenSystem, SetFamily]:
     """All n! linear orders with one swap-token pair per base pair, plus the
     companion family of encodings.
 
     State ids are the concatenated sequences ("123", "132", ...), token ids
-    are "t:x<y".  n is capped (default 7, env TOKENMEDIA_MAX_ORDER) since the
-    state count is n!.
+    are "t:x<y".  n is at most ``MAX_ORDER``, since the state count is n!.
     """
     if n < 2:
         raise InputError("need at least two elements")
-    limit = _order_cap(cap)
-    if n > limit:
-        raise CapError(f"order size {n} exceeds the cap of {limit}")
-    if n > 9:
-        raise CapError("single-character element names support at most 9 elements")
+    if n > MAX_ORDER:
+        raise CapError(f"order size {n} exceeds the cap of {MAX_ORDER}")
     elements = tuple(str(i) for i in range(1, n + 1))
     base = LinearOrder(elements)
     base_pairs = list(itertools.combinations(elements, 2))

@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import InputError, ParseError, json_list
 
@@ -320,8 +320,8 @@ def _is_key(x, index) -> bool:
         return False
 
 
-def apply(ts: TokenSystem, state: str, message: Message) -> str:
-    """Run a message left to right from a state; the empty message is the identity."""
+def _steps(ts: TokenSystem, state: str, message: Message) -> Iterator[tuple[str, str]]:
+    """Yield (before, after) per token of a message run from a state, lazily."""
     if not ts.has_state(state):
         raise InputError(f"unknown state id {state!r}")
     act = ts.action
@@ -330,7 +330,16 @@ def apply(ts: TokenSystem, state: str, message: Message) -> str:
         row = act.get(t)
         if row is None:
             raise InputError(f"unknown token id {t!r}")
-        cur = row[cur]
+        nxt = row[cur]
+        yield cur, nxt
+        cur = nxt
+
+
+def apply(ts: TokenSystem, state: str, message: Message) -> str:
+    """Run a message left to right from a state; the empty message is the identity."""
+    cur = state
+    for _, cur in _steps(ts, state, message):
+        pass
     return cur
 
 
@@ -352,19 +361,7 @@ def message_reverse(ts: TokenSystem, message: Message) -> tuple[str, ...]:
 
 def is_stepwise_effective(ts: TokenSystem, state: str, message: Message) -> bool:
     """True iff every prefix application changes the state."""
-    if not ts.has_state(state):
-        raise InputError(f"unknown state id {state!r}")
-    act = ts.action
-    cur = state
-    for t in message:
-        row = act.get(t)
-        if row is None:
-            raise InputError(f"unknown token id {t!r}")
-        nxt = row[cur]
-        if nxt == cur:
-            return False
-        cur = nxt
-    return True
+    return all(before != after for before, after in _steps(ts, state, message))
 
 
 def is_consistent(ts: TokenSystem, message: Message) -> bool:

@@ -166,15 +166,22 @@ class TestLinmediumPipe:
         assert dot.read_text().count("--") == 6
 
     def test_cap_exit_3(self, capsys):
-        code, _, err = run(capsys, "linmedium", "9", "--cap", "5")
-        assert code == 3
-        assert "cap" in err
+        code, out, err = run(capsys, "linmedium", "8")
+        assert (code, out) == (3, "")
+        assert err.startswith("cap exceeded:") and err.count("\n") == 1
 
-    def test_bad_order_cap_env_is_a_parse_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("TOKENMEDIA_MAX_ORDER", "abc")
-        code, out, err = run(capsys, "linmedium", "3")
-        assert code == 2
-        assert out == "" and err.startswith("parse error:") and "TOKENMEDIA_MAX_ORDER" in err
+    def test_the_cap_reads_no_environment(self, capsys, monkeypatch):
+        _, unset, _ = run(capsys, "linmedium", "3")
+        for value in ("abc", "9"):
+            monkeypatch.setenv("TOKENMEDIA_MAX_ORDER", value)
+            assert run(capsys, "linmedium", "3") == (0, unset, "")
+            assert run(capsys, "linmedium", "8")[:2] == (3, "")
+
+    def test_the_cap_is_no_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["linmedium", "3", "--cap", "5"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestPcube:
@@ -347,50 +354,49 @@ class TestDeterminism:
 EDGE = {"vertices": ["a", "b"], "edges": [["a", "b"]]}
 ONE_TOKEN = {"states": ["a", "b"], "tokens": ["u"]}
 
-# name: (argv with "IN" for the input file, its contents, environment)
+# name: (argv with "IN" for the input file, its contents)
 BAD_INPUTS = {
-    "check-not-json": (["check", "IN"], "{not json", {}),
-    "check-no-tokens": (["check", "IN"], {"states": ["A", "B"]}, {}),
-    "check-tokens-not-a-list": (["check", "IN"], {"states": ["a", "b"], "tokens": 3, "action": {}}, {}),
-    "check-non-medium": (["check", "IN"], reduction(path3(), ["P", "R"]), {}),
-    "graph-non-medium": (["graph", "IN"], reduction(path3(), ["P", "R"]), {}),
-    "pcube-labels-not-an-object": (["pcube", "IN"], {**EDGE, "labels": [1]}, {}),
-    "pcube-labels-miss-a-vertex": (["pcube", "IN"], {**EDGE, "labels": {"a": []}}, {}),
-    "pcube-k3": (["pcube", "IN"], "a b\nb c\na c\n", {}),
-    "iso-non-medium": (["iso", "IN", "IN"], lazy_square(), {}),
-    "linmedium-over-cap": (["linmedium", "9", "--cap", "5"], None, {}),
-    "linmedium-bad-cap-env": (["linmedium", "3"], None, {"TOKENMEDIA_MAX_ORDER": "abc"}),
-    "arrangement-bad-rational": (["arrangement", "IN"], {"lines": [{"a": "x", "b": "1", "c": "0"}]}, {}),
-    "arrangement-lines-a-number": (["arrangement", "IN"], {"lines": 5}, {}),
-    "arrangement-lines-null": (["arrangement", "IN"], {"lines": None}, {}),
+    "check-not-json": (["check", "IN"], "{not json"),
+    "check-no-tokens": (["check", "IN"], {"states": ["A", "B"]}),
+    "check-tokens-not-a-list": (["check", "IN"], {"states": ["a", "b"], "tokens": 3, "action": {}}),
+    "check-non-medium": (["check", "IN"], reduction(path3(), ["P", "R"])),
+    "graph-non-medium": (["graph", "IN"], reduction(path3(), ["P", "R"])),
+    "pcube-labels-not-an-object": (["pcube", "IN"], {**EDGE, "labels": [1]}),
+    "pcube-labels-miss-a-vertex": (["pcube", "IN"], {**EDGE, "labels": {"a": []}}),
+    "pcube-k3": (["pcube", "IN"], "a b\nb c\na c\n"),
+    "iso-non-medium": (["iso", "IN", "IN"], lazy_square()),
+    "linmedium-over-cap": (["linmedium", "8"], None),
+    "arrangement-bad-rational": (["arrangement", "IN"], {"lines": [{"a": "x", "b": "1", "c": "0"}]}),
+    "arrangement-lines-a-number": (["arrangement", "IN"], {"lines": 5}),
+    "arrangement-lines-null": (["arrangement", "IN"], {"lines": None}),
     # strings where JSON lists are required: parse errors (exit 2), see PARSE_ERRORS
-    "check-states-a-string": (["check", "IN"], {**two_state().to_json_dict(), "states": "ST"}, {}),
-    "pcube-vertices-a-string": (["pcube", "IN"], {**EDGE, "vertices": "ab"}, {}),
-    "pcube-edges-an-object": (["pcube", "IN"], {**EDGE, "edges": {"ab": 0}}, {}),
-    "pcube-edge-a-string": (["pcube", "IN"], {**EDGE, "edges": ["ab"]}, {}),
-    "pcube-label-a-string": (["pcube", "IN"], {**EDGE, "labels": {"a": ["x"], "b": "xy"}}, {}),
+    "check-states-a-string": (["check", "IN"], {**two_state().to_json_dict(), "states": "ST"}),
+    "pcube-vertices-a-string": (["pcube", "IN"], {**EDGE, "vertices": "ab"}),
+    "pcube-edges-an-object": (["pcube", "IN"], {**EDGE, "edges": {"ab": 0}}),
+    "pcube-edge-a-string": (["pcube", "IN"], {**EDGE, "edges": ["ab"]}),
+    "pcube-label-a-string": (["pcube", "IN"], {**EDGE, "labels": {"a": ["x"], "b": "xy"}}),
     # malformed numbers and rows: parse errors (exit 2), see PARSE_ERRORS
-    "check-action-row-a-list": (["check", "IN"], {**ONE_TOKEN, "action": {"u": ["x"]}}, {}),
-    "represent-action-row-a-string": (["represent", "IN"], {**ONE_TOKEN, "action": {"u": "ab"}}, {}),
-    "graph-action-row-pairs": (["graph", "IN"], {**ONE_TOKEN, "action": {"u": ["ab", "ba"]}}, {}),
-    "check-action-entry-a-list": (["check", "IN"], {**ONE_TOKEN, "action": {"u": {"a": ["b"], "b": "b"}}}, {}),
-    "iso-long-integer": (["iso", "IN", "IN"], '{"states": [' + "7" * 5000 + "]}", {}),
-    "check-long-integer": (["check", "IN"], '{"states": ["a", "b"], "bound": ' + "1" * 4301 + "}", {}),
-    "pcube-long-integer": (["pcube", "IN"], '{"vertices": [' + "9" * 5000 + '], "edges": []}', {}),
+    "check-action-row-a-list": (["check", "IN"], {**ONE_TOKEN, "action": {"u": ["x"]}}),
+    "represent-action-row-a-string": (["represent", "IN"], {**ONE_TOKEN, "action": {"u": "ab"}}),
+    "graph-action-row-pairs": (["graph", "IN"], {**ONE_TOKEN, "action": {"u": ["ab", "ba"]}}),
+    "check-action-entry-a-list": (["check", "IN"], {**ONE_TOKEN, "action": {"u": {"a": ["b"], "b": "b"}}}),
+    "iso-long-integer": (["iso", "IN", "IN"], '{"states": [' + "7" * 5000 + "]}"),
+    "check-long-integer": (["check", "IN"], '{"states": ["a", "b"], "bound": ' + "1" * 4301 + "}"),
+    "pcube-long-integer": (["pcube", "IN"], '{"vertices": [' + "9" * 5000 + '], "edges": []}'),
     "arrangement-exponent-past-digit-limit": (
-        ["arrangement", "IN"], {"lines": [{"a": "1e5000", "b": "1", "c": "0"}]}, {}),
+        ["arrangement", "IN"], {"lines": [{"a": "1e5000", "b": "1", "c": "0"}]}),
     "arrangement-exponent-far-past-digit-limit": (
-        ["arrangement", "IN"], {"lines": [{"a": "1", "b": "1e1000000", "c": "0"}]}, {}),
+        ["arrangement", "IN"], {"lines": [{"a": "1", "b": "1e1000000", "c": "0"}]}),
     "arrangement-denominator-past-digit-limit": (
-        ["arrangement", "IN"], {"lines": [{"a": "1", "b": "1", "c": "1e-4300"}]}, {}),
-    "check-nesting-too-deep": (["check", "IN"], "[" * 100_000, {}),
+        ["arrangement", "IN"], {"lines": [{"a": "1", "b": "1", "c": "1e-4300"}]}),
+    "check-nesting-too-deep": (["check", "IN"], "[" * 100_000),
     # input that is not UTF-8: a valid system followed by the byte 0xff, an edge list holding it
-    "check-not-utf8": (["check", "IN"], json.dumps(two_state().to_json_dict()).encode() + b"\xff", {}),
-    "pcube-not-utf8": (["pcube", "IN"], b"a b\nb \xff\n", {}),
+    "check-not-utf8": (["check", "IN"], json.dumps(two_state().to_json_dict()).encode() + b"\xff"),
+    "pcube-not-utf8": (["pcube", "IN"], b"a b\nb \xff\n"),
     # every literal fits the digit limit, the crossing's witness does not: a cap (exit 3)
     "arrangement-witness-past-digit-limit": (
         ["arrangement", "IN"],
-        {"lines": [{"a": "1e2500", "b": "3", "c": "1"}, {"a": "1", "b": "7e2500", "c": "2"}]}, {}),
+        {"lines": [{"a": "1e2500", "b": "3", "c": "1"}, {"a": "1", "b": "7e2500", "c": "2"}]}),
 }
 PARSE_ERRORS = ["check-states-a-string", "pcube-vertices-a-string", "pcube-edges-an-object",
                 "pcube-edge-a-string", "pcube-label-a-string",
@@ -402,10 +408,8 @@ PARSE_ERRORS = ["check-states-a-string", "pcube-vertices-a-string", "pcube-edges
                 "check-not-utf8", "pcube-not-utf8"]
 
 
-def run_bad_input(name, tmp_path, capsys, monkeypatch):
-    argv, content, env = BAD_INPUTS[name]
-    for key, value in env.items():
-        monkeypatch.setenv(key, value)
+def run_bad_input(name, tmp_path, capsys):
+    argv, content = BAD_INPUTS[name]
     path = tmp_path / "input"
     if isinstance(content, TokenSystem):
         content = content.to_json_dict()
@@ -417,8 +421,8 @@ def run_bad_input(name, tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("name", sorted(BAD_INPUTS))
-def test_bad_input_gets_a_documented_exit_and_no_traceback(name, tmp_path, capsys, monkeypatch):
-    code, out, err = run_bad_input(name, tmp_path, capsys, monkeypatch)
+def test_bad_input_gets_a_documented_exit_and_no_traceback(name, tmp_path, capsys):
+    code, out, err = run_bad_input(name, tmp_path, capsys)
     assert code in (1, 2, 3)
     if code != 1:
         assert out == ""
@@ -426,21 +430,21 @@ def test_bad_input_gets_a_documented_exit_and_no_traceback(name, tmp_path, capsy
 
 
 @pytest.mark.parametrize("name", PARSE_ERRORS)
-def test_malformed_rows_and_oversized_numbers_are_parse_errors(name, tmp_path, capsys, monkeypatch):
-    code, out, err = run_bad_input(name, tmp_path, capsys, monkeypatch)
+def test_malformed_rows_and_oversized_numbers_are_parse_errors(name, tmp_path, capsys):
+    code, out, err = run_bad_input(name, tmp_path, capsys)
     assert (code, out) == (2, "")
     assert err.startswith("parse error:")
 
 
 @pytest.mark.parametrize("name", ["check-not-utf8", "pcube-not-utf8"])
-def test_input_that_is_not_utf8_names_its_path(name, tmp_path, capsys, monkeypatch):
-    code, out, err = run_bad_input(name, tmp_path, capsys, monkeypatch)
+def test_input_that_is_not_utf8_names_its_path(name, tmp_path, capsys):
+    code, out, err = run_bad_input(name, tmp_path, capsys)
     assert (code, out) == (2, "")
     assert err.startswith(f"parse error: {tmp_path / 'input'}: ") and "utf-8" in err
 
 
-def test_witness_past_the_digit_limit_is_a_cap(tmp_path, capsys, monkeypatch):
-    code, out, err = run_bad_input("arrangement-witness-past-digit-limit", tmp_path, capsys, monkeypatch)
+def test_witness_past_the_digit_limit_is_a_cap(tmp_path, capsys):
+    code, out, err = run_bad_input("arrangement-witness-past-digit-limit", tmp_path, capsys)
     assert (code, out) == (3, "")
     assert err.startswith("cap exceeded:") and "digits" in err
 
@@ -470,6 +474,23 @@ def test_direct_dispatch_matches_the_top_level_parser(argv, tmp_path, capsys):
     argv = [path if a == "IN" else a for a in argv]
     expected = outcome(capsys, lambda a: cli._run(cli.build_parser().parse_args(a)), argv)
     assert outcome(capsys, cli.main, argv) == expected
+
+
+def readme_usage() -> dict[str, set[str]]:
+    """Each command of the README's usage block, with the options its line lists."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = next(b for b in text.split("```sh\n") if b.startswith("tokenmedia check "))
+    usage = {}
+    for line in block.split("```")[0].splitlines():
+        words = line.split("#")[0].split()
+        usage[words[1]] = {w.strip("[]") for w in words if w.lstrip("[").startswith("--")}
+    return usage
+
+
+def test_readme_usage_lists_exactly_the_options_of_each_command():
+    accepted = {name: {o for action in command._actions for o in action.option_strings} - {"-h", "--help"}
+                for name, command in cli.build_parser().commands.items()}
+    assert readme_usage() == accepted
 
 
 # --- output failures ---------------------------------------------------------------

@@ -156,7 +156,7 @@ class TestLinearMedium:
         with pytest.raises(CapError):
             linear_medium(8)
         with pytest.raises(CapError):
-            linear_medium(10, cap=12)
+            linear_medium(10)
 
 
 class TestOrderEncodingPredicate:

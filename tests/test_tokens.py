@@ -194,6 +194,32 @@ class TestApply:
             apply(two_state(), "S", ["nope"])
 
 
+# name: (start state, message, what is_stepwise_effective gives: False or an error's text)
+WALKS = {
+    "unknown-state-empty-message": ("X", [], "unknown state id"),
+    "unknown-token": ("S", ["nope"], "unknown token id"),
+    "ineffective-step-before-unknown-token": ("S", ["t", "t", "nope"], False),
+    "unknown-token-before-ineffective-step": ("S", ["nope", "t~"], "unknown token id"),
+}
+
+
+@pytest.mark.parametrize("state, message, answer", WALKS.values(), ids=WALKS.keys())
+def test_walk_error_paths(state, message, answer):
+    """apply walks the whole message, so it raises in every case;
+    is_stepwise_effective stops at the first ineffective step, reading no
+    token past it."""
+    ts = two_state()
+    with pytest.raises(InputError, match=answer or "unknown token id"):
+        apply(ts, state, message)
+    tokens_left = iter(message)
+    if answer is False:
+        assert is_stepwise_effective(ts, state, tokens_left) is False
+        assert list(tokens_left) == ["nope"]
+    else:
+        with pytest.raises(InputError, match=answer):
+            is_stepwise_effective(ts, state, tokens_left)
+
+
 class TestMessages:
     def test_content_collapses_duplicates(self):
         assert content(["t", "t", "s"]) == {"t", "s"}
