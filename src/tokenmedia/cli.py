@@ -240,7 +240,9 @@ def _cmd_linmedium(args) -> int:
     return _write_dot(args.dot, cubes.medium_graph(ts)) if args.dot else 0
 
 
-def _arrangement_pipeline(arrangement) -> dict:
+def _arrangement_pipeline(arrangement, dot=None) -> int:
+    """Emit the regions, graph, medium and family of the arrangement, and
+    write the region graph's DOT to ``dot`` if given."""
     regions = arr_mod.enumerate_regions(arrangement)
     graph = arr_mod.region_adjacency(arrangement, regions)
     ts = arr_mod.arrangement_medium(arrangement, regions, graph)
@@ -249,26 +251,22 @@ def _arrangement_pipeline(arrangement) -> dict:
         region_docs = [r.to_json_dict() for r in regions]
     except ValueError as exc:  # a witness past the interpreter's digit limit for int-string conversion
         raise CapError(f"region witness: {exc}") from None
-    return {
+    _emit({
         "lines": arrangement.to_json_dict()["lines"],
         "regions": region_docs,
         "graph": graph.to_json_dict(),
         "system": ts.to_json_dict(view=True),
         "family": fam.to_json_dict(),
-    }
+    })
+    return _write_dot(dot, graph) if dot else 0
 
 
 def _cmd_arrangement(args) -> int:
-    arrangement = arr_mod.Arrangement.from_json_dict(_read_json(args.input))
-    doc = _arrangement_pipeline(arrangement)
-    _emit(doc)
-    return _write_dot(args.dot, cubes.LabeledGraph.from_json_dict(doc["graph"])) if args.dot else 0
+    return _arrangement_pipeline(arr_mod.Arrangement.from_json_dict(_read_json(args.input)), args.dot)
 
 
 def _cmd_mosaic(args) -> int:
-    arrangement = arr_mod.mosaic_window(args.kind, args.radius)
-    _emit(_arrangement_pipeline(arrangement))
-    return 0
+    return _arrangement_pipeline(arr_mod.mosaic_window(args.kind, args.radius))
 
 
 @functools.cache

@@ -264,8 +264,8 @@ def _class_route(g, adj, parent):
         # the class of the first step does not separate p from q, so the
         # geodesic flips its bit back on a later step
         verts = list(lab)
-        path = _geodesic(adj, verts[pair[0]], verts[pair[1]])
-        steps = [(u, w) if u < w else (w, u) for u, w in zip(path, path[1:])]
+        out = {u: [(w, (u, w) if u < w else (w, u)) for w in ws] for u, ws in adj.items()}
+        steps = _geodesic(out, verts[pair[1]], verts[pair[0]])
         k = cls[steps[0]]
         return _theta_violation(steps[0], least[k], next(f for f in steps[1:] if cls[f] == k))
     names = [str(k) for k in range(width)]
@@ -277,20 +277,23 @@ def _theta_violation(*triple):
     return PartialCubeResult(False, witness={"kind": "theta-violation", "edges": [list(e) for e in triple]})
 
 
-def _geodesic(adj, p, q):
-    """A shortest path from p to q, by one BFS from q."""
-    toward = {q: None}
-    queue = deque([q])
-    while p not in toward:
+def _geodesic(out, root, end):
+    """The labels of a shortest walk from root to end, listed from end back
+    to root, by one BFS from root over the (state, label) steps ``out[u]``
+    from each state u, stopped once end is reached."""
+    prev = {root: None}
+    queue = deque([root])
+    while end not in prev:
         u = queue.popleft()
-        for w in adj[u]:
-            if w not in toward:
-                toward[w] = u
+        for w, label in out[u]:
+            if w not in prev:
+                prev[w] = u, label
                 queue.append(w)
-    path = [p]
-    while path[-1] != q:
-        path.append(toward[path[-1]])
-    return path
+    labels = []
+    while prev[end] is not None:
+        end, label = prev[end]
+        labels.append(label)
+    return labels
 
 
 def _odd_cycle(parent, depth, u, w):

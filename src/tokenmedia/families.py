@@ -95,25 +95,31 @@ def well_graded_witness(fam: SetFamily) -> tuple[frozenset, frozenset] | None:
     return None if pair is None else (fam.sets[pair[0]], fam.sets[pair[1]])
 
 
+def _bit_columns(lab, width):
+    """Per bit x, the positions whose label lacks x and those whose label
+    holds it: the label bit matrix, transposed in one pass, and complemented."""
+    everyone = (1 << len(lab)) - 1
+    # the labels in binary, one row per position from the last up: column c
+    # read down is the holders of bit width - 1 - c in binary
+    rows = [format(own, f"0{width}b") for own in reversed(lab)]
+    holders = [int("".join(column), 2) for column in zip(*rows)][::-1]
+    return [(everyone ^ members, members) for members in holders]
+
+
 def _moves_separate(lab, toggles, width):
     """The first pair (p, q), q != p, such that no bit of toggles[p] separates
     lab[p] from lab[q], or None.  All q at once, on bitsets over the
-    positions, with one AND per set bit of toggles[p]: holders[x] (the
-    positions whose label holds bit x) is a column of the label bit matrix,
-    transposed in one pass.  With each move flipping its own bit, None is
+    positions, with one AND per set bit of toggles[p], by a column of
+    ``_bit_columns``.  With each move flipping its own bit, None is
     well-gradedness, and rules out equal labels."""
+    agree = _bit_columns(lab, width)
     everyone = (1 << len(lab)) - 1
-    # the labels in binary, one row per position from the last up: column c
-    # read down is holders[width - 1 - c] in binary
-    rows = [format(own, f"0{width}b") for own in reversed(lab)]
-    holders = [int("".join(column), 2) for column in zip(*rows)][::-1]
-    lacking = [everyone ^ members for members in holders]
     for p, (own, tg) in enumerate(zip(lab, toggles)):
         alike = everyone
         while tg:
             low = tg & -tg
             x = low.bit_length() - 1
-            alike &= holders[x] if own & low else lacking[x]
+            alike &= agree[x][own >> x & 1]
             tg ^= low
         if alike != 1 << p:
             rest = alike ^ 1 << p

@@ -13,8 +13,8 @@ check's witness.  The decision is stored on the token system, and so are
 the potentials of a system that is no medium: ``check_axioms`` reads them,
 and ``contents``, ``orient_from_state`` and ``positive_content_family``
 read the decision, so one labeling serves decision, axioms, contents and
-representation.  Only ``check_axioms`` runs a BFS per state, for M4 on a
-component that fails the separation test.
+representation.  No route runs a BFS per state: ``check_axioms`` reads M4
+on a component that fails the separation test off straight sets.
 """
 
 from __future__ import annotations
@@ -22,8 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
+from .cubes import _geodesic
 from .errors import InputError
-from .families import SetFamily, _moves_separate
+from .families import SetFamily, _bit_columns, _moves_separate
 from .tokens import TokenSystem, reduction, reverse_defect
 
 
@@ -301,7 +302,8 @@ def _potentials(ts: TokenSystem) -> _Potentials:
     levels, that is iff some coordinate spans more than two values.  On a
     component that fails the test this level lemma is false
     (``two_level_path`` in ``tests/test_exact_check.py``: M4 holds though a
-    pair moves at two levels), so it needs ``_m4_search``.
+    pair moves at two levels), so ``_m4_search`` reads M4 off the straight
+    sets, one bitset per state of the states it reaches by a straight walk.
     """
     states, rev = ts.states, ts.reverse
     pair: dict[str, tuple[int, int]] = {}
@@ -366,22 +368,6 @@ def _tree_path(ts, ev, i, up):
         i, t = ev.parent[i]
         path.append(ts.reverse[t] if up else t)
     return path if up else path[::-1]
-
-
-def _geodesic(ev, b, v):
-    """The tokens of a shortest walk from state b to state v, by one BFS from b."""
-    prev = {b: None}
-    queue = [b]
-    for u in queue:
-        for j, t in ev.out[u]:
-            if j not in prev:
-                prev[j] = (u, t)
-                queue.append(j)
-    path = []
-    while prev[v] is not None:
-        v, t = prev[v]
-        path.append(t)
-    return path[::-1]
 
 
 def _m3_witness(ts, ev, delta):
@@ -475,43 +461,49 @@ def _m4_bounds(ts, ev, comp):
 
 
 def _m4_search(ts, ev, comp):
-    """M4 on a component that fails the separation test, by a BFS from every
-    state: t occurs in a straight message into v iff some t-move a -> b has a
-    walk from b to v as long as the L1 distance of their potentials that does
-    not move t's coordinate against t, that is, iff moreover v agrees with b
-    on the threshold bit the move toggles."""
+    """M4 on a component that fails the separation test, on bitsets over its
+    states in component order.  With M3 a walk is straight iff each step
+    lowers the Hamming distance of the threshold labels to its end, so after
+    a move a -> b toggling bit x it goes on straight to v iff v agrees with b
+    on x: v is in the move's column ``keep``.  ``reach[b]``, the states b
+    reaches by a straight walk, is the least fixpoint of b and reach[j] &
+    keep over b's moves, and t occurs in a straight message into v iff v is
+    in reach[b] & keep for some t-move a -> b.  The witness is at the first
+    move, in component then move order, whose set meets its reverse's."""
     lab = ev.lab
-    straight = {}
-    for b in comp:
-        dist = {b: 0}
-        queue = [b]
-        for u in queue:
-            for j, _ in ev.out[u]:
-                if j not in dist:
-                    dist[j] = dist[u] + 1
-                    queue.append(j)
-        straight[b] = [v for v in comp if dist[v] == (lab[b] ^ lab[v]).bit_count()]
-    first = {}  # (t, v) -> the first t-move (a, b) that starts a straight message into v
+    agree = _bit_columns([lab[i] for i in comp], max(lab[i] for i in comp).bit_length())
+    moves = []  # (a, b, t, keep) in component then move order
     for a in comp:
         for b, t in ev.out[a]:
-            bit = lab[a] ^ lab[b]
-            for v in straight[b]:
-                if not (lab[v] ^ lab[b]) & bit:
-                    first.setdefault((t, v), (a, b))
-    for (t, v), move in first.items():
-        back = first.get((ts.reverse[t], v))
-        if back is not None:
-            return _m4_witness(ts, ev, t, move, v, back)
+            x = (lab[a] ^ lab[b]).bit_length() - 1
+            moves.append((a, b, t, agree[x][lab[b] >> x & 1]))
+    reach = {i: 1 << p for p, i in enumerate(comp)}
+    sweep, before = moves, None
+    while reach != before:
+        before = dict(reach)
+        for a, b, _, keep in sweep:
+            reach[a] |= reach[b] & keep
+        sweep = sweep[::-1]  # a path takes one sweep each way, not one per state
+    into: dict = {}  # token -> the states it occurs in a straight message into
+    for a, b, t, keep in moves:
+        into[t] = into.get(t, 0) | reach[b] & keep
+    rev = ts.reverse
+    for a, b, t, keep in moves:
+        both = reach[b] & keep & into[rev[t]]
+        if both:
+            v = (both & -both).bit_length() - 1
+            back = next((c, d) for c, d, u, k in moves if u == rev[t] and (reach[d] & k) >> v & 1)
+            return _m4_witness(ts, ev, t, (a, b), comp[v], back)
     return None
 
 
 def _m4_witness(ts, ev, t, move, v, back):
     """Two straight messages into v: t's move, then a geodesic, and the same
     from a move of t's reverse."""
-    states = ts.states
+    states, undo = ts.states, ts.reverse[t]
     return {"axiom": "M4", "produced": states[v],
-            "state1": states[move[0]], "message1": [t, *_geodesic(ev, move[1], v)],
-            "state2": states[back[0]], "message2": [ts.reverse[t], *_geodesic(ev, back[1], v)]}
+            "state1": states[move[0]], "message1": [t, *_geodesic(ev.out, move[1], v)[::-1]],
+            "state2": states[back[0]], "message2": [undo, *_geodesic(ev.out, back[1], v)[::-1]]}
 
 
 # --- embeddings -------------------------------------------------------------

@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import contextlib
+import math
+import os
 import random
+import sys
 from collections import deque
 from unittest import mock
 
 import pytest
 from hypothesis import strategies as st
 
+import tokenmedia
 from tokenmedia import tokens
 from tokenmedia.cubes import adjacency
 from tokenmedia.families import SetFamily, family_medium, well_graded_witness
@@ -46,6 +50,54 @@ def assert_theta_violation(g, edges, dist=None):
         return dist[x][u] + dist[y][v] != dist[x][v] + dist[y][u]
 
     assert theta(e, f) and theta(f, h) and not theta(e, h)
+
+
+@contextlib.contextmanager
+def lines_at_most(codes, bound, what):
+    """Fail once the frames running any of the code objects ``codes`` have
+    run more than ``bound`` lines in all."""
+    count, outer = [0], sys.gettrace()
+
+    def local(frame, event, arg):
+        if event == "line":
+            count[0] += 1
+            if count[0] > bound:
+                raise AssertionError(f"{what} ran over {bound} lines")
+        return local
+
+    sys.settrace(lambda frame, event, arg: local if frame.f_code in codes else None)
+    try:
+        yield count
+    finally:
+        sys.settrace(outer)
+
+
+class CodesIn:
+    """The code objects run from the file or directory ``path``, matched by
+    file name, so that comprehensions and nested functions count too."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def __contains__(self, code):
+        return code.co_filename.startswith(self.path)
+
+
+PACKAGE_CODES = CodesIn(os.path.dirname(tokenmedia.__file__) + os.sep)
+
+
+def assert_lines_grow_at_most(ratio, call, small, large):
+    """The lines run in ``tokenmedia`` by call(small) and by call(large): the
+    second count must be at most ``ratio`` times the first.  Build both
+    inputs before the call, fresh, so that nothing stored on them is read
+    and no construction is counted.  Returns both counts."""
+    counts = []
+    for arg in (small, large):
+        with lines_at_most(PACKAGE_CODES, math.inf, "the call") as count:
+            call(arg)
+        counts.append(count[0])
+    assert 0 < counts[1] <= ratio * counts[0], counts
+    return counts
 
 
 def two_state() -> TokenSystem:

@@ -15,11 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tokenmedia import cli, cubes
+from tokenmedia.arrangements import enumerate_regions, region_adjacency
 from tokenmedia.families import SetFamily, family_medium
 from tokenmedia.linorders import linear_medium
 from tokenmedia.tokens import AXIOMS, TokenSystem, apply, reduction
 
 from conftest import no_walks, path3, twisted_square, two_state
+from test_arrangements import crossing_pair
 from test_decide_routes import relabel
 
 
@@ -282,6 +284,17 @@ class TestArrangementCommands:
         assert len(doc["regions"]) == 4
         assert len(doc["graph"]["edges"]) == 4
         assert len(doc["system"]["states"]) == 4
+
+    def test_arrangement_dot_is_the_region_graph_with_its_edge_labels(self, tmp_path, capsys):
+        # the DOT was once written from the graph re-read off the document,
+        # which carries no edge labels
+        arr = crossing_pair()
+        path, dot = tmp_path / "lines.json", tmp_path / "out.dot"
+        path.write_text(json.dumps(arr.to_json_dict()))
+        code, out, _ = run(capsys, "arrangement", str(path), "--dot", str(dot))
+        assert code == 0 and json.loads(out)["graph"]["edges"]
+        assert dot.read_text() == cubes.to_dot(region_adjacency(arr, enumerate_regions(arr)))
+        assert '"{1,2}" -- "{1}" [label="neg:2 / pos:2"];' in dot.read_text()
 
     def test_mosaic(self, capsys):
         code, out, _ = run(capsys, "mosaic", "triangular", "--radius", "1")

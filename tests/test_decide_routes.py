@@ -22,7 +22,6 @@ units (``cubes._spend``) must grow linearly with the states, and past
 import random
 import sys
 from collections import deque
-from contextlib import contextmanager
 from unittest import mock
 
 import pytest
@@ -38,7 +37,7 @@ from tokenmedia.linorders import linear_medium
 from tokenmedia.represent import MediumDecision, decide_medium
 from tokenmedia.tokens import TokenSystem, reverse_defect
 
-from conftest import corpus_media, two_state, wg_families
+from conftest import corpus_media, lines_at_most, two_state, wg_families
 from test_cubes import theta_scan_partial_cube
 from test_exact_check import assert_witness_replays
 
@@ -490,26 +489,6 @@ def spider(legs):
         ground += leg
         sets += [frozenset(leg[:j + 1]) for j in range(length)]
     return family_medium(SetFamily(tuple(ground), tuple(sets)))
-
-
-@contextmanager
-def lines_at_most(codes, bound, what):
-    """Fail once the frames running any of the code objects ``codes`` have
-    run more than ``bound`` lines in all."""
-    count, outer = [0], sys.gettrace()
-
-    def local(frame, event, arg):
-        if event == "line":
-            count[0] += 1
-            if count[0] > bound:
-                raise AssertionError(f"{what} ran over {bound} lines")
-        return local
-
-    sys.settrace(lambda frame, event, arg: local if frame.f_code in codes else None)
-    try:
-        yield count
-    finally:
-        sys.settrace(outer)
 
 
 def search_lines_at_most(bound):

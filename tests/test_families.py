@@ -22,8 +22,7 @@ from tokenmedia.families import (
 from tokenmedia.linorders import LinearOrder, encode
 from tokenmedia.represent import decide_medium
 
-from conftest import hexagon_family, power_set_family, staircase_family, wg_families
-from test_decide_routes import lines_at_most
+from conftest import hexagon_family, lines_at_most, power_set_family, staircase_family, wg_families
 
 finite_set = st.frozensets(st.sampled_from("abcdef"))
 

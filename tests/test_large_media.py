@@ -21,8 +21,8 @@ from tokenmedia.families import SetFamily, _moves_separate, family_medium
 from tokenmedia.linorders import linear_medium
 from tokenmedia.tokens import TokenSystem
 
-from conftest import power_set_family, wg_families
-from test_decide_routes import equal_size_wg_pairs, joint_refinement, lines_at_most, relabel
+from conftest import lines_at_most, power_set_family, wg_families
+from test_decide_routes import equal_size_wg_pairs, joint_refinement, relabel
 
 
 # --- separation, per move against per bit ------------------------------------

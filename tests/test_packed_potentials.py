@@ -23,8 +23,7 @@ from tokenmedia.linorders import linear_medium
 from tokenmedia.tokens import TokenSystem, reverse_defect
 
 import tuple_potentials
-from conftest import corpus_media, twisted_square, union6, wg_families
-from test_decide_routes import lines_at_most
+from conftest import CodesIn, corpus_media, lines_at_most, twisted_square, union6, wg_families
 from test_exact_check import family_systems, m1_systems, open_square, small_systems, two_level_path
 from test_large_media import chain
 from tuple_potentials import fresh
@@ -129,23 +128,12 @@ def test_coordinates_at_the_ends_of_their_fields(n, down, neighbour):
     assert represent.decide_medium(ts).witness["axiom"] == "M4"  # p moves at every level
 
 
-def represent_codes():
-    """Every code object run from ``tokenmedia/represent.py``."""
-    path = represent.__file__
-
-    class InFile:
-        def __contains__(self, code):
-            return code.co_filename == path
-
-    return InFile()
-
-
 def test_potentials_of_a_long_chain_run_in_few_lines():
     # 1,000 states on 999 pairs: the tuple route's threshold labels were a
     # sum over every pair per state, about 3,000,000 lines; built along the
     # tree they take one line per step
     ts = chain(1000, 0)
-    with lines_at_most(represent_codes(), 200_000, "the potentials") as count:
+    with lines_at_most(CodesIn(represent.__file__), 200_000, "the potentials") as count:
         ev = represent._potentials(ts)
     assert count[0] > 0
     assert ev.m3 is None and ev.separation == [None] and ev.bounds == [None]
