@@ -1,16 +1,18 @@
 """Regions of finite line arrangements in the plane, exact and on integers.
 
-Each line is scaled once, by a positive factor, to integer coefficients.  One
-sweep per arrangement meets each pair of lines once and keys their crossing
-by its reduced integer coordinates; the crossings on a line cut it into
-facets, open segments between two regions that differ in that line's sign
-alone, each with an x-range of two ranks into the sorted distinct x-values.
-Regions are found by breadth-first search over the facets, each with the
-witness Fourier-Motzkin elimination would pick, read off in integers from the
-x-span of its facets: Fractions are built only for the witnesses printed.  The
-region graph has one edge per facet.  The token system of regions under line
-crossings is always a medium; mosaic windows stand in for the locally finite
-families.
+An integer literal is read by ``int``, any other by ``Fraction``.  Each line
+is scaled once, by a positive factor, to integer coefficients.  One sweep per
+arrangement meets each pair of lines once and keys their crossing by its
+reduced integer coordinates; the crossings on a line cut it into facets, open
+segments between two regions that differ in that line's sign alone, each with
+an x-range of two ranks into the sorted distinct x-values.  Regions are found
+by breadth-first search over the facets' sign masks, each with the witness
+Fourier-Motzkin elimination would pick, read off in integers from the x-span
+of its facets: Fractions are built only for the witnesses printed.  Each
+region is built from its mask, whose one binary string gives its signs,
+positive lines, name and printed signs; the region graph, one edge per facet,
+finds regions by mask.  The token system of regions under line crossings is
+always a medium; mosaic windows stand in for the locally finite families.
 """
 
 from __future__ import annotations
@@ -94,8 +96,12 @@ class Arrangement:
 
 
 def _rational(text: str) -> Fraction:
-    """A rational literal whose numerator and denominator the output can print
-    (sys.get_int_max_str_digits); a far-off exponent is refused before its power is built."""
+    """A rational literal the output can print (sys.get_int_max_str_digits): an integer by
+    ``int``, else by ``Fraction``, a far-off exponent refused before its power is built."""
+    try:
+        return Fraction(int(text))
+    except ValueError:  # no integer literal
+        pass
     limit = sys.get_int_max_str_digits()
     if limit and abs(int(text.lower().partition("e")[2] or 0)) > 2 * limit:
         raise ParseError(f"{text[:40]!r}: exponent past the {limit}-digit limit")
@@ -104,46 +110,55 @@ def _rational(text: str) -> Fraction:
     return value
 
 
+# a mask's binary digits, line 1 first, to bytes 0 and 1, to signed bytes -1 and +1, to signs
+_BITS, _SIGN_BYTES, _SIGN_CHARS = (bytes.maketrans(b"01", to) for to in (b"\0\1", b"\xff\x01", b"-+"))
+
+
 @dataclass(frozen=True)
 class Region:
     """An open cell: its sign per line, a strictly interior rational witness,
-    ``positive``, the 1-based indices of its lines of sign > 0, and ``name``."""
+    ``mask``, bit k set iff its sign on line k is positive, ``positive``, the
+    1-based indices of those lines, and ``name``."""
 
     signs: tuple[int, ...]
     witness: tuple[Fraction, Fraction]
 
-    def __post_init__(self):
-        positive = tuple(map(str, compress(count(1), map((0).__lt__, self.signs))))  # 0 < sign
-        object.__setattr__(self, "positive", positive)
-        object.__setattr__(self, "name", "{" + ",".join(positive) + "}")
+    def __post_init__(self):  # the signs given stay; the rest is read off their mask
+        names = tuple(map(str, range(1, len(self.signs) + 1)))
+        mask = sum(1 << k for k, s in enumerate(self.signs) if s > 0)
+        self.__dict__.update(vars(_region(mask, names, self.witness)), signs=self.signs)
 
     def positive_indices(self) -> frozenset[str]:
         return frozenset(self.positive)
 
     def sign_string(self) -> str:
-        return "".join("+" if s > 0 else "-" for s in self.signs)
+        return self._sign_string
 
     def to_json_dict(self) -> dict:
         return {
-            "signs": self.sign_string(),
+            "signs": self._sign_string,
             "witness": [str(self.witness[0]), str(self.witness[1])],
             "positive": list(self.positive),
         }
+
+
+def _region(mask: int, names: tuple[str, ...], witness) -> Region:
+    """The region of sign mask ``mask`` over the lines ``names``: its signs,
+    ``positive``, ``name`` and printed signs are read off one binary string of the mask."""
+    digits = bin(mask | 1 << len(names))[:2:-1].encode()  # line 1 first
+    positive = tuple(compress(names, digits.translate(_BITS)))
+    region = object.__new__(Region)
+    region.__dict__.update(signs=tuple(memoryview(digits.translate(_SIGN_BYTES)).cast("b")),
+                           witness=witness, mask=mask, positive=positive,
+                           name="{" + ",".join(positive) + "}",
+                           _sign_string=digits.translate(_SIGN_CHARS).decode())
+    return region
 
 
 def _generic_point(arr) -> tuple[int, int]:
     # each line meets the parabola y = x^2 + 1 at most twice, so a small integer x is off all lines
     x = next(x for x in count() if all(a * x + b * (x * x + 1) + c for a, b, c in arr._rows))
     return (x, x * x + 1)
-
-
-def _mask(signs) -> int:
-    """Bit k set iff the sign on line k is positive."""
-    return sum(1 << k for k, s in enumerate(signs) if s > 0)
-
-
-def _signs(mask: int, n: int) -> tuple[int, ...]:
-    return tuple(1 if mask >> k & 1 else -1 for k in range(n))
 
 
 def _facets(arr) -> list[tuple[int, int, int, int]]:
@@ -223,8 +238,8 @@ def _pick(lo, hi) -> tuple[int, int]:
     return (lo[0] + lo[1], lo[1]) if hi is None else (lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1])
 
 
-def _witness(arr, signs, lo, hi, lines, rows) -> tuple[Fraction, Fraction]:
-    """The Fourier-Motzkin witness of the cell with these signs and x-extent
+def _witness(arr, mask, lo, hi, lines, rows) -> tuple[Fraction, Fraction]:
+    """The Fourier-Motzkin witness of the cell with this sign mask and x-extent
     (xs[lo], xs[hi]) in ``arr._xs``: x inside it, then y inside the cell's
     y-range at x, found in integers over the rows (a, b, c, up) of the facet
     lines in the mask ``lines``, whose half-planes alone cut it out.  The two
@@ -233,7 +248,7 @@ def _witness(arr, signs, lo, hi, lines, rows) -> tuple[Fraction, Fraction]:
     if lo == hi:
         # a half-plane whose one facet line is vertical: its open side is that line's sign
         k = lines.bit_length() - 1
-        lo, hi = (lo, len(xs) - 1) if signs[k] * arr._rows[k][0] > 0 else (0, hi)
+        lo, hi = (lo, len(xs) - 1) if (mask >> k & 1) == (arr._rows[k][0] > 0) else (0, hi)
     p, q = _pick(xs[lo], xs[hi])
     below = above = None  # nearest lines under and over the cell at x, as (n, b): y = n / (b*q)
     while lines:
@@ -243,7 +258,7 @@ def _witness(arr, signs, lo, hi, lines, rows) -> tuple[Fraction, Fraction]:
             continue
         a, b, c, up = rows[k]
         n = -(a * p + c * q)
-        if (signs[k] > 0) == up:
+        if (mask >> k & 1) == up:
             if below is None or n * below[1] > below[0] * b:
                 below = (n, b)
         elif above is None or n * above[1] < above[0] * b:
@@ -262,11 +277,11 @@ def enumerate_regions(arr: Arrangement) -> tuple[Region, ...]:
     into its two cells' x-extents and their masks of facet lines.  Every other
     cell's witness is the point that Fourier-Motzkin elimination picks from
     its sign vector, read off its x-extent and one pass over its facet
-    lines, so it depends on the cell alone.
+    lines, so it depends on the cell alone.  Each region is built from its mask.
     """
-    n = len(arr.lines)
+    names = _ground(arr)
     x, y = _generic_point(arr)
-    start = _mask(a * x + b * y + c for a, b, c in arr._rows)
+    start = sum(1 << k for k, (a, b, c) in enumerate(arr._rows) if a * x + b * y + c > 0)
     neighbors: dict[int, list[int]] = defaultdict(list)
     extent: dict[int, list] = {}
     for k, mask, lo, hi in _facets(arr):
@@ -281,13 +296,12 @@ def enumerate_regions(arr: Arrangement) -> tuple[Region, ...]:
     # each line as (a, b, c, up), flipped to b > 0, or None if vertical; up: its positive side is above
     rows = [None if not b else (a, b, c, True) if b > 0 else (-a, -b, -c, False)
             for a, b, c in arr._rows]
-    found = {start: Region(_signs(start, n), (Fraction(x), Fraction(y)))}
+    found = {start: _region(start, names, (Fraction(x), Fraction(y)))}
     order = [start]
     for mask in order:
         for other in neighbors[mask]:
             if other not in found:
-                signs = _signs(other, n)
-                found[other] = Region(signs, _witness(arr, signs, *extent[other], rows))
+                found[other] = _region(other, names, _witness(arr, other, *extent[other], rows))
                 order.append(other)
     return tuple(found.values())
 
@@ -318,7 +332,7 @@ def region_adjacency(arr: Arrangement, regions: Iterable[Region]) -> LabeledGrap
     regions = tuple(regions)
     names = [r.name for r in regions]
     tokens = [(positive_token(k), negative_token(k)) for k in range(len(arr.lines))]
-    index = {_mask(r.signs): i for i, r in enumerate(regions)}
+    index = {r.mask: i for i, r in enumerate(regions)}
     crossed = []
     for k, mask, _, _ in _facets(arr):
         i, j = index.get(mask), index.get(mask | 1 << k)

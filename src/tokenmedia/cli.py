@@ -2,9 +2,9 @@
 
 Machine-readable JSON goes to stdout in the layout of the stdlib's
 ``json.dumps(doc, sort_keys=True, indent=2)``, so identical inputs give
-byte-identical outputs; ``write_json`` writes it in one pass, and lays out
-a system's dense ``action`` table from its moves.  Human diagnostics go to
-stderr.
+byte-identical outputs.  ``write_json`` writes it in one pass, joins each
+container once from its pieces with separators built once per depth, and lays
+out a system's dense ``action`` table from its moves.  Diagnostics go to stderr.
 Exit codes: 0 success/true, 1 semantic-false, 2 parse error or output that
 cannot be written (an unwritable ``--dot`` path, stdout closed by its
 reader), 3 resource cap.
@@ -80,48 +80,58 @@ def _read_json(path: str):
     return _parse_json(_read_text(path), path)
 
 
-def _chunks(obj, indent: str) -> list:
-    """The text of ``obj`` at ``indent`` as ``json.dumps(obj, sort_keys=True, indent=2)``
-    lays it out, in pieces: each nested container is one piece, built by one join.
-    Strings take the stdlib's C escaping, and ints, booleans and None are
-    written as ``json.dumps`` writes them; floats and anything else go through it."""
-    if isinstance(obj, str):
-        return [_encode_str(obj)]
-    inner = indent + "  "
-    sep = ",\n" + inner
-    out = []
+class _Layout(dict):
+    """Per depth: the openings of a list and a dict, the separator, and their closings."""
+
+    def __missing__(self, depth):
+        inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
+        self[depth] = layout = ("[" + inner, "{" + inner, "," + inner, outer + "]", outer + "}")
+        return layout
+
+
+_LAYOUT = _Layout()
+
+
+def _pieces(obj, depth: int) -> list:
+    """The text of ``obj`` nested ``depth`` containers deep, as ``json.dumps(obj,
+    sort_keys=True, indent=2)`` lays it out, as a flat list of pieces: each nested
+    container one piece, joined once, and the strings of a list of strings one.
+    Strings take the stdlib's C escaping, and ints, booleans and None are written
+    as ``json.dumps`` writes them; floats and anything else go through it."""
     if isinstance(obj, dict):
-        brackets = "{}"
+        _, opening, sep, _, closing = _LAYOUT[depth]
+        out = []
         for key, value in sorted(obj.items()):
             out += sep, _encode_str(key), ": ", (
-                _encode_str(value) if type(value) is str else "".join(_chunks(value, inner)))
+                _encode_str(value) if type(value) is str else "".join(_pieces(value, depth + 1)))
     elif isinstance(obj, (list, tuple)):
-        brackets = "[]"
-        for value in obj:
-            out += sep, _encode_str(value) if type(value) is str else "".join(_chunks(value, inner))
+        opening, _, sep, closing, _ = _LAYOUT[depth]
+        try:
+            return [opening, sep.join(map(_encode_str, obj)), closing] if obj else ["[]"]
+        except TypeError:  # a member that is not a string
+            out = []
+            for value in obj:
+                out += sep, _encode_str(value) if type(value) is str else "".join(_pieces(value, depth + 1))
     elif type(obj) is tokens.ActionView:
-        return _action_chunks(obj, indent)
-    elif obj is None:
-        return ["null"]
-    elif obj is True or obj is False:
-        return ["true" if obj else "false"]
-    elif isinstance(obj, int):
-        return [int.__repr__(obj)]
+        _, opening, sep, _, closing = _LAYOUT[depth]
+        out = _action_chunks(obj, sep, depth + 1)
+    elif obj is None or obj is True or obj is False:
+        return ["null" if obj is None else "true" if obj else "false"]
     else:
-        return [json.dumps(obj)]
+        return [_encode_str(obj) if isinstance(obj, str) else
+                int.__repr__(obj) if isinstance(obj, int) else json.dumps(obj)]
     if not out:
-        return [brackets]
-    out[0] = brackets[0] + "\n" + inner
-    out.append("\n" + indent + brackets[1])
+        return ["{}"]
+    out[0] = opening
+    out.append(closing)
     return out
 
 
-def _action_chunks(view: tokens.ActionView, indent: str) -> list:
-    """The text of a system's dense action table at ``indent``, as ``_chunks`` lays out
-    ``dict(view)``, from the move index: the state names are escaped and ordered once,
-    and each row is a copy of the fixed entries with its moves put in, joined once."""
-    if not view:
-        return ["{}"]
+def _action_chunks(view: tokens.ActionView, sep: str, depth: int) -> list:
+    """The members of a system's dense action table, as ``_pieces`` lays out those of
+    ``dict(view)``, with their separator ``sep`` and rows nested ``depth`` deep, from the
+    move index: the state names are escaped and ordered once, and each row is a copy
+    of the fixed entries with its moves put in, joined once."""
     states = view.states
     names = [_encode_str(s) for s in states]
     order = sorted(range(len(states)), key=states.__getitem__)
@@ -129,24 +139,22 @@ def _action_chunks(view: tokens.ActionView, indent: str) -> list:
     for p, i in enumerate(order):
         place[i] = p
     fixed = [names[i] + ": " + names[i] for i in order]
-    inner = indent + "  "
-    head, sep, tail = "{\n" + inner + "  ", ",\n" + inner + "  ", "\n" + inner + "}"
+    _, head, row_sep, _, tail = _LAYOUT[depth]
     out = []
     for t, ms in sorted(view.index_moves.items()):
         row = fixed.copy()
         for i, j in ms:
             row[place[i]] = names[i] + ": " + names[j]
-        out += ",\n" + inner, _encode_str(t), ": ", head + sep.join(row) + tail
-    out[0] = "{\n" + inner
-    out.append("\n" + indent + "}")
+        out += sep, _encode_str(t), ": ", head, row_sep.join(row), tail
     return out
 
 
 def write_json(doc, fh) -> None:
-    """Write ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"`` to the text file ``fh``,
-    without building the whole text: the top level's pieces go to ``writelines``.
+    """Write ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"`` to the text file ``fh``
+    without building the whole text: the top level's pieces go to ``writelines``, and
+    each nested container is joined once, with the separators built once per depth.
     A dict key that is not a string raises TypeError."""
-    pieces = _chunks(doc, "")
+    pieces = _pieces(doc, 0)
     pieces.append("\n")
     fh.writelines(pieces)
 

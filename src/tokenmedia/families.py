@@ -112,7 +112,11 @@ def _moves_separate(lab, toggles, width):
     positions, with one AND per set bit of toggles[p], by a column of
     ``_bit_columns``.  With each move flipping its own bit, None is
     well-gradedness, and rules out equal labels."""
-    agree = _bit_columns(lab, width)
+    return _first_unseparated(lab, toggles, _bit_columns(lab, width))
+
+
+def _first_unseparated(lab, toggles, agree):
+    """``_moves_separate`` on the columns ``agree`` of the labels."""
     everyone = (1 << len(lab)) - 1
     for p, (own, tg) in enumerate(zip(lab, toggles)):
         alike = everyone

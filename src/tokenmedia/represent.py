@@ -24,7 +24,7 @@ from typing import Mapping
 
 from .cubes import _geodesic
 from .errors import InputError
-from .families import SetFamily, _bit_columns, _moves_separate
+from .families import SetFamily, _bit_columns, _first_unseparated
 from .tokens import TokenSystem, reduction, reverse_defect
 
 
@@ -264,6 +264,7 @@ class _Potentials:
     lab: list = field(default_factory=list)  # per state, its component's threshold label
     separation: list = field(default_factory=list)
     bounds: list = field(default_factory=list)
+    columns: dict = field(default_factory=dict)  # root -> _bit_columns, if the component fails M2
 
     def coord(self, i, x):
         """Coordinate x of state i's potential."""
@@ -432,9 +433,12 @@ def _separation(ts, ev, comp, width):
         for j, _ in ev.out[i]:  # with M3, the bit of the move's larger end
             bits |= lab[i] ^ lab[j]
         toggles.append(bits)
-    found = _moves_separate([lab[i] for i in comp], toggles, width)
+    labels = [lab[i] for i in comp]
+    agree = _bit_columns(labels, width)
+    found = _first_unseparated(labels, toggles, agree)
     if found is None:
         return None
+    ev.columns[comp[0]] = agree  # _m4_search reads them again
     return {"axiom": "M2", "source": ts.states[comp[found[0]]], "target": ts.states[comp[found[1]]]}
 
 
@@ -465,13 +469,13 @@ def _m4_search(ts, ev, comp):
     states in component order.  With M3 a walk is straight iff each step
     lowers the Hamming distance of the threshold labels to its end, so after
     a move a -> b toggling bit x it goes on straight to v iff v agrees with b
-    on x: v is in the move's column ``keep``.  ``reach[b]``, the states b
+    on x: v is in the move's column ``keep`` of the labels' transpose, which
+    ``_separation`` stored in ``ev.columns``.  ``reach[b]``, the states b
     reaches by a straight walk, is the least fixpoint of b and reach[j] &
     keep over b's moves, and t occurs in a straight message into v iff v is
     in reach[b] & keep for some t-move a -> b.  The witness is at the first
     move, in component then move order, whose set meets its reverse's."""
-    lab = ev.lab
-    agree = _bit_columns([lab[i] for i in comp], max(lab[i] for i in comp).bit_length())
+    lab, agree = ev.lab, ev.columns[comp[0]]
     moves = []  # (a, b, t, keep) in component then move order
     for a in comp:
         for b, t in ev.out[a]:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from collections import defaultdict, deque
 from fractions import Fraction
 from unittest import mock
@@ -25,15 +26,22 @@ from tokenmedia.arrangements import (
     _facets,
     _generic_point,
     _ground,
-    _mask,
-    _signs,
 )
 from tokenmedia.cubes import LabeledGraph, adjacency, is_partial_cube
-from tokenmedia.errors import CapError, InputError
+from tokenmedia.errors import CapError, InputError, ParseError
 from tokenmedia.families import distance, is_well_graded, set_name
 from tokenmedia.represent import decide_medium
 
 from conftest import bfs_distances
+
+
+def _mask(signs) -> int:
+    """Bit k set iff the sign on line k is positive."""
+    return sum(1 << k for k, s in enumerate(signs) if s > 0)
+
+
+def _signs(mask: int, n: int) -> tuple[int, ...]:
+    return tuple(1 if mask >> k & 1 else -1 for k in range(n))
 
 
 def crossing_pair():
@@ -816,3 +824,109 @@ def test_regions_and_adjacency_do_no_fraction_arithmetic_or_comparison(build):
     assert built <= 2 * len(regions)
     assert all(type(v) is CountingFraction for r in regions for v in r.witness)
     assert regions == enumerate_regions(Arrangement(arr.lines))
+
+
+# --- regions built from masks against regions built from signs --------------------
+
+
+def random_degenerate_lines(rng, k):
+    """k distinct lines with coefficients in -2..2: parallel classes and triple points."""
+    lines = []
+    while len(lines) < k:
+        a, b, c = (rng.randint(-2, 2) for _ in range(3))
+        if (a, b) != (0, 0) and all(projective_key(l) != projective_key(Line.of(a, b, c))
+                                    for l in lines):
+            lines.append(Line.of(a, b, c))
+    return Arrangement(tuple(lines))
+
+
+def region_cases():
+    rng = random.Random(2029)
+    for kind in MOSAIC_KINDS:
+        for radius in range(1, 5):
+            yield pytest.param(mosaic_window(kind, radius), id=f"{kind}-{radius}")
+    for i in range(6):
+        yield pytest.param(random_generic_lines(rng, 3 + i), id=f"generic-{i}")
+        yield pytest.param(random_degenerate_lines(rng, 4 + i), id=f"degenerate-{i}")
+
+
+@pytest.mark.parametrize("arr", region_cases())
+def test_regions_from_masks_equal_regions_from_signs(arr):
+    regions = enumerate_regions(arr)
+    rebuilt = tuple(Region(r.signs, r.witness) for r in regions)
+    assert regions == rebuilt
+    for r, s in zip(regions, rebuilt):
+        assert r.mask == s.mask == _mask(r.signs)
+        assert r.signs == _signs(r.mask, len(arr.lines))
+        assert (r.positive, r.name, r.sign_string()) == (s.positive, s.name, s.sign_string())
+        assert r.to_json_dict() == s.to_json_dict()
+        assert r.sign_string() == "".join("+" if v > 0 else "-" for v in r.signs)
+    got, want = region_adjacency(arr, regions), region_adjacency(arr, rebuilt)
+    assert got == want
+    assert list(got.edge_labels.items()) == list(want.edge_labels.items())
+
+
+def test_a_region_from_signs_reads_any_positive_sign_as_plus():
+    r = Region((3, -2, 1), (Fraction(0), Fraction(0)))
+    assert (r.mask, r.positive, r.name, r.sign_string()) == (0b101, ("1", "3"), "{1,3}", "+-+")
+    assert r.signs == (3, -2, 1)
+
+
+# --- integer literals against the general Fraction route --------------------------
+
+
+def fraction_route(text: str) -> Fraction:
+    """The parser every literal took before integer literals were read by ``int``."""
+    limit = sys.get_int_max_str_digits()
+    if limit and abs(int(text.lower().partition("e")[2] or 0)) > 2 * limit:
+        raise ParseError(f"{text[:40]!r}: exponent past the {limit}-digit limit")
+    value = Fraction(text)
+    str(value)  # raises ValueError past the digit limit
+    return value
+
+
+def parsed(doc):
+    """The lines of the document, each coefficient with its type, or the ParseError's message."""
+    try:
+        lines = Arrangement.from_json_dict(doc).lines
+    except ParseError as exc:
+        return "error", str(exc)
+    return "lines", [(v, type(v)) for l in lines for v in (l.a, l.b, l.c)]
+
+
+@st.composite
+def literals(draw):
+    """Integer literals and near misses: signs, surrounding whitespace,
+    underscores, leading zeros, non-ASCII digits, exponents, fractions and
+    digit counts around the interpreter's limit."""
+    space = st.text(st.sampled_from(" \t\n\r\x0b\x0c\x1c\x85\xa0 　"), max_size=2)
+    ascii_digits = st.text(st.sampled_from("0123456789"), min_size=1, max_size=6)
+    limit = sys.get_int_max_str_digits() or 4300
+    body = draw(st.one_of(
+        ascii_digits,
+        st.text(st.characters(categories=["Nd"]), min_size=1, max_size=4),
+        st.lists(ascii_digits, min_size=1, max_size=3).map("_".join),
+        st.text(st.sampled_from("0123456789_"), min_size=1, max_size=6),
+        st.builds("{}{}".format, st.text(st.just("0"), max_size=4), ascii_digits),
+        st.builds("{}{}{}".format, ascii_digits, st.sampled_from(["e", "E", "e-", "e+", ".", "/", " "]),
+                  ascii_digits),
+        st.integers(limit - 2, limit + 2).map(lambda n: "7" * n),
+        st.integers(limit - 2, limit + 2).map(lambda n: "0" * (n - 1) + "7"),
+        st.text(max_size=4),
+    ))
+    sign = draw(st.sampled_from(["", "+", "-", "+-", "--"]))
+    return draw(space) + sign + body + draw(space)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=literals())
+@example(text=" -0_7\n")
+@example(text="١٢")
+@example(text="1e5")
+@example(text="7" * 4301)
+def test_integer_literals_parse_as_the_fraction_route_does(text):
+    doc = {"lines": [{"a": text, "b": "1", "c": text}]}
+    got = parsed(doc)
+    with mock.patch("tokenmedia.arrangements._rational", fraction_route):
+        want = parsed(doc)
+    assert got == want

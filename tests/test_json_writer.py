@@ -27,20 +27,47 @@ texts = st.text(st.one_of(
     st.characters(),
     st.characters(categories=["Cs"]),
 ))
+
+
+class Level(enum.IntEnum):
+    LOW = -3
+    HIGH = 2**70
+
+
+# Subclasses, which miss the writer's exact-type fast paths and which
+# json.dumps writes as their base types.
+class Text(str):
+    pass
+
+
+class Items(list):
+    pass
+
+
+class Table(dict):
+    pass
+
+
 scalars = st.one_of(
     texts,
+    texts.map(Text),
     st.none(),
     st.booleans(),
     st.integers(),
     st.integers(min_value=2**64, max_value=2**200).flatmap(lambda n: st.sampled_from([n, -n])),
+    st.sampled_from(Level),
     st.floats(allow_nan=True, allow_infinity=True),
 )
+keys = st.one_of(texts, texts.map(Text))
 documents = st.recursive(
     scalars,
     lambda inner: st.one_of(
         st.lists(inner, max_size=5),
         st.lists(inner, max_size=5).map(tuple),
-        st.dictionaries(texts, inner, max_size=5),
+        st.lists(inner, max_size=5).map(Items),
+        st.lists(texts, max_size=5).map(tuple),
+        st.dictionaries(keys, inner, max_size=5),
+        st.dictionaries(keys, inner, max_size=5).map(Table),
     ),
     max_leaves=40,
 )
@@ -61,13 +88,11 @@ def test_writer_matches_the_stdlib(doc):
 @pytest.mark.parametrize("doc", [
     {}, [], (), "", 0, -1, 2**64, -(2**70), 1.5, float("nan"), float("-inf"), True, None,
     {"": [], "a": {}, "b": [[], {}, ()]}, [{"k": [{"x": ()}]}],
+    Text("t"), Items(), Table(), Level.HIGH, ["a", "b", 1], ["a", Text("b")], ("a", ["b"]),
+    Table(b=Items(["x", Level.LOW]), a=(Text("y"), {"c": ()})), {"k": ("a", "b")},
 ])
 def test_edge_documents(doc):
     assert written(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
-class Level(enum.IntEnum):
-    LOW = -3
 
 
 def test_ints_booleans_and_none_are_written_without_the_stdlib():
