@@ -112,7 +112,7 @@ def _pieces(obj, depth: int) -> list:
             out = []
             for value in obj:
                 out += sep, _encode_str(value) if type(value) is str else "".join(_pieces(value, depth + 1))
-    elif type(obj) is tokens.ActionView:
+    elif type(obj) is tokens.TokenSystem:
         _, opening, sep, _, closing = _LAYOUT[depth]
         out = _action_chunks(obj, sep, depth + 1)
     elif obj is None or obj is True or obj is False:
@@ -127,12 +127,12 @@ def _pieces(obj, depth: int) -> list:
     return out
 
 
-def _action_chunks(view: tokens.ActionView, sep: str, depth: int) -> list:
+def _action_chunks(ts: tokens.TokenSystem, sep: str, depth: int) -> list:
     """The members of a system's dense action table, as ``_pieces`` lays out those of
-    ``dict(view)``, with their separator ``sep`` and rows nested ``depth`` deep, from the
-    move index: the state names are escaped and ordered once, and each row is a copy
-    of the fixed entries with its moves put in, joined once."""
-    states = view.states
+    ``ts.to_json_dict()["action"]``, with their separator ``sep`` and rows nested
+    ``depth`` deep, from the move index: the state names are escaped and ordered
+    once, and each row is a copy of the fixed entries with its moves put in, joined once."""
+    states = ts.states
     names = [_encode_str(s) for s in states]
     order = sorted(range(len(states)), key=states.__getitem__)
     place = [0] * len(states)
@@ -141,7 +141,7 @@ def _action_chunks(view: tokens.ActionView, sep: str, depth: int) -> list:
     fixed = [names[i] + ": " + names[i] for i in order]
     _, head, row_sep, _, tail = _LAYOUT[depth]
     out = []
-    for t, ms in sorted(view.index_moves.items()):
+    for t, ms in sorted(ts._index_moves.items()):
         row = fixed.copy()
         for i, j in ms:
             row[place[i]] = names[i] + ": " + names[j]

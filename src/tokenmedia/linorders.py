@@ -27,17 +27,11 @@ class LinearOrder:
     def __post_init__(self):
         if len(set(self.seq)) != len(self.seq) or not self.seq:
             raise InputError("order must list distinct elements")
-        pairs = frozenset(
-            (self.seq[i], self.seq[j])
-            for i in range(len(self.seq))
-            for j in range(i + 1, len(self.seq))
-        )
-        object.__setattr__(self, "_pairs", pairs)
 
     @property
     def pairs(self) -> frozenset[tuple[str, str]]:
-        """All ordered pairs (x, y) with x before y."""
-        return self._pairs
+        """All ordered pairs (x, y) with x before y, computed when read."""
+        return frozenset(itertools.combinations(self.seq, 2))
 
     def position(self, x: str) -> int:
         try:
@@ -92,7 +86,6 @@ def linear_medium(n: int) -> tuple[TokenSystem, SetFamily]:
     if n > MAX_ORDER:
         raise CapError(f"order size {n} exceeds the cap of {MAX_ORDER}")
     elements = tuple(str(i) for i in range(1, n + 1))
-    base = LinearOrder(elements)
     base_pairs = list(itertools.combinations(elements, 2))
     perms = list(itertools.permutations(elements))
     names = ["".join(p) for p in perms]
@@ -104,7 +97,9 @@ def linear_medium(n: int) -> tuple[TokenSystem, SetFamily]:
                 forward[x, y][name] = "".join(p[:i] + (x, y) + p[i + 2:])
     ts = TokenSystem.from_pairs(tuple(names), ((token_name(x, y), token_name(y, x), ms)
                                                for (x, y), ms in forward.items()))
-    sets = tuple(encode(LinearOrder(p), base) for p in perms)
+    # each order's encoding: its pairs x before y that the base order shares (x < y)
+    sets = tuple(frozenset(pair_name(x, y) for x, y in itertools.combinations(p, 2) if x < y)
+                 for p in perms)
     fam = SetFamily(tuple(pair_name(x, y) for (x, y) in base_pairs), sets)
     return ts, fam
 

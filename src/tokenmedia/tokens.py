@@ -2,9 +2,9 @@
 
 A token system is an ordered set of states together with an ordered set of
 tokens, each acting as a total function on states.  A token usually moves
-few states, so a system stores only its moves; ``TokenSystem.action``
-reads as the dense table over them.  Four axioms single out the systems
-called media:
+few states, so a system stores only its moves, and the library walks
+them; ``TokenSystem.action``, the dense table, is built whole the first
+time it is read.  Four axioms single out the systems called media:
 
   M1  every token has a unique reverse (declared explicitly in the input);
   M2  any two distinct states are joined by a straight message;
@@ -21,8 +21,10 @@ carries a witness that replays.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter, deque
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -47,38 +49,6 @@ def _dense_row(states, ms) -> dict:
     return row
 
 
-class ActionView(Mapping):
-    """The read-only dense table ``TokenSystem.action`` over the move index.
-
-    ``view[t]`` is token t's full row, fixed points included, built the
-    first time it is read and then kept; rows are read-only mappings.
-    ``states`` and ``index_moves`` are the system's own, so that a writer
-    can lay the table out from the moves without building a row.
-    """
-
-    __slots__ = ("states", "index_moves", "_rows")
-
-    def __init__(self, states: Sequence[str], index_moves: Mapping[str, list[tuple[int, int]]]):
-        self.states = states
-        self.index_moves = index_moves
-        self._rows: dict[str, Mapping[str, str]] = {}
-
-    def __getitem__(self, t: str) -> Mapping[str, str]:
-        row = self._rows.get(t)
-        if row is None:
-            row = self._rows[t] = MappingProxyType(_dense_row(self.states, self.index_moves[t]))
-        return row
-
-    def __iter__(self):
-        return iter(self.index_moves)
-
-    def __len__(self) -> int:
-        return len(self.index_moves)
-
-    def __contains__(self, t) -> bool:
-        return t in self.index_moves
-
-
 class TokenSystem:
     """States plus the moves of each token and an optional reverse pairing.
 
@@ -94,11 +64,11 @@ class TokenSystem:
     The walk stores the move index and nothing else of the input: each
     state's position in ``states`` and, per token in token order, its
     effective moves as (state index, target index) pairs in state order.
-    ``action`` is a read-only ``ActionView`` over that index.  ``moves``,
-    the exact M1 check, the axiom potentials, the decision, the medium graph
-    and the isomorphism search read the index directly.  Systems are
-    immutable; two are equal when their states, tokens, pairing and moves
-    are.
+    Every route of the library, from ``apply`` to the isomorphism search,
+    reads that index; ``action``, the read-only dense table, is built from
+    it the first time it is read, for callers that want the table.  Systems
+    are immutable; two are equal when their states, tokens, pairing and
+    moves are.
     """
 
     def __init__(self, states: Sequence[str], tokens: Sequence[str],
@@ -127,7 +97,6 @@ class TokenSystem:
                 if r == t or r not in token_set or reverse[r] != t:
                     raise InputError("reverse pairing must be a fixed-point-free involution")
         self.__dict__.update(states=states, tokens=tokens, reverse=reverse,
-                             action=ActionView(states, index_moves),
                              _index=index, _index_moves=index_moves, _moves={})
 
     @classmethod
@@ -145,6 +114,15 @@ class TokenSystem:
             moves[fwd], moves[bwd] = ms, {v: s for s, v in ms.items()}
             reverse[fwd], reverse[bwd] = bwd, fwd
         return cls(states, tuple(tokens), reverse=reverse, moves=moves)
+
+    @cached_property
+    def action(self) -> Mapping[str, Mapping[str, str]]:
+        """The dense table, read-only: ``action[t][s]`` is the image of state s
+        under token t, every row in state order with its fixed points.  The
+        whole table is built from the move index the first time it is read."""
+        states = self.states
+        return MappingProxyType({t: MappingProxyType(_dense_row(states, ms))
+                                 for t, ms in self._index_moves.items()})
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of an immutable TokenSystem")
@@ -183,8 +161,8 @@ class TokenSystem:
     def to_json_dict(self, *, view: bool = False) -> dict:
         """The dense document: states, tokens with their reverses, and the
         ``"action"`` table with its rows in state order, built from the move
-        index.  With ``view`` set, ``"action"`` is the ``action`` view itself,
-        which ``cli.write_json`` lays out from the moves."""
+        index.  With ``view`` set, ``"action"`` is the system itself, which
+        ``cli.write_json`` lays out as that table from the moves."""
         toks = []
         for t in self.tokens:
             entry: dict = {"id": t}
@@ -195,7 +173,7 @@ class TokenSystem:
         return {
             "states": list(states),
             "tokens": toks,
-            "action": self.action if view else
+            "action": self if view else
             {t: _dense_row(states, ms) for t, ms in self._index_moves.items()},
         }
 
@@ -321,18 +299,21 @@ def _is_key(x, index) -> bool:
 
 
 def _steps(ts: TokenSystem, state: str, message: Message) -> Iterator[tuple[str, str]]:
-    """Yield (before, after) per token of a message run from a state, lazily."""
+    """Yield (before, after) per token of a message run from a state, lazily.
+    A token's moves are in state order, so its image of a state is found by
+    bisection; a state it does not move is fixed."""
     if not ts.has_state(state):
         raise InputError(f"unknown state id {state!r}")
-    act = ts.action
-    cur = state
+    states, index_moves = ts.states, ts._index_moves
+    i = ts._index[state]
     for t in message:
-        row = act.get(t)
-        if row is None:
+        ms = index_moves.get(t)
+        if ms is None:
             raise InputError(f"unknown token id {t!r}")
-        nxt = row[cur]
-        yield cur, nxt
-        cur = nxt
+        k = bisect_left(ms, (i,))
+        j = ms[k][1] if k < len(ms) and ms[k][0] == i else i
+        yield states[i], states[j]
+        i = j
 
 
 def apply(ts: TokenSystem, state: str, message: Message) -> str:

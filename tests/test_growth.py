@@ -15,7 +15,7 @@ from tokenmedia.arrangements import (
     region_family,
 )
 from tokenmedia.represent import decide_medium
-from tokenmedia.tokens import FAILS, HOLDS, check_axioms
+from tokenmedia.tokens import FAILS, HOLDS, TokenSystem, apply, check_axioms, is_stepwise_effective
 
 from conftest import assert_lines_grow_at_most
 from test_large_media import chain
@@ -37,6 +37,41 @@ def test_decision_of_a_chain_grows_linearly():
     decisions = []
     assert_lines_grow_at_most(2.2, lambda ts: decisions.append(decide_medium(ts)), small, large)
     assert all(d.is_medium for d in decisions)
+
+
+def test_walks_grow_with_the_message():
+    # apply and is_stepwise_effective up a 501-state chain, 250 and 500
+    # tokens long: each step finds its image in the token's moves
+    ups = [f"u{i}" for i in range(500)]
+    small, large = (chain(501, 0), ups[:250]), (chain(501, 0), ups)
+    ends = []
+    assert_lines_grow_at_most(2.2, lambda case: ends.append(apply(case[0], "s0", case[1])), small, large)
+    assert ends == ["s250", "s500"]
+    small, large = (chain(501, 0), ups[:250]), (chain(501, 0), ups)
+    verdicts = []
+    assert_lines_grow_at_most(2.2, lambda case: verdicts.append(is_stepwise_effective(case[0], "s0", case[1])),
+                              small, large)
+    assert verdicts == [True, True]
+
+
+def sparse_chain_document(n):
+    """The path medium on n states as a "moves" document, as ``chain(n, 0)`` builds it."""
+    names = [f"s{i}" for i in range(n)]
+    toks, moves = [], {}
+    for i in range(n - 1):
+        toks += {"id": f"u{i}", "reverse": f"d{i}"}, {"id": f"d{i}", "reverse": f"u{i}"}
+        moves[f"u{i}"], moves[f"d{i}"] = {names[i]: names[i + 1]}, {names[i + 1]: names[i]}
+    return {"states": names, "tokens": toks, "moves": moves}
+
+
+def test_parsing_a_sparse_document_grows_with_its_size():
+    systems = []
+    assert_lines_grow_at_most(2.2, lambda doc: systems.append(TokenSystem.from_json_dict(doc)),
+                              sparse_chain_document(500), sparse_chain_document(1000))
+    def fields(ts):
+        return list(ts.states), ts.tokens, ts.reverse, ts._index_moves
+
+    assert list(map(fields, systems)) == [fields(chain(500, 0)), fields(chain(1000, 0))]
 
 
 def crossings(arr) -> int:

@@ -150,4 +150,4 @@ def test_the_action_view_is_written_as_its_dense_table(ts):
     doc = {"system": ts.to_json_dict(view=True), "family": {"sets": [[]]}, "lines": []}
     dense = {**doc, "system": ts.to_json_dict()}
     assert written(doc) == json.dumps(dense, sort_keys=True, indent=2) + "\n"
-    assert ts.action._rows == {}  # written from the moves, no row built
+    assert "action" not in vars(ts)  # written from the moves, no table built

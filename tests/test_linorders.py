@@ -137,6 +137,15 @@ class TestLinearMedium:
                     expected = target if target != code and target in images else code
                     assert stepped_back == expected, (p, y, x)
 
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_family_sets_are_the_encodings(self, n):
+        # oracle: encode, through the order objects, each state's permutation
+        ts, fam = linear_medium(n)
+        base = base_order(n)
+        perms = list(itertools.permutations(base.seq))
+        assert list(ts.states) == ["".join(p) for p in perms]
+        assert fam.sets == tuple(encode(LinearOrder(p), base) for p in perms)
+
     def test_n3_isomorphic_to_its_encoding_family_medium(self):
         ts, fam = linear_medium(3)
         assert media_isomorphic(ts, family_medium(fam)) is not None

@@ -1,7 +1,8 @@
 """The sparse store of ``TokenSystem``: the builders, the ``action`` view and
 the ``"moves"`` input.
 
-A system keeps only its move index; ``action`` is a read-only view over it.
+A system keeps only its move index; ``action``, the read-only dense table,
+is built from it the first time it is read.
 The oracles here are the dense-row builders that the five move builders
 replaced, kept as they were: each fills an identity row per token, sets the
 moves, and passes the table to the constructor.  Every builder must give the
@@ -32,6 +33,7 @@ from tokenmedia.cubes import graph_to_medium, is_partial_cube, medium_graph
 from tokenmedia.errors import InputError
 from tokenmedia.families import ADD_PREFIX, REMOVE_PREFIX, SetFamily, family_medium, set_name
 from tokenmedia.linorders import linear_medium, token_name
+from tokenmedia.represent import verify_embedding
 from tokenmedia.tokens import TokenSystem, reduction
 
 from conftest import path3, twisted_square, wg_families
@@ -238,8 +240,8 @@ def test_the_view_is_read_only():
 def test_the_store_keeps_no_dense_table():
     ts = TokenSystem.from_json_dict(linear_medium(3)[0].to_json_dict())
     ts.to_json_dict()
-    assert set(vars(ts)) == {"states", "tokens", "reverse", "action", "_index", "_index_moves", "_moves"}
-    assert ts.action._rows == {}  # no row is built until one is read
+    assert set(vars(ts)) == {"states", "tokens", "reverse", "_index", "_index_moves", "_moves"}
+    assert "action" not in vars(ts)  # no table is built until it is read
 
 
 def test_build_and_print_builds_no_dense_row(monkeypatch, capsys, tmp_path):
@@ -252,6 +254,15 @@ def test_build_and_print_builds_no_dense_row(monkeypatch, capsys, tmp_path):
     for argv in (["linmedium", "4"], ["mosaic", "triangular", "--radius", "2"], ["arrangement", str(arr)]):
         assert cli.main(argv) == 0
     capsys.readouterr()
+    # the library's walks read the moves too
+    ts = linear_medium(4)[0]
+    assert tokens.apply(ts, "1234", ["t:2<1", "t:3<1"]) == "2314"
+    assert tokens.is_stepwise_effective(ts, "1234", ["t:2<1", "t:3<1"])
+    assert not tokens.is_stepwise_effective(ts, "1234", ["t:1<2"])
+    assert len(tokens.straight_message(ts, "1234", "4321")) == 6
+    identity = verify_embedding(ts, ts, {s: s for s in ts.states}, {t: t for t in ts.tokens})
+    assert identity.embedding and identity.reduction_isomorphic
+    assert "action" not in vars(ts)
 
 
 def test_a_constructor_needs_exactly_one_form():

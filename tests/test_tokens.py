@@ -26,6 +26,7 @@ from tokenmedia.tokens import (
 
 import walks
 from conftest import path3, power_set_family, two_state, wg_families
+from test_json_writer import systems as drawn_systems
 
 
 def three_cycle():
@@ -218,6 +219,52 @@ def test_walk_error_paths(state, message, answer):
     else:
         with pytest.raises(InputError, match=answer):
             is_stepwise_effective(ts, state, tokens_left)
+
+
+def dense_steps(ts, state, message):
+    """The walk ``apply`` and ``is_stepwise_effective`` shared while they read
+    dense rows, here the rows of the system's dense document."""
+    action = ts.to_json_dict()["action"]
+    if state not in ts.states:
+        raise InputError(f"unknown state id {state!r}")
+    cur = state
+    for t in message:
+        row = action.get(t)
+        if row is None:
+            raise InputError(f"unknown token id {t!r}")
+        nxt = row[cur]
+        yield cur, nxt
+        cur = nxt
+
+
+def dense_apply(ts, state, message):
+    cur = state
+    for _, cur in dense_steps(ts, state, message):
+        pass
+    return cur
+
+
+def dense_is_stepwise_effective(ts, state, message):
+    return all(before != after for before, after in dense_steps(ts, state, message))
+
+
+def walk_outcome(walk, ts, state, message):
+    """What a walk gives, or its InputError's text, and the tokens it left unread."""
+    tokens_left = iter(message)
+    try:
+        result = walk(ts, state, tokens_left)
+    except InputError as exc:
+        result = f"InputError: {exc}"
+    return result, list(tokens_left)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ts=drawn_systems(), data=st.data())
+def test_walks_match_the_dense_row_walk(ts, data):
+    state = data.draw(st.sampled_from(ts.states) | st.just("zz"))
+    message = data.draw(st.lists(st.sampled_from(ts.tokens) | st.sampled_from(["zz", "t9"]), max_size=8))
+    for walk, oracle in ((apply, dense_apply), (is_stepwise_effective, dense_is_stepwise_effective)):
+        assert walk_outcome(walk, ts, state, message) == walk_outcome(oracle, ts, state, message)
 
 
 class TestMessages:
