@@ -41,10 +41,8 @@ class SetFamily:
         return cls(tuple(ground), tuple(frozenset(s) for s in sets))
 
     def to_json_dict(self) -> dict:
-        return {
-            "ground": list(self.ground),
-            "sets": [[x for x in self.ground if x in s] for s in self.sets],
-        }
+        rank = dict(zip(self.ground, range(len(self.ground)))).__getitem__  # each set in ground order
+        return {"ground": list(self.ground), "sets": [sorted(s, key=rank) for s in self.sets]}
 
     @classmethod
     def from_json_dict(cls, doc) -> "SetFamily":

@@ -1,31 +1,32 @@
 """The exact medium decision, and the contents, orientations and
 positive-content representation read off it.
 
-``decide_medium`` is the exact finite decision.  It verifies the reverse
-pairing and reads the token-pair potentials of ``_potentials``: one BFS per
-component gives each state one coordinate per token pair, packed in one
-int, and M3, M2 and M4 are a pass over the moves, a separation test on the
-potentials' threshold labels and a min/max per pair.  A medium passes all
-of them, and its threshold labels, relative to the least state, are the
-canonical well-graded set-family representation, returned with explicit
-state and token bijections; any other system gets the first failing
-check's witness.  The decision is stored on the token system, and so are
-the potentials of a system that is no medium: ``check_axioms`` reads them,
-and ``contents``, ``orient_from_state`` and ``positive_content_family``
-read the decision, so one labeling serves decision, axioms, contents and
-representation.  No route runs a BFS per state: ``check_axioms`` reads M4
-on a component that fails the separation test off straight sets.
+``decide_medium`` verifies the reverse pairing and reads the token-pair
+potentials of ``_potentials``, the system's one labeling: M3, M2 and M4 are
+a pass over the moves, a separation test on the potentials' threshold
+labels and a min/max per pair.  A medium's threshold labels, relative to
+the least state, are its canonical well-graded representation, kept as one
+int per state; any other system gets the first failing check's witness.
+The decision is stored on the token system, and so are the potentials of a
+system that is no medium, for ``check_axioms``, which reads M4 off straight
+sets where the separation test fails.  ``contents``, ``orient_from_state``
+and ``positive_content_family`` test bits of the decision's ints, and the
+sets of ``alpha`` and ``family`` are built from the ints only when read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import compress
 from typing import Mapping
 
 from .cubes import _geodesic
 from .errors import InputError
 from .families import SetFamily, _bit_columns, _first_unseparated
 from .tokens import TokenSystem, reduction, reverse_defect
+
+_BITS = bytes.maketrans(b"01", b"\0\1")  # binary digits to the bytes 0 and 1
 
 
 @dataclass(frozen=True)
@@ -45,11 +46,10 @@ def orientation_from_positive(ts: TokenSystem, positive) -> Orientation:
     all_tokens = frozenset(ts.tokens)
     if not positive <= all_tokens:
         raise InputError("positive class contains unknown tokens")
-    negative = all_tokens - positive
     for t in positive:
         if rev[t] in positive:
             raise InputError(f"tokens {t!r} and {rev[t]!r} cannot both be positive")
-    return Orientation(positive, negative)
+    return Orientation(positive, all_tokens - positive)
 
 
 @dataclass(frozen=True)
@@ -82,15 +82,14 @@ def contents(ts: TokenSystem, base: str | None = None) -> ContentTable:
     table = getattr(ts, "_contents", None)
     if table is None:
         decision = _medium_decision(ts)
-        table = {s: _content(decision, label) for s, label in decision.alpha.items()}
+        table = {s: _content(decision, label) for s, label in zip(ts.states, decision.labels)}
         object.__setattr__(ts, "_contents", table)
     return ContentTable(base, table)
 
 
 def _content(decision, label) -> frozenset[str]:
-    """The content of the state with this canonical label: the tokens adding
-    a coordinate it holds or removing one it lacks."""
-    return frozenset(t for t, (x, pol) in decision.beta.items() if (x in label) == (pol == "add"))
+    """The content of a canonical label: per coordinate, its adding token if held, else its removing one."""
+    return frozenset(map(tuple.__getitem__, decision.sides, _digits(label, len(decision.sides))))
 
 
 def orient_from_state(ts: TokenSystem, s0: str) -> Orientation:
@@ -100,31 +99,47 @@ def orient_from_state(ts: TokenSystem, s0: str) -> Orientation:
     if not ts.has_state(s0):
         raise InputError(f"unknown state id {s0!r}")
     decision = _medium_decision(ts)
-    negative = _content(decision, decision.alpha[s0])
+    negative = _content(decision, decision.labels[ts._index[s0]])
     return Orientation(frozenset(ts.tokens) - negative, negative)
 
 
-@dataclass(frozen=True)
+def _digits(label: int, width: int) -> bytes:
+    """Bits 0 to width - 1 of label, one byte each, bit 0 first."""
+    return bin(label | 1 << width)[:2:-1].encode().translate(_BITS)
+
+
+@dataclass(frozen=True, kw_only=True)
 class FamilyRepresentation:
-    """A positive-content family with its state and token bijections.
+    """A set family with its state and token bijections.  ``labels`` holds
+    the set of each state of ``states`` as one int, bit k standing for
+    ``names[k]`` of ``ground``; ``alpha`` (state -> set) and ``family`` (the
+    sets in state order) are built from the ints when read, and the writer
+    lays each set out once, in ground order.  ``beta`` maps each token to
+    the (ground element, polarity) of its add/remove token on the family."""
 
-    ``alpha`` maps each state to its positive content; ``beta`` maps each
-    token to the (ground element, polarity) of the add/remove token acting
-    on the family.
-    """
+    ground: tuple[str, ...] = ()
+    names: tuple[str, ...] = ()
+    states: tuple[str, ...] = ()
+    labels: tuple[int, ...] = ()
+    beta: Mapping[str, tuple[str, str]] | None = None
 
-    family: SetFamily
-    alpha: Mapping[str, frozenset[str]]
-    beta: Mapping[str, tuple[str, str]]
+    @cached_property
+    def alpha(self) -> dict[str, frozenset[str]] | None:  # None on a decision that is no medium
+        if self.beta is not None:
+            return {s: frozenset(compress(self.names, _digits(label, len(self.names))))
+                    for s, label in zip(self.states, self.labels)}
+
+    @cached_property
+    def family(self) -> SetFamily | None:
+        return None if self.beta is None else SetFamily(self.ground, tuple(self.alpha.values()))
 
     def to_json_dict(self) -> dict:
-        return {
-            "family": self.family.to_json_dict(),
-            "alpha": {s: [x for x in self.family.ground if x in self.alpha[s]]
-                      for s in self.alpha},
-            "beta": {t: {"element": x, "polarity": pol}
-                     for t, (x, pol) in self.beta.items()},
-        }
+        rank = {x: r for r, x in enumerate(self.ground)}
+        ranks, ground = [rank[x] for x in self.names], self.ground.__getitem__
+        sets = [list(map(ground, sorted(compress(ranks, _digits(label, len(ranks))))))
+                for label in self.labels]
+        return {"family": {"ground": list(self.ground), "sets": sets}, "alpha": dict(zip(self.states, sets)),
+                "beta": {t: {"element": x, "polarity": pol} for t, (x, pol) in self.beta.items()}}
 
 
 def positive_content_family(ts: TokenSystem, orientation: Orientation) -> FamilyRepresentation:
@@ -135,45 +150,41 @@ def positive_content_family(ts: TokenSystem, orientation: Orientation) -> Family
     the canonical labels of ``decide_medium`` after a translation and a
     renaming of coordinates, so they transport the action: s.t = v iff
     alpha(s).beta(t) = alpha(v).  A positive token that removes x holds
-    exactly at the labels lacking x, so each label, XOR the coordinates
-    whose positive token removes, maps onto the positive content; no
-    states-by-tokens table is built.  A system that is not a medium raises
-    InputError.
+    exactly at the labels lacking x, so each label XOR the bits of such
+    tokens is the positive content, bit x standing for x's positive token,
+    and no set is built.  A system that is not a medium raises InputError.
     """
     rev = ts.reverse
     decision = _medium_decision(ts)
     pos = orientation.positive
     if pos | orientation.negative != frozenset(ts.tokens) or pos & orientation.negative:
         raise InputError("orientation must partition this system's tokens")
-    if any(rev[t] in pos for t in pos):
+    if any((t in pos) == (rev[t] in pos) for t in ts.tokens):
         raise InputError("orientation must separate every token from its reverse")
-    ground = tuple(t for t in ts.tokens if t in pos)
-    token = {decision.beta[t][0]: t for t in ground}  # coordinate -> its positive token
-    flip = frozenset(x for x, t in token.items() if decision.beta[t][1] == "remove")
-    coords = frozenset(token)  # all of them unless some pair has no positive token
-    alpha = {s: frozenset(map(token.__getitem__, (label ^ flip) & coords))
-             for s, label in decision.alpha.items()}
-    family = SetFamily(ground, tuple(alpha[s] for s in ts.states))
-    beta = {t: (t, "add") if t in pos else (rev[t], "remove") for t in ts.tokens}
-    return FamilyRepresentation(family, alpha, beta)
+    names = tuple(add if add in pos else remove for remove, add in decision.sides)
+    flip = sum(1 << k for k, (remove, _) in enumerate(decision.sides) if remove in pos)
+    return FamilyRepresentation(ground=tuple(t for t in ts.tokens if t in pos), names=names, states=ts.states,
+                                labels=tuple(label ^ flip for label in decision.labels),
+                                beta={t: (t, "add") if t in pos else (rev[t], "remove") for t in ts.tokens})
 
 
 # --- the decision procedure -------------------------------------------------
 
 
 @dataclass(frozen=True)
-class MediumDecision:
+class MediumDecision(FamilyRepresentation):
+    """The exact decision: on yes the canonical representation, bit k standing
+    for coordinate "k" (``names`` is ``ground``) and ``sides[k]`` holding its
+    removing and adding tokens; on no the first failing check's ``witness``."""
+
     is_medium: bool
-    family: SetFamily | None = None
-    alpha: Mapping[str, frozenset[str]] | None = None
-    beta: Mapping[str, tuple[str, str]] | None = None
     witness: Mapping | None = None
+    sides: tuple[tuple[str, str], ...] = ()
 
     def to_json_dict(self) -> dict:
         if not self.is_medium:
             return {"medium": False, "witness": dict(self.witness)}
-        return {"medium": True,
-                **FamilyRepresentation(self.family, self.alpha, self.beta).to_json_dict()}
+        return {"medium": True, **FamilyRepresentation.to_json_dict(self)}
 
 
 def _medium_decision(ts: TokenSystem) -> MediumDecision:
@@ -187,22 +198,18 @@ def _medium_decision(ts: TokenSystem) -> MediumDecision:
 def decide_medium(ts: TokenSystem) -> MediumDecision:
     """Exact decision: is this token system a medium?
 
-    Route: by the representation theorem a medium is the add/remove system
-    of a well graded family with one ground element per token pair, so the
-    token pairs are its cube coordinates.  After the exact reverse-pairing
-    check (M1) the decision reads the token-pair potentials of
-    ``_potentials``, the system's one labeling.  The system is a medium iff
-    it is connected and M3, M2's separation test and M4 by min/max pass, for
-    these are exact M2-M4 verdicts.  On no, the witness is that of the first
-    failing check in that order, disconnection first (from the first state
-    to the first state it does not reach): the first failing axiom of
-    ``check_axioms``.  On yes every coordinate spans exactly two values, so
-    the threshold labels have one bit per pair; the labels relative to the
-    least state are the canonical set-family representation, coordinates
-    named "0", "1", ... in order of each pair's least edge, and each label
-    set is built from its BFS parent's with one coordinate toggled.  The
-    decision is stored on ``ts``, so later calls on the same system return
-    it without labeling again.
+    By the representation theorem a medium is the add/remove system of a
+    well graded family with one ground element per token pair, so the token
+    pairs are its cube coordinates.  After the exact reverse-pairing check
+    (M1) the decision reads the potentials of ``_potentials``: the system is
+    a medium iff it is connected and M3, M2's separation test and M4 by
+    min/max pass, for these are exact M2-M4 verdicts.  On no, the witness is
+    that of the first failing check in that order, disconnection first (from
+    the first state to the first state it does not reach): the first failing
+    axiom of ``check_axioms``.  On yes the threshold labels have one bit per
+    pair, and relative to the least state they are the canonical labels,
+    kept as ints with bit k for coordinate "k", numbered in order of each
+    pair's least edge.  The decision is stored on ``ts`` for later calls.
     """
     decision = getattr(ts, "_decision", None)
     if decision is None:
@@ -221,27 +228,25 @@ def _pair_decision(ts: TokenSystem) -> MediumDecision:
         object.__setattr__(ts, "_potentials", ev)  # check_axioms reads the other verdicts
         return MediumDecision(False, witness=witness)
     states, lab, pair = ts.states, ev.lab, ev.pair
-    least: dict[int, tuple[str, str]] = {}
-    for t, ms in ts._index_moves.items():
-        if pair[t][1] > 0:  # by M1 its reverse moves along the same edges
-            least[pair[t][0]] = min((states[i], states[j]) if states[i] < states[j]
-                                    else (states[j], states[i]) for i, j in ms)
-    name = [""] * len(least)
-    for rank, x in enumerate(sorted(least, key=least.__getitem__)):
-        name[x] = str(rank)
+    least = {pair[t][0]: min((states[i], states[j]) if states[i] < states[j] else (states[j], states[i])
+                             for i, j in ms)  # by M1 its reverse moves along the same edges
+             for t, ms in ts._index_moves.items() if pair[t][1] > 0}
+    rank = {x: r for r, x in enumerate(sorted(least, key=least.__getitem__))}
     base = lab[ts._index[min(states)]]  # bit x: the least state holds pair x's upper value
-    sets = [frozenset()] * len(states)
-    sets[0] = frozenset(name[x] for x in range(len(name)) if (lab[0] ^ base) >> x & 1)
-    for j in ev.comps[0][1:]:  # each label is its BFS parent's with one coordinate toggled
-        u, t = ev.parent[j]
-        sets[j] = sets[u] ^ {name[pair[t][0]]}
-    alpha = dict(zip(states, sets))
-    beta = {}
+    beta, sides, bit = {}, [["", ""] for _ in rank], {}
     for t in ts.tokens:  # t adds iff it moves its coordinate off the least state's value
         x, step = pair[t]
-        beta[t] = name[x], "add" if (step > 0) ^ (base >> x & 1) else "remove"
-    family = SetFamily(tuple(map(str, range(len(name)))), tuple(alpha.values()))
-    return MediumDecision(True, family=family, alpha=alpha, beta=beta)
+        adds = (step > 0) ^ (base >> x & 1)
+        sides[rank[x]][adds], bit[t] = t, 1 << rank[x]
+        beta[t] = str(rank[x]), "add" if adds else "remove"
+    labels = [0] * len(states)
+    labels[0] = sum(1 << rank[x] for x in range(len(rank)) if (lab[0] ^ base) >> x & 1)
+    for j in ev.comps[0][1:]:  # each label is its BFS parent's with one coordinate toggled
+        u, t = ev.parent[j]
+        labels[j] = labels[u] ^ bit[t]
+    ground = tuple(map(str, range(len(rank))))
+    return MediumDecision(True, sides=tuple(map(tuple, sides)), ground=ground, names=ground, states=states,
+                          labels=tuple(labels), beta=beta)
 
 
 # --- exact axioms from token-pair potentials ----------------------------------
@@ -447,18 +452,15 @@ def _m4_bounds(ts, ev, comp):
     whose moves by its first token t reach two levels.  The witness is t at
     the least level, then a geodesic to the source of a move at the
     greatest, against the reverse of that move."""
-    ends: dict = {}  # first token of a pair -> its moves to the least and greatest level
+    moves: dict = {}  # first token of a pair -> its moves in the component
     for i in comp:
         for j, t in ev.out[i]:
-            x, step = ev.pair[t]
-            if step > 0:
-                low, high = ends.setdefault(t, [(i, j), (i, j)])
-                if ev.coord(j, x) < ev.coord(low[1], x):
-                    ends[t][0] = (i, j)
-                elif ev.coord(j, x) > ev.coord(high[1], x):
-                    ends[t][1] = (i, j)
-    for t, (low, high) in ends.items():
+            if ev.pair[t][1] > 0:
+                moves.setdefault(t, []).append((i, j))
+    for t, ms in moves.items():
         x = ev.pair[t][0]
+        low = min(ms, key=lambda m: ev.coord(m[1], x))  # its first move to the least level
+        high = max(ms, key=lambda m: ev.coord(m[1], x))  # and its first to the greatest
         if ev.coord(low[1], x) < ev.coord(high[1], x):
             return _m4_witness(ts, ev, t, low, high[0], high[::-1])
     return None

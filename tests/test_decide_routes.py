@@ -34,10 +34,11 @@ from tokenmedia.cubes import LabeledGraph, adjacency, media_isomorphic, medium_g
 from tokenmedia.errors import CapError, InputError
 from tokenmedia.families import SetFamily, family_medium
 from tokenmedia.linorders import linear_medium
-from tokenmedia.represent import MediumDecision, decide_medium
+from tokenmedia.represent import decide_medium
 from tokenmedia.tokens import TokenSystem, reverse_defect
 
 from conftest import corpus_media, lines_at_most, two_state, wg_families
+from frozenset_labels import SetDecision, assert_reads_the_same
 from test_cubes import theta_scan_partial_cube
 from test_exact_check import assert_witness_replays
 
@@ -45,7 +46,7 @@ from test_exact_check import assert_witness_replays
 # --- the Djokovic-Winkler reference decision ----------------------------------
 
 
-def pair_rejection(ts: TokenSystem) -> MediumDecision:
+def pair_rejection(ts: TokenSystem) -> SetDecision:
     """The Theta route's rejection of a system the token-pair route rejected
     after M1 and connectivity."""
     decision = theta_route(ts)
@@ -54,13 +55,13 @@ def pair_rejection(ts: TokenSystem) -> MediumDecision:
     return decision
 
 
-def theta_decision(ts: TokenSystem) -> MediumDecision:
+def theta_decision(ts: TokenSystem) -> SetDecision:
     """The Djokovic-Winkler reference decision: exact M1 check, then ``theta_route``."""
     defect = reverse_defect(ts)
-    return theta_route(ts) if defect is None else MediumDecision(False, witness=defect)
+    return theta_route(ts) if defect is None else SetDecision(False, witness=defect)
 
 
-def theta_route(ts: TokenSystem) -> MediumDecision:
+def theta_route(ts: TokenSystem) -> SetDecision:
     """The Djokovic-Winkler route on a system that passed M1.
 
     Connectivity, partial-cube recognition of the state graph, then a
@@ -89,14 +90,14 @@ def theta_route(ts: TokenSystem) -> MediumDecision:
                 queue.append(w)
     if len(reached) != len(states):
         stranded = next(s for s in states if s not in reached)
-        return MediumDecision(
+        return SetDecision(
             False,
             witness={"axiom": "M2", "source": states[0], "target": stranded},
         )
     graph = LabeledGraph(states, tuple(edges))
     pc = theta_scan_partial_cube(graph)
     if not pc.accepted:
-        return MediumDecision(False, witness={"kind": "not-partial-cube", "graph": dict(pc.witness)})
+        return SetDecision(False, witness={"kind": "not-partial-cube", "graph": dict(pc.witness)})
     labels = pc.labels
     realized = {labels[s] for s in states}
     beta: dict[str, tuple[str, str]] = {}
@@ -110,7 +111,7 @@ def theta_route(ts: TokenSystem) -> MediumDecision:
             if coord is None:
                 coord, polarity = x, pol
             elif (coord, polarity) != (x, pol):
-                return MediumDecision(
+                return SetDecision(
                     False,
                     witness={"kind": "action-mismatch", "token": t,
                              "detail": "moves cross several cube coordinates"},
@@ -125,7 +126,7 @@ def theta_route(ts: TokenSystem) -> MediumDecision:
             else:
                 stuck = coord in lab and (lab - {coord}) in realized
             if stuck:
-                return MediumDecision(
+                return SetDecision(
                     False,
                     witness={"kind": "action-mismatch", "token": t, "state": s,
                              "detail": "token fixes a state its coordinate reduction moves"},
@@ -134,13 +135,13 @@ def theta_route(ts: TokenSystem) -> MediumDecision:
     ground = tuple(sorted({cid for cid in pc.edge_classes.values()}, key=int))
     family = SetFamily(ground, tuple(labels[s] for s in states))
     alpha = {s: labels[s] for s in states}
-    return MediumDecision(True, family=family, alpha=alpha, beta=beta)
+    return SetDecision(True, family=family, alpha=alpha, beta=beta)
 
 
 def assert_same_decision(ts):
     fast, slow = decide_medium(ts), theta_decision(ts)
     if fast.is_medium or slow.witness.get("axiom"):
-        assert fast.to_json_dict() == slow.to_json_dict()
+        assert_reads_the_same(fast, slow)
     else:
         pair_rejection(ts)
         assert_witness_replays(ts, fast.witness["axiom"], fast.witness)

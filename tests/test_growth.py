@@ -14,7 +14,8 @@ from tokenmedia.arrangements import (
     region_adjacency,
     region_family,
 )
-from tokenmedia.represent import decide_medium
+from tokenmedia.linorders import linear_medium
+from tokenmedia.represent import decide_medium, orient_from_state, positive_content_family
 from tokenmedia.tokens import FAILS, HOLDS, TokenSystem, apply, check_axioms, is_stepwise_effective
 
 from conftest import assert_lines_grow_at_most
@@ -37,6 +38,38 @@ def test_decision_of_a_chain_grows_linearly():
     decisions = []
     assert_lines_grow_at_most(2.2, lambda ts: decisions.append(decide_medium(ts)), small, large)
     assert all(d.is_medium for d in decisions)
+
+
+def represent(ts):
+    """What ``tokenmedia represent`` runs: the decision, the base state's
+    orientation, the positive-content family and its document."""
+    decide_medium(ts)
+    return positive_content_family(ts, orient_from_state(ts, ts.states[0])).to_json_dict()
+
+
+def check(ts):
+    """What ``tokenmedia check`` runs: the axiom report and the decision, with their documents."""
+    return check_axioms(ts).to_json_dict(), decide_medium(ts).to_json_dict()
+
+
+# Both lay out each state's set from its int label at C level, so the line
+# counts leave out the work on the labels' bits: S-bit ints on a chain of S
+# states.  Laid out by a scan of the ground, one line per coordinate and
+# state, the chain's counts grew about 3.6 times from 300 to 600 states.
+
+
+def test_represent_and_check_of_a_chain_grow_linearly():
+    for route in (represent, check):
+        assert_lines_grow_at_most(2.2, route, chain(300, 0), chain(600, 0))
+
+
+def test_represent_and_check_of_linear_media_grow_with_the_moves():
+    # linear 3 has 12 moves and linear 6 has 3,600; the ground scan's counts
+    # grew 130 times, within this bound, as the ground only grows from 3 to 15
+    moves = [sum(map(len, linear_medium(n)[0]._index_moves.values())) for n in (3, 6)]
+    assert moves == [12, 3600]
+    for route in (represent, check):
+        assert_lines_grow_at_most(moves[1] / moves[0], route, linear_medium(3)[0], linear_medium(6)[0])
 
 
 def test_walks_grow_with_the_message():

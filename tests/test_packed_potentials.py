@@ -5,7 +5,8 @@ routes they replaced.
 one int per state with a biased field per token pair, and threshold labels
 built along the BFS tree.  The oracle is the former pair-bitmask decision
 and tuple potentials, kept verbatim in ``tuple_potentials``: every system
-must get the same ``MediumDecision`` (witness included), the same M2-M4
+must get a decision that reads the same (``assert_reads_the_same``: verdict,
+witness, alpha, beta, family and document), the same M2-M4
 witnesses, the same coordinates and the same threshold labels.  A path on
 one pair with S states near a power of two puts coordinates at the ends of
 their fields, where a field one bit short would borrow from its neighbour.
@@ -24,6 +25,7 @@ from tokenmedia.tokens import TokenSystem, reverse_defect
 
 import tuple_potentials
 from conftest import CodesIn, corpus_media, lines_at_most, twisted_square, union6, wg_families
+from frozenset_labels import assert_reads_the_same
 from test_exact_check import family_systems, m1_systems, open_square, small_systems, two_level_path
 from test_large_media import chain
 from tuple_potentials import fresh
@@ -34,7 +36,7 @@ def assert_same_as_the_tuple_route(ts):
     both routes; returns the packed potentials, or None when M1 fails."""
     new, old = fresh(ts), fresh(ts)
     decision = represent.decide_medium(new)
-    assert decision == tuple_potentials._pair_decision(old)
+    assert_reads_the_same(decision, tuple_potentials._pair_decision(old))
     if reverse_defect(ts) is not None:
         return None
     assert represent._axiom_witnesses(new) == tuple_potentials._axiom_witnesses(old)

@@ -13,7 +13,6 @@ from tokenmedia.linorders import linear_medium, pair_name
 from tokenmedia.represent import (
     ContentTable,
     EmbeddingReport,
-    FamilyRepresentation,
     Orientation,
     contents,
     decide_medium,
@@ -26,6 +25,7 @@ from tokenmedia.tokens import TokenSystem, reduction, straight_message
 
 import walks
 from conftest import hexagon_family, hexagon_variant_family, path3, two_state, wg_families
+from frozenset_labels import SetRepresentation, assert_reads_the_same
 from test_exact_check import small_systems
 
 
@@ -95,7 +95,7 @@ def table_positive_content_family(ts, orientation):
     alpha = {s: table.contents[s] & pos for s in ts.states}
     family = SetFamily(ground, tuple(alpha[s] for s in ts.states))
     beta = {t: (t, "add") if t in pos else (rev[t], "remove") for t in ts.tokens}
-    return FamilyRepresentation(family, alpha, beta)
+    return SetRepresentation(family, alpha, beta)
 
 
 def assert_matches_the_table_route(ts, orientation):
@@ -106,7 +106,7 @@ def assert_matches_the_table_route(ts, orientation):
         with pytest.raises(InputError):
             positive_content_family(ts, orientation)
         return
-    assert positive_content_family(ts, orientation) == want
+    assert_reads_the_same(positive_content_family(ts, orientation), want)
 
 
 def assert_transports(ts, rep):

@@ -6,8 +6,10 @@ decision read the packed potentials: the differential oracle of
 falls back on ``_potentials`` (one tuple per state, one coordinate per
 token pair) only to name a non-medium's first failing axiom;
 ``_axiom_witnesses`` reads M2-M4 off the tuples.  Everything below
-``fresh`` is kept verbatim.  Both routes store their potentials on the
-system under one attribute, so each runs on its own fresh copy.
+``fresh`` is kept verbatim, except that its decisions are
+``frozenset_labels.SetDecision``, the frozenset decision it was written
+for.  Both routes store their potentials on the system under one
+attribute, so each runs on its own fresh copy.
 """
 
 from __future__ import annotations
@@ -15,8 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from tokenmedia.families import SetFamily, _moves_separate
-from tokenmedia.represent import MediumDecision
 from tokenmedia.tokens import TokenSystem, reverse_defect
+
+from frozenset_labels import SetDecision
 
 
 def fresh(ts: TokenSystem) -> TokenSystem:
@@ -24,10 +27,10 @@ def fresh(ts: TokenSystem) -> TokenSystem:
     return TokenSystem.from_json_dict(ts.to_json_dict())
 
 
-def _pair_decision(ts: TokenSystem) -> MediumDecision:
+def _pair_decision(ts: TokenSystem) -> SetDecision:
     defect = reverse_defect(ts)
     if defect is not None:
-        return MediumDecision(False, witness=defect)
+        return SetDecision(False, witness=defect)
     states, rev, moves = ts.states, ts.reverse, ts._index_moves
     pair: dict[str, int] = {}
     for t in ts.tokens:
@@ -50,7 +53,7 @@ def _pair_decision(ts: TokenSystem) -> MediumDecision:
                 step[j] = u, x
                 order.append(j)
     if len(order) != len(states):
-        return MediumDecision(
+        return SetDecision(
             False,
             witness={"axiom": "M2", "source": states[0], "target": states[lab.index(-1)]},
         )
@@ -91,16 +94,16 @@ def _pair_decision(ts: TokenSystem) -> MediumDecision:
     beta = {t: (name[pair[t]], "add" if (head[t] ^ base) >> pair[t] & 1 else "remove")
             for t in ts.tokens}
     family = SetFamily(tuple(map(str, range(k))), tuple(alpha.values()))
-    return MediumDecision(True, family=family, alpha=alpha, beta=beta)
+    return SetDecision(True, family=family, alpha=alpha, beta=beta)
 
 
-def _axiom_rejection(ts: TokenSystem) -> MediumDecision:
+def _axiom_rejection(ts: TokenSystem) -> SetDecision:
     """A connected system that passed M1 and is no medium: the witness of the
     first check that fails among M3, M2's separation test and M4 by bounds.
     By the representation theorem one of them fails, and none of them runs
     a BFS per state."""
     ev = _potentials(ts)
-    return MediumDecision(False, witness=ev.m3 or ev.separation[0] or ev.bounds[0])
+    return SetDecision(False, witness=ev.m3 or ev.separation[0] or ev.bounds[0])
 
 
 # --- exact axioms from token-pair potentials ----------------------------------
