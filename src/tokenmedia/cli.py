@@ -217,7 +217,9 @@ def _cmd_graph(args) -> int:
 
 def _cmd_pcube(args) -> int:
     text = _read_text(args.input)
-    if text.lstrip().startswith("{"):
+    head = text.lstrip()
+    # a graph document opens with a string key; "{} {a}" is an edge line
+    if head.startswith("{") and head[1:].lstrip().startswith('"'):
         g = cubes.LabeledGraph.from_json_dict(_parse_json(text, args.input))
     else:
         g = cubes.LabeledGraph.from_edge_list(text)

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
-from itertools import count
+from itertools import compress, count
 from typing import Iterable, Mapping
 
 from .errors import CapError, InputError, ParseError, json_list
-from .families import SetFamily, _moves_separate, well_graded_witness
+from .families import SetFamily, _digits, _moves_separate, well_graded_witness
 from .tokens import TokenSystem
 
 #: Units of coordinate-search work one ``media_isomorphic`` call may spend:
@@ -103,14 +103,6 @@ class LabeledGraph:
         return cls(tuple(dict.fromkeys(v for e in edges for v in e)), tuple(edges))
 
 
-def adjacency(g: LabeledGraph) -> dict[str, tuple[str, ...]]:
-    adj: dict[str, list[str]] = {v: [] for v in g.vertices}
-    for (u, v) in g.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    return {v: tuple(sorted(ws)) for v, ws in adj.items()}
-
-
 def _dot_string(s: str) -> str:
     """s as a DOT quoted string: backslashes and double quotes escaped."""
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
@@ -189,8 +181,9 @@ def is_partial_cube(g: LabeledGraph) -> PartialCubeResult:
     bipartite), "theta-violation" (edges [e, f, h] with e Theta f, f Theta h
     and not e Theta h), read off the check that fails:
 
-    - when the class of a new least edge e reaches an edge f of an earlier
-      class with least edge h, the witness is [e, f, h];
+    - when the class of a new least edge e reaches edges of earlier classes,
+      the least of them f in a class with least edge h, the witness is
+      [e, f, h];
     - when no class at p separates p from q, the first edge f of a geodesic
       from p to q lies in a class, with least edge h, that the geodesic
       crosses again, first at g; two edges of one geodesic are never in
@@ -198,83 +191,86 @@ def is_partial_cube(g: LabeledGraph) -> PartialCubeResult:
     """
     if not g.vertices:
         raise InputError("empty graph")
-    adj = adjacency(g)
-    s0 = min(g.vertices)
-    # single BFS: connectivity, bipartition, parents for odd-cycle extraction;
-    # it runs past the first odd edge, kept as the witness, so that
-    # connectivity is tested on every vertex
-    parent: dict[str, str | None] = {s0: None}
-    depth = {s0: 0}
-    queue = deque([s0])
-    odd = None
-    while queue:
-        u = queue.popleft()
-        for w in adj[u]:
-            if w not in depth:
+    # vertices numbered in name order: as the edges are sorted, one pass
+    # lists each vertex's neighbours in name order, each with its edge number
+    names = sorted(g.vertices)
+    number = dict(zip(names, count()))
+    adj: list[list[tuple[int, int]]] = [[] for _ in names]
+    for f, (u, v) in enumerate(g.edges):
+        adj[number[u]].append((number[v], f))
+        adj[number[v]].append((number[u], f))
+    # single BFS from the least vertex, ``order`` its queue: connectivity,
+    # bipartition, parents for odd-cycle extraction; it runs past the first
+    # odd edge, kept as the witness, so that connectivity is tested on every vertex
+    n = len(names)
+    parent, up, depth = [0] * n, [0] * n, [0] + [-1] * (n - 1)
+    order, odd = [0], None
+    for u in order:
+        for w, f in adj[u]:
+            if depth[w] < 0:
                 depth[w] = depth[u] + 1
-                parent[w] = u
-                queue.append(w)
+                parent[w], up[w] = u, f
+                order.append(w)
             elif (depth[w] ^ depth[u]) & 1 == 0 and odd is None:
                 odd = (u, w)
-    if len(depth) != len(g.vertices):
+    if len(order) != n:
         raise InputError("graph must be connected")
     if odd is not None:
-        return PartialCubeResult(False, witness={"kind": "odd-cycle", "cycle": _odd_cycle(parent, depth, *odd)})
-    return _class_route(g, adj, parent)
-
-
-def _class_route(g, adj, parent):
+        cycle = [names[v] for v in _odd_cycle(parent, depth, *odd)]
+        return PartialCubeResult(False, witness={"kind": "odd-cycle", "cycle": cycle})
     # in a bipartite graph uv Theta xy iff u and v lie on different sides of
-    # the cut {w : d(w,x) < d(w,y)}, which one BFS from both ends finds;
-    # classes are numbered by their least edge.  Disjoint cuts each hold a
+    # the cut {w : d(w,x) < d(w,y)}, which one BFS from both ends finds; it
+    # meets each edge across the cut from both sides and keeps it from x's.
+    # Classes are numbered by their least edge.  Disjoint cuts each hold a
     # BFS-tree edge, so at most S - 1 classes come before one overlaps.
     edges = g.edges
-    cls: dict[tuple[str, str], int] = {}
-    least: list[tuple[str, str]] = []  # the least edge of each class
-    toggles = dict.fromkeys(parent, 0)  # the classes with an edge at each vertex
-    for e in edges:
-        if e in cls:
+    cls: list[int | None] = [None] * len(edges)
+    least: list[int] = []  # the least edge of each class
+    toggles = [0] * n  # the classes with an edge at each vertex
+    for e, (x, y) in enumerate(edges):
+        if cls[e] is not None:
             continue
-        width = len(least)
-        side = {e[0]: 0, e[1]: 1}
-        queue = deque(e)
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
-                if w not in side:
+        width, clash = len(least), len(edges)
+        side: list[int | None] = [None] * n
+        side[number[x]], side[number[y]] = 0, 1
+        queue = [number[x], number[y]]
+        for u in queue:
+            for w, f in adj[u]:
+                if side[w] is None:
                     side[w] = side[u]
                     queue.append(w)
-        for f in edges:
-            if side[f[0]] != side[f[1]]:
-                if f in cls:
-                    return _theta_violation(e, f, least[cls[f]])
-                cls[f] = width
-                toggles[f[0]] |= 1 << width
-                toggles[f[1]] |= 1 << width
+                elif side[w] > side[u]:
+                    if cls[f] is None:
+                        cls[f] = width
+                        toggles[u] |= 1 << width
+                        toggles[w] |= 1 << width
+                    elif f < clash:
+                        clash = f
+        if clash < len(edges):
+            return _theta_violation(edges, e, clash, least[cls[clash]])
         least.append(e)
     width = len(least)
-    # labels along the BFS tree, in its order; as the classes are disjoint
-    # cuts, bit k of a label says which side of cut k the vertex is on, so
-    # every edge flips exactly its own class bit
-    lab = {}
-    for w, u in parent.items():
-        lab[w] = 0 if u is None else lab[u] ^ 1 << cls[(u, w) if u < w else (w, u)]
-    pair = _moves_separate(list(lab.values()), list(toggles.values()), width)
+    # labels along the BFS tree; as the classes are disjoint cuts, bit k of a
+    # label says which side of cut k the vertex is on, so every edge flips
+    # exactly its own class bit
+    lab = [0] * n
+    for w in order[1:]:
+        lab[w] = lab[parent[w]] ^ 1 << cls[up[w]]
+    pair = _moves_separate([lab[v] for v in order], [toggles[v] for v in order], width)
     if pair is not None:
         # the class of the first step does not separate p from q, so the
         # geodesic flips its bit back on a later step
-        verts = list(lab)
-        out = {u: [(w, (u, w) if u < w else (w, u)) for w in ws] for u, ws in adj.items()}
-        steps = _geodesic(out, verts[pair[1]], verts[pair[0]])
+        steps = _geodesic(adj, order[pair[1]], order[pair[0]])
         k = cls[steps[0]]
-        return _theta_violation(steps[0], least[k], next(f for f in steps[1:] if cls[f] == k))
-    names = [str(k) for k in range(width)]
-    labels = {v: frozenset(names[k] for k in range(width) if x >> k & 1) for v, x in lab.items()}
-    return PartialCubeResult(True, labels=labels, edge_classes={e: names[cls[e]] for e in edges})
+        return _theta_violation(edges, steps[0], least[k], next(f for f in steps[1:] if cls[f] == k))
+    coords = [str(k) for k in range(width)]
+    labels = {names[v]: frozenset(compress(coords, _digits(lab[v], width))) for v in order}
+    return PartialCubeResult(True, labels=labels, edge_classes=dict(zip(edges, map(coords.__getitem__, cls))))
 
 
-def _theta_violation(*triple):
-    return PartialCubeResult(False, witness={"kind": "theta-violation", "edges": [list(e) for e in triple]})
+def _theta_violation(edges, *triple):
+    """The witness of three edges, given by number."""
+    return PartialCubeResult(False, witness={"kind": "theta-violation", "edges": [list(edges[f]) for f in triple]})
 
 
 def _geodesic(out, root, end):

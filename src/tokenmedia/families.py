@@ -15,6 +15,7 @@ from .tokens import TokenSystem
 
 ADD_PREFIX = "add:"
 REMOVE_PREFIX = "rem:"
+_BITS = bytes.maketrans(b"01", b"\0\1")  # binary digits to the bytes 0 and 1
 
 
 @dataclass(frozen=True)
@@ -102,6 +103,11 @@ def _bit_columns(lab, width):
     rows = [format(own, f"0{width}b") for own in reversed(lab)]
     holders = [int("".join(column), 2) for column in zip(*rows)][::-1]
     return [(everyone ^ members, members) for members in holders]
+
+
+def _digits(label: int, width: int) -> bytes:
+    """Bits 0 to width - 1 of label, one byte each, bit 0 first."""
+    return bin(label | 1 << width)[:2:-1].encode().translate(_BITS)
 
 
 def _moves_separate(lab, toggles, width):

@@ -23,10 +23,8 @@ from typing import Mapping
 
 from .cubes import _geodesic
 from .errors import InputError
-from .families import SetFamily, _bit_columns, _first_unseparated
+from .families import SetFamily, _bit_columns, _digits, _first_unseparated
 from .tokens import TokenSystem, reduction, reverse_defect
-
-_BITS = bytes.maketrans(b"01", b"\0\1")  # binary digits to the bytes 0 and 1
 
 
 @dataclass(frozen=True)
@@ -101,11 +99,6 @@ def orient_from_state(ts: TokenSystem, s0: str) -> Orientation:
     decision = _medium_decision(ts)
     negative = _content(decision, decision.labels[ts._index[s0]])
     return Orientation(frozenset(ts.tokens) - negative, negative)
-
-
-def _digits(label: int, width: int) -> bytes:
-    """Bits 0 to width - 1 of label, one byte each, bit 0 first."""
-    return bin(label | 1 << width)[:2:-1].encode().translate(_BITS)
 
 
 @dataclass(frozen=True, kw_only=True)

@@ -15,12 +15,20 @@ from hypothesis import strategies as st
 
 import tokenmedia
 from tokenmedia import tokens
-from tokenmedia.cubes import adjacency
 from tokenmedia.families import SetFamily, family_medium, well_graded_witness
 from tokenmedia.linorders import linear_medium
 from tokenmedia.tokens import TokenSystem
 
 import walks
+
+
+def adjacency(g) -> dict[str, tuple[str, ...]]:
+    """Each vertex of the graph g with its neighbours in name order."""
+    adj: dict[str, list[str]] = {v: [] for v in g.vertices}
+    for (u, v) in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return {v: tuple(sorted(ws)) for v, ws in adj.items()}
 
 
 def bfs_distances(adj, source) -> dict[str, int]:

@@ -21,7 +21,6 @@ from tokenmedia.arrangements import (
 )
 from tokenmedia.cubes import (
     CubeIsometry,
-    adjacency,
     extend_isometry,
     is_partial_cube,
     media_isomorphic,
@@ -39,6 +38,7 @@ from tokenmedia.tokens import TokenSystem, check_axioms, straight_message
 
 import walks
 from conftest import (
+    adjacency,
     bfs_distances,
     corpus_media,
     hexagon_family,

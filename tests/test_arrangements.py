@@ -27,12 +27,12 @@ from tokenmedia.arrangements import (
     _generic_point,
     _ground,
 )
-from tokenmedia.cubes import LabeledGraph, adjacency, is_partial_cube
+from tokenmedia.cubes import LabeledGraph, is_partial_cube
 from tokenmedia.errors import CapError, InputError, ParseError
 from tokenmedia.families import distance, is_well_graded, set_name
 from tokenmedia.represent import decide_medium
 
-from conftest import bfs_distances
+from conftest import adjacency, bfs_distances
 
 
 def _mask(signs) -> int:

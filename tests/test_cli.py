@@ -208,6 +208,29 @@ class TestPcube:
         assert sorted(len(v) for v in doc["labels"].values()) == [0, 1, 1, 2]
 
 
+    def test_edge_list_of_set_style_names(self, tmp_path, capsys):
+        # names as the library gives family states and regions; the first
+        # opens with "{" but no string key follows it
+        path = tmp_path / "square.txt"
+        path.write_text("{} {a}\n{a} {a,b}\n{a,b} {b}\n{b} {}\n")
+        code, out, _ = run(capsys, "pcube", str(path))
+        assert code == 0
+        # "{a,b}" is the least name, so it gets the empty label
+        assert json.loads(out)["labels"] == {"{a,b}": [], "{a}": ["0"], "{b}": ["1"], "{}": ["0", "1"]}
+
+    def test_a_bare_empty_object_is_an_edge_line(self, tmp_path, capsys):
+        path = tmp_path / "empty.json"
+        path.write_text(" {}\n")
+        code, out, err = run(capsys, "pcube", str(path))
+        assert (code, out) == (2, "")
+        assert "edge line needs exactly two vertex ids" in err
+
+    def test_json_graph_may_open_with_blanks(self, tmp_path, capsys):
+        path = tmp_path / "edge.json"
+        path.write_text('\n  {\n  "vertices": ["a", "b"], "edges": [["a", "b"]]}')
+        code, out, _ = run(capsys, "pcube", str(path))
+        assert code == 0 and json.loads(out)["labels"] == {"a": [], "b": ["0"]}
+
     def test_connected_graph_with_odd_cycle_exits_one(self, tmp_path, capsys):
         path = tmp_path / "tailed-triangle.txt"
         path.write_text("a b\nb c\nc a\nc d\nd e\n")

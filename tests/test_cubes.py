@@ -7,6 +7,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from tokenmedia.arrangements import enumerate_regions, mosaic_window, region_adjacency
 from tokenmedia.cubes import (
     CubeIsometry,
     LabeledGraph,
@@ -14,7 +15,6 @@ from tokenmedia.cubes import (
     PartialCubeResult,
     _geodesic,
     _odd_cycle,
-    adjacency,
     extend_isometry,
     graph_to_medium,
     is_partial_cube,
@@ -29,6 +29,7 @@ from tokenmedia.represent import decide_medium
 from tokenmedia.tokens import straight_message
 
 from conftest import (
+    adjacency,
     assert_theta_violation,
     bfs_distances,
     hexagon_family,
@@ -39,6 +40,7 @@ from conftest import (
     two_state,
     wg_families,
 )
+from name_partial_cube import name_partial_cube
 
 
 def theta_scan_partial_cube(g: LabeledGraph) -> PartialCubeResult:
@@ -242,9 +244,7 @@ class TestPartialCubeRecognition:
     def test_linear7_with_a_k23_vertex_is_rejected_without_a_distance_table(self):
         # 5,041 vertices: an all-pairs table would hold 25M entries, so the
         # witness is replayed from BFS runs at its own endpoints only
-        g = medium_graph(linear_medium(7)[0])
-        ends = adjacency(g)[g.vertices[0]][:3]
-        g = LabeledGraph(g.vertices + ("w",), g.edges + tuple(("w", x) for x in ends))
+        g = with_k23_vertex(medium_graph(linear_medium(7)[0]))
         pc = is_partial_cube(g)
         assert pc.witness["kind"] == "theta-violation"
         assert_theta_violation(g, pc.witness["edges"])
@@ -381,6 +381,84 @@ class TestClassRouteAgainstThetaScan:
         pc = is_partial_cube(medium_graph(ts))
         assert pc.accepted and pc.class_count == classes
         assert pc.labels == decide_medium(ts).alpha
+
+
+@st.composite
+def any_graphs(draw):
+    """Graphs on 1-9 vertices with any edges, the vertices named at random:
+    most are disconnected or have an odd cycle."""
+    n = draw(st.integers(1, 9))
+    names = [f"v{k}" for k in draw(st.permutations(range(n)))]
+    pairs = list(itertools.combinations(names, 2))
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=14)) if pairs else []
+    return LabeledGraph(tuple(names), tuple(edges))
+
+
+def assert_matches_name_route(g):
+    """The result of the name-keyed route ``name_partial_cube``, exactly: the
+    verdict, the labels and edge classes in their order, the witness, or the
+    same InputError."""
+    try:
+        want = name_partial_cube(g)
+    except InputError as exc:
+        with pytest.raises(InputError) as err:
+            is_partial_cube(g)
+        assert str(err.value) == str(exc)
+        return None
+    got = is_partial_cube(g)
+    assert (got.accepted, got.witness) == (want.accepted, want.witness)
+    if want.accepted:
+        assert list(got.labels.items()) == list(want.labels.items())
+        assert list(got.edge_classes.items()) == list(want.edge_classes.items())
+    return got
+
+
+def mosaic_graph(kind, radius):
+    arr = mosaic_window(kind, radius)
+    return region_adjacency(arr, enumerate_regions(arr))
+
+
+def with_k23_vertex(g):
+    """g with a new vertex "w" joined to three neighbours of its first vertex."""
+    ends = adjacency(g)[g.vertices[0]][:3]
+    return LabeledGraph(g.vertices + ("w",), g.edges + tuple(("w", x) for x in ends))
+
+
+class TestNumberedRouteAgainstNameRoute:
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(bipartite_graphs(), family_graphs(), any_graphs()))
+    def test_same_result(self, g):
+        pc = assert_matches_name_route(g)
+        event("disconnected" if pc is None else "accepted" if pc.accepted
+              else f"rejected: {pc.witness['kind']}")
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_linear_media(self, n):
+        assert assert_matches_name_route(medium_graph(linear_medium(n)[0])).accepted
+
+    def test_cube8(self):
+        assert assert_matches_name_route(medium_graph(family_medium(power_set_family("abcdefgh")))).accepted
+
+    @pytest.mark.parametrize("kind", ["triangular", "truncated-square"])
+    @pytest.mark.parametrize("radius", [1, 2, 6, 12])
+    def test_mosaic_windows(self, kind, radius):
+        assert assert_matches_name_route(mosaic_graph(kind, radius)).accepted
+
+    @pytest.mark.parametrize("build", [
+        k23,
+        lambda: LabeledGraph(("a0", "a1", "a2", "b0", "b1"),
+                             tuple((a, b) for a in ("a0", "a1", "a2") for b in ("b0", "b1"))),
+        lambda: with_k23_vertex(medium_graph(linear_medium(5)[0])),
+        lambda: with_k23_vertex(mosaic_graph("triangular", 6)),
+        k3,
+        c5,
+        lambda: LabeledGraph.from_edge_list("a b\nb c\nc a\nc d\nd e\n"),
+        lambda: LabeledGraph(("a", "b", "c", "d"), (("a", "b"), ("c", "d"))),
+    ], ids=["k23", "k23-three-side", "linear5+k23", "triangular6+k23", "k3", "c5", "odd-tail",
+            "disconnected"])
+    def test_negatives(self, build):
+        pc = assert_matches_name_route(build())
+        assert pc is None or not pc.accepted
 
 
 class TestGraphToMedium:

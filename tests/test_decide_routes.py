@@ -30,14 +30,14 @@ from hypothesis import strategies as st
 
 from tokenmedia import cubes
 from tokenmedia.arrangements import arrangement_medium, mosaic_window
-from tokenmedia.cubes import LabeledGraph, adjacency, media_isomorphic, medium_graph
+from tokenmedia.cubes import LabeledGraph, media_isomorphic, medium_graph
 from tokenmedia.errors import CapError, InputError
 from tokenmedia.families import SetFamily, family_medium
 from tokenmedia.linorders import linear_medium
 from tokenmedia.represent import decide_medium
 from tokenmedia.tokens import TokenSystem, reverse_defect
 
-from conftest import corpus_media, lines_at_most, two_state, wg_families
+from conftest import adjacency, corpus_media, lines_at_most, two_state, wg_families
 from frozenset_labels import SetDecision, assert_reads_the_same
 from test_cubes import theta_scan_partial_cube
 from test_exact_check import assert_witness_replays
@@ -477,7 +477,7 @@ def test_search_builds_no_graph():
     spur = family_medium(SetFamily.of("abcde", [set(), "a", "b", "c", "ad", "ade"]))
     assert scan_media_iso(forked, spur) is None
     with mock.patch("tokenmedia.cubes.medium_graph", side_effect=AssertionError), \
-            mock.patch("tokenmedia.cubes.adjacency", side_effect=AssertionError):
+            mock.patch("tokenmedia.cubes.is_partial_cube", side_effect=AssertionError):
         assert_replays(ts, other, *media_isomorphic(ts, other))
         assert media_isomorphic(forked, spur) is None
 

@@ -14,6 +14,7 @@ from tokenmedia.arrangements import (
     region_adjacency,
     region_family,
 )
+from tokenmedia.cubes import LabeledGraph, is_partial_cube
 from tokenmedia.linorders import linear_medium
 from tokenmedia.represent import decide_medium, orient_from_state, positive_content_family
 from tokenmedia.tokens import FAILS, HOLDS, TokenSystem, apply, check_axioms, is_stepwise_effective
@@ -132,3 +133,50 @@ def test_region_routes_grow_with_crossings_plus_regions():
 
     assert sizes == [389, 1463]
     assert_lines_grow_at_most(1.1 * sizes[1] / sizes[0], routes, small, large)
+
+
+def chain_union(n):
+    """Two disjoint copies of the path medium on n / 2 states that share
+    their tokens: n states on which M1, M3 and M4 hold and M2 fails."""
+    names = [f"{copy}{i}" for copy in "ab" for i in range(n // 2)]
+    return TokenSystem.from_pairs(names, ((f"u{i}", f"d{i}", {f"{copy}{i}": f"{copy}{i + 1}" for copy in "ab"})
+                                          for i in range(n // 2 - 1)))
+
+
+def test_decision_and_check_of_a_disconnected_system_grow_linearly():
+    # the line counts leave out the width of the potentials, one field per
+    # token pair in each state's int: S/2 - 1 fields on these S states
+    decisions = []
+    assert_lines_grow_at_most(2.2, lambda ts: decisions.append(decide_medium(ts)),
+                              chain_union(1000), chain_union(2000))
+    assert [d.is_medium for d in decisions] == [False, False]
+    reports = []
+    assert_lines_grow_at_most(2.2, lambda ts: reports.append(check_axioms(ts)),
+                              chain_union(1000), chain_union(2000))
+    for report in reports:
+        assert [c.verdict for c in report.checks] == [HOLDS, FAILS, HOLDS, HOLDS]
+
+
+def hypercube(d):
+    names = [format(i, f"0{d}b") for i in range(1 << d)]
+    return LabeledGraph(tuple(names), tuple((names[i], names[i | 1 << k]) for i in range(1 << d)
+                                            for k in range(d) if not i >> k & 1))
+
+
+def grid(rows, cols):
+    names = [[f"{i},{j}" for j in range(cols)] for i in range(rows)]
+    edges = [(names[i][j], names[i][j + 1]) for i in range(rows) for j in range(cols - 1)]
+    edges += [(names[i][j], names[i + 1][j]) for i in range(rows - 1) for j in range(cols)]
+    return LabeledGraph(tuple(v for row in names for v in row), tuple(edges))
+
+
+def test_pcube_grows_with_the_classes_times_the_graph():
+    # one BFS per Theta class: dim * (V + E) is 6 * 256 and 7 * 576 on Q6
+    # and Q7, 14 * 176 and 22 * 360 on the 8 x 8 and 8 x 16 grids.  The
+    # counts leave out the width of the separation test's ANDs: each ANDs V-bit
+    # ints and counts as one line.
+    for small, large, ratio, dims in ((hypercube(6), hypercube(7), 2.63, [6, 7]),
+                                      (grid(8, 8), grid(8, 16), 3.21, [14, 22])):
+        results = []
+        assert_lines_grow_at_most(ratio, lambda g: results.append(is_partial_cube(g)), small, large)
+        assert [(r.accepted, r.class_count) for r in results] == [(True, dim) for dim in dims]

@@ -16,12 +16,12 @@ from hypothesis import strategies as st
 
 from tokenmedia import cubes
 from tokenmedia.arrangements import arrangement_medium, mosaic_window
-from tokenmedia.cubes import adjacency, medium_graph
+from tokenmedia.cubes import medium_graph
 from tokenmedia.families import SetFamily, _moves_separate, family_medium
 from tokenmedia.linorders import linear_medium
 from tokenmedia.tokens import TokenSystem
 
-from conftest import lines_at_most, power_set_family, wg_families
+from conftest import adjacency, lines_at_most, power_set_family, wg_families
 from test_decide_routes import equal_size_wg_pairs, joint_refinement, relabel
 
 

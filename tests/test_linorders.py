@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from tokenmedia.cubes import adjacency, media_isomorphic, medium_graph
+from tokenmedia.cubes import media_isomorphic, medium_graph
 from tokenmedia.errors import CapError, InputError
 from tokenmedia.families import family_medium, is_well_graded
 from tokenmedia.linorders import (
@@ -18,7 +18,7 @@ from tokenmedia.linorders import (
 )
 from tokenmedia.represent import decide_medium
 
-from conftest import bfs_distances, hexagon_family
+from conftest import adjacency, bfs_distances, hexagon_family
 
 
 class TestCovers:
