@@ -96,12 +96,13 @@ def well_graded_witness(fam: SetFamily) -> tuple[frozenset, frozenset] | None:
 
 def _bit_columns(lab, width):
     """Per bit x, the positions whose label lacks x and those whose label
-    holds it: the label bit matrix, transposed in one pass, and complemented."""
+    holds it: the label bit matrix, transposed by strided slices, and
+    complemented.  Every label is less than 2 ** width."""
     everyone = (1 << len(lab)) - 1
-    # the labels in binary, one row per position from the last up: column c
-    # read down is the holders of bit width - 1 - c in binary
-    rows = [format(own, f"0{width}b") for own in reversed(lab)]
-    holders = [int("".join(column), 2) for column in zip(*rows)][::-1]
+    # the labels in binary, one row of width digits per position from the last
+    # up: every width-th digit from c is the holders of bit width - 1 - c
+    rows = "".join([format(own, f"0{width}b") for own in reversed(lab)])
+    holders = [int(rows[c::width] or "0", 2) for c in range(width)][::-1]  # no labels: no digits
     return [(everyone ^ members, members) for members in holders]
 
 

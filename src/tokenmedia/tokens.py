@@ -474,14 +474,23 @@ class AxiomReport:
         }
 
 
+# the checks that do not depend on the system, shared by every report
+_ALL_HOLD = tuple(AxiomCheck(a, HOLDS) for a in AXIOMS)
+_SKIPPED_AFTER_M1 = tuple(
+    AxiomCheck(a, SKIPPED, note="not evaluated: M1 failed, no usable reverse pairing")
+    for a in ("M2", "M3", "M4")
+)
+
+
 def reverse_defect(ts: TokenSystem) -> dict | None:
     """Exact M1 check; None when every token's declared reverse is its unique one.
 
     A token u is a reverse candidate for t when the moves of u are exactly
     the inverted moves of t (fixed points are unconstrained).  M1 demands a
-    declared pairing that matches a unique candidate per token.  Candidates
-    are found by grouping the move sets of the stored move index, with no
-    pass over the action table.  The result is computed once and stored on
+    declared pairing that matches a unique candidate per token.  It is read
+    in one pass over the stored move index, with no pass over the action
+    table; the first defect in token order is the witness, with its
+    candidates in token order.  The result is computed once and stored on
     ``ts``, so ``check_axioms`` and ``decide_medium`` share it.
     """
     if not hasattr(ts, "_defect"):
@@ -490,20 +499,32 @@ def reverse_defect(ts: TokenSystem) -> dict | None:
 
 
 def _find_reverse_defect(ts):
+    """One pass over the tokens in token order: the declared reverse must hold
+    exactly the token's moves inverted, sorted as the move index keeps them,
+    and must be the only token that does.  Tokens with equal moves are found
+    once, after the first token passes."""
     if ts.reverse is None:
         return {"axiom": "M1", "kind": "missing-reverse-pairing"}
-    for t, cands in _reverse_candidates(ts).items():
-        declared = ts.reverse[t]
-        if declared not in cands:
+    moves, reverse = ts._index_moves, ts.reverse
+    twins = None  # token -> every token with its moves, for tokens that have a twin
+    for t, ms in moves.items():
+        declared = reverse[t]
+        if moves[declared] != sorted([(j, i) for i, j in ms]):
             return _declared_breach(ts, t, declared)
-        if len(cands) > 1:
-            return {
-                "axiom": "M1",
-                "kind": "ambiguous-reverse",
-                "token": t,
-                "candidates": cands,
-            }
+        if twins is None:
+            twins = _twins(moves)
+        if declared in twins:
+            return {"axiom": "M1", "kind": "ambiguous-reverse", "token": t, "candidates": twins[declared]}
     return None
+
+
+def _twins(moves) -> dict[str, list[str]]:
+    """Each token that shares its moves with another, mapped to all the tokens
+    with those moves, in token order."""
+    by_moves: dict[tuple, list[str]] = {}
+    for t, ms in moves.items():
+        by_moves.setdefault(tuple(ms), []).append(t)
+    return {t: group for group in by_moves.values() if len(group) > 1 for t in group}
 
 
 def _declared_breach(ts, t, declared):
@@ -537,14 +558,10 @@ def check_axioms(ts: TokenSystem, bound: int | None = None) -> AxiomReport:
     if bound < 1:
         raise InputError("bound must be at least 1")
     if decide_medium(ts).is_medium:
-        return AxiomReport(tuple(AxiomCheck(a, HOLDS) for a in AXIOMS), bound)
+        return AxiomReport(_ALL_HOLD, bound)
     defect = reverse_defect(ts)
     if defect is not None:
-        skipped = tuple(
-            AxiomCheck(a, SKIPPED, note="not evaluated: M1 failed, no usable reverse pairing")
-            for a in ("M2", "M3", "M4")
-        )
-        return AxiomReport((AxiomCheck("M1", FAILS, defect),) + skipped, bound)
+        return AxiomReport((AxiomCheck("M1", FAILS, defect),) + _SKIPPED_AFTER_M1, bound)
     found = _axiom_witnesses(ts)
     checks = [AxiomCheck("M1", HOLDS)]
     for a in ("M2", "M3", "M4"):

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from tokenmedia import cli, cubes
 from tokenmedia.arrangements import enumerate_regions, region_adjacency
+from tokenmedia.errors import ParseError
 from tokenmedia.families import SetFamily, family_medium
 from tokenmedia.linorders import linear_medium
 from tokenmedia.tokens import AXIOMS, TokenSystem, apply, reduction
@@ -477,6 +478,16 @@ def test_input_that_is_not_utf8_names_its_path(name, tmp_path, capsys):
     code, out, err = run_bad_input(name, tmp_path, capsys)
     assert (code, out) == (2, "")
     assert err.startswith(f"parse error: {tmp_path / 'input'}: ") and "utf-8" in err
+
+
+def test_a_directory_is_a_parse_error_naming_it(tmp_path, capsys):
+    # open() refuses a directory with this message; the file is read on a
+    # descriptor from os.open, which opens a directory, so it is rebuilt there
+    message = f"cannot read {tmp_path}: [Errno 21] Is a directory: '{tmp_path}'"
+    with pytest.raises(ParseError) as info:
+        cli._read_text(str(tmp_path))
+    assert str(info.value) == message
+    assert run(capsys, "check", str(tmp_path)) == (2, "", f"parse error: {message}\n")
 
 
 def test_witness_past_the_digit_limit_is_a_cap(tmp_path, capsys):

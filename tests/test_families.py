@@ -1,3 +1,4 @@
+import random
 import types
 
 import pytest
@@ -345,3 +346,32 @@ def test_family_document_round_trips():
 def test_strings_are_no_lists_in_a_family_document(doc):
     with pytest.raises(ParseError, match="must be a list"):
         SetFamily.from_json_dict(doc)
+
+
+def zip_bit_columns(lab, width):
+    """The former ``_bit_columns``: the rows zipped into columns, one join per column."""
+    everyone = (1 << len(lab)) - 1
+    rows = [format(own, f"0{width}b") for own in reversed(lab)]
+    holders = [int("".join(column), 2) for column in zip(*rows)][::-1]
+    return [(everyone ^ members, members) for members in holders]
+
+
+@pytest.mark.parametrize("size", [1, 3, 50, 720])
+@pytest.mark.parametrize("width", [0, 1, 8, 21])
+def test_bit_columns_match_the_zip_route(size, width):
+    rng = random.Random(1000 * size + width)
+    top = (1 << width) - 1
+    label_sets = [[0] * size, [top] * size] + [[rng.getrandbits(width) for _ in range(size)]
+                                               for _ in range(5)]
+    for lab in label_sets:
+        got = families._bit_columns(lab, width)
+        assert len(got) == width
+        if width:  # at width 0 the zip route reads each label as the digit "0"
+            assert got == zip_bit_columns(lab, width)
+
+
+@pytest.mark.parametrize("width", [0, 1, 8])
+def test_bit_columns_of_no_labels(width):
+    # the zip route gave no column at all; nothing reads a column of no positions
+    assert families._bit_columns([], width) == [(0, 0)] * width
+    assert zip_bit_columns([], width) == []

@@ -17,7 +17,15 @@ from tokenmedia.arrangements import (
 from tokenmedia.cubes import LabeledGraph, is_partial_cube
 from tokenmedia.linorders import linear_medium
 from tokenmedia.represent import decide_medium, orient_from_state, positive_content_family
-from tokenmedia.tokens import FAILS, HOLDS, TokenSystem, apply, check_axioms, is_stepwise_effective
+from tokenmedia.tokens import (
+    FAILS,
+    HOLDS,
+    TokenSystem,
+    apply,
+    check_axioms,
+    is_stepwise_effective,
+    reverse_defect,
+)
 
 from conftest import assert_lines_grow_at_most
 from test_large_media import chain
@@ -39,6 +47,14 @@ def test_decision_of_a_chain_grows_linearly():
     decisions = []
     assert_lines_grow_at_most(2.2, lambda ts: decisions.append(decide_medium(ts)), small, large)
     assert all(d.is_medium for d in decisions)
+
+
+def test_reverse_defect_of_a_chain_grows_linearly():
+    # M1 inverts each token's moves once, and hashes each token's moves
+    # once to look for twins
+    defects = []
+    assert_lines_grow_at_most(2.2, lambda ts: defects.append(reverse_defect(ts)), chain(500, 0), chain(1000, 0))
+    assert defects == [None, None]
 
 
 def represent(ts):
