@@ -24,7 +24,7 @@ from typing import Mapping
 from .cubes import _geodesic
 from .errors import InputError
 from .families import SetFamily, _bit_columns, _digits, _first_unseparated
-from .tokens import TokenSystem, reduction, reverse_defect
+from .tokens import TokenSystem, reverse_defect
 
 
 @dataclass(frozen=True)
@@ -69,19 +69,16 @@ def contents(ts: TokenSystem, base: str | None = None) -> ContentTable:
     A token adding coordinate x occurs in the straight messages into exactly
     the states whose labels hold x, and a token removing x into exactly those
     whose labels lack it.  The result does not depend on the base state,
-    which is only recorded.  The table is stored on ``ts`` beside the
-    decision, so later calls on the same system share it.  A system that is
-    not a medium raises InputError.
+    which is only recorded.  The table is built on each call from the
+    decision stored on ``ts``.  A system that is not a medium raises
+    InputError.
     """
     if base is None:
         base = ts.states[0]
     elif not ts.has_state(base):
         raise InputError(f"unknown state id {base!r}")
-    table = getattr(ts, "_contents", None)
-    if table is None:
-        decision = _medium_decision(ts)
-        table = {s: _content(decision, label) for s, label in zip(ts.states, decision.labels)}
-        object.__setattr__(ts, "_contents", table)
+    decision = _medium_decision(ts)
+    table = {s: _content(decision, label) for s, label in zip(ts.states, decision.labels)}
     return ContentTable(base, table)
 
 
@@ -524,7 +521,7 @@ def verify_embedding(ts1: TokenSystem, ts2: TokenSystem,
     mapped through alpha, are exactly beta(t)'s moves from the alpha-image.
     Additionally reports whether the reduction of ts2 to the alpha-image is
     isomorphic to ts1 under the same state map (true whenever both systems
-    are media), matching reduced tokens by move set.
+    are media), matching reduced move sets to the mapped ones of ts1.
     """
     if set(alpha) != set(ts1.states) or set(beta) != set(ts1.tokens):
         raise InputError("alpha and beta must be total on the source system")
@@ -537,7 +534,7 @@ def verify_embedding(ts1: TokenSystem, ts2: TokenSystem,
         if not ts2.has_token(t):
             raise InputError(f"beta image {t!r} is not a token of the target")
     image = {a: s for s, a in alpha.items()}
-    wants = []
+    wants = {frozenset()}  # a token moving nothing inside the image drops out of the reduction
     for t in ts1.tokens:
         want = {alpha[s]: alpha[v] for s, v in ts1.moves(t)}
         got = {a: b for a, b in ts2.moves(beta[t]) if a in image}
@@ -547,9 +544,7 @@ def verify_embedding(ts1: TokenSystem, ts2: TokenSystem,
             return EmbeddingReport(False, mismatch={
                 "state": s, "token": t, "source_result": image[want.get(alpha[s], alpha[s])],
                 "target_result": got.get(alpha[s], alpha[s])})
-        wants.append(frozenset(want.items()))
-    red = reduction(ts2, alpha.values())
-    by_moves = {red.moves(u): u for u in red.tokens}
-    matched = [by_moves.get(w) for w in wants]
-    ok = None not in matched and set(matched) == set(red.tokens)
-    return EmbeddingReport(True, reduction_isomorphic=ok)
+        wants.add(frozenset(want.items()))
+    reduced = {frozenset((a, b) for a, b in ts2.moves(u) if a in image and b in image)
+               for u in ts2.tokens}
+    return EmbeddingReport(True, reduction_isomorphic=reduced <= wants)

@@ -3,8 +3,7 @@
 A token system is an ordered set of states together with an ordered set of
 tokens, each acting as a total function on states.  A token usually moves
 few states, so a system stores only its moves, and the library walks
-them; ``TokenSystem.action``, the dense table, is built whole the first
-time it is read.  Four axioms single out the systems called media:
+them.  Four axioms single out the systems called media:
 
   M1  every token has a unique reverse (declared explicitly in the input);
   M2  any two distinct states are joined by a straight message;
@@ -24,8 +23,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter, deque
 from dataclasses import dataclass
-from functools import cached_property
-from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import InputError, ParseError, json_list
@@ -65,10 +62,9 @@ class TokenSystem:
     state's position in ``states`` and, per token in token order, its
     effective moves as (state index, target index) pairs in state order.
     Every route of the library, from ``apply`` to the isomorphism search,
-    reads that index; ``action``, the read-only dense table, is built from
-    it the first time it is read, for callers that want the table.  Systems
-    are immutable; two are equal when their states, tokens, pairing and
-    moves are.
+    reads that index, and ``to_json_dict`` writes the dense table from it.
+    Systems are immutable; two are equal when their states, tokens, pairing
+    and moves are.
     """
 
     def __init__(self, states: Sequence[str], tokens: Sequence[str],
@@ -97,7 +93,7 @@ class TokenSystem:
                 if r == t or r not in token_set or reverse[r] != t:
                     raise InputError("reverse pairing must be a fixed-point-free involution")
         self.__dict__.update(states=states, tokens=tokens, reverse=reverse,
-                             _index=index, _index_moves=index_moves, _moves={})
+                             _index=index, _index_moves=index_moves)
 
     @classmethod
     def from_pairs(cls, states: Sequence[str],
@@ -114,15 +110,6 @@ class TokenSystem:
             moves[fwd], moves[bwd] = ms, {v: s for s, v in ms.items()}
             reverse[fwd], reverse[bwd] = bwd, fwd
         return cls(states, tuple(tokens), reverse=reverse, moves=moves)
-
-    @cached_property
-    def action(self) -> Mapping[str, Mapping[str, str]]:
-        """The dense table, read-only: ``action[t][s]`` is the image of state s
-        under token t, every row in state order with its fixed points.  The
-        whole table is built from the move index the first time it is read."""
-        states = self.states
-        return MappingProxyType({t: MappingProxyType(_dense_row(states, ms))
-                                 for t, ms in self._index_moves.items()})
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of an immutable TokenSystem")
@@ -149,14 +136,12 @@ class TokenSystem:
         return t in self._index_moves
 
     def moves(self, t: str) -> frozenset[tuple[str, str]]:
-        """All pairs (s, v) with s != v moved by token t, built once per token
-        from the move index."""
-        if t not in self._moves:
-            if t not in self._index_moves:
-                raise InputError(f"unknown token id {t!r}")
-            states = self.states
-            self._moves[t] = frozenset((states[i], states[j]) for i, j in self._index_moves[t])
-        return self._moves[t]
+        """All pairs (s, v) with s != v moved by token t, built from the move
+        index on each call."""
+        if t not in self._index_moves:
+            raise InputError(f"unknown token id {t!r}")
+        states = self.states
+        return frozenset((states[i], states[j]) for i, j in self._index_moves[t])
 
     def to_json_dict(self, *, view: bool = False) -> dict:
         """The dense document: states, tokens with their reverses, and the
@@ -592,26 +577,14 @@ def reduction(ts: TokenSystem, keep: Iterable[str]) -> TokenSystem:
     old = ts.states
     states = tuple(s for s in old if s in keep_set)
     kept = [s in keep_set for s in old]
-    seen: set[tuple[tuple[int, int], ...]] = set()
-    moves: dict[str, dict[str, str]] = {}
+    first: dict[tuple[tuple[int, int], ...], str] = {}  # each distinct reduced move tuple -> its first token
     for t, ms in ts._index_moves.items():
         sig = tuple((i, j) for i, j in ms if kept[i] and kept[j])
-        if sig and sig not in seen:
-            seen.add(sig)
-            moves[t] = {old[i]: old[j] for i, j in sig}
-    plain = TokenSystem(states, tuple(moves), moves=moves)
-    cands = _reverse_candidates(plain)
-    if all(len(c) == 1 and c[0] != t for t, c in cands.items()):
-        return TokenSystem(states, plain.tokens, reverse={t: c[0] for t, c in cands.items()},
-                           moves=moves)
-    return plain
-
-
-def _reverse_candidates(ts) -> dict[str, list[str]]:
-    """Each token's reverse candidates, in token order: the tokens whose moves
-    are exactly its inverted moves, found through the move index by move set."""
-    moves = {t: frozenset(ms) for t, ms in ts._index_moves.items()}
-    by_moves: dict[frozenset, list[str]] = {}
-    for t, ms in moves.items():
-        by_moves.setdefault(ms, []).append(t)
-    return {t: by_moves.get(frozenset((j, i) for i, j in ms), []) for t, ms in moves.items()}
+        if sig:
+            first.setdefault(sig, t)
+    moves = {t: {old[i]: old[j] for i, j in sig} for sig, t in first.items()}
+    # the inverted moves, sorted as the index keeps them, name the reverse
+    reverse = {t: first.get(tuple(sorted((j, i) for i, j in sig))) for sig, t in first.items()}
+    if any(r is None or r == t for t, r in reverse.items()):
+        reverse = None  # some token has no reverse, or is its own
+    return TokenSystem(states, tuple(moves), reverse=reverse, moves=moves)

@@ -108,6 +108,24 @@ def assert_lines_grow_at_most(ratio, call, small, large):
     return counts
 
 
+def dense_action(ts) -> dict[str, dict[str, str]]:
+    """The dense table of ts as its JSON document writes it: ``[t][s]`` is the
+    image of state s under token t, every row in state order with its fixed
+    points.  Each call builds the whole table afresh."""
+    return ts.to_json_dict()["action"]
+
+
+def reverse_candidates(ts) -> dict[str, list[str]]:
+    """Each token's reverse candidates, in token order: the tokens whose moves
+    are exactly its inverted moves, found through the move index by move set.
+    The M1 oracle, as ``tokens.reduction`` once read it."""
+    moves = {t: frozenset(ms) for t, ms in ts._index_moves.items()}
+    by_moves: dict[frozenset, list[str]] = {}
+    for t, ms in moves.items():
+        by_moves.setdefault(ms, []).append(t)
+    return {t: by_moves.get(frozenset((j, i) for i, j in ms), []) for t, ms in moves.items()}
+
+
 def two_state() -> TokenSystem:
     return TokenSystem(
         ("S", "T"),
@@ -136,7 +154,7 @@ def twisted_square() -> TokenSystem:
     """The 4-cycle medium with pair a adding at {} but removing at {a,b}: a
     non-medium on which M1 and M2 hold."""
     good = family_medium(SetFamily.of("ab", [set(), {"a"}, {"b"}, {"a", "b"}]))
-    action = {t: dict(good.action[t]) for t in good.tokens}
+    action = dense_action(good)
     for t, s, v in [("add:a", "{b}", "{b}"), ("add:a", "{a,b}", "{b}"),
                     ("rem:a", "{a,b}", "{a,b}"), ("rem:a", "{b}", "{a,b}")]:
         action[t][s] = v
@@ -162,7 +180,7 @@ def union6() -> TokenSystem:
     ts, _ = linear_medium(6)
     states = tuple(f"{copy}{s}" for copy in "ab" for s in ts.states)
     action = {t: {f"{copy}{s}": f"{copy}{v}" for copy in "ab" for s, v in row.items()}
-              for t, row in ts.action.items()}
+              for t, row in dense_action(ts).items()}
     return TokenSystem(states, ts.tokens, action, ts.reverse)
 
 

@@ -21,7 +21,7 @@ from tokenmedia.families import SetFamily, family_medium
 from tokenmedia.linorders import linear_medium
 from tokenmedia.tokens import AXIOMS, TokenSystem, apply, reduction
 
-from conftest import no_walks, path3, twisted_square, two_state
+from conftest import dense_action, no_walks, path3, twisted_square, two_state
 from test_arrangements import crossing_pair
 from test_decide_routes import relabel
 
@@ -42,7 +42,7 @@ def lazy_square():
     """The 4-cycle medium with add:a refusing to move {b}: its graph is a
     partial cube, the system is no medium."""
     good = family_medium(SetFamily.of("ab", [set(), {"a"}, {"b"}, {"a", "b"}]))
-    action = {t: dict(good.action[t]) for t in good.tokens}
+    action = dense_action(good)
     action["add:a"]["{b}"] = "{b}"
     action["rem:a"]["{a,b}"] = "{a,b}"
     return TokenSystem(good.states, good.tokens, action, good.reverse)

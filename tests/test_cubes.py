@@ -32,6 +32,7 @@ from conftest import (
     adjacency,
     assert_theta_violation,
     bfs_distances,
+    dense_action,
     hexagon_family,
     hexagon_variant_family,
     power_set_family,
@@ -493,9 +494,10 @@ class TestMediaIsomorphism:
     def test_identity(self):
         ts = family_medium(staircase_family())
         alpha, beta = media_isomorphic(ts, ts)
+        act = dense_action(ts)
         for t in ts.tokens:
             for s in ts.states:
-                assert alpha[ts.action[t][s]] == ts.action[beta[t]][alpha[s]]
+                assert alpha[act[t][s]] == act[beta[t]][alpha[s]]
 
     def test_translated_power_set_media(self):
         fam = power_set_family("ab")

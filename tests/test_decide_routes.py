@@ -37,7 +37,7 @@ from tokenmedia.linorders import linear_medium
 from tokenmedia.represent import decide_medium
 from tokenmedia.tokens import TokenSystem, reverse_defect
 
-from conftest import adjacency, corpus_media, lines_at_most, two_state, wg_families
+from conftest import adjacency, corpus_media, dense_action, lines_at_most, two_state, wg_families
 from frozenset_labels import SetDecision, assert_reads_the_same
 from test_cubes import theta_scan_partial_cube
 from test_exact_check import assert_witness_replays
@@ -203,7 +203,7 @@ def test_mosaic_region_media_agree(kind):
 def square_with(changes):
     """The medium of the 4-cycle {}, {a}, {b}, {a,b} with some action entries replaced."""
     good = family_medium(SetFamily.of("ab", [set(), {"a"}, {"b"}, {"a", "b"}]))
-    action = {t: dict(good.action[t]) for t in good.tokens}
+    action = dense_action(good)
     for t, s, v in changes:
         action[t][s] = v
     return TokenSystem(good.states, good.tokens, action, good.reverse)
@@ -239,7 +239,7 @@ def relabel(ts, rng):
     states = tuple(rng.sample(sorted(state_name.values()), len(ts.states)))
     tokens = tuple(rng.sample(sorted(token_name.values()), len(ts.tokens)))
     action = {token_name[t]: {state_name[s]: state_name[v] for s, v in row.items()}
-              for t, row in ts.action.items()}
+              for t, row in dense_action(ts).items()}
     reverse = {token_name[t]: token_name[r] for t, r in ts.reverse.items()}
     return TokenSystem(states, tokens, action, reverse)
 
@@ -248,14 +248,15 @@ def assert_replays(ts, other, alpha, beta):
     """(alpha, beta) is a bijection carrying ts's action table onto other's, and back."""
     assert sorted(alpha.values()) == sorted(other.states)
     assert sorted(beta.values()) == sorted(other.tokens)
+    act, other_act = dense_action(ts), dense_action(other)
     for t in ts.tokens:
         for s in ts.states:
-            assert alpha[ts.action[t][s]] == other.action[beta[t]][alpha[s]]
+            assert alpha[act[t][s]] == other_act[beta[t]][alpha[s]]
     state_back = {v: s for s, v in alpha.items()}
     token_back = {u: t for t, u in beta.items()}
     for u in other.tokens:
         for v in other.states:
-            assert state_back[other.action[u][v]] == ts.action[token_back[u]][state_back[v]]
+            assert state_back[other_act[u][v]] == act[token_back[u]][state_back[v]]
 
 
 def test_isomorphism_of_relabelled_copies_replays():

@@ -9,6 +9,7 @@ import itertools
 
 from tokenmedia.arrangements import (
     Arrangement,
+    arrangement_medium,
     enumerate_regions,
     mosaic_window,
     region_adjacency,
@@ -135,15 +136,16 @@ def crossings(arr) -> int:
 
 
 def test_region_routes_grow_with_crossings_plus_regions():
-    # regions, their graph, their family and their documents on triangular
-    # windows of radius 3 and 6; a sign vector built per region over every
-    # line grew about 1.33 times faster than crossings plus regions
+    # regions, their graph, their medium, their family and their documents on
+    # triangular windows of radius 3 and 6; a sign vector built per region
+    # over every line grew about 1.33 times faster than crossings plus regions
     small, large = mosaic_window("triangular", 3), mosaic_window("triangular", 6)
     sizes = [crossings(arr) + len(enumerate_regions(Arrangement(arr.lines))) for arr in (small, large)]
 
     def routes(arr):
         regions = enumerate_regions(arr)
-        region_adjacency(arr, regions)
+        graph = region_adjacency(arr, regions)
+        arrangement_medium(arr, regions, graph)
         region_family(arr, regions)
         [r.to_json_dict() for r in regions]
 

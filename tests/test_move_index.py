@@ -18,7 +18,6 @@ from collections.abc import Mapping
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tokenmedia import tokens
 from tokenmedia.cubes import media_isomorphic, medium_graph
 from tokenmedia.errors import InputError
 from tokenmedia.families import SetFamily, family_medium
@@ -26,7 +25,7 @@ from tokenmedia.represent import decide_medium
 from tokenmedia.tokens import TokenSystem, check_axioms, reduction, reverse_defect
 
 import walks
-from conftest import wg_families
+from conftest import dense_action, reverse_candidates, wg_families
 
 
 # --- the dense routes ---------------------------------------------------------
@@ -82,7 +81,7 @@ def dense_reverse_candidates(states, toks, action) -> dict[str, list[str]]:
 def dense_declared_breach(ts, t, declared):
     """Oracle: the first move of t or of its declared reverse that the other
     does not undo, found by lookups in the table."""
-    act = ts.action
+    act = dense_action(ts)
     for s in ts.states:
         v = act[t][s]
         if v != s and act[declared][v] != s:
@@ -100,7 +99,7 @@ def dense_reverse_defect(ts):
     """Oracle: the exact M1 check over the table."""
     if ts.reverse is None:
         return {"axiom": "M1", "kind": "missing-reverse-pairing"}
-    for t, cands in dense_reverse_candidates(ts.states, ts.tokens, ts.action).items():
+    for t, cands in dense_reverse_candidates(ts.states, ts.tokens, dense_action(ts)).items():
         declared = ts.reverse[t]
         if declared not in cands:
             return dense_declared_breach(ts, t, declared)
@@ -113,8 +112,9 @@ def dense_out_moves(ts):
     """Oracle: each state's effective moves (token, image), in token order,
     from the table rows."""
     out: dict[str, list[tuple[str, str]]] = {s: [] for s in ts.states}
+    act = dense_action(ts)
     for t in ts.tokens:
-        for s, v in ts.action[t].items():
+        for s, v in act[t].items():
             if v != s:
                 out[s].append((t, v))
     return out
@@ -125,11 +125,12 @@ def dense_transport(ts1, ts2, alpha):
     two media, by a search over the tokens of ts2 for each token of ts1 and
     a re-check of every table entry."""
     beta: dict[str, str] = {}
+    act1, act2 = dense_action(ts1), dense_action(ts2)
     for t in ts1.tokens:
         s, v = next(iter(ts1.moves(t)))
         image = None
         for u in ts2.tokens:
-            if ts2.action[u][alpha[s]] == alpha[v]:
+            if act2[u][alpha[s]] == alpha[v]:
                 image = u
                 break
         if image is None:
@@ -137,7 +138,7 @@ def dense_transport(ts1, ts2, alpha):
         beta[t] = image
     for t in ts1.tokens:
         for s in ts1.states:
-            if alpha[ts1.action[t][s]] != ts2.action[beta[t]][alpha[s]]:
+            if alpha[act1[t][s]] != act2[beta[t]][alpha[s]]:
                 raise AssertionError("token transport failed; inputs are not media")
     if len(set(beta.values())) != len(ts2.tokens):
         raise AssertionError("token transport not bijective; inputs are not media")
@@ -172,7 +173,8 @@ def raw_systems(draw):
     base = family_medium(fam)
     states = list(draw(st.permutations(base.states)))
     toks = list(draw(st.permutations(base.tokens)))
-    action = {t: dict(base.action[t]) for t in toks}
+    rows = dense_action(base)
+    action = {t: rows[t] for t in toks}
     reverse = dict(base.reverse)
     for edit in draw(st.lists(st.sampled_from(EDITS), max_size=3)):
         s = draw(st.sampled_from(states))
@@ -217,8 +219,8 @@ def relabelled(ts, rng, wrap=dict):
                                            len(ts.states))))
     tname = dict(zip(ts.tokens, rng.sample([f"k{i}" for i in range(len(ts.tokens))],
                                            len(ts.tokens))))
-    action = {tname[t]: wrap({sname[s]: sname[v] for s, v in ts.action[t].items()})
-              for t in ts.tokens}
+    action = {tname[t]: wrap({sname[s]: sname[v] for s, v in row.items()})
+              for t, row in dense_action(ts).items()}
     return TokenSystem(tuple(rng.sample(sorted(sname.values()), len(ts.states))),
                        tuple(rng.sample(sorted(tname.values()), len(ts.tokens))),
                        action, {tname[t]: tname[r] for t, r in ts.reverse.items()})
@@ -249,12 +251,12 @@ def test_index_matches_the_dense_routes(raw, seed):
         (t, [(i, states.index(v)) for i, s in enumerate(states) if (v := action[t][s]) != s])
         for t in toks]
     assert all(ts.moves(t) == {(s, v) for s, v in action[t].items() if v != s} for t in toks)
-    assert tokens._reverse_candidates(ts) == dense_reverse_candidates(states, toks, action)
+    assert reverse_candidates(ts) == dense_reverse_candidates(states, toks, action)
     assert walks.out_moves(ts) == dense_out_moves(ts)
     assert reverse_defect(ts) == dense_reverse_defect(ts)
     keep = random.Random(seed).sample(states, max(2, len(states) - 1))
     red = reduction(ts, keep)
-    cands = dense_reverse_candidates(red.states, red.tokens, red.action)
+    cands = dense_reverse_candidates(red.states, red.tokens, dense_action(red))
     unique = all(len(c) == 1 and c[0] != t for t, c in cands.items())
     assert red.reverse == ({t: c[0] for t, c in cands.items()} if unique else None)
     if decide_medium(ts).is_medium:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from tokenmedia import tokens
 from tokenmedia.arrangements import arrangement_medium, mosaic_window
 from tokenmedia.errors import InputError
 from tokenmedia.families import SetFamily, distance, family_medium
@@ -24,7 +25,7 @@ from tokenmedia.represent import (
 from tokenmedia.tokens import TokenSystem, reduction, straight_message
 
 import walks
-from conftest import hexagon_family, hexagon_variant_family, path3, two_state, wg_families
+from conftest import dense_action, hexagon_family, hexagon_variant_family, path3, two_state, wg_families
 from frozenset_labels import SetRepresentation, assert_reads_the_same
 from test_exact_check import small_systems
 
@@ -45,12 +46,12 @@ def bfs_contents(ts, base=None):
         raise InputError("contents need a reverse pairing")
     if base is None:
         base = ts.states[0]
-    gained = {base: frozenset()}
+    gained, act = {base: frozenset()}, dense_action(ts)
     queue = deque([base])
     while queue:
         cur = queue.popleft()
         for t in ts.tokens:
-            v = ts.action[t][cur]
+            v = act[t][cur]
             if v != cur and v not in gained:
                 gained[v] = gained[cur] | {t}
                 queue.append(v)
@@ -113,7 +114,7 @@ def assert_transports(ts, rep):
     """s.t = v iff alpha(s).beta(t) = alpha(v), checked for every token and
     state, plus the normalization of the family: empty intersection, union
     equal to the ground."""
-    alpha, family = rep.alpha, rep.family
+    alpha, family, act = rep.alpha, rep.family, dense_action(ts)
     members = set(family.sets)
     for t in ts.tokens:
         x, pol = rep.beta[t]
@@ -121,7 +122,7 @@ def assert_transports(ts, rep):
             image = alpha[s]
             moved = image | {x} if pol == "add" else image - {x}
             expected = moved if moved != image and moved in members else image
-            assert alpha[ts.action[t][s]] == expected, (t, s)
+            assert alpha[act[t][s]] == expected, (t, s)
     assert not frozenset.intersection(*family.sets)
     assert frozenset().union(*family.sets) == frozenset(family.ground)
 
@@ -129,7 +130,7 @@ def assert_transports(ts, rep):
 def lazy_four_cycle():
     """The 4-cycle family medium whose pair a refuses to act on one edge."""
     good = family_medium(SetFamily.of("ab", [set(), {"a"}, {"b"}, {"a", "b"}]))
-    action = {t: dict(good.action[t]) for t in good.tokens}
+    action = dense_action(good)
     action["add:a"]["{b}"] = "{b}"
     action["rem:a"]["{a,b}"] = "{a,b}"
     return TokenSystem(good.states, good.tokens, action, good.reverse)
@@ -197,9 +198,9 @@ def test_content_table_is_built_once():
     ts = family_medium(hexagon_family())
     table = contents(ts).contents
     again = contents(ts, base=ts.states[-1])
-    assert again.contents is table and again.base == ts.states[-1]
+    assert again.contents == table and again.base == ts.states[-1]  # built on each call, not kept
     positive_content_family(ts, orient_from_state(ts, ts.states[-1]))
-    assert contents(ts).contents is table
+    assert contents(ts).contents == table
     with pytest.raises(InputError):
         contents(ts, base="no such state")
 
@@ -430,18 +431,20 @@ def dense_verify_embedding(ts1, ts2, alpha, beta):
     """The embedding check entry by entry over states x tokens through the
     dense ``action`` tables, with reduced tokens matched by their rows: the
     oracle for ``verify_embedding``'s move-index route, on valid maps."""
+    act1, act2 = dense_action(ts1), dense_action(ts2)
     for t in ts1.tokens:
         for s in ts1.states:
-            if alpha[ts1.action[t][s]] != ts2.action[beta[t]][alpha[s]]:
+            if alpha[act1[t][s]] != act2[beta[t]][alpha[s]]:
                 return EmbeddingReport(
                     False,
                     mismatch={"state": s, "token": t,
-                              "source_result": ts1.action[t][s],
-                              "target_result": ts2.action[beta[t]][alpha[s]]},
+                              "source_result": act1[t][s],
+                              "target_result": act2[beta[t]][alpha[s]]},
                 )
     red = reduction(ts2, alpha.values())
-    by_action = {tuple(red.action[u][alpha[s]] for s in ts1.states): u for u in red.tokens}
-    matched = [by_action.get(tuple(alpha[ts1.action[t][s]] for s in ts1.states))
+    red_act = dense_action(red)
+    by_action = {tuple(red_act[u][alpha[s]] for s in ts1.states): u for u in red.tokens}
+    matched = [by_action.get(tuple(alpha[act1[t][s]] for s in ts1.states))
                for t in ts1.tokens]
     ok = None not in matched and set(matched) == set(red.tokens)
     return EmbeddingReport(True, reduction_isomorphic=ok)
@@ -486,11 +489,14 @@ class TestVerifyEmbedding:
         ts1, ts2, alpha, beta = case
         assert verify_embedding(ts1, ts2, alpha, beta) == dense_verify_embedding(ts1, ts2, alpha, beta)
 
-    def test_reads_no_dense_row(self):
+    def test_reads_no_dense_row(self, monkeypatch):
+        def refuse(states, ms):
+            raise AssertionError("a dense row was built")
+
+        monkeypatch.setattr(tokens, "_dense_row", refuse)
         ts = linear_medium(5)[0]
         report = verify_embedding(ts, ts, {s: s for s in ts.states}, {t: t for t in ts.tokens})
         assert report.embedding and report.reduction_isomorphic
-        assert "action" not in vars(ts)
 
     def test_identity_embedding(self):
         ts = family_medium(hexagon_family())

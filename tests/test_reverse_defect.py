@@ -19,6 +19,8 @@ from tokenmedia.arrangements import arrangement_medium, enumerate_regions, mosai
 from tokenmedia.linorders import linear_medium
 from tokenmedia.tokens import TokenSystem
 
+from conftest import reverse_candidates
+
 STATES = ("A", "B", "C")
 REV2 = {"t": "u", "u": "t"}
 REV4 = {"t": "u", "u": "t", "v": "w", "w": "v"}
@@ -30,7 +32,7 @@ def frozenset_reverse_defect(ts):
     move sets of all tokens, grouped before the first token is read."""
     if ts.reverse is None:
         return {"axiom": "M1", "kind": "missing-reverse-pairing"}
-    for t, cands in tokens._reverse_candidates(ts).items():
+    for t, cands in reverse_candidates(ts).items():
         declared = ts.reverse[t]
         if declared not in cands:
             return tokens._declared_breach(ts, t, declared)

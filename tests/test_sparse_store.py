@@ -1,8 +1,8 @@
-"""The sparse store of ``TokenSystem``: the builders, the ``action`` view and
+"""The sparse store of ``TokenSystem``: the builders, the dense table and
 the ``"moves"`` input.
 
-A system keeps only its move index; ``action``, the read-only dense table,
-is built from it the first time it is read.
+A system keeps only its move index; the dense table of its JSON document is
+built from it on each call of ``to_json_dict``.
 The oracles here are the dense-row builders that the five move builders
 replaced, kept as they were: each fills an identity row per token, sets the
 moves, and passes the table to the constructor.  Every builder must give the
@@ -33,10 +33,10 @@ from tokenmedia.cubes import graph_to_medium, is_partial_cube, medium_graph
 from tokenmedia.errors import InputError
 from tokenmedia.families import ADD_PREFIX, REMOVE_PREFIX, SetFamily, family_medium, set_name
 from tokenmedia.linorders import linear_medium, token_name
-from tokenmedia.represent import verify_embedding
+from tokenmedia.represent import contents, verify_embedding
 from tokenmedia.tokens import TokenSystem, reduction
 
-from conftest import path3, twisted_square, wg_families
+from conftest import dense_action, path3, reverse_candidates, twisted_square, wg_families
 
 
 # --- the dense-row builders ----------------------------------------------------
@@ -113,9 +113,9 @@ def dense_graph_to_medium(g):
 def dense_reduction(ts, keep):
     keep_set = frozenset(keep)
     states = tuple(s for s in ts.states if s in keep_set)
-    seen, order, action = set(), [], {}
+    seen, order, action, act = set(), [], {}, dense_action(ts)
     for t in ts.tokens:
-        row = {s: v if (v := ts.action[t][s]) in keep_set else s for s in states}
+        row = {s: v if (v := act[t][s]) in keep_set else s for s in states}
         sig = tuple(row.values())
         if sig == states or sig in seen:
             continue
@@ -123,7 +123,7 @@ def dense_reduction(ts, keep):
         order.append(t)
         action[t] = row
     plain = TokenSystem(states, tuple(order), action)
-    cands = tokens._reverse_candidates(plain)
+    cands = reverse_candidates(plain)
     if all(len(c) == 1 and c[0] != t for t, c in cands.items()):
         return TokenSystem(states, plain.tokens, action, {t: c[0] for t, c in cands.items()})
     return plain
@@ -208,40 +208,87 @@ def test_reductions_of_small_systems_match_their_dense_twins():
             assert_twins(reduction(ts, keep), dense_reduction(ts, keep))
 
 
-# --- the action view ---------------------------------------------------------------
+# --- the dense table ---------------------------------------------------------------
 
 
 def test_the_view_round_trips_through_the_constructor():
     for ts in (linear_medium(4)[0], family_medium(SetFamily.of("abc", [set(), {"a"}, {"a", "b"}])),
                twisted_square(), arrangement_medium(mosaic_window("triangular", 1))):
-        again = TokenSystem(ts.states, ts.tokens, ts.action, ts.reverse)
+        act = dense_action(ts)
+        again = TokenSystem(ts.states, ts.tokens, act, ts.reverse)
         assert again == ts and again._index_moves == ts._index_moves
-        assert dict(ts.action) == ts.to_json_dict()["action"]
-        assert list(ts.action) == list(ts.tokens) and len(ts.action) == len(ts.tokens)
+        assert dense_action(again) == act
+        assert list(act) == list(ts.tokens) and len(act) == len(ts.tokens)
         for t in ts.tokens:
-            assert list(ts.action[t]) == list(ts.states)
-            assert ts.action[t] is ts.action[t]  # built once, then kept
+            assert list(act[t]) == list(ts.states)
 
 
 def test_the_view_is_read_only():
+    # the written table is a fresh copy: editing it leaves the system as it was
     ts = path3()
     t, s = ts.tokens[0], ts.states[0]
-    with pytest.raises(TypeError):
-        ts.action[t][s] = ts.states[1]
-    with pytest.raises(TypeError):
-        ts.action[t] = {}
-    with pytest.raises(TypeError):
-        del ts.action[t]
+    act = dense_action(ts)
+    act[t][s] = ts.states[1]
+    act[ts.tokens[1]] = {}
+    del act[ts.tokens[2]]
+    assert dense_action(ts) == dense_action(path3()) and ts == path3()
     with pytest.raises(AttributeError):
         ts.states = ("A", "B")
-    assert ts.action.get("zz") is None and "zz" not in ts.action
+    assert not hasattr(ts, "action") and "zz" not in dense_action(ts)
+
+
+FIELDS = {"states", "tokens", "reverse", "_index", "_index_moves"}
 
 
 def test_the_store_keeps_no_dense_table():
     ts = TokenSystem.from_json_dict(linear_medium(3)[0].to_json_dict())
     ts.to_json_dict()
-    assert set(vars(ts)) == {"states", "tokens", "reverse", "_index", "_index_moves", "_moves"}
-    assert "action" not in vars(ts)  # no table is built until it is read
+    assert set(vars(ts)) == FIELDS
+    assert not hasattr(TokenSystem, "action")
+    for t in ts.tokens:
+        assert ts.moves(t) == ts.moves(t)
+    identity = verify_embedding(ts, ts, {s: s for s in ts.states}, {t: t for t in ts.tokens})
+    assert identity.embedding and identity.reduction_isomorphic
+    assert set(vars(ts)) == FIELDS  # no move set is kept, and no reduction stored
+    contents(ts)
+    assert set(vars(ts)) == FIELDS | {"_defect", "_decision"}  # the decision, but no content table
+
+
+def counted_constructions(monkeypatch) -> list:
+    """Patch ``TokenSystem.__init__`` to record each system built, in order."""
+    built, init = [], TokenSystem.__init__
+
+    def counting(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(TokenSystem, "__init__", counting)
+    return built
+
+
+def test_reduction_builds_one_system_and_verify_embedding_none(monkeypatch):
+    cube, pair = linear_medium(4)[0], path3()
+    ring = family_medium(SetFamily.of("abc", [set(), {"a"}, {"a", "b"}]))
+    lone = TokenSystem(("S", "T"), ("t",), {"t": {"S": "T", "T": "T"}})
+    swap = TokenSystem(("A", "B", "C"), ("s",), moves={"s": {"A": "B", "B": "A", "C": "A"}})
+    built = counted_constructions(monkeypatch)
+    # paired; no tokens left; no reverse for t; s its own reverse on A and B
+    cases = [(cube, cube.states[:7], True), (ring, ring.states, True), (pair, ["P", "R"], True),
+             (lone, lone.states, False), (swap, ["A", "B"], False)]
+    for ts, keep, paired in cases:
+        built.clear()
+        red = reduction(ts, keep)
+        assert built == [red] and (red.reverse is not None) == paired
+    built.clear()
+    # b1 stays in the reduction of path3 to P and Q, and nothing maps onto it
+    for ts1, ts2, alpha, beta, isomorphic in [
+            (cube, cube, {s: s for s in cube.states}, {t: t for t in cube.tokens}, True),
+            (lone, pair, {"S": "P", "T": "Q"}, {"t": "f1"}, False),
+            (pair, cube, {"P": "1234", "Q": "2134", "R": "2314"},
+             {"f1": "t:2<1", "b1": "t:1<2", "f2": "t:3<1", "b2": "t:1<3"}, True)]:
+        report = verify_embedding(ts1, ts2, alpha, beta)
+        assert report.embedding and report.reduction_isomorphic is isomorphic
+    assert built == []
 
 
 def test_build_and_print_builds_no_dense_row(monkeypatch, capsys, tmp_path):
@@ -262,7 +309,6 @@ def test_build_and_print_builds_no_dense_row(monkeypatch, capsys, tmp_path):
     assert len(tokens.straight_message(ts, "1234", "4321")) == 6
     identity = verify_embedding(ts, ts, {s: s for s in ts.states}, {t: t for t in ts.tokens})
     assert identity.embedding and identity.reduction_isomorphic
-    assert "action" not in vars(ts)
 
 
 def test_a_constructor_needs_exactly_one_form():
@@ -292,7 +338,7 @@ def test_moves_are_validated(moves, message):
 def test_moves_in_any_order_give_the_index_in_state_order():
     ts = TokenSystem(("a", "b", "c"), ("t",), moves={"t": {"c": "a", "a": "b"}})
     assert ts._index_moves == {"t": [(0, 1), (2, 0)]}
-    assert dict(ts.action["t"]) == {"a": "b", "b": "b", "c": "a"}
+    assert dense_action(ts)["t"] == {"a": "b", "b": "b", "c": "a"}
 
 
 # --- "moves" documents on the command line ------------------------------------------

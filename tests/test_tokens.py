@@ -25,7 +25,7 @@ from tokenmedia.tokens import (
 )
 
 import walks
-from conftest import path3, power_set_family, two_state, wg_families
+from conftest import dense_action, path3, power_set_family, two_state, wg_families
 from test_json_writer import systems as drawn_systems
 
 
@@ -77,7 +77,7 @@ class TestConstruction:
         ts = path3()
         first = ts.moves("f1")
         assert first == frozenset({("P", "Q")})
-        assert ts.moves("f1") is first
+        assert ts.moves("f1") == first  # built from the index on each call, not kept
         with pytest.raises(InputError, match="unknown token"):
             ts.moves("zz")
 
@@ -418,7 +418,7 @@ class TestReduction:
         again = reduction(ts, ts.states)
         assert again.states == ts.states
         assert again.tokens == ts.tokens
-        assert again.action == ts.action
+        assert dense_action(again) == dense_action(ts)
         assert again.reverse == ts.reverse
 
     def test_cube_to_chain_is_a_medium(self):
@@ -441,7 +441,7 @@ class TestReduction:
 
 def _all_straight_messages(ts, source, max_len):
     """Exhaustive straight-message enumeration (independent of the BFS search)."""
-    rev = ts.reverse
+    rev, act = ts.reverse, dense_action(ts)
     out = []
 
     def walk(cur, path, used):
@@ -450,7 +450,7 @@ def _all_straight_messages(ts, source, max_len):
         if len(path) == max_len:
             return
         for t in ts.tokens:
-            v = ts.action[t][cur]
+            v = act[t][cur]
             if v == cur or rev[t] in used:
                 continue
             path.append(t)
@@ -501,7 +501,7 @@ def _violates_m2(ts, rev):
 
 
 def _violates_m3(ts, rev, bound):
-    act = ts.action
+    act = dense_action(ts)
     tokens = ts.tokens
     index = {t: i for i, t in enumerate(tokens)}
     canon = {t: (t if index[t] < index[rev[t]] else rev[t]) for t in tokens}
@@ -560,7 +560,7 @@ def _violates_m3(ts, rev, bound):
 
 
 def _violates_m4(ts, rev, bound):
-    act = ts.action
+    act = dense_action(ts)
     tokens = ts.tokens
     # first straight message seen per (produced state, content token)
     record: dict[tuple[str, str], tuple[str, tuple[str, ...]]] = {}
@@ -640,9 +640,9 @@ FIRST_FAILURES = {
 def _messages_up_to(ts, bound):
     """How many stepwise-effective messages of length 1..bound start anywhere."""
     ending = {s: 1 for s in ts.states}
-    total = 0
+    total, act = 0, dense_action(ts)
     for _ in range(bound):
-        ending = {s: sum(ending[v] for t in ts.tokens if (v := ts.action[t][s]) != s)
+        ending = {s: sum(ending[v] for t in ts.tokens if (v := act[t][s]) != s)
                   for s in ts.states}
         total += sum(ending.values())
     return total
