@@ -118,7 +118,7 @@ def dense_action(ts) -> dict[str, dict[str, str]]:
 def reverse_candidates(ts) -> dict[str, list[str]]:
     """Each token's reverse candidates, in token order: the tokens whose moves
     are exactly its inverted moves, found through the move index by move set.
-    The M1 oracle, as ``tokens.reduction`` once read it."""
+    The oracle of M1 and of the pairing ``tokens.reduction`` gives."""
     moves = {t: frozenset(ms) for t, ms in ts._index_moves.items()}
     by_moves: dict[frozenset, list[str]] = {}
     for t, ms in moves.items():

@@ -245,8 +245,7 @@ def test_the_store_keeps_no_dense_table():
     ts.to_json_dict()
     assert set(vars(ts)) == FIELDS
     assert not hasattr(TokenSystem, "action")
-    for t in ts.tokens:
-        assert ts.moves(t) == ts.moves(t)
+    assert all(ts.moves(t) for t in ts.tokens)
     identity = verify_embedding(ts, ts, {s: s for s in ts.states}, {t: t for t in ts.tokens})
     assert identity.embedding and identity.reduction_isomorphic
     assert set(vars(ts)) == FIELDS  # no move set is kept, and no reduction stored
