@@ -377,38 +377,41 @@ def media_isomorphic(ts1: TokenSystem, ts2: TokenSystem):
     colour1, colour2 = _joint_colours(ts1, ts2)
     if colour1 is None:
         return None
-    go2: dict[str, list[str]] = {v: [] for v in states2}  # the coordinates moving each state
-    ends = sorted((states2[j], states2[k], d2.beta[u][0]) for u, ms in moves2.items() for j, k in ms)
+    width = len(d1.sides)
+    bit2 = {t: 1 << y for y, pair in enumerate(d2.sides) for t in pair}
+    go2: dict[str, list[int]] = {v: [] for v in states2}  # the coordinate bits moving each state
+    ends = sorted((states2[j], states2[k], bit2[u]) for u, ms in moves2.items() for j, k in ms)
     for v, _, y in ends:  # in order of the target's name
         go2[v].append(y)
     tally = Counter(colour1.values())
     s0 = min(states1, key=lambda s: (tally[colour1[s]], s))
-    base = d1.alpha[s0]
-    shifted = {s: m ^ base for s, m in d1.alpha.items()}
-    order = sorted(states1, key=lambda s: (len(shifted[s]), s))
-    level: dict[str, int] = {}
-    steps: list[tuple[str, frozenset, list]] = []  # (coordinate, anchor, labels it completes)
-    for s in order:  # the last step up from the empty set to s's label adds its new coordinate
-        m = shifted[s]
-        for x in m - level.keys():
+    base = d1.labels[ts1._index[s0]]
+    shifted = [(s, m ^ base) for s, m in zip(states1, d1.labels)]
+    seen, level, steps = 0, [0] * width, []  # steps: (coordinate, anchor, labels it completes)
+    for s, m in sorted(shifted, key=lambda sm: (sm[1].bit_count(), sm[0])):
+        if m & ~seen:  # m's geodesic from 0 passes a label one smaller, so m adds one new coordinate
+            x = (m & ~seen).bit_length() - 1
             level[x] = len(steps)
-            steps.append((x, m - {x}, []))
+            steps.append((x, m ^ 1 << x, []))
+            seen |= m
         if m:
-            steps[max(map(level.__getitem__, m))][2].append((m, colour1[s]))
-    where2 = {m: v for v, m in d2.alpha.items()}
+            steps[max(compress(level, _digits(m, width)))][2].append((m, colour1[s]))
+    where2 = dict(zip(d2.labels, states2))
     work = count(1)
     for b in sorted(states2):
-        shift = d2.alpha[b]
+        shift = d2.labels[ts2._index[b]]
         if colour2[b] == colour1[s0]:
             pi = _coordinate_search(steps, go2, where2, colour2, shift, work)
             if pi is not None:
                 break
     else:
         return None
-    alpha = {s: where2[frozenset(map(pi.__getitem__, m)) ^ shift] for s, m in shifted.items()}
-    # keyed by coordinate and whether the token adds it once its family is translated
-    token2 = {(y, (pol == "add") != (y in shift)): u for u, (y, pol) in d2.beta.items()}
-    beta = {t: token2[(pi[x], (pol == "add") != (x in base))] for t, (x, pol) in d1.beta.items()}
+    alpha = {s: where2[sum(compress(pi, _digits(m, width))) ^ shift] for s, m in shifted}
+    beta = dict.fromkeys(ts1.tokens)
+    for x, pair in enumerate(d1.sides):
+        y = pi[x].bit_length() - 1
+        for side, t in enumerate(pair):  # t keeps its side iff both translations agree on x
+            beta[t] = d2.sides[y][side ^ (base >> x & 1) ^ (shift >> y & 1)]
     return alpha, beta
 
 
@@ -475,13 +478,14 @@ def _coordinate_search(steps, go2, where2, colour2, shift, work):
     """A map pi from ts1's coordinates to ts2's, or None, by backtracking on
     an explicit stack: each step's coordinate goes to an unused one moving
     its anchor's image, and the labels it completes must land on states of
-    their own colours in ts2's family.  Each candidate image tried and each
-    completed label checked is one unit of ``work`` (``_spend``)."""
-    pi: dict[str, str] = {}
-    used: set[str] = set()
+    their own colours in ts2's family.  ``pi[x]`` is the bit of x's image,
+    0 while x is unmapped, and ``used`` holds the images as one int.  Each
+    candidate image tried and each completed label checked is one unit of
+    ``work`` (``_spend``)."""
+    pi, used = [0] * len(steps), 0
 
     def image(m):
-        return frozenset(map(pi.__getitem__, m)) ^ shift
+        return sum(compress(pi, _digits(m, len(pi)))) ^ shift
 
     def lands(m, c):
         _spend(work)
@@ -490,18 +494,18 @@ def _coordinate_search(steps, go2, where2, colour2, shift, work):
     stack = [iter(go2[where2[shift]])]
     while stack:
         x, _, completed = steps[len(stack) - 1]
-        used.discard(pi.pop(x, None))  # back from a failed subtree: free x's image
+        used &= ~pi[x]  # back from a failed subtree: free x's image
         for y in stack[-1]:
             _spend(work)
             pi[x] = y
-            if y not in used and all(lands(m, c) for m, c in completed):
-                used.add(y)
+            if not used & y and all(lands(m, c) for m, c in completed):
+                used |= y
                 if len(stack) == len(steps):
                     return pi
                 stack.append(iter(go2[where2[image(steps[len(stack)][1])]]))
                 break
         else:
-            pi.pop(x, None)
+            pi[x] = 0
             stack.pop()
     return None
 

@@ -171,13 +171,13 @@ class TokenSystem:
         row for no undeclared token.  Every defect is a ParseError."""
         if not isinstance(doc, dict):
             raise ParseError("token system document must be a JSON object")
-        sparse = "moves" in doc
-        if sparse and "action" in doc:
+        if "moves" in doc and "action" in doc:
             raise ParseError("token system document gives both 'action' and 'moves'")
+        kind = "moves" if "moves" in doc else "action"
         try:
             raw_states = doc["states"]
             raw_tokens = doc["tokens"]
-            table = doc["moves" if sparse else "action"]
+            table = doc[kind]
         except (KeyError, TypeError) as exc:
             raise ParseError(f"token system document missing field: {exc}") from None
         states = tuple(str(s) for s in json_list(raw_states, "token system 'states'"))
@@ -197,22 +197,12 @@ class TokenSystem:
                 reverse[str(entry["id"])] = str(entry["reverse"])
         if saw_reverse and len(reverse) != len(tokens):
             raise ParseError("either every token or no token may declare a reverse")
-        if sparse:
-            if not isinstance(table, dict):
-                raise ParseError("token system 'moves' must be a JSON object")
-            rows = table
-        else:
-            try:
-                rows = {t: table[t] for t in tokens}
-            except (KeyError, TypeError):
-                raise ParseError("action table must have one row per declared token") from None
-        if not all(isinstance(row, dict) for row in rows.values()):
-            raise ParseError(f"each {'moves' if sparse else 'action'} row must be a JSON object")
-        try:
-            if sparse:
-                return cls(states, tuple(tokens), reverse=reverse if saw_reverse else None,
-                           moves=rows)
-            return cls(states, tuple(tokens), rows, reverse if saw_reverse else None)
+        if not isinstance(table, dict):
+            raise ParseError(f"token system {kind!r} must be a JSON object")
+        if not all(isinstance(row, dict) for row in table.values()):
+            raise ParseError(f"each {kind} row must be a JSON object")
+        try:  # the constructor's one validation walk checks the rows against the tokens
+            return cls(states, tuple(tokens), reverse=reverse if saw_reverse else None, **{kind: table})
         except InputError as exc:
             raise ParseError(str(exc)) from None
 
@@ -515,9 +505,11 @@ def _twins(moves) -> dict[str, list[str]]:
 def _declared_breach(ts, t, declared):
     moves = ts._index_moves
     for first, then in ((t, declared), (declared, t)):
-        image = dict(moves[then])
+        ms = moves[then]
         for i, j in moves[first]:
-            if image.get(j, j) != i:
+            back = j, i  # then must move j back to i; its moves are sorted, so bisect
+            k = bisect_left(ms, back)
+            if k == len(ms) or ms[k] != back:
                 return {"axiom": "M1", "kind": "declared-not-reverse", "token": t,
                         "declared": declared, "state": ts.states[i], "message": [first, then]}
     # unreachable: declared not a candidate implies a breach on some move

@@ -9,8 +9,8 @@ in ``frozenset_labels``: one frozenset per state, toggled along the BFS
 tree, renamed into positive contents and written by a scan of the ground.
 Both must give the same verdict, witness, alpha, beta, family, contents,
 orientations, positive families and documents, on drawn systems and on the
-reference media.  Deciding, checking and representing must keep no set per
-state until ``alpha`` is read.
+reference media.  Deciding, checking, representing and the isomorphism
+search must keep no set per state until ``alpha`` is read.
 """
 
 import gc
@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tokenmedia.arrangements import arrangement_medium, mosaic_window
+from tokenmedia.cubes import media_isomorphic
 from tokenmedia.errors import InputError
 from tokenmedia.families import SetFamily, family_medium
 from tokenmedia.linorders import linear_medium
@@ -42,6 +43,7 @@ from frozenset_labels import (
     set_pair_decision,
     set_positive_content_family,
 )
+from test_decide_routes import relabel
 from test_exact_check import small_systems
 from test_large_media import chain
 from tuple_potentials import fresh
@@ -116,7 +118,9 @@ def test_no_route_builds_the_label_sets_until_alpha_is_read():
     decision.to_json_dict()
     rep = positive_content_family(ts, orient_from_state(ts, ts.states[-1]))
     rep.to_json_dict()
-    for built in (decision, rep):
+    other = relabel(ts, random.Random(120))
+    assert media_isomorphic(ts, other) is not None
+    for built in (decision, rep, decide_medium(other)):
         assert "alpha" not in vars(built) and "family" not in vars(built)
         assert len(built.labels) == len(ts.states) and all(type(x) is int for x in built.labels)
     assert decide_medium(ts) is decision

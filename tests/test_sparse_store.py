@@ -385,6 +385,9 @@ BAD_DOCUMENTS = {
     "empty-row": {**TWO, "moves": {**GOOD_MOVES, "u": {}}},
     "row-not-an-object": {**TWO, "moves": {**GOOD_MOVES, "u": [["b", "a"]]}},
     "moves-not-an-object": {**TWO, "moves": [["t", "a", "b"]]},
+    "undeclared-token-dense": {**TWO, "action": {"t": {"a": "b", "b": "b"}, "u": {"a": "a", "b": "a"},
+                                                 "v": {"a": "b", "b": "b"}}},
+    "action-not-an-object": {**TWO, "action": [["t", "a", "b"]]},
 }
 
 
@@ -395,6 +398,20 @@ def test_bad_moves_documents_are_parse_errors(name, tmp_path, capsys):
     assert cli.main(["check", str(path)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("parse error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name, message", [
+    ("undeclared-token-dense", "action table must have exactly one row per token"),
+    ("action-not-an-object", "token system 'action' must be a JSON object"),
+    ("moves-not-an-object", "token system 'moves' must be a JSON object"),
+])
+def test_both_tables_get_one_check(name, message, tmp_path, capsys):
+    # the dense table goes whole to the constructor's walk, as the moves do,
+    # so a row for an undeclared token is refused, not dropped
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(BAD_DOCUMENTS[name]))
+    assert cli.main(["check", str(path)]) == 2
+    assert capsys.readouterr().err == f"parse error: {message}\n"
 
 
 def test_the_good_moves_document_is_a_medium(tmp_path, capsys):
