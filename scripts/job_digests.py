@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """One digest per benchmark workload of what every job prints.
 
-    python3 scripts/job_digests.py --seed 1 [--tree DIR] [--workloads W ...]
+    python3 scripts/job_digests.py --seed 1 [--tree DIR]
 
 Every job of each workload is built at the seed with
 ``perfbench/workloads.py`` and run once, in process.  The script prints the
@@ -33,11 +33,9 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def parse_args(argv=None):
-    names = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--seed", type=int, required=True, help="makes every generated input")
     p.add_argument("--tree", type=Path, default=ROOT, help="the checkout whose src/ runs the jobs")
-    p.add_argument("--workloads", nargs="+", choices=names, default=names)
     return p.parse_args(argv)
 
 
@@ -83,7 +81,8 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as scratch:
         os.chdir(scratch)
         try:
-            for name in args.workloads:
+            for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]:
+                name = w["name"]
                 directory = Path(name)
                 directory.mkdir()
                 jobs = workloads.WORKLOADS[name](args.seed, directory)

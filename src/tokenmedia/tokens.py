@@ -505,11 +505,9 @@ def _twins(moves) -> dict[str, list[str]]:
 def _declared_breach(ts, t, declared):
     moves = ts._index_moves
     for first, then in ((t, declared), (declared, t)):
-        ms = moves[then]
+        image = dict(moves[then])
         for i, j in moves[first]:
-            back = j, i  # then must move j back to i; its moves are sorted, so bisect
-            k = bisect_left(ms, back)
-            if k == len(ms) or ms[k] != back:
+            if image.get(j, j) != i:
                 return {"axiom": "M1", "kind": "declared-not-reverse", "token": t,
                         "declared": declared, "state": ts.states[i], "message": [first, then]}
     # unreachable: declared not a candidate implies a breach on some move

@@ -6,8 +6,7 @@ with equal moves are looked for only once a token passes.
 ``frozenset_reverse_defect``, the former route, grouped the move set of
 every token first and read each token's candidates off the groups.  Both
 must give the same witness: kind, token, declared reverse, state, message,
-and the candidates in the same order.  A declared reverse's breach is found
-by bisecting its sorted moves; the former route built a dict of them.
+and the candidates in the same order.
 """
 
 import itertools
@@ -28,29 +27,15 @@ REV4 = {"t": "u", "u": "t", "v": "w", "w": "v"}
 REV_AB = {"a": "b", "b": "a"}
 
 
-def dict_declared_breach(ts, t, declared):
-    """The former ``_declared_breach``: the reverse's moves as a dict."""
-    moves = ts._index_moves
-    for first, then in ((t, declared), (declared, t)):
-        image = dict(moves[then])
-        for i, j in moves[first]:
-            if image.get(j, j) != i:
-                return {"axiom": "M1", "kind": "declared-not-reverse", "token": t,
-                        "declared": declared, "state": ts.states[i], "message": [first, then]}
-    # unreachable: declared not a candidate implies a breach on some move
-    return {"axiom": "M1", "kind": "declared-not-reverse", "token": t, "declared": declared}
-
-
 def frozenset_reverse_defect(ts):
     """The former ``_find_reverse_defect``: each token's candidates from the
-    move sets of all tokens, grouped before the first token is read, and a
-    declared reverse's breach found by a dict of its moves."""
+    move sets of all tokens, grouped before the first token is read."""
     if ts.reverse is None:
         return {"axiom": "M1", "kind": "missing-reverse-pairing"}
     for t, cands in reverse_candidates(ts).items():
         declared = ts.reverse[t]
         if declared not in cands:
-            return dict_declared_breach(ts, t, declared)
+            return tokens._declared_breach(ts, t, declared)
         if len(cands) > 1:
             return {"axiom": "M1", "kind": "ambiguous-reverse", "token": t, "candidates": cands}
     return None

@@ -388,6 +388,8 @@ BAD_DOCUMENTS = {
     "undeclared-token-dense": {**TWO, "action": {"t": {"a": "b", "b": "b"}, "u": {"a": "a", "b": "a"},
                                                  "v": {"a": "b", "b": "b"}}},
     "action-not-an-object": {**TWO, "action": [["t", "a", "b"]]},
+    "one-state-dense-missing-row": {"states": ["a"], "tokens": ["t", "u"], "action": {"t": {"a": "a"}}},
+    "duplicate-token-dense-missing-row": {"states": ["a", "b"], "tokens": ["t", "t"], "action": {}},
 }
 
 
@@ -404,10 +406,13 @@ def test_bad_moves_documents_are_parse_errors(name, tmp_path, capsys):
     ("undeclared-token-dense", "action table must have exactly one row per token"),
     ("action-not-an-object", "token system 'action' must be a JSON object"),
     ("moves-not-an-object", "token system 'moves' must be a JSON object"),
+    ("one-state-dense-missing-row", "a token system needs more than one state"),
+    ("duplicate-token-dense-missing-row", "duplicate token ids"),
 ])
 def test_both_tables_get_one_check(name, message, tmp_path, capsys):
     # the dense table goes whole to the constructor's walk, as the moves do,
-    # so a row for an undeclared token is refused, not dropped
+    # so a row for an undeclared token is refused, not dropped, and the
+    # constructor's state and token checks come before any row check
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(BAD_DOCUMENTS[name]))
     assert cli.main(["check", str(path)]) == 2
