@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import sys
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
@@ -66,11 +65,12 @@ class Arrangement:
             raise InputError("an arrangement needs at least one line")
         rows, classes = [], set()
         for l in self.lines:  # scaled by the lcm of the denominators, a positive factor
-            d = math.lcm(l.a.denominator, l.b.denominator, l.c.denominator)
-            row = tuple(v.numerator * (d // v.denominator) for v in (l.a, l.b, l.c))
-            g = math.gcd(*row) * (1 if (row[0] or row[1]) > 0 else -1)
-            rows.append(row)
-            classes.add(tuple(v // g for v in row))  # its projective class: lead coefficient > 0
+            (an, ad), (bn, bd), (cn, cd) = [v.as_integer_ratio() for v in (l.a, l.b, l.c)]
+            d = math.lcm(ad, bd, cd)
+            a, b, c = an * (d // ad), bn * (d // bd), cn * (d // cd)
+            g = math.gcd(a, b, c) * (1 if (a or b) > 0 else -1)
+            rows.append((a, b, c))
+            classes.add((a // g, b // g, c // g))  # its projective class: lead coefficient > 0
         if len(classes) != len(rows):
             raise InputError("duplicate lines (projectively equal triples)")
         object.__setattr__(self, "_rows", rows)  # each line's integer coefficients
@@ -271,10 +271,10 @@ def _witness(arr, mask, lo, hi, lines, rows) -> tuple[Fraction, Fraction]:
 def enumerate_regions(arr: Arrangement) -> tuple[Region, ...]:
     """All open full-dimensional cells, each with an interior witness point.
 
-    Breadth-first search over the facets of the per-line sweep, starting at
-    the cell of a generic seed point and crossing each cell's lines in
-    ascending order.  The same pass folds each facet's x-range, two ranks,
-    into its two cells' x-extents and their masks of facet lines.  Every other
+    One pass over the facets of the per-line sweep folds each facet's x-range,
+    two ranks, into its two cells' x-extents and their masks of facet lines.
+    Breadth-first search then starts at the cell of a generic seed point and
+    crosses each cell's facet lines in ascending order.  Every other
     cell's witness is the point that Fourier-Motzkin elimination picks from
     its sign vector, read off its x-extent and one pass over its facet
     lines, so it depends on the cell alone.  Each region is built from its mask.
@@ -282,28 +282,31 @@ def enumerate_regions(arr: Arrangement) -> tuple[Region, ...]:
     names = _ground(arr)
     x, y = _generic_point(arr)
     start = sum(1 << k for k, (a, b, c) in enumerate(arr._rows) if a * x + b * y + c > 0)
-    neighbors: dict[int, list[int]] = defaultdict(list)
-    extent: dict[int, list] = {}
+    extent: dict[int, list] = {}  # per cell: the least and greatest rank, and its facet lines
     for k, mask, lo, hi in _facets(arr):
-        for cell, other in ((mask, mask | 1 << k), (mask | 1 << k, mask)):
-            neighbors[cell].append(other)
+        bit = 1 << k
+        for cell in (mask, mask | bit):
             span = extent.setdefault(cell, [lo, hi, 0])
             if lo < span[0]:
                 span[0] = lo
             if hi > span[1]:
                 span[1] = hi
-            span[2] |= 1 << k
+            span[2] |= bit
     # each line as (a, b, c, up), flipped to b > 0, or None if vertical; up: its positive side is above
     rows = [None if not b else (a, b, c, True) if b > 0 else (-a, -b, -c, False)
             for a, b, c in arr._rows]
-    found = {start: _region(start, names, (Fraction(x), Fraction(y)))}
-    order = [start]
-    for mask in order:
-        for other in neighbors[mask]:
-            if other not in found:
-                found[other] = _region(other, names, _witness(arr, other, *extent[other], rows))
+    order, seen = [start], {start}
+    for mask in order:  # a cell's neighbours across its facet lines, in ascending order
+        lines = extent[mask][2]
+        while lines:
+            other = mask ^ (lines & -lines)
+            lines &= lines - 1
+            if other not in seen:
+                seen.add(other)
                 order.append(other)
-    return tuple(found.values())
+    regions = [_region(start, names, (Fraction(x), Fraction(y)))]
+    regions += [_region(mask, names, _witness(arr, mask, *extent[mask], rows)) for mask in order[1:]]
+    return tuple(regions)
 
 
 def positive_token(k: int) -> str:
@@ -331,18 +334,19 @@ def region_adjacency(arr: Arrangement, regions: Iterable[Region]) -> LabeledGrap
     """
     regions = tuple(regions)
     names = [r.name for r in regions]
-    tokens = [(positive_token(k), negative_token(k)) for k in range(len(arr.lines))]
+    forward = [(positive_token(k), negative_token(k)) for k in range(len(arr.lines))]
+    backward = [pair[::-1] for pair in forward]
     index = {r.mask: i for i, r in enumerate(regions)}
-    crossed = []
+    n = len(regions)
+    crossed = {}  # per facet, by the positions of its sides, low first: its edge and label
     for k, mask, _, _ in _facets(arr):
         i, j = index.get(mask), index.get(mask | 1 << k)
         if i is not None and j is not None:
-            crossed.append((min(i, j), max(i, j), k, names[i], names[j]))
-    labels: dict[tuple[str, str], tuple[str, str]] = {}
-    for _, _, k, minus, plus in sorted(crossed):
-        e = (minus, plus) if minus < plus else (plus, minus)
-        # label = (token along (e[0] -> e[1]), its reverse)
-        labels[e] = tokens[k] if e[0] == minus else tokens[k][::-1]
+            minus, plus = names[i], names[j]
+            # label = (token along (e[0] -> e[1]), its reverse)
+            crossed[i * n + j if i < j else j * n + i] = (
+                ((minus, plus), forward[k]) if minus < plus else ((plus, minus), backward[k]))
+    labels = dict(map(crossed.__getitem__, sorted(crossed)))
     return LabeledGraph(tuple(names), tuple(labels), edge_labels=labels)
 
 
@@ -362,11 +366,11 @@ def arrangement_medium(arr: Arrangement,
         graph = region_adjacency(arr, regions)
     names = tuple(r.name for r in regions)
     pos: dict[str, dict[str, str]] = {positive_token(k): {} for k in range(len(arr.lines))}
-    for (u, v) in graph.edges:
-        forward, backward = graph.edge_labels[(u, v)]
-        if forward not in pos:
-            forward, u, v = backward, v, u
-        pos[forward][u] = v
+    for (u, v), (forward, backward) in graph.edge_labels.items():
+        if forward in pos:
+            pos[forward][u] = v
+        else:
+            pos[backward][v] = u
     return TokenSystem.from_pairs(names, ((t, negative_token(k), ms)
                                           for k, (t, ms) in enumerate(pos.items())))
 

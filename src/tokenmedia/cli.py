@@ -3,8 +3,9 @@
 Machine-readable JSON goes to stdout in the layout of the stdlib's
 ``json.dumps(doc, sort_keys=True, indent=2)``, so identical inputs give
 byte-identical outputs.  ``write_json`` writes it in one pass, joins each
-container once from its pieces with separators built once per depth, and lays
-out a system's dense ``action`` table from its moves.  Diagnostics go to stderr.
+container once from its pieces with separators built once per depth, lays out a
+list of string lists or of dicts of one key set by column, and a system's dense
+``action`` table from its moves.  Diagnostics go to stderr.
 Exit codes: 0 success/true, 1 semantic-false, 2 parse error or output that
 cannot be written (an unwritable ``--dot`` path, stdout closed by its
 reader), 3 resource cap.
@@ -100,7 +101,7 @@ _LAYOUT = _Layout()
 def _pieces(obj, depth: int) -> list:
     """The text of ``obj`` nested ``depth`` containers deep, as ``json.dumps(obj,
     sort_keys=True, indent=2)`` lays it out, as a flat list of pieces: each nested
-    container one piece, joined once, and the strings of a list of strings one.
+    container one piece, joined once, and the members of a list laid out by ``_column`` one.
     Strings take the stdlib's C escaping, and ints, booleans and None are written
     as ``json.dumps`` writes them; floats and anything else go through it."""
     if isinstance(obj, dict):
@@ -110,10 +111,13 @@ def _pieces(obj, depth: int) -> list:
             out += sep, _encode_str(key), ": ", (
                 _encode_str(value) if type(value) is str else "".join(_pieces(value, depth + 1)))
     elif isinstance(obj, (list, tuple)):
+        if not obj:
+            return ["[]"]
         opening, _, sep, closing, _ = _LAYOUT[depth]
-        try:
-            return [opening, sep.join(map(_encode_str, obj)), closing] if obj else ["[]"]
-        except TypeError:  # a member that is not a string
+        try:  # a list of strings here, saving a call, and any other through _column
+            texts = map(_encode_str, obj) if isinstance(obj[0], str) else _column(obj, depth + 1)
+            return [opening, sep.join(texts), closing]
+        except TypeError:  # members of another kind, or of mixed kinds
             out = []
             for value in obj:
                 out += sep, _encode_str(value) if type(value) is str else "".join(_pieces(value, depth + 1))
@@ -132,24 +136,42 @@ def _pieces(obj, depth: int) -> list:
     return out
 
 
+def _column(values, depth: int):
+    """The texts of the nonempty list ``values`` nested ``depth`` deep, if all strings, all
+    lists of strings or all dicts of one key set whose values by key are such columns: one map
+    or join per column, one template per dict.  Else TypeError, at the latest in the join."""
+    first = values[0]
+    if isinstance(first, str):
+        return map(_encode_str, values)
+    kinds = set(map(type, values))
+    if kinds == {list}:
+        opening, _, sep, closing, _ = _LAYOUT[depth]
+        return [opening + sep.join(map(_encode_str, v)) + closing if v else "[]" for v in values]
+    if kinds == {dict} and first and all(map(first.keys().__eq__, map(dict.keys, values))):
+        keys = sorted(first)
+        _, opening, sep, _, closing = _LAYOUT[depth]
+        row = opening + sep.join(_encode_str(k).replace("%", "%%") + ": %s" for k in keys) + closing
+        return map(row.__mod__, zip(*[_column([d[k] for d in values], depth + 1) for k in keys]))
+    raise TypeError("members of no one column kind")
+
+
 def _action_chunks(ts: tokens.TokenSystem, sep: str, depth: int) -> list:
     """The members of a system's dense action table, as ``_pieces`` lays out those of
     ``ts.to_json_dict()["action"]``, with their separator ``sep`` and rows nested
     ``depth`` deep, from the move index: the state names are escaped and ordered
     once, and each row is a copy of the fixed entries with its moves put in, joined once."""
     states = ts.states
-    names = [_encode_str(s) for s in states]
+    names = list(map(_encode_str, states))
     order = sorted(range(len(states)), key=states.__getitem__)
-    place = [0] * len(states)
-    for p, i in enumerate(order):
-        place[i] = p
-    fixed = [names[i] + ": " + names[i] for i in order]
+    place = sorted(range(len(states)), key=order.__getitem__)  # each state's rank in the order
+    keyed = [name + ": " for name in names]
+    fixed = [keyed[i] + names[i] for i in order]
     _, head, row_sep, _, tail = _LAYOUT[depth]
     out = []
     for t, ms in sorted(ts._index_moves.items()):
         row = fixed.copy()
         for i, j in ms:
-            row[place[i]] = names[i] + ": " + names[j]
+            row[place[i]] = keyed[i] + names[j]
         out += sep, _encode_str(t), ": ", head, row_sep.join(row), tail
     return out
 
@@ -256,12 +278,11 @@ def _cmd_linmedium(args) -> int:
 
 
 def _arrangement_pipeline(arrangement, dot=None) -> int:
-    """Emit the regions, graph, medium and family of the arrangement, and
-    write the region graph's DOT to ``dot`` if given."""
+    """Emit the regions, graph, medium and family (``region_family``'s, read off the regions)
+    of the arrangement, and write the region graph's DOT to ``dot`` if given."""
     regions = arr_mod.enumerate_regions(arrangement)
     graph = arr_mod.region_adjacency(arrangement, regions)
     ts = arr_mod.arrangement_medium(arrangement, regions, graph)
-    fam = arr_mod.region_family(arrangement, regions)
     try:
         region_docs = [r.to_json_dict() for r in regions]
     except ValueError as exc:  # a witness past the interpreter's digit limit for int-string conversion
@@ -271,7 +292,7 @@ def _arrangement_pipeline(arrangement, dot=None) -> int:
         "regions": region_docs,
         "graph": graph.to_json_dict(),
         "system": ts.to_json_dict(view=True),
-        "family": fam.to_json_dict(),
+        "family": {"ground": list(arr_mod._ground(arrangement)), "sets": [list(r.positive) for r in regions]},
     })
     return _write_dot(dot, graph) if dot else 0
 

@@ -59,16 +59,45 @@ scalars = st.one_of(
     st.sampled_from(Level),
     st.floats(allow_nan=True, allow_infinity=True),
 )
-keys = st.one_of(texts, texts.map(Text))
+strings = st.one_of(texts, texts.map(Text))
+string_lists = st.one_of(
+    st.lists(strings, max_size=4),
+    st.lists(strings, max_size=4).map(tuple),
+    st.lists(strings, max_size=4).map(Items),
+)
+# Keys a row template must escape or keep: braces, percent signs, quotes and non-ASCII text.
+column_keys = st.one_of(st.text(st.sampled_from('{}%s"\\\xe9\u20ac\U0001f600 a'), max_size=4), texts)
+
+
+@st.composite
+def column_lists(draw):
+    """Lists the writer may lay out by column: all string lists, or all dicts of one key
+    set whose values under a key are all strings, all string lists or of mixed kinds,
+    as lists, tuples or ``Items``, with empty members, and sometimes one member of
+    another type or key set."""
+    if draw(st.booleans()):
+        members = draw(st.lists(string_lists, min_size=1, max_size=6))
+    else:
+        names = draw(st.lists(column_keys, min_size=1, max_size=4, unique=True))
+        values = {k: draw(st.sampled_from([strings, string_lists, st.one_of(strings, string_lists, scalars)]))
+                  for k in names}
+        members = draw(st.lists(st.fixed_dictionaries(values).map(draw(st.sampled_from([dict, Table]))),
+                                min_size=1, max_size=6))
+    if draw(st.booleans()):
+        odd = draw(st.one_of(scalars, string_lists, st.dictionaries(column_keys, strings, max_size=3)))
+        members.insert(draw(st.integers(0, len(members))), odd)
+    return draw(st.sampled_from([list, tuple, Items]))(members)
+
+
 documents = st.recursive(
-    scalars,
+    st.one_of(scalars, column_lists()),
     lambda inner: st.one_of(
         st.lists(inner, max_size=5),
         st.lists(inner, max_size=5).map(tuple),
         st.lists(inner, max_size=5).map(Items),
         st.lists(texts, max_size=5).map(tuple),
-        st.dictionaries(keys, inner, max_size=5),
-        st.dictionaries(keys, inner, max_size=5).map(Table),
+        st.dictionaries(strings, inner, max_size=5),
+        st.dictionaries(strings, inner, max_size=5).map(Table),
     ),
     max_leaves=40,
 )
@@ -91,6 +120,14 @@ def test_writer_matches_the_stdlib(doc):
     {"": [], "a": {}, "b": [[], {}, ()]}, [{"k": [{"x": ()}]}],
     Text("t"), Items(), Table(), Level.HIGH, ["a", "b", 1], ["a", Text("b")], ("a", ["b"]),
     Table(b=Items(["x", Level.LOW]), a=(Text("y"), {"c": ()})), {"k": ("a", "b")},
+    # laid out by column, or not: string lists, and dicts of one key set
+    [["a", "b"], [], [Text("c")]], [["a"], ("b",)], [["a"], "b"], [["a"], [1]], [["a"], [["b"]]],
+    [{"%s": "x", "{0}": ["y"], '"': []}, {"%s": "%d", "{0}": [], '"': ["%%"]}],
+    [{"%%": "x", "a%": "%s"}, {"%%": "%", "a%": "y"}], [{"%(a)s": ["%"]}, {"%(a)s": []}],
+    [{"\xe9": "a", "b": "c"}, {"b": "d", "\xe9": "e"}], [{"a": "b"}, {"a": "c", "b": "d"}],
+    [{"a": "b"}, {"c": "d"}], [{"a": "b"}, {"a": ["c"]}], [{"a": "b"}, {"a": 1}], [{"a": "b"}, "c"],
+    [{"a": "b"}, Table(a="c")], [{}, {}], [{"a": {"b": ["c"]}}, {"a": {"b": []}}],
+    [{"a": {"b": "c"}}, {"a": {"d": "c"}}], ({"a": ("b",)}, {"a": ("c",)}),
 ])
 def test_edge_documents(doc):
     assert written(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
@@ -110,6 +147,17 @@ def test_a_key_that_is_not_a_string_raises_and_writes_nothing():
     out = io.StringIO()
     with pytest.raises(TypeError):
         write_json({"a": {1: "x"}}, out)
+    assert out.getvalue() == ""
+
+
+@pytest.mark.parametrize("doc", [
+    [{1: "x"}, {1: "y"}], [{"a": "x", 1: "y"}, {"a": "z", 1: "w"}], [{"a": {1: "x"}}, {"a": {1: "y"}}],
+    [["a"], {1: "x"}],
+])
+def test_a_key_that_is_not_a_string_raises_in_a_list_of_dicts(doc):
+    out = io.StringIO()
+    with pytest.raises(TypeError):
+        write_json(doc, out)
     assert out.getvalue() == ""
 
 
