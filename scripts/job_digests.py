@@ -1,14 +1,17 @@
 #!/usr/bin/env python3
 """One digest per benchmark workload of what every job prints.
 
-    python3 scripts/job_digests.py --seed 1 [--tree DIR]
+    python3 scripts/job_digests.py --seed 1 [--tree DIR] [--each]
 
 Every job of each workload is built at the seed with
 ``perfbench/workloads.py`` and run once, in process.  The script prints the
 directory tokenmedia was imported from, then one SHA-256 per workload over
 each job's name, exit code, stdout and stderr, in job order.  A call job's
 stdout is its rendered result, and a job that raises prints the
-exception's type and message as its stderr.  ``--tree`` imports ``src/``
+exception's type and message as its stderr.  ``--each`` also prints, before
+each workload's line, one indented line per job: its name and the SHA-256
+of its record alone, so that a mismatch between two trees names the job;
+the workload lines are the same with it or without it.  ``--tree`` imports ``src/``
 from another checkout (for example a ``git archive`` of a parent commit),
 so two trees that print the same digests print the same bytes on every
 job.  The inputs are written under a temporary directory, named by paths
@@ -36,6 +39,7 @@ def parse_args(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--seed", type=int, required=True, help="makes every generated input")
     p.add_argument("--tree", type=Path, default=ROOT, help="the checkout whose src/ runs the jobs")
+    p.add_argument("--each", action="store_true", help="also print one digest per job")
     return p.parse_args(argv)
 
 
@@ -61,12 +65,16 @@ def run(job, cli) -> tuple[str, int | None, str, str]:
     return job.name, rc, out.getvalue(), err.getvalue()
 
 
-def digest(records) -> str:
-    """SHA-256 over (name, exit code, stdout, stderr) records, one JSON line each."""
+def digest(records, each=None) -> str:
+    """SHA-256 over (name, exit code, stdout, stderr) records, one JSON line each.
+    With ``each``, a text file, each record also gets a line there: its name and
+    the SHA-256 of its JSON line alone, which is ``digest([record])``."""
     h = hashlib.sha256()
     for record in records:
-        h.update(json.dumps(list(record)).encode())
-        h.update(b"\n")
+        line = json.dumps(list(record)).encode() + b"\n"
+        h.update(line)
+        if each is not None:
+            print(f"  {record[0]} {hashlib.sha256(line).hexdigest()}", file=each, flush=True)
     return h.hexdigest()
 
 
@@ -86,7 +94,9 @@ def main(argv=None) -> int:
                 directory = Path(name)
                 directory.mkdir()
                 jobs = workloads.WORKLOADS[name](args.seed, directory)
-                print(f"{name} {len(jobs)} jobs {digest(run(job, cli) for job in jobs)}", flush=True)
+                records = (run(job, cli) for job in jobs)
+                print(f"{name} {len(jobs)} jobs {digest(records, sys.stdout if args.each else None)}",
+                      flush=True)
         finally:
             os.chdir(home)
     return 0

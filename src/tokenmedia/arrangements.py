@@ -1,18 +1,14 @@
 """Regions of finite line arrangements in the plane, exact and on integers.
 
-An integer literal is read by ``int``, any other by ``Fraction``.  Each line
-is scaled once, by a positive factor, to integer coefficients.  One sweep per
-arrangement meets each pair of lines once and keys their crossing by its
-reduced integer coordinates; the crossings on a line cut it into facets, open
-segments between two regions that differ in that line's sign alone, each with
-an x-range of two ranks into the sorted distinct x-values.  Regions are found
-by breadth-first search over the facets' sign masks, each with the witness
-Fourier-Motzkin elimination would pick, read off in integers from the x-span
-of its facets: Fractions are built only for the witnesses printed.  Each
-region is built from its mask, whose one binary string gives its signs,
-positive lines, name and printed signs; the region graph, one edge per facet,
-finds regions by mask.  The token system of regions under line crossings is
-always a medium; mosaic windows stand in for the locally finite families.
+An integer literal is read by ``int``, any other by ``Fraction``; each line is
+scaled once to integer coefficients.  One sweep cuts every line into facets at
+its crossings.  ``_cells`` finds each cell's sign mask by breadth-first search
+over the facets, with the witness Fourier-Motzkin elimination would pick, in
+integers; ``_crossings``, one pass over the facets, gives the region graph's
+edges and the medium's moves.  The CLI prints from these integers, and
+``enumerate_regions``, ``region_adjacency`` and ``arrangement_medium`` wrap them.
+The token system of regions under line crossings is always a medium; mosaic
+windows stand in for the locally finite families.
 """
 
 from __future__ import annotations
@@ -30,7 +26,9 @@ from .errors import CapError, InputError, ParseError
 from .families import SetFamily, set_name
 from .tokens import TokenSystem
 
-MOSAIC_KINDS = ("triangular", "truncated-square")
+# each mosaic kind's pencils of lines a*x + b*y = t, by their normals (a, b)
+_PENCILS = {"triangular": [(0, 1), (-1, 1), (-1, 2)], "truncated-square": [(1, 0), (0, 1), (1, 1), (1, -1)]}
+MOSAIC_KINDS = tuple(_PENCILS)
 # The largest window tested.  Its printed dense action table grows as radius**3;
 # the system stores only the moves, which grow as radius**2.
 MOSAIC_MAX_RADIUS = 12
@@ -135,11 +133,8 @@ class Region:
         return self._sign_string
 
     def to_json_dict(self) -> dict:
-        return {
-            "signs": self._sign_string,
-            "witness": [str(self.witness[0]), str(self.witness[1])],
-            "positive": list(self.positive),
-        }
+        return {"signs": self._sign_string, "witness": list(map(str, self.witness)),
+                "positive": list(self.positive)}
 
 
 def _region(mask: int, names: tuple[str, ...], witness) -> Region:
@@ -162,17 +157,15 @@ def _generic_point(arr) -> tuple[int, int]:
 
 
 def _facets(arr) -> list[tuple[int, int, int, int]]:
-    """Every facet as (k, mask, lo, hi): an open segment of line k between
-    consecutive crossings, with the cells of sign masks ``mask`` and
-    ``mask | 1 << k`` on its two sides and xs[lo] <= x <= xs[hi] on its
-    closure.  ``xs``, stored as ``arr._xs``, holds the distinct x-values of
-    crossings and vertical lines as reduced pairs (n, d > 0), sorted once,
-    between None at rank 0 and at the last rank for the unbounded ends.
-    Each pair of rows is met once; its crossing is keyed by its reduced
-    integer coordinates, so concurrent lines share it.  Line k is walked
-    along (-b, a) (x falling if b > 0, else rising; y rising iff a > 0 if
-    b == 0), flipping at each point the lines through it.  Facets come out
-    in ascending k; the sweep runs once per arrangement and is stored on it."""
+    """Every facet as (k, mask, lo, hi), in ascending k: an open segment of
+    line k between consecutive crossings, with the cells of masks ``mask`` and
+    ``mask | 1 << k`` on its sides and xs[lo] <= x <= xs[hi] on its closure.
+    ``arr._xs`` holds the distinct x-values of crossings and vertical lines as
+    reduced pairs (n, d > 0), sorted, between None at both ends.  Each pair of
+    rows is met once, its crossing keyed by its reduced integer coordinates, so
+    concurrent lines share it; line k is walked along (-b, a) (x falling if b > 0,
+    else rising; y rising iff a > 0 if b == 0), flipping at each point the lines
+    through it.  The sweep runs once per arrangement and is stored on it."""
     if arr._facets is not None:
         return arr._facets
 
@@ -238,12 +231,11 @@ def _pick(lo, hi) -> tuple[int, int]:
     return (lo[0] + lo[1], lo[1]) if hi is None else (lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1])
 
 
-def _witness(arr, mask, lo, hi, lines, rows) -> tuple[Fraction, Fraction]:
+def _witness(arr, mask, lo, hi, lines, rows) -> tuple[tuple[int, int], tuple[int, int]]:
     """The Fourier-Motzkin witness of the cell with this sign mask and x-extent
-    (xs[lo], xs[hi]) in ``arr._xs``: x inside it, then y inside the cell's
-    y-range at x, found in integers over the rows (a, b, c, up) of the facet
-    lines in the mask ``lines``, whose half-planes alone cut it out.  The two
-    coordinates returned are the only Fractions built."""
+    (xs[lo], xs[hi]) in ``arr._xs``: x inside it, then y inside the cell's y-range
+    at x, over the rows (a, b, c, up) of the facet lines in the mask ``lines``,
+    whose half-planes alone cut it out; each a pair (n, d > 0), not reduced."""
     xs = arr._xs
     if lo == hi:
         # a half-plane whose one facet line is vertical: its open side is that line's sign
@@ -265,21 +257,15 @@ def _witness(arr, mask, lo, hi, lines, rows) -> tuple[Fraction, Fraction]:
             above = (n, b)
     y_lo = None if below is None else (below[0], below[1] * q)
     y_hi = None if above is None else (above[0], above[1] * q)
-    return (Fraction(p, q), Fraction(*_pick(y_lo, y_hi)))
+    return ((p, q), _pick(y_lo, y_hi))
 
 
-def enumerate_regions(arr: Arrangement) -> tuple[Region, ...]:
-    """All open full-dimensional cells, each with an interior witness point.
-
-    One pass over the facets of the per-line sweep folds each facet's x-range,
-    two ranks, into its two cells' x-extents and their masks of facet lines.
-    Breadth-first search then starts at the cell of a generic seed point and
-    crosses each cell's facet lines in ascending order.  Every other
-    cell's witness is the point that Fourier-Motzkin elimination picks from
-    its sign vector, read off its x-extent and one pass over its facet
-    lines, so it depends on the cell alone.  Each region is built from its mask.
-    """
-    names = _ground(arr)
+def _cells(arr: Arrangement) -> tuple[list[int], list[tuple]]:
+    """Every open cell's sign mask, in breadth-first order from the cell of a
+    generic point, crossing each cell's facet lines in ascending order, and its
+    witness (x, y), each coordinate a pair (n, d > 0), not reduced: for every
+    other cell the point Fourier-Motzkin elimination picks, read off the x-extent
+    and facet lines that one pass over the facets folds for it."""
     x, y = _generic_point(arr)
     start = sum(1 << k for k, (a, b, c) in enumerate(arr._rows) if a * x + b * y + c > 0)
     extent: dict[int, list] = {}  # per cell: the least and greatest rank, and its facet lines
@@ -304,9 +290,37 @@ def enumerate_regions(arr: Arrangement) -> tuple[Region, ...]:
             if other not in seen:
                 seen.add(other)
                 order.append(other)
-    regions = [_region(start, names, (Fraction(x), Fraction(y)))]
-    regions += [_region(mask, names, _witness(arr, mask, *extent[mask], rows)) for mask in order[1:]]
-    return tuple(regions)
+    witnesses = [((x, 1), (y, 1))]
+    witnesses += [_witness(arr, mask, *extent[mask], rows) for mask in order[1:]]
+    return order, witnesses
+
+
+def enumerate_regions(arr: Arrangement) -> tuple[Region, ...]:
+    """All open cells with interior witnesses: ``_cells``' cells, each built from its mask."""
+    names, (masks, witnesses) = _ground(arr), _cells(arr)
+    return tuple(_region(mask, names, (Fraction(*x), Fraction(*y)))
+                 for mask, (x, y) in zip(masks, witnesses))
+
+
+def _ratio(n: int, d: int) -> str:
+    """n / d (d > 0) as ``str(Fraction(n, d))`` prints it; past the digit limit, ValueError."""
+    g = math.gcd(n, d)
+    return str(n // g) if d == g else f"{n // g}/{d // g}"
+
+
+def _cell_documents(arr: Arrangement, masks, witnesses) -> tuple[tuple[str, ...], list[dict]]:
+    """The cells' names and documents, as ``Region`` names and writes them, laid
+    out from each mask's one binary string and its int witness."""
+    ground = _ground(arr)
+    top = 1 << len(ground)
+    names, docs = [], []
+    for mask, (x, y) in zip(masks, witnesses):
+        digits = bin(mask | top)[:2:-1].encode()  # line 1 first
+        positive = list(compress(ground, digits.translate(_BITS)))
+        names.append("{" + ",".join(positive) + "}")
+        docs.append({"signs": digits.translate(_SIGN_CHARS).decode(),
+                     "witness": [_ratio(*x), _ratio(*y)], "positive": positive})
+    return tuple(names), docs
 
 
 def positive_token(k: int) -> str:
@@ -325,29 +339,36 @@ def _ground(arr) -> tuple[str, ...]:
     return tuple(str(i + 1) for i in range(len(arr.lines)))
 
 
-def region_adjacency(arr: Arrangement, regions: Iterable[Region]) -> LabeledGraph:
-    """Region graph: one edge per facet, labeled by its line's token pair.
-
-    A facet is skipped unless both of its sides are among ``regions``, so a
-    subset of the cells gives its induced subgraph.  Labels are recorded in
-    order of the positions of each edge's two regions in ``regions``.
-    """
-    regions = tuple(regions)
-    names = [r.name for r in regions]
-    forward = [(positive_token(k), negative_token(k)) for k in range(len(arr.lines))]
-    backward = [pair[::-1] for pair in forward]
-    index = {r.mask: i for i, r in enumerate(regions)}
-    n = len(regions)
-    crossed = {}  # per facet, by the positions of its sides, low first: its edge and label
+def _crossings(arr: Arrangement, masks, names) -> tuple[dict, list[tuple]]:
+    """One pass over the facets with both sides among the cells of masks ``masks``,
+    named ``names``: each keyed by its sides' positions, low * R + high, with its
+    edge (two names in order) and label (the token along it and its reverse), and
+    per line k the ``TokenSystem.from_pairs`` triple (pos:k, neg:k, pos:k's moves)."""
+    index = dict(zip(masks, count()))
+    n = len(masks)
+    pairs = [(positive_token(k), negative_token(k), {}) for k in range(len(arr.lines))]
+    forward = [pair[:2] for pair in pairs]
+    backward = [pair[1::-1] for pair in pairs]
+    crossed = {}
     for k, mask, _, _ in _facets(arr):
         i, j = index.get(mask), index.get(mask | 1 << k)
         if i is not None and j is not None:
             minus, plus = names[i], names[j]
-            # label = (token along (e[0] -> e[1]), its reverse)
+            pairs[k][2][minus] = plus
             crossed[i * n + j if i < j else j * n + i] = (
                 ((minus, plus), forward[k]) if minus < plus else ((plus, minus), backward[k]))
+    return crossed, pairs
+
+
+def region_adjacency(arr: Arrangement, regions: Iterable[Region]) -> LabeledGraph:
+    """Region graph: one edge per facet with both sides among ``regions`` (so a
+    subset of the cells gives its induced subgraph), labeled by its line's token
+    pair; labels in order of the positions of each edge's two regions."""
+    regions = tuple(regions)
+    names = tuple(r.name for r in regions)
+    crossed, _ = _crossings(arr, [r.mask for r in regions], names)
     labels = dict(map(crossed.__getitem__, sorted(crossed)))
-    return LabeledGraph(tuple(names), tuple(labels), edge_labels=labels)
+    return LabeledGraph(names, tuple(labels), edge_labels=labels)
 
 
 def region_family(arr: Arrangement, regions: Iterable[Region]) -> SetFamily:
@@ -358,21 +379,12 @@ def region_family(arr: Arrangement, regions: Iterable[Region]) -> SetFamily:
 def arrangement_medium(arr: Arrangement,
                        regions: tuple[Region, ...] | None = None,
                        graph: LabeledGraph | None = None) -> TokenSystem:
-    """The medium of regions: pos:k / neg:k cross line k at shared facets, the
-    edges of ``graph``, a ``region_adjacency`` graph whose labels name them."""
+    """The medium of regions: pos:k / neg:k cross line k at the facets between two of
+    ``regions``, from the facet pass of ``region_adjacency``; ``graph`` is not read."""
     if regions is None:
         regions = enumerate_regions(arr)
-    if graph is None:
-        graph = region_adjacency(arr, regions)
     names = tuple(r.name for r in regions)
-    pos: dict[str, dict[str, str]] = {positive_token(k): {} for k in range(len(arr.lines))}
-    for (u, v), (forward, backward) in graph.edge_labels.items():
-        if forward in pos:
-            pos[forward][u] = v
-        else:
-            pos[backward][v] = u
-    return TokenSystem.from_pairs(names, ((t, negative_token(k), ms)
-                                          for k, (t, ms) in enumerate(pos.items())))
+    return TokenSystem.from_pairs(names, _crossings(arr, [r.mask for r in regions], names)[1])
 
 
 # --- mosaic windows ----------------------------------------------------------
@@ -381,34 +393,22 @@ def arrangement_medium(arr: Arrangement,
 def mosaic_window(kind: str, radius: int) -> Arrangement:
     """Finite sub-arrangement of a classical mosaic family meeting a disk.
 
-    triangular: pencils y = t, y - x = t, 2y - x = t (integer offsets); the
-    third normal is the sum of the first two, so every crossing of two
-    pencils is a triple point and all cells are triangles, exactly the
-    combinatorics of the three-directions triangle mosaic.  The region graph
-    is the hexagonal lattice pattern.
-
-    truncated-square: the square grid x = t, y = t plus both diagonal
-    pencils x + y = t, x - y = t; cells are the four right triangles of each
-    grid square and the region graph is the squares-and-octagons pattern.
-    A radius above ``MOSAIC_MAX_RADIUS`` raises CapError before any line is built.
-    """
+    triangular: pencils y = t, y - x = t, 2y - x = t (integer offsets), every
+    crossing a triple point and every cell a triangle; the region graph is the
+    hexagonal lattice.  truncated-square: the grid x = t, y = t and both
+    diagonal pencils x +- y = t, four right triangles per grid square; the
+    region graph is the squares-and-octagons pattern.  A radius above
+    ``MOSAIC_MAX_RADIUS`` raises CapError before any line is built."""
     if radius < 1:
         raise InputError("radius must be at least 1")
     if radius > MOSAIC_MAX_RADIUS:
         raise CapError(f"mosaic windows are capped at radius {MOSAIC_MAX_RADIUS}")
-    if kind == "triangular":
-        pencils = [(0, 1), (-1, 1), (-1, 2)]
-    elif kind == "truncated-square":
-        pencils = [(1, 0), (0, 1), (1, 1), (1, -1)]
-    else:
+    if kind not in _PENCILS:
         raise InputError(f"unknown mosaic kind {kind!r}; choose from {MOSAIC_KINDS}")
     lines = []
-    for (a, b) in pencils:
-        norm2 = a * a + b * b
-        t = 0
-        while t * t <= radius * radius * norm2:
+    for (a, b) in _PENCILS[kind]:
+        for t in range(math.isqrt(radius * radius * (a * a + b * b)) + 1):  # t*t <= r*r*|(a, b)|^2
             lines.append(Line.of(a, b, -t))
             if t:
                 lines.append(Line.of(a, b, t))
-            t += 1
     return Arrangement(tuple(lines))

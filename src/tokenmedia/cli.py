@@ -278,23 +278,23 @@ def _cmd_linmedium(args) -> int:
 
 
 def _arrangement_pipeline(arrangement, dot=None) -> int:
-    """Emit the regions, graph, medium and family (``region_family``'s, read off the regions)
-    of the arrangement, and write the region graph's DOT to ``dot`` if given."""
-    regions = arr_mod.enumerate_regions(arrangement)
-    graph = arr_mod.region_adjacency(arrangement, regions)
-    ts = arr_mod.arrangement_medium(arrangement, regions, graph)
+    """Emit the regions, graph, medium and family of the arrangement from its cells' masks and
+    int witnesses, all formatted before a byte is written; a graph is built only for ``dot``."""
+    masks, witnesses = arr_mod._cells(arrangement)
     try:
-        region_docs = [r.to_json_dict() for r in regions]
+        names, region_docs = arr_mod._cell_documents(arrangement, masks, witnesses)
     except ValueError as exc:  # a witness past the interpreter's digit limit for int-string conversion
         raise CapError(f"region witness: {exc}") from None
+    crossed, pairs = arr_mod._crossings(arrangement, masks, names)
+    edges = sorted(edge for edge, _ in crossed.values())
     _emit({
         "lines": arrangement.to_json_dict()["lines"],
         "regions": region_docs,
-        "graph": graph.to_json_dict(),
-        "system": ts.to_json_dict(view=True),
-        "family": {"ground": list(arr_mod._ground(arrangement)), "sets": [list(r.positive) for r in regions]},
+        "graph": {"vertices": list(names), "edges": list(map(list, edges))},
+        "system": tokens.TokenSystem.from_pairs(names, pairs).to_json_dict(view=True),
+        "family": {"ground": list(arr_mod._ground(arrangement)), "sets": [d["positive"] for d in region_docs]},
     })
-    return _write_dot(dot, graph) if dot else 0
+    return _write_dot(dot, cubes.LabeledGraph(names, edges, edge_labels=dict(crossed.values()))) if dot else 0
 
 
 def _cmd_arrangement(args) -> int:

@@ -494,6 +494,12 @@ def test_witness_past_the_digit_limit_is_a_cap(tmp_path, capsys):
     code, out, err = run_bad_input("arrangement-witness-past-digit-limit", tmp_path, capsys)
     assert (code, out) == (3, "")
     assert err.startswith("cap exceeded:") and "digits" in err
+    # with --dot too: every witness is formatted before a byte is written, so no DOT file
+    dot = tmp_path / "regions.dot"
+    code, out, err = run(capsys, "arrangement", str(tmp_path / "input"), "--dot", str(dot))
+    assert (code, out) == (3, "")
+    assert len(err.splitlines()) == 1 and err.startswith("cap exceeded:") and "digits" in err
+    assert not dot.exists()
 
 
 # --- direct dispatch ---------------------------------------------------------------

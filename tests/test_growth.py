@@ -5,8 +5,11 @@ documented rate fails here without a wall-clock bound.  Each case builds
 its inputs fresh, counts one call at both sizes and bounds the ratio.
 """
 
+import contextlib
+import io
 import itertools
 
+from tokenmedia import cli
 from tokenmedia.arrangements import (
     Arrangement,
     arrangement_medium,
@@ -137,8 +140,9 @@ def crossings(arr) -> int:
 
 def test_region_routes_grow_with_crossings_plus_regions():
     # regions, their graph, their medium, their family and their documents on
-    # triangular windows of radius 3 and 6; a sign vector built per region
-    # over every line grew about 1.33 times faster than crossings plus regions
+    # triangular windows of radius 3 and 6, through the library and as the CLI
+    # prints them; a sign vector built per region over every line grew about
+    # 1.33 times faster than crossings plus regions
     small, large = mosaic_window("triangular", 3), mosaic_window("triangular", 6)
     sizes = [crossings(arr) + len(enumerate_regions(Arrangement(arr.lines))) for arr in (small, large)]
 
@@ -151,6 +155,13 @@ def test_region_routes_grow_with_crossings_plus_regions():
 
     assert sizes == [389, 1463]
     assert_lines_grow_at_most(1.1 * sizes[1] / sizes[0], routes, small, large)
+
+    def printed(arr):  # what ``arrangement`` and ``mosaic`` run, their document written to a sink
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli._arrangement_pipeline(arr) == 0
+
+    assert_lines_grow_at_most(1.1 * sizes[1] / sizes[0], printed,
+                              mosaic_window("triangular", 3), mosaic_window("triangular", 6))
 
 
 def chain_union(n):

@@ -3,11 +3,15 @@
 ``run`` gives a job's name, exit code, stdout and stderr, and ``digest``
 hashes those records in order.  Two lists that print the same bytes must
 have one digest, and a change to any one field of any one job, or to the
-order of the jobs, must change it.
+order of the jobs, must change it.  With ``--each`` every job gets a line of
+its own digest, and the workload digests stay as they are.
 """
 
 import importlib.util
+import io
 import json
+import sys
+import types
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -77,3 +81,36 @@ def test_any_changed_field_or_order_changes_the_digest(tmp_path):
     moved = list(base)
     moved[2] = ("call:sum", 0, "", "6")
     assert job_digests.digest(moved) != digest
+
+
+def test_each_prints_one_digest_per_job_and_keeps_the_workload_digest(tmp_path):
+    base = records(hand_made_jobs(tmp_path))
+    each = io.StringIO()
+    assert job_digests.digest(base, each) == job_digests.digest(base)
+    lines = each.getvalue().splitlines()
+    assert lines == [f"  {record[0]} {job_digests.digest([record])}" for record in base]
+    # a change to one job's output changes that job's line alone
+    changed = list(base)
+    changed[2] = ("call:sum", 0, "7", "")
+    other = io.StringIO()
+    job_digests.digest(changed, other)
+    differ = [a for a, b in zip(lines, other.getvalue().splitlines()) if a != b]
+    assert [line.split()[0] for line in differ] == ["call:sum"]
+
+
+def test_each_leaves_the_workload_lines_as_they_are(tmp_path, monkeypatch, capsys):
+    # main over stand-in workloads of the hand-made jobs, with and without --each
+    fake = types.ModuleType("workloads")
+    fake.WORKLOADS = {w["name"]: lambda seed, directory: hand_made_jobs(directory)
+                      for w in json.loads((SCRIPT.parent.parent / "BENCHMARK.json").read_text())["workloads"]}
+    monkeypatch.setitem(sys.modules, "workloads", fake)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    outputs = []
+    for extra in ([], ["--each"]):
+        assert job_digests.main(["--seed", "1", *extra]) == 0
+        outputs.append(capsys.readouterr().out.splitlines())
+    plain, each = outputs
+    assert [line for line in each if not line.startswith("  ")] == plain
+    assert len(each) == len(plain) + 4 * len(fake.WORKLOADS)
+    assert [line.split()[0] for line in each[1:6]] == [
+        "check:good", "check:bad", "call:sum", "call:raises", next(iter(fake.WORKLOADS))]

@@ -1,6 +1,8 @@
 """The region graph and medium keyed by ints against the tuple route they
-replace (``tests/tuple_region_graph.py``), and the family that ``arrangement``
-and ``mosaic`` print, read off the regions with no ``SetFamily`` built."""
+replace (``tests/tuple_region_graph.py``), the family that ``arrangement``
+and ``mosaic`` print, read off the regions with no ``SetFamily`` built, and
+the whole document they print, laid out from the cells' masks and int
+witnesses, against the one built from the library's objects."""
 
 import json
 import random
@@ -17,7 +19,7 @@ from tokenmedia.arrangements import (
     region_adjacency,
     region_family,
 )
-from tokenmedia.errors import InputError
+from tokenmedia.errors import InputError, ParseError
 from tokenmedia.families import SetFamily
 
 from test_arrangements import concurrent_triple, crossing_pair, random_degenerate_lines, random_generic_lines
@@ -89,3 +91,73 @@ def test_arrangement_and_mosaic_print_the_region_family_and_build_no_set_family(
     doc = json.loads(capsys.readouterr().out)
     assert doc["family"] == region_family(arr, enumerate_regions(arr)).to_json_dict()
     assert len(built) == 1
+
+
+def library_document(arr):
+    """What ``arrangement`` and ``mosaic`` print, built from the library's objects."""
+    regions = enumerate_regions(arr)
+    graph = region_adjacency(arr, regions)
+    doc = {
+        "lines": arr.to_json_dict()["lines"],
+        "regions": [r.to_json_dict() for r in regions],
+        "graph": graph.to_json_dict(),
+        "system": arrangement_medium(arr, regions, graph).to_json_dict(),
+        "family": region_family(arr, regions).to_json_dict(),
+    }
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def literal(rng):
+    """A coefficient literal of either sign: an integer, a fraction, a decimal or an exponent."""
+    whole = rng.randint(0, 4)
+    return rng.choice(("", "-")) + rng.choice(
+        (str(whole), f"{whole}/{rng.randint(2, 9)}", f"{whole}.{rng.randint(0, 99):02d}",
+         f"{whole}e-{rng.randint(1, 2)}"))
+
+
+def literal_arrangements(count, seed=38):
+    """``count`` seeded arrangement documents of 2-8 lines written with such literals."""
+    rng, docs = random.Random(seed), []
+    while len(docs) < count:
+        doc = {"lines": [{key: literal(rng) for key in "abc"} for _ in range(rng.randint(2, 8))]}
+        try:
+            Arrangement.from_json_dict(doc)
+        except ParseError:  # a zero normal vector or two equal lines
+            continue
+        docs.append(doc)
+    return docs
+
+
+LITERAL_ARRANGEMENTS = literal_arrangements(24)
+
+
+def printed(capsys, *argv):
+    assert cli.main(list(argv)) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    return out
+
+
+@pytest.mark.parametrize("doc", [pytest.param(arr.to_json_dict(), id=case.id) for case in graph_cases()
+                                 for arr in case.values]
+                         + [pytest.param(doc, id=f"literal-{i}") for i, doc in enumerate(LITERAL_ARRANGEMENTS)])
+def test_arrangement_prints_the_document_of_the_library_objects(doc, tmp_path, capsys):
+    path = tmp_path / "arr.json"
+    path.write_text(json.dumps(doc))
+    assert printed(capsys, "arrangement", str(path)) == library_document(Arrangement.from_json_dict(doc))
+
+
+@pytest.mark.parametrize("kind", MOSAIC_KINDS)
+@pytest.mark.parametrize("radius", [1, 2, 3])
+def test_mosaic_prints_the_document_of_the_library_objects(kind, radius, capsys):
+    assert printed(capsys, "mosaic", kind, "--radius", str(radius)) == library_document(mosaic_window(kind, radius))
+
+
+def test_the_literal_arrangements_reach_fraction_and_negative_witnesses():
+    # every coefficient the benchmark parses is an integer literal, so only these
+    # documents print witnesses n/d and negative ones from the CLI's own formatting
+    witnesses = {str(w) for doc in LITERAL_ARRANGEMENTS
+                 for r in enumerate_regions(Arrangement.from_json_dict(doc)) for w in r.witness}
+    assert any(w.startswith("-") and "/" in w for w in witnesses)
+    assert any(w[0].isdigit() and "/" in w for w in witnesses)
+    assert any(w.startswith("-") and "/" not in w for w in witnesses)
