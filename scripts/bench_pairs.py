@@ -6,11 +6,13 @@
 
 The committed files of PARENT are extracted with ``git archive`` into a
 temporary directory, so that nothing is added to the repository's git
-metadata, and the directory is removed at the end.  For each workload and
-pair i, ``perfbench/run.py --workload W --seed S --seconds T --trace 0``,
-with T the ``run_seconds`` of BENCHMARK.json, runs once in each tree, both
-with the same seed S, which no earlier pair used: the parent first on even pairs and this checkout, as it is on disk,
-first on odd ones.  ``BENCH_<LABEL>.json`` in the root of this checkout
+metadata, and this checkout's working tree, as it is on disk (tracked files
+and untracked files that git does not ignore), is copied beside it, so that
+both sides run from fresh copies alike; the directory is removed at the end.
+For each workload and pair i, ``perfbench/run.py --workload W --seed S
+--seconds T --trace 0``, with T the ``run_seconds`` of BENCHMARK.json, runs
+once in each tree, both with the same seed S, which no earlier pair used:
+the parent first on even pairs and the change first on odd ones.  ``BENCH_<LABEL>.json`` in the root of this checkout
 gets every run and, per workload and end-to-end metric of BENCHMARK.json,
 the medians and inclusive quartiles of both sides, the pairs the change
 wins, whether the change stays within the metric's bound (unresolved when
@@ -79,6 +81,18 @@ def extract(commit: str, dest: Path) -> None:
             tar.extractall(dest, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
     if proc.returncode:
         raise SystemExit(f"git archive {commit} exited with {proc.returncode}")
+
+
+def copy_worktree(root: Path, dest: Path) -> None:
+    """The working tree of the checkout at ``root`` as it is on disk, copied under ``dest``:
+    its tracked files, edits included, and its untracked files that git does not ignore."""
+    listed = subprocess.run(["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+                            cwd=root, capture_output=True, check=True).stdout
+    for name in os.fsdecode(listed).split("\0"):
+        source = root / name
+        if name and (source.is_file() or source.is_symlink()):  # a tracked file deleted on disk is left out
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, dest / name, follow_symlinks=False)
 
 
 def run_side(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -164,13 +178,13 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     parent = git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
     head = git("rev-parse", "HEAD")
-    dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
+    dirty = bool(git("status", "--porcelain"))
     runs: dict[str, list[dict]] = {}
     scratch = Path(tempfile.mkdtemp(prefix="bench_pairs_"))
     try:
-        tree = scratch / "parent"
-        extract(parent, tree)
-        trees = {"parent": tree, "change": ROOT}
+        trees = {"parent": scratch / "parent", "change": scratch / "change"}
+        extract(parent, trees["parent"])
+        copy_worktree(ROOT, trees["change"])
         for k, workload in enumerate(args.workloads):
             runs[workload] = []
             for i in range(args.pairs):

@@ -308,7 +308,7 @@ def _cmd_mosaic(args) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI parser, built once per process: parsing leaves no state in it.
-    ``parser.commands`` maps each command name to its subparser."""
+    ``parser.commands`` maps each command name to its subparser, whose ``plain`` is its table."""
     parser = argparse.ArgumentParser(
         prog="tokenmedia",
         description="Verify, convert, and construct token-system media.",
@@ -359,23 +359,48 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius", type=int, required=True)
     p.set_defaults(func=_cmd_mosaic)
 
+    for p in parser.commands.values():  # the table _plain_args reads, from the command's own actions
+        acts = p._actions
+        p.plain = ({s: a for a in acts if type(a) is argparse._StoreAction and a.nargs is None
+                    for s in a.option_strings}, [a for a in acts if not a.option_strings],
+                   [a for a in acts if a.required],  # defaults: an action's own before set_defaults'
+                   {**p._defaults, **{a.dest: a.default for a in acts if a.default is not argparse.SUPPRESS}})
     return parser
 
 
+def _plain_args(command, argv):
+    """The namespace ``command.parse_known_args(argv)`` returns, with no extras, for strings only:
+    positionals that do not start with ``-`` or are ``-``, each option string at most once with a
+    value that does not start with ``-``, and values that pass argparse's type and choices; else None."""
+    options, positionals, required, defaults = command.plain
+    if not all(isinstance(word, str) for word in argv):
+        return None
+    given, args, words, places = {}, dict(defaults), iter(argv), iter(positionals)
+    for word in words:
+        action = options.get(word)
+        if action is not None and action not in given and (word := next(words, "-"))[:1] != "-":
+            given[action] = word
+        elif action is None and (word[:1] != "-" or word == "-") and (action := next(places, None)):
+            given[action] = word
+        else:
+            return None
+    for action, word in given.items():
+        try:  # as argparse converts and checks a value
+            args[action.dest] = value = word if action.type is None else action.type(word)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+    return argparse.Namespace(**args) if all(action in given for action in required) else None
+
+
 def main(argv=None) -> int:
-    """Run one command and return its exit code; argparse's own errors and
-    help raise SystemExit.  A known command is parsed by its own subparser
-    alone; the top-level parser runs only when the first argument names no
-    command or the subparser leaves arguments over, so that its usage and
-    messages stay argparse's."""
+    """Run one command and return its exit code; argparse's errors and help raise SystemExit.
+    A plain argv (``_plain_args``) is read in one pass, any other by argparse: the same outcome."""
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
-    command = parser.commands.get(argv[0]) if argv else None
-    if command is not None:
-        args, extra = command.parse_known_args(argv[1:])
-        if not extra:
-            return _run(args)
-    return _run(parser.parse_args(argv))
+    args = _plain_args(parser.commands[argv[0]], argv[1:]) if argv and argv[0] in parser.commands else None
+    return _run(parser.parse_args(argv) if args is None else args)
 
 
 def _run(args) -> int:

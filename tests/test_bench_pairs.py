@@ -6,10 +6,12 @@ carries both.  The rules checked here: a tie counts for neither side, a
 lower-is-better metric wins by going down, a parent spread wider than the
 bound leaves the metric unresolved unless every change run is better, a
 claim needs nine tenths of the pairs and a gain larger than the parent's
-interquartile range, and every failed or incorrect run is listed.
+interquartile range, and every failed or incorrect run is listed.  The
+change side runs from a copy of the working tree as it is on disk.
 """
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -109,3 +111,24 @@ def test_the_verdict_names_metrics_outside_their_bound_and_the_claim():
     assert got["failed_runs"] == []
     assert got["claim"] == "small-census:jobs_per_s" and got["claim_met"] is False
     assert bench_pairs.verdict(summary, work, "arrangement-build:jobs_per_s")["claim_met"] is False
+
+
+def test_the_change_runs_from_a_copy_of_the_working_tree_as_it_is_on_disk(tmp_path):
+    repo, copy = tmp_path / "repo", tmp_path / "copy"
+    (repo / "src").mkdir(parents=True)
+    (repo / ".gitignore").write_text(".perfbench_out/\n")
+    (repo / "src" / "cli.py").write_text("committed\n")
+    (repo / "gone.txt").write_text("deleted after the commit\n")
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@example.com"]
+    for argv in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "parent"]):
+        subprocess.run(git + argv, cwd=repo, check=True, capture_output=True)
+    (repo / "src" / "cli.py").write_text("an uncommitted edit\n")
+    (repo / "gone.txt").unlink()
+    (repo / "new.py").write_text("untracked\n")
+    (repo / ".perfbench_out").mkdir()
+    (repo / ".perfbench_out" / "run.json").write_text("{}\n")
+    bench_pairs.copy_worktree(repo, copy)
+    assert (copy / "src" / "cli.py").read_text() == "an uncommitted edit\n"
+    assert (copy / "new.py").read_text() == "untracked\n"
+    assert sorted(str(p.relative_to(copy)) for p in copy.rglob("*")) == [
+        ".gitignore", "new.py", "src", "src/cli.py"]

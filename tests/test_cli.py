@@ -353,11 +353,11 @@ class TestDeterminism:
         assert parser is cli.build_parser()
         path = write_system(tmp_path, path3())
         fresh = run(capsys, "check", "--bound", "5", path)
-        # a known command is parsed by its own subparser alone
+        # a known command's plain argv is read without the top-level parser
         with mock.patch.object(parser, "parse_args", side_effect=AssertionError("top-level parse")):
             assert run(capsys, "check", "--bound", "5", path) == fresh
-        # errors on the top-level route, on the direct route, and on the
-        # direct route falling back to the top level for its extra argument
+        # errors on the top-level route: an unknown command, and known commands
+        # whose argv the plain reading hands to it (a bad int, an extra argument)
         for argv in (["no-such-command", path], ["check", "--bound", "x", path], ["check", path, "extra"]):
             with pytest.raises(SystemExit) as exc:
                 cli.main(argv)
@@ -509,6 +509,9 @@ DISPATCH_ARGV = [
     ["check"], ["check", "IN", "extra"], ["check", "--unknown", "IN"],
     ["check", "--bou", "4", "IN"], ["check", "--bound=3", "IN"], ["check", "--", "IN"],
     ["check", "--he"], ["mosaic", "hex", "--radius", "1"], ["linmedium", "x"],
+    # plain forms: options before and after positionals, and "-" for stdin
+    ["check", "--bound", "8", "IN"], ["check", "IN", "--bound", "8"], ["check", "-"],
+    ["represent", "--base", "Q", "-"], ["iso", "-", "IN"], ["mosaic", "--radius", "1", "triangular"],
 ]
 
 
@@ -522,11 +525,107 @@ def outcome(capsys, call, argv):
 
 
 @pytest.mark.parametrize("argv", DISPATCH_ARGV, ids=lambda argv: " ".join(argv) or "(none)")
-def test_direct_dispatch_matches_the_top_level_parser(argv, tmp_path, capsys):
+def test_direct_dispatch_matches_the_top_level_parser(argv, tmp_path, capsys, monkeypatch):
     path = write_system(tmp_path, path3())
     argv = [path if a == "IN" else a for a in argv]
-    expected = outcome(capsys, lambda a: cli._run(cli.build_parser().parse_args(a)), argv)
-    assert outcome(capsys, cli.main, argv) == expected
+    outcomes = []
+    for call in (lambda a: cli._run(cli.build_parser().parse_args(a)), cli.main):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(path3().to_json_dict())))
+        outcomes.append(outcome(capsys, call, argv))
+    assert outcomes[0] == outcomes[1]
+    if "-" in argv:  # the system on stdin is read, not refused
+        assert outcomes[0][0] == 0
+
+
+# every word the differential test below draws from, besides each command's own
+# option strings and choices: values, and the forms the plain reading hands to argparse
+EDGE_WORDS = ["IN", "8", "2", "0", "x", "-", "", "-5", "+8", " 8", "8_0", "--bound=8", "--bo",
+              "--", "-h", "--radius", "hex", 8]  # 8: a member that is no string
+
+
+def plain_form(command, argv) -> bool:
+    """Whether ``argv`` has the form that ``cli._plain_args``'s docstring says it reads."""
+    options = {s for action in command._actions for s in action.option_strings} - {"-h", "--help"}
+    if not all(isinstance(word, str) for word in argv):
+        return False
+    seen, words = set(), iter(argv)
+    for word in words:
+        if word in options:
+            value = next(words, None)
+            if word in seen or value is None or value.startswith("-"):
+                return False
+            seen.add(word)
+        elif word.startswith("-") and word != "-":
+            return False
+    return True
+
+
+def argparse_reading(command, argv):
+    """``command.parse_known_args(argv)``'s namespace, or None for a usage error or extras."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            args, extra = command.parse_known_args(argv)
+        except SystemExit:
+            return None
+    return None if extra else args
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_the_plain_reading_matches_the_subparser(data):
+    name, command = data.draw(st.sampled_from(sorted(cli.build_parser().commands.items())))
+    options = [s for action in command._actions for s in action.option_strings]
+    values = ["IN", "8", "2", "-", *(c for action in command._actions for c in action.choices or ())]
+
+    def value(action):  # mostly what the action accepts
+        return data.draw(st.sampled_from([*action.choices, "hex"] if action.choices else
+                                         ["8", "2", "x"] if action.type is int else ["IN", "-", "8"]))
+
+    # a skeleton: one value per positional, and each option with a value, up to twice, in any order
+    chunks = [[value(action)] if not action.option_strings else
+              [data.draw(st.sampled_from(action.option_strings)), value(action)]
+              for action in command._actions if action.nargs is None
+              for _ in range(1 if not action.option_strings else data.draw(st.integers(int(action.required), 2)))]
+    argv = [word for chunk in data.draw(st.permutations(chunks)) for word in chunk]
+    # then up to two edits: a word of any kind put in, or a word taken out
+    for _ in range(data.draw(st.integers(0, 2))):
+        at = data.draw(st.integers(0, len(argv)))
+        if argv and data.draw(st.booleans()):
+            del argv[min(at, len(argv) - 1)]
+        else:
+            argv.insert(at, data.draw(st.sampled_from(options + values + EDGE_WORDS)))
+    got = cli._plain_args(command, argv)
+    # argparse is asked about plain forms only (a member that is no string makes it raise
+    # TypeError); for every other form the plain reading must return None
+    expected = argparse_reading(command, argv) if plain_form(command, argv) else None
+    if got is not None:
+        assert expected is not None and vars(got) == vars(expected), (name, argv)
+    else:
+        assert expected is None, (name, argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--bound", "8", "IN"], ["represent", "IN"], ["graph", "IN"], ["pcube", "EDGES"],
+    ["iso", "IN", "IN2"], ["linmedium", "4"], ["arrangement", "LINES"],
+    ["mosaic", "triangular", "--radius", "2"],
+], ids=lambda argv: argv[0])
+def test_benchmark_job_shapes_take_the_plain_reading(argv, tmp_path, capsys):
+    # one argv of each benchmark job's shape, read with every argparse entry point refused
+    files = {"IN": write_system(tmp_path, path3()),
+             "IN2": write_system(tmp_path, relabel(path3(), random.Random(2)), "other.json"),
+             "EDGES": tmp_path / "g.edges", "LINES": tmp_path / "lines.json"}
+    files["EDGES"].write_text("a b\nb c\n")
+    files["LINES"].write_text(json.dumps({"lines": [{"a": "1", "b": "0", "c": "0"},
+                                                    {"a": "0", "b": "1", "c": "0"}]}))
+    argv = [str(files.get(word, word)) for word in argv]
+    parser = cli.build_parser()
+    expected = outcome(capsys, lambda a: cli._run(parser.parse_args(a)), argv)
+    with contextlib.ExitStack() as stack:
+        for command in [*parser.commands.values(), parser]:
+            refused = "parse_args" if command is parser else "parse_known_args"
+            stack.enter_context(mock.patch.object(command, refused, side_effect=AssertionError(refused)))
+        assert outcome(capsys, cli.main, argv) == expected
+    assert expected[0] in (0, 1)
 
 
 def readme_usage() -> dict[str, set[str]]:
