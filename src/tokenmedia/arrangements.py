@@ -23,7 +23,7 @@ from typing import Iterable
 
 from .cubes import LabeledGraph
 from .errors import CapError, InputError, ParseError
-from .families import SetFamily, set_name
+from .families import _BITS, SetFamily
 from .tokens import TokenSystem
 
 # each mosaic kind's pencils of lines a*x + b*y = t, by their normals (a, b)
@@ -108,46 +108,27 @@ def _rational(text: str) -> Fraction:
     return value
 
 
-# a mask's binary digits, line 1 first, to bytes 0 and 1, to signed bytes -1 and +1, to signs
-_BITS, _SIGN_BYTES, _SIGN_CHARS = (bytes.maketrans(b"01", to) for to in (b"\0\1", b"\xff\x01", b"-+"))
+# a region's printed signs to signed bytes -1 and +1; a mask's binary digits to signs
+_SIGN_BYTES, _SIGN_CHARS = bytes.maketrans(b"-+", b"\xff\x01"), bytes.maketrans(b"01", b"-+")
 
 
 @dataclass(frozen=True)
 class Region:
     """An open cell: its sign per line, a strictly interior rational witness,
     ``mask``, bit k set iff its sign on line k is positive, ``positive``, the
-    1-based indices of those lines, and ``name``."""
+    1-based indices of those lines, and ``name``, laid out by ``_cell_documents``."""
 
     signs: tuple[int, ...]
     witness: tuple[Fraction, Fraction]
 
-    def __post_init__(self):  # the signs given stay; the rest is read off their mask
-        names = tuple(map(str, range(1, len(self.signs) + 1)))
+    def __post_init__(self):  # the signs given stay; the rest is laid out as a one-cell list
         mask = sum(1 << k for k, s in enumerate(self.signs) if s > 0)
-        self.__dict__.update(vars(_region(mask, names, self.witness)), signs=self.signs)
-
-    def positive_indices(self) -> frozenset[str]:
-        return frozenset(self.positive)
-
-    def sign_string(self) -> str:
-        return self._sign_string
+        ground = tuple(map(str, range(1, len(self.signs) + 1)))
+        (name,), (doc,) = _cell_documents(ground, [mask], [[v.as_integer_ratio() for v in self.witness]])
+        self.__dict__.update(mask=mask, positive=tuple(doc["positive"]), name=name, _doc=doc)
 
     def to_json_dict(self) -> dict:
-        return {"signs": self._sign_string, "witness": list(map(str, self.witness)),
-                "positive": list(self.positive)}
-
-
-def _region(mask: int, names: tuple[str, ...], witness) -> Region:
-    """The region of sign mask ``mask`` over the lines ``names``: its signs,
-    ``positive``, ``name`` and printed signs are read off one binary string of the mask."""
-    digits = bin(mask | 1 << len(names))[:2:-1].encode()  # line 1 first
-    positive = tuple(compress(names, digits.translate(_BITS)))
-    region = object.__new__(Region)
-    region.__dict__.update(signs=tuple(memoryview(digits.translate(_SIGN_BYTES)).cast("b")),
-                           witness=witness, mask=mask, positive=positive,
-                           name="{" + ",".join(positive) + "}",
-                           _sign_string=digits.translate(_SIGN_CHARS).decode())
-    return region
+        return {**self._doc, "witness": list(self._doc["witness"]), "positive": list(self.positive)}
 
 
 def _generic_point(arr) -> tuple[int, int]:
@@ -296,10 +277,18 @@ def _cells(arr: Arrangement) -> tuple[list[int], list[tuple]]:
 
 
 def enumerate_regions(arr: Arrangement) -> tuple[Region, ...]:
-    """All open cells with interior witnesses: ``_cells``' cells, each built from its mask."""
-    names, (masks, witnesses) = _ground(arr), _cells(arr)
-    return tuple(_region(mask, names, (Fraction(*x), Fraction(*y)))
-                 for mask, (x, y) in zip(masks, witnesses))
+    """All open cells with interior witnesses: ``_cells``' cells, each built from
+    the name and document ``_cell_documents`` lays out for it."""
+    masks, witnesses = _cells(arr)
+    names, docs = _cell_documents(_ground(arr), masks, witnesses)
+    regions = []
+    for mask, (x, y), name, doc in zip(masks, witnesses, names, docs):
+        region = object.__new__(Region)
+        signs = tuple(memoryview(doc["signs"].encode().translate(_SIGN_BYTES)).cast("b"))
+        region.__dict__.update(signs=signs, witness=(Fraction(*x), Fraction(*y)), mask=mask,
+                               positive=tuple(doc["positive"]), name=name, _doc=doc)
+        regions.append(region)
+    return tuple(regions)
 
 
 def _ratio(n: int, d: int) -> str:
@@ -308,10 +297,9 @@ def _ratio(n: int, d: int) -> str:
     return str(n // g) if d == g else f"{n // g}/{d // g}"
 
 
-def _cell_documents(arr: Arrangement, masks, witnesses) -> tuple[tuple[str, ...], list[dict]]:
-    """The cells' names and documents, as ``Region`` names and writes them, laid
-    out from each mask's one binary string and its int witness."""
-    ground = _ground(arr)
+def _cell_documents(ground: tuple[str, ...], masks, witnesses) -> tuple[tuple[str, ...], list[dict]]:
+    """The names and documents of the cells over the lines ``ground``, the one
+    layout of a region: each from its mask's one binary string and its int witness."""
     top = 1 << len(ground)
     names, docs = [], []
     for mask, (x, y) in zip(masks, witnesses):
@@ -329,10 +317,6 @@ def positive_token(k: int) -> str:
 
 def negative_token(k: int) -> str:
     return f"neg:{k + 1}"
-
-
-def region_name(region: Region, ground: tuple[str, ...]) -> str:
-    return set_name(region.positive, ground)
 
 
 def _ground(arr) -> tuple[str, ...]:
@@ -373,14 +357,14 @@ def region_adjacency(arr: Arrangement, regions: Iterable[Region]) -> LabeledGrap
 
 def region_family(arr: Arrangement, regions: Iterable[Region]) -> SetFamily:
     """The family of the regions' positive index sets over the line indices."""
-    return SetFamily(_ground(arr), tuple(r.positive_indices() for r in regions))
+    return SetFamily(_ground(arr), tuple(frozenset(r.positive) for r in regions))
 
 
 def arrangement_medium(arr: Arrangement,
                        regions: tuple[Region, ...] | None = None,
                        graph: LabeledGraph | None = None) -> TokenSystem:
     """The medium of regions: pos:k / neg:k cross line k at the facets between two of
-    ``regions``, from the facet pass of ``region_adjacency``; ``graph`` is not read."""
+    ``regions``, read off its own ``_crossings`` pass over the facets; ``graph`` is not read."""
     if regions is None:
         regions = enumerate_regions(arr)
     names = tuple(r.name for r in regions)

@@ -237,9 +237,11 @@ def _cmd_graph(args) -> int:
         _emit({"error": "not a medium", "witness": dict(decision.witness)})
         return 1
     g = cubes.medium_graph(ts)
-    labeled = cubes.LabeledGraph(g.vertices, g.edges, decision.alpha, g.edge_labels)
-    _emit(labeled.to_json_dict())
-    return _write_dot(args.dot, labeled) if args.dot else 0
+    labels = decision._sets(sorted(decision.names))  # from the ints, coordinate names in string order
+    _emit({**g.to_json_dict(), "labels": dict(zip(g.vertices, labels))})
+    if args.dot:  # the label sets are built for the DOT tooltips alone
+        return _write_dot(args.dot, cubes.LabeledGraph(g.vertices, g.edges, decision.alpha, g.edge_labels))
+    return 0
 
 
 def _cmd_pcube(args) -> int:
@@ -281,8 +283,9 @@ def _arrangement_pipeline(arrangement, dot=None) -> int:
     """Emit the regions, graph, medium and family of the arrangement from its cells' masks and
     int witnesses, all formatted before a byte is written; a graph is built only for ``dot``."""
     masks, witnesses = arr_mod._cells(arrangement)
+    ground = arr_mod._ground(arrangement)
     try:
-        names, region_docs = arr_mod._cell_documents(arrangement, masks, witnesses)
+        names, region_docs = arr_mod._cell_documents(ground, masks, witnesses)
     except ValueError as exc:  # a witness past the interpreter's digit limit for int-string conversion
         raise CapError(f"region witness: {exc}") from None
     crossed, pairs = arr_mod._crossings(arrangement, masks, names)
@@ -292,7 +295,7 @@ def _arrangement_pipeline(arrangement, dot=None) -> int:
         "regions": region_docs,
         "graph": {"vertices": list(names), "edges": list(map(list, edges))},
         "system": tokens.TokenSystem.from_pairs(names, pairs).to_json_dict(view=True),
-        "family": {"ground": list(arr_mod._ground(arrangement)), "sets": [d["positive"] for d in region_docs]},
+        "family": {"ground": list(ground), "sets": [d["positive"] for d in region_docs]},
     })
     return _write_dot(dot, cubes.LabeledGraph(names, edges, edge_labels=dict(crossed.values()))) if dot else 0
 

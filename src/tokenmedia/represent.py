@@ -123,11 +123,15 @@ class FamilyRepresentation:
     def family(self) -> SetFamily | None:
         return None if self.beta is None else SetFamily(self.ground, tuple(self.alpha.values()))
 
-    def to_json_dict(self) -> dict:
-        rank = {x: r for r, x in enumerate(self.ground)}
-        ranks, ground = [rank[x] for x in self.names], self.ground.__getitem__
-        sets = [list(map(ground, sorted(compress(ranks, _digits(label, len(ranks))))))
+    def _sets(self, order) -> list[list[str]]:
+        """Each label's set laid out once from its int, members in the order of ``order`` (the names)."""
+        rank = {x: r for r, x in enumerate(order)}
+        ranks = [rank[x] for x in self.names]
+        return [list(map(order.__getitem__, sorted(compress(ranks, _digits(label, len(ranks))))))
                 for label in self.labels]
+
+    def to_json_dict(self) -> dict:
+        sets = self._sets(self.ground)
         return {"family": {"ground": list(self.ground), "sets": sets}, "alpha": dict(zip(self.states, sets)),
                 "beta": {t: {"element": x, "polarity": pol} for t, (x, pol) in self.beta.items()}}
 

@@ -22,7 +22,6 @@ from tokenmedia.arrangements import (
     positive_token,
     region_adjacency,
     region_family,
-    region_name,
     _facets,
     _generic_point,
     _ground,
@@ -209,8 +208,7 @@ def pair_scan_adjacency(arr, regions):
     """Oracle: test every pair of regions at sign distance one for a shared
     facet on the separating line."""
     regions = tuple(regions)
-    ground = _ground(arr)
-    names = [region_name(r, ground) for r in regions]
+    names = [r.name for r in regions]
     edges = []
     labels = {}
     for i in range(len(regions)):
@@ -578,14 +576,12 @@ class TestAdjacency:
         g = region_adjacency(arr, regions)
         adj = adjacency(g)
         names = {}
-        from tokenmedia.arrangements import region_name, _ground
-
         for r in regions:
-            names[region_name(r, _ground(arr))] = r
+            names[r.name] = r
         for u in g.vertices:
             dist = bfs_distances(adj, u)
             for v in g.vertices:
-                expected = distance(names[u].positive_indices(), names[v].positive_indices())
+                expected = distance(frozenset(names[u].positive), frozenset(names[v].positive))
                 assert dist[v] == expected
 
     def test_separating_line_count_is_the_distance(self):
@@ -594,7 +590,7 @@ class TestAdjacency:
         for r1 in regions:
             for r2 in regions:
                 separating = sum(1 for a, b in zip(r1.signs, r2.signs) if a != b)
-                assert separating == distance(r1.positive_indices(), r2.positive_indices())
+                assert separating == distance(frozenset(r1.positive), frozenset(r2.positive))
 
 
 class TestArrangementMedium:
@@ -635,17 +631,14 @@ class TestMosaics:
     def test_triangular_cells_touch_three_neighbors_in_the_bulk(self):
         # cells inside the window disk are triangles; only boundary cells
         # (witness outside the disk) may gain extra facets
-        from tokenmedia.arrangements import region_name, _ground
-
         arr = mosaic_window("triangular", 2)
         regions = enumerate_regions(arr)
         g = region_adjacency(arr, regions)
-        ground = _ground(arr)
         inner = 0
         for r in regions:
             x, y = r.witness
             if x * x + y * y <= 4:
-                name = region_name(r, ground)
+                name = r.name
                 assert sum(1 for e in g.edges if name in e) == 3
                 inner += 1
         assert inner >= 6
@@ -762,8 +755,8 @@ def test_region_names_are_built_once_and_match_set_name():
     regions = enumerate_regions(arr)
     ground = _ground(arr)
     for r in regions:
-        assert r.name == set_name(r.positive_indices(), ground) == region_name(r, ground)
-        assert list(r.positive) == sorted(r.positive_indices(), key=int)
+        assert r.name == set_name(frozenset(r.positive), ground)
+        assert list(r.positive) == sorted(frozenset(r.positive), key=int)
     graph = region_adjacency(arr, regions)
     ts = arrangement_medium(arr, regions, graph)
     assert all(v is r.name for v, r in zip(graph.vertices, regions))
@@ -858,9 +851,9 @@ def test_regions_from_masks_equal_regions_from_signs(arr):
     for r, s in zip(regions, rebuilt):
         assert r.mask == s.mask == _mask(r.signs)
         assert r.signs == _signs(r.mask, len(arr.lines))
-        assert (r.positive, r.name, r.sign_string()) == (s.positive, s.name, s.sign_string())
+        assert (r.positive, r.name, r.to_json_dict()["signs"]) == (s.positive, s.name, s.to_json_dict()["signs"])
         assert r.to_json_dict() == s.to_json_dict()
-        assert r.sign_string() == "".join("+" if v > 0 else "-" for v in r.signs)
+        assert r.to_json_dict()["signs"] == "".join("+" if v > 0 else "-" for v in r.signs)
     got, want = region_adjacency(arr, regions), region_adjacency(arr, rebuilt)
     assert got == want
     assert list(got.edge_labels.items()) == list(want.edge_labels.items())
@@ -868,8 +861,28 @@ def test_regions_from_masks_equal_regions_from_signs(arr):
 
 def test_a_region_from_signs_reads_any_positive_sign_as_plus():
     r = Region((3, -2, 1), (Fraction(0), Fraction(0)))
-    assert (r.mask, r.positive, r.name, r.sign_string()) == (0b101, ("1", "3"), "{1,3}", "+-+")
+    assert (r.mask, r.positive, r.name, r.to_json_dict()["signs"]) == (0b101, ("1", "3"), "{1,3}", "+-+")
     assert r.signs == (3, -2, 1)
+
+
+def region_at(arr, witness):
+    """The oracle's region around ``witness``: its signs read by evaluating every
+    line there, its name by ``set_name`` and its document joined by hand."""
+    x, y = witness
+    values = [line.evaluate(x, y) for line in arr.lines]
+    assert 0 not in values  # the witness is interior
+    signs = tuple(1 if v > 0 else -1 for v in values)
+    positive = tuple(str(k + 1) for k, s in enumerate(signs) if s > 0)
+    doc = {"signs": "".join("+" if s > 0 else "-" for s in signs), "witness": [str(x), str(y)],
+           "positive": list(positive)}
+    return signs, _mask(signs), positive, set_name(positive, [str(k + 1) for k in range(len(signs))]), doc
+
+
+@pytest.mark.parametrize("arr", region_cases())
+def test_each_region_is_laid_out_as_its_witness_reads(arr):
+    for r in enumerate_regions(arr):
+        assert (r.signs, r.mask, r.positive, r.name, r.to_json_dict()) == region_at(arr, r.witness)
+        assert Region(r.signs, r.witness) == r
 
 
 # --- integer literals against the general Fraction route --------------------------

@@ -9,20 +9,24 @@ in ``frozenset_labels``: one frozenset per state, toggled along the BFS
 tree, renamed into positive contents and written by a scan of the ground.
 Both must give the same verdict, witness, alpha, beta, family, contents,
 orientations, positive families and documents, on drawn systems and on the
-reference media.  Deciding, checking, representing and the isomorphism
-search must keep no set per state until ``alpha`` is read.
+reference media.  Deciding, checking, representing, printing the graph and
+the isomorphism search must keep no set per state until ``alpha`` is read;
+``graph`` prints what the labelled graph of ``alpha`` printed.
 """
 
 import gc
+import json
 import random
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tokenmedia import cli
 from tokenmedia.arrangements import arrangement_medium, mosaic_window
-from tokenmedia.cubes import media_isomorphic
+from tokenmedia.cubes import LabeledGraph, media_isomorphic, medium_graph, to_dot
 from tokenmedia.errors import InputError
 from tokenmedia.families import SetFamily, family_medium
 from tokenmedia.linorders import linear_medium
@@ -35,7 +39,7 @@ from tokenmedia.represent import (
 )
 from tokenmedia.tokens import check_axioms
 
-from conftest import power_set_family, twisted_square, wg_families
+from conftest import corpus_media, power_set_family, random_wg_family, twisted_square, wg_families
 from frozenset_labels import (
     assert_reads_the_same,
     set_contents,
@@ -110,7 +114,23 @@ def test_reference_media_read_as_the_set_route(name):
     assert_same_as_the_set_route(ts, bases, rng)
 
 
-def test_no_route_builds_the_label_sets_until_alpha_is_read():
+def graph_of(ts, tmp_path, capsys, *dot):
+    """``graph`` run on ts's document (and ``--dot`` with a path): its exit code,
+    stdout, stderr, and the system it loaded, which holds its decision."""
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(ts.to_json_dict()))
+    loaded, load = [], cli._load_system
+    with mock.patch.object(cli, "_load_system", lambda p: loaded.append(load(p)) or loaded[-1]):
+        code = cli.main(["graph", str(path), *dot])
+    out, err = capsys.readouterr()
+    return code, out, err, loaded[0]
+
+
+def test_no_route_builds_the_label_sets_until_alpha_is_read(tmp_path, capsys):
+    for shown in (linear_medium(4)[0], arrangement_medium(mosaic_window("truncated-square", 2))):
+        code, _, _, loaded = graph_of(shown, tmp_path, capsys)
+        assert code == 0 and "alpha" not in vars(decide_medium(loaded))
+        assert "family" not in vars(decide_medium(loaded))
     ts = linear_medium(5)[0]
     decision = decide_medium(ts)
     check_axioms(ts)
@@ -148,3 +168,31 @@ def test_the_decision_of_triangular_12_keeps_at_most_a_megabyte():
         tracemalloc.stop()
     assert decision.is_medium and len(decision.labels) == 3192
     assert kept <= 1_000_000, kept
+
+
+GRAPH_MEDIA = {
+    **REFERENCE_MEDIA,
+    **{name: (lambda ts=ts: ts) for name, ts in corpus_media()},
+    # drawn well-graded families over 14 elements: at least 11 coordinates each
+    **{f"drawn-wg-{seed}": (lambda seed=seed: family_medium(
+        random_wg_family(random.Random(seed), [f"x{k}" for k in range(14)], 60))) for seed in range(6)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRAPH_MEDIA))
+def test_graph_prints_the_labeled_graph_of_alpha(name, tmp_path, capsys):
+    # the former route: a second LabeledGraph over alpha, checking that each edge flips one element
+    dot = tmp_path / "graph.dot"
+    code, out, err, loaded = graph_of(GRAPH_MEDIA[name](), tmp_path, capsys, "--dot", str(dot))
+    decision = decide_medium(loaded)
+    g = medium_graph(loaded)
+    oracle = LabeledGraph(g.vertices, g.edges, decision.alpha, g.edge_labels)
+    assert (code, err) == (0, "")
+    assert out == json.dumps(oracle.to_json_dict(), sort_keys=True, indent=2) + "\n"
+    assert dot.read_text() == to_dot(oracle)
+    assert graph_of(loaded, tmp_path, capsys)[:3] == (0, out, "")
+    if name.startswith("drawn-wg") or name == "linear-6":  # coordinate "10" before "2"
+        assert len(decision.names) >= 11
+    printed = json.loads(out)
+    labels = printed["labels"]
+    assert all(len(set(labels[u]) ^ set(labels[v])) == 1 for u, v in printed["edges"])
