@@ -1,12 +1,14 @@
 """The exact medium decision, and the contents, orientations and
 positive-content representation read off it.
 
-``decide_medium`` verifies the reverse pairing and reads the token-pair
-potentials of ``_potentials``, the system's one labeling: M3, M2 and M4 are
-a pass over the moves, a separation test on the potentials' threshold
-labels and a min/max per pair.  A medium's threshold labels, relative to
-the least state, are its canonical well-graded representation, kept as one
-int per state; any other system gets the first failing check's witness.
+``decide_medium`` verifies the reverse pairing and reads the threshold
+labels of ``_potentials``, the system's one labeling: one int per state,
+built along the BFS tree, with a bit per value each token pair's net count
+takes above its least.  M3, M2 and M4 are a pass over the moves, a
+separation test on the labels and a min/max of bit counts per pair.  A
+medium's labels, relative to the least state, are its canonical
+well-graded representation; any other system gets the first failing
+check's witness.
 The decision is stored on the token system, and so are the potentials of a
 system that is no medium, for ``check_axioms``, which reads M4 off straight
 sets where the separation test fails.  ``contents``, ``orient_from_state``
@@ -221,20 +223,20 @@ def _pair_decision(ts: TokenSystem) -> MediumDecision:
     if witness:
         object.__setattr__(ts, "_potentials", ev)  # check_axioms reads the other verdicts
         return MediumDecision(False, witness=witness)
-    states, lab, pair = ts.states, ev.lab, ev.pair
+    states, lab, pair, fields = ts.states, ev.lab, ev.pair, ev.fields
     least = {pair[t][0]: min((states[i], states[j]) if states[i] < states[j] else (states[j], states[i])
                              for i, j in ms)  # by M1 its reverse moves along the same edges
              for t, ms in ts._index_moves.items() if pair[t][1] > 0}
     rank = {x: r for r, x in enumerate(sorted(least, key=least.__getitem__))}
-    base = lab[ts._index[min(states)]]  # bit x: the least state holds pair x's upper value
+    base = lab[ts._index[min(states)]]  # the least state holds pair x's upper value iff base & fields[x]
     beta, sides, bit = {}, [["", ""] for _ in rank], {}
     for t in ts.tokens:  # t adds iff it moves its coordinate off the least state's value
         x, step = pair[t]
-        adds = (step > 0) ^ (base >> x & 1)
+        adds = (step > 0) ^ (base & fields[x] != 0)
         sides[rank[x]][adds], bit[t] = t, 1 << rank[x]
         beta[t] = str(rank[x]), "add" if adds else "remove"
     labels = [0] * len(states)
-    labels[0] = sum(1 << rank[x] for x in range(len(rank)) if (lab[0] ^ base) >> x & 1)
+    labels[0] = sum(1 << rank[x] for x, f in enumerate(fields) if (lab[0] ^ base) & f)
     for j in ev.comps[0][1:]:  # each label is its BFS parent's with one coordinate toggled
         u, t = ev.parent[j]
         labels[j] = labels[u] ^ bit[t]
@@ -249,26 +251,20 @@ def _pair_decision(ts: TokenSystem) -> MediumDecision:
 @dataclass
 class _Potentials:
     """The BFS facts of ``_potentials`` and the witnesses read off them (None
-    where a check passes); ``lab``, ``separation`` and ``bounds`` stay empty
-    when M3 fails, and the last two hold one per component."""
+    where a check passes); ``separation`` and ``bounds`` hold one per
+    component, and stay empty when M3 fails."""
 
     comps: list  # state indices per component, roots in state order, each in BFS order
-    pot: list  # per state, one int: coordinate x, biased, from bit x * bits up
-    bits: int  # bits per coordinate field
+    lab: list  # per state, its threshold label
+    fields: list  # per token pair, the bits of its thresholds, over every component
     parent: list  # per state, (state index, token) of its tree move, None at a root
     out: list  # per state, its effective moves (target index, token), in token order
     pair: dict  # token -> (coordinate, +1 or -1)
     unreached: dict | None = None  # M2 when the system is disconnected
     m3: dict | None = None
-    lab: list = field(default_factory=list)  # per state, its component's threshold label
     separation: list = field(default_factory=list)
     bounds: list = field(default_factory=list)
     columns: dict = field(default_factory=dict)  # root -> _bit_columns, if the component fails M2
-
-    def coord(self, i, x):
-        """Coordinate x of state i's potential."""
-        w = self.bits
-        return (self.pot[i] >> x * w & (1 << w) - 1) - (1 << w - 2)
 
 
 def _potentials(ts: TokenSystem) -> _Potentials:
@@ -278,77 +274,62 @@ def _potentials(ts: TokenSystem) -> _Potentials:
 
     One BFS per component gives each state a potential: per token pair, the
     net steps along its tree path from the root, +1 for the pair's first
-    token and -1 for its reverse.  A potential is one int with a field of
-    b = ``S.bit_length() + 2`` bits per pair (S states): a coordinate lies
-    within +-(S - 1), so biased by 2 ** (b - 2) it stays clear of its
-    field's top bit and no field borrows from or carries into the next.  A
-    tree step then adds the token's one-field delta, and a move agrees with
-    the potentials iff its ends differ by that delta.  M3 holds iff every
-    move agrees and no two states of a component share a potential, for
-    then a walk's net count per pair is the difference of its ends'
+    token and -1 for its reverse.  ``_label`` writes it in unary thresholds,
+    one bit per value a coordinate takes above its least in the component,
+    so the bits a state holds in a pair's field count its coordinate from
+    that least value, and L1 distance is Hamming distance.  A move agrees
+    with the potentials iff its ends' labels differ in one bit of its pair's
+    field, held at the target iff the token is the pair's first.  M3 holds
+    iff every move agrees and no two states of a component share a label,
+    for then a walk's net count per pair is the difference of its ends'
     potentials.  A move s -> v by t that disagrees gives the closed walk "t,
     tree path v -> root, tree path root -> s", which is not vacuous; two
-    states with one potential give the vacuous tree path between them.  Tree
+    states with one label give the vacuous tree path between them.  Tree
     paths run up on reverse tokens, which M1 makes effective.
 
-    Once M3 holds, a walk is consistent iff its length is the L1 distance of
-    its ends' potentials.  ``_label`` writes the potentials in unary
-    thresholds, where L1 distance is Hamming distance, and a move toggles
-    one bit.  So M2 holds on a component iff some move from p lowers the
-    distance to q, for all p != q: ``families._moves_separate``.  On a
-    component that passes, every BFS geodesic is consistent, so t occurs in
-    a straight message into v iff v lies at or past the least level of t's
-    targets in t's direction: M4 fails there iff some pair moves at two
-    levels, that is iff some coordinate spans more than two values.  On a
-    component that fails the test this level lemma is false
-    (``two_level_path`` in ``tests/test_exact_check.py``: M4 holds though a
-    pair moves at two levels), so ``_m4_search`` reads M4 off the straight
-    sets, one bitset per state of the states it reaches by a straight walk.
+    Once M3 holds, a walk is consistent iff its length is the Hamming
+    distance of its ends' labels, and a move toggles one bit.  So M2 holds
+    on a component iff some move from p lowers the distance to q, for all p
+    != q: ``families._moves_separate``.  On a component that passes, every
+    BFS geodesic is consistent, so t occurs in a straight message into v iff
+    v lies at or past the least level of t's targets in t's direction: M4
+    fails there iff some pair moves at two levels, that is iff some field
+    holds more than one bit.  On a component that fails the test this level
+    lemma is false (``two_level_path`` in ``tests/test_exact_check.py``: M4
+    holds though a pair moves at two levels), so ``_m4_search`` reads M4 off
+    the straight sets, one bitset per state of the states it reaches by a
+    straight walk.
     """
     states, rev = ts.states, ts.reverse
     pair: dict[str, tuple[int, int]] = {}
     for t in ts.tokens:
         if t not in pair:
             pair[t], pair[rev[t]] = (len(pair) // 2, 1), (len(pair) // 2, -1)
-    w = len(states).bit_length() + 2
-    delta = {t: step << x * w for t, (x, step) in pair.items()}
-    zero = (1 << w - 2) * ((1 << len(pair) // 2 * w) - 1) // ((1 << w) - 1)  # every field at its bias
     out: list[list[tuple[int, str]]] = [[] for _ in states]
     for t, ms in ts._index_moves.items():
         for i, j in ms:
             out[i].append((j, t))
-    pot: list = [None] * len(states)
-    parent: list = [None] * len(states)
-    comps = []
+    ev = _Potentials([], [None] * len(states), [0] * (len(pair) // 2), [None] * len(states), out, pair)
+    shapes, width = [], 0
     for root in range(len(states)):
-        if pot[root] is None:
-            pot[root] = zero
-            comp = [root]
-            for u in comp:
-                for j, t in out[u]:
-                    if pot[j] is None:
-                        pot[j] = pot[u] + delta[t]
-                        parent[j] = (u, t)
-                        comp.append(j)
-            comps.append(comp)
-    ev = _Potentials(comps, pot, w, parent, out, pair)
-    if len(comps) > 1:
-        ev.unreached = {"axiom": "M2", "source": states[0], "target": states[comps[1][0]]}
-    ev.m3 = _m3_witness(ts, ev, delta)
+        if ev.lab[root] is None:
+            width, wide = _label(ev, root, width)
+            shapes.append((width, wide))
+    if len(ev.comps) > 1:
+        ev.unreached = {"axiom": "M2", "source": states[0], "target": states[ev.comps[1][0]]}
+    ev.m3 = _m3_witness(ts, ev)
     if ev.m3 is None:
-        ev.lab = [0] * len(states)
-        for comp in comps:
-            width, span = _label(ev, comp)
+        for comp, (width, wide) in zip(ev.comps, shapes):
             ev.separation.append(_separation(ts, ev, comp, width))
-            ev.bounds.append(None if ev.separation[-1] or span < 2 else _m4_bounds(ts, ev, comp))
+            ev.bounds.append(_m4_bounds(ts, ev, comp) if wide and not ev.separation[-1] else None)
     return ev
 
 
 def _axiom_witnesses(ts: TokenSystem) -> dict:
     """Exact M2-M4 witnesses of a system that passed M1, None where the axiom
     holds, read off the potentials ``decide_medium`` stored on a system that
-    is no medium.  When M3 fails there are no potentials: M4 is left out,
-    and M2 too unless the system is disconnected."""
+    is no medium.  When M3 fails the labels are no potentials: M4 is left
+    out, and M2 too unless the system is disconnected."""
     ev = getattr(ts, "_potentials", None) or _potentials(ts)
     found = {"M3": ev.m3}
     if ev.unreached:
@@ -370,18 +351,20 @@ def _tree_path(ts, ev, i, up):
     return path if up else path[::-1]
 
 
-def _m3_witness(ts, ev, delta):
-    states, pot = ts.states, ev.pot
+def _m3_witness(ts, ev):
+    states, lab = ts.states, ev.lab
     for t, ms in ts._index_moves.items():
-        d = delta[t]
+        x, step = ev.pair[t]
+        mask, first = ev.fields[x], step > 0
         for i, j in ms:
-            if pot[j] - pot[i] != d:
+            d = lab[i] ^ lab[j]  # agrees: one bit of x's field, held at the target iff t is first
+            if not d & mask or d & d - 1 or (lab[j] & d != 0) != first:
                 return {"axiom": "M3", "kind": "ineffective-but-not-vacuous", "state": states[i],
                         "message": [t, *_tree_path(ts, ev, j, True), *_tree_path(ts, ev, i, False)]}
     for comp in ev.comps:
         first: dict = {}
         for i in comp:
-            s = first.setdefault(pot[i], i)
+            s = first.setdefault(lab[i], i)
             if s != i:
                 return {"axiom": "M3", "kind": "vacuous-but-effective", "state": states[s],
                         "message": _tree_path(ts, ev, s, True) + _tree_path(ts, ev, i, False),
@@ -389,49 +372,50 @@ def _m3_witness(ts, ev, delta):
     return None
 
 
-def _label(ev, comp):
-    """The threshold labels of a component, into ``ev.lab``: bit (x, v) is
-    set iff coordinate x is at least v, for v above x's least value in the
-    component, with the fields in pair order.  The root's label is read off
-    each coordinate's least value, and every other state's is its BFS
-    parent's with the bit of its tree step's larger end toggled.  Returns
-    the labels' width and the widest range (greatest less least value) of
-    one coordinate."""
-    steps = []  # per tree step: its coordinate and its larger end
-    low: dict = {}  # per coordinate, its least value if negative
-    high: dict = {}  # and its greatest if positive
-    for j in comp[1:]:  # a step up can only raise the greatest value, one down lower the least
-        x, step = ev.pair[ev.parent[j][1]]
-        v = ev.coord(j, x)
-        if step > 0:
-            steps.append((x, v))
-            if v > high.get(x, 0):
-                high[x] = v
-        else:
-            steps.append((x, v + 1))
-            if v < low.get(x, 0):
-                low[x] = v
-    offset, width, span = {}, 0, 0
-    for x in sorted(low.keys() | high.keys()):  # bit (x, v) sits at offset[x] + v
-        lo, hi = low.get(x, 0), high.get(x, 0)
-        offset[x] = width - lo - 1
-        width += hi - lo
-        span = max(span, hi - lo)
-    lab = ev.lab
-    lab[comp[0]] = sum(((1 << -lo) - 1) << offset[x] + lo + 1 for x, lo in low.items())
-    for j, (x, v) in zip(comp[1:], steps):
-        lab[j] = lab[ev.parent[j][0]] ^ 1 << offset[x] + v
-    return width, span
+def _label(ev, root, width):
+    """The component of ``root``, by BFS into ``ev.comps``, and its threshold
+    labels, into ``ev.lab``: bit (x, v) is set iff coordinate x is at least
+    v, for v above x's least value in the component.  A tree step toggles the
+    bit of its larger end, given out, from bit ``width`` up, the first time
+    a step crosses that value.  A parent's coordinate x is the count of the
+    bits it holds in x's field, less twice those of values at or below 0:
+    they are held inverted while building, so that the root's label is 0,
+    and inverted back at the end.  Returns the bits given out so far and
+    whether some field holds two bits of the component."""
+    lab, fields = ev.lab, ev.fields
+    bit: dict = {}  # (coordinate, value) -> the bit number of its threshold
+    low = 0  # the bits of values at or below 0
+    lab[root] = 0
+    comp = [root]
+    for u in comp:
+        for j, t in ev.out[u]:
+            if lab[j] is None:
+                x, step = ev.pair[t]
+                held = lab[u] & fields[x]
+                v = held.bit_count() - 2 * (held & low).bit_count() + (step > 0)  # the larger end
+                if (x, v) not in bit:
+                    bit[x, v] = width
+                    fields[x] |= 1 << width
+                    if v <= 0:
+                        low |= 1 << width
+                    width += 1
+                lab[j] = lab[u] ^ 1 << bit[x, v]
+                ev.parent[j] = u, t
+                comp.append(j)
+    for i in comp:
+        lab[i] ^= low
+    ev.comps.append(comp)
+    return width, len(bit) > len({x for x, _ in bit})
 
 
 def _separation(ts, ev, comp, width):
     lab = ev.lab
     toggles = []
     for i in comp:
-        bits = 0
+        moved = 0
         for j, _ in ev.out[i]:  # with M3, the bit of the move's larger end
-            bits |= lab[i] ^ lab[j]
-        toggles.append(bits)
+            moved |= lab[i] ^ lab[j]
+        toggles.append(moved)
     labels = [lab[i] for i in comp]
     agree = _bit_columns(labels, width)
     found = _first_unseparated(labels, toggles, agree)
@@ -443,20 +427,22 @@ def _separation(ts, ev, comp, width):
 
 def _m4_bounds(ts, ev, comp):
     """M4 on a component that passes the separation test: the first pair met
-    whose moves by its first token t reach two levels.  The witness is t at
-    the least level, then a geodesic to the source of a move at the
-    greatest, against the reverse of that move."""
+    whose moves by its first token t reach two levels, a level being the
+    bits a target holds in the pair's field.  The witness is t at the least
+    level, then a geodesic to the source of a move at the greatest, against
+    the reverse of that move."""
     moves: dict = {}  # first token of a pair -> its moves in the component
     for i in comp:
         for j, t in ev.out[i]:
             if ev.pair[t][1] > 0:
                 moves.setdefault(t, []).append((i, j))
     for t, ms in moves.items():
-        x = ev.pair[t][0]
-        low = min(ms, key=lambda m: ev.coord(m[1], x))  # its first move to the least level
-        high = max(ms, key=lambda m: ev.coord(m[1], x))  # and its first to the greatest
-        if ev.coord(low[1], x) < ev.coord(high[1], x):
-            return _m4_witness(ts, ev, t, low, high[0], high[::-1])
+        mask = ev.fields[ev.pair[t][0]]
+        levels = [(ev.lab[j] & mask).bit_count() for _, j in ms]
+        least, greatest = min(levels), max(levels)
+        if least < greatest:  # its first moves to the least and to the greatest level
+            high = ms[levels.index(greatest)]
+            return _m4_witness(ts, ev, t, ms[levels.index(least)], high[0], high[::-1])
     return None
 
 

@@ -13,9 +13,9 @@ them.  Four axioms single out the systems called media:
 ``check_axioms`` is exact on every system and enumerates no message.  It
 reads the decision ``tokenmedia.represent.decide_medium`` first: on a
 medium all four axioms hold outright.  On any other system M1 is the exact
-``reverse_defect``, and M2-M4 are read off the token-pair potentials that
-``tokenmedia.represent`` stores beside the decision; every failure verdict
-carries a witness that replays.
+``reverse_defect``, and M2-M4 are read off the token-pair potentials, as
+threshold labels, that ``tokenmedia.represent`` stores beside the
+decision; every failure verdict carries a witness that replays.
 """
 
 from __future__ import annotations
@@ -423,8 +423,8 @@ class AxiomReport:
 
     When M1 fails the remaining axioms are skipped: consistency and
     vacuousness are only meaningful relative to a valid reverse pairing.
-    When M3 fails there are no potentials to read M4 off, so M4 is skipped,
-    and M2 too unless the system is disconnected.  ``bound`` is the bound
+    When M3 fails the labels are no potentials to read M4 off, so M4 is
+    skipped, and M2 too unless the system is disconnected.  ``bound`` is the bound
     ``check_axioms`` was given, or its default, reported unchanged; it
     affects no verdict.
     """
@@ -519,8 +519,8 @@ def check_axioms(ts: TokenSystem, bound: int | None = None) -> AxiomReport:
 
     On a medium the decision stored on ``ts`` says M1-M4 hold outright.  On
     any other system M1 is ``reverse_defect``, and M2-M4 are read off the
-    token-pair potentials of ``represent._axiom_witnesses``, stored on
-    ``ts`` beside the decision; no message is enumerated.  When M1 fails,
+    threshold labels of ``represent._axiom_witnesses``, stored on ``ts``
+    beside the decision; no message is enumerated.  When M1 fails,
     M2-M4 are skipped; when M3 fails, M4 is skipped, and so is M2 unless
     the system is disconnected.  ``bound`` changes no verdict: it is
     validated (at least 1), defaults to twice the token count and is

@@ -12,7 +12,10 @@ coordinate names from its BFS parent's with one coordinate toggled;
 below ``assert_reads_the_same`` is kept verbatim, with the classes and entry
 points renamed, ``set_decision`` in place of the stored decision, and the
 contents table stored under its own name, so that both routes can run on
-one system.
+one system.  Only ``set_pair_decision`` reads other potentials: the tuples
+of ``tuple_potentials`` in place of the library's threshold labels, so that
+the oracle shares no labeling with the code under test.  The least state
+holds pair x's upper value iff its coordinate x is the greatest.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Mapping
 
 from tokenmedia.errors import InputError
 from tokenmedia.families import SetFamily
-from tokenmedia.represent import ContentTable, Orientation, _potentials
+from tokenmedia.represent import ContentTable, Orientation
 from tokenmedia.tokens import TokenSystem, reverse_defect
 
 
@@ -162,12 +165,14 @@ def set_pair_decision(ts: TokenSystem) -> SetDecision:
     defect = reverse_defect(ts)
     if defect is not None:
         return SetDecision(False, witness=defect)
+    from tuple_potentials import _potentials  # which imports SetDecision from here
+
     ev = _potentials(ts)
-    witness = ev.unreached or ev.m3 or ev.separation[0] or ev.bounds[0]
+    states, pot, pair = ts.states, ev.pot, ev.pair
+    unreached = len(ev.comps) > 1 and {"axiom": "M2", "source": states[0], "target": states[ev.comps[1][0]]}
+    witness = unreached or ev.m3 or ev.separation[0] or ev.bounds[0]
     if witness:
-        object.__setattr__(ts, "_potentials", ev)  # check_axioms reads the other verdicts
         return SetDecision(False, witness=witness)
-    states, lab, pair = ts.states, ev.lab, ev.pair
     least: dict[int, tuple[str, str]] = {}
     for t, ms in ts._index_moves.items():
         if pair[t][1] > 0:  # by M1 its reverse moves along the same edges
@@ -176,9 +181,10 @@ def set_pair_decision(ts: TokenSystem) -> SetDecision:
     name = [""] * len(least)
     for rank, x in enumerate(sorted(least, key=least.__getitem__)):
         name[x] = str(rank)
-    base = lab[ts._index[min(states)]]  # bit x: the least state holds pair x's upper value
+    high = [max(p[x] for p in pot) for x in range(len(name))]
+    base = pot[ts._index[min(states)]]  # the least state holds pair x's upper value iff base[x] == high[x]
     sets = [frozenset()] * len(states)
-    sets[0] = frozenset(name[x] for x in range(len(name)) if (lab[0] ^ base) >> x & 1)
+    sets[0] = frozenset(name[x] for x in range(len(name)) if (pot[0][x] == high[x]) != (base[x] == high[x]))
     for j in ev.comps[0][1:]:  # each label is its BFS parent's with one coordinate toggled
         u, t = ev.parent[j]
         sets[j] = sets[u] ^ {name[pair[t][0]]}
@@ -186,6 +192,6 @@ def set_pair_decision(ts: TokenSystem) -> SetDecision:
     beta = {}
     for t in ts.tokens:  # t adds iff it moves its coordinate off the least state's value
         x, step = pair[t]
-        beta[t] = name[x], "add" if (step > 0) ^ (base >> x & 1) else "remove"
+        beta[t] = name[x], "add" if (step > 0) != (base[x] == high[x]) else "remove"
     family = SetFamily(tuple(map(str, range(len(name)))), tuple(alpha.values()))
     return SetDecision(True, family=family, alpha=alpha, beta=beta)

@@ -254,7 +254,7 @@ def test_a_pair_moving_at_two_levels_need_not_break_m4():
     assert walks.bounded_report(ts, 2 * len(ts.states) + 1)["M4"].verdict == walks.HOLDS_UP_TO_BOUND
     ev = represent._potentials(ts)
     assert len(ev.comps) == 1 and ev.separation[0] is not None
-    assert {ev.coord(j, 0) for i in ev.comps[0] for j, t in ev.out[i] if t == "x+"} == {1, 2}
+    assert {(ev.lab[j] & ev.fields[0]).bit_count() for i in ev.comps[0] for j, t in ev.out[i] if t == "x+"} == {1, 2}
     assert represent._m4_search(ts, ev, ev.comps[0]) is None
     # the level test's witness is no witness: its first message is not straight
     w = represent._m4_bounds(ts, ev, ev.comps[0])

@@ -1,17 +1,24 @@
-"""The decision and the exact axioms read off packed potentials, against the
+"""The decision and the exact axioms read off threshold labels, against the
 routes they replaced.
 
 ``decide_medium`` and ``check_axioms`` both read ``represent._potentials``:
-one int per state with a biased field per token pair, and threshold labels
-built along the BFS tree.  The oracle is the former pair-bitmask decision
-and tuple potentials, kept verbatim in ``tuple_potentials``: every system
-must get a decision that reads the same (``assert_reads_the_same``: verdict,
-witness, alpha, beta, family and document), the same M2-M4
-witnesses, the same coordinates and the same threshold labels.  A path on
-one pair with S states near a power of two puts coordinates at the ends of
-their fields, where a field one bit short would borrow from its neighbour.
-A line budget keeps the labeling at O(S + k) lines per component.
+one threshold label per state, built along the BFS tree with a bit given
+out per (coordinate, value) the first time a tree step crosses it.  The
+oracle is the former pair-bitmask decision and tuple potentials, kept
+verbatim in ``tuple_potentials``: every system must get a decision that
+reads the same (``assert_reads_the_same``: verdict, witness, alpha, beta,
+family and document), the same M2-M4 witnesses, the same coordinates (the
+bits a label holds in a pair's field, counted from the component's least
+value) and the same threshold labels up to the order of their bits.  A path
+on one pair with S states near a power of two takes a coordinate through S
+values in one field, up from the root or down from it, beside another
+pair's field or alone.  A line budget keeps the labeling at O(S + k) lines
+per component, and a memory budget keeps a long chain's labels small.
 """
+
+from functools import reduce
+from operator import or_
+import tracemalloc
 
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
@@ -42,14 +49,23 @@ def assert_same_as_the_tuple_route(ts):
     assert represent._axiom_witnesses(new) == tuple_potentials._axiom_witnesses(old)
     ev, ref = represent._potentials(new), tuple_potentials._potentials(old)
     assert ev.comps == ref.comps and ev.parent == ref.parent and ev.pair == ref.pair
-    k = len(ev.pair) // 2
-    assert [tuple(ev.coord(i, x) for x in range(k)) for i in range(len(ts.states))] == ref.pot
+    for comp in ev.comps:
+        least = [min(ref.pot[i][x] for i in comp) for x in range(len(ev.fields))]
+        assert [tuple((ev.lab[i] & f).bit_count() for f in ev.fields) for i in comp] == \
+            [tuple(c - lo for c, lo in zip(ref.pot[i], least)) for i in comp]
+        assert bit_columns([ev.lab[i] for i in comp]) == \
+            bit_columns(tuple_potentials._thresholds(ref, comp)[0])
     assert ev.m3 == ref.m3
     if ev.m3 is None:
         assert ev.separation == ref.separation and ev.bounds == ref.bounds
-        for comp in ev.comps:
-            assert [ev.lab[i] for i in comp] == tuple_potentials._thresholds(ref, comp)[0]
     return ev
+
+
+def bit_columns(labels):
+    """The labels' bits as columns, each one bit over all the labels, sorted;
+    a bit no label holds is left out."""
+    columns = (tuple(label >> b & 1 for label in labels) for b in range(max(labels).bit_length()))
+    return sorted(column for column in columns if any(column))
 
 
 MEDIA = {
@@ -72,9 +88,10 @@ def test_non_media_match_the_tuple_route(make):
 
 
 def spans_three_values(ev):
-    """Some coordinate takes three or more values within one component."""
-    k = len(ev.pair) // 2
-    return any(len({ev.coord(i, x) for i in comp}) > 2 for comp in ev.comps for x in range(k))
+    """Some coordinate takes three or more values within one component: its
+    field holds two or more of the component's bits."""
+    bits = [reduce(or_, (ev.lab[i] for i in comp)) for comp in ev.comps]
+    return any((held & f).bit_count() > 1 for held in bits for f in ev.fields)
 
 
 @settings(max_examples=300, deadline=None)
@@ -121,11 +138,8 @@ def one_pair_path(n, down, neighbour):
 def test_coordinates_at_the_ends_of_their_fields(n, down, neighbour):
     ts = one_pair_path(n, down, neighbour)
     ev = assert_same_as_the_tuple_route(ts)
-    assert ev.bits == n.bit_length() + 2
-    x = ev.pair["p+"][0]
-    assert {ev.coord(i, x) for i in range(n)} == (
-        set(range(-(n - 1), 1) if down else range(n)) if not neighbour
-        else set(range(-(n - 2), 1) if down else range(n - 1)))
+    f = ev.fields[ev.pair["p+"][0]]
+    assert {(ev.lab[i] & f).bit_count() for i in range(n)} == set(range(n - 1 if neighbour else n))
     assert ev.separation == [None]  # a path: every move toward q lowers the distance
     assert represent.decide_medium(ts).witness["axiom"] == "M4"  # p moves at every level
 
@@ -139,3 +153,18 @@ def test_potentials_of_a_long_chain_run_in_few_lines():
         ev = represent._potentials(ts)
     assert count[0] > 0
     assert ev.m3 is None and ev.separation == [None] and ev.bounds == [None]
+
+
+def test_potentials_of_a_long_chain_keep_little_memory():
+    # 2,000 states on 1,999 pairs: the packed potentials, a 13-bit field
+    # per pair in every state's int, peaked at about 24 MB; the threshold
+    # labels peak at about 10 MB, most of it the separation test's transpose
+    ts = chain(2000, 0)
+    tracemalloc.start()
+    try:
+        ev = represent._potentials(ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ev.m3 is None and ev.separation == [None] and ev.bounds == [None]
+    assert peak <= 12_000_000, peak
