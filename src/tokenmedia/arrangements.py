@@ -383,12 +383,12 @@ def mosaic_window(kind: str, radius: int) -> Arrangement:
     diagonal pencils x +- y = t, four right triangles per grid square; the
     region graph is the squares-and-octagons pattern.  A radius above
     ``MOSAIC_MAX_RADIUS`` raises CapError before any line is built."""
+    if kind not in _PENCILS:
+        raise InputError(f"unknown mosaic kind {kind!r}; choose from {MOSAIC_KINDS}")
     if radius < 1:
         raise InputError("radius must be at least 1")
     if radius > MOSAIC_MAX_RADIUS:
         raise CapError(f"mosaic windows are capped at radius {MOSAIC_MAX_RADIUS}")
-    if kind not in _PENCILS:
-        raise InputError(f"unknown mosaic kind {kind!r}; choose from {MOSAIC_KINDS}")
     lines = []
     for (a, b) in _PENCILS[kind]:
         for t in range(math.isqrt(radius * radius * (a * a + b * b)) + 1):  # t*t <= r*r*|(a, b)|^2

@@ -8,10 +8,10 @@ takes above its least.  M3, M2 and M4 are a pass over the moves, a
 separation test on the labels and a min/max of bit counts per pair.  A
 medium's labels, relative to the least state, are its canonical
 well-graded representation; any other system gets the first failing
-check's witness.
-The decision is stored on the token system, and so are the potentials of a
-system that is no medium, for ``check_axioms``, which reads M4 off straight
-sets where the separation test fails.  ``contents``, ``orient_from_state``
+check's witness.  A token system keeps its decision and no other derived
+record; the decision of a system that passed M1 but is no medium keeps its
+potentials, for ``check_axioms``, which reads M4 off straight sets where
+the separation test fails.  ``contents``, ``orient_from_state``
 and ``positive_content_family`` test bits of the decision's ints, and the
 sets of ``alpha`` and ``family`` are built from the ints only when read.
 """
@@ -171,11 +171,13 @@ def positive_content_family(ts: TokenSystem, orientation: Orientation) -> Family
 class MediumDecision(FamilyRepresentation):
     """The exact decision: on yes the canonical representation, bit k standing
     for coordinate "k" (``names`` is ``ground``) and ``sides[k]`` holding its
-    removing and adding tokens; on no the first failing check's ``witness``."""
+    removing and adding tokens; on no the first failing check's ``witness``,
+    and ``potentials`` after M1, for ``check_axioms``."""
 
     is_medium: bool
     witness: Mapping | None = None
     sides: tuple[tuple[str, str], ...] = ()
+    potentials: _Potentials | None = field(default=None, compare=False, repr=False)
 
     def to_json_dict(self) -> dict:
         if not self.is_medium:
@@ -221,8 +223,7 @@ def _pair_decision(ts: TokenSystem) -> MediumDecision:
     ev = _potentials(ts)
     witness = ev.unreached or ev.m3 or ev.separation[0] or ev.bounds[0]
     if witness:
-        object.__setattr__(ts, "_potentials", ev)  # check_axioms reads the other verdicts
-        return MediumDecision(False, witness=witness)
+        return MediumDecision(False, witness=witness, potentials=ev)
     states, lab, pair, fields = ts.states, ev.lab, ev.pair, ev.fields
     least = {pair[t][0]: min((states[i], states[j]) if states[i] < states[j] else (states[j], states[i])
                              for i, j in ms)  # by M1 its reverse moves along the same edges
@@ -270,7 +271,7 @@ class _Potentials:
 def _potentials(ts: TokenSystem) -> _Potentials:
     """The potentials of a system that passed M1, with M3, M2's separation
     test and M4 by bounds: the one labeling that ``decide_medium`` reads,
-    and stores on a system that is no medium for ``check_axioms``.
+    and keeps in the decision of a system that is no medium.
 
     One BFS per component gives each state a potential: per token pair, the
     net steps along its tree path from the root, +1 for the pair's first
@@ -325,12 +326,12 @@ def _potentials(ts: TokenSystem) -> _Potentials:
     return ev
 
 
-def _axiom_witnesses(ts: TokenSystem) -> dict:
+def _axiom_witnesses(ts: TokenSystem, ev: _Potentials | None = None) -> dict:
     """Exact M2-M4 witnesses of a system that passed M1, None where the axiom
-    holds, read off the potentials ``decide_medium`` stored on a system that
-    is no medium.  When M3 fails the labels are no potentials: M4 is left
-    out, and M2 too unless the system is disconnected."""
-    ev = getattr(ts, "_potentials", None) or _potentials(ts)
+    holds, read off ``ev``, the potentials its decision keeps when it is no
+    medium, or else computed again.  When M3 fails the labels are no
+    potentials: M4 is left out, and M2 too unless the system is disconnected."""
+    ev = ev or _potentials(ts)
     found = {"M3": ev.m3}
     if ev.unreached:
         found["M2"] = ev.unreached

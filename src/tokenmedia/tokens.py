@@ -11,11 +11,11 @@ them.  Four axioms single out the systems called media:
   M4  straight messages producing the same state are jointly consistent.
 
 ``check_axioms`` is exact on every system and enumerates no message.  It
-reads the decision ``tokenmedia.represent.decide_medium`` first: on a
-medium all four axioms hold outright.  On any other system M1 is the exact
-``reverse_defect``, and M2-M4 are read off the token-pair potentials, as
-threshold labels, that ``tokenmedia.represent`` stores beside the
-decision; every failure verdict carries a witness that replays.
+reads the decision ``tokenmedia.represent.decide_medium`` alone: on a
+medium all four axioms hold outright, an M1 failure is the decision's
+witness, and on any other system M2-M4 are read off the token-pair
+potentials, as threshold labels, that the decision keeps; every failure
+verdict carries a witness that replays.
 """
 
 from __future__ import annotations
@@ -463,21 +463,12 @@ def reverse_defect(ts: TokenSystem) -> dict | None:
     A token u is a reverse candidate for t when the moves of u are exactly
     the inverted moves of t (fixed points are unconstrained).  M1 demands a
     declared pairing that matches a unique candidate per token.  It is read
-    in one pass over the stored move index, with no pass over the action
-    table; the first defect in token order is the witness, with its
-    candidates in token order.  The result is computed once and stored on
-    ``ts``, so ``check_axioms`` and ``decide_medium`` share it.
+    in one pass over the move index in token order: the declared reverse
+    must hold exactly the token's moves inverted, sorted as the index keeps
+    them, and must be the only token that does.  Tokens with equal moves are
+    found once, after the first token passes.  The first defect is the
+    witness, with its candidates in token order.
     """
-    if not hasattr(ts, "_defect"):
-        object.__setattr__(ts, "_defect", _find_reverse_defect(ts))
-    return ts._defect
-
-
-def _find_reverse_defect(ts):
-    """One pass over the tokens in token order: the declared reverse must hold
-    exactly the token's moves inverted, sorted as the move index keeps them,
-    and must be the only token that does.  Tokens with equal moves are found
-    once, after the first token passes."""
     if ts.reverse is None:
         return {"axiom": "M1", "kind": "missing-reverse-pairing"}
     moves, reverse = ts._index_moves, ts.reverse
@@ -517,12 +508,12 @@ def _declared_breach(ts, t, declared):
 def check_axioms(ts: TokenSystem, bound: int | None = None) -> AxiomReport:
     """Exact axiom report: every verdict is "holds", "fails" or "skipped".
 
-    On a medium the decision stored on ``ts`` says M1-M4 hold outright.  On
-    any other system M1 is ``reverse_defect``, and M2-M4 are read off the
-    threshold labels of ``represent._axiom_witnesses``, stored on ``ts``
-    beside the decision; no message is enumerated.  When M1 fails,
-    M2-M4 are skipped; when M3 fails, M4 is skipped, and so is M2 unless
-    the system is disconnected.  ``bound`` changes no verdict: it is
+    Every verdict is read off ``tokenmedia.represent.decide_medium``: on a
+    medium M1-M4 hold outright; an M1 witness fails M1; on any other system
+    M1 holds and M2-M4 are read by ``represent._axiom_witnesses`` off the
+    threshold labels the decision keeps; no message is enumerated.  When M1
+    fails, M2-M4 are skipped; when M3 fails, M4 is skipped, and so is M2
+    unless the system is disconnected.  ``bound`` changes no verdict: it is
     validated (at least 1), defaults to twice the token count and is
     reported, so that callers passing it keep working.
     """
@@ -532,12 +523,12 @@ def check_axioms(ts: TokenSystem, bound: int | None = None) -> AxiomReport:
         bound = max(1, 2 * len(ts.tokens))
     if bound < 1:
         raise InputError("bound must be at least 1")
-    if decide_medium(ts).is_medium:
+    decision = decide_medium(ts)
+    if decision.is_medium:
         return AxiomReport(_ALL_HOLD, bound)
-    defect = reverse_defect(ts)
-    if defect is not None:
-        return AxiomReport((AxiomCheck("M1", FAILS, defect),) + _SKIPPED_AFTER_M1, bound)
-    found = _axiom_witnesses(ts)
+    if decision.witness["axiom"] == "M1":
+        return AxiomReport((AxiomCheck("M1", FAILS, decision.witness),) + _SKIPPED_AFTER_M1, bound)
+    found = _axiom_witnesses(ts, decision.potentials)
     checks = [AxiomCheck("M1", HOLDS)]
     for a in ("M2", "M3", "M4"):
         if a not in found:

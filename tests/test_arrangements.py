@@ -651,6 +651,10 @@ class TestMosaics:
         with pytest.raises(InputError):
             mosaic_window("penrose", 1)
 
+    def test_unknown_kind_past_the_radius_cap_is_an_input_error(self):
+        with pytest.raises(InputError):
+            mosaic_window("penrose", MOSAIC_MAX_RADIUS + 1)
+
     def test_radius_over_the_cap_builds_no_line(self):
         with mock.patch("tokenmedia.arrangements.Line.of", side_effect=AssertionError):
             with pytest.raises(CapError):

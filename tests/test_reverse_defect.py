@@ -1,6 +1,6 @@
 """M1 in one pass against the frozenset route it replaced.
 
-``tokens._find_reverse_defect`` walks the tokens in token order once: each
+``tokens.reverse_defect`` walks the tokens in token order once: each
 declared reverse must hold exactly the token's moves inverted, and tokens
 with equal moves are looked for only once a token passes.
 ``frozenset_reverse_defect``, the former route, grouped the move set of
@@ -28,7 +28,7 @@ REV_AB = {"a": "b", "b": "a"}
 
 
 def frozenset_reverse_defect(ts):
-    """The former ``_find_reverse_defect``: each token's candidates from the
+    """The former ``reverse_defect``: each token's candidates from the
     move sets of all tokens, grouped before the first token is read."""
     if ts.reverse is None:
         return {"axiom": "M1", "kind": "missing-reverse-pairing"}
@@ -42,7 +42,7 @@ def frozenset_reverse_defect(ts):
 
 
 def assert_same_witness(ts):
-    got = tokens._find_reverse_defect(ts)
+    got = tokens.reverse_defect(ts)
     assert got == frozenset_reverse_defect(ts)
     if got is not None:
         assert list(got) == list(frozenset_reverse_defect(ts))  # the same fields, in the same order

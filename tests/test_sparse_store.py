@@ -33,10 +33,12 @@ from tokenmedia.cubes import graph_to_medium, is_partial_cube, medium_graph
 from tokenmedia.errors import InputError
 from tokenmedia.families import ADD_PREFIX, REMOVE_PREFIX, SetFamily, family_medium, set_name
 from tokenmedia.linorders import linear_medium, token_name
-from tokenmedia.represent import contents, verify_embedding
-from tokenmedia.tokens import TokenSystem, reduction
+from tokenmedia.represent import contents, decide_medium, verify_embedding
+from tokenmedia.tokens import TokenSystem, check_axioms, reduction
 
 from conftest import dense_action, path3, reverse_candidates, twisted_square, wg_families
+from test_exact_check import two_level_path
+from test_tokens import FIRST_FAILURES
 
 
 # --- the dense-row builders ----------------------------------------------------
@@ -250,7 +252,33 @@ def test_the_store_keeps_no_dense_table():
     assert identity.embedding and identity.reduction_isomorphic
     assert set(vars(ts)) == FIELDS  # no move set is kept, and no reduction stored
     contents(ts)
-    assert set(vars(ts)) == FIELDS | {"_defect", "_decision"}  # the decision, but no content table
+    assert set(vars(ts)) == FIELDS | {"_decision"}  # the decision, but no content table
+
+
+# one system per kind of decision: a medium, an M1 failure, a disconnected
+# system, an M3 failure and a connected system that fails M2's separation test
+DECIDED = {
+    "medium": lambda: linear_medium(3)[0],
+    "M1": lambda: FIRST_FAILURES["M1"][0],
+    "disconnected": lambda: FIRST_FAILURES["M2"][0],
+    "M3": lambda: FIRST_FAILURES["M3"][0],
+    "separation": two_level_path,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(DECIDED))
+def test_the_decision_is_the_only_record_kept(kind):
+    # check_axioms and decide_medium, in either order and twice, store the
+    # decision and nothing else; the axioms are read off it
+    reports, decisions = [], []
+    for calls in ((check_axioms, decide_medium), (decide_medium, check_axioms)):
+        ts = TokenSystem.from_json_dict(DECIDED[kind]().to_json_dict())
+        for call in calls * 2:
+            (reports if call is check_axioms else decisions).append(call(ts))
+            assert set(vars(ts)) == FIELDS | {"_decision"}
+        assert decisions[-1] is decisions[-2] is ts._decision
+    assert all(r == reports[0] for r in reports) and all(d == decisions[0] for d in decisions)
+    assert (decisions[0].potentials is None) == (kind in ("medium", "M1"))
 
 
 def counted_constructions(monkeypatch) -> list:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tokenmedia import tokens
+from tokenmedia import represent
 from tokenmedia.errors import InputError
 from tokenmedia.cubes import LabeledGraph, graph_to_medium, is_partial_cube, medium_graph
 from tokenmedia.families import SetFamily, distance, family_medium, set_name
@@ -721,9 +721,10 @@ class TestMemoizedFalsifier:
         assert walked["M3"].verdict == walked["M4"].verdict == "holds-up-to-bound"
 
     def test_reverse_defect_runs_once_per_system(self, monkeypatch):
+        # the decision is the one caller of reverse_defect, and check_axioms reads M1 off it
         calls = []
-        find = tokens._find_reverse_defect
-        monkeypatch.setattr(tokens, "_find_reverse_defect", lambda ts: calls.append(ts) or find(ts))
+        find = represent.reverse_defect
+        monkeypatch.setattr(represent, "reverse_defect", lambda ts: calls.append(ts) or find(ts))
         m1_failure = FIRST_FAILURES["M1"][0]
         for ts in (path3(), TokenSystem.from_json_dict(m1_failure.to_json_dict())):
             report = check_axioms(ts, bound=4)
