@@ -16,6 +16,7 @@ from .tokens import TokenSystem
 ADD_PREFIX = "add:"
 REMOVE_PREFIX = "rem:"
 _BITS = bytes.maketrans(b"01", b"\0\1")  # binary digits to the bytes 0 and 1
+_BLOCK = 1024  # label rows that ``_bit_columns`` lays out as one string
 
 
 @dataclass(frozen=True)
@@ -96,13 +97,16 @@ def well_graded_witness(fam: SetFamily) -> tuple[frozenset, frozenset] | None:
 
 def _bit_columns(lab, width):
     """Per bit x, the positions whose label lacks x and those whose label
-    holds it: the label bit matrix, transposed by strided slices, and
-    complemented.  Every label is less than 2 ** width."""
+    holds it: the label bit matrix, transposed by strided slices one block
+    of rows at a time, and complemented.  Every label is less than 2 ** width."""
+    spec, holders = f"0{width}b", [0] * width
+    for start in range(0, len(lab), _BLOCK):
+        # the block in binary, one row of width digits per label from its last
+        # up: every width-th digit from c is its holders of bit width - 1 - c
+        rows = "".join([format(own, spec) for own in reversed(lab[start:start + _BLOCK])])
+        for c in range(width):
+            holders[width - 1 - c] |= int(rows[c::width], 2) << start
     everyone = (1 << len(lab)) - 1
-    # the labels in binary, one row of width digits per position from the last
-    # up: every width-th digit from c is the holders of bit width - 1 - c
-    rows = "".join([format(own, f"0{width}b") for own in reversed(lab)])
-    holders = [int(rows[c::width] or "0", 2) for c in range(width)][::-1]  # no labels: no digits
     return [(everyone ^ members, members) for members in holders]
 
 
@@ -117,12 +121,7 @@ def _moves_separate(lab, toggles, width):
     positions, with one AND per set bit of toggles[p], by a column of
     ``_bit_columns``.  With each move flipping its own bit, None is
     well-gradedness, and rules out equal labels."""
-    return _first_unseparated(lab, toggles, _bit_columns(lab, width))
-
-
-def _first_unseparated(lab, toggles, agree):
-    """``_moves_separate`` on the columns ``agree`` of the labels."""
-    everyone = (1 << len(lab)) - 1
+    agree, everyone = _bit_columns(lab, width), (1 << len(lab)) - 1
     for p, (own, tg) in enumerate(zip(lab, toggles)):
         alike = everyone
         while tg:

@@ -4,8 +4,8 @@ positive-content representation read off it.
 ``decide_medium`` verifies the reverse pairing and reads the threshold
 labels of ``_potentials``, the system's one labeling: one int per state,
 built along the BFS tree, with a bit per value each token pair's net count
-takes above its least.  M3, M2 and M4 are a pass over the moves, a
-separation test on the labels and a min/max of bit counts per pair.  A
+takes above its least.  That walk also tests M3 on every move; M2 and M4
+are a separation test on the labels and a min/max of bit counts per pair.  A
 medium's labels, relative to the least state, are its canonical
 well-graded representation; any other system gets the first failing
 check's witness.  A token system keeps its decision and no other derived
@@ -25,7 +25,7 @@ from typing import Mapping
 
 from .cubes import _geodesic
 from .errors import InputError
-from .families import SetFamily, _bit_columns, _digits, _first_unseparated
+from .families import SetFamily, _bit_columns, _digits, _moves_separate
 from .tokens import TokenSystem, reverse_defect
 
 
@@ -265,7 +265,6 @@ class _Potentials:
     m3: dict | None = None
     separation: list = field(default_factory=list)
     bounds: list = field(default_factory=list)
-    columns: dict = field(default_factory=dict)  # root -> _bit_columns, if the component fails M2
 
 
 def _potentials(ts: TokenSystem) -> _Potentials:
@@ -283,10 +282,11 @@ def _potentials(ts: TokenSystem) -> _Potentials:
     field, held at the target iff the token is the pair's first.  M3 holds
     iff every move agrees and no two states of a component share a label,
     for then a walk's net count per pair is the difference of its ends'
-    potentials.  A move s -> v by t that disagrees gives the closed walk "t,
-    tree path v -> root, tree path root -> s", which is not vacuous; two
-    states with one label give the vacuous tree path between them.  Tree
-    paths run up on reverse tokens, which M1 makes effective.
+    potentials; ``_label``'s walk tests both.  A move s -> v by t that
+    disagrees gives the closed walk "t, tree path v -> root, tree path root
+    -> s", which is not vacuous; two states with one label give the vacuous
+    tree path between them.  Tree paths run up on reverse tokens, which M1
+    makes effective.
 
     Once M3 holds, a walk is consistent iff its length is the Hamming
     distance of its ends' labels, and a move toggles one bit.  So M2 holds
@@ -311,17 +311,20 @@ def _potentials(ts: TokenSystem) -> _Potentials:
         for i, j in ms:
             out[i].append((j, t))
     ev = _Potentials([], [None] * len(states), [0] * (len(pair) // 2), [None] * len(states), out, pair)
-    shapes, width = [], 0
+    rank = {t: r for r, t in enumerate(ts.tokens)}
+    shapes, width, bad, repeat = [], 0, None, None
     for root in range(len(states)):
         if ev.lab[root] is None:
-            width, wide = _label(ev, root, width)
-            shapes.append((width, wide))
+            width, wide, least, toggles, again = _label(ev, root, width, rank)
+            shapes.append((width, wide, toggles))
+            bad = min(filter(None, (bad, least)), default=None)
+            repeat = repeat or again
     if len(ev.comps) > 1:
         ev.unreached = {"axiom": "M2", "source": states[0], "target": states[ev.comps[1][0]]}
-    ev.m3 = _m3_witness(ts, ev)
+    ev.m3 = _m3_witness(ts, ev, bad, repeat)
     if ev.m3 is None:
-        for comp, (width, wide) in zip(ev.comps, shapes):
-            ev.separation.append(_separation(ts, ev, comp, width))
+        for comp, (width, wide, toggles) in zip(ev.comps, shapes):
+            ev.separation.append(_separation(ts, ev, comp, width, toggles))
             ev.bounds.append(_m4_bounds(ts, ev, comp) if wide and not ev.separation[-1] else None)
     return ev
 
@@ -352,28 +355,23 @@ def _tree_path(ts, ev, i, up):
     return path if up else path[::-1]
 
 
-def _m3_witness(ts, ev):
-    states, lab = ts.states, ev.lab
-    for t, ms in ts._index_moves.items():
-        x, step = ev.pair[t]
-        mask, first = ev.fields[x], step > 0
-        for i, j in ms:
-            d = lab[i] ^ lab[j]  # agrees: one bit of x's field, held at the target iff t is first
-            if not d & mask or d & d - 1 or (lab[j] & d != 0) != first:
-                return {"axiom": "M3", "kind": "ineffective-but-not-vacuous", "state": states[i],
-                        "message": [t, *_tree_path(ts, ev, j, True), *_tree_path(ts, ev, i, False)]}
-    for comp in ev.comps:
-        first: dict = {}
-        for i in comp:
-            s = first.setdefault(lab[i], i)
-            if s != i:
-                return {"axiom": "M3", "kind": "vacuous-but-effective", "state": states[s],
-                        "message": _tree_path(ts, ev, s, True) + _tree_path(ts, ev, i, False),
-                        "end": states[i]}
+def _m3_witness(ts, ev, bad, repeat):
+    """M3's witness off ``_label``'s walk: the disagreeing move ``bad``, least
+    by (token rank, state), which orders moves by token then state, for a
+    token moves a state at most once; else the first component's ``repeat``."""
+    if bad is not None:
+        t, i = ts.tokens[bad[0]], bad[1]
+        j = next(j for j, u in ev.out[i] if u == t)
+        return {"axiom": "M3", "kind": "ineffective-but-not-vacuous", "state": ts.states[i],
+                "message": [t, *_tree_path(ts, ev, j, True), *_tree_path(ts, ev, i, False)]}
+    if repeat is not None:
+        s, i = repeat
+        return {"axiom": "M3", "kind": "vacuous-but-effective", "state": ts.states[s],
+                "message": _tree_path(ts, ev, s, True) + _tree_path(ts, ev, i, False), "end": ts.states[i]}
     return None
 
 
-def _label(ev, root, width):
+def _label(ev, root, width, rank):
     """The component of ``root``, by BFS into ``ev.comps``, and its threshold
     labels, into ``ev.lab``: bit (x, v) is set iff coordinate x is at least
     v, for v above x's least value in the component.  A tree step toggles the
@@ -381,17 +379,22 @@ def _label(ev, root, width):
     a step crosses that value.  A parent's coordinate x is the count of the
     bits it holds in x's field, less twice those of values at or below 0:
     they are held inverted while building, so that the root's label is 0,
-    and inverted back at the end.  Returns the bits given out so far and
-    whether some field holds two bits of the component."""
+    and inverted back at the end.  Each move is tested for M3 once its target
+    has a label, whose bits are given out by then.  Returns the bits given out
+    so far, whether some field holds two bits of the component, the least
+    (token ``rank``, state) of a move that disagrees, each state's toggles in
+    component order, and the first (earlier, later) states with one label."""
     lab, fields = ev.lab, ev.fields
     bit: dict = {}  # (coordinate, value) -> the bit number of its threshold
     low = 0  # the bits of values at or below 0
     lab[root] = 0
-    comp = [root]
+    comp, toggles, first = [root], [], {0: root}  # first: label -> the first state holding it
+    bad = repeat = None
     for u in comp:
+        moved = 0
         for j, t in ev.out[u]:
+            x, step = ev.pair[t]
             if lab[j] is None:
-                x, step = ev.pair[t]
                 held = lab[u] & fields[x]
                 v = held.bit_count() - 2 * (held & low).bit_count() + (step > 0)  # the larger end
                 if (x, v) not in bit:
@@ -403,26 +406,23 @@ def _label(ev, root, width):
                 lab[j] = lab[u] ^ 1 << bit[x, v]
                 ev.parent[j] = u, t
                 comp.append(j)
+                if first.setdefault(lab[j], j) != j and repeat is None:
+                    repeat = first[lab[j]], j
+            d = lab[u] ^ lab[j]
+            if not d & fields[x] or d & d - 1 or ((lab[j] ^ low) & d != 0) != (step > 0):
+                bad = min(bad or (rank[t], u), (rank[t], u))
+            moved |= d
+        toggles.append(moved)
     for i in comp:
         lab[i] ^= low
     ev.comps.append(comp)
-    return width, len(bit) > len({x for x, _ in bit})
+    return width, len(bit) > len({x for x, _ in bit}), bad, toggles, repeat
 
 
-def _separation(ts, ev, comp, width):
-    lab = ev.lab
-    toggles = []
-    for i in comp:
-        moved = 0
-        for j, _ in ev.out[i]:  # with M3, the bit of the move's larger end
-            moved |= lab[i] ^ lab[j]
-        toggles.append(moved)
-    labels = [lab[i] for i in comp]
-    agree = _bit_columns(labels, width)
-    found = _first_unseparated(labels, toggles, agree)
+def _separation(ts, ev, comp, width, toggles):
+    found = _moves_separate([ev.lab[i] for i in comp], toggles, width)
     if found is None:
         return None
-    ev.columns[comp[0]] = agree  # _m4_search reads them again
     return {"axiom": "M2", "source": ts.states[comp[found[0]]], "target": ts.states[comp[found[1]]]}
 
 
@@ -453,12 +453,13 @@ def _m4_search(ts, ev, comp):
     lowers the Hamming distance of the threshold labels to its end, so after
     a move a -> b toggling bit x it goes on straight to v iff v agrees with b
     on x: v is in the move's column ``keep`` of the labels' transpose, which
-    ``_separation`` stored in ``ev.columns``.  ``reach[b]``, the states b
-    reaches by a straight walk, is the least fixpoint of b and reach[j] &
-    keep over b's moves, and t occurs in a straight message into v iff v is
+    it reads by ``families._bit_columns``.  ``reach[b]``, the states b reaches
+    by a straight walk, is the least fixpoint of b and reach[j] & keep over
+    b's moves, and t occurs in a straight message into v iff v is
     in reach[b] & keep for some t-move a -> b.  The witness is at the first
     move, in component then move order, whose set meets its reverse's."""
-    lab, agree = ev.lab, ev.columns[comp[0]]
+    lab, labels = ev.lab, [ev.lab[i] for i in comp]
+    agree = _bit_columns(labels, max(labels).bit_length())
     moves = []  # (a, b, t, keep) in component then move order
     for a in comp:
         for b, t in ev.out[a]:

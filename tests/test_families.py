@@ -356,7 +356,8 @@ def zip_bit_columns(lab, width):
     return [(everyone ^ members, members) for members in holders]
 
 
-@pytest.mark.parametrize("size", [1, 3, 50, 720])
+@pytest.mark.parametrize("size", [1, 3, 50, 720,  # and one block, one past it and two and a half
+                                  families._BLOCK, families._BLOCK + 1, 5 * families._BLOCK // 2])
 @pytest.mark.parametrize("width", [0, 1, 8, 21])
 def test_bit_columns_match_the_zip_route(size, width):
     rng = random.Random(1000 * size + width)

@@ -168,3 +168,46 @@ def test_potentials_of_a_long_chain_keep_little_memory():
         tracemalloc.stop()
     assert ev.m3 is None and ev.separation == [None] and ev.bounds == [None]
     assert peak <= 12_000_000, peak
+
+
+def test_decision_of_a_very_long_chain_keeps_within_150_mb():
+    # 10,000 states on 9,999 pairs: the transpose of the whole label matrix
+    # as one string of S x width digits peaked at about 227 MB; a block of
+    # rows at a time it peaks at about 70 MB
+    ts = chain(10000, 0)
+    tracemalloc.start()
+    try:
+        ev = represent._potentials(ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ev.m3 is None and ev.separation == [None] and ev.bounds == [None]
+    assert peak <= 150_000_000, peak
+
+
+def test_m3_names_the_earlier_tokens_move_though_the_walk_meets_it_later():
+    # two triangles off the root a: the walk meets the disagreeing move of
+    # the later token late at b (level 1) before that of the earlier token
+    # early at e (level 2); the scan in token order named e's move first
+    states = ("a", "b", "c", "d", "e", "f")
+    ts = TokenSystem.from_pairs(states, [
+        ("early", "early'", {"e": "f"}), ("late", "late'", {"b": "c"}), ("x", "x'", {"a": "b"}),
+        ("y", "y'", {"a": "c"}), ("z", "z'", {"a": "d"}), ("w", "w'", {"d": "e"}),
+        ("v", "v'", {"d": "f"})])
+    ev = assert_same_as_the_tuple_route(ts)
+    assert ev.m3["kind"] == "ineffective-but-not-vacuous"
+    assert (ev.m3["state"], ev.m3["message"][0]) == ("e", "early")
+
+
+def test_m3_names_the_repeated_label_of_the_first_component():
+    # two components, each a path p, q, p' beside a step q from its root,
+    # so two states of each share a label; the second component's states
+    # come first in state order after the first root
+    def loop(a, b, c, d, e, k):
+        return [(f"p{k}", f"p{k}'", {a: b, d: c}), (f"q{k}", f"q{k}'", {b: c, a: e})]
+    states = ("a", "f", "g", "h", "i", "j", "b", "c", "d", "e")
+    ts = TokenSystem.from_pairs(states, loop("a", "b", "c", "d", "e", 0) + loop("f", "g", "h", "i", "j", 1))
+    ev = assert_same_as_the_tuple_route(ts)
+    assert len(ev.comps) == 2 and ev.comps[0][0] == 0
+    assert ev.m3["kind"] == "vacuous-but-effective"
+    assert {ev.m3["state"], ev.m3["end"]} == {"d", "e"}
