@@ -86,16 +86,11 @@ def _read_json(path: str):
     return _parse_json(_read_text(path), path)
 
 
-class _Layout(dict):
+@functools.cache
+def _layout(depth: int) -> tuple[str, str, str, str, str]:
     """Per depth: the openings of a list and a dict, the separator, and their closings."""
-
-    def __missing__(self, depth):
-        inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
-        self[depth] = layout = ("[" + inner, "{" + inner, "," + inner, outer + "]", outer + "}")
-        return layout
-
-
-_LAYOUT = _Layout()
+    inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
+    return "[" + inner, "{" + inner, "," + inner, outer + "]", outer + "}"
 
 
 def _pieces(obj, depth: int) -> list:
@@ -105,7 +100,7 @@ def _pieces(obj, depth: int) -> list:
     Strings take the stdlib's C escaping, and ints, booleans and None are written
     as ``json.dumps`` writes them; floats and anything else go through it."""
     if isinstance(obj, dict):
-        _, opening, sep, _, closing = _LAYOUT[depth]
+        _, opening, sep, _, closing = _layout(depth)
         out = []
         for key, value in sorted(obj.items()):
             out += sep, _encode_str(key), ": ", (
@@ -113,7 +108,7 @@ def _pieces(obj, depth: int) -> list:
     elif isinstance(obj, (list, tuple)):
         if not obj:
             return ["[]"]
-        opening, _, sep, closing, _ = _LAYOUT[depth]
+        opening, _, sep, closing, _ = _layout(depth)
         try:  # a list of strings here, saving a call, and any other through _column
             texts = map(_encode_str, obj) if isinstance(obj[0], str) else _column(obj, depth + 1)
             return [opening, sep.join(texts), closing]
@@ -122,7 +117,7 @@ def _pieces(obj, depth: int) -> list:
             for value in obj:
                 out += sep, _encode_str(value) if type(value) is str else "".join(_pieces(value, depth + 1))
     elif type(obj) is tokens.TokenSystem:
-        _, opening, sep, _, closing = _LAYOUT[depth]
+        _, opening, sep, _, closing = _layout(depth)
         out = _action_chunks(obj, sep, depth + 1)
     elif obj is None or obj is True or obj is False:
         return ["null" if obj is None else "true" if obj else "false"]
@@ -145,11 +140,11 @@ def _column(values, depth: int):
         return map(_encode_str, values)
     kinds = set(map(type, values))
     if kinds == {list}:
-        opening, _, sep, closing, _ = _LAYOUT[depth]
+        opening, _, sep, closing, _ = _layout(depth)
         return [opening + sep.join(map(_encode_str, v)) + closing if v else "[]" for v in values]
     if kinds == {dict} and first and all(map(first.keys().__eq__, map(dict.keys, values))):
         keys = sorted(first)
-        _, opening, sep, _, closing = _LAYOUT[depth]
+        _, opening, sep, _, closing = _layout(depth)
         row = opening + sep.join(_encode_str(k).replace("%", "%%") + ": %s" for k in keys) + closing
         return map(row.__mod__, zip(*[_column([d[k] for d in values], depth + 1) for k in keys]))
     raise TypeError("members of no one column kind")
@@ -166,7 +161,7 @@ def _action_chunks(ts: tokens.TokenSystem, sep: str, depth: int) -> list:
     place = sorted(range(len(states)), key=order.__getitem__)  # each state's rank in the order
     keyed = [name + ": " for name in names]
     fixed = [keyed[i] + names[i] for i in order]
-    _, head, row_sep, _, tail = _LAYOUT[depth]
+    _, head, row_sep, _, tail = _layout(depth)
     out = []
     for t, ms in sorted(ts._index_moves.items()):
         row = fixed.copy()

@@ -19,7 +19,7 @@ from itertools import compress, count
 from typing import Iterable, Mapping
 
 from .errors import CapError, InputError, ParseError, json_list
-from .families import SetFamily, _digits, _moves_separate, well_graded_witness
+from .families import ADD_PREFIX, REMOVE_PREFIX, SetFamily, _digits, _moves_separate, well_graded_witness
 from .tokens import TokenSystem
 
 #: Units of coordinate-search work one ``media_isomorphic`` call may spend:
@@ -332,7 +332,7 @@ def graph_to_medium(g: LabeledGraph) -> TokenSystem:
         if k in labels[u]:
             u, v = v, u
         ups.setdefault(k, {})[u] = v
-    return TokenSystem.from_pairs(g.vertices, ((f"add:{k}", f"rem:{k}", ups[k])
+    return TokenSystem.from_pairs(g.vertices, ((ADD_PREFIX + k, REMOVE_PREFIX + k, ups[k])
                                                for k in sorted(ups, key=int)))
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import InputError, ParseError, json_list
@@ -46,6 +46,7 @@ def _dense_row(states, ms) -> dict:
     return row
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class TokenSystem:
     """States plus the moves of each token and an optional reverse pairing.
 
@@ -63,9 +64,15 @@ class TokenSystem:
     effective moves as (state index, target index) pairs in state order.
     Every route of the library, from ``apply`` to the isomorphism search,
     reads that index, and ``to_json_dict`` writes the dense table from it.
-    Systems are immutable; two are equal when their states, tokens, pairing
-    and moves are.
+    Systems are frozen dataclasses; two are equal when their states, tokens,
+    pairing and moves are, and a system is not hashable.
     """
+
+    states: Sequence[str]
+    tokens: Sequence[str]
+    reverse: Mapping[str, str] | None
+    _index: dict[str, int] = field(compare=False)
+    _index_moves: dict[str, list[tuple[int, int]]]
 
     def __init__(self, states: Sequence[str], tokens: Sequence[str],
                  action: Mapping[str, Mapping[str, str]] | None = None,
@@ -110,18 +117,6 @@ class TokenSystem:
             moves[fwd], moves[bwd] = ms, {v: s for s, v in ms.items()}
             reverse[fwd], reverse[bwd] = bwd, fwd
         return cls(states, tuple(tokens), reverse=reverse, moves=moves)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of an immutable TokenSystem")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r} of an immutable TokenSystem")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.states, self.tokens, self.reverse, self._index_moves) == \
-            (other.states, other.tokens, other.reverse, other._index_moves)
 
     __hash__ = None
 

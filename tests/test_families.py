@@ -272,7 +272,7 @@ class TestCompleteness:
         assert not is_complete(staircase_family())
 
     def test_complete_iff_power_set_exhaustive(self):
-        # |X| = 3: completeness of a normalized family means all 8 subsets
+        # |X| = 3: every family of at least two of the 8 subsets, against the toggle loop
         import itertools
 
         subsets = [frozenset(s) for r in range(4) for s in itertools.combinations("abc", r)]
@@ -281,7 +281,42 @@ class TestCompleteness:
             if len(chosen) < 2:
                 continue
             fam = SetFamily(("a", "b", "c"), chosen)
-            assert is_complete(fam) == (len(chosen) == 8)
+            assert is_complete(fam) == toggle_closed(fam)
+
+    def test_matches_the_toggle_loop_on_random_families(self):
+        # grounds of 0-5 elements; members drawn from the cube of a part of the ground,
+        # often all of it, so that unused elements, common elements and whole cubes occur
+        import itertools
+
+        rng = random.Random(2005)
+        complete = 0
+        for _ in range(3000):
+            ground = tuple("abcde"[:rng.randint(0, 5)])
+            used = [x for x in ground if rng.random() < 0.8]
+            cube = [frozenset(c) for r in range(len(used) + 1) for c in itertools.combinations(used, r)]
+            sets = cube if rng.random() < 0.4 else rng.sample(cube, rng.randint(1, len(cube)))
+            if rng.random() < 0.3 and len(sets) > 1:
+                sets = sets[1:]
+            rest = [x for x in ground if x not in used]
+            if rest and rng.random() < 0.3:
+                sets = [s | {rest[0]} for s in sets]  # an element every member holds
+            fam = SetFamily(ground, tuple(sets))
+            complete += toggle_closed(fam)
+            assert is_complete(fam) == toggle_closed(fam), fam
+        assert complete > 300
+
+
+def toggle_closed(fam: SetFamily) -> bool:
+    """The oracle: every single-element toggle of every member stays in the family."""
+    members = set(fam.sets)
+    for s in fam.sets:
+        for x in fam.ground:
+            if x in s:
+                if s - {x} not in members:
+                    return False
+            elif s | {x} not in members:
+                return False
+    return True
 
 
 class TestTranslate:

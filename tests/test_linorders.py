@@ -183,7 +183,7 @@ class TestOrderEncodingPredicate:
         with pytest.raises(InputError):
             is_order_encoding({"2<1"}, 3)
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_matches_enumeration(self, n):
         base = base_order(n)
         images = {

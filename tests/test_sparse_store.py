@@ -13,6 +13,7 @@ command exactly as its dense twin does.
 import itertools
 import json
 import random
+from collections.abc import Hashable
 
 import pytest
 from hypothesis import given, settings
@@ -253,6 +254,27 @@ def test_the_store_keeps_no_dense_table():
     assert set(vars(ts)) == FIELDS  # no move set is kept, and no reduction stored
     contents(ts)
     assert set(vars(ts)) == FIELDS | {"_decision"}  # the decision, but no content table
+
+
+def test_the_system_is_a_frozen_unhashable_record():
+    # what the former hand-written __setattr__, __delattr__, __eq__ and __hash__ gave
+    ts = path3()
+    with pytest.raises(AttributeError):
+        del ts.states
+    with pytest.raises(AttributeError):
+        ts.extra = 1
+    with pytest.raises(TypeError):
+        hash(ts)
+    assert not isinstance(ts, Hashable) and set(vars(ts)) == FIELDS
+    # equal iff states, tokens, reverse and moves are
+    moves = {t: dict(ts.moves(t)) for t in ts.tokens}
+    assert ts == TokenSystem(ts.states, ts.tokens, reverse=ts.reverse, moves=moves) and ts != object()
+    assert ts != TokenSystem(ts.states, ts.tokens, moves=moves)
+    assert ts != TokenSystem(ts.states[::-1], ts.tokens, reverse=ts.reverse, moves=moves)
+    assert ts != TokenSystem(ts.states, ts.tokens[::-1], reverse=ts.reverse, moves=moves)
+    f1, _, f2, _ = ts.tokens  # the two forward tokens trade their moves
+    traded = {**moves, f1: moves[f2], f2: moves[f1]}
+    assert ts != TokenSystem(ts.states, ts.tokens, reverse=ts.reverse, moves=traded)
 
 
 # one system per kind of decision: a medium, an M1 failure, a disconnected
