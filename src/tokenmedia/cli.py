@@ -8,7 +8,7 @@ list of string lists or of dicts of one key set by column, and a system's dense
 ``action`` table from its moves.  Diagnostics go to stderr.
 Exit codes: 0 success/true, 1 semantic-false, 2 parse error or output that
 cannot be written (an unwritable ``--dot`` path, stdout closed by its
-reader), 3 resource cap.
+reader), 3 resource cap or out of memory.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import functools
 import json
 import mmap
 import os
+import re
 import stat
 import sys
 from json.encoder import encode_basestring_ascii as _encode_str
@@ -241,9 +242,8 @@ def _cmd_graph(args) -> int:
 
 def _cmd_pcube(args) -> int:
     text = _read_text(args.input)
-    head = text.lstrip()
     # a graph document opens with a string key; "{} {a}" is an edge line
-    if head.startswith("{") and head[1:].lstrip().startswith('"'):
+    if re.match(r'\s*\{\s*"', text):
         g = cubes.LabeledGraph.from_json_dict(_parse_json(text, args.input))
     else:
         g = cubes.LabeledGraph.from_edge_list(text)
@@ -414,6 +414,9 @@ def _run(args) -> int:
         return 2
     except CapError as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("cap exceeded: out of memory", file=sys.stderr)
         return 3
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -43,9 +43,9 @@ class LabeledGraph:
     edge_labels: Mapping[tuple[str, str], tuple[str, str]] | None = None
 
     def __post_init__(self):
-        if len(set(self.vertices)) != len(self.vertices):
-            raise InputError("duplicate vertex ids")
         vset = frozenset(self.vertices)
+        if len(vset) != len(self.vertices):
+            raise InputError("duplicate vertex ids")
         canon = set()
         for e in self.edges:
             u, v = e
@@ -293,19 +293,11 @@ def _geodesic(out, root, end):
 
 
 def _odd_cycle(parent, depth, u, w):
-    pu, pw = u, w
+    """The edge u-w closed into a cycle by the tree paths up from u and w."""
     left, right = [u], [w]
-    while depth[pu] > depth[pw]:
-        pu = parent[pu]
-        left.append(pu)
-    while depth[pw] > depth[pu]:
-        pw = parent[pw]
-        right.append(pw)
-    while pu != pw:
-        pu = parent[pu]
-        pw = parent[pw]
-        left.append(pu)
-        right.append(pw)
+    while left[-1] != right[-1]:  # the deeper end climbs
+        path = left if depth[left[-1]] >= depth[right[-1]] else right
+        path.append(parent[path[-1]])
     # left ends at the meeting vertex; right's copy of it is dropped
     return left + right[-2::-1]
 
@@ -535,7 +527,7 @@ class CubeIsometry:
         gset = frozenset(self.ground)
         if not self.translation <= gset:
             raise InputError("translation set must live inside the ground set")
-        if set(self.perm) != set(gset) or set(self.perm.values()) != set(gset):
+        if set(self.perm) != gset or set(self.perm.values()) != gset:
             raise InputError("perm must be a permutation of the ground set")
 
     @classmethod

@@ -27,13 +27,13 @@ class SetFamily:
     sets: tuple[frozenset[str], ...]
 
     def __post_init__(self):
-        if len(set(self.ground)) != len(self.ground):
+        universe = frozenset(self.ground)
+        if len(universe) != len(self.ground):
             raise InputError("duplicate ground elements")
         if not self.sets:
             raise InputError("a set family needs at least one member set")
         if len(set(self.sets)) != len(self.sets):
             raise InputError("member sets must be pairwise distinct")
-        universe = frozenset(self.ground)
         for s in self.sets:
             if not s <= universe:
                 raise InputError("member sets must live inside the ground set")

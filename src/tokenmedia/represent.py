@@ -329,12 +329,11 @@ def _potentials(ts: TokenSystem) -> _Potentials:
     return ev
 
 
-def _axiom_witnesses(ts: TokenSystem, ev: _Potentials | None = None) -> dict:
+def _axiom_witnesses(ts: TokenSystem, ev: _Potentials) -> dict:
     """Exact M2-M4 witnesses of a system that passed M1, None where the axiom
-    holds, read off ``ev``, the potentials its decision keeps when it is no
-    medium, or else computed again.  When M3 fails the labels are no
+    holds, read off ``ev``, its potentials (``check_axioms`` passes the ones
+    its decision keeps when it is no medium).  When M3 fails the labels are no
     potentials: M4 is left out, and M2 too unless the system is disconnected."""
-    ev = ev or _potentials(ts)
     found = {"M3": ev.m3}
     if ev.unreached:
         found["M2"] = ev.unreached

@@ -178,7 +178,6 @@ class TokenSystem:
         states = tuple(str(s) for s in json_list(raw_states, "token system 'states'"))
         tokens = []
         reverse: dict[str, str] = {}
-        saw_reverse = False
         for entry in json_list(raw_tokens, "token system 'tokens'"):
             if isinstance(entry, str):
                 tokens.append(entry)
@@ -188,16 +187,15 @@ class TokenSystem:
             except (KeyError, TypeError):
                 raise ParseError("token entries need an 'id' field") from None
             if "reverse" in entry:
-                saw_reverse = True
                 reverse[str(entry["id"])] = str(entry["reverse"])
-        if saw_reverse and len(reverse) != len(tokens):
+        if reverse and len(reverse) != len(tokens):
             raise ParseError("either every token or no token may declare a reverse")
         if not isinstance(table, dict):
             raise ParseError(f"token system {kind!r} must be a JSON object")
         if not all(isinstance(row, dict) for row in table.values()):
             raise ParseError(f"each {kind} row must be a JSON object")
         try:  # the constructor's one validation walk checks the rows against the tokens
-            return cls(states, tuple(tokens), reverse=reverse if saw_reverse else None, **{kind: table})
+            return cls(states, tuple(tokens), reverse=reverse or None, **{kind: table})
         except InputError as exc:
             raise ParseError(str(exc)) from None
 

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -231,6 +232,26 @@ class TestPcube:
         path.write_text('\n  {\n  "vertices": ["a", "b"], "edges": [["a", "b"]]}')
         code, out, _ = run(capsys, "pcube", str(path))
         assert code == 0 and json.loads(out)["labels"] == {"a": [], "b": ["0"]}
+
+    @pytest.mark.parametrize("text,code,found", [
+        ('\n\t \r\n  {"vertices": ["a", "b"], "edges": [["a", "b"]]}', 0, {"a": [], "b": ["0"]}),
+        ('{ \n\t\r\n "vertices": ["a", "b"], "edges": [["a", "b"]]}', 0, {"a": [], "b": ["0"]}),
+        ("{} {a}\n", 0, {"{a}": [], "{}": ["0"]}),
+        ("{}\t{a}\n{a} {a,b}\n", 0, {"{a,b}": [], "{a}": ["0"], "{}": ["0", "1"]}),
+        # whitespace to str.isspace but not to JSON: read as JSON, as before
+        ('\x1c{"vertices": ["a", "b"], "edges": [["a", "b"]]}', 2, "line 1 column 1: Expecting value"),
+        ('{\u3000"vertices": ["a"], "edges": []}', 2,
+         "line 1 column 2: Expecting property name enclosed in double quotes"),
+    ])
+    def test_the_document_kind_is_read_off_the_first_brace(self, tmp_path, capsys, text, code, found):
+        path = tmp_path / "graph"
+        path.write_text(text, encoding="utf-8")
+        got, out, err = run(capsys, "pcube", str(path))
+        assert got == code
+        if code == 0:
+            assert json.loads(out)["labels"] == found
+        else:
+            assert (out, err) == ("", f"parse error: {path}: {found}\n")
 
     def test_connected_graph_with_odd_cycle_exits_one(self, tmp_path, capsys):
         path = tmp_path / "tailed-triangle.txt"
@@ -695,6 +716,33 @@ def test_closed_stdout_ends_without_a_traceback(n):
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (2, b"")
+
+
+def chain_moves_document(n):
+    """The path medium on n states as a sparse ``"moves"`` document."""
+    names = [f"s{i}" for i in range(n)]
+    tokens, moves = [], {}
+    for i in range(n - 1):
+        tokens += [{"id": f"u{i}", "reverse": f"d{i}"}, {"id": f"d{i}", "reverse": f"u{i}"}]
+        moves[f"u{i}"], moves[f"d{i}"] = {names[i]: names[i + 1]}, {names[i + 1]: names[i]}
+    return {"states": names, "tokens": tokens, "moves": moves}
+
+
+def limit_address_space():
+    """Run in the child only: its address space is capped at 300 MB."""
+    resource.setrlimit(resource.RLIMIT_AS, (300 * 2**20, 300 * 2**20))
+
+
+@pytest.mark.parametrize("argv", [["mosaic", "triangular", "--radius", "12"], ["check", "IN"]])
+def test_running_out_of_memory_is_a_cap_with_one_line(argv, tmp_path):
+    # each needs more than 300 MB: the mosaic prints 259.8 MB, and the
+    # 4,000-state chain's report lists Theta(S^2) label names
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(chain_moves_document(4000)))
+    env = {"PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "tokenmedia.cli", *(str(path) if a == "IN" else a for a in argv)],
+                          capture_output=True, env=env, preexec_fn=limit_address_space, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, b"", b"cap exceeded: out of memory\n")
 
 
 def test_broken_pipe_leaves_a_stdout_without_a_descriptor_alone(monkeypatch):

@@ -44,6 +44,25 @@ from conftest import (
 from name_partial_cube import name_partial_cube
 
 
+def three_loop_odd_cycle(parent, depth, u, w):
+    """The former ``_odd_cycle``, kept as the oracle: the deeper end climbs
+    to the other's depth, then both climb together until they meet."""
+    pu, pw = u, w
+    left, right = [u], [w]
+    while depth[pu] > depth[pw]:
+        pu = parent[pu]
+        left.append(pu)
+    while depth[pw] > depth[pu]:
+        pw = parent[pw]
+        right.append(pw)
+    while pu != pw:
+        pu = parent[pu]
+        pw = parent[pw]
+        left.append(pu)
+        right.append(pw)
+    return left + right[-2::-1]
+
+
 def theta_scan_partial_cube(g: LabeledGraph) -> PartialCubeResult:
     """The reference recognizer: the O(E^2) Djokovic-Winkler Theta scan over
     an all-pairs distance table, the labeling BFS over the Theta classes and
@@ -68,7 +87,8 @@ def theta_scan_partial_cube(g: LabeledGraph) -> PartialCubeResult:
     if len(depth) != len(g.vertices):
         raise InputError("graph must be connected")
     if odd is not None:
-        return PartialCubeResult(False, witness={"kind": "odd-cycle", "cycle": _odd_cycle(parent, depth, *odd)})
+        return PartialCubeResult(False, witness={"kind": "odd-cycle",
+                                                 "cycle": three_loop_odd_cycle(parent, depth, *odd)})
 
     dist = {v: bfs_distances(adj, v) for v in g.vertices}
     edges = g.edges
@@ -295,6 +315,44 @@ class TestPartialCubeRecognition:
             g = medium_graph(ts)
             assert is_partial_cube(g).accepted, name
             assert_same_recognition(g)
+
+
+def random_bfs_tree(rng, n):
+    """Parents and depths of a random tree on 0, .., n-1 rooted at 0, each
+    vertex's parent one of the vertices a level above it, as in a BFS."""
+    parent, depth, levels = [None], [0], [[0]]
+    for v in range(1, n):
+        level = rng.randrange(1, len(levels) + 1)
+        parent.append(rng.choice(levels[level - 1]))
+        depth.append(level)
+        if level == len(levels):
+            levels.append([])
+        levels[level].append(v)
+    return parent, depth
+
+
+class TestOddCycle:
+    def test_matches_the_three_loops_on_random_trees(self):
+        rng = random.Random(46)
+        ancestors = 0
+        for _ in range(2_000):
+            parent, depth = random_bfs_tree(rng, rng.randint(1, 40))
+            names = [f"v{v}" for v in range(len(parent))]
+            named_parent = {names[v]: None if p is None else names[p] for v, p in enumerate(parent)}
+            named_depth = dict(zip(names, depth))
+            for _ in range(5):
+                u, w = rng.randrange(len(parent)), rng.randrange(len(parent))
+                if rng.random() < 0.3:  # w an ancestor of u, or u itself
+                    w = u
+                    for _ in range(rng.randint(0, depth[u])):
+                        w = parent[w]
+                    ancestors += 1
+                    u, w = (w, u) if rng.random() < 0.5 else (u, w)
+                cycle = _odd_cycle(parent, depth, u, w)
+                assert cycle == three_loop_odd_cycle(parent, depth, u, w)
+                assert _odd_cycle(named_parent, named_depth, names[u], names[w]) == \
+                    three_loop_odd_cycle(named_parent, named_depth, names[u], names[w]) == [names[v] for v in cycle]
+        assert ancestors >= 2_000
 
 
 @st.composite

@@ -1,4 +1,8 @@
 import itertools
+import random
+import time
+import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -193,3 +197,93 @@ class TestOrderEncodingPredicate:
         for mask in range(1 << len(ground)):
             subset = frozenset(g for i, g in enumerate(ground) if mask >> i & 1)
             assert is_order_encoding(subset, n) == (subset in images), subset
+
+
+def win_count_encoding(p, n):
+    """The former route, kept as the oracle: every base pair is named and
+    each item of p looked up among the names, then the wins are counted
+    over every base pair."""
+    base = base_order(n)
+    legal = {pair_name(x, y): (x, y) for (x, y) in base.pairs}
+    rel = set()
+    for item in p:
+        if item not in legal:
+            raise InputError(f"{item!r} is not a pair of the base order")
+        rel.add(legal[item])
+    wins = Counter(x if (x, y) in rel else y for x, y in base.pairs)
+    return len({wins[x] for x in base.seq}) == n
+
+
+def random_item(rng, n):
+    """A base-pair name, or now and then a name outside the base, a
+    non-string or an unhashable item."""
+    names = [str(i) for i in range(1, max(n, 2) + 1)]
+    x, y = sorted(rng.sample(names, 2), key=int)
+    roll = rng.random()
+    if roll < 0.8:
+        return pair_name(x, y)
+    if roll < 0.9:
+        return rng.choice([pair_name(y, x), pair_name(x, x), f"{x}<{y}<{x}", f"{x}<", f"<{y}", x, "",
+                           f" {x}<{y}", f"{x}<{int(y) + n}", f"0<{y}", f"{x}<{y} ", f"{x}<<{y}"])
+    if roll < 0.95:
+        return rng.choice([3, None, 1.5, (x, y), b"1<2", frozenset({pair_name(x, y)})])
+    return rng.choice([[x, y], {pair_name(x, y)}, {x: y}])
+
+
+def random_encoding_input(rng):
+    """(p, n): n from -1 to 9; p a list, with repeats, that is an order's
+    encoding, one pair off one, or random items."""
+    n = rng.randint(-1, 9)
+    size = max(n, 2)
+    roll = rng.random()
+    if roll < 0.4:
+        base = base_order(size)
+        p = list(encode(LinearOrder(tuple(rng.sample(base.seq, size))), base))
+        if roll < 0.2 and base.pairs:
+            p.append(pair_name(*rng.choice(sorted(base.pairs))))  # maybe one pair off the order
+        if rng.random() < 0.2:
+            p.insert(rng.randint(0, len(p)), random_item(rng, size))
+    else:
+        p = [random_item(rng, size) for _ in range(rng.randint(0, 12))]
+    p += rng.sample(p, rng.randint(0, min(3, len(p))))  # repeats
+    rng.shuffle(p)
+    return p, n
+
+
+def outcome(route, p, n):
+    try:
+        return route(p, n)
+    except (InputError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+class TestOrderEncodingOracle:
+    def test_matches_the_win_count_over_every_base_pair(self):
+        rng = random.Random(46)
+        seen = Counter()
+        for _ in range(20_000):
+            p, n = random_encoding_input(rng)
+            expected = outcome(win_count_encoding, p, n)
+            assert outcome(is_order_encoding, p, n) == expected, (p, n)
+            seen[expected if isinstance(expected, bool) else expected[0]] += 1
+        assert min(seen[True], seen[False], seen[InputError], seen[TypeError]) >= 500, seen
+
+    # the reversed base order, and 50 pairs k<k+2, each without k<k+1 and k+1<k+2
+    @pytest.mark.parametrize("p,expected", [(set(), True),
+                                            ({pair_name(str(k), str(k + 2)) for k in range(1, 200, 4)}, False)])
+    def test_reads_only_its_own_pairs(self, p, expected):
+        # the former route named all 18 million base pairs of n = 6,000
+        n = 6000
+        best = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            assert is_order_encoding(p, n) is expected
+            best = min(best, time.perf_counter() - start)
+        tracemalloc.start()
+        try:
+            is_order_encoding(p, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(p) in (0, 50)
+        assert best <= 0.2 and peak <= 5 * 2**20, (best, peak)

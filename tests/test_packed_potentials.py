@@ -46,7 +46,7 @@ def assert_same_as_the_tuple_route(ts):
     assert_reads_the_same(decision, tuple_potentials._pair_decision(old))
     if reverse_defect(ts) is not None:
         return None
-    assert represent._axiom_witnesses(new) == tuple_potentials._axiom_witnesses(old)
+    assert represent._axiom_witnesses(new, represent._potentials(new)) == tuple_potentials._axiom_witnesses(old)
     ev, ref = represent._potentials(new), tuple_potentials._potentials(old)
     assert ev.comps == ref.comps and ev.parent == ref.parent and ev.pair == ref.pair
     for comp in ev.comps:

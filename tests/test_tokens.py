@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tokenmedia import represent
-from tokenmedia.errors import InputError
+from tokenmedia.errors import InputError, ParseError
 from tokenmedia.cubes import LabeledGraph, graph_to_medium, is_partial_cube, medium_graph
 from tokenmedia.families import SetFamily, distance, family_medium, set_name
 from tokenmedia.linorders import LinearOrder, apply_token, encode, linear_medium
@@ -72,6 +72,21 @@ class TestConstruction:
         ts = path3()
         again = TokenSystem.from_json_dict(ts.to_json_dict())
         assert again == ts
+
+    @pytest.mark.parametrize("tokens,reverse", [
+        (["f", "g"], None),
+        ([{"id": "f"}, "g"], None),
+        ([{"id": "f", "reverse": "g"}, {"id": "g", "reverse": "f"}], {"f": "g", "g": "f"}),
+    ])
+    def test_a_document_gives_a_reverse_iff_its_tokens_declare_one(self, tokens, reverse):
+        doc = {"states": ["a", "b"], "tokens": tokens, "moves": {"f": {"a": "b"}, "g": {"b": "a"}}}
+        assert TokenSystem.from_json_dict(doc).reverse == reverse
+
+    def test_a_reverse_declared_by_some_tokens_only_is_a_parse_error(self):
+        doc = {"states": ["a", "b"], "tokens": [{"id": "f", "reverse": "g"}, "g"],
+               "moves": {"f": {"a": "b"}, "g": {"b": "a"}}}
+        with pytest.raises(ParseError, match="either every token or no token may declare a reverse"):
+            TokenSystem.from_json_dict(doc)
 
     def test_moves_are_built_once(self):
         ts = path3()
