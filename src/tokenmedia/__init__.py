@@ -23,6 +23,7 @@ from .cubes import (
 )
 from .errors import CapError, InputError, ParseError
 from .families import (
+    FamilyRepresentation,
     SetFamily,
     between,
     distance,
@@ -37,7 +38,6 @@ from .families import (
 from .linorders import LinearOrder, apply_token, covers, encode, is_order_encoding, linear_medium
 from .represent import (
     ContentTable,
-    FamilyRepresentation,
     MediumDecision,
     Orientation,
     contents,

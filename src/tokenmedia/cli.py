@@ -250,7 +250,7 @@ def _cmd_pcube(args) -> int:
     result = cubes.is_partial_cube(g)
     _emit(result.to_json_dict())
     if args.dot and result.accepted:
-        return _write_dot(args.dot, cubes.LabeledGraph(g.vertices, g.edges, result.labels))
+        return _write_dot(args.dot, cubes.LabeledGraph(g.vertices, g.edges, result.alpha))
     return 0 if result.accepted else 1
 
 

@@ -4,11 +4,12 @@ Recognition builds the Djokovic-Winkler classes one at a time (uv Theta xy
 when d(u,x) + d(v,y) != d(u,y) + d(v,x)), one BFS per class, labels every
 vertex by the classes that separate it from the least vertex, and certifies
 that labeling isometric with a well-gradedness test, in O(dim * E) and
-without a distance table.  A bipartite graph is a partial cube iff Theta is
-transitive on it (Winkler), and either check that fails names three edges
-e Theta f, f Theta h, not e Theta h: a class that reaches an edge of an
-earlier class, or a pair of vertices that no class at the first separates,
-whose geodesic crosses one class twice.
+without a distance table.  The labels stay ints, one per vertex, as in a
+medium's decision (``FamilyRepresentation``).  A bipartite graph is a
+partial cube iff Theta is transitive on it (Winkler), and either check that
+fails names three edges e Theta f, f Theta h, not e Theta h: a class that
+reaches an edge of an earlier class, or a pair of vertices that no class at
+the first separates, whose geodesic crosses one class twice.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from itertools import compress, count
 from typing import Iterable, Mapping
 
 from .errors import CapError, InputError, ParseError, json_list
-from .families import ADD_PREFIX, REMOVE_PREFIX, SetFamily, _digits, _moves_separate, well_graded_witness
+from .families import (ADD_PREFIX, REMOVE_PREFIX, FamilyRepresentation, SetFamily, _digits, _moves_separate,
+                       well_graded_witness)
 from .tokens import TokenSystem
 
 #: Units of coordinate-search work one ``media_isomorphic`` call may spend:
@@ -151,9 +153,8 @@ def medium_graph(ts: TokenSystem) -> LabeledGraph:
 
 
 @dataclass(frozen=True)
-class PartialCubeResult:
+class PartialCubeResult(FamilyRepresentation):
     accepted: bool
-    labels: Mapping[str, frozenset[str]] | None = None
     edge_classes: Mapping[tuple[str, str], str] | None = None
     witness: Mapping | None = None
 
@@ -162,11 +163,8 @@ class PartialCubeResult:
         return len(set(self.edge_classes.values())) if self.edge_classes else 0
 
     def to_json_dict(self) -> dict:
-        if self.accepted:
-            return {
-                "partial_cube": True,
-                "labels": {v: sorted(l) for v, l in self.labels.items()},
-            }
+        if self.accepted:  # the sets laid out as ``graph`` lays them, class names in string order
+            return {"partial_cube": True, "labels": dict(zip(self.states, self._sets(sorted(self.names))))}
         return {"partial_cube": False, "witness": dict(self.witness)}
 
 
@@ -256,16 +254,17 @@ def is_partial_cube(g: LabeledGraph) -> PartialCubeResult:
     lab = [0] * n
     for w in order[1:]:
         lab[w] = lab[parent[w]] ^ 1 << cls[up[w]]
-    pair = _moves_separate([lab[v] for v in order], [toggles[v] for v in order], width)
+    labels = tuple(map(lab.__getitem__, order))
+    pair = _moves_separate(labels, [toggles[v] for v in order], width)
     if pair is not None:
         # the class of the first step does not separate p from q, so the
         # geodesic flips its bit back on a later step
         steps = _geodesic(adj, order[pair[1]], order[pair[0]])
         k = cls[steps[0]]
         return _theta_violation(edges, steps[0], least[k], next(f for f in steps[1:] if cls[f] == k))
-    coords = [str(k) for k in range(width)]
-    labels = {names[v]: frozenset(compress(coords, _digits(lab[v], width))) for v in order}
-    return PartialCubeResult(True, labels=labels, edge_classes=dict(zip(edges, map(coords.__getitem__, cls))))
+    coords = tuple(map(str, range(width)))
+    return PartialCubeResult(True, ground=coords, names=coords, states=tuple(map(names.__getitem__, order)),
+                             labels=labels, edge_classes=dict(zip(edges, map(coords.__getitem__, cls))))
 
 
 def _theta_violation(edges, *triple):
@@ -318,14 +317,14 @@ def graph_to_medium(g: LabeledGraph) -> TokenSystem:
     pc = is_partial_cube(g)
     if not pc.accepted:
         raise NotPartialCube(pc.witness)
-    labels = pc.labels
-    ups: dict[str, dict[str, str]] = {}
-    for (u, v), k in pc.edge_classes.items():
-        if k in labels[u]:
+    label = dict(zip(pc.states, pc.labels))
+    ups: list[dict[str, str]] = [{} for _ in pc.names]
+    for u, v in g.edges:  # the ends' labels differ in one bit, the edge's class
+        if label[u] > label[v]:
             u, v = v, u
-        ups.setdefault(k, {})[u] = v
-    return TokenSystem.from_pairs(g.vertices, ((ADD_PREFIX + k, REMOVE_PREFIX + k, ups[k])
-                                               for k in sorted(ups, key=int)))
+        ups[(label[u] ^ label[v]).bit_length() - 1][u] = v
+    return TokenSystem.from_pairs(g.vertices, ((ADD_PREFIX + k, REMOVE_PREFIX + k, up)
+                                               for k, up in zip(pc.names, ups)))
 
 
 # --- isomorphism -----------------------------------------------------------
@@ -537,7 +536,7 @@ class CubeIsometry:
 
     def apply(self, s: Iterable[str]) -> frozenset[str]:
         s = frozenset(s)
-        if not s <= frozenset(self.ground):
+        if not s <= self.perm.keys():  # the keys are the ground (``__post_init__``)
             raise InputError("set uses elements outside the ground set")
         return frozenset(self.perm[x] for x in s ^ self.translation)
 

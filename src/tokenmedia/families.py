@@ -8,7 +8,9 @@ system a medium; see ``tokenmedia.represent``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from functools import cached_property
+from itertools import compress
+from typing import Iterable, Mapping
 
 from .errors import InputError, ParseError, json_list
 from .tokens import TokenSystem
@@ -56,6 +58,44 @@ class SetFamily:
                           [[str(x) for x in s] for s in sets])
         except (TypeError, InputError) as exc:
             raise ParseError(f"bad set family: {exc}") from None
+
+
+@dataclass(frozen=True, kw_only=True)
+class FamilyRepresentation:
+    """A family kept as one int per state, for a medium and a partial cube alike.
+    ``labels`` holds the set of each state of ``states``, bit k standing for
+    ``names[k]`` of ``ground``; ``alpha`` (state -> set) and ``family`` are
+    built from the ints when read, None with no states (a decision that is no
+    medium, a rejected graph).  ``beta`` maps each token to the (ground element,
+    polarity) of its add/remove token on the family; a partial cube has none."""
+
+    ground: tuple[str, ...] = ()
+    names: tuple[str, ...] = ()
+    states: tuple[str, ...] = ()
+    labels: tuple[int, ...] = ()
+    beta: Mapping[str, tuple[str, str]] | None = None
+
+    @cached_property
+    def alpha(self) -> dict[str, frozenset[str]] | None:
+        if self.states:
+            return {s: frozenset(compress(self.names, _digits(label, len(self.names))))
+                    for s, label in zip(self.states, self.labels)}
+
+    @cached_property
+    def family(self) -> SetFamily | None:
+        return SetFamily(self.ground, tuple(self.alpha.values())) if self.states else None
+
+    def _sets(self, order) -> list[list[str]]:
+        """Each label's set laid out once from its int, members in the order of ``order`` (the names)."""
+        rank = {x: r for r, x in enumerate(order)}
+        ranks = [rank[x] for x in self.names]
+        return [list(map(order.__getitem__, sorted(compress(ranks, _digits(label, len(ranks))))))
+                for label in self.labels]
+
+    def to_json_dict(self) -> dict:
+        sets = self._sets(self.ground)
+        return {"family": {"ground": list(self.ground), "sets": sets}, "alpha": dict(zip(self.states, sets)),
+                "beta": {t: {"element": x, "polarity": pol} for t, (x, pol) in self.beta.items()}}
 
 
 def distance(p: frozenset, q: frozenset) -> int:

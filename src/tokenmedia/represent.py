@@ -19,13 +19,11 @@ sets of ``alpha`` and ``family`` are built from the ints only when read.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import compress
 from typing import Mapping
 
 from .cubes import _geodesic
 from .errors import InputError
-from .families import SetFamily, _bit_columns, _digits, _moves_separate
+from .families import FamilyRepresentation, _bit_columns, _digits, _moves_separate
 from .tokens import TokenSystem, reverse_defect
 
 
@@ -98,44 +96,6 @@ def orient_from_state(ts: TokenSystem, s0: str) -> Orientation:
     decision = _medium_decision(ts)
     negative = _content(decision, decision.labels[ts._index[s0]])
     return Orientation(frozenset(ts.tokens) - negative, negative)
-
-
-@dataclass(frozen=True, kw_only=True)
-class FamilyRepresentation:
-    """A set family with its state and token bijections.  ``labels`` holds
-    the set of each state of ``states`` as one int, bit k standing for
-    ``names[k]`` of ``ground``; ``alpha`` (state -> set) and ``family`` (the
-    sets in state order) are built from the ints when read, and the writer
-    lays each set out once, in ground order.  ``beta`` maps each token to
-    the (ground element, polarity) of its add/remove token on the family."""
-
-    ground: tuple[str, ...] = ()
-    names: tuple[str, ...] = ()
-    states: tuple[str, ...] = ()
-    labels: tuple[int, ...] = ()
-    beta: Mapping[str, tuple[str, str]] | None = None
-
-    @cached_property
-    def alpha(self) -> dict[str, frozenset[str]] | None:  # None on a decision that is no medium
-        if self.beta is not None:
-            return {s: frozenset(compress(self.names, _digits(label, len(self.names))))
-                    for s, label in zip(self.states, self.labels)}
-
-    @cached_property
-    def family(self) -> SetFamily | None:
-        return None if self.beta is None else SetFamily(self.ground, tuple(self.alpha.values()))
-
-    def _sets(self, order) -> list[list[str]]:
-        """Each label's set laid out once from its int, members in the order of ``order`` (the names)."""
-        rank = {x: r for r, x in enumerate(order)}
-        ranks = [rank[x] for x in self.names]
-        return [list(map(order.__getitem__, sorted(compress(ranks, _digits(label, len(ranks))))))
-                for label in self.labels]
-
-    def to_json_dict(self) -> dict:
-        sets = self._sets(self.ground)
-        return {"family": {"ground": list(self.ground), "sets": sets}, "alpha": dict(zip(self.states, sets)),
-                "beta": {t: {"element": x, "polarity": pol} for t, (x, pol) in self.beta.items()}}
 
 
 def positive_content_family(ts: TokenSystem, orientation: Orientation) -> FamilyRepresentation:

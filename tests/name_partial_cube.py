@@ -7,17 +7,44 @@ by a scan of every edge, and each label set is built bit by bit.
 Everything below the imports is kept verbatim, with the entry point
 renamed to ``name_partial_cube`` and ``_theta_violation`` kept here in its
 former form, on edges given by their vertex names.
+
+``PartialCubeResult`` is the former record too, which both this route and
+the Theta scan of ``tests/test_cubes.py`` return: a map from each vertex to
+its label's frozenset, printed by sorting each set, so the printed layout
+has an oracle that shares no code with the library's int labels.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
+from typing import Mapping
 
-from tokenmedia.cubes import LabeledGraph, PartialCubeResult, _geodesic, _odd_cycle
+from tokenmedia.cubes import LabeledGraph, _geodesic, _odd_cycle
 from tokenmedia.errors import InputError
 from tokenmedia.families import _moves_separate
 
 from conftest import adjacency
+
+
+@dataclass(frozen=True)
+class PartialCubeResult:
+    accepted: bool
+    labels: Mapping[str, frozenset[str]] | None = None
+    edge_classes: Mapping[tuple[str, str], str] | None = None
+    witness: Mapping | None = None
+
+    @property
+    def class_count(self) -> int:
+        return len(set(self.edge_classes.values())) if self.edge_classes else 0
+
+    def to_json_dict(self) -> dict:
+        if self.accepted:
+            return {
+                "partial_cube": True,
+                "labels": {v: sorted(l) for v, l in self.labels.items()},
+            }
+        return {"partial_cube": False, "witness": dict(self.witness)}
 
 
 def name_partial_cube(g: LabeledGraph) -> PartialCubeResult:

@@ -1,5 +1,8 @@
 import itertools
+import json
 import random
+import timeit
+import tracemalloc
 from collections import deque
 from unittest import mock
 
@@ -7,12 +10,12 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from tokenmedia import cli
 from tokenmedia.arrangements import enumerate_regions, mosaic_window, region_adjacency
 from tokenmedia.cubes import (
     CubeIsometry,
     LabeledGraph,
     NotPartialCube,
-    PartialCubeResult,
     _geodesic,
     _odd_cycle,
     extend_isometry,
@@ -41,7 +44,7 @@ from conftest import (
     two_state,
     wg_families,
 )
-from name_partial_cube import name_partial_cube
+from name_partial_cube import PartialCubeResult, name_partial_cube
 
 
 def three_loop_odd_cycle(parent, depth, u, w):
@@ -219,9 +222,9 @@ class TestPartialCubeRecognition:
         pc = is_partial_cube(g)
         assert pc.accepted
         assert len(set(pc.edge_classes.values())) == 3
-        sizes = sorted(len(pc.labels[v]) for v in g.vertices)
+        sizes = sorted(len(pc.alpha[v]) for v in g.vertices)
         assert sizes == [0, 1, 1, 2, 2, 3]
-        assert is_well_graded(SetFamily(("0", "1", "2"), tuple({pc.labels[v] for v in g.vertices})))
+        assert is_well_graded(SetFamily(("0", "1", "2"), tuple({pc.alpha[v] for v in g.vertices})))
 
     def test_k3_rejected_with_odd_cycle(self):
         pc = is_partial_cube(k3())
@@ -315,6 +318,57 @@ class TestPartialCubeRecognition:
             g = medium_graph(ts)
             assert is_partial_cube(g).accepted, name
             assert_same_recognition(g)
+
+
+def path_graph(n):
+    """The path v0 - v1 - ... - v(n-1), from an edge list."""
+    return LabeledGraph.from_edge_list("".join(f"v{k} v{k + 1}\n" for k in range(n - 1)))
+
+
+class TestIntLabels:
+    """A recognizer result keeps one int label per vertex, as the medium
+    decision does; its label sets are built only when ``alpha`` is read."""
+
+    def test_labels_are_ints_and_printing_builds_no_set(self):
+        g = medium_graph(linear_medium(5)[0])
+        pc = is_partial_cube(g)
+        assert pc.accepted and len(pc.labels) == 120 and all(type(x) is int for x in pc.labels)
+        assert pc.names == pc.ground == tuple(str(k) for k in range(pc.class_count))
+        assert pc.to_json_dict() == name_partial_cube(g).to_json_dict()
+        assert "alpha" not in vars(pc)
+        alpha = pc.alpha  # built on first read, then kept
+        assert vars(pc)["alpha"] is alpha and list(alpha) == list(pc.states)
+
+    @pytest.mark.parametrize("build", [k23, c5], ids=["k23", "c5"])
+    def test_a_rejected_graph_has_no_labels(self, build):
+        pc = is_partial_cube(build())
+        assert not pc.accepted
+        assert pc.labels == () and pc.alpha is None and pc.family is None
+
+    def test_a_600_vertex_path_peaks_within_3_mb(self):
+        # its frozenset labels, 179,700 class names in all, peaked at about 12 MB
+        g = path_graph(600)
+        tracemalloc.start()
+        try:
+            pc = is_partial_cube(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pc.accepted and pc.class_count == 599
+        assert peak <= 3_000_000, peak
+
+    def test_pcube_prints_and_draws_the_oracle_labels(self, corpus, tmp_path, capsys):
+        # stdout and the DOT tooltips against the frozenset labels of the name route
+        for name, ts in [*corpus, ("linear-4", linear_medium(4)[0])]:
+            g = medium_graph(ts)
+            path, dot = tmp_path / "graph.json", tmp_path / "graph.dot"
+            path.write_text(json.dumps(g.to_json_dict()))
+            code = cli.main(["pcube", str(path), "--dot", str(dot)])
+            out, err = capsys.readouterr()
+            want = name_partial_cube(g)
+            assert (code, err) == (0, ""), name
+            assert out == json.dumps(want.to_json_dict(), sort_keys=True, indent=2) + "\n", name
+            assert dot.read_text() == to_dot(LabeledGraph(g.vertices, g.edges, want.labels)), name
 
 
 def random_bfs_tree(rng, n):
@@ -412,9 +466,9 @@ def assert_same_recognition(g):
     dist = {v: bfs_distances(adjacency(g), v) for v in g.vertices}
     if fast.accepted:
         assert fast.to_json_dict() == slow.to_json_dict()
-        assert list(fast.labels.items()) == list(slow.labels.items())
+        assert list(fast.alpha.items()) == list(slow.labels.items())
         assert list(fast.edge_classes.items()) == list(slow.edge_classes.items())
-        assert isometry_failure(g, dist, fast.labels, fast.edge_classes) is None
+        assert isometry_failure(g, dist, fast.alpha, fast.edge_classes) is None
     elif fast.witness["kind"] == "theta-violation":
         assert slow.witness["kind"] == "theta-violation"
         assert_theta_violation(g, fast.witness["edges"], dist)
@@ -439,7 +493,7 @@ class TestClassRouteAgainstThetaScan:
         ts = build()
         pc = is_partial_cube(medium_graph(ts))
         assert pc.accepted and pc.class_count == classes
-        assert pc.labels == decide_medium(ts).alpha
+        assert pc.alpha == decide_medium(ts).alpha
 
 
 @st.composite
@@ -467,7 +521,7 @@ def assert_matches_name_route(g):
     got = is_partial_cube(g)
     assert (got.accepted, got.witness) == (want.accepted, want.witness)
     if want.accepted:
-        assert list(got.labels.items()) == list(want.labels.items())
+        assert list(got.alpha.items()) == list(want.labels.items())
         assert list(got.edge_classes.items()) == list(want.edge_classes.items())
     return got
 
@@ -625,6 +679,20 @@ class TestCubeIsometry:
         s = frozenset("a")
         assert g.compose(f).apply(s) == g.apply(f.apply(s))
 
+    def test_apply_costs_the_set_not_the_ground(self):
+        # the subset test against a frozenset of the ground, built per call,
+        # made a one-element set about 175 times slower at |X| = 10,000
+        def best(size):
+            iso = CubeIsometry.identity(f"x{k}" for k in range(size))
+            return min(timeit.repeat(lambda: iso.apply(("x7",)), number=2000, repeat=5))
+
+        small, large = best(100), best(10_000)
+        assert large <= 5 * small, (small, large)
+
+    def test_apply_rejects_a_set_outside_the_ground(self):
+        with pytest.raises(InputError, match="outside the ground"):
+            CubeIsometry.identity(("a", "b")).apply({"a", "c"})
+
     def test_ground_mismatch(self):
         f = CubeIsometry.identity(("a",))
         g = CubeIsometry.identity(("b",))
@@ -685,7 +753,7 @@ class TestExtendIsometry:
 def test_dot_export_mentions_labels():
     g = medium_graph(two_state())
     pc = is_partial_cube(g)
-    labeled = LabeledGraph(g.vertices, g.edges, pc.labels, g.edge_labels)
+    labeled = LabeledGraph(g.vertices, g.edges, pc.alpha, g.edge_labels)
     dot = to_dot(labeled)
     assert '"S" -- "T"' in dot
     assert "tooltip" in dot

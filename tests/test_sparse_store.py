@@ -100,7 +100,7 @@ def dense_family_medium(fam):
 
 def dense_graph_to_medium(g):
     pc = is_partial_cube(g)
-    labels = pc.labels
+    labels = pc.alpha
     where = {labels[v]: v for v in g.vertices}
     toks, action, reverse = [], {}, {}
     for k in sorted(set(pc.edge_classes.values()), key=int):

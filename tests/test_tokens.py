@@ -116,7 +116,7 @@ def old_graph_to_medium(g):
     pc = is_partial_cube(g)
     ups = {}
     for (u, v), k in pc.edge_classes.items():
-        if k in pc.labels[u]:
+        if k in pc.alpha[u]:
             u, v = v, u
         ups.setdefault(k, {})[u] = v
     tokens, moves, reverse = [], {}, {}
