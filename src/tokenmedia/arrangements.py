@@ -29,8 +29,8 @@ from .tokens import TokenSystem
 # each mosaic kind's pencils of lines a*x + b*y = t, by their normals (a, b)
 _PENCILS = {"triangular": [(0, 1), (-1, 1), (-1, 2)], "truncated-square": [(1, 0), (0, 1), (1, 1), (1, -1)]}
 MOSAIC_KINDS = tuple(_PENCILS)
-# The largest window tested.  Its printed dense action table grows as radius**3;
-# the system stores only the moves, which grow as radius**2.
+# The largest window tested.  The system stores only the moves, which grow as
+# radius**2, and the CLI prints them; a dense action table would grow as radius**3.
 MOSAIC_MAX_RADIUS = 12
 
 

@@ -285,11 +285,13 @@ def _arrangement_pipeline(arrangement, dot=None) -> int:
         raise CapError(f"region witness: {exc}") from None
     crossed, pairs = arr_mod._crossings(arrangement, masks, names)
     edges = sorted(edge for edge, _ in crossed.values())
+    toks, moves, reverse = tokens._paired(pairs)  # the medium as its moves, no system built
     _emit({
         "lines": arrangement.to_json_dict()["lines"],
         "regions": region_docs,
         "graph": {"vertices": list(names), "edges": list(map(list, edges))},
-        "system": tokens.TokenSystem.from_pairs(names, pairs).to_json_dict(view=True),
+        "system": {"states": list(names), "tokens": [{"id": t, "reverse": reverse[t]} for t in toks],
+                   "moves": moves},
         "family": {"ground": list(ground), "sets": [d["positive"] for d in region_docs]},
     })
     return _write_dot(dot, cubes.LabeledGraph(names, edges, edge_labels=dict(crossed.values()))) if dot else 0

@@ -46,6 +46,18 @@ def _dense_row(states, ms) -> dict:
     return row
 
 
+def _paired(pairs) -> tuple[list, dict, dict]:
+    """The tokens, moves and reverse pairing of (forward id, backward id, forward
+    moves) triples: per pair the forward token, then the backward one, which moves
+    the forward images back."""
+    tokens, moves, reverse = [], {}, {}
+    for fwd, bwd, ms in pairs:
+        tokens += (fwd, bwd)
+        moves[fwd], moves[bwd] = ms, {v: s for s, v in ms.items()}
+        reverse[fwd], reverse[bwd] = bwd, fwd
+    return tokens, moves, reverse
+
+
 @dataclass(frozen=True, init=False, repr=False)
 class TokenSystem:
     """States plus the moves of each token and an optional reverse pairing.
@@ -108,14 +120,8 @@ class TokenSystem:
         """A paired system from (forward id, backward id, forward moves), one
         per pair in order.  Tokens run forward then backward per pair; each
         backward token moves the forward images back and is declared the
-        forward token's reverse.  The one validation walk follows."""
-        tokens: list[str] = []
-        moves: dict[str, Mapping[str, str]] = {}
-        reverse: dict[str, str] = {}
-        for fwd, bwd, ms in pairs:
-            tokens += (fwd, bwd)
-            moves[fwd], moves[bwd] = ms, {v: s for s, v in ms.items()}
-            reverse[fwd], reverse[bwd] = bwd, fwd
+        forward token's reverse (``_paired``).  The one validation walk follows."""
+        tokens, moves, reverse = _paired(pairs)
         return cls(states, tuple(tokens), reverse=reverse, moves=moves)
 
     __hash__ = None

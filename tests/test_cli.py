@@ -733,16 +733,39 @@ def limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (300 * 2**20, 300 * 2**20))
 
 
-@pytest.mark.parametrize("argv", [["mosaic", "triangular", "--radius", "12"], ["check", "IN"]])
-def test_running_out_of_memory_is_a_cap_with_one_line(argv, tmp_path):
-    # each needs more than 300 MB: the mosaic prints 259.8 MB, and the
-    # 4,000-state chain's report lists Theta(S^2) label names
-    path = tmp_path / "chain.json"
-    path.write_text(json.dumps(chain_moves_document(4000)))
+def tangents_document(n):
+    """The tangents y = 2t*x - t*t to the parabola y = x*x at t = 0, ..., n - 1: every
+    two cross, and no three meet, so they cut the plane into 1 + n + n(n-1)/2 regions."""
+    return {"lines": [{"a": str(2 * t), "b": "-1", "c": str(-t * t)} for t in range(n)]}
+
+
+def run_limited(argv, tmp_path):
+    """The exit code, stdout and stderr of the CLI on ``argv`` in a child process capped at
+    300 MB, with ``CHAIN`` and ``TANGENTS`` naming the documents of 4,000 and 260 states and lines."""
+    inputs = {"CHAIN": chain_moves_document(4000), "TANGENTS": tangents_document(260)}
+    for name, doc in inputs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
     env = {"PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
-    proc = subprocess.run([sys.executable, "-m", "tokenmedia.cli", *(str(path) if a == "IN" else a for a in argv)],
+    proc = subprocess.run([sys.executable, "-m", "tokenmedia.cli",
+                           *(str(tmp_path / f"{a}.json") if a in inputs else a for a in argv)],
                           capture_output=True, env=env, preexec_fn=limit_address_space, timeout=120)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (3, b"", b"cap exceeded: out of memory\n")
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("argv", [["arrangement", "TANGENTS"], ["check", "CHAIN"]])
+def test_running_out_of_memory_is_a_cap_with_one_line(argv, tmp_path):
+    # each needs well over 300 MB: the 260 tangents peaked at 566 MB with no limit (34,191
+    # regions, 258 MB printed), and the 4,000-state chain's report lists Theta(S^2) label names
+    assert run_limited(argv, tmp_path) == (3, b"", b"cap exceeded: out of memory\n")
+
+
+def test_a_mosaic_printed_as_its_moves_runs_under_the_same_limit(tmp_path):
+    # its dense action table took 259.8 MB of stdout and 524 MB, which ran out here;
+    # the moves take 12.8 MB and the run about 51 MB
+    code, out, err = run_limited(["mosaic", "triangular", "--radius", "12"], tmp_path)
+    assert (code, err) == (0, b"")
+    doc = json.loads(out)
+    assert len(doc["system"]["states"]) == 3192 and "action" not in doc["system"]
 
 
 def test_broken_pipe_leaves_a_stdout_without_a_descriptor_alone(monkeypatch):

@@ -2,7 +2,8 @@
 
 Line counts are deterministic, so a route that grows faster than its
 documented rate fails here without a wall-clock bound.  Each case builds
-its inputs fresh, counts one call at both sizes and bounds the ratio.
+its inputs fresh, counts one call at both sizes and bounds the ratio; one
+bounds the bytes a command prints instead.
 """
 
 import contextlib
@@ -162,6 +163,19 @@ def test_region_routes_grow_with_crossings_plus_regions():
 
     assert_lines_grow_at_most(1.1 * sizes[1] / sizes[0], printed,
                               mosaic_window("triangular", 3), mosaic_window("triangular", 6))
+
+
+def test_mosaic_prints_its_moves_not_a_dense_table():
+    # bytes printed, not lines run: a region's name lists about r lines, so at radius r
+    # the dense action table, states x tokens entries, grows about as r**4 and the moves
+    # about as r**3; from radius 4 to 8 the document grew 14.5 times with the table, 7.3 without
+    sizes = []
+    for radius in (4, 8):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["mosaic", "triangular", "--radius", str(radius)]) == 0
+        sizes.append(len(out.getvalue()))
+    assert sizes[1] <= 9 * sizes[0]
 
 
 def chain_union(n):

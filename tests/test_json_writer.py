@@ -194,7 +194,7 @@ def systems(draw):
 @settings(max_examples=200, deadline=None)
 @given(ts=systems())
 def test_the_action_view_is_written_as_its_dense_table(ts):
-    # the top level, as linmedium prints a system, and under "system", as arrangement and mosaic do
+    # the top level, as linmedium prints a system, and nested under a key of a larger document
     doc = {"system": ts.to_json_dict(view=True), "family": {"sets": [[]]}, "lines": []}
     dense = {**doc, "system": ts.to_json_dict()}
     with mock.patch.object(tokens, "_dense_row", side_effect=AssertionError("a dense row was built")):

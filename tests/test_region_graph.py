@@ -2,10 +2,13 @@
 replace (``tests/tuple_region_graph.py``), the family that ``arrangement``
 and ``mosaic`` print, read off the regions with no ``SetFamily`` built, and
 the whole document they print, laid out from the cells' masks and int
-witnesses, against the one built from the library's objects."""
+witnesses, against the one built from the library's objects, with its medium
+printed as its moves, which read back as the library's medium and pass ``check``."""
 
+import io
 import json
 import random
+import sys
 
 import pytest
 
@@ -21,8 +24,10 @@ from tokenmedia.arrangements import (
 )
 from tokenmedia.errors import InputError, ParseError
 from tokenmedia.families import SetFamily
+from tokenmedia.tokens import TokenSystem
 
 from test_arrangements import concurrent_triple, crossing_pair, random_degenerate_lines, random_generic_lines
+from test_cli_golden import DEGENERATE, SLANT, VERT
 from tuple_region_graph import tuple_arrangement_medium, tuple_region_adjacency
 
 
@@ -69,16 +74,21 @@ def pipeline_runs():
         yield pytest.param((kind, 2), id=f"mosaic-{kind}-2")
 
 
-@pytest.mark.parametrize("given", pipeline_runs())
-def test_arrangement_and_mosaic_print_the_region_family_and_build_no_set_family(
-        given, tmp_path, capsys, monkeypatch):
+def command(given, tmp_path):
+    """The argv that prints ``given``, an arrangement document or a mosaic (kind, radius),
+    and the arrangement it prints."""
     if isinstance(given, dict):
         path = tmp_path / "arr.json"
         path.write_text(json.dumps(given))
-        argv, arr = ["arrangement", str(path)], Arrangement.from_json_dict(given)
-    else:
-        kind, radius = given
-        argv, arr = ["mosaic", kind, "--radius", str(radius)], mosaic_window(kind, radius)
+        return ["arrangement", str(path)], Arrangement.from_json_dict(given)
+    kind, radius = given
+    return ["mosaic", kind, "--radius", str(radius)], mosaic_window(kind, radius)
+
+
+@pytest.mark.parametrize("given", pipeline_runs())
+def test_arrangement_and_mosaic_print_the_region_family_and_build_no_set_family(
+        given, tmp_path, capsys, monkeypatch):
+    argv, arr = command(given, tmp_path)
     built, check = [], SetFamily.__post_init__
 
     def counting(self):
@@ -94,14 +104,18 @@ def test_arrangement_and_mosaic_print_the_region_family_and_build_no_set_family(
 
 
 def library_document(arr):
-    """What ``arrangement`` and ``mosaic`` print, built from the library's objects."""
+    """What ``arrangement`` and ``mosaic`` print, built from the library's objects: the
+    medium as its sparse ``"moves"`` document, each token's moves read off ``moves(t)``."""
     regions = enumerate_regions(arr)
     graph = region_adjacency(arr, regions)
+    medium = arrangement_medium(arr, regions, graph)
     doc = {
         "lines": arr.to_json_dict()["lines"],
         "regions": [r.to_json_dict() for r in regions],
         "graph": graph.to_json_dict(),
-        "system": arrangement_medium(arr, regions, graph).to_json_dict(),
+        "system": {"states": list(medium.states),
+                   "tokens": [{"id": t, "reverse": medium.reverse[t]} for t in medium.tokens],
+                   "moves": {t: dict(medium.moves(t)) for t in medium.tokens}},
         "family": region_family(arr, regions).to_json_dict(),
     }
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
@@ -161,3 +175,23 @@ def test_the_literal_arrangements_reach_fraction_and_negative_witnesses():
     assert any(w.startswith("-") and "/" in w for w in witnesses)
     assert any(w[0].isdigit() and "/" in w for w in witnesses)
     assert any(w.startswith("-") and "/" not in w for w in witnesses)
+
+
+def read_back_runs():
+    for name, doc in (("degenerate", DEGENERATE), ("vertical", VERT), ("slant", SLANT)):
+        yield pytest.param(doc, id=name)
+    for kind in MOSAIC_KINDS:
+        for radius in (1, 2, 3):
+            yield pytest.param((kind, radius), id=f"mosaic-{kind}-{radius}")
+    for i, doc in enumerate(LITERAL_ARRANGEMENTS):
+        yield pytest.param(doc, id=f"literal-{i}")
+
+
+@pytest.mark.parametrize("given", read_back_runs())
+def test_the_printed_moves_read_back_as_the_medium_and_check_as_one(given, tmp_path, capsys, monkeypatch):
+    argv, arr = command(given, tmp_path)
+    system = json.loads(printed(capsys, *argv))["system"]
+    assert sorted(system) == ["moves", "states", "tokens"]
+    assert TokenSystem.from_json_dict(system) == arrangement_medium(arr)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(system)))
+    assert cli.main(["check", "-"]) == 0
