@@ -1,8 +1,7 @@
 #!/usr/bin/env python3
 """The CLI reference rows of ROADMAP.md's Baseline, each in a child process of its own.
 
-    python3 scripts/reference_rows.py [--parent COMMIT] [--runs 3] [--rows NAME ...]
-        [--label LABEL]
+    python3 scripts/reference_rows.py PARENT LABEL
 
 The rows are ``linmedium 7``, both mosaic kinds at radius 12, ``check``,
 ``represent`` and ``graph`` of the triangular radius-12 medium and of
@@ -16,18 +15,20 @@ The lines are ``generic_lines(random.Random(n), n)`` of
 changed.  Every input is built once, by this checkout's library, under a
 temporary directory, so both trees read the same files.
 
-Each run starts ``python -m tokenmedia.cli`` with ``PYTHONPATH`` at the
-tree's ``src/`` and ``PYTHONDONTWRITEBYTECODE=1``, so every run compiles
-the package, and records its exit code, wall seconds, peak RSS (the
-child's own ``ru_maxrss``), the bytes and SHA-256 of its stdout, read as it
-comes and not kept, and the tail of its stderr.  The rows of 140 and 200
-lines run under ``RLIMIT_AS`` (``LIMIT_MB``), set in the child alone, so
-that a tree which needs more fails in its own process.  With ``--parent``
-the committed files of that commit are extracted with ``git archive`` and
-run too, alternating with this checkout run by run, parent first on even
-runs.  The records and per-row medians go to stdout as JSON, or with
-``--label`` under the key ``"reference_rows"`` of ``BENCH_<LABEL>.json``,
-which is created if missing.  Stdlib only.
+Two trees run, both fresh copies in a temporary directory: the committed
+files of PARENT, extracted with ``git archive``, and this checkout's working
+tree as it is on disk (``bench_pairs.copy_worktree``).  Each row runs
+``RUNS`` times in each tree, the trees alternating, parent first on even
+runs.  Each run starts ``python -m tokenmedia.cli`` with ``PYTHONPATH`` at
+the tree's ``src/`` and ``PYTHONDONTWRITEBYTECODE=1``, so, neither tree
+holding cached bytecode, every run compiles the package; it records its
+exit code, wall seconds, peak RSS (the child's own ``ru_maxrss``), the
+bytes and SHA-256 of its stdout, read as it comes and not kept, and the
+tail of its stderr.  The rows of 140 and 200 lines run under ``RLIMIT_AS``
+(``LIMIT_MB``), set in the child alone, so that a tree which needs more
+fails in its own process.  The records and per-row medians go under the key
+``"reference_rows"`` of ``BENCH_<LABEL>.json``, which is created if
+missing.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "scripts"))
-from bench_pairs import extract, git, machine  # noqa: E402
+from bench_pairs import copy_worktree, extract, git, machine  # noqa: E402
 
 # name: argv, with upper-case words naming the input files of ``write_inputs``
 ROWS = {
@@ -69,14 +70,13 @@ ROWS = {
 #: The address-space limit of the rows that have needed gigabytes, while the dense
 #: table was printed: 140 lines peaked at 2.65 GB, and 200 lines ran out of 4 GB.
 LIMIT_MB = {"arrangement-140": 4096, "arrangement-200": 2048}
+RUNS = 3  # per row and tree
 
 
 def parse_args(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--parent", default=None, help="a commit to run beside this checkout")
-    p.add_argument("--runs", type=int, default=3, help="runs per row and tree")
-    p.add_argument("--rows", nargs="+", choices=list(ROWS), default=list(ROWS))
-    p.add_argument("--label", default=None, help="record under BENCH_<label>.json")
+    p.add_argument("parent", help="the commit to run beside this checkout")
+    p.add_argument("label", help="the output is BENCH_<label>.json")
     return p.parse_args(argv)
 
 
@@ -164,34 +164,30 @@ def summary(runs: list[dict]) -> dict:
 def main(argv=None) -> int:
     args = parse_args(argv)
     scratch = Path(tempfile.mkdtemp(prefix="reference_rows_"))
-    trees = {"change": ROOT}
+    trees = {"parent": scratch / "parent", "change": scratch / "change"}
     try:
-        if args.parent is not None:
-            trees["parent"] = scratch / "parent"
-            extract(args.parent, trees["parent"])
+        extract(args.parent, trees["parent"])
+        copy_worktree(ROOT, trees["change"])
         (scratch / "inputs").mkdir()
         paths = write_inputs(scratch / "inputs")
         rows = {}
-        for name in args.rows:
-            command = [paths.get(word, word) for word in ROWS[name]]
+        for name, words in ROWS.items():
+            command = [paths.get(word, word) for word in words]
             runs = {side: [] for side in trees}
-            for i in range(args.runs):
+            for i in range(RUNS):
                 for side in sorted(trees, reverse=i % 2 == 0):  # parent first on even runs
                     record = measure(trees[side], command, LIMIT_MB.get(name))
                     runs[side].append(record)
                     print(f"{name} {side} run {i}: exit {record['exit']}, {record['wall_s']} s, "
                           f"{record['peak_rss_mb']} MB", file=sys.stderr)
-            rows[name] = {"argv": ROWS[name], "limit_mb": LIMIT_MB.get(name),
+            rows[name] = {"argv": words, "limit_mb": LIMIT_MB.get(name),
                           **{side: {"median": summary(rs), "runs": rs} for side, rs in runs.items()}}
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
     head = git("rev-parse", "HEAD")
-    doc = {"parent": args.parent and git("rev-parse", args.parent),
+    doc = {"parent": git("rev-parse", args.parent),
            "change": head + (" with uncommitted changes" if git("status", "--porcelain") else ""),
            "machine": machine(), "rows": rows}
-    if args.label is None:
-        print(json.dumps(doc, indent=1))
-        return 0
     path = ROOT / f"BENCH_{args.label}.json"
     bench = json.loads(path.read_text()) if path.exists() else {}
     bench["reference_rows"] = doc

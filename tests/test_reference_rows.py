@@ -2,8 +2,9 @@
 
 ``moves_document`` writes a system that reads back equal, ``relabelled``
 renames every state and token of it into an isomorphic copy, and
-``measure`` runs one CLI command in a child process and records what it
-printed, its exit code and the tail of its stderr.
+``measure`` runs one CLI command in a child process, under an
+address-space limit if given, and records what it printed, its exit code
+and the tail of its stderr.
 """
 
 import contextlib
@@ -48,6 +49,15 @@ def test_a_run_records_what_the_command_printed():
 
 
 def test_a_run_past_a_cap_records_its_exit_code_and_stderr():
-    record = reference_rows.measure(ROOT, ["linmedium", "9"], limit_mb=300)
+    record = reference_rows.measure(ROOT, ["linmedium", "9"])
     assert (record["exit"], record["stdout_bytes"]) == (3, 0)
-    assert record["stderr"].startswith("cap exceeded:")
+    assert record["stderr"].startswith("cap exceeded: order size 9")
+
+
+def test_a_run_past_its_address_space_limit_runs_out_of_memory_in_its_own_process():
+    # the r = 12 mosaic peaks at about 51 MB; 35 MB leaves 10 MB above the 25 MB at which
+    # the interpreter still starts and reaches the CLI's handler
+    record = reference_rows.measure(ROOT, ["mosaic", "triangular", "--radius", "12"], limit_mb=35)
+    assert (record["exit"], record["stdout_bytes"], record["stderr"]) == \
+        (3, 0, "cap exceeded: out of memory\n")
+    assert reference_rows.measure(ROOT, ["mosaic", "triangular", "--radius", "3"], limit_mb=35)["exit"] == 0
