@@ -5,8 +5,9 @@
 
 The rows are ``linmedium 7``, both mosaic kinds at radius 12, ``check``,
 ``represent`` and ``graph`` of the triangular radius-12 medium and of
-linear 7 (``graph`` of the first only), ``iso`` of each of them against a
-relabelled copy, and ``arrangement`` of 100, 140 and 200 generic lines.
+linear 7 (``graph`` of the first only), ``check -`` with the triangular
+medium's file on stdin, ``iso`` of each of them against a relabelled copy,
+and ``arrangement`` of 100, 140 and 200 generic lines.
 The media are written from the library as sparse ``"moves"`` documents;
 a copy renames every state and token and shuffles both orders with
 ``random.Random(5040)`` for linear 7 and ``Random(12)`` for the window.
@@ -57,6 +58,7 @@ ROWS = {
     "mosaic-triangular-12": ["mosaic", "triangular", "--radius", "12"],
     "mosaic-truncated-square-12": ["mosaic", "truncated-square", "--radius", "12"],
     "check-triangular-12": ["check", "TRIANGULAR"],
+    "check-triangular-12-stdin": ["check", "-"],
     "represent-triangular-12": ["represent", "TRIANGULAR"],
     "graph-triangular-12": ["graph", "TRIANGULAR"],
     "iso-triangular-12": ["iso", "TRIANGULAR", "TRIANGULAR_COPY"],
@@ -70,6 +72,8 @@ ROWS = {
 #: The address-space limit of the rows that have needed gigabytes, while the dense
 #: table was printed: 140 lines peaked at 2.65 GB, and 200 lines ran out of 4 GB.
 LIMIT_MB = {"arrangement-140": 4096, "arrangement-200": 2048}
+#: The input file each row that reads ``-`` takes on stdin, by its upper-case name.
+STDIN = {"check-triangular-12-stdin": "TRIANGULAR"}
 RUNS = 3  # per row and tree
 
 
@@ -126,9 +130,10 @@ def write_inputs(directory: Path) -> dict[str, str]:
     return paths
 
 
-def measure(tree: Path, argv: list[str], limit_mb: int | None = None) -> dict:
+def measure(tree: Path, argv: list[str], limit_mb: int | None = None, stdin: str | None = None) -> dict:
     """One run of the CLI of ``tree`` on ``argv`` in a child process, under an
-    address-space limit of ``limit_mb`` if given."""
+    address-space limit of ``limit_mb`` if given, with the file at ``stdin`` (or
+    ``os.devnull``) as its stdin."""
     def limit():
         if limit_mb is not None:
             resource.setrlimit(resource.RLIMIT_AS, (limit_mb << 20, limit_mb << 20))
@@ -136,9 +141,9 @@ def measure(tree: Path, argv: list[str], limit_mb: int | None = None) -> dict:
     env = {"PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     digest, size = hashlib.sha256(), 0
     start = time.perf_counter()
-    with tempfile.TemporaryFile() as err:
+    with tempfile.TemporaryFile() as err, open(stdin or os.devnull, "rb") as given:
         proc = subprocess.Popen([sys.executable, "-m", "tokenmedia.cli", *argv], env=env,
-                                stdout=subprocess.PIPE, stderr=err, preexec_fn=limit)
+                                stdin=given, stdout=subprocess.PIPE, stderr=err, preexec_fn=limit)
         while chunk := proc.stdout.read(1 << 20):
             digest.update(chunk)
             size += len(chunk)
@@ -176,11 +181,11 @@ def main(argv=None) -> int:
             runs = {side: [] for side in trees}
             for i in range(RUNS):
                 for side in sorted(trees, reverse=i % 2 == 0):  # parent first on even runs
-                    record = measure(trees[side], command, LIMIT_MB.get(name))
+                    record = measure(trees[side], command, LIMIT_MB.get(name), paths.get(STDIN.get(name)))
                     runs[side].append(record)
                     print(f"{name} {side} run {i}: exit {record['exit']}, {record['wall_s']} s, "
                           f"{record['peak_rss_mb']} MB", file=sys.stderr)
-            rows[name] = {"argv": words, "limit_mb": LIMIT_MB.get(name),
+            rows[name] = {"argv": words, "limit_mb": LIMIT_MB.get(name), "stdin": STDIN.get(name),
                           **{side: {"median": summary(rs), "runs": rs} for side, rs in runs.items()}}
     finally:
         shutil.rmtree(scratch, ignore_errors=True)

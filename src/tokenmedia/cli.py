@@ -5,10 +5,10 @@ Machine-readable JSON goes to stdout in the layout of the stdlib's
 byte-identical outputs.  ``write_json`` writes it in one pass, joins each
 container once from its pieces with separators built once per depth, lays out a
 list of string lists or of dicts of one key set by column, and a system's dense
-``action`` table from its moves.  Diagnostics go to stderr.
+``action`` table from its moves.  Diagnostics go to stderr, or nowhere.
 Exit codes: 0 success/true, 1 semantic-false, 2 parse error or output that
-cannot be written (an unwritable ``--dot`` path, stdout closed by its
-reader), 3 resource cap or out of memory.
+cannot be written (an unwritable ``--dot`` path or stdout, quietly when its
+reader closed it), 3 resource cap or out of memory.
 """
 
 from __future__ import annotations
@@ -36,23 +36,22 @@ _READ_BYTES = 64 * 1024  # per read of anything else
 
 def _read_text(path: str) -> str:
     """The text of the file at ``path``, or of stdin for ``-``, with newlines
-    translated as text mode does.  The file is read on one descriptor: a
-    regular file of at least ``MAP_MIN_BYTES`` is decoded straight from a
-    read-only map, and anything else, or a file that cannot be mapped, from
-    reads until end of file, so its bytes are copied only into the text.
-    Truncating a mapped file while it is read ends the process with SIGBUS."""
+    translated as text mode does.  Either is read on one descriptor, stdin's
+    left open: a regular file of at least ``MAP_MIN_BYTES`` at offset 0 is
+    decoded straight from a read-only map, and anything else, or a file that
+    cannot be mapped, from reads until end of file, so its bytes are copied
+    only into the text.  Truncating a mapped file while it is read ends the
+    process with SIGBUS."""
     try:
-        if path == "-":
-            return sys.stdin.read()
-        fd = os.open(path, os.O_RDONLY)
+        fd = os.open(path, os.O_RDONLY) if path != "-" else sys.stdin.fileno() if sys.stdin else 0
         try:
             info = os.fstat(fd)
             if stat.S_ISDIR(info.st_mode):  # which open() refuses and os.open does not
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
             mapped = None
             if stat.S_ISREG(info.st_mode) and info.st_size >= MAP_MIN_BYTES:
-                try:
-                    mapped = mmap.mmap(fd, 0, access=mmap.ACCESS_READ)
+                try:  # from offset 0 only, which a path always has and stdin may not
+                    mapped = None if os.lseek(fd, 0, os.SEEK_CUR) else mmap.mmap(fd, 0, access=mmap.ACCESS_READ)
                 except (OSError, ValueError):  # a file system without maps, or a file emptied since
                     pass
             if mapped is None:
@@ -64,7 +63,8 @@ def _read_text(path: str) -> str:
                 with mapped:
                     text = str(mapped, "utf-8")
         finally:
-            os.close(fd)
+            if path != "-":
+                os.close(fd)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
     except UnicodeDecodeError as exc:
@@ -183,7 +183,19 @@ def write_json(doc, fh) -> None:
 
 
 def _emit(doc) -> None:
+    if sys.stdout is None:  # closed before the process started
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
     write_json(doc, sys.stdout)
+
+
+def _warn(line: str, code: int) -> int:
+    """Print one diagnostic line on stderr, dropped if stderr is closed or cannot take it; return ``code``."""
+    if sys.stderr is not None:  # print(file=None) would write to stdout
+        try:
+            print(line, file=sys.stderr)
+        except OSError:
+            _drop(sys.stderr)
+    return code
 
 
 def _write_dot(path: str, graph) -> int:
@@ -192,8 +204,7 @@ def _write_dot(path: str, graph) -> int:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(cubes.to_dot(graph))
     except (OSError, UnicodeError) as exc:
-        print(f"cannot write {path}: {getattr(exc, 'strerror', None) or exc}", file=sys.stderr)
-        return 2
+        return _warn(f"cannot write {path}: {getattr(exc, 'strerror', None) or exc}", 2)
     return 0
 
 
@@ -208,8 +219,7 @@ def _cmd_check(args) -> int:
     _emit({"axioms": report.to_json_dict(), "decision": decision.to_json_dict()})
     if not decision.is_medium:
         kind = decision.witness.get("axiom") or decision.witness.get("kind")
-        print(f"not a medium ({kind})", file=sys.stderr)
-        return 1
+        return _warn(f"not a medium ({kind})", 1)
     return 0
 
 
@@ -408,34 +418,31 @@ def _run(args) -> int:
         code = args.func(args)
         sys.stdout.flush()
         return code
-    except BrokenPipeError:
-        _drop_stdout()
-        return 2
     except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
+        return _warn(f"parse error: {exc}", 2)
     except CapError as exc:
-        print(f"cap exceeded: {exc}", file=sys.stderr)
-        return 3
+        return _warn(f"cap exceeded: {exc}", 3)
     except MemoryError:
-        print("cap exceeded: out of memory", file=sys.stderr)
-        return 3
+        return _warn("cap exceeded: out of memory", 3)
     except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
+        return _warn(f"input error: {exc}", 2)
+    except OSError as exc:  # stdout cannot be written; a reader that closed it is not told
+        _drop(sys.stdout)
+        return 2 if isinstance(exc, BrokenPipeError) else _warn(f"cannot write stdout: {exc.strerror or exc}", 2)
 
 
-def _drop_stdout() -> None:
-    """After the reader closed stdout, point its file descriptor at devnull,
-    as the SIGPIPE note of the Python docs does, so that the flush at exit
-    cannot fail again.  A stdout without a descriptor is left alone."""
+def _drop(stream) -> None:
+    """After a write to ``stream`` failed, point its file descriptor at devnull,
+    as the SIGPIPE note of the Python docs does for stdout, so that the flush at
+    exit cannot fail again.  A stream without a descriptor is left alone."""
     try:
-        fd = sys.stdout.fileno()
+        fd = stream.fileno()
     except (AttributeError, OSError, ValueError):
         return
     devnull = os.open(os.devnull, os.O_WRONLY)
-    os.dup2(devnull, fd)
-    os.close(devnull)
+    if devnull != fd:  # else fd was closed, and devnull took its place
+        os.dup2(devnull, fd)
+        os.close(devnull)
 
 
 if __name__ == "__main__":

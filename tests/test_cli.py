@@ -551,8 +551,9 @@ def test_direct_dispatch_matches_the_top_level_parser(argv, tmp_path, capsys, mo
     argv = [path if a == "IN" else a for a in argv]
     outcomes = []
     for call in (lambda a: cli._run(cli.build_parser().parse_args(a)), cli.main):
-        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(path3().to_json_dict())))
-        outcomes.append(outcome(capsys, call, argv))
+        with open(path) as stdin:  # a file, with the descriptor "-" is read from
+            monkeypatch.setattr(sys, "stdin", stdin)
+            outcomes.append(outcome(capsys, call, argv))
     assert outcomes[0] == outcomes[1]
     if "-" in argv:  # the system on stdin is read, not refused
         assert outcomes[0][0] == 0

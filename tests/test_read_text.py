@@ -7,7 +7,6 @@ translated, and the same ``ParseError`` when the bytes are not UTF-8 or
 the text is not JSON.
 """
 
-import io
 import json
 import mmap
 import os
@@ -118,10 +117,16 @@ def test_fifo_is_read(tmp_path):
     assert not writer.is_alive() and mapped.call_count == 0
 
 
-def test_dash_reads_stdin_as_it_is(monkeypatch):
+def test_dash_reads_stdin_as_it_is(tmp_path, monkeypatch):
+    # as a file: newlines translated, mapped from offset 0, and its descriptor left open
     text = '{"a":\r\n 1}' + " " * SIZE
-    monkeypatch.setattr(sys, "stdin", io.StringIO(text, newline=""))
-    assert cli._read_text("-") == text
+    path = tmp_path / "stdin.json"
+    path.write_bytes(text.encode())
+    with open(path) as stdin, spy_on_maps() as mapped:
+        monkeypatch.setattr(sys, "stdin", stdin)
+        assert cli._read_text("-") == text.replace("\r\n", "\n")
+        os.fstat(stdin.fileno())
+    assert mapped.call_count == 1
 
 
 @pytest.mark.parametrize("error", [OSError(19, "No such device"), ValueError("cannot mmap")])
@@ -136,3 +141,13 @@ def test_a_file_that_cannot_be_mapped_is_read(error, tmp_path):
 def test_a_missing_file_is_a_parse_error(tmp_path):
     path = tmp_path / "missing.json"
     assert error_text(cli._read_text, str(path)).startswith(f"cannot read {path}: ")
+
+
+def test_dash_past_the_start_of_stdin_is_read_from_there_not_mapped(tmp_path, monkeypatch):
+    path = tmp_path / "stdin.json"
+    path.write_bytes(b'[{"a": 1}]'.ljust(SIZE))
+    with open(path, "rb") as stdin, spy_on_maps() as mapped:
+        stdin.seek(1)
+        monkeypatch.setattr(sys, "stdin", stdin)
+        assert error_text(cli._read_json, "-") == "-: line 1 column 9: Extra data"
+    assert mapped.call_count == 0

@@ -11,6 +11,7 @@ import contextlib
 import hashlib
 import importlib.util
 import io
+import json
 import random
 from pathlib import Path
 
@@ -61,3 +62,13 @@ def test_a_run_past_its_address_space_limit_runs_out_of_memory_in_its_own_proces
     assert (record["exit"], record["stdout_bytes"], record["stderr"]) == \
         (3, 0, "cap exceeded: out of memory\n")
     assert reference_rows.measure(ROOT, ["mosaic", "triangular", "--radius", "3"], limit_mb=35)["exit"] == 0
+
+
+def test_a_run_reads_the_file_it_is_given_on_stdin(tmp_path):
+    path = tmp_path / "linear.json"
+    path.write_text(json.dumps(reference_rows.moves_document(linear_medium(4)[0])))
+    by_path = reference_rows.measure(ROOT, ["check", str(path)])
+    on_stdin = reference_rows.measure(ROOT, ["check", "-"], stdin=str(path))
+    assert (on_stdin["exit"], on_stdin["stderr"]) == (0, "") and on_stdin["stdout_bytes"] > 0
+    assert on_stdin["stdout_sha256"] == by_path["stdout_sha256"]
+    assert reference_rows.measure(ROOT, ["check", "-"])["stderr"].startswith("parse error: -: line 1 column 1:")

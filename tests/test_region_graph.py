@@ -5,7 +5,6 @@ the whole document they print, laid out from the cells' masks and int
 witnesses, against the one built from the library's objects, with its medium
 printed as its moves, which read back as the library's medium and pass ``check``."""
 
-import io
 import json
 import random
 import sys
@@ -193,5 +192,8 @@ def test_the_printed_moves_read_back_as_the_medium_and_check_as_one(given, tmp_p
     system = json.loads(printed(capsys, *argv))["system"]
     assert sorted(system) == ["moves", "states", "tokens"]
     assert TokenSystem.from_json_dict(system) == arrangement_medium(arr)
-    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(system)))
-    assert cli.main(["check", "-"]) == 0
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(system))
+    with open(path) as stdin:  # a file, with the descriptor "-" is read from
+        monkeypatch.setattr(sys, "stdin", stdin)
+        assert cli.main(["check", "-"]) == 0
