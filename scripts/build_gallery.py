@@ -4,9 +4,11 @@
 Writes into ./out/gallery: the two-state pair, the three-state chain, the
 two non-isomorphic six-state media over {a,b,c}, linear-order media for
 n = 3, 4, and small arrangement pipelines (crossing pair, concurrent
-triple, mosaic windows).
+triple, mosaic windows).  The JSON files are laid out by the stdlib's
+``json.dumps(doc, sort_keys=True, indent=2)``, indented to be read.
 """
 
+import json
 import pathlib
 import sys
 
@@ -26,7 +28,6 @@ from tokenmedia import (
     mosaic_window,
     region_adjacency,
 )
-from tokenmedia.cli import write_json
 from tokenmedia.cubes import to_dot
 
 OUT = pathlib.Path(__file__).resolve().parent.parent / "out" / "gallery"
@@ -34,8 +35,7 @@ OUT = pathlib.Path(__file__).resolve().parent.parent / "out" / "gallery"
 
 def dump(name, doc):
     path = OUT / f"{name}.json"
-    with path.open("w") as fh:
-        write_json(doc, fh)
+    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
     print(f"wrote {path}")
 
 

@@ -7,7 +7,9 @@ The rows are ``linmedium 7``, both mosaic kinds at radius 12, ``check``,
 ``represent`` and ``graph`` of the triangular radius-12 medium and of
 linear 7 (``graph`` of the first only), ``check -`` with the triangular
 medium's file on stdin, ``iso`` of each of them against a relabelled copy,
-and ``arrangement`` of 100, 140 and 200 generic lines.
+``arrangement`` of 100, 140 and 200 generic lines, and ``check`` of the
+5,000-state chain (states ``s0`` ... ``s4999``, each ``s<i>`` moved to
+``s<i+1>`` by ``u<i>`` and back by ``d<i>``), whose labels are 4,999 bits wide.
 The media are written from the library as sparse ``"moves"`` documents;
 a copy renames every state and token and shuffles both orders with
 ``random.Random(5040)`` for linear 7 and ``Random(12)`` for the window.
@@ -68,6 +70,7 @@ ROWS = {
     "arrangement-100": ["arrangement", "LINES_100"],
     "arrangement-140": ["arrangement", "LINES_140"],
     "arrangement-200": ["arrangement", "LINES_200"],
+    "check-chain-5000": ["check", "CHAIN_5000"],
 }
 #: The address-space limit of the rows that have needed gigabytes, while the dense
 #: table was printed: 140 lines peaked at 2.65 GB, and 200 lines ran out of 4 GB.
@@ -116,6 +119,7 @@ def write_inputs(directory: Path) -> dict[str, str]:
     import workloads
     from tokenmedia.arrangements import arrangement_medium, mosaic_window
     from tokenmedia.linorders import linear_medium
+    from tokenmedia.tokens import TokenSystem
 
     linear = moves_document(linear_medium(7)[0])
     triangular = moves_document(arrangement_medium(mosaic_window("triangular", 12)))
@@ -123,6 +127,9 @@ def write_inputs(directory: Path) -> dict[str, str]:
             "TRIANGULAR": triangular, "TRIANGULAR_COPY": relabelled(triangular, random.Random(12))}
     for n in (100, 140, 200):
         docs[f"LINES_{n}"] = workloads._line_doc(workloads.generic_lines(random.Random(n), n))
+    chain = [f"s{i}" for i in range(5000)]
+    docs["CHAIN_5000"] = moves_document(TokenSystem.from_pairs(
+        chain, ((f"u{i}", f"d{i}", {chain[i]: chain[i + 1]}) for i in range(len(chain) - 1))))
     paths = {}
     for name, doc in docs.items():
         paths[name] = str(directory / f"{name.lower()}.json")

@@ -1,11 +1,10 @@
 """Command-line surface: verification, conversion, construction, export.
 
-Machine-readable JSON goes to stdout in the layout of the stdlib's
-``json.dumps(doc, sort_keys=True, indent=2)``, so identical inputs give
-byte-identical outputs.  ``write_json`` writes it in one pass, joins each
-container once from its pieces with separators built once per depth, lays out a
-list of string lists or of dicts of one key set by column, and a system's dense
-``action`` table from its moves.  Diagnostics go to stderr, or nowhere.
+Machine-readable JSON goes to stdout as ``json.dumps(doc, sort_keys=True,
+separators=(",", ":"))`` writes it, compact and built by the stdlib's C encoder,
+so identical inputs give byte-identical outputs; ``python -m json.tool`` indents
+it.  ``write_json`` writes it in one write, laying out a system's dense ``action``
+table from its moves.  Diagnostics go to stderr, or nowhere.
 Exit codes: 0 success/true, 1 semantic-false, 2 parse error or output that
 cannot be written (an unwritable ``--dot`` path or stdout, quietly when its
 reader closed it), 3 resource cap or out of memory.
@@ -32,6 +31,7 @@ from .errors import CapError, InputError, ParseError
 #: took 16 us against 23 us for a map, at 256 KiB 166 us against 35 us.
 MAP_MIN_BYTES = 256 * 1024
 _READ_BYTES = 64 * 1024  # per read of anything else
+_COMPACT = (",", ":")  # json.dumps separators with no space
 
 
 def _read_text(path: str) -> str:
@@ -87,99 +87,44 @@ def _read_json(path: str):
     return _parse_json(_read_text(path), path)
 
 
-@functools.cache
-def _layout(depth: int) -> tuple[str, str, str, str, str]:
-    """Per depth: the openings of a list and a dict, the separator, and their closings."""
-    inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
-    return "[" + inner, "{" + inner, "," + inner, outer + "]", outer + "}"
-
-
-def _pieces(obj, depth: int) -> list:
-    """The text of ``obj`` nested ``depth`` containers deep, as ``json.dumps(obj,
-    sort_keys=True, indent=2)`` lays it out, as a flat list of pieces: each nested
-    container one piece, joined once, and the members of a list laid out by ``_column`` one.
-    Strings take the stdlib's C escaping, and ints, booleans and None are written
-    as ``json.dumps`` writes them; floats and anything else go through it."""
-    if isinstance(obj, dict):
-        _, opening, sep, _, closing = _layout(depth)
-        out = []
-        for key, value in sorted(obj.items()):
-            out += sep, _encode_str(key), ": ", (
-                _encode_str(value) if type(value) is str else "".join(_pieces(value, depth + 1)))
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            return ["[]"]
-        opening, _, sep, closing, _ = _layout(depth)
-        try:  # a list of strings here, saving a call, and any other through _column
-            texts = map(_encode_str, obj) if isinstance(obj[0], str) else _column(obj, depth + 1)
-            return [opening, sep.join(texts), closing]
-        except TypeError:  # members of another kind, or of mixed kinds
-            out = []
-            for value in obj:
-                out += sep, _encode_str(value) if type(value) is str else "".join(_pieces(value, depth + 1))
-    elif type(obj) is tokens.TokenSystem:
-        _, opening, sep, _, closing = _layout(depth)
-        out = _action_chunks(obj, sep, depth + 1)
-    elif obj is None or obj is True or obj is False:
-        return ["null" if obj is None else "true" if obj else "false"]
-    else:
-        return [_encode_str(obj) if isinstance(obj, str) else
-                int.__repr__(obj) if isinstance(obj, int) else json.dumps(obj)]
-    if not out:
-        return ["{}"]
-    out[0] = opening
-    out.append(closing)
-    return out
-
-
-def _column(values, depth: int):
-    """The texts of the nonempty list ``values`` nested ``depth`` deep, if all strings, all
-    lists of strings or all dicts of one key set whose values by key are such columns: one map
-    or join per column, one template per dict.  Else TypeError, at the latest in the join."""
-    first = values[0]
-    if isinstance(first, str):
-        return map(_encode_str, values)
-    kinds = set(map(type, values))
-    if kinds == {list}:
-        opening, _, sep, closing, _ = _layout(depth)
-        return [opening + sep.join(map(_encode_str, v)) + closing if v else "[]" for v in values]
-    if kinds == {dict} and first and all(map(first.keys().__eq__, map(dict.keys, values))):
-        keys = sorted(first)
-        _, opening, sep, _, closing = _layout(depth)
-        row = opening + sep.join(_encode_str(k).replace("%", "%%") + ": %s" for k in keys) + closing
-        return map(row.__mod__, zip(*[_column([d[k] for d in values], depth + 1) for k in keys]))
-    raise TypeError("members of no one column kind")
-
-
-def _action_chunks(ts: tokens.TokenSystem, sep: str, depth: int) -> list:
-    """The members of a system's dense action table, as ``_pieces`` lays out those of
-    ``ts.to_json_dict()["action"]``, with their separator ``sep`` and rows nested
-    ``depth`` deep, from the move index: the state names are escaped and ordered
-    once, and each row is a copy of the fixed entries with its moves put in, joined once."""
+def _dense_table(ts: tokens.TokenSystem) -> list:
+    """The text of ``json.dumps(ts.to_json_dict()["action"], sort_keys=True, separators=(",", ":"))``
+    as pieces, from the move index: the state names are escaped and ordered once, and each row
+    is a copy of the fixed entries with its moves put in, joined once."""
     states = ts.states
     names = list(map(_encode_str, states))
     order = sorted(range(len(states)), key=states.__getitem__)
     place = sorted(range(len(states)), key=order.__getitem__)  # each state's rank in the order
-    keyed = [name + ": " for name in names]
+    keyed = [name + ":" for name in names]
     fixed = [keyed[i] + names[i] for i in order]
-    _, head, row_sep, _, tail = _layout(depth)
     out = []
     for t, ms in sorted(ts._index_moves.items()):
         row = fixed.copy()
         for i, j in ms:
             row[place[i]] = keyed[i] + names[j]
-        out += sep, _encode_str(t), ": ", head, row_sep.join(row), tail
+        out += ",", _encode_str(t), ":{", ",".join(row), "}"
+    out[:1] = "{"  # in place of the first comma, or the only piece of an empty table
+    out.append("}")
     return out
 
 
 def write_json(doc, fh) -> None:
-    """Write ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"`` to the text file ``fh``
-    without building the whole text: the top level's pieces go to ``writelines``, and
-    each nested container is joined once, with the separators built once per depth.
-    A dict key that is not a string raises TypeError."""
-    pieces = _pieces(doc, 0)
-    pieces.append("\n")
-    fh.writelines(pieces)
+    """Write ``json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\\n"`` to the text
+    file ``fh`` in one write, the stdlib's C encoder building the text.  A ``TokenSystem``
+    that is a value of the top-level dict stands for its dense ``"action"`` table and is
+    laid out by ``_dense_table``.  A document ``json.dumps`` refuses writes nothing."""
+    # No name holds the text while it is written, so at most two copies of it live at once.
+    if isinstance(doc, dict) and any(type(v) is tokens.TokenSystem for v in doc.values()):
+        pieces = []  # joined once: each copy of a text of megabytes costs milliseconds
+        for k, v in sorted(doc.items()):
+            pieces += ",", json.dumps({k: 0}, separators=_COMPACT)[1:-2]  # '"k":', as dumps writes k
+            pieces += _dense_table(v) if type(v) is tokens.TokenSystem else [
+                json.dumps(v, sort_keys=True, separators=_COMPACT)]
+        pieces[0] = "{"
+        pieces.append("}\n")
+        fh.write("".join(pieces))
+    else:
+        fh.write(json.dumps(doc, sort_keys=True, separators=_COMPACT) + "\n")
 
 
 def _emit(doc) -> None:

@@ -148,7 +148,8 @@ class TokenSystem:
         """The dense document: states, tokens with their reverses, and the
         ``"action"`` table with its rows in state order, built from the move
         index.  With ``view`` set, ``"action"`` is the system itself, which
-        ``cli.write_json`` lays out as that table from the moves."""
+        ``cli.write_json``, given this dict or one holding its keys at its top
+        level, writes as ``json.dumps`` writes that table, from the moves."""
         toks = []
         for t in self.tokens:
             entry: dict = {"id": t}

@@ -88,7 +88,7 @@ class TestCheck:
         w = axioms["axioms"]["M3"]["witness"]
         assert len(w["message"]) < 2 * len(ts.states)
         assert apply(ts, w["state"], w["message"]) == w["state"]
-        assert run(capsys, "check", "--bound", "1", path)[1] == out.replace('"bound": 3000', '"bound": 1')
+        assert run(capsys, "check", "--bound", "1", path)[1] == out.replace('"bound":3000', '"bound":1')
 
     @pytest.mark.parametrize("bound", ["0", "-3"])
     def test_bound_below_one_exits_2(self, bound, tmp_path, capsys):

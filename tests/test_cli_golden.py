@@ -2,9 +2,13 @@
 and ``iso``) and for the commands that emit the largest documents (``linmedium``,
 ``mosaic`` and ``arrangement``).
 
-Each case pins the exit code and the SHA-256 of stdout of one command, so a
+Each case pins the exit code and the SHA-256 of the document stdout holds, so a
 change to how the decision, the graph, the falsifier or the isomorphism
 search reads a token system cannot change what the CLI prints unnoticed.
+The digest is taken of ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"`` of
+the document parsed from stdout, the indented layout the CLI printed when the
+digests were recorded; stdout itself must be the compact layout of that same
+document, ``json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\\n"``.
 The inputs are the ``linmedium 4`` document, a copy of it with every state
 and token renamed and both lists reordered, the "twisted square" of
 ``conftest``, a four-state non-medium on which M1 and M2 hold, and
@@ -36,8 +40,8 @@ rational coordinates, the graph and the set family.  ``ARR`` is a degenerate
 arrangement: three parallel lines, one of them x = 1/2, and a triple
 x = 0, y = 0, x = y through the origin.  These four digests were recorded
 with the stdlib's ``json.dumps(doc, sort_keys=True, indent=2)`` writing
-stdout, before the one-pass writer ``cli.write_json`` replaced it, and the
-writer matches them unchanged.
+stdout, before a one-pass writer of that layout replaced it, and they hold
+unchanged for the compact layout's document.
 
 ``VERT`` and ``SLANT`` reach every branch of the Fourier-Motzkin witness
 choice between them.  ``VERT`` is three vertical lines, each with a < 0: its
@@ -158,4 +162,7 @@ def test_stdout_digest_and_exit_code(name, files, capsys):
     capsys.readouterr()
     got = cli.main([files.get(a, a) for a in argv])
     out = capsys.readouterr().out
-    assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
+    doc = json.loads(out)
+    assert out == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    indented = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    assert (got, hashlib.sha256(indented.encode()).hexdigest()) == (code, digest)

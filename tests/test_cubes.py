@@ -367,7 +367,7 @@ class TestIntLabels:
             out, err = capsys.readouterr()
             want = name_partial_cube(g)
             assert (code, err) == (0, ""), name
-            assert out == json.dumps(want.to_json_dict(), sort_keys=True, indent=2) + "\n", name
+            assert out == json.dumps(want.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n", name
             assert dot.read_text() == to_dot(LabeledGraph(g.vertices, g.edges, want.labels)), name
 
 

@@ -1,8 +1,8 @@
 """Golden test: scripts/build_gallery.py regenerates out/gallery byte for byte.
 
-The script writes its JSON files with the CLI's writer ``cli.write_json``, so
-this test also holds that writer to the files the stdlib's
-``json.dumps(doc, sort_keys=True, indent=2)`` wrote before it.
+The script writes its JSON files with the stdlib's
+``json.dumps(doc, sort_keys=True, indent=2)``, the layout the files were
+recorded in, so this test holds the documents the library builds to them.
 """
 
 import importlib.util

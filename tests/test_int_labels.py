@@ -188,7 +188,7 @@ def test_graph_prints_the_labeled_graph_of_alpha(name, tmp_path, capsys):
     g = medium_graph(loaded)
     oracle = LabeledGraph(g.vertices, g.edges, decision.alpha, g.edge_labels)
     assert (code, err) == (0, "")
-    assert out == json.dumps(oracle.to_json_dict(), sort_keys=True, indent=2) + "\n"
+    assert out == json.dumps(oracle.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n"
     assert dot.read_text() == to_dot(oracle)
     assert graph_of(loaded, tmp_path, capsys)[:3] == (0, out, "")
     if name.startswith("drawn-wg") or name == "linear-6":  # coordinate "10" before "2"

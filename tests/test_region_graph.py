@@ -117,7 +117,7 @@ def library_document(arr):
                    "moves": {t: dict(medium.moves(t)) for t in medium.tokens}},
         "family": region_family(arr, regions).to_json_dict(),
     }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def literal(rng):
