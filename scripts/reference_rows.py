@@ -22,16 +22,19 @@ Two trees run, both fresh copies in a temporary directory: the committed
 files of PARENT, extracted with ``git archive``, and this checkout's working
 tree as it is on disk (``bench_pairs.copy_worktree``).  Each row runs
 ``RUNS`` times in each tree, the trees alternating, parent first on even
-runs.  Each run starts ``python -m tokenmedia.cli`` with ``PYTHONPATH`` at
+runs, so each tree runs first in half of them.  Each run starts the CLI as
+``python -m tokenmedia.cli`` runs it (``CHILD``), with ``PYTHONPATH`` at
 the tree's ``src/`` and ``PYTHONDONTWRITEBYTECODE=1``, so, neither tree
 holding cached bytecode, every run compiles the package; it records its
-exit code, wall seconds, peak RSS (the child's own ``ru_maxrss``), the
-bytes and SHA-256 of its stdout, read as it comes and not kept, and the
-tail of its stderr.  The rows of 140 and 200 lines run under ``RLIMIT_AS``
+exit code, wall seconds, peak RSS, the bytes and SHA-256 of its stdout,
+read as it comes and not kept, and the tail of its stderr.  The peak is the
+child's own ``VmHWM``, which it reads from ``/proc/self/status`` at exit:
+the ``ru_maxrss`` of a forked child keeps the harness's peak from before
+its ``exec``.  The rows of 140 and 200 lines run under ``RLIMIT_AS``
 (``LIMIT_MB``), set in the child alone, so that a tree which needs more
-fails in its own process.  The records and per-row medians go under the key
-``"reference_rows"`` of ``BENCH_<LABEL>.json``, which is created if
-missing.  Stdlib only.
+fails in its own process.  The records and each row's medians and
+quartiles go under the key ``"reference_rows"`` of ``BENCH_<LABEL>.json``,
+which is created if missing.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -77,7 +80,18 @@ ROWS = {
 LIMIT_MB = {"arrangement-140": 4096, "arrangement-200": 2048}
 #: The input file each row that reads ``-`` takes on stdin, by its upper-case name.
 STDIN = {"check-triangular-12-stdin": "TRIANGULAR"}
-RUNS = 3  # per row and tree
+RUNS = 8  # per row and tree
+#: The child's program: ``python -m tokenmedia.cli`` with its arguments after the first, which
+#: names the file that takes the child's own peak RSS in kB, its VmHWM, written at exit.
+CHILD = """
+import atexit, runpy, sys
+path = sys.argv.pop(1)
+def peak():
+    with open("/proc/self/status") as status, open(path, "w") as out:
+        out.write(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+atexit.register(peak)
+runpy.run_module("tokenmedia.cli", run_name="__main__", alter_sys=True)
+"""
 
 
 def parse_args(argv=None):
@@ -140,7 +154,7 @@ def write_inputs(directory: Path) -> dict[str, str]:
 def measure(tree: Path, argv: list[str], limit_mb: int | None = None, stdin: str | None = None) -> dict:
     """One run of the CLI of ``tree`` on ``argv`` in a child process, under an
     address-space limit of ``limit_mb`` if given, with the file at ``stdin`` (or
-    ``os.devnull``) as its stdin."""
+    ``os.devnull``) as its stdin.  A child that ends before it writes its peak records None."""
     def limit():
         if limit_mb is not None:
             resource.setrlimit(resource.RLIMIT_AS, (limit_mb << 20, limit_mb << 20))
@@ -148,27 +162,38 @@ def measure(tree: Path, argv: list[str], limit_mb: int | None = None, stdin: str
     env = {"PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     digest, size = hashlib.sha256(), 0
     start = time.perf_counter()
-    with tempfile.TemporaryFile() as err, open(stdin or os.devnull, "rb") as given:
-        proc = subprocess.Popen([sys.executable, "-m", "tokenmedia.cli", *argv], env=env,
+    with tempfile.TemporaryFile() as err, tempfile.NamedTemporaryFile("r") as hwm, \
+            open(stdin or os.devnull, "rb") as given:
+        proc = subprocess.Popen([sys.executable, "-c", CHILD, hwm.name, *argv], env=env,
                                 stdin=given, stdout=subprocess.PIPE, stderr=err, preexec_fn=limit)
         while chunk := proc.stdout.read(1 << 20):
             digest.update(chunk)
             size += len(chunk)
         proc.stdout.close()
-        _, status, usage = os.wait4(proc.pid, 0)
+        proc.wait()
         wall = time.perf_counter() - start
-        proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, so Popen waits no more
         err.seek(0)
         stderr = err.read()[-500:].decode("utf-8", "replace")
-    return {"exit": proc.returncode, "wall_s": round(wall, 3), "peak_rss_mb": round(usage.ru_maxrss / 1024, 1),
+        peak = hwm.read()
+    return {"exit": proc.returncode, "wall_s": round(wall, 3),
+            "peak_rss_mb": round(int(peak) / 1024, 1) if peak else None,
             "stdout_bytes": size, "stdout_sha256": digest.hexdigest(), "stderr": stderr}
 
 
+def spread(values) -> dict:
+    """The median and the quartiles (``statistics.quantiles``) of ``values``, None left out."""
+    values = [v for v in values if v is not None]
+    if len(values) < 2:
+        return {"median": values[0] if values else None, "quartiles": values * 2}
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return {"median": round(statistics.median(values), 3), "quartiles": [round(q1, 3), round(q3, 3)]}
+
+
 def summary(runs: list[dict]) -> dict:
-    """The exit codes, median wall time and peak RSS, and the stdout sizes and digests of ``runs``."""
+    """The exit codes, the spread of wall time and peak RSS, and the stdout sizes and digests of ``runs``."""
     return {"exits": sorted({r["exit"] for r in runs}),
-            "wall_s": statistics.median(r["wall_s"] for r in runs),
-            "peak_rss_mb": statistics.median(r["peak_rss_mb"] for r in runs),
+            "wall_s": spread(r["wall_s"] for r in runs),
+            "peak_rss_mb": spread(r["peak_rss_mb"] for r in runs),
             "stdout_bytes": sorted({r["stdout_bytes"] for r in runs}),
             "stdout_sha256": sorted({r["stdout_sha256"] for r in runs})}
 
@@ -193,7 +218,7 @@ def main(argv=None) -> int:
                     print(f"{name} {side} run {i}: exit {record['exit']}, {record['wall_s']} s, "
                           f"{record['peak_rss_mb']} MB", file=sys.stderr)
             rows[name] = {"argv": words, "limit_mb": LIMIT_MB.get(name), "stdin": STDIN.get(name),
-                          **{side: {"median": summary(rs), "runs": rs} for side, rs in runs.items()}}
+                          **{side: {"summary": summary(rs), "runs": rs} for side, rs in runs.items()}}
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
     head = git("rev-parse", "HEAD")

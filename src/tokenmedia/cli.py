@@ -3,8 +3,9 @@
 Machine-readable JSON goes to stdout as ``json.dumps(doc, sort_keys=True,
 separators=(",", ":"))`` writes it, compact and built by the stdlib's C encoder,
 so identical inputs give byte-identical outputs; ``python -m json.tool`` indents
-it.  ``write_json`` writes it in one write, laying out a system's dense ``action``
-table from its moves.  Diagnostics go to stderr, or nowhere.
+it.  ``write_json`` writes it in one write; ``linmedium`` writes the same text with
+its dense ``action`` table laid out by ``tokens._dense_table``.  Diagnostics go to
+stderr, or nowhere.
 Exit codes: 0 success/true, 1 semantic-false, 2 parse error or output that
 cannot be written (an unwritable ``--dot`` path or stdout, quietly when its
 reader closed it), 3 resource cap or out of memory.
@@ -21,7 +22,6 @@ import os
 import re
 import stat
 import sys
-from json.encoder import encode_basestring_ascii as _encode_str
 
 from . import arrangements as arr_mod
 from . import cubes, linorders, represent, tokens
@@ -87,50 +87,22 @@ def _read_json(path: str):
     return _parse_json(_read_text(path), path)
 
 
-def _dense_table(ts: tokens.TokenSystem) -> list:
-    """The text of ``json.dumps(ts.to_json_dict()["action"], sort_keys=True, separators=(",", ":"))``
-    as pieces, from the move index: the state names are escaped and ordered once, and each row
-    is a copy of the fixed entries with its moves put in, joined once."""
-    states = ts.states
-    names = list(map(_encode_str, states))
-    order = sorted(range(len(states)), key=states.__getitem__)
-    place = sorted(range(len(states)), key=order.__getitem__)  # each state's rank in the order
-    keyed = [name + ":" for name in names]
-    fixed = [keyed[i] + names[i] for i in order]
-    out = []
-    for t, ms in sorted(ts._index_moves.items()):
-        row = fixed.copy()
-        for i, j in ms:
-            row[place[i]] = keyed[i] + names[j]
-        out += ",", _encode_str(t), ":{", ",".join(row), "}"
-    out[:1] = "{"  # in place of the first comma, or the only piece of an empty table
-    out.append("}")
-    return out
-
-
 def write_json(doc, fh) -> None:
     """Write ``json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\\n"`` to the text
-    file ``fh`` in one write, the stdlib's C encoder building the text.  A ``TokenSystem``
-    that is a value of the top-level dict stands for its dense ``"action"`` table and is
-    laid out by ``_dense_table``.  A document ``json.dumps`` refuses writes nothing."""
+    file ``fh`` in one write, the stdlib's C encoder building the text.  A document
+    ``json.dumps`` refuses writes nothing."""
     # No name holds the text while it is written, so at most two copies of it live at once.
-    if isinstance(doc, dict) and any(type(v) is tokens.TokenSystem for v in doc.values()):
-        pieces = []  # joined once: each copy of a text of megabytes costs milliseconds
-        for k, v in sorted(doc.items()):
-            pieces += ",", json.dumps({k: 0}, separators=_COMPACT)[1:-2]  # '"k":', as dumps writes k
-            pieces += _dense_table(v) if type(v) is tokens.TokenSystem else [
-                json.dumps(v, sort_keys=True, separators=_COMPACT)]
-        pieces[0] = "{"
-        pieces.append("}\n")
-        fh.write("".join(pieces))
-    else:
-        fh.write(json.dumps(doc, sort_keys=True, separators=_COMPACT) + "\n")
+    fh.write(json.dumps(doc, sort_keys=True, separators=_COMPACT) + "\n")
+
+
+def _stdout():
+    if sys.stdout is None:  # closed before the process started
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+    return sys.stdout
 
 
 def _emit(doc) -> None:
-    if sys.stdout is None:  # closed before the process started
-        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
-    write_json(doc, sys.stdout)
+    write_json(doc, _stdout())
 
 
 def _warn(line: str, code: int) -> int:
@@ -188,8 +160,7 @@ def _cmd_graph(args) -> int:
         _emit({"error": "not a medium", "witness": dict(decision.witness)})
         return 1
     g = cubes.medium_graph(ts)
-    labels = decision._sets(sorted(decision.names))  # from the ints, coordinate names in string order
-    _emit({**g.to_json_dict(), "labels": dict(zip(g.vertices, labels))})
+    _emit({**g.to_json_dict(), "labels": decision.label_map()})
     if args.dot:  # the label sets are built for the DOT tooltips alone
         return _write_dot(args.dot, cubes.LabeledGraph(g.vertices, g.edges, decision.alpha, g.edge_labels))
     return 0
@@ -223,9 +194,9 @@ def _cmd_iso(args) -> int:
 
 def _cmd_linmedium(args) -> int:
     ts, fam = linorders.linear_medium(args.n)
-    doc = ts.to_json_dict(view=True)
-    doc["family"] = fam.to_json_dict()
-    _emit(doc)
+    # write_json's text, its dense table by the template: "action" sorts before the other keys
+    rest = json.dumps({**ts._header(), "family": fam.to_json_dict()}, sort_keys=True, separators=_COMPACT)
+    _stdout().write("".join(['{"action":', *tokens._dense_table(ts), ",", rest[1:], "\n"]))
     return _write_dot(args.dot, cubes.medium_graph(ts)) if args.dot else 0
 
 

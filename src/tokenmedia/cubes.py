@@ -163,8 +163,8 @@ class PartialCubeResult(FamilyRepresentation):
         return len(set(self.edge_classes.values())) if self.edge_classes else 0
 
     def to_json_dict(self) -> dict:
-        if self.accepted:  # the sets laid out as ``graph`` lays them, class names in string order
-            return {"partial_cube": True, "labels": dict(zip(self.states, self._sets(sorted(self.names))))}
+        if self.accepted:
+            return {"partial_cube": True, "labels": self.label_map()}
         return {"partial_cube": False, "witness": dict(self.witness)}
 
 

@@ -92,6 +92,10 @@ class FamilyRepresentation:
         return [list(map(order.__getitem__, sorted(compress(ranks, _digits(label, len(ranks))))))
                 for label in self.labels]
 
+    def label_map(self) -> dict[str, list[str]]:
+        """Each state's set, as a label map prints it: coordinate names in string order."""
+        return dict(zip(self.states, self._sets(sorted(self.names))))
+
     def to_json_dict(self) -> dict:
         sets = self._sets(self.ground)
         return {"family": {"ground": list(self.ground), "sets": sets}, "alpha": dict(zip(self.states, sets)),

@@ -213,7 +213,7 @@ def _pair_decision(ts: TokenSystem) -> MediumDecision:
 class _Potentials:
     """The BFS facts of ``_potentials`` and the witnesses read off them (None
     where a check passes); ``separation`` and ``bounds`` hold one per
-    component, and stay empty when M3 fails."""
+    component once ``_component_checks`` has run."""
 
     comps: list  # state indices per component, roots in state order, each in BFS order
     lab: list  # per state, its threshold label
@@ -221,6 +221,7 @@ class _Potentials:
     parent: list  # per state, (state index, token) of its tree move, None at a root
     out: list  # per state, its effective moves (target index, token), in token order
     pair: dict  # token -> (coordinate, +1 or -1)
+    shapes: list = field(default_factory=list)  # per component, _label's (width, wide, toggles)
     unreached: dict | None = None  # M2 when the system is disconnected
     m3: dict | None = None
     separation: list = field(default_factory=list)
@@ -228,9 +229,10 @@ class _Potentials:
 
 
 def _potentials(ts: TokenSystem) -> _Potentials:
-    """The potentials of a system that passed M1, with M3, M2's separation
-    test and M4 by bounds: the one labeling that ``decide_medium`` reads,
-    and keeps in the decision of a system that is no medium.
+    """The potentials of a system that passed M1, with M3, and with M2's
+    separation test and M4 by bounds if it is connected: the one labeling that
+    ``decide_medium`` reads, and keeps in the decision of a system that is no
+    medium, whose components ``_axiom_witnesses`` tests if it is disconnected.
 
     One BFS per component gives each state a potential: per token pair, the
     net steps along its tree path from the root, +1 for the pair's first
@@ -272,21 +274,27 @@ def _potentials(ts: TokenSystem) -> _Potentials:
             out[i].append((j, t))
     ev = _Potentials([], [None] * len(states), [0] * (len(pair) // 2), [None] * len(states), out, pair)
     rank = {t: r for r, t in enumerate(ts.tokens)}
-    shapes, width, bad, repeat = [], 0, None, None
+    width, bad, repeat = 0, None, None
     for root in range(len(states)):
         if ev.lab[root] is None:
             width, wide, least, toggles, again = _label(ev, root, width, rank)
-            shapes.append((width, wide, toggles))
+            ev.shapes.append((width, wide, toggles))
             bad = min(filter(None, (bad, least)), default=None)
             repeat = repeat or again
     if len(ev.comps) > 1:
         ev.unreached = {"axiom": "M2", "source": states[0], "target": states[ev.comps[1][0]]}
     ev.m3 = _m3_witness(ts, ev, bad, repeat)
-    if ev.m3 is None:
-        for comp, (width, wide, toggles) in zip(ev.comps, shapes):
+    if ev.m3 is None and ev.unreached is None:
+        _component_checks(ts, ev)
+    return ev
+
+
+def _component_checks(ts: TokenSystem, ev: _Potentials):
+    """M2's separation test and M4 by bounds per component, once; M3 must hold."""
+    if not ev.separation:
+        for comp, (width, wide, toggles) in zip(ev.comps, ev.shapes):
             ev.separation.append(_separation(ts, ev, comp, width, toggles))
             ev.bounds.append(_m4_bounds(ts, ev, comp) if wide and not ev.separation[-1] else None)
-    return ev
 
 
 def _axiom_witnesses(ts: TokenSystem, ev: _Potentials) -> dict:
@@ -298,6 +306,7 @@ def _axiom_witnesses(ts: TokenSystem, ev: _Potentials) -> dict:
     if ev.unreached:
         found["M2"] = ev.unreached
     if ev.m3 is None:
+        _component_checks(ts, ev)
         found.setdefault("M2", ev.separation[0])
         found["M4"] = next(filter(None, (
             _m4_search(ts, ev, comp) if ev.separation[c] else ev.bounds[c]

@@ -23,6 +23,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter, deque
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import InputError, ParseError, json_list
@@ -44,6 +45,27 @@ def _dense_row(states, ms) -> dict:
     for i, j in ms:
         row[states[i]] = states[j]
     return row
+
+
+def _dense_table(ts: TokenSystem) -> list:
+    """The text of ``json.dumps(ts.to_json_dict()["action"], sort_keys=True, separators=(",", ":"))``
+    as pieces, from the move index: the state names are escaped and ordered once, and each row
+    is a copy of the fixed entries with its moves put in, joined once."""
+    states = ts.states
+    names = list(map(encode_basestring_ascii, states))
+    order = sorted(range(len(states)), key=states.__getitem__)
+    place = sorted(range(len(states)), key=order.__getitem__)  # each state's rank in the order
+    keyed = [name + ":" for name in names]
+    fixed = [keyed[i] + names[i] for i in order]
+    out = []
+    for t, ms in sorted(ts._index_moves.items()):
+        row = fixed.copy()
+        for i, j in ms:
+            row[place[i]] = keyed[i] + names[j]
+        out += ",", encode_basestring_ascii(t), ":{", ",".join(row), "}"
+    out[:1] = "{"  # in place of the first comma, or the only piece of an empty table
+    out.append("}")
+    return out
 
 
 def _paired(pairs) -> tuple[list, dict, dict]:
@@ -144,25 +166,17 @@ class TokenSystem:
         states = self.states
         return frozenset((states[i], states[j]) for i, j in self._index_moves[t])
 
-    def to_json_dict(self, *, view: bool = False) -> dict:
-        """The dense document: states, tokens with their reverses, and the
-        ``"action"`` table with its rows in state order, built from the move
-        index.  With ``view`` set, ``"action"`` is the system itself, which
-        ``cli.write_json``, given this dict or one holding its keys at its top
-        level, writes as ``json.dumps`` writes that table, from the moves."""
-        toks = []
-        for t in self.tokens:
-            entry: dict = {"id": t}
-            if self.reverse is not None:
-                entry["reverse"] = self.reverse[t]
-            toks.append(entry)
-        states = self.states
-        return {
-            "states": list(states),
-            "tokens": toks,
-            "action": self if view else
-            {t: _dense_row(states, ms) for t, ms in self._index_moves.items()},
-        }
+    def _header(self) -> dict:
+        """The document's ``"states"``, and its ``"tokens"`` with their reverses."""
+        rev = self.reverse
+        return {"states": list(self.states),
+                "tokens": [{"id": t} if rev is None else {"id": t, "reverse": rev[t]} for t in self.tokens]}
+
+    def to_json_dict(self) -> dict:
+        """The dense document: ``_header`` and the ``"action"`` table with its
+        rows in state order, built from the move index.  ``_dense_table`` writes
+        that table's text as ``json.dumps`` writes it, without building it."""
+        return {**self._header(), "action": {t: _dense_row(self.states, ms) for t, ms in self._index_moves.items()}}
 
     @classmethod
     def from_json_dict(cls, doc) -> "TokenSystem":

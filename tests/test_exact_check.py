@@ -17,7 +17,7 @@ from unittest import mock
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from tokenmedia import cli, represent
+from tokenmedia import cli, families, represent
 from tokenmedia.families import SetFamily, family_medium
 from tokenmedia.linorders import linear_medium
 from tokenmedia.represent import decide_medium
@@ -201,6 +201,17 @@ def test_union6_is_decided_without_walks():
     assert decision.witness == report["M2"].witness == {
         "axiom": "M2", "source": "a123456", "target": "b123456"}
     assert_witness_replays(ts, "M2", decision.witness)
+
+
+def test_a_disconnected_system_is_decided_at_the_bfs():
+    # its witness is the disconnection; the components are tested once check_axioms asks
+    ts = union6()
+    spy = mock.Mock(wraps=families._moves_separate)
+    with mock.patch.object(families, "_moves_separate", spy), mock.patch.object(represent, "_moves_separate", spy):
+        decision = decide_medium(ts)
+        assert spy.call_count == 0 and decision.witness["axiom"] == "M2"
+        assert check_axioms(ts)["M4"].verdict == HOLDS
+        assert spy.call_count == 2  # once per component
 
 
 def test_check_of_union6_exits_one_without_walks(tmp_path):

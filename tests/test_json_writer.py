@@ -1,13 +1,15 @@
-"""The JSON writer of the CLI against its oracle, the stdlib.
+"""The JSON writer of the CLI and the dense-table template against their oracle, the stdlib.
 
 ``cli.write_json(doc, fh)`` must write exactly
 ``json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\\n"``, the layout
 every CLI command prints, with one write, and nothing when ``json.dumps``
-refuses the document.  A token system that is a value of the top-level dict,
-as ``linmedium`` prints its ``action`` view, is laid out from its moves and
-must read as ``json.dumps`` writes the system's dense table.
+refuses the document.  ``tokens._dense_table`` must write a system's dense
+``action`` table as ``json.dumps`` writes it, and ``linmedium``, which lays
+its table out with it, must print what ``write_json`` would print for its
+dense document, in one write and without building a dense row.
 """
 
+import contextlib
 import enum
 import io
 import json
@@ -97,23 +99,17 @@ def systems(draw):
     return TokenSystem(tuple(states), tuple(toks), reverse=reverse, moves=moves)
 
 
-@st.composite
-def view_documents(draw):
-    """A dict whose top level holds one or more token systems among drawn values, either
-    a system's ``to_json_dict(view=True)`` with keys added, or drawn keys of any kind."""
-    if draw(st.booleans()):
-        doc = draw(systems()).to_json_dict(view=True)
-        doc.update(draw(st.dictionaries(strings, documents, max_size=3)))
-    else:
-        doc = draw(keys.flatmap(lambda k: st.dictionaries(k, documents, max_size=3)))
-        for key in draw(st.lists(st.one_of(strings, st.integers()), min_size=1, max_size=2)):
-            doc[key] = draw(systems())
-    return draw(st.sampled_from([dict, Table]))(doc)
+class Recorder:
+    """A text file that keeps each write."""
 
+    def __init__(self):
+        self.writes = []
 
-def dense(doc):
-    """``doc`` with each top-level system in place of its dense table, the writer's oracle."""
-    return {k: v.to_json_dict()["action"] if type(v) is TokenSystem else v for k, v in doc.items()}
+    def write(self, text):
+        self.writes.append(text)
+
+    def flush(self):
+        pass
 
 
 def written(doc) -> str:
@@ -122,10 +118,10 @@ def written(doc) -> str:
     return out.getvalue()
 
 
-def assert_written_as_dumps(doc, oracle):
-    """``doc`` is written as ``json.dumps`` writes ``oracle``, or refused as it refuses it."""
+def assert_written_as_dumps(doc):
+    """``doc`` is written as ``json.dumps`` writes it, or refused as it refuses it."""
     try:
-        want = json.dumps(oracle, sort_keys=True, separators=(",", ":")) + "\n"
+        want = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
     except (TypeError, ValueError) as exc:
         out = io.StringIO()
         with pytest.raises(type(exc)):
@@ -138,28 +134,33 @@ def assert_written_as_dumps(doc, oracle):
 @settings(max_examples=200, deadline=None)
 @given(doc=documents)
 def test_writer_matches_the_stdlib(doc):
-    assert_written_as_dumps(doc, doc)
+    assert_written_as_dumps(doc)
 
 
-@settings(max_examples=200, deadline=None)
-@given(doc=view_documents())
-def test_the_action_view_is_written_as_its_dense_table(doc):
-    oracle = dense(doc)
-    with mock.patch.object(tokens, "_dense_row", side_effect=AssertionError("a dense row was built")):
-        assert_written_as_dumps(doc, oracle)
+def assert_template_matches(ts):
+    want = json.dumps(ts.to_json_dict()["action"], sort_keys=True, separators=(",", ":"))
+    assert "".join(tokens._dense_table(ts)) == want
 
 
 @settings(max_examples=200, deadline=None)
 @given(ts=systems())
 def test_the_dense_template_matches_the_stdlib(ts):
-    want = json.dumps(ts.to_json_dict()["action"], sort_keys=True, separators=(",", ":"))
-    assert "".join(cli._dense_table(ts)) == want
+    assert_template_matches(ts)
 
 
 def test_the_dense_template_of_linear_five():
-    ts, fam = linear_medium(5)
-    doc = {**ts.to_json_dict(view=True), "family": fam.to_json_dict()}
-    assert written(doc) == json.dumps(dense(doc), sort_keys=True, separators=(",", ":")) + "\n"
+    assert_template_matches(linear_medium(5)[0])
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_linmedium_prints_its_dense_document_in_one_write(n):
+    ts, fam = linear_medium(n)
+    want = json.dumps({**ts.to_json_dict(), "family": fam.to_json_dict()}, sort_keys=True, separators=(",", ":"))
+    out = Recorder()
+    with mock.patch.object(tokens, "_dense_row", side_effect=AssertionError("a dense row was built")), \
+            contextlib.redirect_stdout(out):
+        assert cli.main(["linmedium", str(n)]) == 0
+    assert out.writes == [want + "\n"]
 
 
 @pytest.mark.parametrize("doc", [
@@ -179,7 +180,7 @@ def test_the_dense_template_of_linear_five():
     {1: "x", 10: "y", 2: "z"}, {None: 0, False: 1, 2.5: "x"}, {None: 0, "a": 1},
 ])
 def test_edge_documents(doc):
-    assert_written_as_dumps(doc, doc)
+    assert_written_as_dumps(doc)
 
 
 def test_int_keys_are_written_as_strings_as_json_dumps_writes_them():
@@ -213,7 +214,7 @@ def cycle():
 
 @pytest.mark.parametrize("doc", [
     {(1,): "x"}, {"a": {1, 2}}, cycle(),
-    # a system below the top level, or beside a refused value
+    # a token system, which json.dumps refuses wherever it stands
     {"a": {"action": linear_medium(3)[0]}}, [linear_medium(3)[0]], linear_medium(3)[0],
     {"action": linear_medium(3)[0], "b": {(1,): "x"}}, {"action": linear_medium(3)[0], 1: "x"},
 ])
@@ -224,15 +225,8 @@ def test_a_document_json_dumps_refuses_writes_nothing(doc):
     assert out.getvalue() == ""
 
 
-@pytest.mark.parametrize("doc", [{"b": "x", "a": {"c": ["d", 1]}}, linear_medium(3)[0].to_json_dict(view=True)])
+@pytest.mark.parametrize("doc", [{"b": "x", "a": {"c": ["d", 1]}}, linear_medium(3)[0].to_json_dict()])
 def test_the_text_reaches_the_file_in_one_write(doc):
-    class Recorder:
-        def __init__(self):
-            self.writes = []
-
-        def write(self, text):
-            self.writes.append(text)
-
     fh = Recorder()
     write_json(doc, fh)
     assert fh.writes == [written(doc)]

@@ -46,8 +46,9 @@ def assert_same_as_the_tuple_route(ts):
     assert_reads_the_same(decision, tuple_potentials._pair_decision(old))
     if reverse_defect(ts) is not None:
         return None
-    assert represent._axiom_witnesses(new, represent._potentials(new)) == tuple_potentials._axiom_witnesses(old)
     ev, ref = represent._potentials(new), tuple_potentials._potentials(old)
+    # which also tests the components of a disconnected system, as the decision does not
+    assert represent._axiom_witnesses(new, ev) == tuple_potentials._axiom_witnesses(old)
     assert ev.comps == ref.comps and ev.parent == ref.parent and ev.pair == ref.pair
     for comp in ev.comps:
         least = [min(ref.pot[i][x] for i in comp) for x in range(len(ev.fields))]

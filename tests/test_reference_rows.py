@@ -3,8 +3,8 @@
 ``moves_document`` writes a system that reads back equal, ``relabelled``
 renames every state and token of it into an isomorphic copy, and
 ``measure`` runs one CLI command in a child process, under an
-address-space limit if given, and records what it printed, its exit code
-and the tail of its stderr.
+address-space limit if given, and records what it printed, its exit code,
+the tail of its stderr and its own peak RSS.
 """
 
 import contextlib
@@ -13,6 +13,7 @@ import importlib.util
 import io
 import json
 import random
+import resource
 from pathlib import Path
 
 from tokenmedia import cli
@@ -47,6 +48,20 @@ def test_a_run_records_what_the_command_printed():
     assert (record["exit"], record["stdout_bytes"], record["stdout_sha256"], record["stderr"]) == \
         (0, len(text), hashlib.sha256(text).hexdigest(), "")
     assert record["wall_s"] > 0 and record["peak_rss_mb"] > 0
+
+
+def test_a_run_records_its_own_peak_not_the_harness_one():
+    # a forked child's ru_maxrss starts at the harness's peak, raised here by 64 MB of ballast
+    ballast = b"x" * (64 << 20)
+    record = reference_rows.measure(ROOT, ["linmedium", "3"])
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_maxrss > 64 << 10
+    assert 5 < record["peak_rss_mb"] < 20
+    del ballast
+
+
+def test_the_spread_is_the_median_and_the_quartiles():
+    assert reference_rows.spread([4, 1, 3, None, 2, 5, 7, 6]) == {"median": 4, "quartiles": [2, 6]}
+    assert reference_rows.spread([None, 2.5]) == {"median": 2.5, "quartiles": [2.5, 2.5]}
 
 
 def test_a_run_past_a_cap_records_its_exit_code_and_stderr():

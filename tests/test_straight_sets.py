@@ -92,6 +92,7 @@ def separation_failing(ts):
     ev = represent._potentials(ts)
     if ev.m3 is not None:
         return ts, ev, []
+    represent._component_checks(ts, ev)  # which a disconnected system's decision skips
     return ts, ev, [comp for comp, found in zip(ev.comps, ev.separation) if found]
 
 
