@@ -37,7 +37,6 @@ from .families import (
 )
 from .linorders import LinearOrder, apply_token, covers, encode, is_order_encoding, linear_medium
 from .represent import (
-    ContentTable,
     MediumDecision,
     Orientation,
     contents,

@@ -131,9 +131,12 @@ def _load_system(path: str) -> tokens.TokenSystem:
 
 def _cmd_check(args) -> int:
     ts = _load_system(args.input)
-    report = tokens.check_axioms(ts, args.bound)
+    bound = max(1, 2 * len(ts.tokens)) if args.bound is None else args.bound
+    if bound < 1:  # validated after the load, so a malformed file reports its parse error first
+        raise InputError("bound must be at least 1")
+    report = tokens.check_axioms(ts)
     decision = represent.decide_medium(ts)
-    _emit({"axioms": report.to_json_dict(), "decision": decision.to_json_dict()})
+    _emit({"axioms": {"bound": bound, **report.to_json_dict()}, "decision": decision.to_json_dict()})
     if not decision.is_medium:
         kind = decision.witness.get("axiom") or decision.witness.get("kind")
         return _warn(f"not a medium ({kind})", 1)

@@ -14,14 +14,15 @@ the first separates, whose geodesic crosses one class twice.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from itertools import compress, count
 from typing import Iterable, Mapping
 
 from .errors import CapError, InputError, ParseError, json_list
-from .families import (ADD_PREFIX, REMOVE_PREFIX, FamilyRepresentation, SetFamily, _digits, _moves_separate,
-                       well_graded_witness)
+from .families import (ADD_PREFIX, REMOVE_PREFIX, FamilyRepresentation, SetFamily, _digits, _geodesic,
+                       _moves_separate, well_graded_witness)
+from .represent import decide_medium
 from .tokens import TokenSystem
 
 #: Units of coordinate-search work one ``media_isomorphic`` call may spend:
@@ -272,25 +273,6 @@ def _theta_violation(edges, *triple):
     return PartialCubeResult(False, witness={"kind": "theta-violation", "edges": [list(edges[f]) for f in triple]})
 
 
-def _geodesic(out, root, end):
-    """The labels of a shortest walk from root to end, listed from end back
-    to root, by one BFS from root over the (state, label) steps ``out[u]``
-    from each state u, stopped once end is reached."""
-    prev = {root: None}
-    queue = deque([root])
-    while end not in prev:
-        u = queue.popleft()
-        for w, label in out[u]:
-            if w not in prev:
-                prev[w] = u, label
-                queue.append(w)
-    labels = []
-    while prev[end] is not None:
-        end, label = prev[end]
-        labels.append(label)
-    return labels
-
-
 def _odd_cycle(parent, depth, u, w):
     """The edge u-w closed into a cycle by the tree paths up from u and w."""
     left, right = [u], [w]
@@ -351,8 +333,6 @@ def media_isomorphic(ts1: TokenSystem, ts2: TokenSystem):
     label image, so the budget bounds the time of the only step whose cost
     is not polynomial in the input.
     """
-    from .represent import decide_medium
-
     states1, states2 = ts1.states, ts2.states
     n = len(states1)
     d1, d2 = decide_medium(ts1), decide_medium(ts2)

@@ -7,6 +7,7 @@ system a medium; see ``tokenmedia.represent``.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
@@ -177,6 +178,25 @@ def _moves_separate(lab, toggles, width):
             rest = alike ^ 1 << p
             return p, (rest & -rest).bit_length() - 1
     return None
+
+
+def _geodesic(out, root, end):
+    """The labels of a shortest walk from root to end, listed from end back
+    to root, by one BFS from root over the (state, label) steps ``out[u]``
+    from each state u, stopped once end is reached."""
+    prev = {root: None}
+    queue = deque([root])
+    while end not in prev:
+        u = queue.popleft()
+        for w, label in out[u]:
+            if w not in prev:
+                prev[w] = u, label
+                queue.append(w)
+    labels = []
+    while prev[end] is not None:
+        end, label = prev[end]
+        labels.append(label)
+    return labels
 
 
 def is_well_graded(fam: SetFamily) -> bool:

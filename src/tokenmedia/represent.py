@@ -21,9 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .cubes import _geodesic
 from .errors import InputError
-from .families import FamilyRepresentation, _bit_columns, _digits, _moves_separate
+from .families import FamilyRepresentation, _bit_columns, _digits, _geodesic, _moves_separate
 from .tokens import TokenSystem, reverse_defect
 
 
@@ -50,36 +49,20 @@ def orientation_from_positive(ts: TokenSystem, positive) -> Orientation:
     return Orientation(positive, all_tokens - positive)
 
 
-@dataclass(frozen=True)
-class ContentTable:
-    """Content of every state: the tokens occurring in straight messages into it.
-
-    For every token pair exactly one member belongs to each content, all
-    contents share one cardinality, and states are determined by their
-    contents.
-    """
-
-    base: str
-    contents: Mapping[str, frozenset[str]]
-
-
-def contents(ts: TokenSystem, base: str | None = None) -> ContentTable:
-    """All contents, read off the canonical representation of ``decide_medium``.
+def contents(ts: TokenSystem) -> dict[str, frozenset[str]]:
+    """Every state's content, the tokens occurring in straight messages into
+    it, read off the canonical representation of ``decide_medium``.
 
     A token adding coordinate x occurs in the straight messages into exactly
     the states whose labels hold x, and a token removing x into exactly those
-    whose labels lack it.  The result does not depend on the base state,
-    which is only recorded.  The table is built on each call from the
-    decision stored on ``ts``.  A system that is not a medium raises
+    whose labels lack it.  For every token pair exactly one member belongs
+    to each content, all contents share one cardinality, and states are
+    determined by their contents.  The mapping is built on each call from
+    the decision stored on ``ts``.  A system that is not a medium raises
     InputError.
     """
-    if base is None:
-        base = ts.states[0]
-    elif not ts.has_state(base):
-        raise InputError(f"unknown state id {base!r}")
     decision = _medium_decision(ts)
-    table = {s: _content(decision, label) for s, label in zip(ts.states, decision.labels)}
-    return ContentTable(base, table)
+    return {s: _content(decision, label) for s, label in zip(ts.states, decision.labels)}
 
 
 def _content(decision, label) -> frozenset[str]:

@@ -438,13 +438,10 @@ class AxiomReport:
     When M1 fails the remaining axioms are skipped: consistency and
     vacuousness are only meaningful relative to a valid reverse pairing.
     When M3 fails the labels are no potentials to read M4 off, so M4 is
-    skipped, and M2 too unless the system is disconnected.  ``bound`` is the bound
-    ``check_axioms`` was given, or its default, reported unchanged; it
-    affects no verdict.
+    skipped, and M2 too unless the system is disconnected.
     """
 
     checks: tuple[AxiomCheck, ...]
-    bound: int
 
     def __getitem__(self, axiom: str) -> AxiomCheck:
         for c in self.checks:
@@ -457,10 +454,7 @@ class AxiomReport:
         return all(c.ok for c in self.checks)
 
     def to_json_dict(self) -> dict:
-        return {
-            "bound": self.bound,
-            "axioms": {c.axiom: c.to_json_dict() for c in self.checks},
-        }
+        return {"axioms": {c.axiom: c.to_json_dict() for c in self.checks}}
 
 
 # the checks that do not depend on the system, shared by every report
@@ -519,7 +513,7 @@ def _declared_breach(ts, t, declared):
     return {"axiom": "M1", "kind": "declared-not-reverse", "token": t, "declared": declared}
 
 
-def check_axioms(ts: TokenSystem, bound: int | None = None) -> AxiomReport:
+def check_axioms(ts: TokenSystem) -> AxiomReport:
     """Exact axiom report: every verdict is "holds", "fails" or "skipped".
 
     Every verdict is read off ``tokenmedia.represent.decide_medium``: on a
@@ -527,21 +521,15 @@ def check_axioms(ts: TokenSystem, bound: int | None = None) -> AxiomReport:
     M1 holds and M2-M4 are read by ``represent._axiom_witnesses`` off the
     threshold labels the decision keeps; no message is enumerated.  When M1
     fails, M2-M4 are skipped; when M3 fails, M4 is skipped, and so is M2
-    unless the system is disconnected.  ``bound`` changes no verdict: it is
-    validated (at least 1), defaults to twice the token count and is
-    reported, so that callers passing it keep working.
+    unless the system is disconnected.
     """
     from .represent import _axiom_witnesses, decide_medium
 
-    if bound is None:
-        bound = max(1, 2 * len(ts.tokens))
-    if bound < 1:
-        raise InputError("bound must be at least 1")
     decision = decide_medium(ts)
     if decision.is_medium:
-        return AxiomReport(_ALL_HOLD, bound)
+        return AxiomReport(_ALL_HOLD)
     if decision.witness["axiom"] == "M1":
-        return AxiomReport((AxiomCheck("M1", FAILS, decision.witness),) + _SKIPPED_AFTER_M1, bound)
+        return AxiomReport((AxiomCheck("M1", FAILS, decision.witness),) + _SKIPPED_AFTER_M1)
     found = _axiom_witnesses(ts, decision.potentials)
     checks = [AxiomCheck("M1", HOLDS)]
     for a in ("M2", "M3", "M4"):
@@ -549,7 +537,7 @@ def check_axioms(ts: TokenSystem, bound: int | None = None) -> AxiomReport:
             checks.append(AxiomCheck(a, SKIPPED, note="not evaluated: M3 failed"))
         else:
             checks.append(AxiomCheck(a, FAILS, found[a]) if found[a] else AxiomCheck(a, HOLDS))
-    return AxiomReport(tuple(checks), bound)
+    return AxiomReport(tuple(checks))
 
 
 # --- reductions -----------------------------------------------------------

@@ -12,7 +12,7 @@ coordinate names from its BFS parent's with one coordinate toggled;
 below ``assert_reads_the_same`` is kept verbatim, with the classes and entry
 points renamed, ``set_decision`` in place of the stored decision, and the
 contents table stored under its own name, so that both routes can run on
-one system.  Only ``set_pair_decision`` reads other potentials: the tuples
+one system; ``set_contents`` takes no base, as ``contents`` takes none.  Only ``set_pair_decision`` reads other potentials: the tuples
 of ``tuple_potentials`` in place of the library's threshold labels, so that
 the oracle shares no labeling with the code under test.  The least state
 holds pair x's upper value iff its coordinate x is the greatest.
@@ -25,7 +25,7 @@ from typing import Mapping
 
 from tokenmedia.errors import InputError
 from tokenmedia.families import SetFamily
-from tokenmedia.represent import ContentTable, Orientation
+from tokenmedia.represent import Orientation
 from tokenmedia.tokens import TokenSystem, reverse_defect
 
 
@@ -53,26 +53,21 @@ def assert_reads_the_same(new, old):
     assert new.to_json_dict() == old.to_json_dict()
 
 
-def set_contents(ts: TokenSystem, base: str | None = None) -> ContentTable:
+def set_contents(ts: TokenSystem) -> dict[str, frozenset[str]]:
     """All contents, read off the canonical representation of ``decide_medium``.
 
     A token adding coordinate x occurs in the straight messages into exactly
     the states whose labels hold x, and a token removing x into exactly those
-    whose labels lack it.  The result does not depend on the base state,
-    which is only recorded.  The table is stored on ``ts`` beside the
+    whose labels lack it.  The table is stored on ``ts`` beside the
     decision, so later calls on the same system share it.  A system that is
     not a medium raises InputError.
     """
-    if base is None:
-        base = ts.states[0]
-    elif not ts.has_state(base):
-        raise InputError(f"unknown state id {base!r}")
     table = getattr(ts, "_set_contents", None)
     if table is None:
         decision = set_decision(ts)
         table = {s: _content(decision, label) for s, label in decision.alpha.items()}
         object.__setattr__(ts, "_set_contents", table)
-    return ContentTable(base, table)
+    return table
 
 
 def _content(decision, label) -> frozenset[str]:

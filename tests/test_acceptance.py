@@ -83,7 +83,7 @@ def test_criterion_1_decision_matches_bounded_axioms():
         if walks.passes(axioms) != medium:
             disagreements += 1
         elif axioms["M1"].verdict == "holds":  # both reports read M1 off one reverse_defect
-            exact = check_axioms(ts, bound=8)
+            exact = check_axioms(ts)
             if exact.ok != medium or any(
                     c.verdict != "skipped" and (c.verdict == "fails") != (axioms[c.axiom].verdict == "fails")
                     for c in exact.checks):
@@ -212,11 +212,11 @@ def test_criterion_5_representation_round_trip():
             continue
         table = contents(ts)
         for s in ts.states:
-            c = table.contents[s]
+            c = table[s]
             for t in ts.tokens:
                 if (t in c) == (ts.reverse[t] in c):
                     failures.append(f"{name}: pair rule broken at {s}")
-        if len({len(c) for c in table.contents.values()}) != 1:
+        if len({len(c) for c in table.values()}) != 1:
             failures.append(f"{name}: contents have unequal cardinalities")
         rep = positive_content_family(ts, orient_from_state(ts, ts.states[0]))
         rebuilt = family_medium(rep.family)

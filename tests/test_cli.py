@@ -96,6 +96,14 @@ class TestCheck:
         assert (code, out) == (2, "")
         assert "bound must be at least 1" in err
 
+    def test_the_input_is_read_before_the_bound_is_checked(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"states": [')
+        assert run(capsys, "check", "--bound", "0", str(bad)) == (
+            2, "", f"parse error: {bad}: line 1 column 13: Expecting value\n")
+        good = write_system(tmp_path, two_state())
+        assert run(capsys, "check", "--bound", "0", good) == (2, "", "input error: bound must be at least 1\n")
+
     @pytest.mark.parametrize("n", [6, 7])
     def test_default_bound_on_linear_media_reads_the_decision(self, n, tmp_path, capsys):
         ts, _ = linear_medium(n)

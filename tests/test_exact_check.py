@@ -69,12 +69,11 @@ def assert_witness_replays(ts, axiom, w):
         assert not is_consistent(ts, [*w["message1"], *w["message2"]])
 
 
-def assert_exact(ts, bound=None):
+def assert_exact(ts):
     """The report of a fresh copy of ts against the walks at bound 2S + 1 and
     against the decision; returns the report."""
     fresh = TokenSystem.from_json_dict(ts.to_json_dict())  # nothing stored yet
-    report = check_axioms(fresh, bound)
-    assert report.bound == (max(1, 2 * len(ts.tokens)) if bound is None else bound)
+    report = check_axioms(fresh)
     decision = decide_medium(ts)
     if decision.is_medium:
         assert [c.verdict for c in report.checks] == [HOLDS] * 4
@@ -162,19 +161,17 @@ def m1_systems(draw):
 
 
 @settings(max_examples=400, deadline=None)
-@given(ts=st.one_of(small_systems(), family_systems()),
-       bound=st.one_of(st.none(), st.integers(1, 6)))
-@example(ts=two_state(), bound=None)
-@example(ts=twisted_square(), bound=None)
-@example(ts=linear_medium(3)[0], bound=3)
-def test_media_hold_without_walks_and_the_rest_match_the_reference(ts, bound):
+@given(ts=st.one_of(small_systems(), family_systems()))
+@example(ts=two_state())
+@example(ts=twisted_square())
+@example(ts=linear_medium(3)[0])
+def test_media_hold_without_walks_and_the_rest_match_the_reference(ts):
     if decide_medium(ts).is_medium:
         with no_walks():
-            report = assert_exact(ts, bound)
-        assert report.to_json_dict() == {"bound": report.bound,
-                                         "axioms": {a: {"verdict": HOLDS} for a in AXIOMS}}
+            report = assert_exact(ts)
+        assert report.to_json_dict() == {"axioms": {a: {"verdict": HOLDS} for a in AXIOMS}}
     else:
-        assert_exact(ts, bound)
+        assert_exact(ts)
 
 
 @settings(max_examples=500, deadline=None)

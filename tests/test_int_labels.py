@@ -64,7 +64,7 @@ def assert_same_as_the_set_route(ts, bases, rng):
         with pytest.raises(InputError):
             contents(new)
         return
-    assert contents(new).contents == set_contents(old).contents
+    assert contents(new) == set_contents(old)
     for base in bases:
         orientation = orient_from_state(new, base)
         assert orientation == set_orient_from_state(old, base)

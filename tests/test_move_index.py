@@ -308,7 +308,7 @@ def test_decision_paths_read_no_action_row(raw, seed, bound):
                      reverse)
     reads.clear()
     reverse_defect(ts)
-    check_axioms(ts, bound)
+    check_axioms(ts)
     walks.bounded_report(ts, bound)
     if decide_medium(ts).is_medium:
         medium_graph(ts)

@@ -12,7 +12,6 @@ from tokenmedia.errors import InputError
 from tokenmedia.families import SetFamily, distance, family_medium
 from tokenmedia.linorders import linear_medium, pair_name
 from tokenmedia.represent import (
-    ContentTable,
     EmbeddingReport,
     Orientation,
     contents,
@@ -34,7 +33,8 @@ from test_exact_check import small_systems
 
 
 def bfs_contents(ts, base=None):
-    """Contents from geodesics out of one base state, checked as they are built.
+    """Contents from geodesics out of one base state, checked as they are built,
+    as a mapping from each state to its content.
 
     Along a shortest-path tree the content difference across an edge is the
     edge's token, so one breadth-first pass plus the one-per-pair rule
@@ -71,14 +71,13 @@ def bfs_contents(ts, base=None):
     }
     if len(set(table.values())) != len(ts.states):
         raise InputError("two states share a content; not a medium")
-    return ContentTable(base, table)
+    return table
 
 
 def table_orient_from_state(ts, s0):
     """The orientation whose negative class is the content of s0, read off
     the full contents table (the former route)."""
-    table = contents(ts, base=s0)
-    negative = table.contents[s0]
+    negative = contents(ts)[s0]
     return Orientation(frozenset(ts.tokens) - negative, negative)
 
 
@@ -93,7 +92,7 @@ def table_positive_content_family(ts, orientation):
     if any(rev[t] in pos for t in pos):
         raise InputError("orientation must separate every token from its reverse")
     ground = tuple(t for t in ts.tokens if t in pos)
-    alpha = {s: table.contents[s] & pos for s in ts.states}
+    alpha = {s: table[s] & pos for s in ts.states}
     family = SetFamily(ground, tuple(alpha[s] for s in ts.states))
     beta = {t: (t, "add") if t in pos else (rev[t], "remove") for t in ts.tokens}
     return SetRepresentation(family, alpha, beta)
@@ -144,8 +143,9 @@ ORACLE_MEDIA = {
 
 
 def assert_agrees_with_oracles(ts):
+    table = contents(ts)
     for base in ts.states:
-        assert contents(ts, base) == bfs_contents(ts, base), base
+        assert bfs_contents(ts, base) == table, base
         orientation = orient_from_state(ts, base)
         assert orientation == table_orient_from_state(ts, base)
         assert_matches_the_table_route(ts, orientation)
@@ -196,13 +196,11 @@ def test_decision_is_computed_once():
 
 def test_content_table_is_built_once():
     ts = family_medium(hexagon_family())
-    table = contents(ts).contents
-    again = contents(ts, base=ts.states[-1])
-    assert again.contents == table and again.base == ts.states[-1]  # built on each call, not kept
+    table = contents(ts)
+    again = contents(ts)
+    assert again == table  # built on each call, not kept
     positive_content_family(ts, orient_from_state(ts, ts.states[-1]))
-    assert contents(ts).contents == table
-    with pytest.raises(InputError):
-        contents(ts, base="no such state")
+    assert contents(ts) == table
 
 
 def test_non_medium_raises_input_error():
@@ -220,34 +218,33 @@ def test_non_medium_raises_input_error():
 class TestContents:
     def test_two_state(self):
         table = contents(two_state())
-        assert table.contents["S"] == {"t~"}
-        assert table.contents["T"] == {"t"}
+        assert table["S"] == {"t~"}
+        assert table["T"] == {"t"}
 
     def test_hexagon_cardinalities(self):
         ts, _ = linear_medium(3)
         table = contents(ts)
-        assert {len(c) for c in table.contents.values()} == {3}
+        assert {len(c) for c in table.values()} == {3}
 
     def test_adjacent_difference_is_the_edge_token(self, corpus):
         for name, ts in corpus:
             table = contents(ts)
             for t in ts.tokens:
                 for (s, v) in ts.moves(t):
-                    assert table.contents[v] - table.contents[s] == {t}, name
+                    assert table[v] - table[s] == {t}, name
 
     def test_base_independent(self):
         ts, _ = linear_medium(3)
-        tables = [contents(ts, base=s).contents for s in ts.states]
-        assert all(t == tables[0] for t in tables)
+        assert all(bfs_contents(ts, s) == contents(ts) for s in ts.states)
 
     def test_pair_rule_and_injectivity(self, corpus):
         for name, ts in corpus:
             table = contents(ts)
             for s in ts.states:
-                c = table.contents[s]
+                c = table[s]
                 for t in ts.tokens:
                     assert (t in c) != (ts.reverse[t] in c), name
-            values = list(table.contents.values())
+            values = list(table.values())
             assert len(set(values)) == len(values), name
 
 

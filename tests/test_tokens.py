@@ -356,7 +356,7 @@ class TestCheckAxioms:
         report = check_axioms(two_state())
         assert report.ok
         assert [c.verdict for c in report.checks] == ["holds"] * 4
-        walked = walks.bounded_report(two_state(), report.bound)
+        walked = walks.bounded_report(two_state(), 4)  # twice the token count, check's default bound
         assert walks.passes(walked)
         assert walked["M1"].verdict == "holds"
         assert walked["M2"].verdict == "holds"
@@ -365,7 +365,7 @@ class TestCheckAxioms:
 
     def test_reduction_to_endpoints_fails_m2(self):
         stranded = reduction(path3(), ["P", "R"])
-        report = check_axioms(stranded, bound=4)
+        report = check_axioms(stranded)
         assert not report.ok
         assert report["M2"].verdict == "fails"
         w = report["M2"].witness
@@ -373,7 +373,7 @@ class TestCheckAxioms:
 
     def test_three_cycle_fails_m3_with_replayable_witness(self):
         ts = three_cycle()
-        report = check_axioms(ts, bound=4)
+        report = check_axioms(ts)
         assert report["M3"].verdict == "fails"
         w = report["M3"].witness
         assert apply(ts, w["state"], w["message"]) == w["state"]
@@ -386,7 +386,7 @@ class TestCheckAxioms:
             ("t", "u"),
             {"t": {"S": "T", "T": "T"}, "u": {"T": "S", "S": "S"}},
         )
-        report = check_axioms(ts, bound=2)
+        report = check_axioms(ts)
         assert report["M1"].verdict == "fails"
         assert report["M1"].witness["kind"] == "missing-reverse-pairing"
         assert report["M2"].verdict == "skipped"
@@ -398,7 +398,7 @@ class TestCheckAxioms:
             {"t": {"A": "B", "B": "B", "C": "C"}, "u": {"A": "A", "B": "B", "C": "A"}},
             {"t": "u", "u": "t"},
         )
-        report = check_axioms(ts, bound=2)
+        report = check_axioms(ts)
         w = report["M1"].witness
         assert w["kind"] == "declared-not-reverse"
         assert apply(ts, w["state"], w["message"]) != w["state"]
@@ -415,7 +415,7 @@ class TestCheckAxioms:
             },
             {"t": "u", "u": "t", "t2": "u2", "u2": "t2"},
         )
-        report = check_axioms(ts, bound=2)
+        report = check_axioms(ts)
         assert report["M1"].verdict == "fails"
         assert report["M1"].witness["kind"] == "ambiguous-reverse"
         assert report["M1"].witness["token"] == "t"
@@ -440,7 +440,7 @@ class TestReduction:
         cube = family_medium(power_set_family("abcd"))
         chain = ["{}", "{a}", "{a,b}"]
         reduced = reduction(cube, chain)
-        report = check_axioms(reduced, bound=8)
+        report = check_axioms(reduced)
         assert report.ok
 
     def test_idempotent(self):
@@ -481,7 +481,7 @@ class TestMediumInvariants:
         for name, ts in corpus:
             if len(ts.states) > 20:
                 continue
-            report = check_axioms(ts, bound=5)
+            report = check_axioms(ts)
             assert report.ok, name
 
     def test_straight_messages_never_repeat_tokens(self, corpus):
@@ -693,7 +693,7 @@ class TestMemoizedFalsifier:
     @pytest.mark.parametrize("axiom", sorted(FIRST_FAILURES))
     def test_each_axiom_has_a_non_medium_failing_it_first(self, axiom):
         ts, witness = FIRST_FAILURES[axiom]
-        report = check_axioms(ts, bound=8)
+        report = check_axioms(ts)
         assert next(c for c in report.checks if c.verdict == "fails").axiom == axiom
         assert report[axiom].witness == witness
         walked = walks.bounded_report(ts, 8)
@@ -718,7 +718,7 @@ class TestMemoizedFalsifier:
         assert walks.violates_m4(ts, rev, bound) == w4
         # the M2 walk is exact; an M3 or M4 violation found within the bound
         # the exact report finds too, unless it skipped the axiom
-        report = check_axioms(ts, bound)
+        report = check_axioms(ts)
         if report["M1"].ok:
             assert report["M2"].verdict in ("fails" if w2 else "holds", "skipped")
             for a, w in (("M3", w3), ("M4", w4)):
@@ -729,9 +729,9 @@ class TestMemoizedFalsifier:
     def test_default_bound_holds_on_linear_media(self, n, bound):
         ts, _ = linear_medium(n)
         report = check_axioms(ts)
-        assert report.bound == bound
+        assert bound == 2 * len(ts.tokens)  # check's default bound
         assert [c.verdict for c in report.checks] == ["holds"] * 4
-        walked = walks.bounded_report(ts, report.bound)
+        walked = walks.bounded_report(ts, bound)
         assert walks.passes(walked)
         assert walked["M3"].verdict == walked["M4"].verdict == "holds-up-to-bound"
 
@@ -742,7 +742,7 @@ class TestMemoizedFalsifier:
         monkeypatch.setattr(represent, "reverse_defect", lambda ts: calls.append(ts) or find(ts))
         m1_failure = FIRST_FAILURES["M1"][0]
         for ts in (path3(), TokenSystem.from_json_dict(m1_failure.to_json_dict())):
-            report = check_axioms(ts, bound=4)
+            report = check_axioms(ts)
             decision = decide_medium(ts)
             assert report["M1"].witness == (None if decision.is_medium else decision.witness)
         assert len(calls) == 2

@@ -39,7 +39,7 @@ def bounded_report(ts: TokenSystem, bound: int) -> AxiomReport:
             AxiomCheck(a, SKIPPED, note="not evaluated: M1 failed, no usable reverse pairing")
             for a in ("M2", "M3", "M4")
         )
-        return AxiomReport((AxiomCheck("M1", FAILS, defect),) + skipped, bound)
+        return AxiomReport((AxiomCheck("M1", FAILS, defect),) + skipped)
     rev = ts.reverse
     m1 = AxiomCheck("M1", HOLDS)
     w2 = violates_m2(ts, rev)
@@ -48,7 +48,7 @@ def bounded_report(ts: TokenSystem, bound: int) -> AxiomReport:
     w4 = violates_m4(ts, rev, bound)
     m3 = AxiomCheck("M3", FAILS, w3) if w3 else AxiomCheck("M3", HOLDS_UP_TO_BOUND)
     m4 = AxiomCheck("M4", FAILS, w4) if w4 else AxiomCheck("M4", HOLDS_UP_TO_BOUND)
-    return AxiomReport((m1, m2, m3, m4), bound)
+    return AxiomReport((m1, m2, m3, m4))
 
 
 def out_moves(ts):
